@@ -1,46 +1,77 @@
 // Command predict compares model predictions of one collective
 // operation against the observation on the simulated cluster: it
-// estimates the heterogeneous Hockney, LogGP, PLogP and LMO models,
-// predicts the requested operation, runs it, and prints the results
-// side by side — the per-operation view of the paper's Figs 4 and 5.
+// estimates the model zoo (or loads it with -models), predicts the
+// requested operation with every family, runs it, and prints the
+// results side by side — the per-operation view of the paper's Figs 4
+// and 5. With -batch it streams JSONL queries to one JSON prediction per
+// line instead, the server-free counterpart of lmoserve's batched
+// /predict.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/optimize"
+	"repro/internal/serve"
 	"repro/internal/textplot"
 	"repro/internal/topo"
 	"repro/internal/tuned"
 )
 
-func main() {
-	var (
-		opName   = flag.String("op", "scatter", "collective: scatter or gather")
-		algName  = flag.String("alg", "linear", "algorithm: linear or binomial")
-		size     = flag.Int("m", 64<<10, "block size in bytes")
-		root     = flag.Int("root", 0, "root rank")
-		mpiName  = flag.String("mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
-		seed     = flag.Int64("seed", 1, "TCP randomness seed")
-		reps     = flag.Int("reps", 10, "observation repetitions")
-		modPath  = flag.String("models", "", "load estimated models from this JSON file (from cmd/estimate -json) instead of re-estimating")
-		topoSpec = flag.String("topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
-		batch    = flag.String("batch", "", `batch mode: read JSONL queries ({"op","alg","m","root"}, blanks inherit the flags) from this file ("-" = stdin) and emit one JSON prediction per line; skips the observation run`)
-		tunedTab = flag.String("tuned", "", "answer from an auto-tuned decision table (JSON from lmobench -exp tune or lmoserve /tune): print its chosen shape for this op and size and observe it")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// options are the parsed command-line flags.
+type options struct {
+	op, alg, mpi, models, topo, batch, tuned string
+	m, root, reps                            int
+	seed                                     int64
+}
+
+// run executes the command and returns its exit code: 0 on success, 2
+// on a usage, input or estimation error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.op, "op", "scatter", "collective: scatter, gather, bcast or reduce (the observation runs scatter and gather)")
+	fs.StringVar(&o.alg, "alg", "linear", "algorithm: linear, binomial, binary or chain")
+	fs.IntVar(&o.m, "m", 64<<10, "block size in bytes")
+	fs.IntVar(&o.root, "root", 0, "root rank")
+	fs.StringVar(&o.mpi, "mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
+	fs.Int64Var(&o.seed, "seed", 1, "TCP randomness seed")
+	fs.IntVar(&o.reps, "reps", 10, "observation repetitions")
+	fs.StringVar(&o.models, "models", "", "load estimated models from this JSON file (from cmd/estimate -json) instead of re-estimating")
+	fs.StringVar(&o.topo, "topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
+	fs.StringVar(&o.batch, "batch", "", `batch mode: read JSONL queries ({"op","alg","m","root","degree","segment"}, blanks inherit the flags) from this file ("-" = stdin) and emit one JSON prediction per line; skips the observation run`)
+	fs.StringVar(&o.tuned, "tuned", "", "answer from an auto-tuned decision table (JSON from lmobench -exp tune or lmoserve /tune): print its chosen shape for this op and size and observe it")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.run(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "predict: %v\n", err)
+		return 2
+	}
+	return 0
+}
+
+func (o options) run(stdout, stderr io.Writer) error {
 	var prof *cluster.TCPProfile
-	switch *mpiName {
+	switch o.mpi {
 	case "lam":
 		prof = cluster.LAM()
 	case "mpich":
@@ -48,197 +79,201 @@ func main() {
 	case "ideal":
 		prof = cluster.Ideal()
 	default:
-		fail("unknown -mpi %q", *mpiName)
-	}
-	var alg mpi.Alg
-	switch *algName {
-	case "linear":
-		alg = mpi.Linear
-	case "binomial":
-		alg = mpi.Binomial
-	default:
-		fail("unknown -alg %q", *algName)
-	}
-	var op experiment.CollectiveOp
-	switch *opName {
-	case "scatter":
-		op = experiment.Scatter
-	case "gather":
-		op = experiment.Gather
-	default:
-		fail("unknown -op %q", *opName)
+		return fmt.Errorf("unknown -mpi %q", o.mpi)
 	}
 
 	// In batch mode stdout carries pure JSONL; status goes to stderr.
-	info := os.Stdout
-	if *batch != "" {
-		info = os.Stderr
+	info := stdout
+	if o.batch != "" {
+		info = stderr
 	}
 
 	cfg := experiment.Default()
 	cfg.Profile = prof
-	cfg.Seed = *seed
-	cfg.Root = *root
-	cfg.ObsReps = *reps
-	if *topoSpec != "" {
-		t, err := topo.ParseSpec(*topoSpec)
+	cfg.Seed = o.seed
+	cfg.Root = o.root
+	cfg.ObsReps = o.reps
+	if o.topo != "" {
+		t, err := topo.ParseSpec(o.topo)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		cfg.Cluster = cluster.FromTopology(t, cluster.NodeSpec{}, cluster.LinkSpec{})
 	}
 	n := cfg.Cluster.N()
 
 	var ms *experiment.ModelSet
-	if *modPath != "" {
-		data, err := os.ReadFile(*modPath)
-		if err != nil {
-			fail("%v", err)
+	if o.models != "" {
+		var err error
+		if ms, err = o.loadModels(&cfg, prof, info); err != nil {
+			return err
 		}
-		mf, err := models.UnmarshalModelFile(data)
-		if err != nil {
-			fail("%v", err)
-		}
-		// The file's provenance pins the platform it was estimated on;
-		// shrink the cluster to match and flag profile mismatches.
-		if meta := mf.Meta; meta != nil {
-			if meta.Nodes != n {
-				if meta.Nodes < 3 || meta.Nodes > n {
-					fail("model file %s was estimated on %d nodes; this cluster has %d", *modPath, meta.Nodes, n)
-				}
-				cfg.Cluster = cfg.Cluster.Prefix(meta.Nodes)
-				n = meta.Nodes
-			}
-			if meta.Profile != prof.Name {
-				fmt.Fprintf(info, "note: models were estimated under %s, observing under %s\n", meta.Profile, prof.Name)
-			}
-		}
-		plogp, err := mf.GetPLogP()
-		if err != nil {
-			fail("%v", err)
-		}
-		ms = &experiment.ModelSet{
-			Hom: mf.Hockney, Het: mf.GetHetHockney(),
-			LogP: mf.LogP, LogGP: mf.LogGP, PLogP: plogp, LMO: mf.GetLMO(),
-		}
-		if ms.Het == nil || ms.LMO == nil || ms.LogGP == nil || ms.PLogP == nil {
-			fail("model file %s is missing required models; regenerate with cmd/estimate -json", *modPath)
-		}
-		fmt.Fprintf(info, "Loaded models from %s for the %d-node Table I cluster (%s)\n", *modPath, n, prof.Name)
-	} else {
+		n = cfg.Cluster.N()
+	}
+
+	// The flags are one query, and the defaults of every -batch row.
+	flagRow := serve.QueryRow{Op: o.op, Alg: o.alg, M: o.m, Root: o.root}
+	q, err := flagRow.Query(n)
+	if err != nil {
+		return err
+	}
+	if o.batch == "" && q.Coll != models.CollScatter && q.Coll != models.CollGather {
+		return fmt.Errorf("the observation runs scatter and gather only; predict %v with -batch", q.Coll)
+	}
+
+	if ms == nil {
 		clusterName := "Table I"
-		if *topoSpec != "" {
-			clusterName = *topoSpec
+		if o.topo != "" {
+			clusterName = o.topo
 		}
 		fmt.Fprintf(info, "Estimating models on the %d-node %s cluster (%s)...\n", n, clusterName, prof.Name)
-		var err error
-		ms, err = experiment.EstimateAll(cfg)
-		if err != nil {
-			fail("%v", err)
+		if ms, err = experiment.EstimateAll(cfg); err != nil {
+			return err
 		}
 	}
+	fams := families(ms)
 
-	if *batch != "" {
-		runBatch(*batch, ms, n, *opName, *algName, *size, *root)
-		return
+	if o.batch != "" {
+		return runBatch(o.batch, fams, ms.LMO, flagRow, n, stdout)
 	}
 
-	cfg.Sizes = []int{*size}
-	obs, err := experiment.Observe(cfg, op, alg)
+	op := experiment.Scatter
+	if q.Coll == models.CollGather {
+		op = experiment.Gather
+	}
+	cfg.Sizes = []int{q.M}
+	obs, err := experiment.Observe(cfg, op, q.Alg)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-
-	type pred struct {
-		name string
-		v    float64
-	}
-	var preds []pred
-	switch {
-	case op == experiment.Scatter && alg == mpi.Linear:
-		preds = []pred{
-			{"het-Hockney", ms.Het.ScatterLinear(*root, n, *size)},
-			{"LogGP", ms.LogGP.ScatterLinear(*root, n, *size)},
-			{"PLogP", ms.PLogP.ScatterLinear(*root, n, *size)},
-			{"LMO", ms.LMO.ScatterLinear(*root, n, *size)},
-		}
-	case op == experiment.Scatter && alg == mpi.Binomial:
-		preds = []pred{
-			{"hom-Hockney", ms.Hom.ScatterBinomial(*root, n, *size)},
-			{"het-Hockney", ms.Het.ScatterBinomial(*root, n, *size)},
-			{"LMO", ms.LMO.ScatterBinomial(*root, n, *size)},
-		}
-	case op == experiment.Gather && alg == mpi.Linear:
-		preds = []pred{
-			{"het-Hockney", ms.Het.GatherLinear(*root, n, *size)},
-			{"LogGP", ms.LogGP.GatherLinear(*root, n, *size)},
-			{"PLogP", ms.PLogP.GatherLinear(*root, n, *size)},
-			{"LMO", ms.LMO.GatherLinear(*root, n, *size)},
-		}
-	default:
-		preds = []pred{
-			{"het-Hockney", ms.Het.GatherBinomial(*root, n, *size)},
-			{"LMO", ms.LMO.GatherBinomial(*root, n, *size)},
-		}
-	}
-
 	rows := [][]string{{"source", "time (s)", "vs observed"}}
-	rows = append(rows, []string{"observed (mean of " + fmt.Sprint(*reps) + ")", fmt.Sprintf("%.6f", obs.Mean[0]), "—"})
-	for _, p := range preds {
-		rows = append(rows, []string{p.name, fmt.Sprintf("%.6f", p.v),
-			fmt.Sprintf("%+.1f%%", 100*(p.v-obs.Mean[0])/obs.Mean[0])})
+	rows = append(rows, []string{"observed (mean of " + fmt.Sprint(o.reps) + ")", fmt.Sprintf("%.6f", obs.Mean[0]), "—"})
+	for _, p := range fams {
+		v, err := p.Predict(q)
+		if err != nil {
+			continue
+		}
+		rows = append(rows, []string{p.Name(), fmt.Sprintf("%.6f", v),
+			fmt.Sprintf("%+.1f%%", 100*(v-obs.Mean[0])/obs.Mean[0])})
 	}
-	fmt.Printf("\n%s %s of %d-byte blocks on %d nodes (root %d):\n\n", *algName, *opName, *size, n, *root)
-	fmt.Println(textplot.Table(rows))
+	fmt.Fprintf(stdout, "\n%v %v of %d-byte blocks on %d nodes (root %d):\n\n", q.Alg, q.Coll, q.M, n, q.Root)
+	fmt.Fprintln(stdout, textplot.Table(rows))
 
-	if *tunedTab != "" {
-		reportTuned(cfg, *tunedTab, *opName, *size, *root, obs.Mean[0])
-	}
-
-	if op == experiment.Gather && alg == mpi.Linear && ms.LMO.Gather.Valid() {
-		lo, hi := ms.LMO.GatherLinearBand(*root, n, *size)
-		if hi > lo {
-			fmt.Printf("LMO escalation band at this size: [%.6f, %.6f] s (observed worst rep %.6f)\n",
-				lo, hi, obs.Max[0])
+	if o.tuned != "" {
+		if err := reportTuned(stdout, cfg, o.tuned, q.Coll.String(), q.M, obs.Mean[0]); err != nil {
+			return err
 		}
 	}
+	if lo, hi, ok := serve.GatherBand(ms.LMO, q); ok {
+		fmt.Fprintf(stdout, "LMO escalation band at this size: [%.6f, %.6f] s (observed worst rep %.6f)\n",
+			lo, hi, obs.Max[0])
+	}
+	return nil
+}
+
+// loadModels reads the -models file. The file's provenance pins the
+// platform it was estimated on: the cluster shrinks to match, and a
+// profile mismatch is noted on info.
+func (o options) loadModels(cfg *experiment.Config, prof *cluster.TCPProfile, info io.Writer) (*experiment.ModelSet, error) {
+	data, err := os.ReadFile(o.models)
+	if err != nil {
+		return nil, err
+	}
+	mf, err := models.UnmarshalModelFile(data)
+	if err != nil {
+		return nil, err
+	}
+	n := cfg.Cluster.N()
+	if meta := mf.Meta; meta != nil {
+		if meta.Nodes != n {
+			if meta.Nodes < 3 || meta.Nodes > n {
+				return nil, fmt.Errorf("model file %s was estimated on %d nodes; this cluster has %d", o.models, meta.Nodes, n)
+			}
+			cfg.Cluster = cfg.Cluster.Prefix(meta.Nodes)
+			n = meta.Nodes
+		}
+		if meta.Profile != prof.Name {
+			fmt.Fprintf(info, "note: models were estimated under %s, observing under %s\n", meta.Profile, prof.Name)
+		}
+	}
+	plogp, err := mf.GetPLogP()
+	if err != nil {
+		return nil, err
+	}
+	ms := &experiment.ModelSet{
+		Hom: mf.Hockney, Het: mf.GetHetHockney(),
+		LogP: mf.LogP, LogGP: mf.LogGP, PLogP: plogp, LMO: mf.GetLMO(),
+	}
+	if ms.Het == nil || ms.LMO == nil || ms.LogGP == nil || ms.PLogP == nil {
+		return nil, fmt.Errorf("model file %s is missing required models; regenerate with cmd/estimate -json", o.models)
+	}
+	fmt.Fprintf(info, "Loaded models from %s for the %d-node Table I cluster (%s)\n", o.models, n, prof.Name)
+	return ms, nil
+}
+
+// families lists the model set's predictors in lmoserve's render order,
+// skipping the families a -models file left out.
+func families(ms *experiment.ModelSet) []models.CollectivePredictor {
+	var out []models.CollectivePredictor
+	for _, f := range []struct {
+		p       models.CollectivePredictor
+		present bool
+	}{
+		{ms.Hom, ms.Hom != nil},
+		{ms.Het, ms.Het != nil},
+		{ms.LogP, ms.LogP != nil},
+		{ms.LogGP, ms.LogGP != nil},
+		{ms.PLogP, ms.PLogP != nil},
+		{ms.LMO, ms.LMO != nil},
+	} {
+		if f.present {
+			out = append(out, f.p)
+		}
+	}
+	return out
 }
 
 // batchQuery is one JSONL row of -batch input. Absent fields inherit
 // the command-line flags (the batched /predict default-merge idiom).
 type batchQuery struct {
-	Op   string `json:"op,omitempty"`
-	Alg  string `json:"alg,omitempty"`
-	M    int    `json:"m,omitempty"`
-	Root *int   `json:"root,omitempty"`
+	Op      string `json:"op,omitempty"`
+	Alg     string `json:"alg,omitempty"`
+	M       int    `json:"m,omitempty"`
+	Root    *int   `json:"root,omitempty"`
+	Degree  int    `json:"degree,omitempty"`
+	Segment int    `json:"segment,omitempty"`
 }
 
 // batchResult is one output line: the resolved query plus every model
-// family's prediction for it.
+// family's prediction for it, keyed like lmoserve's /predict.
 type batchResult struct {
 	Op          string             `json:"op"`
 	Alg         string             `json:"alg"`
 	M           int                `json:"m"`
 	Nodes       int                `json:"nodes"`
 	Root        int                `json:"root"`
+	Degree      int                `json:"degree,omitempty"`
+	Segment     int                `json:"segment,omitempty"`
 	Predictions map[string]float64 `json:"predictions"`
 	BandLow     *float64           `json:"band_low,omitempty"`
 	BandHigh    *float64           `json:"band_high,omitempty"`
 }
 
-// runBatch streams JSONL queries through the estimated model set — the
-// server-free counterpart of lmoserve's batched /predict.
-func runBatch(path string, ms *experiment.ModelSet, n int, defOp, defAlg string, defM, defRoot int) {
+// runBatch streams JSONL queries through the model families. Each row
+// is parsed with /predict's query conversion, piece-count limit
+// included; a family whose Predict rejects a shape is left out of the
+// row, as lmoserve does.
+func runBatch(path string, fams []models.CollectivePredictor, lmo *models.LMOX, def serve.QueryRow, n int, stdout io.Writer) error {
 	in := os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 	enc := json.NewEncoder(out)
 	sc := bufio.NewScanner(in)
@@ -250,99 +285,72 @@ func runBatch(path string, ms *experiment.ModelSet, n int, defOp, defAlg string,
 		if len(raw) == 0 {
 			continue
 		}
-		q := batchQuery{Op: defOp, Alg: defAlg, M: defM}
-		if err := json.Unmarshal(raw, &q); err != nil {
-			fail("line %d: %v", line, err)
+		var bq batchQuery
+		if err := json.Unmarshal(raw, &bq); err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
 		}
-		if q.Op == "" {
-			q.Op = defOp
+		row := def
+		if bq.Op != "" {
+			row.Op = bq.Op
 		}
-		if q.Alg == "" {
-			q.Alg = defAlg
+		if bq.Alg != "" {
+			row.Alg = bq.Alg
 		}
-		if q.M == 0 {
-			q.M = defM
+		if bq.M != 0 {
+			row.M = bq.M
 		}
-		root := defRoot
-		if q.Root != nil {
-			root = *q.Root
+		if bq.Root != nil {
+			row.Root = *bq.Root
 		}
-		if q.Op != "scatter" && q.Op != "gather" {
-			fail("line %d: op must be scatter or gather", line)
-		}
-		if q.Alg != "linear" && q.Alg != "binomial" {
-			fail("line %d: alg must be linear or binomial", line)
-		}
-		if q.M <= 0 {
-			fail("line %d: m must be positive", line)
-		}
-		if root < 0 || root >= n {
-			fail("line %d: root must be in [0, %d)", line, n)
+		row.Degree, row.Segment = bq.Degree, bq.Segment
+		q, err := row.Query(n)
+		if err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
 		}
 		res := batchResult{
-			Op: q.Op, Alg: q.Alg, M: q.M, Nodes: n, Root: root,
-			Predictions: map[string]float64{},
+			Op: q.Coll.String(), Alg: q.Alg.String(), M: q.M, Nodes: n, Root: q.Root,
+			Degree: q.Degree, Segment: q.Segment, Predictions: map[string]float64{},
 		}
-		switch {
-		case q.Op == "scatter" && q.Alg == "linear":
-			res.Predictions["het-hockney"] = ms.Het.ScatterLinear(root, n, q.M)
-			res.Predictions["loggp"] = ms.LogGP.ScatterLinear(root, n, q.M)
-			res.Predictions["plogp"] = ms.PLogP.ScatterLinear(root, n, q.M)
-			res.Predictions["lmo"] = ms.LMO.ScatterLinear(root, n, q.M)
-		case q.Op == "scatter":
-			if ms.Hom != nil {
-				res.Predictions["hockney"] = ms.Hom.ScatterBinomial(root, n, q.M)
+		for _, p := range fams {
+			if v, err := p.Predict(q); err == nil {
+				res.Predictions[strings.ToLower(p.Name())] = v
 			}
-			res.Predictions["het-hockney"] = ms.Het.ScatterBinomial(root, n, q.M)
-			res.Predictions["lmo"] = ms.LMO.ScatterBinomial(root, n, q.M)
-		case q.Alg == "linear":
-			res.Predictions["het-hockney"] = ms.Het.GatherLinear(root, n, q.M)
-			res.Predictions["loggp"] = ms.LogGP.GatherLinear(root, n, q.M)
-			res.Predictions["plogp"] = ms.PLogP.GatherLinear(root, n, q.M)
-			res.Predictions["lmo"] = ms.LMO.GatherLinear(root, n, q.M)
-			if ms.LMO.Gather.Valid() {
-				if lo, hi := ms.LMO.GatherLinearBand(root, n, q.M); hi > lo {
-					res.BandLow, res.BandHigh = &lo, &hi
-				}
-			}
-		default:
-			res.Predictions["het-hockney"] = ms.Het.GatherBinomial(root, n, q.M)
-			res.Predictions["lmo"] = ms.LMO.GatherBinomial(root, n, q.M)
+		}
+		if lo, hi, ok := serve.GatherBand(lmo, q); ok {
+			res.BandLow, res.BandHigh = &lo, &hi
 		}
 		if err := enc.Encode(res); err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fail("%v", err)
-	}
+	return sc.Err()
 }
 
 // reportTuned answers the query from an auto-tuned decision table:
 // look up the rule covering (op, m), print the chosen shape with its
 // tuning-time predictions, then observe that shape on this cluster and
 // compare it with the naive observation obsNaive.
-func reportTuned(cfg experiment.Config, path, opName string, m, root int, obsNaive float64) {
+func reportTuned(w io.Writer, cfg experiment.Config, path, opName string, m int, obsNaive float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	tbl, err := tuned.UnmarshalTable(data)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	n := cfg.Cluster.N()
 	if meta := tbl.Meta; meta != nil && meta.Nodes != n {
-		fail("decision table %s was tuned for %d nodes; this cluster has %d", path, meta.Nodes, n)
+		return fmt.Errorf("decision table %s was tuned for %d nodes; this cluster has %d", path, meta.Nodes, n)
 	}
 	rule, ok := tbl.Lookup(tuned.Op(opName), m)
 	if !ok {
-		fmt.Printf("tuned: %s has no %s rule covering %d bytes\n", path, opName, m)
-		return
+		fmt.Fprintf(w, "tuned: %s has no %s rule covering %d bytes\n", path, opName, m)
+		return nil
 	}
 	alg, err := rule.AlgValue()
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	mcfg := mpi.Config{Cluster: cfg.Cluster, Profile: cfg.Profile, Seed: cfg.Seed, Faults: cfg.Faults}
 	res, err := mpi.Run(mcfg, func(r *mpi.Rank) {
@@ -360,16 +368,12 @@ func reportTuned(cfg experiment.Config, path, opName string, m, root int, obsNai
 		optimize.ExecScatter(r, alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
 	})
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	got := res.Duration.Seconds()
-	fmt.Printf("\ntuned decision for %s at %d bytes: %s\n", opName, m, rule.String())
-	fmt.Printf("  tuning-time: predicted %.6f s, simulated %.6f s\n", rule.PredictedS, rule.SimulatedS)
-	fmt.Printf("  observed here: %.6f s (%+.1f%% vs the flagged algorithm's %.6f s)\n",
+	fmt.Fprintf(w, "\ntuned decision for %s at %d bytes: %s\n", opName, m, rule.String())
+	fmt.Fprintf(w, "  tuning-time: predicted %.6f s, simulated %.6f s\n", rule.PredictedS, rule.SimulatedS)
+	fmt.Fprintf(w, "  observed here: %.6f s (%+.1f%% vs the flagged algorithm's %.6f s)\n",
 		got, 100*(got-obsNaive)/obsNaive, obsNaive)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "predict: "+format+"\n", args...)
-	os.Exit(2)
+	return nil
 }

@@ -29,9 +29,10 @@
 // against observation.
 //
 //	sys := commperf.NewSystem(commperf.Table1(), commperf.LAM(), 1)
-//	lmo, _, err := sys.EstimateLMO()
+//	est, err := sys.Estimate(commperf.ModelLMO)
 //	...
-//	pred := lmo.ScatterLinear(0, 16, 64<<10)
+//	pred, err := est.LMO.Predict(commperf.PredictQuery{
+//	        Coll: commperf.CollScatter, Alg: commperf.Linear, N: 16, M: 64 << 10})
 package commperf
 
 import (
@@ -67,9 +68,6 @@ type (
 
 // Models.
 type (
-	// Predictor is any model able to predict point-to-point and
-	// collective execution times.
-	Predictor = models.Predictor
 	// Hockney is the homogeneous Hockney model (α, β).
 	Hockney = models.Hockney
 	// HetHockney is the per-pair heterogeneous Hockney model.
@@ -89,14 +87,9 @@ type (
 	// GatherEmpirical carries the empirical linear-gather parameters
 	// (M1, M2, escalation statistics).
 	GatherEmpirical = models.GatherEmpirical
-	// TreePredictor is a model able to predict collectives over
-	// arbitrary communication trees.
-	//
-	// Deprecated: use CollectivePredictor, which subsumes it.
-	TreePredictor = models.TreePredictor
-	// CollectivePredictor is the unified predictor interface: one
-	// Alg-keyed Predict entry point plus a capabilities surface. Every
-	// model satisfies it (directly or via AdaptPredictor).
+	// CollectivePredictor is the predictor interface: one Alg-keyed
+	// Predict entry point plus a capabilities surface. Every model
+	// satisfies it.
 	CollectivePredictor = models.CollectivePredictor
 	// PredictQuery describes one collective prediction: collective,
 	// algorithm shape, root, processor count and message size.
@@ -123,10 +116,6 @@ const (
 	// CollReduce predicts a reduce.
 	CollReduce = models.CollReduce
 )
-
-// AdaptPredictor lifts a legacy Predictor (optionally a TreePredictor)
-// into the unified CollectivePredictor interface.
-var AdaptPredictor = models.Adapt
 
 // Message passing.
 type (
@@ -353,28 +342,22 @@ var (
 
 // Optimization helpers.
 var (
-	// SelectScatterAlg picks the faster predicted scatter algorithm.
-	SelectScatterAlg = optimize.SelectScatterAlg
-	// SelectGatherAlg picks the faster predicted gather algorithm.
-	SelectGatherAlg = optimize.SelectGatherAlg
+	// SelectAlgAmong picks the algorithm with the smallest predicted
+	// time for a collective among candidates (all four when nil);
+	// ties keep the first candidate.
+	SelectAlgAmong = optimize.SelectAlgAmong
+	// BestRoot finds the root minimizing a linear collective's
+	// predicted time.
+	BestRoot = optimize.BestRoot
 	// OptimizedGather splits medium messages to dodge escalations.
 	OptimizedGather = optimize.OptimizedGather
 	// OptimizedGatherv is the variable-size-block version.
 	OptimizedGatherv = optimize.OptimizedGatherv
 	// MapBinomialTree optimizes the processor-to-tree-node mapping.
 	MapBinomialTree = optimize.MapBinomialTree
-	// AlgCrossover locates the predicted algorithm-switching size.
+	// AlgCrossover locates the size where the predicted order of
+	// linear and binomial scatter flips.
 	AlgCrossover = optimize.Crossover
-	// SelectScatterAlgAmong picks the fastest predicted algorithm out
-	// of the whole zoo (linear, binomial, binary, chain).
-	SelectScatterAlgAmong = optimize.SelectScatterAlgAmong
-	// SelectGatherAlgAmong does the same for gather, honouring the
-	// empirical irregularity branches of linear gather.
-	SelectGatherAlgAmong = optimize.SelectGatherAlgAmong
-	// BestScatterRoot finds the root minimizing predicted scatter time.
-	BestScatterRoot = optimize.BestScatterRoot
-	// BestGatherRoot finds the root minimizing predicted gather time.
-	BestGatherRoot = optimize.BestGatherRoot
 )
 
 // Tuned collectives (model-driven, HeteroMPI-style).
@@ -513,83 +496,6 @@ func MeasureMakespan(r *Rank, op func(), opts ...MeasureOption) Measurement {
 		o.applyMeasure(&cfg)
 	}
 	return mpib.Measure(r, 0, mpib.MaxTiming, cfg.opt, op)
-}
-
-// EstimateLMO estimates the extended LMO model (round-trips plus
-// one-to-two triplet experiments, eqs 6–12) with a parallel schedule,
-// and attaches the detected gather irregularity.
-//
-// Deprecated: use Estimate(ModelLMO, ...) with functional options.
-func (s *System) EstimateLMO(opts ...EstimateOptions) (*LMO, EstimateReport, error) {
-	opt, err := pickOpt(opts)
-	if err != nil {
-		return nil, EstimateReport{}, err
-	}
-	est, err := s.Estimate(ModelLMO, WithEstimateOptions(opt))
-	return est.LMO, est.Report, err
-}
-
-// EstimateLMOOriginal estimates the original five-parameter LMO model
-// (the ablation baseline whose constants conflate the network latency).
-//
-// Deprecated: use Estimate(ModelLMOOriginal, ...) with functional options.
-func (s *System) EstimateLMOOriginal(opts ...EstimateOptions) (*LMOOriginal, EstimateReport, error) {
-	opt, err := pickOpt(opts)
-	if err != nil {
-		return nil, EstimateReport{}, err
-	}
-	est, err := s.Estimate(ModelLMOOriginal, WithEstimateOptions(opt))
-	return est.LMOOriginal, est.Report, err
-}
-
-// EstimateHetHockney estimates the heterogeneous Hockney model.
-//
-// Deprecated: use Estimate(ModelHetHockney, ...) with functional options.
-func (s *System) EstimateHetHockney(opts ...EstimateOptions) (*HetHockney, EstimateReport, error) {
-	opt, err := pickOpt(opts)
-	if err != nil {
-		return nil, EstimateReport{}, err
-	}
-	est, err := s.Estimate(ModelHetHockney, WithEstimateOptions(opt))
-	return est.HetHockney, est.Report, err
-}
-
-// EstimateHockney estimates the homogeneous Hockney model by the
-// series method.
-//
-// Deprecated: use Estimate(ModelHockney, ...) with functional options.
-func (s *System) EstimateHockney(opts ...EstimateOptions) (*Hockney, EstimateReport, error) {
-	opt, err := pickOpt(opts)
-	if err != nil {
-		return nil, EstimateReport{}, err
-	}
-	est, err := s.Estimate(ModelHockney, WithEstimateOptions(opt))
-	return est.Hockney, est.Report, err
-}
-
-// EstimateLogPLogGP estimates the LogP and LogGP models.
-//
-// Deprecated: use Estimate(ModelLogP, ...) with functional options.
-func (s *System) EstimateLogPLogGP(opts ...EstimateOptions) (*LogP, *LogGP, EstimateReport, error) {
-	opt, err := pickOpt(opts)
-	if err != nil {
-		return nil, nil, EstimateReport{}, err
-	}
-	est, err := s.Estimate(ModelLogP, WithEstimateOptions(opt))
-	return est.LogP, est.LogGP, est.Report, err
-}
-
-// EstimatePLogP estimates the parameterized LogP model with adaptive
-// message sizes.
-//
-// Deprecated: use Estimate(ModelPLogP, ...) with functional options.
-func (s *System) EstimatePLogP(opts ...EstimateOptions) (*PLogP, EstimateReport, error) {
-	opt, err := pickOpt(opts)
-	if err != nil {
-		return nil, EstimateReport{}, err
-	}
-	est, err := s.Estimate(ModelPLogP, WithEstimateOptions(opt))
-	return est.PLogP, est.Report, err
 }
 
 // DetectGatherIrregularity scans linear gather for the empirical

@@ -43,10 +43,11 @@ func TestSystemRunAndMeasure(t *testing.T) {
 
 func TestSystemEstimateAndPredict(t *testing.T) {
 	sys := testSystem()
-	lmo, rep, err := sys.EstimateLMO()
+	est, err := sys.Estimate(ModelLMO)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lmo, rep := est.LMO, est.Report
 	if rep.Cost <= 0 || rep.Experiments == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -81,17 +82,10 @@ func TestSystemEstimateAndPredict(t *testing.T) {
 
 func TestSystemEstimatorsRun(t *testing.T) {
 	sys := testSystem()
-	if _, _, err := sys.EstimateHetHockney(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.EstimateHockney(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := sys.EstimateLogPLogGP(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.EstimatePLogP(); err != nil {
-		t.Fatal(err)
+	for _, kind := range []ModelKind{ModelHetHockney, ModelHockney, ModelLogP, ModelPLogP} {
+		if _, err := sys.Estimate(kind); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
 	}
 	g, _, err := sys.DetectGatherIrregularity(0)
 	if err != nil {
@@ -146,13 +140,15 @@ func TestOptimizationHelpersExposed(t *testing.T) {
 		NodeSpec{C: 50 * time.Microsecond, T: 4e-9},
 		LinkSpec{L: 40 * time.Microsecond, Beta: 1e8})
 	sys := NewSystem(cl, Ideal(), 1)
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(ModelLMO)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lmo := est.LMO
 	n := sys.Cluster().N()
-	small := SelectScatterAlg(lmo, 0, n, 64)
-	big := SelectScatterAlg(lmo, 0, n, 1<<20)
+	linBin := []Alg{Linear, Binomial}
+	small, _ := SelectAlgAmong(lmo, CollScatter, 0, n, 64, linBin)
+	big, _ := SelectAlgAmong(lmo, CollScatter, 0, n, 1<<20, linBin)
 	if small != Binomial || big != Linear {
 		t.Fatalf("alg selection: small=%v big=%v", small, big)
 	}
@@ -187,10 +183,11 @@ func TestTunerThroughFacade(t *testing.T) {
 		NodeSpec{C: 50 * time.Microsecond, T: 4e-9},
 		LinkSpec{L: 40 * time.Microsecond, Beta: 1e8})
 	sys := NewSystem(cl, LAM(), 5)
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(ModelLMO)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lmo := est.LMO
 	tuner := NewTuner(lmo, 8)
 	res, err := sys.Run(func(r *Rank) {
 		// Medium gather: the tuner must split (irregular region known
@@ -216,10 +213,11 @@ func TestTunerThroughFacade(t *testing.T) {
 
 func TestModelFileThroughFacade(t *testing.T) {
 	sys := testSystem()
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(ModelLMO)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lmo := est.LMO
 	data, err := NewModelFile(nil, nil, nil, nil, nil, lmo).Marshal()
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,12 @@ func ExampleNewSystem() {
 		commperf.LinkSpec{L: 40 * time.Microsecond, Beta: 1e8})
 	sys := commperf.NewSystem(cl, commperf.Ideal(), 1)
 
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(commperf.ModelLMO)
 	if err != nil {
 		fmt.Println("estimate:", err)
 		return
 	}
+	lmo := est.LMO
 	// Ground truth: C = 50µs, L = 40µs — the estimation separates them.
 	fmt.Printf("C ≈ %.0fµs, L ≈ %.0fµs\n", lmo.C[0]*1e6, lmo.L[0][1]*1e6)
 	// Output:
@@ -50,16 +51,16 @@ func ExampleSystem_Run() {
 	// <nil> 4
 }
 
-// ExampleSelectScatterAlg shows model-based algorithm selection: on a
-// homogeneous 16-node cluster binomial wins small messages, linear
-// wins large ones.
-func ExampleSelectScatterAlg() {
-	lmo := commperf.Hockney{} // zero model for illustration only
-	_ = lmo
-
+// ExampleSelectAlgAmong shows model-based algorithm selection between
+// linear and binomial scatter: on a homogeneous 16-node cluster
+// binomial wins small messages, linear wins large ones.
+func ExampleSelectAlgAmong() {
 	x := newUniformLMO(16)
-	fmt.Println(commperf.SelectScatterAlg(x, 0, 16, 64))
-	fmt.Println(commperf.SelectScatterAlg(x, 0, 16, 1<<20))
+	linBin := []commperf.Alg{commperf.Linear, commperf.Binomial}
+	small, _ := commperf.SelectAlgAmong(x, commperf.CollScatter, 0, 16, 64, linBin)
+	large, _ := commperf.SelectAlgAmong(x, commperf.CollScatter, 0, 16, 1<<20, linBin)
+	fmt.Println(small)
+	fmt.Println(large)
 	// Output:
 	// binomial
 	// linear

@@ -18,19 +18,22 @@ func main() {
 	n := sys.Cluster().N()
 
 	fmt.Println("estimating het-Hockney and LMO models...")
-	hockney, _, err := sys.EstimateHetHockney()
+	hest, err := sys.Estimate(commperf.ModelHetHockney)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lmo, _, err := sys.EstimateLMO()
+	hockney := hest.HetHockney
+	est, err := sys.Estimate(commperf.ModelLMO)
 	if err != nil {
 		log.Fatal(err)
 	}
+	lmo := est.LMO
 
 	sizes := []int{1 << 10, 8 << 10, 32 << 10, 100 << 10, 150 << 10, 200 << 10}
 	fmt.Printf("\n%-8s %-14s %-14s %-16s %-16s %s\n",
 		"size", "linear (obs)", "binomial (obs)", "Hockney picks", "LMO picks", "faster")
 	hockneyScore, lmoScore := 0, 0
+	linBin := []commperf.Alg{commperf.Linear, commperf.Binomial}
 	for _, m := range sizes {
 		lin := observeScatter(sys, commperf.Linear, m)
 		bin := observeScatter(sys, commperf.Binomial, m)
@@ -38,8 +41,8 @@ func main() {
 		if bin < lin {
 			observed = commperf.Binomial
 		}
-		hPick := commperf.SelectScatterAlg(hockney, 0, n, m)
-		lPick := commperf.SelectScatterAlg(lmo, 0, n, m)
+		hPick, _ := commperf.SelectAlgAmong(hockney, commperf.CollScatter, 0, n, m, linBin)
+		lPick, _ := commperf.SelectAlgAmong(lmo, commperf.CollScatter, 0, n, m, linBin)
 		if hPick == observed {
 			hockneyScore++
 		}

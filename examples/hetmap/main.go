@@ -19,10 +19,11 @@ func main() {
 	n := sys.Cluster().N()
 
 	fmt.Println("estimating the LMO model...")
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(commperf.ModelLMO)
 	if err != nil {
 		log.Fatal(err)
 	}
+	lmo := est.LMO
 
 	const m = 32 << 10
 	naive := lmo.ScatterBinomial(0, n, m)
@@ -45,10 +46,11 @@ func main() {
 	}
 
 	// A homogeneous model cannot distinguish mappings at all.
-	hom, _, err := sys.EstimateHockney()
+	est, err = sys.Estimate(commperf.ModelHockney)
 	if err != nil {
 		log.Fatal(err)
 	}
+	hom := est.Hockney
 	fmt.Printf("\nfor contrast, homogeneous Hockney predicts %.3f ms for every mapping\n",
 		hom.ScatterBinomial(0, n, m)*1e3)
 }

@@ -33,10 +33,11 @@ func main() {
 	n := sys.Cluster().N()
 
 	fmt.Println("estimating the LMO model...")
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(commperf.ModelLMO)
 	if err != nil {
 		log.Fatal(err)
 	}
+	lmo := est.LMO
 	tuner := commperf.NewTuner(lmo, n)
 
 	equal := make([]int, n)
@@ -58,7 +59,7 @@ func main() {
 	// Predicted communication per iteration (scatter + gather of the
 	// equal-share block under the chosen algorithms).
 	block := totalState / n
-	scatterAlg, scatterT := commperf.SelectScatterAlgAmong(lmo, 0, n, block, nil)
+	scatterAlg, scatterT := commperf.SelectAlgAmong(lmo, commperf.CollScatter, 0, n, block, nil)
 	fmt.Printf("\nLMO predicts %s scatter at %d KB blocks: %.2f ms/iteration\n",
 		scatterAlg, block>>10, scatterT*1e3)
 }

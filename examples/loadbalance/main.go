@@ -22,10 +22,11 @@ func main() {
 	n := sys.Cluster().N()
 
 	fmt.Println("estimating the LMO model (processor speeds come from it, not from ground truth)...")
-	lmo, _, err := sys.EstimateLMO()
+	est, err := sys.Estimate(commperf.ModelLMO)
 	if err != nil {
 		log.Fatal(err)
 	}
+	lmo := est.LMO
 
 	equal := make([]int, n)
 	for i := range equal {

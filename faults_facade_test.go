@@ -14,7 +14,7 @@ func faultySystem(n int) *System {
 }
 
 // TestSystemEstimateLMOUnderFaults is the acceptance scenario at the
-// facade: with the reference fault plan installed, System.EstimateLMO
+// facade: with the reference fault plan installed, LMO estimation
 // must complete without panic or deadlock and report how it degraded.
 func TestSystemEstimateLMOUnderFaults(t *testing.T) {
 	const n = 6
@@ -22,13 +22,14 @@ func TestSystemEstimateLMOUnderFaults(t *testing.T) {
 	if sys.Faults() == nil {
 		t.Fatal("WithFaults did not install the plan")
 	}
-	lmo, rep, err := sys.EstimateLMO(EstimateOptions{
+	est, err := sys.Estimate(ModelLMO, WithEstimateOptions(EstimateOptions{
 		Parallel: true,
 		Mpib:     MeasureOptions{OutlierMAD: 3, Retries: 2, MaxReps: 40},
-	})
+	}))
 	if err != nil {
-		t.Fatalf("EstimateLMO under the demo fault plan: %v", err)
+		t.Fatalf("Estimate(ModelLMO) under the demo fault plan: %v", err)
 	}
+	lmo, rep := est.LMO, est.Report
 	if rep.Experiments == 0 || rep.Cost <= 0 {
 		t.Fatalf("report = %+v", rep)
 	}

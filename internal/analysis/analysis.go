@@ -274,18 +274,3 @@ func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, pkg *Package) ([]F
 	}
 	return dedup, nil
 }
-
-// RunAnalyzer applies one analyzer to one loaded package and returns
-// its findings sorted by position, with //lmovet:allow suppressions
-// already applied.
-func RunAnalyzer(a *Analyzer, fset *token.FileSet, pkg *Package) ([]Diagnostic, error) {
-	findings, err := RunAnalyzers([]*Analyzer{a}, fset, pkg)
-	if err != nil {
-		return nil, err
-	}
-	diags := make([]Diagnostic, len(findings))
-	for i, f := range findings {
-		diags[i] = Diagnostic{Pos: f.Pos, Message: f.Message}
-	}
-	return diags, nil
-}

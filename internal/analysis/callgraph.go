@@ -167,30 +167,6 @@ func (g *CallGraph) resolveInterface(callee *types.Func) []*types.Func {
 	return out
 }
 
-// Reachable returns the set of declared functions reachable from the
-// roots (inclusive) through same-package static calls.
-func (g *CallGraph) Reachable(roots ...*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	var work []*types.Func
-	for _, r := range roots {
-		if g.decls[r] != nil && !seen[r] {
-			seen[r] = true
-			work = append(work, r)
-		}
-	}
-	for len(work) > 0 {
-		fn := work[0]
-		work = work[1:]
-		for _, e := range g.out[fn] {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				work = append(work, e.Callee)
-			}
-		}
-	}
-	return seen
-}
-
 // PathsTo is the summary-propagation primitive: given target functions
 // that directly exhibit a property (they allocate, they publish a
 // pointer, ...), it computes for every function that can reach a

@@ -23,9 +23,6 @@ func knownEstimator(id string) bool {
 	return false
 }
 
-// EstimatorIDs returns the supported estimator target IDs.
-func EstimatorIDs() []string { return append([]string(nil), estimatorIDs...) }
-
 // runTaskFn is the task executor; tests substitute it to exercise the
 // engine's panic/timeout/cancellation paths without a simulator run.
 var runTaskFn = runTask

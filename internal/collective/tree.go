@@ -152,17 +152,6 @@ func (t *Tree) Depth(r int) int {
 	return d
 }
 
-// Height returns the maximum depth over all ranks.
-func (t *Tree) Height() int {
-	h := 0
-	for r := 0; r < t.N; r++ {
-		if d := t.Depth(r); d > h {
-			h = d
-		}
-	}
-	return h
-}
-
 // SubtreeRanks returns the ranks of the subtree rooted at r, in
 // preorder.
 func (t *Tree) SubtreeRanks(r int) []int {

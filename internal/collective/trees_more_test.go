@@ -19,8 +19,8 @@ func TestChainStructure(t *testing.T) {
 			t.Fatalf("blocks into %d = %d, want %d", k, tr.Blocks(k), 5-k)
 		}
 	}
-	if tr.Height() != 4 {
-		t.Fatalf("chain height = %d", tr.Height())
+	if height(tr) != 4 {
+		t.Fatalf("chain height = %d", height(tr))
 	}
 }
 
@@ -52,7 +52,7 @@ func TestBinaryStructure(t *testing.T) {
 		t.Fatalf("subtree sizes = %d, %d", tr.SubtreeSize[1], tr.SubtreeSize[4])
 	}
 	// Binary tree height is logarithmic: for n=7 expect 2 or 3.
-	if h := tr.Height(); h > 3 {
+	if h := height(tr); h > 3 {
 		t.Fatalf("height = %d", h)
 	}
 }
@@ -119,10 +119,10 @@ func TestMoreTreesPropertyInvariants(t *testing.T) {
 func TestTreeShapesDiffer(t *testing.T) {
 	n := 16
 	heights := map[string]int{
-		"flat":     Flat(n, 0).Height(),
-		"binomial": Binomial(n, 0).Height(),
-		"binary":   Binary(n, 0).Height(),
-		"chain":    Chain(n, 0).Height(),
+		"flat":     height(Flat(n, 0)),
+		"binomial": height(Binomial(n, 0)),
+		"binary":   height(Binary(n, 0)),
+		"chain":    height(Chain(n, 0)),
 	}
 	if !(heights["flat"] < heights["binomial"] && heights["binomial"] <= heights["binary"] && heights["binary"] < heights["chain"]) {
 		t.Fatalf("unexpected height ordering: %v", heights)

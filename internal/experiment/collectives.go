@@ -31,7 +31,7 @@ func Collectives(cfg Config) (*Report, error) {
 	entries := []entry{
 		{
 			"bcast (binomial)",
-			func(m int) float64 { return lmo.BcastBinomial(cfg.Root, n, m) },
+			func(m int) float64 { return lmo.BcastTree(collective.Binomial(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
 				return func() {
 					var data []byte
@@ -44,7 +44,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"reduce (binomial)",
-			func(m int) float64 { return lmo.ReduceBinomial(cfg.Root, n, m) },
+			func(m int) float64 { return lmo.ReduceTree(collective.Binomial(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
 				op := func(a, b []byte) []byte { return a }
 				block := make([]byte, m)

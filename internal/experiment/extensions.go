@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/optimize"
@@ -185,7 +186,7 @@ func AlgZoo(cfg Config) (*Report, error) {
 				fastest = alg
 			}
 		}
-		pick, _ := optimize.SelectScatterAlgAmong(lmo, cfg.Root, n, m, nil)
+		pick, _ := optimize.SelectAlgAmong(lmo, models.CollScatter, cfg.Root, n, m, nil)
 		if pick == fastest {
 			correct++
 		}

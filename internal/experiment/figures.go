@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/estimate"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/optimize"
@@ -234,13 +235,14 @@ func Fig6(cfg Config) (*Report, error) {
 	)
 	rows := [][]string{{"size", "observed faster", "Hockney picks", "LMO picks"}}
 	hockneyRight, lmoRight := 0, 0
+	linBin := []mpi.Alg{mpi.Linear, mpi.Binomial}
 	for i, m := range cfg.Sizes {
 		observed := mpi.Linear
 		if obsBin.Mean[i] < obsLin.Mean[i] {
 			observed = mpi.Binomial
 		}
-		hPick := optimize.SelectScatterAlg(ms.Het, cfg.Root, n, m)
-		lPick := optimize.SelectScatterAlg(ms.LMO, cfg.Root, n, m)
+		hPick, _ := optimize.SelectAlgAmong(ms.Het, models.CollScatter, cfg.Root, n, m, linBin)
+		lPick, _ := optimize.SelectAlgAmong(ms.LMO, models.CollScatter, cfg.Root, n, m, linBin)
 		if hPick == observed {
 			hockneyRight++
 		}

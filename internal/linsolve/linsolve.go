@@ -67,21 +67,6 @@ func Solve(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Residual returns the max-norm of A·x - b.
-func Residual(a [][]float64, x, b []float64) float64 {
-	res := 0.0
-	for i := range a {
-		s := -b[i]
-		for j, v := range a[i] {
-			s += v * x[j]
-		}
-		if r := math.Abs(s); r > res {
-			res = r
-		}
-	}
-	return res
-}
-
 // LeastSquares solves the over-determined system A·x ≈ b (rows ≥ cols)
 // in the least-squares sense via the normal equations AᵀA·x = Aᵀb.
 // Adequate for the small, well-conditioned systems the estimators

@@ -77,7 +77,7 @@ func TestSolveDoesNotModifyInput(t *testing.T) {
 }
 
 // Property: for random well-conditioned systems, Solve returns x with a
-// tiny residual, and Residual agrees.
+// tiny residual.
 func TestSolvePropertyRandomSystems(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		n := int(n8%8) + 1
@@ -109,7 +109,7 @@ func TestSolvePropertyRandomSystems(t *testing.T) {
 				return false
 			}
 		}
-		return Residual(a, x, b) < 1e-7
+		return residual(a, x, b) < 1e-7
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -163,4 +163,19 @@ func TestLeastSquaresBadShapes(t *testing.T) {
 	if _, err := LeastSquares([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
 		t.Fatal("ragged matrix should error")
 	}
+}
+
+// residual returns the max-norm of A·x - b.
+func residual(a [][]float64, x, b []float64) float64 {
+	res := 0.0
+	for i := range a {
+		s := -b[i]
+		for j, v := range a[i] {
+			s += v * x[j]
+		}
+		if r := math.Abs(s); r > res {
+			res = r
+		}
+	}
+	return res
 }

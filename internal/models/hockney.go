@@ -16,10 +16,10 @@ type Hockney struct {
 	Beta  float64 // inverse bandwidth, seconds per byte
 }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (h *Hockney) Name() string { return "Hockney" }
 
-// P2P implements Predictor: α + β·m for every pair.
+// P2P implements CollectivePredictor: α + β·m for every pair.
 func (h *Hockney) P2P(_, _, m int) float64 { return h.Alpha + h.Beta*float64(m) }
 
 // ScatterLinearSerial is the fully-serialized reading of linear
@@ -32,20 +32,21 @@ func (h *Hockney) ScatterLinearSerial(n, m int) float64 {
 // paper's optimistic prediction in Fig 1.
 func (h *Hockney) ScatterLinearParallel(_, m int) float64 { return h.P2P(0, 1, m) }
 
-// ScatterLinear implements Predictor with the serial reading, the
-// choice the paper's Table II uses for Hockney-family models.
+// ScatterLinear predicts the flat-tree scatter with the serial
+// reading, the choice the paper's Table II uses for Hockney-family models.
 func (h *Hockney) ScatterLinear(_, n, m int) float64 { return h.ScatterLinearSerial(n, m) }
 
-// GatherLinear implements Predictor. By the design of the Hockney
+// GatherLinear predicts the flat-tree gather. By the design of the Hockney
 // model the same formula applies to gather (§II).
 func (h *Hockney) GatherLinear(_, n, m int) float64 { return h.ScatterLinearSerial(n, m) }
 
-// ScatterBinomial implements Predictor: (log₂n)α + (n-1)βM (§II, eq 3).
+// ScatterBinomial predicts the binomial scatter: (log₂n)α + (n-1)βM (§II, eq 3).
 func (h *Hockney) ScatterBinomial(_, n, m int) float64 {
 	return log2Ceil(n)*h.Alpha + float64(n-1)*h.Beta*float64(m)
 }
 
-// GatherBinomial implements Predictor; identical to scatter by design.
+// GatherBinomial predicts the binomial gather; identical to scatter
+// by design.
 func (h *Hockney) GatherBinomial(root, n, m int) float64 { return h.ScatterBinomial(root, n, m) }
 
 // String renders the parameters.
@@ -74,10 +75,10 @@ func NewHetHockney(n int) *HetHockney {
 // N returns the number of processors the model covers.
 func (h *HetHockney) N() int { return len(h.Alpha) }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (h *HetHockney) Name() string { return "het-Hockney" }
 
-// P2P implements Predictor: α_ij + β_ij·m.
+// P2P implements CollectivePredictor: α_ij + β_ij·m.
 func (h *HetHockney) P2P(src, dst, m int) float64 {
 	return h.Alpha[src][dst] + h.Beta[src][dst]*float64(m)
 }
@@ -106,28 +107,30 @@ func (h *HetHockney) ScatterLinearParallel(root, m int) float64 {
 	return mx
 }
 
-// ScatterLinear implements Predictor with the serial reading (Table II).
+// ScatterLinear predicts the flat-tree scatter with the serial reading
+// (Table II).
 func (h *HetHockney) ScatterLinear(root, n, m int) float64 {
 	h.checkN(n)
 	return h.ScatterLinearSerial(root, m)
 }
 
-// GatherLinear implements Predictor; same formula as scatter (§II).
+// GatherLinear predicts the flat-tree gather; same formula as scatter
+// (§II).
 func (h *HetHockney) GatherLinear(root, n, m int) float64 {
 	h.checkN(n)
 	return h.ScatterLinearSerial(root, m)
 }
 
-// ScatterBinomial implements Predictor using the recursive formula (1):
+// ScatterBinomial predicts the binomial scatter with the recursive
+// formula (1):
 // sub-trees of equal order proceed in parallel, the largest block is
 // sent first.
 func (h *HetHockney) ScatterBinomial(root, n, m int) float64 {
 	h.checkN(n)
-	tree := collective.Binomial(n, root)
-	return binomialRecursive(tree, m, h.P2P)
+	return h.ScatterTree(collective.Binomial(n, root), m)
 }
 
-// GatherBinomial implements Predictor; the Hockney model cannot
+// GatherBinomial predicts the binomial gather; the Hockney model cannot
 // distinguish the direction, so the same recursion applies.
 func (h *HetHockney) GatherBinomial(root, n, m int) float64 {
 	return h.ScatterBinomial(root, n, m)

@@ -94,7 +94,7 @@ func NewLMOX(n int) *LMOX {
 // N returns the number of processors the model covers.
 func (x *LMOX) N() int { return len(x.C) }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (x *LMOX) Name() string { return "LMO" }
 
 // invBeta returns 1/β_ij, tolerating unset (zero) rates as zero cost so
@@ -107,7 +107,7 @@ func (x *LMOX) invBeta(i, j int) float64 {
 	return 1 / b
 }
 
-// P2P implements Predictor: C_i + L_ij + C_j + M(t_i + 1/β_ij + t_j).
+// P2P implements CollectivePredictor: C_i + L_ij + C_j + M(t_i + 1/β_ij + t_j).
 func (x *LMOX) P2P(src, dst, m int) float64 {
 	return x.C[src] + x.L[src][dst] + x.C[dst] +
 		float64(m)*(x.T[src]+x.invBeta(src, dst)+x.T[dst])
@@ -130,7 +130,7 @@ func (x *LMOX) remoteTerm(root, i, m int) float64 {
 	return x.WireCost(root, i, m) + x.RecvCost(i, m)
 }
 
-// ScatterLinear implements Predictor with eq (4): the root's
+// ScatterLinear predicts the flat-tree scatter with eq (4): the root's
 // processing serializes, transmissions and remote processing overlap:
 //
 //	(n-1)(C_r + M·t_r) + max_{i≠r}( L_ri + M/β_ri + C_i + M·t_i )
@@ -145,7 +145,7 @@ func (x *LMOX) ScatterLinear(root, n, m int) float64 {
 	return float64(n-1)*x.SendCost(root, m) + mx
 }
 
-// GatherLinear implements Predictor with eq (5): below M1 the remote
+// GatherLinear predicts the flat-tree gather with eq (5): below M1 the remote
 // terms overlap (max); above M2 the serialized ingress makes them sum;
 // between the thresholds the expected escalation cost is added to the
 // parallel branch. Without empirical parameters the parallel branch is
@@ -198,11 +198,8 @@ func (x *LMOX) GatherLinearBand(root, n, m int) (low, high float64) {
 // critical path once.
 func (x *LMOX) linearSegmented(coll Collective, root, n, m, seg int) float64 {
 	total, tailMax := 0.0, 0.0
-	for lo := 0; lo < m; lo += seg {
-		b := seg
-		if lo+b > m {
-			b = m - lo
-		}
+	for rest := m; rest > 0; rest -= seg {
+		b := min(rest, seg)
 		var op float64
 		if coll == CollGather {
 			op = x.GatherLinear(root, n, b)
@@ -236,37 +233,27 @@ func (x *LMOX) sumRemote(root, n, m int) float64 {
 	return s
 }
 
-// ScatterBinomial implements Predictor with the separated recursion:
-// each parent's processing serializes across its children while wires
-// and the children's own processing overlap.
+// ScatterBinomial predicts the binomial scatter with the separated
+// recursion: each parent's processing serializes across its children
+// while wires and the children's own processing overlap.
 func (x *LMOX) ScatterBinomial(root, n, m int) float64 {
 	x.checkN(n)
-	tree := collective.Binomial(n, root)
-	return binomialSeparated(tree, m, x.SendCost, x.WireCost, x.RecvCost)
+	return x.ScatterTree(collective.Binomial(n, root), m)
 }
 
-// ScatterBinomialTree predicts the binomial scatter over an explicit
-// tree (used by the mapping optimizer, where tree nodes are permuted
-// processors).
-func (x *LMOX) ScatterBinomialTree(tree *collective.Tree, m int) float64 {
-	return binomialSeparated(tree, m, x.SendCost, x.WireCost, x.RecvCost)
-}
-
-// GatherBinomial implements Predictor: the reverse flow has the same
-// critical path under the separated model (parents receive their
-// children's batches; processing serializes at each parent).
+// GatherBinomial predicts the binomial gather: the reverse flow has
+// the same critical path under the separated model (parents receive
+// their children's batches; the parent's receive processing
+// serializes, the child's send and the wire overlap).
 func (x *LMOX) GatherBinomial(root, n, m int) float64 {
 	x.checkN(n)
 	tree := collective.Binomial(n, root)
-	return binomialSeparated(tree, m, x.RecvCost2, x.WireCostRev, x.SendCost2)
+	return treeSeparated(tree, scatterBytes(tree, m), x.RecvCost, x.WireCostRev, x.SendCost)
 }
 
-// RecvCost2 / WireCostRev / SendCost2 mirror the down-tree cost shapes
-// for the up-tree direction (gather): the parent's receive processing
-// serializes, the child's send and the wire overlap.
-func (x *LMOX) RecvCost2(i, m int) float64      { return x.C[i] + float64(m)*x.T[i] }
+// WireCostRev is the up-tree (child j to parent i) network part
+// L_ji + M/β_ji.
 func (x *LMOX) WireCostRev(i, j, m int) float64 { return x.L[j][i] + float64(m)*x.invBeta(j, i) }
-func (x *LMOX) SendCost2(j, m int) float64      { return x.C[j] + float64(m)*x.T[j] }
 
 // HockneyView collapses the extended model to heterogeneous Hockney
 // parameters: α_ij = C_i + L_ij + C_j, β_ij = t_i + 1/β_ij + t_j (§III).
@@ -312,7 +299,7 @@ func NewLMO(n int) *LMO {
 // N returns the number of processors.
 func (l *LMO) N() int { return l.inner.N() }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (l *LMO) Name() string { return "LMO-orig" }
 
 // C exposes the fixed processing delays for estimation code.
@@ -324,20 +311,17 @@ func (l *LMO) T() []float64 { return l.inner.T }
 // Beta exposes the transmission rates.
 func (l *LMO) Beta() [][]float64 { return l.inner.Beta }
 
-// SetGather installs the empirical gather parameters.
-func (l *LMO) SetGather(g GatherEmpirical) { l.inner.Gather = g }
-
-// P2P implements Predictor (L is identically zero).
+// P2P implements CollectivePredictor (L is identically zero).
 func (l *LMO) P2P(src, dst, m int) float64 { return l.inner.P2P(src, dst, m) }
 
-// ScatterLinear implements Predictor.
+// ScatterLinear predicts the flat-tree scatter.
 func (l *LMO) ScatterLinear(root, n, m int) float64 { return l.inner.ScatterLinear(root, n, m) }
 
-// GatherLinear implements Predictor.
+// GatherLinear predicts the flat-tree gather.
 func (l *LMO) GatherLinear(root, n, m int) float64 { return l.inner.GatherLinear(root, n, m) }
 
-// ScatterBinomial implements Predictor.
+// ScatterBinomial predicts the binomial scatter.
 func (l *LMO) ScatterBinomial(root, n, m int) float64 { return l.inner.ScatterBinomial(root, n, m) }
 
-// GatherBinomial implements Predictor.
+// GatherBinomial predicts the binomial gather.
 func (l *LMO) GatherBinomial(root, n, m int) float64 { return l.inner.GatherBinomial(root, n, m) }

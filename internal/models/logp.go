@@ -18,7 +18,7 @@ type LogP struct {
 	P int     // number of processors
 }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (l *LogP) Name() string { return "LogP" }
 
 // packets returns the number of W-byte packets an m-byte message needs.
@@ -33,30 +33,30 @@ func (l *LogP) packets(m int) int {
 	return (m + w - 1) / w
 }
 
-// P2P implements Predictor: L + 2o for one packet, plus one gap per
+// P2P implements CollectivePredictor: L + 2o for one packet, plus one gap per
 // additional packet of the decomposed large message.
 func (l *LogP) P2P(_, _, m int) float64 {
 	return l.L + 2*l.O + float64(l.packets(m)-1)*l.G
 }
 
-// ScatterLinear implements Predictor: the root emits (n-1) messages
+// ScatterLinear predicts the flat-tree scatter: the root emits (n-1) messages
 // separated by the gap; the last one completes after L + 2o more.
 func (l *LogP) ScatterLinear(_, n, m int) float64 {
 	per := float64(l.packets(m)) * l.G
 	return l.L + 2*l.O + float64(n-1)*per
 }
 
-// GatherLinear implements Predictor; LogP cannot distinguish direction.
+// GatherLinear predicts the flat-tree gather; LogP cannot distinguish
+// direction.
 func (l *LogP) GatherLinear(root, n, m int) float64 { return l.ScatterLinear(root, n, m) }
 
-// ScatterBinomial implements Predictor via the tree recursion with the
-// LogP point-to-point cost.
+// ScatterBinomial predicts the binomial scatter via the tree recursion
+// with the LogP point-to-point cost.
 func (l *LogP) ScatterBinomial(root, n, m int) float64 {
-	tree := collective.Binomial(n, root)
-	return binomialRecursive(tree, m, l.P2P)
+	return l.ScatterTree(collective.Binomial(n, root), m)
 }
 
-// GatherBinomial implements Predictor.
+// GatherBinomial predicts the binomial gather.
 func (l *LogP) GatherBinomial(root, n, m int) float64 { return l.ScatterBinomial(root, n, m) }
 
 // String renders the parameters.
@@ -75,10 +75,10 @@ type LogGP struct {
 	P    int     // number of processors
 }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (l *LogGP) Name() string { return "LogGP" }
 
-// P2P implements Predictor: L + 2o + (M-1)G.
+// P2P implements CollectivePredictor: L + 2o + (M-1)G.
 func (l *LogGP) P2P(_, _, m int) float64 {
 	if m < 1 {
 		m = 1
@@ -86,16 +86,8 @@ func (l *LogGP) P2P(_, _, m int) float64 {
 	return l.L + 2*l.O + float64(m-1)*l.BigG
 }
 
-// SendSeries predicts k consecutive sends of m bytes:
-// L + 2o + (M-1)G + (k-1)g per the LogGP series formula.
-func (l *LogGP) SendSeries(k, m int) float64 {
-	if m < 1 {
-		m = 1
-	}
-	return l.L + 2*l.O + float64(m-1)*l.BigG + float64(k-1)*l.SmG
-}
-
-// ScatterLinear implements Predictor with the paper's Table II formula:
+// ScatterLinear predicts the flat-tree scatter with the paper's Table
+// II formula:
 // L + 2o + (n-1)(M-1)G + (n-2)g.
 func (l *LogGP) ScatterLinear(_, n, m int) float64 {
 	if m < 1 {
@@ -104,16 +96,15 @@ func (l *LogGP) ScatterLinear(_, n, m int) float64 {
 	return l.L + 2*l.O + float64(n-1)*float64(m-1)*l.BigG + float64(n-2)*l.SmG
 }
 
-// GatherLinear implements Predictor; identical by model design.
+// GatherLinear predicts the flat-tree gather; identical by model design.
 func (l *LogGP) GatherLinear(root, n, m int) float64 { return l.ScatterLinear(root, n, m) }
 
-// ScatterBinomial implements Predictor via the tree recursion.
+// ScatterBinomial predicts the binomial scatter via the tree recursion.
 func (l *LogGP) ScatterBinomial(root, n, m int) float64 {
-	tree := collective.Binomial(n, root)
-	return binomialRecursive(tree, m, l.P2P)
+	return l.ScatterTree(collective.Binomial(n, root), m)
 }
 
-// GatherBinomial implements Predictor.
+// GatherBinomial predicts the binomial gather.
 func (l *LogGP) GatherBinomial(root, n, m int) float64 { return l.ScatterBinomial(root, n, m) }
 
 // String renders the parameters.
@@ -132,7 +123,7 @@ type PLogP struct {
 	P  int             // number of processors
 }
 
-// Name implements Predictor.
+// Name implements CollectivePredictor.
 func (p *PLogP) Name() string { return "PLogP" }
 
 // Gap evaluates g(M).
@@ -144,25 +135,25 @@ func (p *PLogP) SendOverhead(m int) float64 { return p.OS.Eval(float64(m)) }
 // RecvOverhead evaluates o_r(M).
 func (p *PLogP) RecvOverhead(m int) float64 { return p.OR.Eval(float64(m)) }
 
-// P2P implements Predictor: L + g(M).
+// P2P implements CollectivePredictor: L + g(M).
 func (p *PLogP) P2P(_, _, m int) float64 { return p.L + p.Gap(m) }
 
-// ScatterLinear implements Predictor with the paper's Table II formula:
+// ScatterLinear predicts the flat-tree scatter with the paper's Table
+// II formula:
 // L + (n-1)·g(M).
 func (p *PLogP) ScatterLinear(_, n, m int) float64 {
 	return p.L + float64(n-1)*p.Gap(m)
 }
 
-// GatherLinear implements Predictor; identical by model design.
+// GatherLinear predicts the flat-tree gather; identical by model design.
 func (p *PLogP) GatherLinear(root, n, m int) float64 { return p.ScatterLinear(root, n, m) }
 
-// ScatterBinomial implements Predictor via the tree recursion.
+// ScatterBinomial predicts the binomial scatter via the tree recursion.
 func (p *PLogP) ScatterBinomial(root, n, m int) float64 {
-	tree := collective.Binomial(n, root)
-	return binomialRecursive(tree, m, p.P2P)
+	return p.ScatterTree(collective.Binomial(n, root), m)
 }
 
-// GatherBinomial implements Predictor.
+// GatherBinomial predicts the binomial gather.
 func (p *PLogP) GatherBinomial(root, n, m int) float64 { return p.ScatterBinomial(root, n, m) }
 
 // String renders the parameters compactly.

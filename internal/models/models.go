@@ -5,9 +5,12 @@
 // and variable contributions of processors and network.
 //
 // All times are in seconds and message sizes in bytes. Each model
-// predicts point-to-point communication and the collective operations
-// of the paper's evaluation: linear (flat-tree) and binomial scatter
-// and gather, per Table II and equations (1)–(5).
+// predicts point-to-point communication and collectives through one
+// interface, CollectivePredictor.Predict(Query); the closed forms of
+// the paper's evaluation — linear (flat-tree) and binomial scatter and
+// gather, per Table II and equations (1)–(5) — remain methods of the
+// models, and the tree-capable models add recursions over arbitrary
+// communication trees.
 package models
 
 import (
@@ -15,30 +18,6 @@ import (
 
 	"repro/internal/collective"
 )
-
-// Predictor is the legacy per-algorithm prediction interface: a model
-// that can predict point-to-point and collective execution times. root
-// is the collective's root rank, n the number of participants, m the
-// block size in bytes.
-//
-// Deprecated: new code should use CollectivePredictor, whose single
-// Alg-keyed Predict replaces the per-algorithm method pairs; Adapt
-// lifts any Predictor onto it. The interface remains for the existing
-// model implementations and its wrappers are pinned equivalent by
-// tests.
-type Predictor interface {
-	Name() string
-	// P2P predicts one message of m bytes from src to dst.
-	P2P(src, dst, m int) float64
-	// ScatterLinear predicts the flat-tree scatter.
-	ScatterLinear(root, n, m int) float64
-	// GatherLinear predicts the flat-tree gather.
-	GatherLinear(root, n, m int) float64
-	// ScatterBinomial predicts the binomial-tree scatter.
-	ScatterBinomial(root, n, m int) float64
-	// GatherBinomial predicts the binomial-tree gather.
-	GatherBinomial(root, n, m int) float64
-}
 
 // log2Ceil returns ⌈log₂ n⌉ as a float (0 for n ≤ 1), the number of
 // rounds of a binomial tree over n ranks.
@@ -84,12 +63,6 @@ func treeRecursive(tree *collective.Tree, bytes func(c int) int, p2p func(src, d
 	return down(tree.Root, tree.Children[tree.Root])
 }
 
-// binomialRecursive is treeRecursive with scatter payloads, kept under
-// the paper's name for the eq (1) use.
-func binomialRecursive(tree *collective.Tree, m int, p2p func(src, dst, bytes int) float64) float64 {
-	return treeRecursive(tree, scatterBytes(tree, m), p2p)
-}
-
 // treeSeparated evaluates a communication tree with the LMO-style
 // separation of contributions: a parent's per-message processing
 // serializes across its children while the wire and the receiver's
@@ -114,13 +87,4 @@ func treeSeparated(tree *collective.Tree, bytes func(c int) int,
 		return send(r, b) + math.Max(rest, sub)
 	}
 	return down(tree.Root, tree.Children[tree.Root])
-}
-
-// binomialSeparated is treeSeparated with scatter payloads.
-func binomialSeparated(tree *collective.Tree, m int,
-	send func(i, bytes int) float64,
-	wire func(i, j, bytes int) float64,
-	recv func(j, bytes int) float64,
-) float64 {
-	return treeSeparated(tree, scatterBytes(tree, m), send, wire, recv)
 }

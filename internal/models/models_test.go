@@ -11,15 +11,16 @@ import (
 	"repro/internal/stats"
 )
 
-// Compile-time interface checks: every model is a Predictor.
+// Compile-time checks: every model keeps the closed forms of the
+// paper's evaluation beside Predict.
 var (
-	_ Predictor = (*Hockney)(nil)
-	_ Predictor = (*HetHockney)(nil)
-	_ Predictor = (*LogP)(nil)
-	_ Predictor = (*LogGP)(nil)
-	_ Predictor = (*PLogP)(nil)
-	_ Predictor = (*LMO)(nil)
-	_ Predictor = (*LMOX)(nil)
+	_ flatForms = (*Hockney)(nil)
+	_ flatForms = (*HetHockney)(nil)
+	_ flatForms = (*LogP)(nil)
+	_ flatForms = (*LogGP)(nil)
+	_ flatForms = (*PLogP)(nil)
+	_ flatForms = (*LMO)(nil)
+	_ flatForms = (*LMOX)(nil)
 )
 
 func feq(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(a)) }
@@ -138,10 +139,6 @@ func TestLogGPFormulas(t *testing.T) {
 	m := 10001
 	if !feq(l.P2P(0, 1, m), 1e-4+4e-5+1e-4) {
 		t.Fatalf("p2p = %v", l.P2P(0, 1, m))
-	}
-	// Series: one more message adds one gap.
-	if !feq(l.SendSeries(2, m)-l.SendSeries(1, m), 5e-5) {
-		t.Fatal("series gap")
 	}
 	// Table II: L + 2o + (n-1)(M-1)G + (n-2)g.
 	want := 1e-4 + 4e-5 + 15*1e4*1e-8 + 14*5e-5
@@ -339,7 +336,7 @@ func TestLMOOriginalFoldsLatency(t *testing.T) {
 	if l.Name() == (&LMOX{}).Name() {
 		t.Fatal("original and extended models must be distinguishable")
 	}
-	l.SetGather(GatherEmpirical{M1: 10, M2: 20})
+	l.inner.Gather = GatherEmpirical{M1: 10, M2: 20}
 	if l.GatherLinear(0, n, 15) <= l.GatherLinear(0, n, 9) {
 		t.Fatal("gather empirical parameters should apply")
 	}
@@ -350,7 +347,7 @@ func TestLMOOriginalFoldsLatency(t *testing.T) {
 func TestPredictionsMonotoneInSize(t *testing.T) {
 	g, _ := stats.NewPWLinear([]float64{0, 1 << 20}, []float64{1e-5, 1e-2})
 	o, _ := stats.NewPWLinear([]float64{0}, []float64{1e-6})
-	preds := []Predictor{
+	preds := []flatForms{
 		&Hockney{Alpha: 1e-4, Beta: 1e-8},
 		&LogP{L: 1e-4, O: 1e-5, G: 1e-5, W: 1024},
 		&LogGP{L: 1e-4, O: 1e-5, SmG: 5e-5, BigG: 1e-8},
@@ -399,7 +396,7 @@ func TestBinomialRecursiveAgainstBruteForce(t *testing.T) {
 		return end
 	}
 	want := finish(0, 0)
-	got := binomialRecursive(tree, 1000, p2p)
+	got := treeRecursive(tree, scatterBytes(tree, 1000), p2p)
 	if !feq(got, want) {
 		t.Fatalf("recursion %v != brute force %v", got, want)
 	}
@@ -417,19 +414,6 @@ func TestMoreCollectivePredictors(t *testing.T) {
 	a2a := x.AlltoallLinear(n, m)
 	if a2a <= ag/2 {
 		t.Fatalf("alltoall (%v) should be substantial vs allgather (%v)", a2a, ag)
-	}
-	bar := x.BarrierDissemination(n)
-	// ⌈log₂8⌉ = 3 rounds of the worst zero-byte hop.
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && x.P2P(i, j, 0) > worst {
-				worst = x.P2P(i, j, 0)
-			}
-		}
-	}
-	if !feq(bar, 3*worst) {
-		t.Fatalf("barrier = %v, want %v", bar, 3*worst)
 	}
 	// Homogeneous Hockney shapes.
 	hk := &Hockney{Alpha: 1e-4, Beta: 1e-8}
@@ -499,7 +483,7 @@ func TestTreeRecursiveBruteForceProperty(t *testing.T) {
 			return end
 		}
 		want := finish(0, 0)
-		got := binomialRecursive(tree, m, p2p)
+		got := treeRecursive(tree, scatterBytes(tree, m), p2p)
 		return feq(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -507,7 +491,7 @@ func TestTreeRecursiveBruteForceProperty(t *testing.T) {
 	}
 }
 
-// Exercise the Predictor surface of every model uniformly: names are
+// Exercise the closed-form surface of every model uniformly: names are
 // distinct, string renderings are non-empty, and every collective
 // prediction is finite and positive.
 func TestPredictorSurfaceUniform(t *testing.T) {
@@ -532,7 +516,7 @@ func TestPredictorSurfaceUniform(t *testing.T) {
 			}
 		}
 	}
-	preds := []Predictor{
+	preds := []flatForms{
 		&Hockney{Alpha: 1e-4, Beta: 1e-8},
 		het,
 		&LogP{L: 1e-4, O: 1e-5, G: 1e-5, W: 1024, P: 8},
@@ -566,8 +550,7 @@ func TestPredictorSurfaceUniform(t *testing.T) {
 }
 
 // LMOX.GatherBinomial mirrors ScatterBinomial under homogeneous
-// parameters (the reverse flow has the same critical path), and
-// ScatterBinomialTree over the default tree equals ScatterBinomial.
+// parameters (the reverse flow has the same critical path).
 func TestLMOXBinomialSymmetries(t *testing.T) {
 	n := 8
 	x := NewLMOX(n)
@@ -584,14 +567,6 @@ func TestLMOXBinomialSymmetries(t *testing.T) {
 	m := 16 << 10
 	if !feq(x.GatherBinomial(0, n, m), x.ScatterBinomial(0, n, m)) {
 		t.Fatal("homogeneous gather/scatter binomial should coincide")
-	}
-	tree := collective.Binomial(n, 0)
-	if !feq(x.ScatterBinomialTree(tree, m), x.ScatterBinomial(0, n, m)) {
-		t.Fatal("explicit-tree prediction should match the default tree")
-	}
-	// Reverse-direction cost components have the C + m·t shape.
-	if !feq(x.RecvCost2(3, m), x.SendCost(3, m)) || !feq(x.SendCost2(3, m), x.RecvCost(3, m)) {
-		t.Fatal("reverse costs should mirror forward costs")
 	}
 	if !feq(x.WireCostRev(1, 2, m), x.WireCost(2, 1, m)) {
 		t.Fatal("reverse wire should use the opposite direction's link")

@@ -60,21 +60,6 @@ func (x *LMOX) AlltoallLinear(n, m int) float64 {
 	return float64(n-1)*cpu + maxWire
 }
 
-// BarrierDissemination predicts the ⌈log₂n⌉-round dissemination
-// barrier: each round costs a zero-byte hop through the slowest pair.
-func (x *LMOX) BarrierDissemination(n int) float64 {
-	x.checkN(n)
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				worst = math.Max(worst, x.P2P(i, j, 0))
-			}
-		}
-	}
-	return log2Ceil(n) * worst
-}
-
 // AllgatherRing predicts the ring allgather under the homogeneous
 // Hockney model: (n-1)(α + βM).
 func (h *Hockney) AllgatherRing(n, m int) float64 {

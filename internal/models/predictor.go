@@ -52,10 +52,8 @@ func ParseCollective(s string) (Collective, error) {
 
 // Query describes one collective execution to predict: the operation,
 // the algorithm shaping its communication tree, and the job geometry.
-// It replaces the per-algorithm method pairs of the legacy Predictor
-// interface with a single Alg-keyed entry point, so new algorithm or
-// shape dimensions (tree degree, segmentation) extend the query rather
-// than the interface.
+// New algorithm or shape dimensions (tree degree, segmentation) extend
+// the query rather than the interface.
 type Query struct {
 	Coll Collective     // the operation
 	Alg  collective.Alg // the algorithm family
@@ -79,9 +77,9 @@ type Query struct {
 	Tree *collective.Tree
 }
 
-// validate rejects geometrically impossible queries before any model
-// arithmetic runs.
-func (q Query) validate() error {
+// Validate rejects geometrically impossible queries before any model
+// arithmetic runs; every Predict applies it.
+func (q Query) Validate() error {
 	if q.N < 1 {
 		return fmt.Errorf("models: query needs at least 1 rank, got %d", q.N)
 	}
@@ -146,10 +144,9 @@ type Capabilities struct {
 	Simulates bool
 }
 
-// CollectivePredictor is the unified prediction interface: one
-// Alg-keyed Predict entry point over the whole algorithm zoo plus a
-// capabilities surface. It subsumes the legacy Predictor and
-// TreePredictor pairs; all seven models implement it, as does the
+// CollectivePredictor is the prediction interface: one Alg-keyed
+// Predict entry point over the whole algorithm zoo plus a capabilities
+// surface. All seven models implement it, as does the
 // simulator-backed predictor in internal/autotune.
 type CollectivePredictor interface {
 	Name() string
@@ -163,22 +160,37 @@ type CollectivePredictor interface {
 	Predict(Query) (float64, error)
 }
 
-// predictTree answers a query with a tree-capable model, preserving
-// the legacy special forms: flat-tree scatter/gather resolve through
-// ScatterLinear/GatherLinear (keeping eq (4) and the empirical eq (5)
-// branches), everything else through the tree recursions. Segmented
-// queries sum ceil(M/Segment) per-piece predictions.
-func predictTree(p TreePredictor, q Query) (float64, error) {
-	if err := q.validate(); err != nil {
+// closedForms is the per-algorithm surface predictTree dispatches
+// over: a tree-capable model's closed forms for linear and binomial
+// scatter/gather (eqs (1)–(5)) plus its tree recursions.
+type closedForms interface {
+	ScatterLinear(root, n, m int) float64
+	GatherLinear(root, n, m int) float64
+	ScatterBinomial(root, n, m int) float64
+	GatherBinomial(root, n, m int) float64
+	ScatterTree(tree *collective.Tree, m int) float64
+	GatherTree(tree *collective.Tree, m int) float64
+	BcastTree(tree *collective.Tree, m int) float64
+	ReduceTree(tree *collective.Tree, m int) float64
+}
+
+// predictTree answers a query with a tree-capable model: flat-tree
+// scatter/gather resolve through ScatterLinear/GatherLinear (keeping
+// eq (4) and the empirical eq (5) branches), binomial scatter/gather
+// through the per-model closed forms, everything else through the tree
+// recursions. Segmented queries sum ceil(M/Segment) per-piece
+// predictions.
+func predictTree(p closedForms, q Query) (float64, error) {
+	if err := q.Validate(); err != nil {
 		return 0, err
 	}
 	if q.Segment > 0 && q.Segment < q.M {
 		return predictSegmented(func(piece Query) (float64, error) { return predictTree(p, piece) }, q)
 	}
 	if q.Tree == nil && q.Degree == 0 {
-		// The legacy special forms, preserved bit-for-bit: eq (4)/(5)
-		// for the flat tree (including the empirical gather branches)
-		// and the per-model binomial closed forms of eq (3).
+		// The special forms: eq (4)/(5) for the flat tree (including
+		// the empirical gather branches) and the per-model binomial
+		// closed forms of eq (3).
 		switch {
 		case q.Alg == collective.AlgLinear && q.Coll == CollScatter:
 			return p.ScatterLinear(q.Root, q.N, q.M), nil
@@ -204,17 +216,14 @@ func predictTree(p TreePredictor, q Query) (float64, error) {
 }
 
 // predictSegmented sums the per-piece predictions of a segmented
-// query; the pieces run back to back, so their times add.
+// query; the pieces run back to back, so their times add. The loop
+// counts down the remaining bytes, so no offset can overflow.
 func predictSegmented(predict func(Query) (float64, error), q Query) (float64, error) {
 	total := 0.0
-	for lo := 0; lo < q.M; lo += q.Segment {
-		hi := lo + q.Segment
-		if hi > q.M {
-			hi = q.M
-		}
+	for rest := q.M; rest > 0; rest -= q.Segment {
 		piece := q
 		piece.Segment = 0
-		piece.M = hi - lo
+		piece.M = min(rest, q.Segment)
 		t, err := predict(piece)
 		if err != nil {
 			return 0, err
@@ -249,7 +258,7 @@ func (h *HetHockney) Capabilities() Capabilities {
 
 // Predict implements CollectivePredictor.
 func (h *HetHockney) Predict(q Query) (float64, error) {
-	if n := len(h.Alpha); q.N > n {
+	if n := h.N(); q.N != n {
 		return 0, fmt.Errorf("models: %s estimated for %d processors, query has %d", h.Name(), n, q.N)
 	}
 	return predictTree(h, q)
@@ -290,7 +299,7 @@ func (x *LMOX) Predict(q Query) (float64, error) {
 	}
 	if q.Segment > 0 && q.Segment < q.M && q.Tree == nil && q.Degree == 0 &&
 		q.Alg == collective.AlgLinear && (q.Coll == CollScatter || q.Coll == CollGather) {
-		if err := q.validate(); err != nil {
+		if err := q.Validate(); err != nil {
 			return 0, err
 		}
 		return x.linearSegmented(q.Coll, q.Root, q.N, q.M, q.Segment), nil
@@ -305,7 +314,7 @@ func (l *LMO) Capabilities() Capabilities { return Capabilities{PerNode: true} }
 
 // Predict implements CollectivePredictor.
 func (l *LMO) Predict(q Query) (float64, error) {
-	if err := q.validate(); err != nil {
+	if err := q.Validate(); err != nil {
 		return 0, err
 	}
 	if q.N != l.N() {
@@ -328,57 +337,5 @@ func (l *LMO) Predict(q Query) (float64, error) {
 		return l.GatherBinomial(q.Root, q.N, q.M), nil
 	default:
 		return 0, fmt.Errorf("models: %s cannot predict %v %v", l.Name(), q.Alg, q.Coll)
-	}
-}
-
-// Adapt lifts a legacy Predictor onto the unified interface. Values
-// that already implement CollectivePredictor pass through; plain
-// TreePredictors gain a Predict built on their tree methods; flat-only
-// Predictors answer linear and binomial scatter/gather and reject the
-// rest. It keeps the deprecated wrappers one-line delegations.
-func Adapt(p Predictor) CollectivePredictor {
-	if cp, ok := p.(CollectivePredictor); ok {
-		return cp
-	}
-	if tp, ok := p.(TreePredictor); ok {
-		return &treeAdapter{tp}
-	}
-	return &flatAdapter{p}
-}
-
-type treeAdapter struct{ tp TreePredictor }
-
-func (a *treeAdapter) Name() string                     { return a.tp.Name() }
-func (a *treeAdapter) P2P(src, dst, m int) float64      { return a.tp.P2P(src, dst, m) }
-func (a *treeAdapter) Capabilities() Capabilities       { return Capabilities{Trees: true} }
-func (a *treeAdapter) Predict(q Query) (float64, error) { return predictTree(a.tp, q) }
-
-type flatAdapter struct{ p Predictor }
-
-func (a *flatAdapter) Name() string                { return a.p.Name() }
-func (a *flatAdapter) P2P(src, dst, m int) float64 { return a.p.P2P(src, dst, m) }
-func (a *flatAdapter) Capabilities() Capabilities  { return Capabilities{} }
-
-func (a *flatAdapter) Predict(q Query) (float64, error) {
-	if err := q.validate(); err != nil {
-		return 0, err
-	}
-	if q.Segment > 0 && q.Segment < q.M {
-		return predictSegmented(a.Predict, q)
-	}
-	if q.Tree != nil || q.Degree != 0 {
-		return 0, fmt.Errorf("models: %s predicts no tree shapes beyond linear and binomial", a.p.Name())
-	}
-	switch {
-	case q.Coll == CollScatter && q.Alg == collective.AlgLinear:
-		return a.p.ScatterLinear(q.Root, q.N, q.M), nil
-	case q.Coll == CollScatter && q.Alg == collective.AlgBinomial:
-		return a.p.ScatterBinomial(q.Root, q.N, q.M), nil
-	case q.Coll == CollGather && q.Alg == collective.AlgLinear:
-		return a.p.GatherLinear(q.Root, q.N, q.M), nil
-	case q.Coll == CollGather && q.Alg == collective.AlgBinomial:
-		return a.p.GatherBinomial(q.Root, q.N, q.M), nil
-	default:
-		return 0, fmt.Errorf("models: %s cannot predict %v %v", a.p.Name(), q.Alg, q.Coll)
 	}
 }

@@ -37,8 +37,8 @@ func zoo(n int) []CollectivePredictor {
 			}
 		}
 	}
-	orig.SetGather(GatherEmpirical{M1: 4 << 10, M2: 64 << 10,
-		EscModes: []stats.Mode{{Value: 0.05, Count: 3}}, ProbLow: 0.1, ProbHigh: 0.8})
+	orig.inner.Gather = GatherEmpirical{M1: 4 << 10, M2: 64 << 10,
+		EscModes: []stats.Mode{{Value: 0.05, Count: 3}}, ProbLow: 0.1, ProbHigh: 0.8}
 	return []CollectivePredictor{
 		&Hockney{Alpha: 1e-4, Beta: 1e-8},
 		het,
@@ -50,16 +50,33 @@ func zoo(n int) []CollectivePredictor {
 	}
 }
 
+// flatForms is the per-algorithm closed-form surface every model keeps
+// for the paper's evaluation: linear and binomial scatter/gather.
+type flatForms interface {
+	CollectivePredictor
+	ScatterLinear(root, n, m int) float64
+	GatherLinear(root, n, m int) float64
+	ScatterBinomial(root, n, m int) float64
+	GatherBinomial(root, n, m int) float64
+}
+
+// treeForms is the tree recursions of the tree-capable models.
+type treeForms interface {
+	ScatterTree(tree *collective.Tree, m int) float64
+	GatherTree(tree *collective.Tree, m int) float64
+	BcastTree(tree *collective.Tree, m int) float64
+	ReduceTree(tree *collective.Tree, m int) float64
+}
+
 // The headline equivalence: for every model, every operation and every
-// algorithm family, the unified Predict answers exactly what the
-// legacy per-algorithm methods answer. This is the contract that lets
-// the deprecated interfaces delegate without behavior change.
+// algorithm family, Predict answers exactly what the model's closed
+// forms and tree recursions answer, bit for bit.
 func TestPredictMatchesLegacyMethods(t *testing.T) {
 	const n, root = 8, 2
 	sizes := []int{1, 1 << 10, 8 << 10, 48 << 10, 1 << 20} // spans the LMO irregular region
 	for _, p := range zoo(n) {
-		legacy, _ := p.(Predictor)
-		tp, hasTrees := p.(TreePredictor)
+		forms := p.(flatForms)
+		tp, hasTrees := p.(treeForms)
 		for _, m := range sizes {
 			check := func(coll Collective, alg collective.Alg, want float64) {
 				t.Helper()
@@ -68,13 +85,13 @@ func TestPredictMatchesLegacyMethods(t *testing.T) {
 					t.Fatalf("%s: Predict(%v,%v,m=%d): %v", p.Name(), coll, alg, m, err)
 				}
 				if got != want {
-					t.Fatalf("%s: Predict(%v,%v,m=%d) = %v, legacy method = %v", p.Name(), coll, alg, m, got, want)
+					t.Fatalf("%s: Predict(%v,%v,m=%d) = %v, closed form = %v", p.Name(), coll, alg, m, got, want)
 				}
 			}
-			check(CollScatter, collective.AlgLinear, legacy.ScatterLinear(root, n, m))
-			check(CollGather, collective.AlgLinear, legacy.GatherLinear(root, n, m))
-			check(CollScatter, collective.AlgBinomial, legacy.ScatterBinomial(root, n, m))
-			check(CollGather, collective.AlgBinomial, legacy.GatherBinomial(root, n, m))
+			check(CollScatter, collective.AlgLinear, forms.ScatterLinear(root, n, m))
+			check(CollGather, collective.AlgLinear, forms.GatherLinear(root, n, m))
+			check(CollScatter, collective.AlgBinomial, forms.ScatterBinomial(root, n, m))
+			check(CollGather, collective.AlgBinomial, forms.GatherBinomial(root, n, m))
 			if !hasTrees {
 				continue
 			}
@@ -149,6 +166,16 @@ func TestPredictSegmentedSumsPieces(t *testing.T) {
 	if split >= whole {
 		t.Fatalf("sub-M1 segmentation should beat the irregular region: split %v, whole %v", split, whole)
 	}
+	// Offsets near the top of the int range must not wrap around into
+	// an endless piece loop: these split into two pieces each.
+	for _, q := range []Query{
+		{Coll: CollGather, Alg: collective.AlgLinear, Root: root, N: n, M: math.MaxInt, Segment: 1 << 62},
+		{Coll: CollBcast, Alg: collective.AlgBinomial, Root: root, N: n, M: math.MaxInt, Segment: 1 << 62},
+	} {
+		if _, err := x.Predict(q); err != nil {
+			t.Fatalf("Predict(%+v): %v", q, err)
+		}
+	}
 	// Segment >= M is a no-op.
 	a, _ := x.Predict(Query{Coll: CollScatter, Alg: collective.AlgLinear, Root: root, N: n, M: 1 << 10, Segment: 1 << 20})
 	b, _ := x.Predict(Query{Coll: CollScatter, Alg: collective.AlgLinear, Root: root, N: n, M: 1 << 10})
@@ -204,6 +231,19 @@ func TestCapabilitiesMatchBehavior(t *testing.T) {
 		if caps.Simulates {
 			t.Fatalf("%s is a closed form and must not claim Simulates", p.Name())
 		}
+		if !caps.PerNode {
+			continue
+		}
+		// Per-node parameters pin predictions to the estimated size: a
+		// smaller job must fail with an error, never panic.
+		for _, coll := range []Collective{CollScatter, CollGather, CollBcast, CollReduce} {
+			for _, alg := range collective.Algorithms() {
+				q := Query{Coll: coll, Alg: alg, Root: 0, N: 7, M: 1024}
+				if _, err := predictNoPanic(t, p, q); err == nil {
+					t.Fatalf("%s is PerNode but answered an N-1 %v %v query", p.Name(), alg, coll)
+				}
+			}
+		}
 	}
 	x := buildLMOX(8)
 	if x.Capabilities().Irregular {
@@ -215,61 +255,16 @@ func TestCapabilitiesMatchBehavior(t *testing.T) {
 	}
 }
 
-// Adapt passes CollectivePredictors through, lifts TreePredictors, and
-// restricts flat-only Predictors.
-func TestAdapt(t *testing.T) {
-	x := buildLMOX(8)
-	if Adapt(x) != CollectivePredictor(x) {
-		t.Fatal("Adapt should pass an LMOX through unchanged")
-	}
-	flat := flatOnly{&Hockney{Alpha: 1e-4, Beta: 1e-8}}
-	a := Adapt(flat)
-	if a.Capabilities().Trees {
-		t.Fatal("a flat-only Predictor must not claim tree capability")
-	}
-	got, err := a.Predict(Query{Coll: CollScatter, Alg: collective.AlgLinear, Root: 0, N: 8, M: 2048})
-	if err != nil || got != flat.ScatterLinear(0, 8, 2048) {
-		t.Fatalf("adapted linear scatter = %v (%v)", got, err)
-	}
-	if _, err := a.Predict(Query{Coll: CollScatter, Alg: collective.AlgChain, Root: 0, N: 8, M: 2048}); err == nil {
-		t.Fatal("adapted flat-only model should reject chain queries")
-	}
-	treeOnlyAdapter := Adapt(treeOnly{buildLMOX(8)})
-	if !treeOnlyAdapter.Capabilities().Trees {
-		t.Fatal("a TreePredictor adapter must claim tree capability")
-	}
-	want := buildLMOX(8).ScatterTree(collective.AlgChain.Tree(8, 0), 2048)
-	got, err = treeOnlyAdapter.Predict(Query{Coll: CollScatter, Alg: collective.AlgChain, Root: 0, N: 8, M: 2048})
-	if err != nil || got != want {
-		t.Fatalf("adapted chain scatter = %v (%v), want %v", got, err, want)
-	}
+// predictNoPanic runs p.Predict(q), failing the test if it panics.
+func predictNoPanic(t *testing.T, p CollectivePredictor, q Query) (v float64, err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: Predict(%+v) panicked: %v", p.Name(), q, r)
+		}
+	}()
+	return p.Predict(q)
 }
-
-// flatOnly hides everything but the legacy Predictor surface (an
-// embedded model would leak its promoted Predict into Adapt's type
-// switch, so the methods are spelled out).
-type flatOnly struct{ h *Hockney }
-
-func (f flatOnly) Name() string                           { return f.h.Name() }
-func (f flatOnly) P2P(src, dst, m int) float64            { return f.h.P2P(src, dst, m) }
-func (f flatOnly) ScatterLinear(root, n, m int) float64   { return f.h.ScatterLinear(root, n, m) }
-func (f flatOnly) GatherLinear(root, n, m int) float64    { return f.h.GatherLinear(root, n, m) }
-func (f flatOnly) ScatterBinomial(root, n, m int) float64 { return f.h.ScatterBinomial(root, n, m) }
-func (f flatOnly) GatherBinomial(root, n, m int) float64  { return f.h.GatherBinomial(root, n, m) }
-
-// treeOnly hides the unified surface of an LMOX, leaving TreePredictor.
-type treeOnly struct{ x *LMOX }
-
-func (t treeOnly) Name() string                                   { return t.x.Name() }
-func (t treeOnly) P2P(src, dst, m int) float64                    { return t.x.P2P(src, dst, m) }
-func (t treeOnly) ScatterLinear(root, n, m int) float64           { return t.x.ScatterLinear(root, n, m) }
-func (t treeOnly) GatherLinear(root, n, m int) float64            { return t.x.GatherLinear(root, n, m) }
-func (t treeOnly) ScatterBinomial(root, n, m int) float64         { return t.x.ScatterBinomial(root, n, m) }
-func (t treeOnly) GatherBinomial(root, n, m int) float64          { return t.x.GatherBinomial(root, n, m) }
-func (t treeOnly) ScatterTree(tr *collective.Tree, m int) float64 { return t.x.ScatterTree(tr, m) }
-func (t treeOnly) GatherTree(tr *collective.Tree, m int) float64  { return t.x.GatherTree(tr, m) }
-func (t treeOnly) BcastTree(tr *collective.Tree, m int) float64   { return t.x.BcastTree(tr, m) }
-func (t treeOnly) ReduceTree(tr *collective.Tree, m int) float64  { return t.x.ReduceTree(tr, m) }
 
 // The collective and algorithm vocabularies round-trip through their
 // string forms.

@@ -6,144 +6,114 @@ import (
 	"repro/internal/collective"
 )
 
-// TreePredictor is a model able to predict collectives over arbitrary
-// communication trees (flat, binomial, binary, chain, or custom
-// mappings) — the capability behind algorithm selection across the
-// whole algorithm zoo and mapping optimization.
-//
-// ScatterTree is a purely structural prediction. GatherTree is not:
-// the escalations of eq (5) are a property of any many-to-one fan-in,
-// not just the flat root's, so the LMO gather recursion charges the
-// empirical expectation at every contended parent (see LMOX.GatherTree).
-// The structural-only models (Hockney, LogP families) ignore the
-// irregularity by construction — they carry no empirical parameters.
-//
-// Deprecated: new code should use CollectivePredictor (Query.Tree and
-// Query.Degree carry the tree shapes); Adapt lifts any TreePredictor
-// onto it. The interface remains as the building block behind
-// predictTree and the deprecated optimizer entry points.
-type TreePredictor interface {
-	Predictor
-	// ScatterTree predicts a scatter of m-byte blocks over the tree.
-	ScatterTree(tree *collective.Tree, m int) float64
-	// GatherTree predicts a gather of m-byte blocks over the tree.
-	GatherTree(tree *collective.Tree, m int) float64
-	// BcastTree predicts an m-byte broadcast over the tree.
-	BcastTree(tree *collective.Tree, m int) float64
-	// ReduceTree predicts an m-byte reduction over the tree.
-	ReduceTree(tree *collective.Tree, m int) float64
-}
-
-// Compile-time checks.
-var (
-	_ TreePredictor = (*Hockney)(nil)
-	_ TreePredictor = (*HetHockney)(nil)
-	_ TreePredictor = (*LogP)(nil)
-	_ TreePredictor = (*LogGP)(nil)
-	_ TreePredictor = (*PLogP)(nil)
-	_ TreePredictor = (*LMOX)(nil)
-)
+// Tree predictions. ScatterTree is purely structural; GatherTree is
+// not for the LMO model: the escalations of eq (5) are a property of
+// any many-to-one fan-in, not just the flat root's, so the LMO gather
+// recursion charges the empirical expectation at every contended
+// parent (see LMOX.GatherTree). The structural-only models (Hockney,
+// LogP families) ignore the irregularity by construction — they carry
+// no empirical parameters.
 
 // Conflated models predict any tree with the eq (1)-style recursion
 // over their point-to-point formula.
 
-// ScatterTree implements TreePredictor.
+// ScatterTree predicts a scatter of m-byte blocks over the tree.
 func (h *Hockney) ScatterTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, scatterBytes(tree, m), h.P2P)
 }
 
-// GatherTree implements TreePredictor; indistinguishable from scatter
-// under the Hockney model.
+// GatherTree predicts a gather over the tree; indistinguishable from
+// scatter under the Hockney model.
 func (h *Hockney) GatherTree(tree *collective.Tree, m int) float64 {
 	return h.ScatterTree(tree, m)
 }
 
-// BcastTree implements TreePredictor.
+// BcastTree predicts an m-byte broadcast over the tree.
 func (h *Hockney) BcastTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, bcastBytes(m), h.P2P)
 }
 
-// ReduceTree implements TreePredictor.
+// ReduceTree predicts an m-byte reduction over the tree.
 func (h *Hockney) ReduceTree(tree *collective.Tree, m int) float64 {
 	return h.BcastTree(tree, m)
 }
 
-// ScatterTree implements TreePredictor.
+// ScatterTree predicts a scatter of m-byte blocks over the tree.
 func (h *HetHockney) ScatterTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, scatterBytes(tree, m), h.P2P)
 }
 
-// GatherTree implements TreePredictor.
+// GatherTree predicts a gather of m-byte blocks over the tree.
 func (h *HetHockney) GatherTree(tree *collective.Tree, m int) float64 {
 	return h.ScatterTree(tree, m)
 }
 
-// BcastTree implements TreePredictor.
+// BcastTree predicts an m-byte broadcast over the tree.
 func (h *HetHockney) BcastTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, bcastBytes(m), h.P2P)
 }
 
-// ReduceTree implements TreePredictor.
+// ReduceTree predicts an m-byte reduction over the tree.
 func (h *HetHockney) ReduceTree(tree *collective.Tree, m int) float64 {
 	return h.BcastTree(tree, m)
 }
 
-// ScatterTree implements TreePredictor.
+// ScatterTree predicts a scatter of m-byte blocks over the tree.
 func (l *LogP) ScatterTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, scatterBytes(tree, m), l.P2P)
 }
 
-// GatherTree implements TreePredictor.
+// GatherTree predicts a gather of m-byte blocks over the tree.
 func (l *LogP) GatherTree(tree *collective.Tree, m int) float64 {
 	return l.ScatterTree(tree, m)
 }
 
-// BcastTree implements TreePredictor.
+// BcastTree predicts an m-byte broadcast over the tree.
 func (l *LogP) BcastTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, bcastBytes(m), l.P2P)
 }
 
-// ReduceTree implements TreePredictor.
+// ReduceTree predicts an m-byte reduction over the tree.
 func (l *LogP) ReduceTree(tree *collective.Tree, m int) float64 {
 	return l.BcastTree(tree, m)
 }
 
-// ScatterTree implements TreePredictor.
+// ScatterTree predicts a scatter of m-byte blocks over the tree.
 func (l *LogGP) ScatterTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, scatterBytes(tree, m), l.P2P)
 }
 
-// GatherTree implements TreePredictor.
+// GatherTree predicts a gather of m-byte blocks over the tree.
 func (l *LogGP) GatherTree(tree *collective.Tree, m int) float64 {
 	return l.ScatterTree(tree, m)
 }
 
-// BcastTree implements TreePredictor.
+// BcastTree predicts an m-byte broadcast over the tree.
 func (l *LogGP) BcastTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, bcastBytes(m), l.P2P)
 }
 
-// ReduceTree implements TreePredictor.
+// ReduceTree predicts an m-byte reduction over the tree.
 func (l *LogGP) ReduceTree(tree *collective.Tree, m int) float64 {
 	return l.BcastTree(tree, m)
 }
 
-// ScatterTree implements TreePredictor.
+// ScatterTree predicts a scatter of m-byte blocks over the tree.
 func (p *PLogP) ScatterTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, scatterBytes(tree, m), p.P2P)
 }
 
-// GatherTree implements TreePredictor.
+// GatherTree predicts a gather of m-byte blocks over the tree.
 func (p *PLogP) GatherTree(tree *collective.Tree, m int) float64 {
 	return p.ScatterTree(tree, m)
 }
 
-// BcastTree implements TreePredictor.
+// BcastTree predicts an m-byte broadcast over the tree.
 func (p *PLogP) BcastTree(tree *collective.Tree, m int) float64 {
 	return treeRecursive(tree, bcastBytes(m), p.P2P)
 }
 
-// ReduceTree implements TreePredictor.
+// ReduceTree predicts an m-byte reduction over the tree.
 func (p *PLogP) ReduceTree(tree *collective.Tree, m int) float64 {
 	return p.BcastTree(tree, m)
 }
@@ -152,12 +122,12 @@ func (p *PLogP) ReduceTree(tree *collective.Tree, m int) float64 {
 // parent's per-message processing serializes while wires and the
 // children's processing overlap.
 
-// ScatterTree implements TreePredictor.
+// ScatterTree predicts a scatter of m-byte blocks over the tree.
 func (x *LMOX) ScatterTree(tree *collective.Tree, m int) float64 {
 	return treeSeparated(tree, scatterBytes(tree, m), x.SendCost, x.WireCost, x.RecvCost)
 }
 
-// GatherTree implements TreePredictor: the up-tree critical path
+// GatherTree predicts a gather over the tree: the up-tree critical path
 // mirrors the down-tree one under the separated model, plus the
 // empirical irregularity of eq (5). Every interior parent with two or
 // more children is a many-to-one fan-in exactly like the flat gather
@@ -190,7 +160,7 @@ func (x *LMOX) GatherTree(tree *collective.Tree, m int) float64 {
 		}
 		c := cs[0]
 		b := bytes(c)
-		slot := x.RecvCost2(r, b)
+		slot := x.RecvCost(r, b)
 		if g.Valid() && len(tree.Children[r]) > 1 {
 			if b >= g.M2 {
 				slot += float64(b) * x.invBeta(c, r)
@@ -199,33 +169,20 @@ func (x *LMOX) GatherTree(tree *collective.Tree, m int) float64 {
 			}
 		}
 		rest := up(r, cs[1:])
-		sub := x.WireCostRev(r, c, b) + x.SendCost2(c, b) + up(c, tree.Children[c])
+		sub := x.WireCostRev(r, c, b) + x.SendCost(c, b) + up(c, tree.Children[c])
 		return slot + math.Max(rest, sub)
 	}
 	return up(tree.Root, tree.Children[tree.Root])
 }
 
-// BcastTree implements TreePredictor.
+// BcastTree predicts an m-byte broadcast over the tree.
 func (x *LMOX) BcastTree(tree *collective.Tree, m int) float64 {
 	return treeSeparated(tree, bcastBytes(m), x.SendCost, x.WireCost, x.RecvCost)
 }
 
-// ReduceTree implements TreePredictor. Reduction adds the combine work
+// ReduceTree predicts an m-byte reduction over the tree. Reduction adds the combine work
 // at each interior node, which the model folds into the receive
 // processing term (the operands are combined as they are received).
 func (x *LMOX) ReduceTree(tree *collective.Tree, m int) float64 {
-	return treeSeparated(tree, bcastBytes(m), x.RecvCost2, x.WireCostRev, x.SendCost2)
-}
-
-// BcastBinomial predicts the binomial broadcast, the shape package mpi
-// implements.
-func (x *LMOX) BcastBinomial(root, n, m int) float64 {
-	x.checkN(n)
-	return x.BcastTree(collective.Binomial(n, root), m)
-}
-
-// ReduceBinomial predicts the binomial reduction.
-func (x *LMOX) ReduceBinomial(root, n, m int) float64 {
-	x.checkN(n)
-	return x.ReduceTree(collective.Binomial(n, root), m)
+	return treeSeparated(tree, bcastBytes(m), x.RecvCost, x.WireCostRev, x.SendCost)
 }

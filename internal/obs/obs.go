@@ -142,9 +142,6 @@ type Trace struct {
 // NewTrace returns an empty, enabled trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Enabled reports whether the trace records anything (false for nil).
-func (t *Trace) Enabled() bool { return t != nil }
-
 // Len returns the number of recorded spans (0 for nil).
 func (t *Trace) Len() int {
 	if t == nil {

@@ -7,42 +7,26 @@
 package optimize
 
 import (
-	"fmt"
-
 	"repro/internal/collective"
 	"repro/internal/models"
 	"repro/internal/mpi"
 )
 
-// SelectScatterAlg returns the scatter algorithm the model predicts to
-// be faster for n ranks and m-byte blocks rooted at root.
-func SelectScatterAlg(p models.Predictor, root, n, m int) mpi.Alg {
-	if p.ScatterBinomial(root, n, m) < p.ScatterLinear(root, n, m) {
-		return mpi.Binomial
-	}
-	return mpi.Linear
-}
-
-// SelectGatherAlg returns the gather algorithm the model predicts to be
-// faster.
-func SelectGatherAlg(p models.Predictor, root, n, m int) mpi.Alg {
-	if p.GatherBinomial(root, n, m) < p.GatherLinear(root, n, m) {
-		return mpi.Binomial
-	}
-	return mpi.Linear
-}
-
 // Crossover returns the smallest size in sizes at which the predicted
-// order of the two scatter algorithms differs from their order at the
+// order of linear and binomial scatter differs from their order at the
 // first size, or -1 if the prediction never flips. It locates the
 // algorithm-switching point a model implies.
-func Crossover(p models.Predictor, root, n int, sizes []int) int {
+func Crossover(p models.CollectivePredictor, root, n int, sizes []int) int {
 	if len(sizes) == 0 {
 		return -1
 	}
-	first := SelectScatterAlg(p, root, n, sizes[0])
+	pick := func(m int) mpi.Alg {
+		alg, _ := SelectAlgAmong(p, models.CollScatter, root, n, m, []mpi.Alg{mpi.Linear, mpi.Binomial})
+		return alg
+	}
+	first := pick(sizes[0])
 	for _, m := range sizes[1:] {
-		if SelectScatterAlg(p, root, n, m) != first {
+		if pick(m) != first {
 			return m
 		}
 	}
@@ -144,7 +128,7 @@ func MapBinomialTree(x *models.LMOX, root, n, m int) ([]int, float64) {
 	}
 
 	eval := func(perm []int) float64 {
-		return x.ScatterBinomialTree(applyMapping(tree, perm), m)
+		return x.ScatterTree(applyMapping(tree, perm), m)
 	}
 	best := eval(perm)
 	// Local search: first-improvement pairwise swaps, bounded passes.
@@ -212,21 +196,6 @@ func sortBy(xs []int, less func(a, b int) bool) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// Validate checks that perm is a permutation fixing root.
-func ValidateMapping(perm []int, root int) error {
-	seen := make([]bool, len(perm))
-	for _, p := range perm {
-		if p < 0 || p >= len(perm) || seen[p] {
-			return fmt.Errorf("optimize: not a permutation: %v", perm)
-		}
-		seen[p] = true
-	}
-	if perm[root] != root {
-		return fmt.Errorf("optimize: root moved: perm[%d] = %d", root, perm[root])
-	}
-	return nil
 }
 
 // OptimizedGatherv is OptimizedGather for variable block sizes: when

@@ -49,40 +49,3 @@ func BestRoot(p models.CollectivePredictor, coll models.Collective, n, m int) (r
 	}
 	return root, predicted
 }
-
-// SelectScatterAlgAmong picks the algorithm with the smallest
-// predicted scatter time among candidates (all four when candidates
-// is nil).
-//
-// Deprecated: use SelectAlgAmong with models.CollScatter; this
-// wrapper adapts the legacy interface and delegates.
-func SelectScatterAlgAmong(p models.TreePredictor, root, n, m int, candidates []mpi.Alg) (mpi.Alg, float64) {
-	return SelectAlgAmong(models.Adapt(p), models.CollScatter, root, n, m, candidates)
-}
-
-// SelectGatherAlgAmong picks the algorithm with the smallest predicted
-// gather time among candidates (all four when candidates is nil).
-//
-// Deprecated: use SelectAlgAmong with models.CollGather; this wrapper
-// adapts the legacy interface and delegates.
-func SelectGatherAlgAmong(p models.TreePredictor, root, n, m int, candidates []mpi.Alg) (mpi.Alg, float64) {
-	return SelectAlgAmong(models.Adapt(p), models.CollGather, root, n, m, candidates)
-}
-
-// BestScatterRoot returns the root rank minimizing the predicted
-// linear-scatter time.
-//
-// Deprecated: use BestRoot with models.CollScatter; this wrapper
-// adapts the legacy interface and delegates.
-func BestScatterRoot(p models.Predictor, n, m int) (root int, predicted float64) {
-	return BestRoot(models.Adapt(p), models.CollScatter, n, m)
-}
-
-// BestGatherRoot returns the root rank minimizing the predicted
-// linear-gather time.
-//
-// Deprecated: use BestRoot with models.CollGather; this wrapper
-// adapts the legacy interface and delegates.
-func BestGatherRoot(p models.Predictor, n, m int) (root int, predicted float64) {
-	return BestRoot(models.Adapt(p), models.CollGather, n, m)
-}

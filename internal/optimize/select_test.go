@@ -12,7 +12,7 @@ import (
 func TestSelectAmongAllAlgorithms(t *testing.T) {
 	x := lmoxFor(16)
 	// Small messages: a logarithmic tree must win over flat and chain.
-	alg, cost := SelectScatterAlgAmong(x, 0, 16, 64, nil)
+	alg, cost := SelectAlgAmong(x, models.CollScatter, 0, 16, 64, nil)
 	if alg != mpi.Binomial && alg != mpi.Binary {
 		t.Fatalf("small message picked %v", alg)
 	}
@@ -20,12 +20,12 @@ func TestSelectAmongAllAlgorithms(t *testing.T) {
 		t.Fatal("no predicted cost")
 	}
 	// Large messages: linear (single wire on the critical path) wins.
-	alg, _ = SelectScatterAlgAmong(x, 0, 16, 1<<20, nil)
+	alg, _ = SelectAlgAmong(x, models.CollScatter, 0, 16, 1<<20, nil)
 	if alg != mpi.Linear {
 		t.Fatalf("large message picked %v", alg)
 	}
 	// Restricting candidates restricts the choice.
-	alg, _ = SelectScatterAlgAmong(x, 0, 16, 1<<20, []mpi.Alg{mpi.Chain, mpi.Binary})
+	alg, _ = SelectAlgAmong(x, models.CollScatter, 0, 16, 1<<20, []mpi.Alg{mpi.Chain, mpi.Binary})
 	if alg != mpi.Chain && alg != mpi.Binary {
 		t.Fatalf("restricted selection picked %v", alg)
 	}
@@ -40,7 +40,7 @@ func TestSelectGatherUsesEmpiricalBranch(t *testing.T) {
 	}
 	// Inside the irregular region, the expected escalation penalty makes
 	// linear gather unattractive; a tree algorithm must win.
-	alg, _ := SelectGatherAlgAmong(x, 0, 8, 30<<10, nil)
+	alg, _ := SelectAlgAmong(x, models.CollGather, 0, 8, 30<<10, nil)
 	if alg == mpi.Linear {
 		t.Fatal("escalating linear gather should lose")
 	}
@@ -61,14 +61,14 @@ func TestBestRootPrefersFastProcessor(t *testing.T) {
 	}
 	// Processor 3 is much faster.
 	x.C[3], x.T[3] = 1e-5, 1e-9
-	root, pred := BestScatterRoot(x, n, 32<<10)
+	root, pred := BestRoot(x, models.CollScatter, n, 32<<10)
 	if root != 3 {
 		t.Fatalf("best scatter root = %d, want 3", root)
 	}
 	if pred >= x.ScatterLinear(0, n, 32<<10) {
 		t.Fatal("best root should beat root 0")
 	}
-	if groot, _ := BestGatherRoot(x, n, 1<<10); groot != 3 {
+	if groot, _ := BestRoot(x, models.CollGather, n, 1<<10); groot != 3 {
 		t.Fatalf("best gather root = %d, want 3", groot)
 	}
 }

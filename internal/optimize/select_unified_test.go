@@ -6,48 +6,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/mpi"
-	"repro/internal/stats"
 )
-
-// The deprecated per-operation wrappers must answer exactly what the
-// unified entry points answer — they delegate through models.Adapt, so
-// any drift here is a broken shim.
-func TestDeprecatedSelectWrappersEquivalent(t *testing.T) {
-	x := lmoxFor(8)
-	x.Gather = models.GatherEmpirical{
-		M1: 4 << 10, M2: 64 << 10,
-		EscModes: []stats.Mode{{Value: 0.1, Count: 2}},
-		ProbLow:  0.3, ProbHigh: 0.8,
-	}
-	sizes := []int{64, 4 << 10, 30 << 10, 1 << 20}
-	candidateSets := [][]mpi.Alg{nil, {mpi.Linear, mpi.Binomial}, {mpi.Chain, mpi.Binary}}
-	for _, m := range sizes {
-		for _, cands := range candidateSets {
-			for root := 0; root < 8; root += 3 {
-				oldAlg, oldT := SelectScatterAlgAmong(x, root, 8, m, cands)
-				newAlg, newT := SelectAlgAmong(x, models.CollScatter, root, 8, m, cands)
-				if oldAlg != newAlg || oldT != newT {
-					t.Fatalf("scatter m=%d root=%d: wrapper (%v, %v) != unified (%v, %v)", m, root, oldAlg, oldT, newAlg, newT)
-				}
-				oldAlg, oldT = SelectGatherAlgAmong(x, root, 8, m, cands)
-				newAlg, newT = SelectAlgAmong(x, models.CollGather, root, 8, m, cands)
-				if oldAlg != newAlg || oldT != newT {
-					t.Fatalf("gather m=%d root=%d: wrapper (%v, %v) != unified (%v, %v)", m, root, oldAlg, oldT, newAlg, newT)
-				}
-			}
-		}
-		oldRoot, oldT := BestScatterRoot(x, 8, m)
-		newRoot, newT := BestRoot(x, models.CollScatter, 8, m)
-		if oldRoot != newRoot || oldT != newT {
-			t.Fatalf("scatter root m=%d: wrapper (%d, %v) != unified (%d, %v)", m, oldRoot, oldT, newRoot, newT)
-		}
-		oldRoot, oldT = BestGatherRoot(x, 8, m)
-		newRoot, newT = BestRoot(x, models.CollGather, 8, m)
-		if oldRoot != newRoot || oldT != newT {
-			t.Fatalf("gather root m=%d: wrapper (%d, %v) != unified (%d, %v)", m, oldRoot, oldT, newRoot, newT)
-		}
-	}
-}
 
 // The unified selection must agree with a brute-force argmin over the
 // predictor's own answers (first-best tie-break in candidate order).

@@ -22,6 +22,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"repro/internal/models"
 )
 
 // BatchQuery is one row of a batched /predict request. Every field is
@@ -36,6 +38,8 @@ type BatchQuery struct {
 	Alg     string `json:"alg,omitempty"`
 	M       int    `json:"m,omitempty"`
 	Root    *int   `json:"root,omitempty"`
+	Degree  int    `json:"degree,omitempty"`
+	Segment int    `json:"segment,omitempty"`
 }
 
 // batchPlatform is one distinct platform key appearing in a batch: the
@@ -54,11 +58,7 @@ type batchPlatform struct {
 // the collective to evaluate.
 type batchQueryPlan struct {
 	plat *batchPlatform
-	code opAlg
-	op   string
-	alg  string
-	m    int
-	root int
+	q    models.Query
 }
 
 // batchErrorParts maps a miss-path failure to the same typed codes the
@@ -100,6 +100,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	plans := make([]batchQueryPlan, len(req.Queries))
 	platforms := map[platformRequest]*batchPlatform{}
 	order := make([]*batchPlatform, 0, 4) // insertion order: deterministic resolution
+	pieces := 0
 	for i := range req.Queries {
 		q := &req.Queries[i]
 		plat := req.platformRequest
@@ -126,36 +127,36 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 			platforms[plat] = st
 			order = append(order, st)
 		}
-		op := req.Op
+		row := QueryRow{Op: req.Op, Alg: req.Alg, M: req.M, Root: req.Root, Degree: req.Degree, Segment: req.Segment}
 		if q.Op != "" {
-			op = q.Op
+			row.Op = q.Op
 		}
-		alg := req.Alg
 		if q.Alg != "" {
-			alg = q.Alg
+			row.Alg = q.Alg
 		}
-		m := req.M
 		if q.M != 0 {
-			m = q.M
+			row.M = q.M
 		}
-		if m <= 0 {
-			httpError(w, http.StatusBadRequest, "query %d: m must be a positive block size in bytes", i)
-			return
+		if q.Root != nil {
+			row.Root = *q.Root
 		}
-		code, alg, err := parseOpAlg(op, alg)
+		if q.Degree != 0 {
+			row.Degree = q.Degree
+		}
+		if q.Segment != 0 {
+			row.Segment = q.Segment
+		}
+		query, err := row.Query(st.n)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
-		root := req.Root
-		if q.Root != nil {
-			root = *q.Root
-		}
-		if root < 0 || root >= st.n {
-			httpError(w, http.StatusBadRequest, "query %d: root must be in [0, %d)", i, st.n)
+		if pieces += segmentPieces(query); pieces > maxSegmentPieces {
+			httpError(w, http.StatusBadRequest,
+				"query %d: segmented queries need more than %d pieces in total, the per-request limit", i, maxSegmentPieces)
 			return
 		}
-		plans[i] = batchQueryPlan{plat: st, code: code, op: op, alg: alg, m: m, root: root}
+		plans[i] = batchQueryPlan{plat: st, q: query}
 	}
 
 	// Pass 2 — resolve each distinct key once. Hits stay on the
@@ -291,21 +292,30 @@ func appendBatchItem(b []byte, p *batchQueryPlan) []byte {
 		b = append(b, '}')
 		return b
 	}
+	q := p.q
 	b = append(b, `,"cache":"`...)
 	b = append(b, st.cache...)
 	b = append(b, `","op":"`...)
-	b = append(b, p.op...)
+	b = append(b, q.Coll.String()...)
 	b = append(b, `","alg":"`...)
-	b = append(b, p.alg...)
+	b = append(b, q.Alg.String()...)
 	b = append(b, `","m":`...)
-	b = strconv.AppendInt(b, int64(p.m), 10)
+	b = strconv.AppendInt(b, int64(q.M), 10)
 	b = append(b, `,"nodes":`...)
 	b = strconv.AppendInt(b, int64(st.n), 10)
 	b = append(b, `,"root":`...)
-	b = strconv.AppendInt(b, int64(p.root), 10)
+	b = strconv.AppendInt(b, int64(q.Root), 10)
+	if q.Degree != 0 {
+		b = append(b, `,"degree":`...)
+		b = strconv.AppendInt(b, int64(q.Degree), 10)
+	}
+	if q.Segment != 0 {
+		b = append(b, `,"segment":`...)
+		b = strconv.AppendInt(b, int64(q.Segment), 10)
+	}
 	b = append(b, `,"predictions":{`...)
 	var vals [numFamilies]float64
-	mask := st.entry.predictInto(p.code, p.root, st.n, p.m, &vals)
+	mask := st.entry.predictInto(q, &vals)
 	first := true
 	for i := 0; i < numFamilies; i++ {
 		if mask&(1<<i) == 0 {
@@ -319,14 +329,11 @@ func appendBatchItem(b []byte, p *batchQueryPlan) []byte {
 		b = appendJSONFloat(b, vals[i])
 	}
 	b = append(b, '}')
-	if p.code == opGatherLinear && st.entry.LMO != nil && st.entry.LMO.Gather.Valid() {
-		lo, hi := st.entry.LMO.GatherLinearBand(p.root, st.n, p.m)
-		if hi > lo {
-			b = append(b, `,"band_low":`...)
-			b = appendJSONFloat(b, lo)
-			b = append(b, `,"band_high":`...)
-			b = appendJSONFloat(b, hi)
-		}
+	if lo, hi, ok := GatherBand(st.entry.LMO, q); ok {
+		b = append(b, `,"band_low":`...)
+		b = appendJSONFloat(b, lo)
+		b = append(b, `,"band_high":`...)
+		b = appendJSONFloat(b, hi)
 	}
 	b = append(b, '}')
 	return b

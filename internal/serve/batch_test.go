@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/models"
 	"repro/internal/stats"
 )
@@ -182,8 +184,8 @@ func TestBatchPredictValidation(t *testing.T) {
 		wantMsg string
 	}{
 		{"empty", []map[string]any{}, "queries must not be empty"},
-		{"bad op", []map[string]any{{}, {"op": "bcast"}}, "query 1: op must be scatter or gather"},
-		{"bad alg", []map[string]any{{"alg": "ring"}}, "query 0: alg must be linear or binomial"},
+		{"bad op", []map[string]any{{}, {"op": "allgather"}}, "query 1: op must be scatter, gather, bcast or reduce"},
+		{"bad alg", []map[string]any{{"alg": "ring"}}, "query 0: alg must be linear, binomial, binary or chain"},
 		{"bad m", []map[string]any{{}, {}, {"m": -3}}, "query 2: m must be a positive block size"},
 		{"bad root", []map[string]any{{"root": 8}}, "query 0: root must be in [0, 8)"},
 		{"bad cluster", []map[string]any{{"cluster": "nosuch"}}, "query 0"},
@@ -255,12 +257,12 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestPredictHotPathZeroAlloc is the bench-smoke guard from ISSUE 8's
-// acceptance criteria: a cached linear prediction — lock-free registry
-// lookup plus the full-zoo kernel — performs zero heap allocations, and
-// the unary path's pooled map stays allocation-free in steady state.
-// (Binomial algorithms recurse over a collective.Tree built in the
-// model layer and are measured by the benchmarks instead of pinned.)
+// TestPredictHotPathZeroAlloc is the bench-smoke guard: a cached linear
+// prediction — lock-free registry lookup plus the full-zoo kernel —
+// performs zero heap allocations, and the unary path's pooled map stays
+// allocation-free in steady state. (Binomial algorithms recurse over a
+// collective.Tree built in the model layer and are measured by the
+// benchmarks instead of pinned.)
 func TestPredictHotPathZeroAlloc(t *testing.T) {
 	k := Key{Cluster: "table1", Nodes: 16, Profile: "lam", Seed: 3}
 	r := NewRegistry(4, nil, RegistryOptions{})
@@ -268,30 +270,114 @@ func TestPredictHotPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink float64
-	for _, code := range []opAlg{opScatterLinear, opGatherLinear} {
+	for _, coll := range []models.Collective{models.CollScatter, models.CollGather} {
+		q := models.Query{Coll: coll, Alg: collective.AlgLinear, N: k.Nodes, M: 4096}
 		if n := testing.AllocsPerRun(200, func() {
 			e, ok := r.LookupHit(k)
 			if !ok {
 				t.Fatal("lost the cached entry")
 			}
 			var vals [numFamilies]float64
-			e.predictInto(code, 0, k.Nodes, 4096, &vals)
+			e.predictInto(q, &vals)
 			sink += vals[famLMO]
 		}); n != 0 {
-			t.Fatalf("cached predict hot path (code %d) allocates %.1f/op, want 0", code, n)
+			t.Fatalf("cached predict hot path (linear %v) allocates %.1f/op, want 0", coll, n)
 		}
 	}
 
 	e, _ := r.LookupHit(k)
+	q := models.Query{Coll: models.CollScatter, Alg: collective.AlgLinear, N: k.Nodes, M: 4096}
 	preds := predMaps.Get().(map[string]float64)
-	predictAll(e, opScatterLinear, 0, k.Nodes, 4096, preds) // warm the map's buckets
+	predictAll(e, q, preds) // warm the map's buckets
 	if n := testing.AllocsPerRun(200, func() {
 		clear(preds)
-		predictAll(e, opScatterLinear, 0, k.Nodes, 4096, preds)
+		predictAll(e, q, preds)
 	}); n != 0 {
 		t.Fatalf("reused predictAll map allocates %.1f/op, want 0", n)
 	}
 	clear(preds)
 	predMaps.Put(preds)
 	_ = fmt.Sprint(sink)
+}
+
+// TestPredictQueryShapes pins the /predict vocabulary beyond linear and
+// binomial scatter/gather: bcast, reduce, binary, chain, k-ary degrees
+// and segmentation answer unary and batched, every row equal to the
+// in-process Predict(Query), and degree/segment echoed only when set.
+func TestPredictQueryShapes(t *testing.T) {
+	k := Key{Cluster: "table1", Nodes: 16, Profile: cluster.LAM().Name, Seed: 3}
+	_, ts := testServer(t, Config{Preload: []*models.ModelFile{fullZooFile(t, k)}})
+	ref := newRefZoo(t, k)
+	shapes := []map[string]any{
+		{"op": "bcast", "alg": "binomial"},
+		{"op": "reduce", "alg": "chain", "root": 5},
+		{"op": "scatter", "alg": "binary"},
+		{"op": "gather", "alg": "chain"},
+		{"op": "bcast", "alg": "binary", "degree": 4},
+		{"op": "gather", "alg": "linear", "segment": 4096},
+		{"op": "reduce", "alg": "binary", "degree": 8, "segment": 3000},
+	}
+	platform := map[string]any{"cluster": "table1", "nodes": 16, "profile": "lam", "seed": 3, "m": 10000}
+	for _, shape := range shapes {
+		req := map[string]any{}
+		for k, v := range platform {
+			req[k] = v
+		}
+		for k, v := range shape {
+			req[k] = v
+		}
+		var r servedRow
+		status, body := postJSON(t, ts.URL+"/predict", req, &r)
+		if status != 200 || len(r.Predictions) == 0 {
+			t.Fatalf("%v: status %d, %d families: %s", shape, status, len(r.Predictions), body)
+		}
+		ref.check(t, r)
+		_, hasDegree := shape["degree"]
+		_, hasSegment := shape["segment"]
+		if bytes.Contains(body, []byte(`"degree"`)) != hasDegree || bytes.Contains(body, []byte(`"segment"`)) != hasSegment {
+			t.Fatalf("%v: degree/segment echo mismatch: %s", shape, body)
+		}
+	}
+	batch := map[string]any{"queries": shapes}
+	for k, v := range platform {
+		batch[k] = v
+	}
+	var br struct {
+		Results []servedRow `json:"results"`
+	}
+	if status, body := postJSON(t, ts.URL+"/predict", batch, &br); status != 200 || len(br.Results) != len(shapes) {
+		t.Fatalf("batch: status %d: %s", status, body)
+	}
+	for _, r := range br.Results {
+		if len(r.Predictions) == 0 {
+			t.Fatalf("batch row %+v has no predictions", r)
+		}
+		ref.check(t, r)
+	}
+}
+
+// TestPredictPieceLimit pins the work bound: a request whose segmented
+// queries need more than maxSegmentPieces per-piece evaluations is
+// rejected with 400, unary or summed over a batch; at the limit it
+// answers.
+func TestPredictPieceLimit(t *testing.T) {
+	k := Key{Cluster: "table1", Nodes: 16, Profile: cluster.LAM().Name, Seed: 3}
+	_, ts := testServer(t, Config{Preload: []*models.ModelFile{fullZooFile(t, k)}})
+	platform := `"cluster":"table1","nodes":16,"profile":"lam","seed":3,"op":"gather","segment":2`
+	cases := []struct {
+		body string
+		want int
+	}{
+		{fmt.Sprintf(`{%s,"m":%d}`, platform, 2*maxSegmentPieces), 200},
+		{fmt.Sprintf(`{%s,"m":%d}`, platform, 2*maxSegmentPieces+1), 400},
+		{fmt.Sprintf(`{%s,"queries":[{"m":%d},{"m":%d}]}`, platform, maxSegmentPieces, maxSegmentPieces), 200},
+		{fmt.Sprintf(`{%s,"queries":[{"m":%d},{"m":%d}]}`, platform, maxSegmentPieces, maxSegmentPieces+2), 400},
+		{fmt.Sprintf(`{%s,"queries":[{"m":%d},{"m":%d,"segment":%d}]}`, platform, 2*maxSegmentPieces, 1<<20, 1<<20), 200},
+	}
+	for i, tc := range cases {
+		var v any
+		if status, body := postJSON(t, ts.URL+"/predict", json.RawMessage(tc.body), &v); status != tc.want {
+			t.Fatalf("case %d: status %d, want %d: %s", i, status, tc.want, body)
+		}
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/models"
 )
 
@@ -180,6 +181,7 @@ func BenchmarkServePredictKernel(b *testing.B) {
 	if _, err := r.Put(fullZooFile(b, k)); err != nil {
 		b.Fatal(err)
 	}
+	q := models.Query{Coll: models.CollGather, Alg: collective.AlgLinear, N: k.Nodes, M: 4096}
 	b.ReportAllocs()
 	b.ResetTimer()
 	mallocs := benchMallocs(func() {
@@ -190,7 +192,7 @@ func BenchmarkServePredictKernel(b *testing.B) {
 				if !ok {
 					b.Fatal("lost the cached entry")
 				}
-				e.predictInto(opGatherLinear, 0, k.Nodes, 4096, &vals)
+				e.predictInto(q, &vals)
 			}
 		})
 	})

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
+	"repro/internal/models"
 )
 
 // decodeJSON decodes a request body bounded by Config.MaxBodyBytes,
@@ -70,10 +71,16 @@ func (s *Server) writeWorkError(w http.ResponseWriter, endpoint string, err erro
 // requests, admission-controlled, and circuit-broken per platform).
 type PredictRequest struct {
 	platformRequest
-	Op   string `json:"op"`   // "scatter" or "gather"
-	Alg  string `json:"alg"`  // "linear" (default) or "binomial"
+	Op   string `json:"op"`   // "scatter", "gather", "bcast" or "reduce"
+	Alg  string `json:"alg"`  // "linear" (default), "binomial", "binary" or "chain"
 	M    int    `json:"m"`    // block size in bytes
 	Root int    `json:"root"` // collective root rank
+	// Degree, when >= 2, replaces the binary algorithm's tree with a
+	// k-ary tree of that degree (models.Query.Degree).
+	Degree int `json:"degree"`
+	// Segment, when in (0, m), splits the block into ceil(m/segment)
+	// back-to-back pieces (models.Query.Segment).
+	Segment int `json:"segment"`
 
 	// Queries switches the request to batch mode: each row inherits
 	// the top-level fields and overrides any it sets (the runfile
@@ -90,7 +97,9 @@ type PredictResponse struct {
 	M           int                `json:"m"`
 	Nodes       int                `json:"nodes"`
 	Root        int                `json:"root"`
-	Predictions map[string]float64 `json:"predictions"` // seconds, per model
+	Degree      int                `json:"degree,omitempty"`  // echoed when set
+	Segment     int                `json:"segment,omitempty"` // echoed when set
+	Predictions map[string]float64 `json:"predictions"`       // seconds, per model
 	// BandLow/BandHigh bracket linear gather's escalation region when
 	// the LMO empirical parameters cover m.
 	BandLow  *float64 `json:"band_low,omitempty"`
@@ -115,24 +124,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.M <= 0 {
-		httpError(w, http.StatusBadRequest, "m must be a positive block size in bytes")
-		return
-	}
-	code, alg, err := parseOpAlg(req.Op, req.Alg)
+	row := QueryRow{Op: req.Op, Alg: req.Alg, M: req.M, Root: req.Root, Degree: req.Degree, Segment: req.Segment}
+	q, err := row.Query(key.Nodes)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Root < 0 || req.Root >= key.Nodes {
-		httpError(w, http.StatusBadRequest, "root must be in [0, %d)", key.Nodes)
 		return
 	}
 
 	// Cached platforms answer without touching admission: reads must
 	// keep flowing whatever the estimation backlog looks like.
 	if entry, ok := s.reg.LookupHit(key); ok {
-		s.writePrediction(w, req, code, alg, key, entry, "hit")
+		s.writePrediction(w, q, key, entry, "hit")
 		return
 	}
 
@@ -159,26 +161,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// GetOrEstimate: this request rode someone else's work.
 		cache = "joined"
 	}
-	s.writePrediction(w, req, code, alg, key, entry, cache)
+	s.writePrediction(w, q, key, entry, cache)
 }
 
 // writePrediction renders the prediction response for a resolved
 // entry. The predictions map comes from a pool and is reused across
 // requests: the unary path allocates no fresh map per request
 // (TestPredictAllReusesMap pins this).
-func (s *Server) writePrediction(w http.ResponseWriter, req PredictRequest, code opAlg, alg string, key Key, entry *Entry, cache string) {
+func (s *Server) writePrediction(w http.ResponseWriter, q models.Query, key Key, entry *Entry, cache string) {
 	preds := predMaps.Get().(map[string]float64)
-	predictAll(entry, code, req.Root, key.Nodes, req.M, preds)
+	predictAll(entry, q, preds)
 	resp := PredictResponse{
-		Key: key.String(), Op: req.Op, Alg: alg, Cache: cache,
-		M: req.M, Nodes: key.Nodes, Root: req.Root,
+		Key: key.String(), Op: q.Coll.String(), Alg: q.Alg.String(), Cache: cache,
+		M: q.M, Nodes: key.Nodes, Root: q.Root, Degree: q.Degree, Segment: q.Segment,
 		Predictions: preds,
 	}
-	if code == opGatherLinear && entry.LMO != nil && entry.LMO.Gather.Valid() {
-		lo, hi := entry.LMO.GatherLinearBand(req.Root, key.Nodes, req.M)
-		if hi > lo {
-			resp.BandLow, resp.BandHigh = &lo, &hi
-		}
+	if lo, hi, ok := GatherBand(entry.LMO, q); ok {
+		resp.BandLow, resp.BandHigh = &lo, &hi
 	}
 	s.metrics.Prediction(cache, "unary", 1)
 	writeJSON(w, http.StatusOK, resp)

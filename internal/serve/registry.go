@@ -53,7 +53,7 @@ type Entry struct {
 	// preds indexes the predictors by family (famHockney..famLMO); a
 	// nil slot means the family is absent from the file. Built once
 	// here so the prediction kernel never re-derives it per query.
-	preds [numFamilies]collectivePredictor
+	preds [numFamilies]models.CollectivePredictor
 
 	// lastUsed is the registry's recency stamp (a tick of the
 	// registry's access clock). Readers store it without a lock; the

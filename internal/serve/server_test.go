@@ -333,7 +333,7 @@ func TestPredictValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	bad := []map[string]any{
 		{"op": "gather", "m": 0},                                     // m missing
-		{"op": "bcast", "m": 1024},                                   // unsupported op
+		{"op": "allgather", "m": 1024},                               // unsupported op
 		{"op": "gather", "m": 1024, "alg": "ring"},                   // unsupported alg
 		{"op": "gather", "m": 1024, "root": 99},                      // root out of range
 		{"op": "gather", "m": 1024, "cluster": "nope"},               // unknown cluster

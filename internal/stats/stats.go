@@ -83,27 +83,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// TrimmedMean returns the mean of xs after dropping a fraction frac of
-// each tail (so frac = 0.1 drops the lowest and highest 10%). At least
-// one sample is always kept; frac outside [0, 0.5) falls back to the
-// plain mean.
-func TrimmedMean(xs []float64, frac float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if frac <= 0 || frac >= 0.5 {
-		return Mean(xs)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	k := int(float64(n) * frac)
-	if 2*k >= n {
-		k = (n - 1) / 2
-	}
-	return Mean(s[k : n-k])
-}
-
 // MAD returns the median absolute deviation from the median, the
 // robust scale estimate behind outlier rejection (0 for empty input).
 func MAD(xs []float64) float64 {

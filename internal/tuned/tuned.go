@@ -64,9 +64,8 @@ type decision struct {
 	segment int
 }
 
-// New builds a tuner over any model on the unified predictor interface
-// for an n-rank job. Legacy Predictor/TreePredictor implementations
-// can be lifted with models.Adapt.
+// New builds a tuner over any model on the predictor interface
+// (models.CollectivePredictor) for an n-rank job.
 func New(model models.CollectivePredictor, n int) *Tuner {
 	t := &Tuner{model: model, n: n, cache: map[decisionKey]decision{}}
 	t.stats.ByAlg = map[string]int{}

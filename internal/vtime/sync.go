@@ -152,9 +152,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// NumWaiters returns the number of parked processes.
-func (c *Cond) NumWaiters() int { return len(c.waiters) }
-
 // Barrier synchronizes a fixed party of processes at zero virtual cost.
 // It is harness machinery (aligning measurement repetitions), not a
 // model of a network barrier; the mpi package provides a costed one.

@@ -262,10 +262,10 @@ type Estimation struct {
 	Trace  *Trace // the observer passed via WithObserver (nil otherwise)
 }
 
-// Predictor returns the estimation's model as a Predictor, or nil when
-// the estimation failed. For ModelLogP it returns the LogGP model (the
-// finer of the pair).
-func (e *Estimation) Predictor() Predictor {
+// Predictor returns the estimation's model as a CollectivePredictor,
+// or nil when the estimation failed. For ModelLogP it returns the
+// LogGP model (the finer of the pair).
+func (e *Estimation) Predictor() CollectivePredictor {
 	switch e.Kind {
 	case ModelLMO:
 		if e.LMO != nil {
@@ -297,15 +297,15 @@ func (e *Estimation) Predictor() Predictor {
 
 // Estimate runs the timing experiments of the requested model family
 // on the system and returns the estimated model(s) with the cost
-// report. It subsumes the per-family Estimate* methods behind one
-// option-based entry point:
+// report, configured by functional options:
 //
 //	tr := commperf.NewTrace()
 //	est, err := sys.Estimate(commperf.ModelLMO,
 //	        commperf.WithSchedule(commperf.ScheduleSerial),
 //	        commperf.WithObserver(tr))
 //	...
-//	pred := est.LMO.ScatterLinear(0, 16, 64<<10)
+//	pred, err := est.Predictor().Predict(commperf.PredictQuery{
+//	        Coll: commperf.CollScatter, Alg: commperf.Linear, N: 16, M: 64 << 10})
 //
 // The returned Estimation is non-nil even on error, carrying the
 // report accumulated before the failure.

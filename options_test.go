@@ -6,40 +6,12 @@ import (
 	"time"
 )
 
-// fastOpt keeps the estimation cheap and deterministic for equivalence
-// checks: pinned repetitions, serial schedule off (default parallel).
+// fastOpt keeps the estimation cheap and deterministic: pinned
+// repetitions, default parallel schedule.
 func fastOpt() EstimateOptions {
 	o := EstimateOptions{Parallel: true}
 	o.Mpib.MinReps, o.Mpib.MaxReps = 3, 3
 	return o
-}
-
-func TestEstimateMatchesDeprecatedWrappers(t *testing.T) {
-	// Identical seeds → the unified entry point and the deprecated
-	// wrappers must produce byte-identical models.
-	sysA, sysB := testSystem(), testSystem()
-
-	est, err := sysA.Estimate(ModelLMO, WithEstimateOptions(fastOpt()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lmo, rep, err := sysB.EstimateLMO(fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.LMO == nil {
-		t.Fatal("Estimate(ModelLMO) returned nil model")
-	}
-	if got, want := est.LMO.P2P(0, 1, 1<<14), lmo.P2P(0, 1, 1<<14); got != want {
-		t.Fatalf("LMO divergence: Estimate=%v wrapper=%v", got, want)
-	}
-	if est.Report.Cost != rep.Cost || est.Report.Experiments != rep.Experiments ||
-		est.Report.Repetitions != rep.Repetitions {
-		t.Fatalf("report divergence: Estimate=%+v wrapper=%+v", est.Report, rep)
-	}
-	if est.Predictor() == nil {
-		t.Fatal("Predictor() nil for successful estimation")
-	}
 }
 
 func TestEstimateAllKinds(t *testing.T) {
@@ -80,15 +52,9 @@ func TestPickOptRejectsMultipleOptions(t *testing.T) {
 	// EstimateOptions value. It must now refuse.
 	sys := testSystem()
 	a, b := fastOpt(), fastOpt()
-	if _, _, err := sys.EstimateLMO(a, b); err == nil ||
+	if _, _, err := sys.DetectGatherIrregularity(0, a, b); err == nil ||
 		!strings.Contains(err.Error(), "at most one") {
-		t.Fatalf("two EstimateOptions should error, got %v", err)
-	}
-	if _, _, _, err := sys.EstimateLogPLogGP(a, b); err == nil {
-		t.Fatal("EstimateLogPLogGP with two options should error")
-	}
-	if _, _, err := sys.DetectGatherIrregularity(0, a, b); err == nil {
-		t.Fatal("DetectGatherIrregularity with two options should error")
+		t.Fatalf("DetectGatherIrregularity with two options should error, got %v", err)
 	}
 }
 
