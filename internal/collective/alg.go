@@ -55,19 +55,6 @@ func ParseAlg(s string) (Alg, error) {
 	}
 }
 
-// Tree builds the communication tree the algorithm uses for n ranks
-// rooted at root.
-func (a Alg) Tree(n, root int) *Tree {
-	switch a {
-	case AlgLinear:
-		return Flat(n, root)
-	case AlgBinomial:
-		return Binomial(n, root)
-	case AlgBinary:
-		return Binary(n, root)
-	case AlgChain:
-		return Chain(n, root)
-	default:
-		panic(fmt.Sprintf("collective: unknown algorithm %d", a))
-	}
-}
+// Tree returns the shared, read-only communication tree the algorithm
+// uses for n ranks rooted at root (see ShapeTree).
+func (a Alg) Tree(n, root int) *Tree { return ShapeTree(a, 0, n, root) }

@@ -1,7 +1,9 @@
 // Package collective provides the communication-tree machinery for
 // collective operations: flat (linear) trees and the binomial trees of
 // the paper's Fig 2, including per-arc block counts, subtree sizes and
-// processor-to-node mappings.
+// processor-to-node mappings. The accessors Alg.Tree and ShapeTree
+// build each tree once and share it; the builders Flat, Binomial,
+// Chain and KAry construct private trees.
 package collective
 
 import (
@@ -13,6 +15,10 @@ import (
 // ordered by decreasing subtree size, which for binomial trees means
 // the largest message travels first, as the paper describes ("the
 // largest messages 2^k·M are sent/received first").
+//
+// A tree obtained from Alg.Tree or ShapeTree is shared by every caller
+// in the process and is read-only: none of its fields or slices may be
+// written.
 type Tree struct {
 	N    int
 	Root int

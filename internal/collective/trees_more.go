@@ -63,6 +63,3 @@ func KAry(n, root, k int) *Tree {
 	t.computeSizes()
 	return t
 }
-
-// Binary builds the binary (2-ary) communication tree.
-func Binary(n, root int) *Tree { return KAry(n, root, 2) }

@@ -39,7 +39,7 @@ func TestChainNonZeroRoot(t *testing.T) {
 }
 
 func TestBinaryStructure(t *testing.T) {
-	tr := Binary(7, 0)
+	tr := AlgBinary.Tree(7, 0)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTreeShapesDiffer(t *testing.T) {
 	heights := map[string]int{
 		"flat":     height(Flat(n, 0)),
 		"binomial": height(Binomial(n, 0)),
-		"binary":   height(Binary(n, 0)),
+		"binary":   height(KAry(n, 0, 2)),
 		"chain":    height(Chain(n, 0)),
 	}
 	if !(heights["flat"] < heights["binomial"] && heights["binomial"] <= heights["binary"] && heights["binary"] < heights["chain"]) {

@@ -31,7 +31,7 @@ func Collectives(cfg Config) (*Report, error) {
 	entries := []entry{
 		{
 			"bcast (binomial)",
-			func(m int) float64 { return lmo.BcastTree(collective.Binomial(n, cfg.Root), m) },
+			func(m int) float64 { return lmo.BcastTree(collective.AlgBinomial.Tree(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
 				return func() {
 					var data []byte
@@ -44,7 +44,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"reduce (binomial)",
-			func(m int) float64 { return lmo.ReduceTree(collective.Binomial(n, cfg.Root), m) },
+			func(m int) float64 { return lmo.ReduceTree(collective.AlgBinomial.Tree(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
 				op := func(a, b []byte) []byte { return a }
 				block := make([]byte, m)
@@ -53,7 +53,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"scatter (binary)",
-			func(m int) float64 { return lmo.ScatterTree(collective.Binary(n, cfg.Root), m) },
+			func(m int) float64 { return lmo.ScatterTree(collective.AlgBinary.Tree(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
 				blocks := make([][]byte, n)
 				for i := range blocks {
@@ -64,7 +64,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"scatter (chain)",
-			func(m int) float64 { return lmo.ScatterTree(collective.Chain(n, cfg.Root), m) },
+			func(m int) float64 { return lmo.ScatterTree(collective.AlgChain.Tree(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
 				blocks := make([][]byte, n)
 				for i := range blocks {

@@ -127,7 +127,7 @@ func (h *HetHockney) GatherLinear(root, n, m int) float64 {
 // sent first.
 func (h *HetHockney) ScatterBinomial(root, n, m int) float64 {
 	h.checkN(n)
-	return h.ScatterTree(collective.Binomial(n, root), m)
+	return h.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
 }
 
 // GatherBinomial predicts the binomial gather; the Hockney model cannot

@@ -238,7 +238,7 @@ func (x *LMOX) sumRemote(root, n, m int) float64 {
 // while wires and the children's own processing overlap.
 func (x *LMOX) ScatterBinomial(root, n, m int) float64 {
 	x.checkN(n)
-	return x.ScatterTree(collective.Binomial(n, root), m)
+	return x.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
 }
 
 // GatherBinomial predicts the binomial gather: the reverse flow has
@@ -247,7 +247,7 @@ func (x *LMOX) ScatterBinomial(root, n, m int) float64 {
 // serializes, the child's send and the wire overlap).
 func (x *LMOX) GatherBinomial(root, n, m int) float64 {
 	x.checkN(n)
-	tree := collective.Binomial(n, root)
+	tree := collective.AlgBinomial.Tree(n, root)
 	return treeSeparated(tree, scatterBytes(tree, m), x.RecvCost, x.WireCostRev, x.SendCost)
 }
 

@@ -53,7 +53,7 @@ func (l *LogP) GatherLinear(root, n, m int) float64 { return l.ScatterLinear(roo
 // ScatterBinomial predicts the binomial scatter via the tree recursion
 // with the LogP point-to-point cost.
 func (l *LogP) ScatterBinomial(root, n, m int) float64 {
-	return l.ScatterTree(collective.Binomial(n, root), m)
+	return l.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
 }
 
 // GatherBinomial predicts the binomial gather.
@@ -101,7 +101,7 @@ func (l *LogGP) GatherLinear(root, n, m int) float64 { return l.ScatterLinear(ro
 
 // ScatterBinomial predicts the binomial scatter via the tree recursion.
 func (l *LogGP) ScatterBinomial(root, n, m int) float64 {
-	return l.ScatterTree(collective.Binomial(n, root), m)
+	return l.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
 }
 
 // GatherBinomial predicts the binomial gather.
@@ -150,7 +150,7 @@ func (p *PLogP) GatherLinear(root, n, m int) float64 { return p.ScatterLinear(ro
 
 // ScatterBinomial predicts the binomial scatter via the tree recursion.
 func (p *PLogP) ScatterBinomial(root, n, m int) float64 {
-	return p.ScatterTree(collective.Binomial(n, root), m)
+	return p.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
 }
 
 // GatherBinomial predicts the binomial gather.

@@ -111,17 +111,13 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// tree resolves the communication tree the query describes (nil for
-// the flat special forms handled by predictTree).
+// tree resolves the communication tree the query describes: the
+// explicit Tree, or the shared tree of its algorithm and degree.
 func (q Query) tree() *collective.Tree {
-	switch {
-	case q.Tree != nil:
+	if q.Tree != nil {
 		return q.Tree
-	case q.Degree >= 2:
-		return collective.KAry(q.N, q.Root, q.Degree)
-	default:
-		return q.Alg.Tree(q.N, q.Root)
 	}
+	return collective.ShapeTree(q.Alg, q.Degree, q.N, q.Root)
 }
 
 // Capabilities describes what a predictor can answer, so tuners and

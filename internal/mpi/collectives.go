@@ -24,7 +24,12 @@ const (
 // Algorithms lists every collective algorithm.
 func Algorithms() []Alg { return collective.Algorithms() }
 
-func (r *Rank) tree(alg Alg, root int) *collective.Tree {
+// tree returns the shared communication tree of a collective over the
+// whole job, rejecting a root outside the job as invalid input.
+func (r *Rank) tree(op string, alg Alg, root int) *collective.Tree {
+	if root < 0 || root >= r.w.n {
+		badInput(op, "root %d out of range [0, %d)", root, r.w.n)
+	}
 	return alg.Tree(r.w.n, root)
 }
 
@@ -54,7 +59,7 @@ func (r *Rank) endColl(id obs.SpanID) {
 // treats the root's local copy as negligible).
 func (r *Rank) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 	defer r.endColl(r.beginColl("scatter", alg.String()))
-	return r.scatterTree(r.tree(alg, root), blocks)
+	return r.scatterTree(r.tree("scatter", alg, root), blocks)
 }
 
 // ScatterTree distributes blocks over an explicit communication tree
@@ -126,7 +131,7 @@ func concatRel(blocks [][]byte, tree *collective.Tree, c int) []byte {
 // rank; elsewhere it returns nil.
 func (r *Rank) Gather(alg Alg, root int, block []byte) [][]byte {
 	defer r.endColl(r.beginColl("gather", alg.String()))
-	return r.gatherTree(r.tree(alg, root), block)
+	return r.gatherTree(r.tree("gather", alg, root), block)
 }
 
 // GatherTree collects equal-size blocks over an explicit communication
@@ -180,7 +185,7 @@ func (r *Rank) gatherTree(tree *collective.Tree, block []byte) [][]byte {
 func (r *Rank) Bcast(root int, data []byte) []byte {
 	defer r.endColl(r.beginColl("bcast", "binomial"))
 	tag := r.collTag(opBcast)
-	tree := collective.Binomial(r.w.n, root)
+	tree := r.tree("bcast", Binomial, root)
 	if r.w.n == 1 {
 		return data
 	}
@@ -199,7 +204,7 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 func (r *Rank) Reduce(root int, block []byte, op func(a, b []byte) []byte) []byte {
 	defer r.endColl(r.beginColl("reduce", "binomial"))
 	tag := r.collTag(opReduce)
-	tree := collective.Binomial(r.w.n, root)
+	tree := r.tree("reduce", Binomial, root)
 	if r.w.n == 1 {
 		return append([]byte(nil), block...)
 	}

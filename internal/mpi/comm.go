@@ -137,11 +137,20 @@ func (c *Comm) rankOfWorld(w int) int {
 	return -1
 }
 
+// tree returns the shared communication tree of a collective over the
+// communicator, rejecting a root outside it as invalid input.
+func (c *Comm) tree(op string, alg Alg, root int) *collective.Tree {
+	if root < 0 || root >= c.Size() {
+		badInput(op, "root %d out of range [0, %d)", root, c.Size())
+	}
+	return alg.Tree(c.Size(), root)
+}
+
 // Scatter distributes blocks (indexed by comm rank, meaningful at the
 // root) over the communicator and returns this member's block.
 func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 	tag := c.nextTag(opScatter)
-	tree := alg.Tree(c.Size(), root)
+	tree := c.tree("comm scatter", alg, root)
 	n := c.Size()
 	if n == 1 {
 		return blocks[root]
@@ -173,7 +182,7 @@ func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 // them indexed by comm rank, others get nil.
 func (c *Comm) Gather(alg Alg, root int, block []byte) [][]byte {
 	tag := c.nextTag(opGather)
-	tree := alg.Tree(c.Size(), root)
+	tree := c.tree("comm gather", alg, root)
 	n := c.Size()
 	if n == 1 {
 		return [][]byte{append([]byte(nil), block...)}
@@ -206,7 +215,7 @@ func (c *Comm) Gather(alg Alg, root int, block []byte) [][]byte {
 // tree and returns it on every member.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	tag := c.nextTag(opBcast)
-	tree := collective.Binomial(c.Size(), root)
+	tree := c.tree("comm bcast", Binomial, root)
 	if c.Size() == 1 {
 		return data
 	}

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,6 +60,51 @@ func TestBadCollectiveInputReturnsInputError(t *testing.T) {
 				t.Fatalf("Run returned %v, want *InputError", err)
 			}
 		})
+	}
+}
+
+// TestCollectiveRootOutOfRangeReturnsInputError pins the root check of
+// every rooted collective, world and sub-communicator alike: a root
+// outside the group is invalid input, not an internal panic.
+func TestCollectiveRootOutOfRangeReturnsInputError(t *testing.T) {
+	const n = 4
+	commOp := func(op func(c *Comm, root int)) func(r *Rank, root int) {
+		return func(r *Rank, root int) {
+			if r.Rank() == n-1 {
+				return // a 3-member communicator over ranks 0..2
+			}
+			c, err := r.CommOf([]int{0, 1, 2})
+			if err != nil {
+				panic(err)
+			}
+			op(c, root)
+		}
+	}
+	cases := []struct {
+		name string
+		size int // the group the root must lie in
+		body func(r *Rank, root int)
+	}{
+		{"scatter", n, func(r *Rank, root int) { r.Scatter(Binomial, root, make([][]byte, n)) }},
+		{"gather", n, func(r *Rank, root int) { r.Gather(Binomial, root, []byte{1}) }},
+		{"scatterv", n, func(r *Rank, root int) { r.Scatterv(Linear, root, make([][]byte, n), make([]int, n)) }},
+		{"gatherv", n, func(r *Rank, root int) { r.Gatherv(Linear, root, nil, make([]int, n)) }},
+		{"bcast", n, func(r *Rank, root int) { r.Bcast(root, []byte{1}) }},
+		{"reduce", n, func(r *Rank, root int) { r.Reduce(root, []byte{1}, func(a, _ []byte) []byte { return a }) }},
+		{"comm-scatter", n - 1, commOp(func(c *Comm, root int) { c.Scatter(Linear, root, make([][]byte, n-1)) })},
+		{"comm-gather", n - 1, commOp(func(c *Comm, root int) { c.Gather(Linear, root, []byte{1}) })},
+		{"comm-bcast", n - 1, commOp(func(c *Comm, root int) { c.Bcast(root, []byte{1}) })},
+	}
+	for _, tc := range cases {
+		for _, root := range []int{-1, tc.size} {
+			t.Run(fmt.Sprintf("%s/root%d", tc.name, root), func(t *testing.T) {
+				_, err := Run(Config{Cluster: faultTestCluster(n)}, func(r *Rank) { tc.body(r, root) })
+				var ie *InputError
+				if !errors.As(err, &ie) || !strings.Contains(ie.Reason, "root") {
+					t.Fatalf("Run returned %v, want a root *InputError", err)
+				}
+			})
+		}
 	}
 }
 

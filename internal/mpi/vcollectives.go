@@ -16,7 +16,7 @@ import (
 // the optimization the paper's introduction motivates.
 func (r *Rank) Scatterv(alg Alg, root int, blocks [][]byte, counts []int) []byte {
 	tag := r.collTag(opScatter)
-	tree := r.tree(alg, root)
+	tree := r.tree("scatterv", alg, root)
 	n := r.w.n
 	if len(counts) != n {
 		badInput("scatterv", "needs %d counts, got %d", n, len(counts))
@@ -63,7 +63,7 @@ func (r *Rank) Scatterv(alg Alg, root int, blocks [][]byte, counts []int) []byte
 // absolute rank, nil elsewhere.
 func (r *Rank) Gatherv(alg Alg, root int, block []byte, counts []int) [][]byte {
 	tag := r.collTag(opGather)
-	tree := r.tree(alg, root)
+	tree := r.tree("gatherv", alg, root)
 	n := r.w.n
 	if len(counts) != n {
 		badInput("gatherv", "needs %d counts, got %d", n, len(counts))

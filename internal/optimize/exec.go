@@ -5,16 +5,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// execTree resolves the communication tree of a candidate shape: the
-// k-ary degree overrides the algorithm family the same way
-// models.Query.Degree does, so predicted and executed shapes line up.
-func execTree(r *mpi.Rank, alg mpi.Alg, degree, root int) *collective.Tree {
-	if degree >= 2 {
-		return collective.KAry(r.Size(), root, degree)
-	}
-	return alg.Tree(r.Size(), root)
-}
-
 // ExecScatter runs a scatter with a full candidate shape — algorithm
 // family, k-ary tree degree, and segmentation — the execution
 // counterpart of a models.Query. m is the per-rank block size, which
@@ -24,7 +14,7 @@ func execTree(r *mpi.Rank, alg mpi.Alg, degree, root int) *collective.Tree {
 func ExecScatter(r *mpi.Rank, alg mpi.Alg, degree, segment, root, m int, blocks [][]byte) []byte {
 	one := func(bs [][]byte) []byte {
 		if degree >= 2 {
-			return r.ScatterTree(execTree(r, alg, degree, root), bs)
+			return r.ScatterTree(collective.ShapeTree(alg, degree, r.Size(), root), bs)
 		}
 		return r.Scatter(alg, root, bs)
 	}
@@ -56,7 +46,7 @@ func ExecScatter(r *mpi.Rank, alg mpi.Alg, degree, segment, root, m int, blocks 
 func ExecGather(r *mpi.Rank, alg mpi.Alg, degree, segment, root int, block []byte) [][]byte {
 	one := func(b []byte) [][]byte {
 		if degree >= 2 {
-			return r.GatherTree(execTree(r, alg, degree, root), b)
+			return r.GatherTree(collective.ShapeTree(alg, degree, r.Size(), root), b)
 		}
 		return r.Gather(alg, root, b)
 	}

@@ -95,7 +95,7 @@ func OptimizedGather(r *mpi.Rank, root int, block []byte, g models.GatherEmpiric
 // pairwise-swap local search. root stays fixed at its position. The
 // returned perm maps tree position → processor; perm[root] == root.
 func MapBinomialTree(x *models.LMOX, root, n, m int) ([]int, float64) {
-	tree := collective.Binomial(n, root)
+	tree := collective.AlgBinomial.Tree(n, root)
 
 	// Importance of a tree position: how many bytes it relays.
 	relay := make([]int, n)

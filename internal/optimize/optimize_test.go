@@ -26,7 +26,7 @@ func lmoxFor(n int) *models.LMOX {
 	return x
 }
 
-func TestSelectScatterAlgSwitches(t *testing.T) {
+func TestSelectAlgAmongSwitches(t *testing.T) {
 	x := lmoxFor(16)
 	// Small messages: binomial's log n latency wins. Large messages:
 	// linear's single transfer on the critical path wins.

@@ -257,21 +257,37 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestPredictHotPathZeroAlloc is the bench-smoke guard: a cached linear
+// TestPredictHotPathZeroAlloc is the bench-smoke guard: a cached
 // prediction — lock-free registry lookup plus the full-zoo kernel —
-// performs zero heap allocations, and the unary path's pooled map stays
-// allocation-free in steady state. (Binomial algorithms recurse over a
-// collective.Tree built in the model layer and are measured by the
-// benchmarks instead of pinned.)
+// performs zero heap allocations for every tree shape, and the unary
+// path's pooled map stays allocation-free in steady state. Tree shapes
+// recurse over the shared collective.ShapeTree trees, which are built
+// on first use: AllocsPerRun's warm-up call builds them before counting.
 func TestPredictHotPathZeroAlloc(t *testing.T) {
 	k := Key{Cluster: "table1", Nodes: 16, Profile: "lam", Seed: 3}
 	r := NewRegistry(4, nil, RegistryOptions{})
 	if _, err := r.Put(fullZooFile(t, k)); err != nil {
 		t.Fatal(err)
 	}
+	queries := []models.Query{
+		{Coll: models.CollScatter, Alg: collective.AlgLinear},
+		{Coll: models.CollGather, Alg: collective.AlgLinear},
+	}
+	shapes := []models.Query{
+		{Alg: collective.AlgBinomial},
+		{Alg: collective.AlgBinary},
+		{Alg: collective.AlgChain},
+		{Alg: collective.AlgBinary, Degree: 4},
+	}
+	for _, s := range shapes {
+		for _, coll := range []models.Collective{models.CollScatter, models.CollGather, models.CollBcast, models.CollReduce} {
+			s.Coll, s.Root = coll, 5
+			queries = append(queries, s)
+		}
+	}
 	var sink float64
-	for _, coll := range []models.Collective{models.CollScatter, models.CollGather} {
-		q := models.Query{Coll: coll, Alg: collective.AlgLinear, N: k.Nodes, M: 4096}
+	for _, q := range queries {
+		q.N, q.M = k.Nodes, 4096
 		if n := testing.AllocsPerRun(200, func() {
 			e, ok := r.LookupHit(k)
 			if !ok {
@@ -281,7 +297,7 @@ func TestPredictHotPathZeroAlloc(t *testing.T) {
 			e.predictInto(q, &vals)
 			sink += vals[famLMO]
 		}); n != 0 {
-			t.Fatalf("cached predict hot path (linear %v) allocates %.1f/op, want 0", coll, n)
+			t.Fatalf("cached predict hot path (%v %v degree %d root %d) allocates %.1f/op, want 0", q.Alg, q.Coll, q.Degree, q.Root, n)
 		}
 	}
 

@@ -4,10 +4,11 @@ package serve
 // unary and batched /predict handlers. It is the part of the service
 // the paper's pitch depends on — closed-form predictions cheap enough
 // to drive online algorithm selection — so it is annotated
-// //lmovet:hotpath and pinned allocation-free for the linear
-// algorithms by TestPredictHotPathZeroAlloc (run by the bench-smoke CI
+// //lmovet:hotpath and pinned allocation-free for every algorithm and
+// collective by TestPredictHotPathZeroAlloc (run by the bench-smoke CI
 // job): a cached prediction costs a snapshot load, a map probe, and six
-// Predict(Query) evaluations, with no heap traffic.
+// Predict(Query) evaluations, with no heap traffic. Tree shapes recurse
+// over the shared trees of collective.ShapeTree, built once per shape.
 
 import (
 	"fmt"
