@@ -123,20 +123,26 @@ type DroppedExp struct {
 // Exp is one experiment of a round: Body runs on every rank (inactive
 // ranks do nothing inside it) and the sample is the initiator's local
 // elapsed time, unless the body assigns a custom sample through Custom.
+//
+// An Exp without Custom holds no rank-local state, so an estimator
+// builds each round's experiments once, before mpi.Run, and every rank
+// runs the same list.
 type Exp struct {
 	Initiator int
 	Body      func(r *mpi.Rank)
 	// Custom, when non-nil, replaces the elapsed time as the sample:
 	// the initiator's body writes a sub-interval (e.g. only the send)
-	// there. The pointer is rank-local — every rank constructs its own
-	// Exp — so measureRound publishes the initiator's value through the
-	// shared per-rank slot before anyone reads it.
+	// there, and the initiator alone reads it back when it publishes
+	// its sample. Experiments with a custom sample may be built per
+	// rank.
 	Custom *float64
 }
 
 // RoundSummary is one experiment's result from measureRound: its
 // sample summary (over the samples surviving outlier rejection) plus
 // the robustness metadata the degradation-aware estimators consume.
+// measureRound returns one []RoundSummary to every rank of the round;
+// it is shared and read-only.
 type RoundSummary struct {
 	stats.Summary
 	Converged bool // the CI met the RelErr target
@@ -148,119 +154,165 @@ type RoundSummary struct {
 // measureRound runs a set of experiments on mutually disjoint processor
 // groups simultaneously, repeating until every experiment's
 // initiator-side sample has converged per opts, and returns one summary
-// per experiment (identical on every rank). With opts.Retries > 0, a
-// round in which some experiment's CI failed to close within MaxReps is
-// re-measured after a doubling virtual-time backoff, up to the bound.
+// per experiment. With opts.Retries > 0, a round in which some
+// experiment's CI failed to close within MaxReps is re-measured after a
+// doubling virtual-time backoff, up to the bound.
+//
+// The round's bookkeeping exists once, in its SharedCell, not once per
+// rank: each initiator publishes its sample there, and after a
+// repetition's closing HardSync the first rank to run records the
+// repetition and decides for every rank whether to repeat, back off
+// and retry, or finish. Every rank follows that decision and returns
+// the same read-only summaries. The kernel runs one process at a time,
+// and the decision is the one every rank would derive from the same
+// samples, so the virtual-time trajectory is that of independent
+// per-rank decisions, while the bookkeeping costs O(experiments) per
+// repetition instead of O(experiments × ranks).
 func measureRound(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSummary {
-	opts = withMpibDefaults(opts)
-	n := r.Size()
-
 	cell := r.SharedCell()
-	if cell.V == nil {
-		cell.V = make([]float64, n)
+	st, _ := cell.V.(*roundState)
+	if st == nil {
+		st = newRoundState(opts.WithDefaults(), len(exps))
+		cell.V = st
 	}
-	locals := cell.V.([]float64)
-
-	converged := func(s stats.Summary) bool {
-		return s.N >= opts.MinReps && s.RelErr() <= opts.RelErr
-	}
-	summarize := func(xs []float64) (stats.Summary, int) {
-		return stats.RobustSummarize(xs, opts.Confidence, opts.OutlierMAD)
-	}
-
-	samples := make([][]float64, len(exps))
-	budget := opts.MaxReps
-	retries := 0
-	backoff := opts.Backoff
-	for {
-		for {
-			r.HardSync()
-			t0 := r.Now()
-			for _, e := range exps {
-				e.Body(r)
-			}
-			locals[r.Rank()] = (r.Now() - t0).Seconds()
-			// An initiator with a custom sub-interval publishes it instead
-			// (a round's experiments have disjoint groups, so each rank
-			// initiates at most one).
-			for _, e := range exps {
-				if e.Initiator == r.Rank() && e.Custom != nil {
-					locals[r.Rank()] = *e.Custom
-				}
-			}
-			r.HardSync()
-
-			done := true
-			for i, e := range exps {
-				v := locals[e.Initiator]
-				samples[i] = append(samples[i], v)
-				if len(samples[i]) >= budget {
-					continue
-				}
-				if len(samples[i]) < opts.MinReps {
-					done = false
-					continue
-				}
-				if s, _ := summarize(samples[i]); !converged(s) {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-		}
-		allConverged := true
-		for i := range exps {
-			if s, _ := summarize(samples[i]); !converged(s) {
-				allConverged = false
-				break
-			}
-		}
-		if allConverged || retries >= opts.Retries {
-			break
-		}
-		// All ranks derive the same retry decision from the same
-		// samples, so they back off and re-enter the loop in lockstep.
-		retries++
-		r.Sleep(backoff)
-		backoff *= 2
-		budget += opts.MaxReps
-	}
-	out := make([]RoundSummary, len(exps))
-	for i := range exps {
-		s, rejected := summarize(samples[i])
-		out[i] = RoundSummary{
-			Summary:   s,
-			Converged: converged(s),
-			Reps:      len(samples[i]),
-			Rejected:  rejected,
-			Retries:   retries,
+	// The experiment this rank initiates, if any: the groups are
+	// disjoint, so it initiates at most one.
+	mine := -1
+	for i, e := range exps {
+		if e.Initiator == r.Rank() {
+			mine = i
 		}
 	}
-	return out
+	for rep := 1; ; rep++ {
+		r.HardSync()
+		t0 := r.Now()
+		for _, e := range exps {
+			e.Body(r)
+		}
+		if mine >= 0 {
+			// Publish the sample: the elapsed time, or the custom
+			// sub-interval the body wrote.
+			v := (r.Now() - t0).Seconds()
+			if c := exps[mine].Custom; c != nil {
+				v = *c
+			}
+			st.slots[mine] = v
+		}
+		r.HardSync()
+		if st.reps < rep {
+			st.record() // first rank past the sync
+		}
+		switch st.next {
+		case roundFinish:
+			return st.out
+		case roundRetry:
+			r.Sleep(st.sleep)
+		}
+	}
 }
 
-// withMpibDefaults mirrors mpib's defaulting for use here.
-func withMpibDefaults(o mpib.Options) mpib.Options {
-	if o.Confidence == 0 {
-		o.Confidence = 0.95
+// round is one measurement round of an estimation plan: experiments on
+// disjoint processor groups, built once before mpi.Run and run by every
+// rank, and the function rank 0 records their summaries with.
+type round struct {
+	exps   []Exp
+	record func(s []RoundSummary)
+}
+
+// runRounds measures a plan's rounds in order on every rank. Rank 0
+// alone records each round's summaries and counts its experiments and
+// repetitions into rep.
+func runRounds(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) {
+	for _, rd := range plan {
+		s := measureRound(r, opts, rd.exps)
+		if r.Rank() != 0 {
+			continue
+		}
+		for _, x := range s {
+			rep.Experiments++
+			rep.Repetitions += x.N
+		}
+		rd.record(s)
 	}
-	if o.RelErr == 0 {
-		o.RelErr = 0.025
+}
+
+// roundAction is the decision every rank of a round follows after a
+// repetition.
+type roundAction int
+
+const (
+	roundRepeat roundAction = iota
+	roundRetry              // sleep st.sleep, then start a new attempt
+	roundFinish             // return st.out
+)
+
+// roundState is one measureRound call's state, shared by every rank
+// through the round's SharedCell.
+type roundState struct {
+	opts    mpib.Options
+	slots   []float64   // each experiment's sample of the current repetition
+	samples [][]float64 // each experiment's samples, pre-rejection
+	reps    int         // repetitions recorded
+	budget  int         // repetition count at which the current attempt ends
+	retries int
+	backoff time.Duration // pause before the next retry, doubling per retry
+	next    roundAction
+	sleep   time.Duration
+	out     []RoundSummary
+}
+
+func newRoundState(opts mpib.Options, nexp int) *roundState {
+	st := &roundState{
+		opts:    opts,
+		slots:   make([]float64, nexp),
+		samples: make([][]float64, nexp),
+		budget:  opts.MaxReps,
+		backoff: opts.Backoff,
+		out:     make([]RoundSummary, nexp),
 	}
-	if o.MinReps == 0 {
-		o.MinReps = 5
+	// The experiments' samples start in one backing array sized for
+	// twice the minimum repetitions; an experiment that outgrows its
+	// share moves to storage of its own.
+	c := min(2*opts.MinReps, opts.MaxReps)
+	backing := make([]float64, nexp*c)
+	for i := range st.samples {
+		st.samples[i] = backing[i*c : i*c : (i+1)*c]
 	}
-	if o.MaxReps == 0 {
-		o.MaxReps = 100
+	return st
+}
+
+// record appends the repetition's samples and decides for every rank.
+// The attempt goes on while it has budget left and some experiment has
+// not converged; a spent attempt is retried while retries remain and
+// some experiment has not converged; otherwise the round finishes with
+// st.out.
+func (st *roundState) record() {
+	o := st.opts
+	for i, v := range st.slots {
+		st.samples[i] = append(st.samples[i], v)
 	}
-	if o.MaxReps < o.MinReps {
-		o.MaxReps = o.MinReps
+	st.reps++
+	st.next = roundRepeat
+	allConverged := true
+	for i, xs := range st.samples {
+		s, rejected := stats.RobustSummarize(xs, o.Confidence, o.OutlierMAD)
+		ok := s.N >= o.MinReps && s.RelErr() <= o.RelErr
+		st.out[i] = RoundSummary{Summary: s, Converged: ok, Reps: st.reps, Rejected: rejected, Retries: st.retries}
+		if !ok {
+			if st.reps < st.budget {
+				return
+			}
+			allConverged = false
+		}
 	}
-	if o.Retries > 0 && o.Backoff <= 0 {
-		o.Backoff = time.Millisecond
+	if allConverged || st.retries >= o.Retries {
+		st.next = roundFinish
+		return
 	}
-	return o
+	st.retries++
+	st.next, st.sleep = roundRetry, st.backoff
+	st.backoff *= 2
+	st.budget += o.MaxReps
 }
 
 // Experiment bodies. Every body is written so that exactly the ranks of
@@ -268,17 +320,31 @@ func withMpibDefaults(o mpib.Options) mpib.Options {
 // The Custom pointer convention: bodies that measure a sub-interval
 // (e.g. only the send or only the receive) write it there.
 
+// zeroPayload backs every experiment payload up to its size. Nothing
+// writes it: the simulator reads only a payload's length, and nothing
+// writes a point-to-point payload after Send.
+var zeroPayload [256 << 10]byte
+
+// payload returns an m-byte message for an experiment body: a slice of
+// zeroPayload, or a fresh buffer for sizes beyond it.
+func payload(m int) []byte {
+	if m <= len(zeroPayload) {
+		return zeroPayload[:m:m]
+	}
+	return make([]byte, m)
+}
+
 // roundtripExp builds the i⇄j round-trip: i sends mOut bytes, j replies
 // with mBack bytes; measured on i (the paper's sender-side timing).
 func roundtripExp(i, j, mOut, mBack, tag int) Exp {
 	return Exp{Initiator: i, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			r.Send(j, tag, make([]byte, mOut))
+			r.Send(j, tag, payload(mOut))
 			r.Recv(j, tag)
 		case j:
 			r.Recv(i, tag)
-			r.Send(i, tag, make([]byte, mBack))
+			r.Send(i, tag, payload(mBack))
 		}
 	}}
 }
@@ -298,13 +364,13 @@ func oneToTwoExp(i, j, k, m, mBack, tag int) Exp {
 	return Exp{Initiator: i, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			r.Send(j, tag, make([]byte, m))
-			r.Send(k, tag, make([]byte, m))
+			r.Send(j, tag, payload(m))
+			r.Send(k, tag, payload(m))
 			r.Recv(k, tag)
 			r.Recv(j, tag)
 		case j, k:
 			r.Recv(i, tag)
-			r.Send(i, tag, make([]byte, mBack))
+			r.Send(i, tag, payload(mBack))
 		}
 	}}
 }
@@ -317,7 +383,7 @@ func saturationExp(i, j, m, count, tag int) Exp {
 	return Exp{Initiator: i, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			buf := make([]byte, m)
+			buf := payload(m)
 			for c := 0; c < count; c++ {
 				r.Send(j, tag, buf)
 			}
@@ -340,7 +406,7 @@ func sendOverheadExp(i, j, m, tag int) Exp {
 		switch r.Rank() {
 		case i:
 			t0 := r.Now()
-			r.Send(j, tag, make([]byte, m))
+			r.Send(j, tag, payload(m))
 			*custom = (r.Now() - t0).Seconds()
 			r.Recv(j, tag)
 		case j:
@@ -358,14 +424,14 @@ func recvOverheadExp(i, j, m int, wait time.Duration, tag int) Exp {
 	return Exp{Initiator: i, Custom: custom, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			r.Send(j, tag, make([]byte, m))
+			r.Send(j, tag, payload(m))
 			r.Sleep(wait) // ample time for the echo to arrive
 			t0 := r.Now()
 			r.Recv(j, tag)
 			*custom = (r.Now() - t0).Seconds()
 		case j:
 			r.Recv(i, tag)
-			r.Send(i, tag, make([]byte, m))
+			r.Send(i, tag, payload(m))
 		}
 	}}
 }

@@ -106,24 +106,23 @@ func measureProbes(cfg mpi.Config, opt Options, rounds [][]probe, rep *Report) (
 	if len(rounds) == 0 {
 		return out, nil
 	}
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		for _, round := range rounds {
-			exps0 := make([]Exp, len(round))
-			expsM := make([]Exp, len(round))
-			for x, p := range round {
-				exps0[x] = roundtripExp(p.a, p.b, 0, 0, x)
-				expsM[x] = roundtripExp(p.a, p.b, opt.MsgSize, opt.MsgSize, x)
-			}
-			s0 := measureRound(r, opt.Mpib, exps0)
-			sm := measureRound(r, opt.Mpib, expsM)
-			for x, p := range round {
-				out[p.key()] = sig{s0[x].Mean, sm[x].Mean}
-				if r.Rank() == 0 {
-					rep.Experiments += 2
-					rep.Repetitions += s0[x].N + sm[x].N
-				}
-			}
+	plan := make([]round, 0, 2*len(rounds))
+	for _, probes := range rounds {
+		exps0 := make([]Exp, len(probes))
+		expsM := make([]Exp, len(probes))
+		for x, p := range probes {
+			exps0[x] = roundtripExp(p.a, p.b, 0, 0, x)
+			expsM[x] = roundtripExp(p.a, p.b, opt.MsgSize, opt.MsgSize, x)
 		}
+		var s0 []RoundSummary
+		plan = append(plan, round{exps0, func(s []RoundSummary) { s0 = s }}, round{expsM, func(sm []RoundSummary) {
+			for x, p := range probes {
+				out[p.key()] = sig{s0[x].Mean, sm[x].Mean}
+			}
+		}})
+	}
+	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		runRounds(r, opt.Mpib, plan, rep)
 	})
 	if err != nil {
 		return nil, err
@@ -492,6 +491,20 @@ type interBucket struct {
 	L, invB  float64
 }
 
+// bySize picks the slot of a measurement at message size m: empty for
+// the empty-message experiment, full for the MsgSize one.
+func bySize(m int, empty, full *float64) *float64 {
+	if m == 0 {
+		return empty
+	}
+	return full
+}
+
+// meanInto records a one-experiment round's mean in *dst.
+func meanInto(dst *float64) func([]RoundSummary) {
+	return func(s []RoundSummary) { *dst = s[0].Mean }
+}
+
 // LMOGrouped estimates the LMO model of a large cluster through its
 // logical groups: DetectGroups partitions the processors, one triplet
 // of representatives per group yields the group's C/t and intra-group
@@ -601,30 +614,25 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	// then the helper-borrowing groups, then the inter-group buckets
 	// (helpers and bucket pairs may cross the fabric, so those rounds
 	// run one experiment at a time).
-	runTriplet := func(r *mpi.Rank, group []int) {
-		for _, m := range []int{0, opt.MsgSize} {
+	var plan []round
+	sizes := []int{0, opt.MsgSize}
+	if len(parallelG) > 0 {
+		for _, m := range sizes {
 			for slot, pr := range tripPairs {
-				exps := make([]Exp, len(group))
-				for x, gi := range group {
+				exps := make([]Exp, len(parallelG))
+				for x, gi := range parallelG {
 					gt := gts[gi]
 					exps[x] = roundtripExp(gt.trip[pr[0]], gt.trip[pr[1]], m, m, x)
 				}
-				s := measureRound(r, opt.Mpib, exps)
-				for x, gi := range group {
-					if m == 0 {
-						gts[gi].rt0[slot] = s[x].Mean
-					} else {
-						gts[gi].rtm[slot] = s[x].Mean
+				plan = append(plan, round{exps, func(s []RoundSummary) {
+					for x, gi := range parallelG {
+						*bySize(m, &gts[gi].rt0[slot], &gts[gi].rtm[slot]) = s[x].Mean
 					}
-					if r.Rank() == 0 {
-						rep.Experiments++
-						rep.Repetitions += s[x].N
-					}
-				}
+				}})
 			}
 			for rot := 0; rot < 3; rot++ {
-				exps := make([]Exp, len(group))
-				for x, gi := range group {
+				exps := make([]Exp, len(parallelG))
+				for x, gi := range parallelG {
 					t := gts[gi].trip
 					var a, b, c int
 					switch rot {
@@ -637,87 +645,40 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 					}
 					exps[x] = oneToTwoExp(a, b, c, m, 0, x)
 				}
-				s := measureRound(r, opt.Mpib, exps)
-				for x, gi := range group {
-					if m == 0 {
-						gts[gi].ott0[rot] = s[x].Mean
-					} else {
-						gts[gi].ottm[rot] = s[x].Mean
+				plan = append(plan, round{exps, func(s []RoundSummary) {
+					for x, gi := range parallelG {
+						*bySize(m, &gts[gi].ott0[rot], &gts[gi].ottm[rot]) = s[x].Mean
 					}
-					if r.Rank() == 0 {
-						rep.Experiments++
-						rep.Repetitions += s[x].N
-					}
-				}
+				}})
 			}
 		}
 	}
 	// Small groups: per member, a round-trip with the far witness and a
 	// one-to-two over the witness pair, at both sizes, one experiment at
 	// a time (the rounds cross the fabric).
-	runSmall := func(r *mpi.Rank, gi int) {
+	for _, gi := range serialG {
 		sp := smalls[gi]
 		members := g.Groups[gi]
-		for _, m := range []int{0, opt.MsgSize} {
+		for _, m := range sizes {
 			for xi, x := range members {
-				s := measureRound(r, opt.Mpib, []Exp{roundtripExp(x, sp.w[1], m, m, 0)})
-				if m == 0 {
-					sp.rt0[xi] = s[0].Mean
-				} else {
-					sp.rtm[xi] = s[0].Mean
-				}
-				if r.Rank() == 0 {
-					rep.Experiments++
-					rep.Repetitions += s[0].N
-				}
-				s = measureRound(r, opt.Mpib, []Exp{oneToTwoExp(x, sp.w[0], sp.w[1], m, 0, 0)})
-				if m == 0 {
-					sp.ott0[xi] = s[0].Mean
-				} else {
-					sp.ottm[xi] = s[0].Mean
-				}
-				if r.Rank() == 0 {
-					rep.Experiments++
-					rep.Repetitions += s[0].N
-				}
+				plan = append(plan,
+					round{[]Exp{roundtripExp(x, sp.w[1], m, m, 0)}, meanInto(bySize(m, &sp.rt0[xi], &sp.rtm[xi]))},
+					round{[]Exp{oneToTwoExp(x, sp.w[0], sp.w[1], m, 0, 0)}, meanInto(bySize(m, &sp.ott0[xi], &sp.ottm[xi]))})
 			}
 			if len(members) == 2 {
-				s := measureRound(r, opt.Mpib, []Exp{roundtripExp(members[0], members[1], m, m, 0)})
-				if m == 0 {
-					sp.irt0 = s[0].Mean
-				} else {
-					sp.irtm = s[0].Mean
-				}
-				if r.Rank() == 0 {
-					rep.Experiments++
-					rep.Repetitions += s[0].N
-				}
+				plan = append(plan, round{[]Exp{roundtripExp(members[0], members[1], m, m, 0)}, meanInto(bySize(m, &sp.irt0, &sp.irtm))})
+			}
+		}
+	}
+	for _, b := range buckets {
+		for ri, pr := range b.reps {
+			for _, m := range sizes {
+				plan = append(plan, round{[]Exp{roundtripExp(pr[0], pr[1], m, m, 0)}, meanInto(bySize(m, &b.rt0[ri], &b.rtm[ri]))})
 			}
 		}
 	}
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		if len(parallelG) > 0 {
-			runTriplet(r, parallelG)
-		}
-		for _, gi := range serialG {
-			runSmall(r, gi)
-		}
-		for _, b := range buckets {
-			for ri, pr := range b.reps {
-				for _, m := range []int{0, opt.MsgSize} {
-					s := measureRound(r, opt.Mpib, []Exp{roundtripExp(pr[0], pr[1], m, m, 0)})
-					if m == 0 {
-						b.rt0[ri] = s[0].Mean
-					} else {
-						b.rtm[ri] = s[0].Mean
-					}
-					if r.Rank() == 0 {
-						rep.Experiments++
-						rep.Repetitions += s[0].N
-					}
-				}
-			}
-		}
+		runRounds(r, opt.Mpib, plan, &rep)
 	})
 	if err != nil {
 		return nil, g, rep, err

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,5 +177,40 @@ func TestFatTree1024GroupedEstimation(t *testing.T) {
 	// The collapsed prediction drives the model end to end.
 	if p := model.P2P(0, 64, 32<<10); p <= 0 {
 		t.Fatalf("P2P through the fabric = %v", p)
+	}
+}
+
+// TestGroupedEstimationAllocsPerExperiment is the allocation-scaling
+// guard of the estimation harness: its host cost is a function of the
+// experiments, not of experiments × ranks. Grouped estimation with
+// repetitions fixed at 3 must stay within 64 allocations and 16 KiB
+// per experiment on a 16-host and on a 128-host fat-tree alike. A
+// harness that keeps per-rank copies of a round's samples, rebuilds
+// every experiment on every rank, or allocates a payload per send grows
+// past both bounds with the rank count.
+func TestGroupedEstimationAllocsPerExperiment(t *testing.T) {
+	const maxAllocs, maxBytes = 64, 16 << 10
+	opt := Options{Mpib: mpib.Options{MinReps: 3, MaxReps: 3}}
+	for _, k := range []int{4, 8} {
+		cl := cluster.FromTopology(topo.FatTree(k, topo.DefaultUplink()), cluster.NodeSpec{}, cluster.LinkSpec{})
+		if _, _, _, err := LMOGrouped(groupCfg(cl), opt); err != nil { // warm up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, rep, err := LMOGrouped(groupCfg(cl), opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := float64(rep.Experiments)
+		allocs := float64(after.Mallocs-before.Mallocs) / e
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / e
+		t.Logf("fat-tree k=%d (%d hosts): %d experiments, %.1f allocs and %.0f B per experiment",
+			k, cl.N(), rep.Experiments, allocs, bytes)
+		if allocs > maxAllocs || bytes > maxBytes {
+			t.Errorf("fat-tree k=%d (%d hosts): %.1f allocs and %.0f B per experiment, want at most %d and %d",
+				k, cl.N(), allocs, bytes, maxAllocs, maxBytes)
+		}
 	}
 }

@@ -38,25 +38,24 @@ func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error)
 		points[p] = &obs{}
 	}
 
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		for _, round := range rounds {
-			for _, m := range opt.HockneySizes {
-				exps := make([]Exp, len(round))
-				for x, p := range round {
-					exps[x] = roundtripExp(p.I, p.J, m, m, x)
-				}
-				sums := measureRound(r, opt.Mpib, exps)
-				if r.Rank() == 0 {
-					for x, p := range round {
-						o := points[pairKey(p.I, p.J)]
-						o.xs = append(o.xs, float64(m))
-						o.ys = append(o.ys, sums[x].Mean/2)
-						rep.Experiments++
-						rep.Repetitions += sums[x].N
-					}
-				}
+	var plan []round
+	for _, pairs := range rounds {
+		for _, m := range opt.HockneySizes {
+			exps := make([]Exp, len(pairs))
+			for x, p := range pairs {
+				exps[x] = roundtripExp(p.I, p.J, m, m, x)
 			}
+			plan = append(plan, round{exps, func(sums []RoundSummary) {
+				for x, p := range pairs {
+					o := points[pairKey(p.I, p.J)]
+					o.xs = append(o.xs, float64(m))
+					o.ys = append(o.ys, sums[x].Mean/2)
+				}
+			}})
 		}
+	}
+	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		runRounds(r, opt.Mpib, plan, &rep)
 	})
 	if err != nil {
 		return nil, rep, err
@@ -103,18 +102,17 @@ func HomHockney(cfg mpi.Config, opt Options, sizes []int) (*models.Hockney, Repo
 
 	rep := Report{}
 	var xs, ys []float64
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		for pi, p := range pairs {
-			for _, m := range sizes {
-				sum := measureRound(r, opt.Mpib, []Exp{roundtripExp(p.I, p.J, m, m, pi)})
-				if r.Rank() == 0 {
-					xs = append(xs, float64(m))
-					ys = append(ys, sum[0].Mean/2)
-					rep.Experiments++
-					rep.Repetitions += sum[0].N
-				}
-			}
+	var plan []round
+	for pi, p := range pairs {
+		for _, m := range sizes {
+			plan = append(plan, round{[]Exp{roundtripExp(p.I, p.J, m, m, pi)}, func(s []RoundSummary) {
+				xs = append(xs, float64(m))
+				ys = append(ys, s[0].Mean/2)
+			}})
 		}
+	}
+	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		runRounds(r, opt.Mpib, plan, &rep)
 	})
 	if err != nil {
 		return nil, rep, err

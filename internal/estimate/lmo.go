@@ -220,66 +220,70 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	// the worst relative error observed.
 	suspect := make(map[[3]int]float64)
 
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		// Phase 1: round-trips with empty and with M-byte messages.
-		p1 := obsBegin(r, "phase:round-trips")
-		for _, round := range pairRounds {
-			exps0 := make([]Exp, len(round))
-			expsM := make([]Exp, len(round))
-			for x, p := range round {
-				exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
-				expsM[x] = roundtripExp(p.I, p.J, opt.MsgSize, opt.MsgSize, x)
-			}
-			s0 := measureRound(r, opt.Mpib, exps0)
-			sm := measureRound(r, opt.Mpib, expsM)
-			for x, p := range round {
-				rt0[pairKey(p.I, p.J)] = s0[x].Mean
-				rtm[pairKey(p.I, p.J)] = sm[x].Mean
-				if r.Rank() == 0 {
-					rep.Experiments += 2
-					rep.Repetitions += s0[x].N + sm[x].N
-					if !s0[x].Converged {
-						rep.NonConverged++
-					}
-					if !sm[x].Converged {
-						rep.NonConverged++
-					}
-				}
-			}
-			if r.Rank() == 0 && len(s0) > 0 {
-				rep.Retries += s0[0].Retries + sm[0].Retries
+	// countRound keeps the report's robustness accounting of a round.
+	countRound := func(s []RoundSummary) {
+		for x := range s {
+			if !s[x].Converged {
+				rep.NonConverged++
 			}
 		}
-		obsEnd(r, p1)
-		p2 := obsBegin(r, "phase:one-to-two")
-		// Phase 2: one-to-two experiments; each unordered round runs
-		// three initiator rotations, with empty and M-byte messages.
-		// Replies are always empty: the paper's guard against the gather
-		// escalations contaminating the estimation.
-		for _, round := range tripRounds {
-			for rot := 0; rot < 3; rot++ {
-				exps0 := make([]Exp, len(round))
-				expsM := make([]Exp, len(round))
-				inits := make([]int, len(round))
-				for x, tr := range round {
-					var a, b, c int
-					switch rot {
-					case 0:
-						a, b, c = tr.I, tr.J, tr.K
-					case 1:
-						a, b, c = tr.J, tr.I, tr.K
-					default:
-						a, b, c = tr.K, tr.I, tr.J
-					}
-					inits[x] = a
-					exps0[x] = oneToTwoExp(a, b, c, 0, 0, x)
-					expsM[x] = oneToTwoExp(a, b, c, opt.MsgSize, 0, x)
+		if len(s) > 0 {
+			rep.Retries += s[0].Retries
+		}
+	}
+
+	// Phase 1: round-trips with empty and with M-byte messages.
+	var pairPlan []round
+	for _, pairs := range pairRounds {
+		exps0 := make([]Exp, len(pairs))
+		expsM := make([]Exp, len(pairs))
+		for x, p := range pairs {
+			exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
+			expsM[x] = roundtripExp(p.I, p.J, opt.MsgSize, opt.MsgSize, x)
+		}
+		pairPlan = append(pairPlan, round{exps0, func(s0 []RoundSummary) {
+			for x, p := range pairs {
+				rt0[pairKey(p.I, p.J)] = s0[x].Mean
+			}
+			countRound(s0)
+		}}, round{expsM, func(sm []RoundSummary) {
+			for x, p := range pairs {
+				rtm[pairKey(p.I, p.J)] = sm[x].Mean
+			}
+			countRound(sm)
+		}})
+	}
+	// Phase 2: one-to-two experiments; each unordered round runs
+	// three initiator rotations, with empty and M-byte messages.
+	// Replies are always empty: the paper's guard against the gather
+	// escalations contaminating the estimation.
+	var tripPlan []round
+	for _, trips := range tripRounds {
+		for rot := 0; rot < 3; rot++ {
+			exps0 := make([]Exp, len(trips))
+			expsM := make([]Exp, len(trips))
+			keys := make([][3]int, len(trips))
+			for x, tr := range trips {
+				var a, b, c int
+				switch rot {
+				case 0:
+					a, b, c = tr.I, tr.J, tr.K
+				case 1:
+					a, b, c = tr.J, tr.I, tr.K
+				default:
+					a, b, c = tr.K, tr.I, tr.J
 				}
-				s0 := measureRound(r, opt.Mpib, exps0)
-				sm := measureRound(r, opt.Mpib, expsM)
-				for x, tr := range round {
-					lo, hi := minmax2(otherTwo(tr, inits[x]))
-					key := [3]int{inits[x], lo, hi}
+				lo, hi := minmax2(b, c)
+				keys[x] = [3]int{a, lo, hi}
+				exps0[x] = oneToTwoExp(a, b, c, 0, 0, x)
+				expsM[x] = oneToTwoExp(a, b, c, opt.MsgSize, 0, x)
+			}
+			var s0 []RoundSummary
+			tripPlan = append(tripPlan, round{exps0, func(s []RoundSummary) {
+				s0 = s
+				countRound(s0)
+			}}, round{expsM, func(sm []RoundSummary) {
+				for x, key := range keys {
 					ott0[key] = s0[x].Mean
 					ottm[key] = sm[x].Mean
 					if !s0[x].Converged || !sm[x].Converged {
@@ -291,22 +295,18 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 							suspect[key] = worst
 						}
 					}
-					if r.Rank() == 0 {
-						rep.Experiments += 2
-						rep.Repetitions += s0[x].N + sm[x].N
-						if !s0[x].Converged {
-							rep.NonConverged++
-						}
-						if !sm[x].Converged {
-							rep.NonConverged++
-						}
-					}
 				}
-				if r.Rank() == 0 && len(s0) > 0 {
-					rep.Retries += s0[0].Retries + sm[0].Retries
-				}
-			}
+				countRound(sm)
+			}})
 		}
+	}
+
+	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		p1 := obsBegin(r, "phase:round-trips")
+		runRounds(r, opt.Mpib, pairPlan, &rep)
+		obsEnd(r, p1)
+		p2 := obsBegin(r, "phase:one-to-two")
+		runRounds(r, opt.Mpib, tripPlan, &rep)
 		obsEnd(r, p2)
 	})
 	if err != nil {

@@ -49,53 +49,52 @@ func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
 		}
 	}
 
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		for _, round := range pairRounds {
-			exps0 := make([]Exp, len(round))
-			expsM := make([]Exp, len(round))
-			for x, p := range round {
-				exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
-				expsM[x] = roundtripExp(p.I, p.J, opt.MsgSize, opt.MsgSize, x)
-			}
-			s0 := measureRound(r, opt.Mpib, exps0)
-			sm := measureRound(r, opt.Mpib, expsM)
-			for x, p := range round {
+	var plan []round
+	for _, pairs := range pairRounds {
+		exps0 := make([]Exp, len(pairs))
+		expsM := make([]Exp, len(pairs))
+		for x, p := range pairs {
+			exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
+			expsM[x] = roundtripExp(p.I, p.J, opt.MsgSize, opt.MsgSize, x)
+		}
+		plan = append(plan, round{exps0, func(s0 []RoundSummary) {
+			for x, p := range pairs {
 				rt0[pairKey(p.I, p.J)] = s0[x].Mean
+			}
+		}}, round{expsM, func(sm []RoundSummary) {
+			for x, p := range pairs {
 				rtm[pairKey(p.I, p.J)] = sm[x].Mean
-				if r.Rank() == 0 {
-					rep.Experiments += 2
-					rep.Repetitions += s0[x].N + sm[x].N
-				}
 			}
-		}
-		for _, round := range tripRounds {
-			for rot := 0; rot < 3; rot++ {
-				expsM := make([]Exp, len(round))
-				inits := make([]int, len(round))
-				for x, tr := range round {
-					var a, b, c int
-					switch rot {
-					case 0:
-						a, b, c = tr.I, tr.J, tr.K
-					case 1:
-						a, b, c = tr.J, tr.I, tr.K
-					default:
-						a, b, c = tr.K, tr.I, tr.J
-					}
-					inits[x] = a
-					expsM[x] = oneToTwoExp(a, b, c, opt.MsgSize, 0, x)
+		}})
+	}
+	for _, trips := range tripRounds {
+		for rot := 0; rot < 3; rot++ {
+			expsM := make([]Exp, len(trips))
+			keys := make([][3]int, len(trips))
+			for x, tr := range trips {
+				var a, b, c int
+				switch rot {
+				case 0:
+					a, b, c = tr.I, tr.J, tr.K
+				case 1:
+					a, b, c = tr.J, tr.I, tr.K
+				default:
+					a, b, c = tr.K, tr.I, tr.J
 				}
-				sm := measureRound(r, opt.Mpib, expsM)
-				for x, tr := range round {
-					lo, hi := minmax2(otherTwo(tr, inits[x]))
-					ottm[[3]int{inits[x], lo, hi}] = sm[x].Mean
-					if r.Rank() == 0 {
-						rep.Experiments++
-						rep.Repetitions += sm[x].N
-					}
-				}
+				lo, hi := minmax2(b, c)
+				keys[x] = [3]int{a, lo, hi}
+				expsM[x] = oneToTwoExp(a, b, c, opt.MsgSize, 0, x)
 			}
+			plan = append(plan, round{expsM, func(sm []RoundSummary) {
+				for x, key := range keys {
+					ottm[key] = sm[x].Mean
+				}
+			}})
 		}
+	}
+
+	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		runRounds(r, opt.Mpib, plan, &rep)
 	})
 	if err != nil {
 		return nil, rep, err

@@ -32,27 +32,24 @@ func LogPLogGP(cfg mpi.Config, opt Options) (*models.LogP, *models.LogGP, Report
 	pairs := samplePairs(n)
 
 	sums := make([]float64, 5) // os0, or0, rtt0, satW, satM
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		tag := 0
-		for _, pr := range pairs {
-			i, j := pr.I, pr.J
-			exps := []Exp{
-				sendOverheadExp(i, j, 0, tag),
-				recvOverheadExp(i, j, 0, logpWait, tag+1),
-				roundtripExp(i, j, 0, 0, tag+2),
-				saturationExp(i, j, smallW, cnt, tag+3),
-				saturationExp(i, j, bigM, cnt, tag+4),
-			}
-			tag += 5
-			for x, e := range exps {
-				s := measureRound(r, opt.Mpib, []Exp{e})
-				if r.Rank() == 0 {
-					sums[x] += s[0].Mean
-					rep.Experiments++
-					rep.Repetitions += s[0].N
-				}
-			}
+	var plan []round
+	tag := 0
+	for _, pr := range pairs {
+		i, j := pr.I, pr.J
+		exps := []Exp{
+			sendOverheadExp(i, j, 0, tag),
+			recvOverheadExp(i, j, 0, logpWait, tag+1),
+			roundtripExp(i, j, 0, 0, tag+2),
+			saturationExp(i, j, smallW, cnt, tag+3),
+			saturationExp(i, j, bigM, cnt, tag+4),
 		}
+		tag += 5
+		for x, e := range exps {
+			plan = append(plan, round{[]Exp{e}, func(s []RoundSummary) { sums[x] += s[0].Mean }})
+		}
+	}
+	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		runRounds(r, opt.Mpib, plan, &rep)
 	})
 	if err != nil {
 		return nil, nil, rep, err

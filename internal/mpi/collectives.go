@@ -79,22 +79,14 @@ func (r *Rank) scatterTree(tree *collective.Tree, blocks [][]byte) []byte {
 	tag := r.collTag(opScatter)
 	root := tree.Root
 	n := r.w.n
+	if r.rank == root {
+		checkScatterBlocks("scatter", blocks, n)
+	}
 	if n == 1 {
 		return blocks[root]
 	}
 
 	if r.rank == root {
-		bs := -1
-		if len(blocks) != n {
-			badInput("scatter", "root has %d blocks, want %d", len(blocks), n)
-		}
-		for _, b := range blocks {
-			if bs == -1 {
-				bs = len(b)
-			} else if len(b) != bs {
-				badInput("scatter", "blocks must have equal size (got %d and %d bytes)", bs, len(b))
-			}
-		}
 		for _, c := range tree.Children[root] {
 			r.send(c, tag, concatRel(blocks, tree, c))
 		}
@@ -113,6 +105,19 @@ func (r *Rank) scatterTree(tree *collective.Tree, blocks [][]byte) []byte {
 		r.send(c, tag, payload[(clo-lo)*bs:(chi-lo)*bs])
 	}
 	return payload[:bs]
+}
+
+// checkScatterBlocks rejects a scatter root's blocks unless there is
+// one per rank and all have the same size.
+func checkScatterBlocks(op string, blocks [][]byte, n int) {
+	if len(blocks) != n {
+		badInput(op, "root has %d blocks, want %d", len(blocks), n)
+	}
+	for _, b := range blocks {
+		if len(b) != len(blocks[0]) {
+			badInput(op, "blocks must have equal size (got %d and %d bytes)", len(blocks[0]), len(b))
+		}
+	}
 }
 
 // concatRel concatenates the blocks covered by child c's subtree in
@@ -163,7 +168,7 @@ func (r *Rank) gatherTree(tree *collective.Tree, block []byte) [][]byte {
 		payload, st := r.Recv(AnySource, tag)
 		clo, chi := tree.RelRange(st.Source)
 		if len(payload) != (chi-clo)*bs {
-			panic(fmt.Sprintf("mpi: gather batch from %d has %d bytes, want %d", st.Source, len(payload), (chi-clo)*bs))
+			badInput("gather", "blocks must have equal size: batch from rank %d has %d bytes, want %d", st.Source, len(payload), (chi-clo)*bs)
 		}
 		copy(batch[(clo-lo)*bs:(chi-lo)*bs], payload)
 	}

@@ -152,13 +152,13 @@ func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 	tag := c.nextTag(opScatter)
 	tree := c.tree("comm scatter", alg, root)
 	n := c.Size()
+	if c.myRank == root {
+		checkScatterBlocks("comm scatter", blocks, n)
+	}
 	if n == 1 {
 		return blocks[root]
 	}
 	if c.myRank == root {
-		if len(blocks) != n {
-			badInput("comm scatter", "root has %d blocks, want %d", len(blocks), n)
-		}
 		for _, cc := range tree.Children[root] {
 			c.r.send(c.members[cc], tag, concatRel(blocks, tree, cc))
 		}
@@ -195,7 +195,7 @@ func (c *Comm) Gather(alg Alg, root int, block []byte) [][]byte {
 		payload, st := c.Recv(AnySource, tag)
 		clo, chi := tree.RelRange(st.Source)
 		if len(payload) != (chi-clo)*bs {
-			panic("mpi: comm gather batch size mismatch")
+			badInput("comm gather", "blocks must have equal size: batch from member %d has %d bytes, want %d", st.Source, len(payload), (chi-clo)*bs)
 		}
 		copy(batch[(clo-lo)*bs:(chi-lo)*bs], payload)
 	}

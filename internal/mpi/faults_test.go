@@ -18,35 +18,79 @@ func faultTestCluster(n int) *cluster.Cluster {
 }
 
 func TestBadCollectiveInputReturnsInputError(t *testing.T) {
+	// unequal returns a rank's gather block: 2 bytes on rank odd, 1
+	// elsewhere.
+	unequal := func(rank, odd int) []byte {
+		if rank == odd {
+			return []byte{1, 2}
+		}
+		return []byte{1}
+	}
+	// comm runs op on a 3-member communicator over ranks 0..2.
+	comm := func(op func(c *Comm)) func(r *Rank) {
+		return func(r *Rank) {
+			if r.Rank() == 3 {
+				return
+			}
+			c, err := r.CommOf([]int{0, 1, 2})
+			if err != nil {
+				panic(err)
+			}
+			op(c)
+		}
+	}
 	cases := []struct {
 		name string
+		n    int
 		body func(r *Rank)
 	}{
-		{"scatter-block-count", func(r *Rank) {
+		{"scatter-block-count", 4, func(r *Rank) {
 			var blocks [][]byte
 			if r.Rank() == 0 {
 				blocks = [][]byte{{1}, {2}} // 2 blocks for 4 ranks
 			}
 			r.Scatter(Linear, 0, blocks)
 		}},
-		{"scatter-unequal-blocks", func(r *Rank) {
+		{"scatter-unequal-blocks", 4, func(r *Rank) {
 			var blocks [][]byte
 			if r.Rank() == 0 {
 				blocks = [][]byte{{1}, {2, 3}, {4}, {5}}
 			}
 			r.Scatter(Linear, 0, blocks)
 		}},
-		{"scatterv-counts", func(r *Rank) {
+		{"scatter-one-rank-no-blocks", 1, func(r *Rank) {
+			r.Scatter(Linear, 0, nil)
+		}},
+		{"scatterv-counts", 4, func(r *Rank) {
 			r.Scatterv(Linear, 0, nil, []int{1, 2}) // 2 counts for 4 ranks
 		}},
-		{"gatherv-block-size", func(r *Rank) {
+		{"scatterv-one-rank-no-blocks", 1, func(r *Rank) {
+			r.Scatterv(Linear, 0, nil, []int{1})
+		}},
+		{"gather-linear-unequal-block", 4, func(r *Rank) {
+			r.Gather(Linear, 0, unequal(r.Rank(), 2)) // the root sees it
+		}},
+		{"gather-binomial-unequal-block", 4, func(r *Rank) {
+			r.Gather(Binomial, 0, unequal(r.Rank(), 3)) // inner node 2 sees it
+		}},
+		{"gatherv-block-size", 4, func(r *Rank) {
 			counts := []int{1, 1, 1, 1}
 			r.Gatherv(Linear, 0, []byte{1, 2, 3}, counts) // 3 bytes, counts say 1
 		}},
-		{"alltoall-blocks", func(r *Rank) {
+		{"comm-scatter-unequal-blocks", 4, comm(func(c *Comm) {
+			var blocks [][]byte
+			if c.Rank() == 0 {
+				blocks = [][]byte{{1}, {2, 3}, {4}}
+			}
+			c.Scatter(Linear, 0, blocks)
+		})},
+		{"comm-gather-unequal-block", 4, comm(func(c *Comm) {
+			c.Gather(Linear, 0, unequal(c.Rank(), 1))
+		})},
+		{"alltoall-blocks", 4, func(r *Rank) {
 			r.Alltoall([][]byte{{1}}) // 1 block for 4 ranks
 		}},
-		{"send-tag-range", func(r *Rank) {
+		{"send-tag-range", 4, func(r *Rank) {
 			if r.Rank() == 0 {
 				r.Send(1, MaxUserTag+1, nil)
 			}
@@ -54,7 +98,7 @@ func TestBadCollectiveInputReturnsInputError(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(Config{Cluster: faultTestCluster(4)}, tc.body)
+			_, err := Run(Config{Cluster: faultTestCluster(tc.n)}, tc.body)
 			var ie *InputError
 			if !errors.As(err, &ie) {
 				t.Fatalf("Run returned %v, want *InputError", err)

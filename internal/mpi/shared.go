@@ -4,9 +4,18 @@ package mpi
 // Because the simulation kernel runs exactly one process at a time,
 // plain reads and writes are race-free; the cell carries no virtual
 // cost and must therefore never stand in for real communication — it
-// exists so measurement harnesses (package mpib) can coordinate
-// repetition counts and exchange timing samples out of band, the way a
-// real benchmark would use a side channel or pre-agreed script.
+// exists so measurement harnesses (package mpib, the estimation
+// rounds) can coordinate repetition counts and exchange timing samples
+// out of band, the way a real benchmark would use a side channel or
+// pre-agreed script.
+//
+// The harness rule: a measurement keeps its samples and its stopping
+// decision once, in its cell. After a repetition's closing HardSync
+// the first rank to run records the samples and decides for every
+// rank; the others read that decision. One process at a time makes
+// this safe, and the decision is the one each rank would have derived
+// from the same samples, so the cell saves host work without moving
+// virtual time.
 type SharedCell struct {
 	V any
 }

@@ -21,10 +21,6 @@ func (r *Rank) Scatterv(alg Alg, root int, blocks [][]byte, counts []int) []byte
 	if len(counts) != n {
 		badInput("scatterv", "needs %d counts, got %d", n, len(counts))
 	}
-	if n == 1 {
-		return blocks[root]
-	}
-
 	if r.rank == root {
 		if len(blocks) != n {
 			badInput("scatterv", "root has %d blocks, want %d", len(blocks), n)
@@ -34,6 +30,12 @@ func (r *Rank) Scatterv(alg Alg, root int, blocks [][]byte, counts []int) []byte
 				badInput("scatterv", "block %d has %d bytes, counts say %d", i, len(b), counts[i])
 			}
 		}
+	}
+	if n == 1 {
+		return blocks[root]
+	}
+
+	if r.rank == root {
 		for _, c := range tree.Children[root] {
 			r.send(c, tag, concatRelV(blocks, tree, c))
 		}

@@ -65,8 +65,10 @@ type Options struct {
 	Backoff time.Duration
 }
 
-// withDefaults fills unset fields with the paper's values.
-func (o Options) withDefaults() Options {
+// WithDefaults fills unset fields with the paper's values. It is the
+// one defaulting of the repetition rule: Measure and the estimation
+// harness's rounds both apply it.
+func (o Options) WithDefaults() Options {
 	if o.Confidence == 0 {
 		o.Confidence = 0.95
 	}
@@ -113,20 +115,22 @@ func (m Measurement) Seconds() float64 { return m.Mean }
 //   - each rank times its local part of op;
 //   - the per-repetition sample is either the designated rank's local
 //     time (RootTiming) or the maximum over ranks (MaxTiming).
+//
+// The samples and the stopping decision live once, in the call's
+// SharedCell: after a repetition's closing HardSync the first rank to
+// run records the sample and decides for every rank whether to repeat,
+// back off and retry, or finish, and every rank follows that decision.
+// The returned Samples slice is that one shared slice, the same on
+// every rank; callers must treat it as read-only.
 func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()) Measurement {
-	opts = opts.withDefaults()
-	n := r.Size()
-
-	// Shared per-repetition duration slots; each rank keeps its own
-	// samples slice because, after the sync, every rank derives an
-	// identical sample value and hence an identical stopping decision.
 	cell := r.SharedCell()
-	if cell.V == nil {
-		cell.V = make([]float64, n)
+	st, _ := cell.V.(*measureState)
+	if st == nil {
+		o := opts.WithDefaults()
+		st = &measureState{opts: o, locals: make([]float64, r.Size()), budget: o.MaxReps, backoff: o.Backoff}
+		cell.V = st
 	}
-	locals := cell.V.([]float64)
 
-	var samples []float64
 	r.HardSync()
 	start := r.Now()
 	// One measurement span on the designated rank's track: the
@@ -138,61 +142,88 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 	if tr != nil && r.Rank() == designated {
 		msp = tr.Begin(obs.CatMeasure, "measure:"+timing.String(), designated, start)
 	}
-	summarize := func() (stats.Summary, int) {
-		return stats.RobustSummarize(samples, opts.Confidence, opts.OutlierMAD)
-	}
-	converged := false
-	retries := 0
-	backoff := opts.Backoff
-	for attempt := 0; ; attempt++ {
-		budget := len(samples) + opts.MaxReps
-		for len(samples) < budget {
-			r.HardSync()
-			t0 := r.Now()
-			op()
-			locals[r.Rank()] = (r.Now() - t0).Seconds()
-			r.HardSync() // every rank has written its local duration
-
-			var sample float64
-			switch timing {
-			case RootTiming:
-				sample = locals[designated]
-			default:
-				sample = stats.Max(locals)
-			}
-			samples = append(samples, sample)
-			if len(samples) >= opts.MinReps {
-				if s, _ := summarize(); s.N >= opts.MinReps && s.RelErr() <= opts.RelErr {
-					converged = true
-					break
-				}
-			}
+	for rep := 1; ; rep++ {
+		r.HardSync()
+		t0 := r.Now()
+		op()
+		st.locals[r.Rank()] = (r.Now() - t0).Seconds()
+		r.HardSync() // every rank has written its local duration
+		if len(st.samples) < rep {
+			st.record(designated, timing) // first rank past the sync
 		}
-		if converged || attempt >= opts.Retries {
+		if st.done {
 			break
 		}
-		// Non-converged attempt: back off (transient contention or a
-		// degradation window may pass in virtual time) and re-measure.
-		// Every rank derives the same decision from the same samples,
-		// so the ranks stay in lockstep.
-		retries++
-		r.Sleep(backoff)
-		backoff *= 2
+		if st.retry {
+			// Non-converged attempt: back off (transient contention or a
+			// degradation window may pass in virtual time) and re-measure.
+			r.Sleep(st.sleep)
+		}
 	}
 
 	if msp != 0 {
-		tr.Annotate(msp, -1, -1, len(samples)) // bytes field reused as rep count
+		tr.Annotate(msp, -1, -1, len(st.samples)) // bytes field reused as rep count
 		tr.End(msp, r.Now())
 	}
-	summary, rejected := summarize()
 	return Measurement{
-		Summary:   summary,
-		Samples:   samples,
+		Summary:   st.summary,
+		Samples:   st.samples,
 		Elapsed:   r.Now() - start,
-		Converged: converged,
-		Reps:      len(samples),
-		Retries:   retries,
-		Rejected:  rejected,
+		Converged: st.converged,
+		Reps:      len(st.samples),
+		Retries:   st.retries,
+		Rejected:  st.rejected,
+	}
+}
+
+// measureState is one Measure call's state, shared by every rank
+// through the call's SharedCell.
+type measureState struct {
+	opts    Options
+	locals  []float64     // per-rank durations of the current repetition
+	samples []float64     // one sample per repetition, pre-rejection
+	budget  int           // sample count at which the current attempt ends
+	backoff time.Duration // pause before the next retry, doubling per retry
+
+	// The decision every rank follows after a repetition.
+	done  bool          // the measurement is over
+	retry bool          // the attempt failed: sleep, then measure again
+	sleep time.Duration // the retry's pause
+
+	converged bool
+	retries   int
+	summary   stats.Summary // over the samples surviving rejection
+	rejected  int
+}
+
+// record appends the repetition's sample and decides for every rank:
+// finish once the CI has closed, or once the attempt's budget is spent
+// and no retry is left; otherwise repeat, after a backoff when a new
+// attempt starts.
+func (st *measureState) record(designated int, timing Timing) {
+	sample := st.locals[designated]
+	if timing != RootTiming {
+		sample = stats.Max(st.locals)
+	}
+	st.samples = append(st.samples, sample)
+	st.retry = false
+	o := st.opts
+	if len(st.samples) >= o.MinReps {
+		st.summary, st.rejected = stats.RobustSummarize(st.samples, o.Confidence, o.OutlierMAD)
+		if st.summary.N >= o.MinReps && st.summary.RelErr() <= o.RelErr {
+			st.converged, st.done = true, true
+			return
+		}
+	}
+	switch {
+	case len(st.samples) < st.budget:
+	case st.retries >= o.Retries:
+		st.done = true
+	default:
+		st.retries++
+		st.retry, st.sleep = true, st.backoff
+		st.backoff *= 2
+		st.budget = len(st.samples) + o.MaxReps
 	}
 }
 

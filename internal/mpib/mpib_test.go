@@ -19,11 +19,11 @@ func testConfig(n int) mpi.Config {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Options{}.WithDefaults()
 	if o.Confidence != 0.95 || o.RelErr != 0.025 || o.MinReps != 5 || o.MaxReps != 100 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	o = Options{MinReps: 50, MaxReps: 10}.withDefaults()
+	o = Options{MinReps: 50, MaxReps: 10}.WithDefaults()
 	if o.MaxReps != 50 {
 		t.Fatal("MaxReps should be raised to MinReps")
 	}

@@ -67,3 +67,46 @@ func TestEnabledTracingCountsEvents(t *testing.T) {
 		t.Fatalf("vtime.events = %d, want >= %d", got, n)
 	}
 }
+
+// TestCondBroadcastCycleZeroAlloc pins DESIGN §7's embedded wait nodes
+// on the path every measurement repetition takes twice (mpi.HardSync is
+// a vtime.Barrier): once warm, a cycle in which 16 processes Wait on the
+// barrier's Cond and the last arrival Broadcasts allocates nothing. Two
+// runs that differ only in their cycle count must allocate the same.
+func TestCondBroadcastCycleZeroAlloc(t *testing.T) {
+	const procs = 16
+	run := func(cycles int) uint64 {
+		eng := vtime.NewEngine()
+		b := vtime.NewBarrier(eng, procs)
+		for i := 0; i < procs; i++ {
+			eng.Go("party", func(p *vtime.Proc) {
+				for c := 0; c < cycles; c++ {
+					b.Wait(p)
+				}
+			})
+		}
+		return mallocsDuring(func() {
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	run(100) // warm up the runtime (goroutine stacks, timer wheels)
+	// The fewest allocations of three runs each: the runtime allocates
+	// now and then on its own (a goroutine stack, a GC cycle's work), a
+	// few times per run at most, while a queue that regrows costs at
+	// least one allocation per cycle.
+	fewest := func(cycles int) uint64 {
+		m := run(cycles)
+		for i := 0; i < 2; i++ {
+			m = min(m, run(cycles))
+		}
+		return m
+	}
+	const short, long = 100, 2100
+	base, allocs := fewest(short), fewest(long)
+	if allocs > base+64 {
+		t.Fatalf("%d extra Wait/Broadcast cycles over %d processes allocated %d times (%d vs %d); want none",
+			long-short, procs, allocs-base, allocs, base)
+	}
+}

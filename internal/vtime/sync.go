@@ -142,14 +142,16 @@ func (c *Cond) Signal() {
 	c.e.wakeSync(w.p)
 }
 
-// Broadcast wakes every waiter.
+// Broadcast wakes every waiter. Waking only schedules each waiter's
+// resume, so none can queue again during the loop; the emptied array
+// is kept for the next round of waiters.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
+	for _, w := range c.waiters {
 		w.woken = true
 		c.e.wakeSync(w.p)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Barrier synchronizes a fixed party of processes at zero virtual cost.
