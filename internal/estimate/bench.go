@@ -1,12 +1,14 @@
 package estimate
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // Options configure an estimation procedure.
@@ -120,16 +122,19 @@ type DroppedExp struct {
 	RelErr    float64 // the CI relative error that caused the drop
 }
 
-// Exp is one experiment of a round: Body runs on every rank (inactive
-// ranks do nothing inside it) and the sample is the initiator's local
-// elapsed time, unless the body assigns a custom sample through Custom.
+// Exp is one experiment of a round: its ranks, the Initiator and the
+// Peers, run Body, and the sample is the initiator's local elapsed
+// time, unless the body assigns a custom sample through Custom. No
+// other rank runs Body or waits for it.
 //
 // An Exp without Custom holds no rank-local state, so an estimator
 // builds each round's experiments once, before mpi.Run, and every rank
 // runs the same list.
 type Exp struct {
 	Initiator int
-	Body      func(r *mpi.Rank)
+	// Peers are the experiment's other ranks; -1 marks an unused slot.
+	Peers [2]int
+	Body  func(r *mpi.Rank)
 	// Custom, when non-nil, replaces the elapsed time as the sample:
 	// the initiator's body writes a sub-interval (e.g. only the send)
 	// there, and the initiator alone reads it back when it publishes
@@ -138,11 +143,22 @@ type Exp struct {
 	Custom *float64
 }
 
-// RoundSummary is one experiment's result from measureRound: its
-// sample summary (over the samples surviving outlier rejection) plus
-// the robustness metadata the degradation-aware estimators consume.
-// measureRound returns one []RoundSummary to every rank of the round;
-// it is shared and read-only.
+// ranks returns e's ranks, the initiator first, in rs[:n].
+func (e *Exp) ranks() (rs [3]int, n int) {
+	rs[0], n = e.Initiator, 1
+	for _, p := range e.Peers {
+		if p >= 0 {
+			rs[n] = p
+			n++
+		}
+	}
+	return rs, n
+}
+
+// RoundSummary is one experiment's result from a round: its sample
+// summary (over the samples surviving outlier rejection) plus the
+// robustness metadata the degradation-aware estimators consume. A
+// round's []RoundSummary is shared and read-only.
 type RoundSummary struct {
 	stats.Summary
 	Converged bool // the CI met the RelErr target
@@ -158,81 +174,162 @@ type RoundSummary struct {
 // experiment's CI failed to close within MaxReps is re-measured after a
 // doubling virtual-time backoff, up to the bound.
 //
-// The round's bookkeeping exists once, in its SharedCell, not once per
-// rank: each initiator publishes its sample there, and after a
-// repetition's closing HardSync the first rank to run records the
-// repetition and decides for every rank whether to repeat, back off
-// and retry, or finish. Every rank follows that decision and returns
-// the same read-only summaries. The kernel runs one process at a time,
-// and the decision is the one every rank would derive from the same
-// samples, so the virtual-time trajectory is that of independent
-// per-rank decisions, while the bookkeeping costs O(experiments) per
-// repetition instead of O(experiments × ranks).
+// Only the experiments' ranks call it, every one of them, and the
+// same ranks reach every measureRound of a job in the same order: the
+// round's state lives in their SharedCell. Each runs its own
+// experiment (see roundState.sit) and returns the same read-only
+// summaries. A plan of rounds built before mpi.Run goes through
+// runRounds instead.
 func measureRound(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSummary {
 	cell := r.SharedCell()
 	st, _ := cell.V.(*roundState)
 	if st == nil {
-		st = newRoundState(opts.WithDefaults(), len(exps))
+		ranks := 0
+		for x := range exps {
+			_, n := exps[x].ranks()
+			ranks += n
+		}
+		st = new(roundState)
+		st.init(opts.WithDefaults(), len(exps), ranks)
+		st.wait = vtime.NewCond(r.Proc().Engine())
 		cell.V = st
 	}
-	// The experiment this rank initiates, if any: the groups are
-	// disjoint, so it initiates at most one.
-	mine := -1
-	for i, e := range exps {
-		if e.Initiator == r.Rank() {
-			mine = i
-		}
-	}
-	for rep := 1; ; rep++ {
-		r.HardSync()
-		t0 := r.Now()
-		for _, e := range exps {
-			e.Body(r)
-		}
-		if mine >= 0 {
-			// Publish the sample: the elapsed time, or the custom
-			// sub-interval the body wrote.
-			v := (r.Now() - t0).Seconds()
-			if c := exps[mine].Custom; c != nil {
-				v = *c
-			}
-			st.slots[mine] = v
-		}
-		r.HardSync()
-		if st.reps < rep {
-			st.record() // first rank past the sync
-		}
-		switch st.next {
-		case roundFinish:
+	for x := range exps {
+		if rs, n := exps[x].ranks(); slices.Contains(rs[:n], r.Rank()) {
+			st.sit(r, x, &exps[x])
 			return st.out
-		case roundRetry:
-			r.Sleep(st.sleep)
 		}
 	}
+	panic("estimate: measureRound called by a rank outside its experiments")
 }
 
 // round is one measurement round of an estimation plan: experiments on
-// disjoint processor groups, built once before mpi.Run and run by every
-// rank, and the function rank 0 records their summaries with.
+// disjoint processor groups, built once before mpi.Run, and the
+// function the round's finishing rank records their summaries with.
 type round struct {
 	exps   []Exp
 	record func(s []RoundSummary)
 }
 
-// runRounds measures a plan's rounds in order on every rank. Rank 0
-// alone records each round's summaries and counts its experiments and
-// repetitions into rep.
+// runRounds measures a plan's rounds in order; every rank of the job
+// calls it. A rank runs only the rounds it sits in, and in each only
+// its own experiment; the rank whose arrival ends a round records the
+// round's summaries and counts its experiments and repetitions into
+// rep. A round starts once its ranks have arrived and the round before
+// it has ended, so rounds never overlap on shared links, and a world
+// HardSync closes the plan.
 func runRounds(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) {
-	for _, rd := range plan {
-		s := measureRound(r, opts, rd.exps)
-		if r.Rank() != 0 {
-			continue
+	cell := r.SharedCell()
+	pl, _ := cell.V.(*planState)
+	if pl == nil {
+		pl = newPlanState(opts.WithDefaults(), r.Size(), plan, rep)
+		cell.V = pl
+	}
+	me := r.Rank()
+	for _, s := range pl.seats[pl.first[me]:pl.first[me+1]] {
+		st := &pl.rounds[s.round]
+		if st.wait == nil {
+			st.wait = pl.cond(r)
 		}
-		for _, x := range s {
-			rep.Experiments++
-			rep.Repetitions += x.N
+		if st.sit(r, int(s.exp), &plan[s.round].exps[s.exp]) {
+			pl.finish(int(s.round))
 		}
-		rd.record(s)
+	}
+	r.HardSync()
+}
+
+// planState is one runRounds call's state, shared by every rank
+// through the plan's SharedCell.
+type planState struct {
+	plan   []round
+	rep    *Report
+	rounds []roundState
+	// A rank's seats are the (round, experiment) pairs it takes part
+	// in, in round order: rank i's are seats[first[i]:first[i+1]].
+	first []int
+	seats []seat
+	free  []*vtime.Cond // finished rounds' wait queues, empty, for later rounds
+}
+
+type seat struct{ round, exp int32 }
+
+// newPlanState seats the ranks of an n-rank job in the plan's rounds.
+func newPlanState(opts mpib.Options, n int, plan []round, rep *Report) *planState {
+	pl := &planState{plan: plan, rep: rep, rounds: make([]roundState, len(plan)), first: make([]int, n+1)}
+	for k, rd := range plan {
+		ranks := 0
+		for x := range rd.exps {
+			rs, m := rd.exps[x].ranks()
+			for _, rank := range rs[:m] {
+				pl.first[rank+1]++
+			}
+			ranks += m
+		}
+		pl.rounds[k].init(opts, len(rd.exps), ranks)
+		pl.rounds[k].gate = 1
+	}
+	// Lay the seats out rank by rank: first[i+1] holds the start of rank
+	// i's seats while they are placed, advancing past each, so it ends
+	// as the start of rank i+1's.
+	total := 0
+	for i := 1; i <= n; i++ {
+		total, pl.first[i] = total+pl.first[i], total
+	}
+	pl.seats = make([]seat, total)
+	for k, rd := range plan {
+		for x := range rd.exps {
+			rs, m := rd.exps[x].ranks()
+			for _, rank := range rs[:m] {
+				pl.seats[pl.first[rank+1]] = seat{int32(k), int32(x)}
+				pl.first[rank+1]++
+			}
+		}
+	}
+	pl.open(0) // nothing precedes the first round
+	return pl
+}
+
+// record records round k's summaries into the plan's report.
+func (pl *planState) record(k int) {
+	s := pl.rounds[k].out
+	for _, x := range s {
+		pl.rep.Experiments++
+		pl.rep.Repetitions += x.N
+	}
+	pl.plan[k].record(s)
+}
+
+// cond returns a wait queue for a round: a finished round's, whose
+// array has room already, or a new one.
+func (pl *planState) cond(r *mpi.Rank) *vtime.Cond {
+	if k := len(pl.free); k > 0 {
+		c := pl.free[k-1]
+		pl.free = pl.free[:k-1]
+		return c
+	}
+	return vtime.NewCond(r.Proc().Engine())
+}
+
+// finish ends round k on the rank whose arrival ended it: it records
+// the round, passes the round's wait queue on for reuse and opens the
+// next round.
+func (pl *planState) finish(k int) {
+	pl.record(k)
+	st := &pl.rounds[k]
+	pl.free = append(pl.free, st.wait)
+	st.wait = nil
+	pl.open(k + 1)
+}
+
+// open makes round k's "previous round ended" arrival. A round without
+// ranks ends on the spot, and the next round gets the arrival.
+func (pl *planState) open(k int) {
+	for ; k < len(pl.rounds); k++ {
+		if st := &pl.rounds[k]; st.ranks > 0 {
+			st.arrive(st.ranks + st.gate)
+			return
+		}
+		pl.record(k)
 	}
 }
 
@@ -243,13 +340,27 @@ type roundAction int
 const (
 	roundRepeat roundAction = iota
 	roundRetry              // sleep st.sleep, then start a new attempt
-	roundFinish             // return st.out
+	roundFinish             // the round is over; st.out holds its summaries
 )
 
-// roundState is one measureRound call's state, shared by every rank
-// through the round's SharedCell.
+// roundState is one round's state, shared by the round's ranks: its
+// barrier, and its samples and decision, kept once rather than once
+// per rank.
 type roundState struct {
-	opts    mpib.Options
+	opts mpib.Options
+
+	// The round's barrier. Its parties are the round's ranks, plus, in
+	// a plan (gate 1), one arrival made once the previous round has
+	// ended. It releases its waiters in arrival order and the last
+	// arrival after them, as vtime.Barrier does, so a round's ranks
+	// start in the order in which they fell idle: the order a world
+	// HardSync, which every rank once took, gave them. A round has its
+	// wait queue before any of its ranks arrives.
+	ranks   int
+	gate    int
+	arrived int
+	wait    *vtime.Cond
+
 	slots   []float64   // each experiment's sample of the current repetition
 	samples [][]float64 // each experiment's samples, pre-rejection
 	reps    int         // repetitions recorded
@@ -261,9 +372,10 @@ type roundState struct {
 	out     []RoundSummary
 }
 
-func newRoundState(opts mpib.Options, nexp int) *roundState {
-	st := &roundState{
+func (st *roundState) init(opts mpib.Options, nexp, ranks int) {
+	*st = roundState{
 		opts:    opts,
+		ranks:   ranks,
 		slots:   make([]float64, nexp),
 		samples: make([][]float64, nexp),
 		budget:  opts.MaxReps,
@@ -278,7 +390,65 @@ func newRoundState(opts mpib.Options, nexp int) *roundState {
 	for i := range st.samples {
 		st.samples[i] = backing[i*c : i*c : (i+1)*c]
 	}
-	return st
+}
+
+// sit runs rank r's seat in the round, experiment x. It waits at the
+// round's barrier until the round starts, then runs e's body once per
+// repetition, publishes the sample if r initiates e, and meets the
+// round's other ranks at the barrier again. The last of them to arrive
+// records the repetition and decides for all. sit reports whether r's
+// arrival ended the round.
+//
+// A retry's pause needs no barrier after it: a repetition receives
+// every message it sends, so no event wakes a rank of the round during
+// the pause, and its ranks wake in the order they fell asleep, the
+// order a barrier would release them in.
+func (st *roundState) sit(r *mpi.Rank, x int, e *Exp) (ended bool) {
+	p := r.Proc()
+	if st.arrive(st.ranks + st.gate) {
+		p.Yield() // run after the ranks just released
+	} else {
+		st.wait.Wait(p)
+	}
+	for {
+		t0 := r.Now()
+		e.Body(r)
+		if e.Initiator == r.Rank() {
+			// Publish the sample: the elapsed time, or the custom
+			// sub-interval the body wrote.
+			v := (r.Now() - t0).Seconds()
+			if e.Custom != nil {
+				v = *e.Custom
+			}
+			st.slots[x] = v
+		}
+		last := st.arrive(st.ranks)
+		if last {
+			st.record()
+			p.Yield()
+		} else {
+			st.wait.Wait(p)
+		}
+		switch st.next {
+		case roundFinish:
+			return last
+		case roundRetry:
+			r.Sleep(st.sleep)
+		}
+	}
+}
+
+// arrive counts one arrival at the round's barrier. The arrival that
+// brings the count to parties releases the waiting ranks, resets the
+// count and reports true.
+func (st *roundState) arrive(parties int) bool {
+	st.arrived++
+	if st.arrived < parties {
+		return false
+	}
+	st.arrived = 0
+	st.wait.Broadcast()
+	return true
 }
 
 // record appends the repetition's samples and decides for every rank.
@@ -315,10 +485,10 @@ func (st *roundState) record() {
 	st.budget += o.MaxReps
 }
 
-// Experiment bodies. Every body is written so that exactly the ranks of
-// its processor group act; all other ranks fall through immediately.
-// The Custom pointer convention: bodies that measure a sub-interval
-// (e.g. only the send or only the receive) write it there.
+// Experiment bodies. Only the experiment's ranks run its body, each
+// by its role; any other rank would fall through. The Custom pointer
+// convention: bodies that measure a sub-interval (e.g. only the send
+// or only the receive) write it there.
 
 // zeroPayload backs every experiment payload up to its size. Nothing
 // writes it: the simulator reads only a payload's length, and nothing
@@ -337,7 +507,7 @@ func payload(m int) []byte {
 // roundtripExp builds the i⇄j round-trip: i sends mOut bytes, j replies
 // with mBack bytes; measured on i (the paper's sender-side timing).
 func roundtripExp(i, j, mOut, mBack, tag int) Exp {
-	return Exp{Initiator: i, Body: func(r *mpi.Rank) {
+	return Exp{Initiator: i, Peers: [2]int{j, -1}, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
 			r.Send(j, tag, payload(mOut))
@@ -361,7 +531,7 @@ func roundtripExp(i, j, mOut, mBack, tag int) Exp {
 // "experiments designed very carefully" license of §IV: it turns the
 // piecewise max into an exact linear equation.
 func oneToTwoExp(i, j, k, m, mBack, tag int) Exp {
-	return Exp{Initiator: i, Body: func(r *mpi.Rank) {
+	return Exp{Initiator: i, Peers: [2]int{j, k}, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
 			r.Send(j, tag, payload(m))
@@ -380,7 +550,7 @@ func oneToTwoExp(i, j, k, m, mBack, tag int) Exp {
 // empty reply. The per-message gap is the sample divided by count
 // (done by the caller).
 func saturationExp(i, j, m, count, tag int) Exp {
-	return Exp{Initiator: i, Body: func(r *mpi.Rank) {
+	return Exp{Initiator: i, Peers: [2]int{j, -1}, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
 			buf := payload(m)
@@ -402,7 +572,7 @@ func saturationExp(i, j, m, count, tag int) Exp {
 // the send duration alone.
 func sendOverheadExp(i, j, m, tag int) Exp {
 	custom := new(float64)
-	return Exp{Initiator: i, Custom: custom, Body: func(r *mpi.Rank) {
+	return Exp{Initiator: i, Peers: [2]int{j, -1}, Custom: custom, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
 			t0 := r.Now()
@@ -421,7 +591,7 @@ func sendOverheadExp(i, j, m, tag int) Exp {
 // receive alone (the paper's delayed-receive experiment).
 func recvOverheadExp(i, j, m int, wait time.Duration, tag int) Exp {
 	custom := new(float64)
-	return Exp{Initiator: i, Custom: custom, Body: func(r *mpi.Rank) {
+	return Exp{Initiator: i, Peers: [2]int{j, -1}, Custom: custom, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
 			r.Send(j, tag, payload(m))

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
+	"repro/internal/obs"
 )
 
 func homConfig(n int) mpi.Config {
@@ -255,6 +257,32 @@ func TestLMOXSeparatesHeterogeneousProcessors(t *testing.T) {
 	for i, nd := range cl.Nodes {
 		if !relClose(m.C[i], nd.C.Seconds(), 0.2) {
 			t.Fatalf("C[%d] = %v, ground truth %v", i, m.C[i], nd.C.Seconds())
+		}
+	}
+}
+
+// TestLMOXPhaseSpansTileTheRun pins the timing of LMOX's rank-0 phase
+// spans, serial and parallel: phase:round-trips starts at 0 and ends
+// where phase:one-to-two starts, and phase:one-to-two ends at the
+// estimation's cost.
+func TestLMOXPhaseSpansTileTheRun(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		tr := obs.NewTrace()
+		cfg := mpi.Config{Cluster: cluster.Table1().Prefix(5), Profile: cluster.LAM(), Seed: 7}
+		_, rep, err := LMOX(cfg, Options{Parallel: parallel, Obs: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases := map[string]obs.Span{}
+		for _, sp := range tr.Spans() {
+			if sp.Cat == obs.CatEstimate && strings.HasPrefix(sp.Name, "phase:") {
+				phases[sp.Name] = sp
+			}
+		}
+		rt, ott := phases["phase:round-trips"], phases["phase:one-to-two"]
+		if len(phases) != 2 || rt.Start != 0 || rt.End <= 0 || rt.End != ott.Start || ott.End != rep.Cost {
+			t.Errorf("parallel=%v: phases %+v; want round-trips from 0 to one-to-two's start, one-to-two to the cost %v",
+				parallel, phases, rep.Cost)
 		}
 	}
 }

@@ -1,14 +1,17 @@
 package estimate
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
+	"repro/internal/topo"
 )
 
 // observeScatterLinear measures the linear-scatter makespan on the
@@ -155,6 +158,59 @@ func TestLMOXDropsSufferingTriplets(t *testing.T) {
 	for _, x := range []int{2, 3, 4} {
 		if !relClose(m.C[x], 50e-6, 0.15) {
 			t.Fatalf("C[%d] = %v, want ≈50µs despite the flapping 0<->1 link", x, m.C[x])
+		}
+	}
+}
+
+// TestEstimationUnderCrashPinned runs estimators into a node crash and
+// pins what they report: a *mpi.CrashError, and the Report's cost,
+// experiment and repetition counts at the failure. The rounds recorded
+// before a crash, and the jobs' durations, must not depend on which
+// rank records a round or on which ranks wait at a round's barrier.
+// The figures were measured when every rank took part in every round
+// and rank 0 recorded them all.
+func TestEstimationUnderCrashPinned(t *testing.T) {
+	fat := cluster.FromTopology(topo.FatTree(4, topo.DefaultUplink()), cluster.NodeSpec{}, cluster.LinkSpec{})
+	cases := []struct {
+		lmox      bool // LMOX on Table I, else LMOGrouped on FatTree(4)
+		node      int
+		at        time.Duration
+		cost      time.Duration
+		exps, rep int
+	}{
+		{false, 0, 100 * time.Microsecond, 0, 0, 0},
+		{false, 0, 3 * time.Millisecond, 0, 8, 40},
+		{false, 0, 20 * time.Millisecond, 20 * time.Millisecond, 19, 95},
+		{false, 5, 100 * time.Microsecond, 0, 0, 0},
+		{false, 5, 3 * time.Millisecond, 0, 8, 40},
+		{false, 5, 20 * time.Millisecond, 20 * time.Millisecond, 24, 120},
+		{false, 15, 100 * time.Microsecond, 0, 0, 0},
+		{false, 15, 3 * time.Millisecond, 0, 8, 40},
+		{false, 15, 20 * time.Millisecond, 20 * time.Millisecond, 44, 220},
+		{true, 9, 50 * time.Millisecond, 0, 64, 320},
+	}
+	for _, c := range cases {
+		plan := &faults.Plan{Crashes: []faults.Crash{{Node: c.node, At: c.at}}}
+		var rep Report
+		var err error
+		name := "grouped"
+		if c.lmox {
+			name = "lmox"
+			cfg := mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1, Faults: plan}
+			_, rep, err = LMOX(cfg, Options{Parallel: true})
+		} else {
+			cfg := groupCfg(fat)
+			cfg.Faults = plan
+			_, _, rep, err = LMOGrouped(cfg, Options{})
+		}
+		var ce *mpi.CrashError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s, node %d crashing at %v: err = %v, want a *mpi.CrashError", name, c.node, c.at, err)
+			continue
+		}
+		if rep.Cost != c.cost || rep.Experiments != c.exps || rep.Repetitions != c.rep {
+			t.Errorf("%s, node %d crashing at %v: cost %v, %d experiments, %d repetitions; want %v, %d, %d",
+				name, c.node, c.at, rep.Cost, rep.Experiments, rep.Repetitions, c.cost, c.exps, c.rep)
 		}
 	}
 }

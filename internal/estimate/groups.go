@@ -802,26 +802,25 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 		model.C[i] = est[g.Of[i]].c
 		model.T[i] = est[g.Of[i]].t
 	}
-	setLink := func(i, j int, l, ib float64) {
-		model.L[i][j], model.L[j][i] = l, l
-		beta := math.Inf(1)
-		if ib > 0 {
-			beta = 1 / ib
-		}
-		model.Beta[i][j], model.Beta[j][i] = beta, beta
-	}
+	// A link's parameters depend only on its endpoints' groups, the same
+	// either way round: fill the matrices row by row, in storage order.
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			gi, gj := g.Of[i], g.Of[j]
-			if gi == gj {
-				setLink(i, j, est[gi].intraL, est[gi].intraInvB)
+		gi := g.Of[i]
+		for j := 0; j < n; j++ {
+			if j == i {
 				continue
 			}
-			if gi > gj {
-				gi, gj = gj, gi
+			gj := g.Of[j]
+			l, ib := est[gi].intraL, est[gi].intraInvB
+			if gi != gj {
+				b := buckets[bucketOf[min(gi, gj)*ngr+max(gi, gj)]]
+				l, ib = b.L, b.invB
 			}
-			b := buckets[bucketOf[gi*ngr+gj]]
-			setLink(i, j, b.L, b.invB)
+			beta := math.Inf(1)
+			if ib > 0 {
+				beta = 1 / ib
+			}
+			model.L[i][j], model.Beta[i][j] = l, beta
 		}
 	}
 	return model, g, rep, nil

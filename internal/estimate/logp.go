@@ -118,13 +118,16 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 	var rtt0 float64
 
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
+		if r.Rank() != i && r.Rank() != j {
+			return // every experiment runs between i and j
+		}
 		tag := 0
 		measureSize := func(m int) plogpPoint {
 			satS := measureRound(r, opt.Mpib, []Exp{saturationExp(i, j, m, cnt, tag)})
 			osS := measureRound(r, opt.Mpib, []Exp{sendOverheadExp(i, j, m, tag+1)})
 			orS := measureRound(r, opt.Mpib, []Exp{recvOverheadExp(i, j, m, logpWait, tag+2)})
 			tag += 3
-			if r.Rank() == 0 {
+			if r.Rank() == i {
 				rep.Experiments += 3
 				rep.Repetitions += satS[0].N + osS[0].N + orS[0].N
 			}
@@ -134,7 +137,7 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 		s := measureRound(r, opt.Mpib, []Exp{roundtripExp(i, j, 0, 0, tag)})
 		tag++
 		rtt0 = s[0].Mean
-		if r.Rank() == 0 {
+		if r.Rank() == i {
 			rep.Experiments++
 			rep.Repetitions += s[0].N
 		}

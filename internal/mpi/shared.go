@@ -10,9 +10,9 @@ package mpi
 // pre-agreed script.
 //
 // The harness rule: a measurement keeps its samples and its stopping
-// decision once, in its cell. After a repetition's closing HardSync
-// the first rank to run records the samples and decides for every
-// rank; the others read that decision. One process at a time makes
+// decision once, in its cell. After a repetition's closing barrier
+// one rank records the samples and decides for every rank of the
+// measurement; the others read that decision. One process at a time makes
 // this safe, and the decision is the one each rank would have derived
 // from the same samples, so the cell saves host work without moving
 // virtual time.

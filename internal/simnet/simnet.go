@@ -94,9 +94,9 @@ type Network struct {
 	topo     *topo.Topology
 	laneFree [][]time.Duration // laneFree[directedEdge][lane]: when the lane frees
 
-	rdv         []*vtime.Cond // per-(src,dst) rendezvous completion conds, created lazily
-	free        []*Message    // freelist of recycled Message structs
-	freeTransit []*inTransit  // freelist of recycled delivery handlers
+	rdv         map[int]*vtime.Cond // per-(src,dst) rendezvous completion conds, created lazily
+	free        []*Message          // freelist of recycled Message structs
+	freeTransit []*inTransit        // freelist of recycled delivery handlers
 
 	inj  *faults.Injector // nil-safe fault injection (nil = no faults)
 	dead []bool           // per node: crash event has fired
@@ -130,7 +130,6 @@ func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed 
 		ingressFree: make([]time.Duration, n),
 		inflight:    make([][]int, n),
 		inflightTot: make([]int, n),
-		rdv:         make([]*vtime.Cond, n*n),
 		dead:        make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
@@ -262,8 +261,14 @@ func (n *Network) putTransit(d *inTransit) {
 // rendezvousCond returns the (src,dst) pair's rendezvous completion
 // cond, creating it on first use. Rendezvous sends between one pair
 // serialize (the sender blocks until delivery), so one reusable cond
-// per pair replaces a fresh allocation per rendezvous send.
+// per pair replaces a fresh allocation per rendezvous send. The table
+// is a map made on the first rendezvous: a job that sends none, the
+// common case, pays nothing for it, where an n×n array cost 8 MB of
+// pointers at 1 024 hosts.
 func (n *Network) rendezvousCond(src, dst int) *vtime.Cond {
+	if n.rdv == nil {
+		n.rdv = make(map[int]*vtime.Cond)
+	}
 	idx := src*n.cl.N() + dst
 	c := n.rdv[idx]
 	if c == nil {
