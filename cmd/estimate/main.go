@@ -19,6 +19,7 @@ import (
 	"time"
 
 	commperf "repro"
+	"repro/internal/cluster"
 	"repro/internal/textplot"
 )
 
@@ -52,15 +53,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "estimate: -json needs the full model suite; drop -groups")
 		os.Exit(2)
 	}
-	var prof *commperf.TCPProfile
-	switch *mpiName {
-	case "lam":
-		prof = commperf.LAM()
-	case "mpich":
-		prof = commperf.MPICH()
-	case "ideal":
-		prof = commperf.Ideal()
-	default:
+	prof, err := cluster.ParseProfile(*mpiName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "estimate: unknown -mpi %q\n", *mpiName)
 		os.Exit(2)
 	}

@@ -133,17 +133,12 @@ func main() {
 		}
 		cfg.Cluster = cluster.FromTopology(t, cluster.NodeSpec{}, cluster.LinkSpec{})
 	}
-	switch *mpiName {
-	case "lam":
-		cfg.Profile = cluster.LAM()
-	case "mpich":
-		cfg.Profile = cluster.MPICH()
-	case "ideal":
-		cfg.Profile = cluster.Ideal()
-	default:
+	prof, err := cluster.ParseProfile(*mpiName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "lmobench: unknown -mpi %q (lam, mpich, ideal)\n", *mpiName)
 		os.Exit(2)
 	}
+	cfg.Profile = prof
 
 	if *exp == "tune" {
 		if *seeds > 1 {

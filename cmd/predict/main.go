@@ -70,15 +70,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func (o options) run(stdout, stderr io.Writer) error {
-	var prof *cluster.TCPProfile
-	switch o.mpi {
-	case "lam":
-		prof = cluster.LAM()
-	case "mpich":
-		prof = cluster.MPICH()
-	case "ideal":
-		prof = cluster.Ideal()
-	default:
+	prof, err := cluster.ParseProfile(o.mpi)
+	if err != nil {
 		return fmt.Errorf("unknown -mpi %q", o.mpi)
 	}
 
@@ -352,8 +345,7 @@ func reportTuned(w io.Writer, cfg experiment.Config, path, opName string, m int,
 	if err != nil {
 		return err
 	}
-	mcfg := mpi.Config{Cluster: cfg.Cluster, Profile: cfg.Profile, Seed: cfg.Seed, Faults: cfg.Faults}
-	res, err := mpi.Run(mcfg, func(r *mpi.Rank) {
+	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 		if tuned.Op(opName) == tuned.OpGather {
 			optimize.ExecGather(r, alg, rule.Degree, rule.Segment, tbl.Root, make([]byte, m))
 			return

@@ -14,116 +14,128 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/timeline"
 )
 
-func main() {
-	var (
-		opName  = flag.String("op", "scatter", "collective: scatter, gather or bcast")
-		algName = flag.String("alg", "linear", "algorithm: linear, binomial, binary or chain")
-		size    = flag.Int("m", 32<<10, "block size in bytes")
-		nodes   = flag.Int("n", 8, "number of nodes (prefix of the Table I cluster)")
-		root    = flag.Int("root", 0, "root rank")
-		mpiName = flag.String("mpi", "ideal", "TCP profile: lam, mpich or ideal")
-		seed    = flag.Int64("seed", 1, "TCP randomness seed")
-		width   = flag.Int("w", 100, "timeline width in characters")
-		verbose = flag.Bool("v", false, "also dump the raw event log")
-		flame   = flag.Bool("flame", false, "also print a flame summary (per-span-name count, total and self time)")
-		chrome  = flag.String("chrome", "", "write the span trace in Chrome trace_event format to this file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	full := cluster.Table1()
-	if *nodes < 2 || *nodes > full.N() {
-		fail("-n must be in [2, %d]", full.N())
-	}
-	cl := full.Prefix(*nodes)
-	var prof *cluster.TCPProfile
-	switch *mpiName {
-	case "lam":
-		prof = cluster.LAM()
-	case "mpich":
-		prof = cluster.MPICH()
-	case "ideal":
-		prof = cluster.Ideal()
-	default:
-		fail("unknown -mpi %q", *mpiName)
-	}
-	var alg mpi.Alg
-	switch *algName {
-	case "linear":
-		alg = mpi.Linear
-	case "binomial":
-		alg = mpi.Binomial
-	case "binary":
-		alg = mpi.Binary
-	case "chain":
-		alg = mpi.Chain
-	default:
-		fail("unknown -alg %q", *algName)
-	}
+// options are the parsed command-line flags.
+type options struct {
+	op, alg, mpi, chrome string
+	m, n, root, width    int
+	seed                 int64
+	verbose, flame       bool
+}
 
-	var tr *obs.Trace
-	if *flame || *chrome != "" {
-		tr = obs.NewTrace()
-	}
-	var b timeline.Builder
-	installed := false
-	_, err := mpi.Run(mpi.Config{Cluster: cl, Profile: prof, Seed: *seed, Obs: tr}, func(r *mpi.Rank) {
-		if !installed {
-			r.Network().SetTracer(b.Collect)
-			installed = true
+// run executes the command and returns its exit code: 0 on success, 2
+// on a usage or simulation error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.op, "op", "scatter", "collective: scatter, gather or bcast")
+	fs.StringVar(&o.alg, "alg", "linear", "algorithm: linear, binomial, binary or chain")
+	fs.IntVar(&o.m, "m", 32<<10, "block size in bytes")
+	fs.IntVar(&o.n, "n", 8, "number of nodes (prefix of the Table I cluster)")
+	fs.IntVar(&o.root, "root", 0, "root rank")
+	fs.StringVar(&o.mpi, "mpi", "ideal", "TCP profile: lam, mpich or ideal")
+	fs.Int64Var(&o.seed, "seed", 1, "TCP randomness seed")
+	fs.IntVar(&o.width, "w", 100, "timeline width in characters")
+	fs.BoolVar(&o.verbose, "v", false, "also print the message lifecycle log, one line per send-start, inject, deliver and recv-done, rendered from the message spans (steps of one instant sorted by text)")
+	fs.BoolVar(&o.flame, "flame", false, "also print a flame summary (per-span-name count, total and self time)")
+	fs.StringVar(&o.chrome, "chrome", "", "write the span trace in Chrome trace_event format to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		r.HardSync()
-		switch *opName {
-		case "scatter":
+		return 2
+	}
+	if err := o.run(stdout); err != nil {
+		fmt.Fprintf(stderr, "timeline: %v\n", err)
+		return 2
+	}
+	return 0
+}
+
+func (o options) run(stdout io.Writer) error {
+	full := cluster.Table1()
+	if o.n < 2 || o.n > full.N() {
+		return fmt.Errorf("-n must be in [2, %d]", full.N())
+	}
+	if o.m < 0 {
+		return errors.New("-m must be non-negative")
+	}
+	cl := full.Prefix(o.n)
+	prof, err := cluster.ParseProfile(o.mpi)
+	if err != nil {
+		return fmt.Errorf("unknown -mpi %q", o.mpi)
+	}
+	alg, err := collective.ParseAlg(o.alg)
+	if err != nil {
+		return fmt.Errorf("unknown -alg %q", o.alg)
+	}
+	var op func(r *mpi.Rank)
+	switch o.op {
+	case "scatter":
+		op = func(r *mpi.Rank) {
 			blocks := make([][]byte, r.Size())
 			for i := range blocks {
-				blocks[i] = make([]byte, *size)
+				blocks[i] = make([]byte, o.m)
 			}
-			r.Scatter(alg, *root, blocks)
-		case "gather":
-			r.Gather(alg, *root, make([]byte, *size))
-		case "bcast":
-			var data []byte
-			if r.Rank() == *root {
-				data = make([]byte, *size)
-			}
-			r.Bcast(*root, data)
-		default:
-			panic(fmt.Sprintf("unknown op %q", *opName))
+			r.Scatter(alg, o.root, blocks)
 		}
+	case "gather":
+		op = func(r *mpi.Rank) { r.Gather(alg, o.root, make([]byte, o.m)) }
+	case "bcast":
+		op = func(r *mpi.Rank) {
+			var data []byte
+			if r.Rank() == o.root {
+				data = make([]byte, o.m)
+			}
+			r.Bcast(o.root, data)
+		}
+	default:
+		return fmt.Errorf("unknown -op %q", o.op)
+	}
+
+	tr := obs.NewTrace()
+	_, err = mpi.Run(mpi.Config{Cluster: cl, Profile: prof, Seed: o.seed, Obs: tr}, func(r *mpi.Rank) {
+		r.HardSync()
+		op(r)
 	})
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
-	fmt.Printf("%s %s of %d-byte blocks, %d nodes, root %d, %s profile:\n\n",
-		*algName, *opName, *size, *nodes, *root, prof.Name)
-	fmt.Print(timeline.Render(b.Events(), *nodes, *width))
+	fmt.Fprintf(stdout, "%s %s of %d-byte blocks, %d nodes, root %d, %s profile:\n\n",
+		o.alg, o.op, o.m, o.n, o.root, prof.Name)
+	fmt.Fprint(stdout, timeline.Render(tr.Spans(), o.n, o.width))
 
-	if *verbose {
-		fmt.Println("\nevent log:")
-		for _, ev := range b.Events() {
-			fmt.Println("  " + ev.String())
+	if o.verbose {
+		fmt.Fprintln(stdout, "\nevent log:")
+		for _, l := range timeline.Log(tr.Spans()) {
+			fmt.Fprintln(stdout, "  "+l)
 		}
 	}
 
-	if *flame {
-		fmt.Println("\nflame summary (total = inclusive, self = minus children):")
-		fmt.Print(obs.FlameSummary(tr))
+	if o.flame {
+		fmt.Fprintln(stdout, "\nflame summary (total = inclusive, self = minus children):")
+		fmt.Fprint(stdout, obs.FlameSummary(tr))
 	}
-	if *chrome != "" {
-		f, err := os.Create(*chrome)
+	if o.chrome != "" {
+		f, err := os.Create(o.chrome)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		if err := obs.WriteChromeTrace(f, tr, func(track int) string {
 			if track == obs.GlobalTrack {
@@ -134,17 +146,14 @@ func main() {
 			}
 			return fmt.Sprintf("track %d", track)
 		}); err != nil {
-			fail("%v", err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fail("%v", err)
+			return err
 		}
-		fmt.Printf("\nspan trace written to %s (%d spans; open at chrome://tracing or ui.perfetto.dev)\n",
-			*chrome, len(tr.Spans()))
+		fmt.Fprintf(stdout, "\nspan trace written to %s (%d spans; open at chrome://tracing or ui.perfetto.dev)\n",
+			o.chrome, len(tr.Spans()))
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "timeline: "+format+"\n", args...)
-	os.Exit(2)
+	return nil
 }

@@ -397,17 +397,16 @@ func Simulate(cfg experiment.Config, op tuned.Op, c Candidate, root, m int) (flo
 			blocks[i] = make([]byte, m)
 		}
 	}
-	res, err := mpi.Run(mpi.Config{Cluster: cfg.Cluster, Profile: cfg.Profile, Seed: cfg.Seed},
-		func(r *mpi.Rank) {
-			for rep := 0; rep < reps; rep++ {
-				switch op {
-				case tuned.OpScatter:
-					optimize.ExecScatter(r, c.Alg, c.Degree, c.Segment, root, m, blocks)
-				case tuned.OpGather:
-					optimize.ExecGather(r, c.Alg, c.Degree, c.Segment, root, make([]byte, m))
-				}
+	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
+		for rep := 0; rep < reps; rep++ {
+			switch op {
+			case tuned.OpScatter:
+				optimize.ExecScatter(r, c.Alg, c.Degree, c.Segment, root, m, blocks)
+			case tuned.OpGather:
+				optimize.ExecGather(r, c.Alg, c.Degree, c.Segment, root, make([]byte, m))
 			}
-		})
+		}
+	})
 	if err != nil {
 		return 0, err
 	}

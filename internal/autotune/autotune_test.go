@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/faults"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/stats"
@@ -288,6 +289,28 @@ func TestSimPredictor(t *testing.T) {
 	}
 	if _, err := sp.Predict(models.Query{Coll: models.CollGather, Alg: mpi.Linear, N: n + 1, M: 1}); err == nil {
 		t.Fatal("node-count mismatch should be rejected")
+	}
+}
+
+// TestSimulateAppliesFaultPlan: the simulator-backed paths run on the
+// configured fault plan. A 4× CPU straggler at the root must slow a
+// 16 KB linear scatter and a point-to-point send from it.
+func TestSimulateAppliesFaultPlan(t *testing.T) {
+	clean := experiment.Config{Cluster: cluster.Table1().Prefix(8), Profile: cluster.LAM(), Seed: 1, ObsReps: 3}
+	faulty := clean
+	faulty.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Node: 0, CPUX: 4}}}
+	scatter := func(cfg experiment.Config) float64 {
+		s, err := Simulate(cfg, tuned.OpScatter, Candidate{Alg: mpi.Linear}, 0, 16<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if c, f := scatter(clean), scatter(faulty); f <= 1.5*c {
+		t.Fatalf("Simulate: straggling root %.6f s, clean %.6f s; the fault plan did not reach the simulator", f, c)
+	}
+	if c, f := NewSimPredictor(clean).P2P(0, 1, 16<<10), NewSimPredictor(faulty).P2P(0, 1, 16<<10); f <= c {
+		t.Fatalf("P2P: straggling source %.6f s, clean %.6f s; the fault plan did not reach the simulator", f, c)
 	}
 }
 

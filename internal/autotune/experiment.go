@@ -38,7 +38,7 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 	if cfg.ObsReps <= 0 {
 		cfg.ObsReps = def.ObsReps
 	}
-	mcfg := mpi.Config{Cluster: cfg.Cluster, Profile: cfg.Profile, Seed: cfg.Seed}
+	mcfg := cfg.MPIConfig()
 
 	lmo, _, err := estimate.LMOX(mcfg, cfg.Est)
 	if err != nil {

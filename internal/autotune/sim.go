@@ -56,15 +56,14 @@ func (s *SimPredictor) Capabilities() models.Capabilities {
 
 // P2P measures a single src→dst message of m bytes.
 func (s *SimPredictor) P2P(src, dst, m int) float64 {
-	res, err := mpi.Run(mpi.Config{Cluster: s.cfg.Cluster, Profile: s.cfg.Profile, Seed: s.cfg.Seed},
-		func(r *mpi.Rank) {
-			switch r.Rank() {
-			case src:
-				r.Send(dst, 1, make([]byte, m))
-			case dst:
-				r.Recv(src, 1)
-			}
-		})
+	res, err := mpi.Run(s.cfg.MPIConfig(), func(r *mpi.Rank) {
+		switch r.Rank() {
+		case src:
+			r.Send(dst, 1, make([]byte, m))
+		case dst:
+			r.Recv(src, 1)
+		}
+	})
 	if err != nil {
 		return 0
 	}

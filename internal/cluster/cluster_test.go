@@ -148,6 +148,18 @@ func TestProfileThresholdsMatchPaper(t *testing.T) {
 	}
 }
 
+func TestParseProfile(t *testing.T) {
+	for name, want := range map[string]string{"lam": LAM().Name, "mpich": MPICH().Name, "ideal": Ideal().Name} {
+		p, err := ParseProfile(name)
+		if err != nil || p.Name != want {
+			t.Fatalf("ParseProfile(%q) = %v, %v; want %s", name, p, err, want)
+		}
+	}
+	if p, err := ParseProfile("openmpi"); err == nil || p != nil {
+		t.Fatalf("ParseProfile(openmpi) = %v, %v; want an error", p, err)
+	}
+}
+
 func TestLeapExtra(t *testing.T) {
 	p := LAM()
 	if p.LeapExtra(p.LeapAt-1) != 0 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
@@ -83,6 +84,21 @@ func MPICH() *TCPProfile {
 
 // Ideal returns a profile with no irregularities, for ablation runs.
 func Ideal() *TCPProfile { return &TCPProfile{Name: "ideal"} }
+
+// ParseProfile returns the built-in profile of the given name: "lam",
+// "mpich" or "ideal".
+func ParseProfile(name string) (*TCPProfile, error) {
+	switch name {
+	case "lam":
+		return LAM(), nil
+	case "mpich":
+		return MPICH(), nil
+	case "ideal":
+		return Ideal(), nil
+	default:
+		return nil, fmt.Errorf("cluster: unknown profile %q (lam, mpich, ideal)", name)
+	}
+}
 
 // LeapExtra returns the extra transfer delay caused by the
 // point-to-point leap for a message of m bytes: the first crossing of

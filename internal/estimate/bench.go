@@ -11,6 +11,21 @@ import (
 	"repro/internal/vtime"
 )
 
+// saturationCount is the number of back-to-back messages in the gap
+// (saturation) experiments.
+const saturationCount = 16
+
+// groupTol is the relative tolerance of the logical-group detector:
+// two probe signatures within this fraction of each other are
+// statistically indistinguishable.
+const groupTol = 0.04
+
+// hockneySizes are the round-trip message sizes of the Hockney series
+// estimation (per-pair least-squares line through them). They span
+// 0–160 KiB so TCP-layer effects such as the large-message leap are
+// absorbed into the fitted line, as the paper's series method does.
+var hockneySizes = [...]int{0, 32 << 10, 96 << 10, 160 << 10}
+
 // Options configure an estimation procedure.
 type Options struct {
 	// Mpib controls the per-experiment repetition loop. The paper's
@@ -25,27 +40,14 @@ type Options struct {
 	// concurrently, the paper's estimation-time optimization. Serial
 	// otherwise.
 	Parallel bool
-	// SaturationCount is the number of back-to-back messages in the
-	// gap (saturation) experiment. Default 16.
-	SaturationCount int
 	// TripletCoverage, when positive, samples the one-to-two
 	// experiments so that every processor participates in at least
 	// this many triplets instead of running all C(n,3) — the
 	// runtime-estimation trade-off of §IV. Zero runs the full set.
 	TripletCoverage int
-	// GroupTol is the relative tolerance of the logical-group detector:
-	// two probe signatures within this fraction of each other are
-	// statistically indistinguishable. Default 4%.
-	GroupTol float64
 	// GroupBlind forces the logical-group detector to ignore the
 	// cluster's topology hint and discover groups by probing alone.
 	GroupBlind bool
-	// HockneySizes are the round-trip message sizes of the Hockney
-	// series estimation (per-pair least-squares line through them).
-	// The default spans 0–160 KiB so TCP-layer effects such as the
-	// large-message leap are absorbed into the fitted line, as the
-	// paper's series method does.
-	HockneySizes []int
 	// Obs, when non-nil, receives the estimation's span trace: the
 	// simulated universe's message/collective spans plus rank-0
 	// estimation-phase spans on the global track and post-run solver
@@ -56,15 +58,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MsgSize == 0 {
 		o.MsgSize = 32 << 10
-	}
-	if o.SaturationCount == 0 {
-		o.SaturationCount = 16
-	}
-	if o.GroupTol == 0 {
-		o.GroupTol = 0.04
-	}
-	if len(o.HockneySizes) == 0 {
-		o.HockneySizes = []int{0, 32 << 10, 96 << 10, 160 << 10}
 	}
 	return o
 }

@@ -263,7 +263,7 @@ func detectHinted(cfg mpi.Config, opt Options, leaves [][]int, rep *Report) ([][
 		}
 		ref := leaf[0]
 		sigOf := func(m int) sig { return sigs[probe{ref, m}.key()] }
-		bands[li] = bandMembers(leaf[1:], sigOf, opt.GroupTol)
+		bands[li] = bandMembers(leaf[1:], sigOf, groupTol)
 		for bi, band := range bands[li] {
 			// Witness for a singleton band: a node from another band of
 			// the same leaf keeps the probes on-switch; otherwise borrow
@@ -314,7 +314,7 @@ func detectHinted(cfg mpi.Config, opt Options, leaves [][]int, rep *Report) ([][
 			groups = append(groups, append([]int(nil), leaf...))
 			continue
 		}
-		groups = append(groups, resolve(leaf[0], bands[li], checks[li], sigs, opt.GroupTol)...)
+		groups = append(groups, resolve(leaf[0], bands[li], checks[li], sigs, groupTol)...)
 	}
 	return groups, nil
 }
@@ -375,7 +375,7 @@ func detectBlind(cfg mpi.Config, opt Options, rep *Report) ([][]int, error) {
 			return nil, err
 		}
 		sigOf := func(m int) sig { return sigs[probe{ref, m}.key()] }
-		bands := bandMembers(rest, sigOf, opt.GroupTol)
+		bands := bandMembers(rest, sigOf, groupTol)
 		// Run 2: witness probes. A singleton band's outside witness
 		// comes from another band, or from an already-assigned node.
 		var checks []witnessCheck
@@ -419,7 +419,7 @@ func detectBlind(cfg mpi.Config, opt Options, rep *Report) ([][]int, error) {
 		// from here).
 		refBand := -1
 		for bi := range bands {
-			if checks[bi].pass(sigs, opt.GroupTol) {
+			if checks[bi].pass(sigs, groupTol) {
 				refBand = bi
 				break
 			}

@@ -10,7 +10,7 @@ import (
 
 // HetHockney estimates the heterogeneous Hockney model by the paper's
 // series method: for every pair (i,j), round-trips at each of
-// opt.HockneySizes, with a least-squares line fitted through
+// hockneySizes, with a least-squares line fitted through
 // (M, T/2) — the intercept is α_ij, the slope β_ij. With opt.Parallel
 // the C(n,2) pairs run in the round-robin tournament rounds of
 // PairRounds, exploiting the switch's contention-free forwarding;
@@ -40,7 +40,7 @@ func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error)
 
 	var plan []round
 	for _, pairs := range rounds {
-		for _, m := range opt.HockneySizes {
+		for _, m := range hockneySizes {
 			exps := make([]Exp, len(pairs))
 			for x, p := range pairs {
 				exps[x] = roundtripExp(p.I, p.J, m, m, x)

@@ -23,7 +23,7 @@ func LogPLogGP(cfg mpi.Config, opt Options) (*models.LogP, *models.LogGP, Report
 	n := cfg.Cluster.N()
 	smallW := 1 << 10
 	bigM := opt.MsgSize
-	cnt := opt.SaturationCount
+	cnt := saturationCount
 	rep := Report{}
 
 	// The homogeneous LogP-family parameters average over a sample of
@@ -107,7 +107,7 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 	opt = opt.withDefaults()
 	n := cfg.Cluster.N()
 	const i, j = 0, 1
-	cnt := opt.SaturationCount
+	cnt := saturationCount
 	rep := Report{}
 
 	sizes := []int{0, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 128 << 10}

@@ -18,7 +18,7 @@ import (
 func Collectives(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Cluster.N()
-	lmo, _, err := estimate.LMOX(cfg.mpiConfig(), cfg.Est)
+	lmo, _, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func Collectives(cfg Config) (*Report, error) {
 		// serialized-ingress regime for the many-to-one patterns.
 		for _, m := range []int{4 << 10, 128 << 10} {
 			var observed float64
-			_, err := mpi.Run(cfg.mpiConfig(), func(r *mpi.Rank) {
+			_, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 				fn := e.observe(r, m)
 				meas := mpib.Measure(r, cfg.Root, mpib.MaxTiming,
 					mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, fn)

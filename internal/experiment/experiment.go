@@ -76,7 +76,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) mpiConfig() mpi.Config {
+// MPIConfig returns the simulator configuration of one run: the
+// cluster, profile, seed and fault plan.
+func (c Config) MPIConfig() mpi.Config {
 	return mpi.Config{Cluster: c.Cluster, Profile: c.Profile, Seed: c.Seed, Faults: c.Faults}
 }
 
@@ -115,7 +117,7 @@ func EstimateAll(cfg Config) (*ModelSet, error) {
 	cfg = cfg.withDefaults()
 	ms := &ModelSet{EstCosts: map[string]time.Duration{}}
 
-	het, repHet, err := estimate.HetHockney(cfg.mpiConfig(), cfg.Est)
+	het, repHet, err := estimate.HetHockney(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, fmt.Errorf("het-Hockney estimation: %w", err)
 	}
@@ -123,28 +125,28 @@ func EstimateAll(cfg Config) (*ModelSet, error) {
 	ms.Hom = het.Averaged()
 	ms.EstCosts["hockney"] = repHet.Cost
 
-	logp, loggp, repLG, err := estimate.LogPLogGP(cfg.mpiConfig(), cfg.Est)
+	logp, loggp, repLG, err := estimate.LogPLogGP(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, fmt.Errorf("LogP/LogGP estimation: %w", err)
 	}
 	ms.LogP, ms.LogGP = logp, loggp
 	ms.EstCosts["logp"] = repLG.Cost
 
-	plogp, repPL, err := estimate.PLogP(cfg.mpiConfig(), cfg.Est)
+	plogp, repPL, err := estimate.PLogP(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, fmt.Errorf("PLogP estimation: %w", err)
 	}
 	ms.PLogP = plogp
 	ms.EstCosts["plogp"] = repPL.Cost
 
-	lmo, repLMO, err := estimate.LMOX(cfg.mpiConfig(), cfg.Est)
+	lmo, repLMO, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, fmt.Errorf("LMO estimation: %w", err)
 	}
 	ms.EstCosts["lmo"] = repLMO.Cost
 
 	irr, repIrr, err := estimate.DetectGatherIrregularity(
-		cfg.mpiConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
+		cfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, fmt.Errorf("irregularity detection: %w", err)
 	}
@@ -188,7 +190,7 @@ func Observe(cfg Config, op CollectiveOp, alg mpi.Alg) (Observation, error) {
 	obs.Max = make([]float64, len(cfg.Sizes))
 	obs.Min = make([]float64, len(cfg.Sizes))
 	n := cfg.Cluster.N()
-	_, err := mpi.Run(cfg.mpiConfig(), func(r *mpi.Rank) {
+	_, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 		for si, m := range cfg.Sizes {
 			var fn func()
 			switch op {

@@ -27,11 +27,11 @@ func Ablation(cfg Config) (*Report, error) {
 	rep := &Report{ID: "ablation", Title: "Ablations: original vs extended LMO; TCP irregularities on/off"}
 
 	// --- model ablation ---
-	orig, _, err := estimate.LMOOriginal(cfg.mpiConfig(), cfg.Est)
+	orig, _, err := estimate.LMOOriginal(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, err
 	}
-	ext, _, err := estimate.LMOX(cfg.mpiConfig(), cfg.Est)
+	ext, _, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func cErr(cfg Config, c []float64) string {
 func AlgZoo(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Cluster.N()
-	lmo, _, err := estimate.LMOX(cfg.mpiConfig(), cfg.Est)
+	lmo, _, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +223,7 @@ func Timing(cfg Config) (*Report, error) {
 		r := &row{make([]float64, len(cfg.Sizes)), make([]float64, len(cfg.Sizes))}
 		results[op] = r
 		op := op
-		_, err := mpi.Run(cfg.mpiConfig(), func(rk *mpi.Rank) {
+		_, err := mpi.Run(cfg.MPIConfig(), func(rk *mpi.Rank) {
 			n := rk.Size()
 			for si, m := range cfg.Sizes {
 				fn := func() {

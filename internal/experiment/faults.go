@@ -43,11 +43,11 @@ func FaultsExp(cfg Config) (*Report, error) {
 	}
 	faulty.Est.Mpib = robustMpib(faulty.Est.Mpib)
 
-	mClean, repClean, err := estimate.LMOX(clean.mpiConfig(), clean.Est)
+	mClean, repClean, err := estimate.LMOX(clean.MPIConfig(), clean.Est)
 	if err != nil {
 		return nil, fmt.Errorf("clean estimation: %w", err)
 	}
-	mFaulty, repFaulty, err := estimate.LMOX(faulty.mpiConfig(), faulty.Est)
+	mFaulty, repFaulty, err := estimate.LMOX(faulty.MPIConfig(), faulty.Est)
 	if err != nil {
 		return nil, fmt.Errorf("faulty estimation: %w", err)
 	}
@@ -174,7 +174,7 @@ func observeScatterRobust(cfg Config, outlierMAD float64) (Observation, faults.S
 	obs.Max = make([]float64, len(cfg.Sizes))
 	obs.Min = make([]float64, len(cfg.Sizes))
 	n := cfg.Cluster.N()
-	res, err := mpi.Run(cfg.mpiConfig(), func(r *mpi.Rank) {
+	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 		for si, m := range cfg.Sizes {
 			blocks := make([][]byte, n)
 			for i := range blocks {

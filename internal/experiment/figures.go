@@ -18,7 +18,7 @@ import (
 // optimistic; neither matches.
 func Fig1(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	het, _, err := estimate.HetHockney(cfg.mpiConfig(), cfg.Est)
+	het, _, err := estimate.HetHockney(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func Fig2(cfg Config) (*Report, error) {
 // heterogeneous recursion (eq 1) tracks the observation much better.
 func Fig3(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	het, _, err := estimate.HetHockney(cfg.mpiConfig(), cfg.Est)
+	het, _, err := estimate.HetHockney(cfg.MPIConfig(), cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func Fig7(cfg Config) (*Report, error) {
 	// Medium sizes inside the LAM irregular region.
 	cfg.Sizes = []int{8 << 10, 16 << 10, 24 << 10, 32 << 10, 40 << 10, 48 << 10, 56 << 10}
 	irr, _, err := estimate.DetectGatherIrregularity(
-		cfg.mpiConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
+		cfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +282,7 @@ func Fig7(cfg Config) (*Report, error) {
 		Mean: make([]float64, len(cfg.Sizes)),
 		Max:  make([]float64, len(cfg.Sizes)),
 		Min:  make([]float64, len(cfg.Sizes))}
-	_, err = mpi.Run(cfg.mpiConfig(), func(r *mpi.Rank) {
+	_, err = mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 		for si, m := range cfg.Sizes {
 			block := make([]byte, m)
 			meas := measureFixed(r, cfg, func() { optimize.OptimizedGather(r, cfg.Root, block, irr) })

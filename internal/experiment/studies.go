@@ -31,7 +31,7 @@ func Precision(cfg Config) (*Report, error) {
 	for _, target := range targets {
 		var rtN, gN int
 		var gCI float64
-		_, err := mpi.Run(cfg.mpiConfig(), func(r *mpi.Rank) {
+		_, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 			opts := mpib.Options{RelErr: target, MinReps: 8, MaxReps: 200}
 			rt := mpib.Measure(r, 0, mpib.RootTiming, opts, func() {
 				switch r.Rank() {
@@ -83,7 +83,7 @@ func Scaling(cfg Config) (*Report, error) {
 		}
 		sub := cfg
 		sub.Cluster = full.Prefix(n)
-		lmo, r, err := estimate.LMOX(sub.mpiConfig(), sub.Est)
+		lmo, r, err := estimate.LMOX(sub.MPIConfig(), sub.Est)
 		if err != nil {
 			return nil, err
 		}

@@ -99,15 +99,15 @@ func EstCost(cfg Config) (*Report, error) {
 	parallelOpt := cfg.Est
 	parallelOpt.Parallel = true
 
-	hetS, repS, err := estimate.HetHockney(cfg.mpiConfig(), serialOpt)
+	hetS, repS, err := estimate.HetHockney(cfg.MPIConfig(), serialOpt)
 	if err != nil {
 		return nil, err
 	}
-	hetP, repP, err := estimate.HetHockney(cfg.mpiConfig(), parallelOpt)
+	hetP, repP, err := estimate.HetHockney(cfg.MPIConfig(), parallelOpt)
 	if err != nil {
 		return nil, err
 	}
-	_, repLMO, err := estimate.LMOX(cfg.mpiConfig(), parallelOpt)
+	_, repLMO, err := estimate.LMOX(cfg.MPIConfig(), parallelOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func Irreg(cfg Config) (*Report, error) {
 		c := cfg
 		c.Profile = prof
 		g, _, err := estimate.DetectGatherIrregularity(
-			c.mpiConfig(), c.Root, estimate.DefaultScanSizes(), c.ScanReps, c.Est)
+			c.MPIConfig(), c.Root, estimate.DefaultScanSizes(), c.ScanReps, c.Est)
 		if err != nil {
 			return nil, err
 		}

@@ -27,12 +27,12 @@ func Transfer(cfg Config) (*Report, error) {
 	mpichCfg.Profile = cluster.MPICH()
 
 	// Estimate everything under LAM.
-	lmo, _, err := estimate.LMOX(lamCfg.mpiConfig(), lamCfg.Est)
+	lmo, _, err := estimate.LMOX(lamCfg.MPIConfig(), lamCfg.Est)
 	if err != nil {
 		return nil, err
 	}
 	irrLAM, _, err := estimate.DetectGatherIrregularity(
-		lamCfg.mpiConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
+		lamCfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func Transfer(cfg Config) (*Report, error) {
 
 	// Re-detecting under MPICH restores the fit.
 	irrMPICH, _, err := estimate.DetectGatherIrregularity(
-		mpichCfg.mpiConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
+		mpichCfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, err
 	}

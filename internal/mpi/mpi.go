@@ -140,9 +140,6 @@ func (r *Rank) Sleep(d time.Duration) { r.p.Sleep(d) }
 // layers that need engine access).
 func (r *Rank) Proc() *vtime.Proc { return r.p }
 
-// Network exposes the underlying simulated network.
-func (r *Rank) Network() *simnet.Network { return r.w.net }
-
 // Observer returns the span trace installed for this job via
 // Config.Obs, or nil when observation is disabled. Layers above the
 // ranks (measurement harnesses) use it to contribute their own spans

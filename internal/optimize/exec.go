@@ -39,10 +39,10 @@ func ExecScatter(r *mpi.Rank, alg mpi.Alg, degree, segment, root, m int, blocks 
 	return out
 }
 
-// ExecGather runs a gather with a full candidate shape; it generalizes
-// OptimizedGather (linear, sub-M1 segments) to any algorithm family,
-// tree degree and segment size. The root gets the n reassembled
-// blocks, others nil.
+// ExecGather runs a gather with a full candidate shape — algorithm
+// family, k-ary tree degree, and segmentation. A segment in (0, m)
+// splits the operation into ceil(m/segment) back-to-back gathers. The
+// root gets the n reassembled blocks, others nil.
 func ExecGather(r *mpi.Rank, alg mpi.Alg, degree, segment, root int, block []byte) [][]byte {
 	one := func(b []byte) [][]byte {
 		if degree >= 2 {

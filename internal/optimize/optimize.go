@@ -57,34 +57,11 @@ func ShouldSplitGather(g models.GatherEmpirical, m int) bool {
 // ranks must call it collectively; the root gets the n reassembled
 // blocks, others nil.
 func OptimizedGather(r *mpi.Rank, root int, block []byte, g models.GatherEmpirical) [][]byte {
-	m := len(block)
-	if !ShouldSplitGather(g, m) {
-		return r.Gather(mpi.Linear, root, block)
+	seg := 0
+	if ShouldSplitGather(g, len(block)) {
+		seg = GatherSegment(g)
 	}
-	seg := GatherSegment(g)
-	n := r.Size()
-	pieces := (m + seg - 1) / seg
-	var out [][]byte
-	if r.Rank() == root {
-		out = make([][]byte, n)
-		for i := range out {
-			out[i] = make([]byte, 0, m)
-		}
-	}
-	for p := 0; p < pieces; p++ {
-		lo := p * seg
-		hi := lo + seg
-		if hi > m {
-			hi = m
-		}
-		part := r.Gather(mpi.Linear, root, block[lo:hi])
-		if r.Rank() == root {
-			for i := range out {
-				out[i] = append(out[i], part[i]...)
-			}
-		}
-	}
-	return out
+	return ExecGather(r, mpi.Linear, 0, seg, root, block)
 }
 
 // MapBinomialTree searches for a processor-to-tree-position mapping

@@ -320,15 +320,8 @@ func (p platformRequest) resolve() (Key, campaign.ClusterSpec, *cluster.TCPProfi
 	if profName == "" {
 		profName = "lam"
 	}
-	var prof *cluster.TCPProfile
-	switch profName {
-	case "lam":
-		prof = cluster.LAM()
-	case "mpich":
-		prof = cluster.MPICH()
-	case "ideal":
-		prof = cluster.Ideal()
-	default:
+	prof, err := cluster.ParseProfile(profName)
+	if err != nil {
 		return Key{}, campaign.ClusterSpec{}, nil, fmt.Errorf("unknown profile %q (lam, mpich, ideal)", profName)
 	}
 	seed := p.Seed

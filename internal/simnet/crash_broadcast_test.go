@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/vtime"
 )
 
@@ -15,8 +16,9 @@ import (
 // guard for the crash handler's cond-broadcast loop in SetFaults: with
 // three rendezvous senders parked mid-flight and a blocked receiver
 // alive at crash time, two identical runs must produce byte-identical
-// traces and outcomes. If broadcast order ever started leaking into
-// wakeup scheduling, the replayed transcript would diverge.
+// span transcripts and outcomes. If broadcast order ever started
+// leaking into wakeup scheduling, the replayed transcript would
+// diverge.
 func TestCrashBroadcastDeterministicWithRendezvousWaiters(t *testing.T) {
 	const (
 		seed    = 42
@@ -36,8 +38,9 @@ func TestCrashBroadcastDeterministicWithRendezvousWaiters(t *testing.T) {
 		if err := net.SetFaults(plan); err != nil {
 			t.Fatal(err)
 		}
+		tr := obs.NewTrace()
+		net.SetObserver(tr)
 		var transcript string
-		net.SetTracer(func(ev TraceEvent) { transcript += ev.String() + "\n" })
 
 		// Three rendezvous senders target the crashing node.
 		for src := 0; src < 3; src++ {
@@ -76,6 +79,9 @@ func TestCrashBroadcastDeterministicWithRendezvousWaiters(t *testing.T) {
 			t.Fatalf("Crashed = %d, want 1", c.Crashed)
 		}
 		transcript += fmt.Sprintf("counters %+v\n", c)
+		for _, sp := range tr.Spans() {
+			transcript += fmt.Sprintf("%+v\n", sp)
+		}
 		return transcript
 	}
 

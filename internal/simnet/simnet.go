@@ -102,7 +102,6 @@ type Network struct {
 	dead []bool           // per node: crash event has fired
 
 	counters Counters
-	tracer   func(ev TraceEvent)
 	obs      *obs.Trace // span observer; nil = disabled (the common case)
 }
 
@@ -220,7 +219,6 @@ func (d *inTransit) Fire() {
 		msg.ArrivedAt = n.eng.Now()
 		n.boxes[dst] = append(n.boxes[dst], msg)
 		n.conds[dst].Broadcast()
-		n.trace(TraceDeliver, n.eng.Now(), msg, false)
 		if n.obs != nil {
 			n.obs.EmitMsg(obs.CatMessage, "wire", dst, msg.InjectedAt, msg.ArrivedAt, src, dst, len(msg.Payload))
 		}
@@ -427,7 +425,6 @@ func (n *Network) SendDeadline(p *vtime.Proc, src, dst, tag int, payload []byte,
 	m := len(payload)
 	msg := n.getMessage()
 	*msg = Message{Src: src, Dst: dst, Tag: tag, Payload: payload, SentAt: p.Now()}
-	n.trace(TraceSendStart, p.Now(), msg, false)
 
 	// 1. Sender CPU processing: serializes consecutive sends and
 	// contends with receive processing on the same node. Straggler
@@ -498,7 +495,6 @@ func (n *Network) SendDeadline(p *vtime.Proc, src, dst, tag int, payload []byte,
 	n.inflightTot[dst]++
 	n.counters.Messages++
 	n.counters.Bytes += int64(m)
-	n.trace(TraceInject, now, msg, escalated)
 	if n.obs != nil {
 		// Send-CPU span: [SentAt, InjectedAt] on the sender's track. The
 		// escalation and loss-stall incidents are pinned to the transfer
@@ -629,7 +625,6 @@ func (n *Network) RecvDeadline(p *vtime.Proc, dst, src, tag int, deadline time.D
 				n.putMessage(msg)
 				n.cpus[dst].Use(p, 1, n.scaleCPU(dst, n.ReceiverCost(dst, len(out.Payload))))
 				n.checkSelf(p, dst)
-				n.trace(TraceRecvDone, p.Now(), &out, false)
 				if n.obs != nil {
 					n.obs.EmitMsg(obs.CatMessage, "recv", dst, out.ArrivedAt, p.Now(), out.Src, dst, len(out.Payload))
 				}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/vtime"
 )
 
@@ -377,63 +378,76 @@ func TestHeterogeneousCosts(t *testing.T) {
 	}
 }
 
-func TestTracerSeesMessageLifecycle(t *testing.T) {
+func TestObserverSeesMessageLifecycle(t *testing.T) {
 	cl := testCluster(2)
 	eng := vtime.NewEngine()
 	net, err := New(eng, cl, cluster.Ideal(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []TraceEvent
-	net.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+	tr := obs.NewTrace()
+	net.SetObserver(tr)
+	var got Message
 	eng.Go("s", func(p *vtime.Proc) { net.Send(p, 0, 1, 5, make([]byte, 100)) })
-	eng.Go("r", func(p *vtime.Proc) { net.Recv(p, 1, 0, 5) })
+	eng.Go("r", func(p *vtime.Proc) { got = net.Recv(p, 1, 0, 5) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 4 {
-		t.Fatalf("events = %d, want 4 (%v)", len(events), events)
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("spans = %d, want 3 (%+v)", len(spans), spans)
 	}
-	wantOrder := []TraceKind{TraceSendStart, TraceInject, TraceDeliver, TraceRecvDone}
-	for i, ev := range events {
-		if ev.Kind != wantOrder[i] {
-			t.Fatalf("event %d = %v, want %v", i, ev.Kind, wantOrder[i])
+	// The phases tile the message's life: send [SentAt, InjectedAt] on
+	// the source's track, wire [InjectedAt, ArrivedAt] and recv
+	// [ArrivedAt, recv-done] on the destination's.
+	want := []struct {
+		name       string
+		track      int
+		start, end time.Duration
+	}{
+		{"send", 0, got.SentAt, got.InjectedAt},
+		{"wire", 1, got.InjectedAt, got.ArrivedAt},
+		{"recv", 1, got.ArrivedAt, eng.Now()},
+	}
+	for i, sp := range spans {
+		w := want[i]
+		if sp.Cat != obs.CatMessage || sp.Name != w.name || sp.Track != w.track {
+			t.Fatalf("span %d = %s/%s on track %d, want message/%s on %d", i, sp.Cat, sp.Name, sp.Track, w.name, w.track)
 		}
-		if ev.Src != 0 || ev.Dst != 1 || ev.Tag != 5 || ev.Bytes != 100 {
-			t.Fatalf("event fields = %+v", ev)
+		if sp.Src != 0 || sp.Dst != 1 || sp.Bytes != 100 {
+			t.Fatalf("span %d fields = %+v", i, sp)
 		}
-		if i > 0 && ev.At < events[i-1].At {
-			t.Fatal("trace timestamps must be non-decreasing")
+		if sp.Start != w.start || sp.End != w.end {
+			t.Fatalf("span %d = [%v, %v], want [%v, %v]", i, sp.Start, sp.End, w.start, w.end)
 		}
-		if ev.String() == "" {
-			t.Fatal("empty rendering")
+		if sp.Duration() <= 0 {
+			t.Fatalf("span %d has no extent: %+v", i, sp)
 		}
 	}
-	// Tracer off: no more events.
-	net.SetTracer(nil)
+	if spans[0].Start != 0 {
+		t.Fatalf("the send starts at %v, want 0", spans[0].Start)
+	}
+	// Observer off: no more spans.
+	net.SetObserver(nil)
 	eng.Go("s2", func(p *vtime.Proc) { net.Send(p, 0, 1, 6, nil) })
 	eng.Go("r2", func(p *vtime.Proc) { net.Recv(p, 1, 0, 6) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 4 {
-		t.Fatal("tracer should be disabled")
+	if tr.Len() != 3 {
+		t.Fatal("observer should be disabled")
 	}
 }
 
-func TestTracerMarksEscalations(t *testing.T) {
+func TestObserverMarksEscalations(t *testing.T) {
 	cl := testCluster(9)
 	eng := vtime.NewEngine()
 	net, err := New(eng, cl, cluster.LAM(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	escalated := 0
-	net.SetTracer(func(ev TraceEvent) {
-		if ev.Kind == TraceInject && ev.Escalated {
-			escalated++
-		}
-	})
+	tr := obs.NewTrace()
+	net.SetObserver(tr)
 	m := 48 << 10
 	for i := 1; i < 9; i++ {
 		i := i
@@ -452,8 +466,26 @@ func TestTracerMarksEscalations(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Each escalation point directly follows its message's send span
+	// (the log renderer marks that inject ESC) and sits on the
+	// destination's track, inside the message's wire phase.
+	spans := tr.Spans()
+	escalated := 0
+	for i, sp := range spans {
+		if sp.Cat != obs.CatFault || sp.Name != "escalation" {
+			continue
+		}
+		escalated++
+		if i == 0 || spans[i-1].Cat != obs.CatMessage || spans[i-1].Name != "send" {
+			t.Fatalf("escalation point %d does not follow a send span", i)
+		}
+		send := spans[i-1]
+		if sp.Track != send.Dst || sp.Start < send.End {
+			t.Fatalf("escalation %+v does not belong to send %+v", sp, send)
+		}
+	}
 	if escalated != net.Counters().Escalations {
-		t.Fatalf("tracer saw %d escalations, counters %d", escalated, net.Counters().Escalations)
+		t.Fatalf("observer saw %d escalations, counters %d", escalated, net.Counters().Escalations)
 	}
 	if escalated == 0 {
 		t.Fatal("expected some escalations at 48KB under contention")

@@ -1,83 +1,15 @@
 package simnet
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/obs"
-)
-
-// TraceKind labels a trace event.
-type TraceKind int
-
-// Trace event kinds, in a message's lifecycle order.
-const (
-	TraceSendStart TraceKind = iota // sender CPU begins processing
-	TraceInject                     // message enters the wire
-	TraceDeliver                    // message reaches the destination mailbox
-	TraceRecvDone                   // receiver CPU finished processing it
-)
-
-// String names the event kind.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceSendStart:
-		return "send-start"
-	case TraceInject:
-		return "inject"
-	case TraceDeliver:
-		return "deliver"
-	case TraceRecvDone:
-		return "recv-done"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
-	}
-}
-
-// TraceEvent is one step of a message's life, timestamped in virtual
-// time. Escalated reports whether the wire segment suffered a TCP
-// escalation (only meaningful on TraceInject).
-type TraceEvent struct {
-	Kind      TraceKind
-	At        time.Duration
-	Src, Dst  int
-	Tag       int
-	Bytes     int
-	Escalated bool
-}
-
-// String renders the event compactly, e.g. for timeline dumps.
-func (e TraceEvent) String() string {
-	esc := ""
-	if e.Escalated {
-		esc = " ESC"
-	}
-	return fmt.Sprintf("%12v %-10s %2d→%-2d tag=%d %dB%s", e.At, e.Kind, e.Src, e.Dst, e.Tag, e.Bytes, esc)
-}
-
-// SetTracer installs fn to observe every message lifecycle event; nil
-// disables tracing. The tracer runs synchronously inside the
-// simulation and must not block.
-func (n *Network) SetTracer(fn func(ev TraceEvent)) { n.tracer = fn }
+import "repro/internal/obs"
 
 // SetObserver installs a span trace observing message lifecycle
 // phases, RTO stalls, escalations and fault incidents (nil disables
-// it). Spans are emitted at phase completion with the timestamps the
-// simulation computed anyway, so observation cannot perturb the run:
-// a send span [SentAt, InjectedAt] on the source's track, a wire span
-// [InjectedAt, ArrivedAt] and a recv span [ArrivedAt, recv-done] on
-// the destination's, each parented to whatever collective span the
-// mpi layer has open on that track.
+// it). It is the network's one observation hook. Spans are emitted at
+// phase completion with the timestamps the simulation computed anyway,
+// so observation cannot perturb the run: a send span [SentAt,
+// InjectedAt] on the source's track, a wire span [InjectedAt,
+// ArrivedAt] and a recv span [ArrivedAt, recv-done] on the
+// destination's, each parented to whatever collective span the mpi
+// layer has open on that track. An escalated transfer's escalation
+// point directly follows its send span.
 func (n *Network) SetObserver(t *obs.Trace) { n.obs = t }
-
-// trace emits an event if a tracer is installed.
-func (n *Network) trace(kind TraceKind, at time.Duration, msg *Message, escalated bool) {
-	if n.tracer == nil {
-		return
-	}
-	n.tracer(TraceEvent{
-		Kind: kind, At: at,
-		Src: msg.Src, Dst: msg.Dst, Tag: msg.Tag, Bytes: len(msg.Payload),
-		Escalated: escalated,
-	})
-}

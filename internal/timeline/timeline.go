@@ -2,15 +2,21 @@
 // visualizing how a collective operation's phases overlap: sender CPU
 // serialization, parallel wire transfers and receiver processing — the
 // structure the LMO model separates and the traditional models
-// conflate.
+// conflate. It reads the message spans simnet emits to its observer
+// (DESIGN §9): send [SentAt, InjectedAt] on the source's track, wire
+// [InjectedAt, ArrivedAt] and recv [ArrivedAt, recv-done] on the
+// destination's. Each span holds one phase of one message, so the
+// phases need no pairing.
 package timeline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/simnet"
+	"repro/internal/obs"
 )
 
 // Lane markers, by priority (later overwrite earlier).
@@ -21,94 +27,21 @@ const (
 	markSend = 'S' // sender CPU busy processing an outgoing message
 )
 
-// Builder accumulates trace events; install Collect as the network's
-// tracer.
-type Builder struct {
-	events []simnet.TraceEvent
-}
-
-// Collect appends one event; pass it to simnet.Network.SetTracer.
-func (b *Builder) Collect(ev simnet.TraceEvent) { b.events = append(b.events, ev) }
-
-// Events returns the collected events in arrival order.
-func (b *Builder) Events() []simnet.TraceEvent { return b.events }
-
-// Reset clears the collected events.
-func (b *Builder) Reset() { b.events = b.events[:0] }
-
-// message pairs up the lifecycle timestamps of one message.
-type message struct {
-	src, dst            int
-	sendAt, injectAt    time.Duration
-	deliverAt, recvDone time.Duration
-	haveInject          bool
-	haveDeliver         bool
-	haveEnd             bool
-}
-
-// assemble matches events into message lifecycles. Events of one
-// message arrive in order (send-start, inject, deliver, recv-done), and
-// messages on one (src,dst) flow are non-overtaking, so matching by
-// flow FIFO is exact.
-func assemble(events []simnet.TraceEvent) []*message {
-	type flow struct{ src, dst, tag int }
-	open := map[flow][]*message{}
-	var all []*message
-	for _, ev := range events {
-		f := flow{ev.Src, ev.Dst, ev.Tag}
-		switch ev.Kind {
-		case simnet.TraceSendStart:
-			m := &message{src: ev.Src, dst: ev.Dst, sendAt: ev.At}
-			open[f] = append(open[f], m)
-			all = append(all, m)
-		case simnet.TraceInject:
-			for _, m := range open[f] {
-				if !m.haveInject {
-					m.injectAt = ev.At
-					m.haveInject = true
-					break
-				}
-			}
-		case simnet.TraceDeliver:
-			for _, m := range open[f] {
-				if !m.haveDeliver {
-					m.deliverAt = ev.At
-					m.haveDeliver = true
-					break
-				}
-			}
-		case simnet.TraceRecvDone:
-			for i, m := range open[f] {
-				if m.haveDeliver && !m.haveEnd {
-					m.recvDone = ev.At
-					m.haveEnd = true
-					open[f] = append(open[f][:i:i], open[f][i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	return all
-}
-
 // Render draws the swimlanes for nRanks ranks over a width-character
-// time axis. Markers: 'S' sender CPU busy, '~' message in flight
-// toward the rank, 'r' delivered-to-processed on the receiver.
-func Render(events []simnet.TraceEvent, nRanks, width int) string {
+// time axis that ends at the last delivery or receive. Markers: 'S'
+// sender CPU busy, '~' message in flight toward the rank, 'r'
+// delivered-to-processed on the receiver.
+func Render(spans []obs.Span, nRanks, width int) string {
 	if width < 20 {
 		width = 20
 	}
-	msgs := assemble(events)
 	var end time.Duration
-	for _, m := range msgs {
-		if m.recvDone > end {
-			end = m.recvDone
-		}
-		if m.deliverAt > end {
-			end = m.deliverAt
+	for _, sp := range spans {
+		if sp.Cat == obs.CatMessage && (sp.Name == "wire" || sp.Name == "recv") && sp.End > end {
+			end = sp.End
 		}
 	}
-	if end == 0 || len(msgs) == 0 {
+	if end == 0 {
 		return "(no traffic)\n"
 	}
 
@@ -137,13 +70,17 @@ func Render(events []simnet.TraceEvent, nRanks, width int) string {
 			}
 		}
 	}
-	for _, m := range msgs {
-		paint(m.src, m.sendAt, m.injectAt, markSend)
-		if m.haveDeliver {
-			paint(m.dst, m.injectAt, m.deliverAt, markWire)
+	for _, sp := range spans {
+		if sp.Cat != obs.CatMessage {
+			continue
 		}
-		if m.haveEnd {
-			paint(m.dst, m.deliverAt, m.recvDone, markRecv)
+		switch sp.Name {
+		case "send":
+			paint(sp.Src, sp.Start, sp.End, markSend)
+		case "wire":
+			paint(sp.Dst, sp.Start, sp.End, markWire)
+		case "recv":
+			paint(sp.Dst, sp.Start, sp.End, markRecv)
 		}
 	}
 
@@ -167,4 +104,48 @@ func precedence(mark byte) int {
 	default:
 		return 0
 	}
+}
+
+// Log renders the message lifecycle as one line per step, in time
+// order: send-start and inject from each send span (inject marked ESC
+// when the escalation point simnet emits right after the span
+// follows), deliver from each wire span and recv-done from each recv
+// span. Spans carry no emission order within one instant, so the
+// lines of each instant are sorted by text, which makes the log
+// canonical.
+func Log(spans []obs.Span) []string {
+	type step struct {
+		at   time.Duration
+		line string
+	}
+	var steps []step
+	add := func(at time.Duration, kind string, sp obs.Span, esc string) {
+		steps = append(steps, step{at, fmt.Sprintf("%12v %-10s %2d→%-2d %dB%s", at, kind, sp.Src, sp.Dst, sp.Bytes, esc)})
+	}
+	for i, sp := range spans {
+		if sp.Cat != obs.CatMessage {
+			continue
+		}
+		switch sp.Name {
+		case "send":
+			esc := ""
+			if i+1 < len(spans) && spans[i+1].Cat == obs.CatFault && spans[i+1].Name == "escalation" {
+				esc = " ESC"
+			}
+			add(sp.Start, "send-start", sp, "")
+			add(sp.End, "inject", sp, esc)
+		case "wire":
+			add(sp.End, "deliver", sp, "")
+		case "recv":
+			add(sp.End, "recv-done", sp, "")
+		}
+	}
+	slices.SortFunc(steps, func(a, b step) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), strings.Compare(a.line, b.line))
+	})
+	lines := make([]string, len(steps))
+	for i, s := range steps {
+		lines[i] = s.line
+	}
+	return lines
 }

@@ -153,3 +153,28 @@ func TestSystemTuneEstimatesWhenNoModelGiven(t *testing.T) {
 		t.Fatal("no decision table produced")
 	}
 }
+
+// TestSystemTuneSimulatesUnderFaults: a system's fault plan reaches the
+// simulator that validates the tuner's candidates, so a straggling
+// root slows every simulated winner.
+func TestSystemTuneSimulatesUnderFaults(t *testing.T) {
+	sys := NewSystem(Table1().Prefix(8), LAM(), 1)
+	opts := []TuneOption{WithTuneModel(tuneModel(8)), WithTuneMsgSizes(16 << 10), WithTuneOps(OpScatter), WithTopK(1)}
+	clean, err := sys.Tune(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := sys.WithFaults(&FaultPlan{Stragglers: []Straggler{{Node: 0, CPUX: 4}}}).Tune(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Cells) == 0 || len(slow.Cells) != len(clean.Cells) {
+		t.Fatalf("cells: clean %d, faulty %d", len(clean.Cells), len(slow.Cells))
+	}
+	for i, c := range clean.Cells {
+		if f := slow.Cells[i].Winner.SimulatedS; f <= c.Winner.SimulatedS {
+			t.Fatalf("%s %d B: straggling root %.6f s, clean %.6f s; the fault plan did not reach the simulator",
+				c.Op, c.M, f, c.Winner.SimulatedS)
+		}
+	}
+}
