@@ -398,12 +398,16 @@ func Simulate(cfg experiment.Config, op tuned.Op, c Candidate, root, m int) (flo
 		}
 	}
 	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
+		var block []byte
+		if op == tuned.OpGather {
+			block = make([]byte, m)
+		}
 		for rep := 0; rep < reps; rep++ {
 			switch op {
 			case tuned.OpScatter:
 				optimize.ExecScatter(r, c.Alg, c.Degree, c.Segment, root, m, blocks)
 			case tuned.OpGather:
-				optimize.ExecGather(r, c.Alg, c.Degree, c.Segment, root, make([]byte, m))
+				optimize.ExecGather(r, c.Alg, c.Degree, c.Segment, root, block)
 			}
 		}
 	})

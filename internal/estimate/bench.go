@@ -483,12 +483,14 @@ func (st *roundState) record() {
 // convention: bodies that measure a sub-interval (e.g. only the send
 // or only the receive) write it there.
 
-// zeroPayload backs every experiment payload up to its size. Nothing
-// writes it: the simulator reads only a payload's length, and nothing
-// writes a point-to-point payload after Send.
+// zeroPayload backs every experiment payload and every block of the
+// gather scan (ScanGather) up to its size. Nothing writes it: the
+// simulator reads only a payload's length, and package mpi lends
+// payloads (a gather root's entries are views of the blocks sent), so
+// nothing writes a payload after Send or a collective.
 var zeroPayload [256 << 10]byte
 
-// payload returns an m-byte message for an experiment body: a slice of
+// payload returns an m-byte message or gather block: a slice of
 // zeroPayload, or a fresh buffer for sizes beyond it.
 func payload(m int) []byte {
 	if m <= len(zeroPayload) {

@@ -55,10 +55,7 @@ func Collectives(cfg Config) (*Report, error) {
 			"scatter (binary)",
 			func(m int) float64 { return lmo.ScatterTree(collective.AlgBinary.Tree(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
-				blocks := make([][]byte, n)
-				for i := range blocks {
-					blocks[i] = make([]byte, m)
-				}
+				blocks := rootBlocks(r, cfg.Root, n, m)
 				return func() { r.Scatter(mpi.Binary, cfg.Root, blocks) }
 			},
 		},
@@ -66,10 +63,7 @@ func Collectives(cfg Config) (*Report, error) {
 			"scatter (chain)",
 			func(m int) float64 { return lmo.ScatterTree(collective.AlgChain.Tree(n, cfg.Root), m) },
 			func(r *mpi.Rank, m int) func() {
-				blocks := make([][]byte, n)
-				for i := range blocks {
-					blocks[i] = make([]byte, m)
-				}
+				blocks := rootBlocks(r, cfg.Root, n, m)
 				return func() { r.Scatter(mpi.Chain, cfg.Root, blocks) }
 			},
 		},

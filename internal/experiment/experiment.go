@@ -195,10 +195,7 @@ func Observe(cfg Config, op CollectiveOp, alg mpi.Alg) (Observation, error) {
 			var fn func()
 			switch op {
 			case Scatter:
-				blocks := make([][]byte, n)
-				for i := range blocks {
-					blocks[i] = make([]byte, m)
-				}
+				blocks := rootBlocks(r, cfg.Root, n, m)
 				fn = func() { r.Scatter(alg, cfg.Root, blocks) }
 			default:
 				block := make([]byte, m)
@@ -214,6 +211,19 @@ func Observe(cfg Config, op CollectiveOp, alg mpi.Alg) (Observation, error) {
 		}
 	})
 	return obs, err
+}
+
+// rootBlocks returns a scatter's input for one size: n blocks of m
+// bytes at the root, nil elsewhere, since only the root reads them.
+func rootBlocks(r *mpi.Rank, root, n, m int) [][]byte {
+	if r.Rank() != root {
+		return nil
+	}
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = make([]byte, m)
+	}
+	return blocks
 }
 
 // series builds a textplot series from a size sweep and y values.

@@ -226,16 +226,13 @@ func Timing(cfg Config) (*Report, error) {
 		_, err := mpi.Run(cfg.MPIConfig(), func(rk *mpi.Rank) {
 			n := rk.Size()
 			for si, m := range cfg.Sizes {
-				fn := func() {
-					if op == Scatter {
-						blocks := make([][]byte, n)
-						for i := range blocks {
-							blocks[i] = make([]byte, m)
-						}
-						rk.Scatter(mpi.Linear, cfg.Root, blocks)
-					} else {
-						rk.Gather(mpi.Linear, cfg.Root, make([]byte, m))
-					}
+				var fn func()
+				if op == Scatter {
+					blocks := rootBlocks(rk, cfg.Root, n, m)
+					fn = func() { rk.Scatter(mpi.Linear, cfg.Root, blocks) }
+				} else {
+					block := make([]byte, m)
+					fn = func() { rk.Gather(mpi.Linear, cfg.Root, block) }
 				}
 				mr := mpib.Measure(rk, cfg.Root, mpib.RootTiming,
 					mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, fn)

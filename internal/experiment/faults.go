@@ -176,10 +176,7 @@ func observeScatterRobust(cfg Config, outlierMAD float64) (Observation, faults.S
 	n := cfg.Cluster.N()
 	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 		for si, m := range cfg.Sizes {
-			blocks := make([][]byte, n)
-			for i := range blocks {
-				blocks[i] = make([]byte, m)
-			}
+			blocks := rootBlocks(r, cfg.Root, n, m)
 			meas := mpib.Measure(r, cfg.Root, mpib.MaxTiming,
 				mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps, OutlierMAD: outlierMAD},
 				func() { r.Scatter(mpi.Linear, cfg.Root, blocks) })

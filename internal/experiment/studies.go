@@ -33,18 +33,20 @@ func Precision(cfg Config) (*Report, error) {
 		var gCI float64
 		_, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 			opts := mpib.Options{RelErr: target, MinReps: 8, MaxReps: 200}
+			msg := make([]byte, 32<<10)
 			rt := mpib.Measure(r, 0, mpib.RootTiming, opts, func() {
 				switch r.Rank() {
 				case 0:
-					r.Send(1, 0, make([]byte, 32<<10))
+					r.Send(1, 0, msg)
 					r.Recv(1, 0)
 				case 1:
 					r.Recv(0, 0)
-					r.Send(0, 0, make([]byte, 32<<10))
+					r.Send(0, 0, msg)
 				}
 			})
+			block := make([]byte, 48<<10)
 			g := mpib.Measure(r, cfg.Root, mpib.RootTiming, opts, func() {
-				r.Gather(mpi.Linear, cfg.Root, make([]byte, 48<<10))
+				r.Gather(mpi.Linear, cfg.Root, block)
 			})
 			if r.Rank() == 0 {
 				rtN, gN, gCI = rt.N, g.N, g.CIHalf

@@ -63,15 +63,16 @@ func TopoExp(cfg Config) (*Report, error) {
 			a, b := ti.pair[0], ti.pair[1]
 			for _, m := range sizes {
 				var meas mpib.Measurement
+				msg := make([]byte, m)
 				_, err := mpi.Run(mcfg, func(r *mpi.Rank) {
 					meas = mpib.Measure(r, a, mpib.RootTiming, cfg.Est.Mpib, func() {
 						switch r.Rank() {
 						case a:
-							r.Send(b, 0, make([]byte, m))
+							r.Send(b, 0, msg)
 							r.Recv(b, 0)
 						case b:
 							r.Recv(a, 0)
-							r.Send(a, 0, make([]byte, m))
+							r.Send(a, 0, msg)
 						}
 					})
 				})

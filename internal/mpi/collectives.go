@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/obs"
@@ -77,34 +78,10 @@ func (r *Rank) ScatterTree(tree *collective.Tree, blocks [][]byte) []byte {
 
 func (r *Rank) scatterTree(tree *collective.Tree, blocks [][]byte) []byte {
 	tag := r.collTag(opScatter)
-	root := tree.Root
-	n := r.w.n
-	if r.rank == root {
-		checkScatterBlocks("scatter", blocks, n)
+	if r.rank == tree.Root {
+		checkScatterBlocks("scatter", blocks, r.w.n)
 	}
-	if n == 1 {
-		return blocks[root]
-	}
-
-	if r.rank == root {
-		for _, c := range tree.Children[root] {
-			r.send(c, tag, concatRel(blocks, tree, c))
-		}
-		return blocks[root]
-	}
-
-	payload, _ := r.Recv(tree.Parent[r.rank], tag)
-	size := tree.SubtreeSize[r.rank]
-	if size == 0 || len(payload)%size != 0 {
-		panic(fmt.Sprintf("mpi: scatter batch of %d bytes not divisible by subtree size %d", len(payload), size))
-	}
-	bs := len(payload) / size
-	lo, _ := tree.RelRange(r.rank)
-	for _, c := range tree.Children[r.rank] {
-		clo, chi := tree.RelRange(c)
-		r.send(c, tag, payload[(clo-lo)*bs:(chi-lo)*bs])
-	}
-	return payload[:bs]
+	return r.group().scatter("scatter", tag, tree, blocks, nil)
 }
 
 // checkScatterBlocks rejects a scatter root's blocks unless there is
@@ -118,17 +95,6 @@ func checkScatterBlocks(op string, blocks [][]byte, n int) {
 			badInput(op, "blocks must have equal size (got %d and %d bytes)", len(blocks[0]), len(b))
 		}
 	}
-}
-
-// concatRel concatenates the blocks covered by child c's subtree in
-// relative-rank order.
-func concatRel(blocks [][]byte, tree *collective.Tree, c int) []byte {
-	lo, hi := tree.RelRange(c)
-	var out []byte
-	for rel := lo; rel < hi; rel++ {
-		out = append(out, blocks[(rel+tree.Root)%tree.N]...)
-	}
-	return out
 }
 
 // Gather collects equal-size blocks from every rank at root using the
@@ -151,38 +117,163 @@ func (r *Rank) GatherTree(tree *collective.Tree, block []byte) [][]byte {
 }
 
 func (r *Rank) gatherTree(tree *collective.Tree, block []byte) [][]byte {
-	tag := r.collTag(opGather)
-	root := tree.Root
-	n := r.w.n
-	if n == 1 {
-		return [][]byte{append([]byte(nil), block...)}
-	}
-	bs := len(block)
+	return r.group().gather("gather", r.collTag(opGather), tree, block, nil)
+}
 
-	// Assemble this subtree's batch in relative order, starting with
-	// our own block, then fill in children subtree batches as they come.
-	lo, hi := tree.RelRange(r.rank)
-	batch := make([]byte, (hi-lo)*bs)
-	copy(batch, block)
-	for range tree.Children[r.rank] {
-		payload, st := r.Recv(AnySource, tag)
+// group is the rank space a scatter or gather walks its tree in: the
+// whole job, or a communicator's members (group rank i is world rank
+// members[i]).
+type group struct {
+	r       *Rank
+	members []int // nil for the whole job
+	me      int   // the calling process's group rank
+}
+
+// group returns the whole job as a collective's rank space.
+func (r *Rank) group() group { return group{r: r, me: r.rank} }
+
+// send transmits data to group rank dst.
+func (g group) send(dst, tag int, data []byte) {
+	if g.members != nil {
+		dst = g.members[dst]
+	}
+	g.r.send(dst, tag, data)
+}
+
+// recv receives from group rank src (or AnySource) and reports the
+// sender as a group rank.
+func (g group) recv(src, tag int) ([]byte, Status) {
+	if g.members == nil {
+		return g.r.Recv(src, tag)
+	}
+	if src != AnySource {
+		src = g.members[src]
+	}
+	data, st := g.r.Recv(src, tag)
+	st.Source = slices.Index(g.members, st.Source)
+	return data, st
+}
+
+// layout sizes the blocks of one scatter or gather: bs bytes each, or
+// counts[i] bytes for group rank i (Scatterv, Gatherv).
+type layout struct {
+	tree   *collective.Tree
+	bs     int
+	counts []int
+}
+
+// size returns the bytes of the blocks of relative ranks [lo, hi).
+func (l layout) size(lo, hi int) int {
+	if l.counts == nil {
+		return (hi - lo) * l.bs
+	}
+	s := 0
+	for rel := lo; rel < hi; rel++ {
+		s += l.counts[(rel+l.tree.Root)%l.tree.N]
+	}
+	return s
+}
+
+// rule names the input rule a batch of the wrong size breaks.
+func (l layout) rule() string {
+	if l.counts == nil {
+		return "blocks must have equal size"
+	}
+	return "counts must be identical on every rank"
+}
+
+// scatter is the tree walk behind every scatter; counts sizes a
+// Scatterv's blocks (nil: equal blocks, sized from the batch a rank
+// receives). Only the root copies, and only where a child's subtree
+// merges several ranks' blocks (subtreeBatch). Every other rank sends
+// its children slices of the batch it received and returns a view of
+// its own block.
+func (g group) scatter(op string, tag int, tree *collective.Tree, blocks [][]byte, counts []int) []byte {
+	if g.me == tree.Root {
+		for _, c := range tree.Children[g.me] {
+			g.send(c, tag, subtreeBatch(blocks, tree, c))
+		}
+		return blocks[g.me]
+	}
+	payload, _ := g.recv(tree.Parent[g.me], tag)
+	lo, hi := tree.RelRange(g.me)
+	l := layout{tree: tree, counts: counts}
+	if counts == nil {
+		if len(payload)%(hi-lo) != 0 {
+			panic(fmt.Sprintf("mpi: %s batch of %d bytes not divisible by subtree size %d", op, len(payload), hi-lo))
+		}
+		l.bs = len(payload) / (hi - lo)
+	} else if want := l.size(lo, hi); len(payload) != want {
+		badInput(op, "%s: batch of %d bytes, want %d", l.rule(), len(payload), want)
+	}
+	for _, c := range tree.Children[g.me] {
+		clo, chi := tree.RelRange(c)
+		start := l.size(lo, clo)
+		g.send(c, tag, payload[start:start+l.size(clo, chi)])
+	}
+	own := l.size(lo, lo+1)
+	return payload[:own:own]
+}
+
+// subtreeBatch returns what a scatter root sends child c: the block
+// itself when c's subtree is one rank, else the subtree's blocks in
+// relative order, merged into one buffer of their exact size.
+func subtreeBatch(blocks [][]byte, tree *collective.Tree, c int) []byte {
+	lo, hi := tree.RelRange(c)
+	if hi-lo == 1 {
+		return blocks[(lo+tree.Root)%tree.N]
+	}
+	size := 0
+	for rel := lo; rel < hi; rel++ {
+		size += len(blocks[(rel+tree.Root)%tree.N])
+	}
+	out := make([]byte, 0, size)
+	for rel := lo; rel < hi; rel++ {
+		out = append(out, blocks[(rel+tree.Root)%tree.N]...)
+	}
+	return out
+}
+
+// gather is the tree walk behind every gather; counts sizes a
+// Gatherv's blocks (nil: every block has len(block) bytes). Only an
+// interior rank copies: it merges its own block and its children's
+// batches into one batch of their exact size. A rank without children
+// sends its block itself, and the root returns views of the batches it
+// receives and of its own block.
+func (g group) gather(op string, tag int, tree *collective.Tree, block []byte, counts []int) [][]byte {
+	l := layout{tree: tree, bs: len(block), counts: counts}
+	lo, hi := tree.RelRange(g.me)
+	var out [][]byte
+	batch := block
+	switch {
+	case g.me == tree.Root:
+		out = make([][]byte, tree.N)
+		out[g.me] = block[:len(block):len(block)]
+	case len(tree.Children[g.me]) > 0:
+		batch = make([]byte, l.size(lo, hi))
+		copy(batch, block)
+	}
+	for range tree.Children[g.me] {
+		payload, st := g.recv(AnySource, tag)
 		clo, chi := tree.RelRange(st.Source)
-		if len(payload) != (chi-clo)*bs {
-			badInput("gather", "blocks must have equal size: batch from rank %d has %d bytes, want %d", st.Source, len(payload), (chi-clo)*bs)
+		if want := l.size(clo, chi); len(payload) != want {
+			badInput(op, "%s: batch from rank %d has %d bytes, want %d", l.rule(), st.Source, len(payload), want)
 		}
-		copy(batch[(clo-lo)*bs:(chi-lo)*bs], payload)
-	}
-
-	if r.rank == root {
-		out := make([][]byte, n)
-		for rel := 0; rel < n; rel++ {
-			abs := (rel + root) % n
-			out[abs] = batch[rel*bs : (rel+1)*bs : (rel+1)*bs]
+		if out == nil {
+			copy(batch[l.size(lo, clo):], payload)
+			continue
 		}
-		return out
+		at := 0
+		for rel := clo; rel < chi; rel++ {
+			end := at + l.size(rel, rel+1)
+			out[(rel+tree.Root)%tree.N] = payload[at:end:end]
+			at = end
+		}
 	}
-	r.send(tree.Parent[r.rank], tag, batch)
-	return nil
+	if out == nil {
+		g.send(tree.Parent[g.me], tag, batch)
+	}
+	return out
 }
 
 // Bcast sends data from root to every rank over a binomial tree and
@@ -205,7 +296,8 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 
 // Reduce combines every rank's block at the root over a binomial tree
 // using op (which must be associative and commutative) and returns the
-// combined block at the root, nil elsewhere.
+// combined block at the root, nil elsewhere. op may write its first
+// argument: Reduce hands it a copy of block, never block itself.
 func (r *Rank) Reduce(root int, block []byte, op func(a, b []byte) []byte) []byte {
 	defer r.endColl(r.beginColl("reduce", "binomial"))
 	tag := r.collTag(opReduce)
@@ -243,13 +335,14 @@ func (r *Rank) Barrier() {
 }
 
 // Allgather distributes every rank's block to every rank with the ring
-// algorithm and returns n blocks indexed by absolute rank.
+// algorithm and returns n blocks indexed by absolute rank; entry rank
+// is a view of block.
 func (r *Rank) Allgather(block []byte) [][]byte {
 	defer r.endColl(r.beginColl("allgather", "ring"))
 	tag := r.collTag(opAllgather)
 	n := r.w.n
 	out := make([][]byte, n)
-	out[r.rank] = append([]byte(nil), block...)
+	out[r.rank] = block[:len(block):len(block)]
 	if n == 1 {
 		return out
 	}
@@ -267,7 +360,7 @@ func (r *Rank) Allgather(block []byte) [][]byte {
 
 // Alltoall exchanges personalized blocks between all ranks linearly:
 // send[i] goes to rank i, and the result's entry j holds rank j's block
-// for this rank. send[rank] is copied locally.
+// for this rank. Entry rank is a view of send[rank].
 func (r *Rank) Alltoall(send [][]byte) [][]byte {
 	defer r.endColl(r.beginColl("alltoall", "linear"))
 	tag := r.collTag(opAlltoall)
@@ -276,7 +369,7 @@ func (r *Rank) Alltoall(send [][]byte) [][]byte {
 		badInput("alltoall", "needs %d blocks, got %d", n, len(send))
 	}
 	out := make([][]byte, n)
-	out[r.rank] = append([]byte(nil), send[r.rank]...)
+	out[r.rank] = send[r.rank][:len(send[r.rank]):len(send[r.rank])]
 	for i := 1; i < n; i++ {
 		dst := (r.rank + i) % n
 		r.send(dst, tag, send[dst])

@@ -118,24 +118,10 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 // non-members do not match a specific src; with AnySource they would —
 // callers mixing world point-to-point and comm traffic should
 // partition their tags.
-func (c *Comm) Recv(src, tag int) ([]byte, Status) {
-	worldSrc := src
-	if src != AnySource {
-		worldSrc = c.members[src]
-	}
-	data, st := c.r.Recv(worldSrc, tag)
-	st.Source = c.rankOfWorld(st.Source)
-	return data, st
-}
+func (c *Comm) Recv(src, tag int) ([]byte, Status) { return c.group().recv(src, tag) }
 
-func (c *Comm) rankOfWorld(w int) int {
-	for i, m := range c.members {
-		if m == w {
-			return i
-		}
-	}
-	return -1
-}
+// group returns the communicator as a collective's rank space.
+func (c *Comm) group() group { return group{r: c.r, members: c.members, me: c.myRank} }
 
 // tree returns the shared communication tree of a collective over the
 // communicator, rejecting a root outside it as invalid input.
@@ -151,31 +137,10 @@ func (c *Comm) tree(op string, alg Alg, root int) *collective.Tree {
 func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 	tag := c.nextTag(opScatter)
 	tree := c.tree("comm scatter", alg, root)
-	n := c.Size()
 	if c.myRank == root {
-		checkScatterBlocks("comm scatter", blocks, n)
+		checkScatterBlocks("comm scatter", blocks, c.Size())
 	}
-	if n == 1 {
-		return blocks[root]
-	}
-	if c.myRank == root {
-		for _, cc := range tree.Children[root] {
-			c.r.send(c.members[cc], tag, concatRel(blocks, tree, cc))
-		}
-		return blocks[root]
-	}
-	payload, _ := c.r.Recv(c.members[tree.Parent[c.myRank]], tag)
-	size := tree.SubtreeSize[c.myRank]
-	if size == 0 || len(payload)%size != 0 {
-		panic("mpi: comm scatter batch not divisible")
-	}
-	bs := len(payload) / size
-	lo, _ := tree.RelRange(c.myRank)
-	for _, cc := range tree.Children[c.myRank] {
-		clo, chi := tree.RelRange(cc)
-		c.r.send(c.members[cc], tag, payload[(clo-lo)*bs:(chi-lo)*bs])
-	}
-	return payload[:bs]
+	return c.group().scatter("comm scatter", tag, tree, blocks, nil)
 }
 
 // Gather collects equal-size blocks at the comm root; the root receives
@@ -183,32 +148,7 @@ func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 func (c *Comm) Gather(alg Alg, root int, block []byte) [][]byte {
 	tag := c.nextTag(opGather)
 	tree := c.tree("comm gather", alg, root)
-	n := c.Size()
-	if n == 1 {
-		return [][]byte{append([]byte(nil), block...)}
-	}
-	bs := len(block)
-	lo, hi := tree.RelRange(c.myRank)
-	batch := make([]byte, (hi-lo)*bs)
-	copy(batch, block)
-	for range tree.Children[c.myRank] {
-		payload, st := c.Recv(AnySource, tag)
-		clo, chi := tree.RelRange(st.Source)
-		if len(payload) != (chi-clo)*bs {
-			badInput("comm gather", "blocks must have equal size: batch from member %d has %d bytes, want %d", st.Source, len(payload), (chi-clo)*bs)
-		}
-		copy(batch[(clo-lo)*bs:(chi-lo)*bs], payload)
-	}
-	if c.myRank == root {
-		out := make([][]byte, n)
-		for rel := 0; rel < n; rel++ {
-			abs := (rel + root) % n
-			out[abs] = batch[rel*bs : (rel+1)*bs : (rel+1)*bs]
-		}
-		return out
-	}
-	c.r.send(c.members[tree.Parent[c.myRank]], tag, batch)
-	return nil
+	return c.group().gather("comm gather", tag, tree, block, nil)
 }
 
 // Bcast sends data from the comm root to every member over a binomial

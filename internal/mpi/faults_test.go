@@ -77,6 +77,24 @@ func TestBadCollectiveInputReturnsInputError(t *testing.T) {
 			counts := []int{1, 1, 1, 1}
 			r.Gatherv(Linear, 0, []byte{1, 2, 3}, counts) // 3 bytes, counts say 1
 		}},
+		{"gatherv-counts-disagree", 4, func(r *Rank) {
+			counts := []int{1, 1, 1, 1}
+			if r.Rank() == 1 {
+				counts = []int{1, 2, 1, 1} // rank 1 sends 2 bytes, the root wants 1
+			}
+			r.Gatherv(Linear, 0, make([]byte, counts[r.Rank()]), counts)
+		}},
+		{"scatterv-counts-disagree", 4, func(r *Rank) {
+			counts := []int{1, 1, 1, 1}
+			var blocks [][]byte
+			switch r.Rank() {
+			case 0:
+				blocks = [][]byte{{1}, {2}, {3}, {4}}
+			case 1:
+				counts = []int{1, 3, 1, 1} // rank 1 wants 3 bytes, the root sends 1
+			}
+			r.Scatterv(Linear, 0, blocks, counts)
+		}},
 		{"comm-scatter-unequal-blocks", 4, comm(func(c *Comm) {
 			var blocks [][]byte
 			if c.Rank() == 0 {

@@ -6,6 +6,14 @@
 // primitives using flat and binomial communication trees — the very
 // algorithms whose execution time the communication performance models
 // predict.
+//
+// Payloads are lent, not copied. Do not write a buffer after passing it
+// to Send or to a collective, and treat received payloads, scattered
+// blocks and gathered entries as read-only: they may share memory with
+// the sender's buffer or with each other. Only a tree's merge points
+// copy (an interior gather rank's batch, a scatter root's batch for a
+// subtree of several ranks), and Reduce, whose op may write its
+// accumulator.
 package mpi
 
 import (

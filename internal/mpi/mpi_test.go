@@ -3,11 +3,14 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 )
 
 func testConfig(n int) Config {
@@ -65,19 +68,58 @@ func TestUserTagRangeEnforced(t *testing.T) {
 	}
 }
 
+// digest hashes blocks in order.
+func digest(blocks [][]byte) uint64 {
+	h := fnv.New64a()
+	for _, b := range blocks {
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
 func TestScatterGatherRoundTripAllAlgorithms(t *testing.T) {
+	type shape struct {
+		name    string
+		scatter func(r *Rank, root int, blocks [][]byte) []byte
+		gather  func(r *Rank, root int, block []byte) [][]byte
+	}
+	var shapes []shape
 	for _, alg := range Algorithms() {
+		shapes = append(shapes, shape{alg.String(),
+			func(r *Rank, root int, blocks [][]byte) []byte { return r.Scatter(alg, root, blocks) },
+			func(r *Rank, root int, block []byte) [][]byte { return r.Gather(alg, root, block) }})
+	}
+	kary := func(r *Rank, root int) *collective.Tree { return collective.ShapeTree(Binary, 3, r.Size(), root) }
+	shapes = append(shapes, shape{"3-ary",
+		func(r *Rank, root int, blocks [][]byte) []byte { return r.ScatterTree(kary(r, root), blocks) },
+		func(r *Rank, root int, block []byte) [][]byte { return r.GatherTree(kary(r, root), block) }})
+	for _, sh := range shapes {
 		for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
 			for _, root := range []int{0, n - 1, n / 2} {
-				name := fmt.Sprintf("%v/n=%d/root=%d", alg, n, root)
+				name := fmt.Sprintf("%s/n=%d/root=%d", sh.name, n, root)
 				blocks := mkBlocks(n, 64)
+				want := mkBlocks(n, 64) // a copy no collective can return a view of
 				gathered := make([][][]byte, n)
 				_, err := Run(testConfig(n), func(r *Rank) {
-					mine := r.Scatter(alg, root, blocks)
-					if !bytes.Equal(mine, blocks[r.Rank()]) {
+					// in is this rank's input: blocks at the root, and
+					// elsewhere the block it gathers.
+					var in [][]byte
+					if r.Rank() == root {
+						in = blocks
+					}
+					before := digest(in)
+					mine := sh.scatter(r, root, in)
+					if !bytes.Equal(mine, want[r.Rank()]) {
 						t.Errorf("%s: rank %d got wrong block", name, r.Rank())
 					}
-					gathered[r.Rank()] = r.Gather(alg, root, mine)
+					if r.Rank() != root {
+						in = [][]byte{mine}
+						before = digest(in)
+					}
+					gathered[r.Rank()] = sh.gather(r, root, mine)
+					if digest(in) != before {
+						t.Errorf("%s: rank %d's input changed", name, r.Rank())
+					}
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -88,7 +130,7 @@ func TestScatterGatherRoundTripAllAlgorithms(t *testing.T) {
 							t.Fatalf("%s: root gathered %d blocks", name, len(g))
 						}
 						for i := range g {
-							if !bytes.Equal(g[i], blocks[i]) {
+							if !bytes.Equal(g[i], want[i]) {
 								t.Fatalf("%s: gathered block %d corrupted", name, i)
 							}
 						}
@@ -378,5 +420,78 @@ func TestMismatchedCollectiveDeadlocks(t *testing.T) {
 	}
 	if res.Net.Messages == 0 {
 		t.Fatal("bcast traffic missing")
+	}
+}
+
+// TestCollectivesCopyOnlyAtMerges gates the rule that collectives lend
+// payloads and copy only where a tree merges buffers. On Table I under
+// LAM, root 0, 64 KiB blocks, a warm gather may allocate at most the
+// batches of the non-root ranks that have children, and a warm scatter
+// at most the root's batches for children whose subtree holds more
+// than one rank, each plus 1 KiB for the result slice and bookkeeping.
+// Warm bytes per operation are the TotalAlloc difference between the
+// ends of operations 20 and 40 of one job, over 20. Reading both inside
+// one job leaves out the job's set-up, whose goroutine start-up varies
+// by kilobytes from run to run under the race detector. Each operation
+// ends at a HardSync, as a measured repetition does (mpib.Measure):
+// without it eager senders run operations ahead of the root, and the
+// simulator's message and event pools grow with the job.
+func TestCollectivesCopyOnlyAtMerges(t *testing.T) {
+	const bs, root, slack = 64 << 10, 0, 1 << 10
+	cfg := Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
+	n := cfg.Cluster.N()
+	block := make([]byte, bs)
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = make([]byte, bs)
+	}
+	// perOp returns the warm bytes one call of op allocates.
+	perOp := func(op func(r *Rank)) float64 {
+		var at [2]runtime.MemStats // after operations 20 and 40
+		_, err := Run(cfg, func(r *Rank) {
+			for i := 1; i <= 40; i++ {
+				op(r)
+				r.HardSync()
+				if i%20 == 0 {
+					if r.Rank() == 0 {
+						runtime.ReadMemStats(&at[i/20-1])
+					}
+					r.HardSync() // no rank starts the next operation before the reading
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(int64(at[1].TotalAlloc-at[0].TotalAlloc)) / 20
+	}
+	for _, alg := range Algorithms() {
+		tree := alg.Tree(n, root)
+		gatherMax, scatterMax := slack, slack
+		for r := 0; r < n; r++ {
+			if r != root && len(tree.Children[r]) > 0 {
+				gatherMax += tree.SubtreeSize[r] * bs
+			}
+		}
+		for _, c := range tree.Children[root] {
+			if tree.SubtreeSize[c] > 1 {
+				scatterMax += tree.SubtreeSize[c] * bs
+			}
+		}
+		gather := perOp(func(r *Rank) { r.Gather(alg, root, block) })
+		scatter := perOp(func(r *Rank) {
+			var in [][]byte
+			if r.Rank() == root {
+				in = blocks
+			}
+			r.Scatter(alg, root, in)
+		})
+		t.Logf("%v: %.0f B per gather (at most %d), %.0f B per scatter (at most %d)", alg, gather, gatherMax, scatter, scatterMax)
+		if gather > float64(gatherMax) {
+			t.Errorf("%v gather allocates %.0f B per operation, want at most %d", alg, gather, gatherMax)
+		}
+		if scatter > float64(scatterMax) {
+			t.Errorf("%v scatter allocates %.0f B per operation, want at most %d", alg, scatter, scatterMax)
+		}
 	}
 }

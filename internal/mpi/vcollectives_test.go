@@ -25,14 +25,29 @@ func TestScattervGathervRoundTrip(t *testing.T) {
 			n := 6
 			counts := []int{100, 0, 2500, 64, 1, 900}
 			blocks := mkVBlocks(counts)
+			want := mkVBlocks(counts) // a copy no collective can return a view of
 			var rootGot [][]byte
 			_, err := Run(testConfig(n), func(r *Rank) {
-				mine := r.Scatterv(alg, root, blocks, counts)
-				if !bytes.Equal(mine, blocks[r.Rank()]) {
+				// in is this rank's input: blocks at the root, and
+				// elsewhere the block it gathers.
+				var in [][]byte
+				if r.Rank() == root {
+					in = blocks
+				}
+				before := digest(in)
+				mine := r.Scatterv(alg, root, in, counts)
+				if !bytes.Equal(mine, want[r.Rank()]) {
 					t.Errorf("%v root=%d: rank %d got wrong block (%d bytes, want %d)",
 						alg, root, r.Rank(), len(mine), counts[r.Rank()])
 				}
+				if r.Rank() != root {
+					in = [][]byte{mine}
+					before = digest(in)
+				}
 				out := r.Gatherv(alg, root, mine, counts)
+				if digest(in) != before {
+					t.Errorf("%v root=%d: rank %d's input changed", alg, root, r.Rank())
+				}
 				if r.Rank() == root {
 					rootGot = out
 				} else if out != nil {
@@ -42,8 +57,8 @@ func TestScattervGathervRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v root=%d: %v", alg, root, err)
 			}
-			for i := range blocks {
-				if !bytes.Equal(rootGot[i], blocks[i]) {
+			for i := range want {
+				if !bytes.Equal(rootGot[i], want[i]) {
 					t.Fatalf("%v root=%d: block %d corrupted", alg, root, i)
 				}
 			}

@@ -21,7 +21,7 @@ func ExecScatter(r *mpi.Rank, alg mpi.Alg, degree, segment, root, m int, blocks 
 	if segment <= 0 || segment >= m {
 		return one(blocks)
 	}
-	var out []byte
+	out := make([]byte, 0, m)
 	for lo := 0; lo < m; lo += segment {
 		hi := lo + segment
 		if hi > m {
