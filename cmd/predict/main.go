@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/mpi"
-	"repro/internal/optimize"
 	"repro/internal/serve"
 	"repro/internal/textplot"
 	"repro/internal/topo"
@@ -347,17 +346,17 @@ func reportTuned(w io.Writer, cfg experiment.Config, path, opName string, m int,
 	}
 	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
 		if tuned.Op(opName) == tuned.OpGather {
-			optimize.ExecGather(r, alg, rule.Degree, rule.Segment, tbl.Root, make([]byte, m))
+			r.GatherShape(alg, rule.Degree, rule.Segment, tbl.Root, mpi.ZeroPayload(m))
 			return
 		}
 		var blocks [][]byte
 		if r.Rank() == tbl.Root {
 			blocks = make([][]byte, n)
 			for i := range blocks {
-				blocks[i] = make([]byte, m)
+				blocks[i] = mpi.ZeroPayload(m)
 			}
 		}
-		optimize.ExecScatter(r, alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
+		r.ScatterShape(alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
 	})
 	if err != nil {
 		return err

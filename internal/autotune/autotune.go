@@ -253,7 +253,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	// Phase 2: simulator validation through the campaign engine — one
 	// Custom target per surviving (cell, candidate), executed by a
 	// RunTask hook that replays the exact candidate shape with
-	// optimize.ExecScatter/ExecGather and reports the virtual-time
+	// mpi.Rank.ScatterShape/GatherShape and reports the virtual-time
 	// makespan.
 	type ref struct{ cell, cand int }
 	var targets []campaign.Target
@@ -390,24 +390,23 @@ func Simulate(cfg experiment.Config, op tuned.Op, c Candidate, root, m int) (flo
 	if reps <= 0 {
 		reps = 1
 	}
+	// Every block is the same read-only zero payload: collectives lend
+	// blocks, and the simulator reads only their lengths.
+	block := mpi.ZeroPayload(m)
 	var blocks [][]byte
 	if op == tuned.OpScatter {
 		blocks = make([][]byte, n)
 		for i := range blocks {
-			blocks[i] = make([]byte, m)
+			blocks[i] = block
 		}
 	}
 	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-		var block []byte
-		if op == tuned.OpGather {
-			block = make([]byte, m)
-		}
 		for rep := 0; rep < reps; rep++ {
 			switch op {
 			case tuned.OpScatter:
-				optimize.ExecScatter(r, c.Alg, c.Degree, c.Segment, root, m, blocks)
+				r.ScatterShape(c.Alg, c.Degree, c.Segment, root, m, blocks)
 			case tuned.OpGather:
-				optimize.ExecGather(r, c.Alg, c.Degree, c.Segment, root, block)
+				r.GatherShape(c.Alg, c.Degree, c.Segment, root, block)
 			}
 		}
 	})

@@ -59,7 +59,7 @@ func (s *SimPredictor) P2P(src, dst, m int) float64 {
 	res, err := mpi.Run(s.cfg.MPIConfig(), func(r *mpi.Rank) {
 		switch r.Rank() {
 		case src:
-			r.Send(dst, 1, make([]byte, m))
+			r.Send(dst, 1, mpi.ZeroPayload(m))
 		case dst:
 			r.Recv(src, 1)
 		}

@@ -483,33 +483,17 @@ func (st *roundState) record() {
 // convention: bodies that measure a sub-interval (e.g. only the send
 // or only the receive) write it there.
 
-// zeroPayload backs every experiment payload and every block of the
-// gather scan (ScanGather) up to its size. Nothing writes it: the
-// simulator reads only a payload's length, and package mpi lends
-// payloads (a gather root's entries are views of the blocks sent), so
-// nothing writes a payload after Send or a collective.
-var zeroPayload [256 << 10]byte
-
-// payload returns an m-byte message or gather block: a slice of
-// zeroPayload, or a fresh buffer for sizes beyond it.
-func payload(m int) []byte {
-	if m <= len(zeroPayload) {
-		return zeroPayload[:m:m]
-	}
-	return make([]byte, m)
-}
-
 // roundtripExp builds the i⇄j round-trip: i sends mOut bytes, j replies
 // with mBack bytes; measured on i (the paper's sender-side timing).
 func roundtripExp(i, j, mOut, mBack, tag int) Exp {
 	return Exp{Initiator: i, Peers: [2]int{j, -1}, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			r.Send(j, tag, payload(mOut))
+			r.Send(j, tag, mpi.ZeroPayload(mOut))
 			r.Recv(j, tag)
 		case j:
 			r.Recv(i, tag)
-			r.Send(i, tag, payload(mBack))
+			r.Send(i, tag, mpi.ZeroPayload(mBack))
 		}
 	}}
 }
@@ -529,13 +513,13 @@ func oneToTwoExp(i, j, k, m, mBack, tag int) Exp {
 	return Exp{Initiator: i, Peers: [2]int{j, k}, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			r.Send(j, tag, payload(m))
-			r.Send(k, tag, payload(m))
+			r.Send(j, tag, mpi.ZeroPayload(m))
+			r.Send(k, tag, mpi.ZeroPayload(m))
 			r.Recv(k, tag)
 			r.Recv(j, tag)
 		case j, k:
 			r.Recv(i, tag)
-			r.Send(i, tag, payload(mBack))
+			r.Send(i, tag, mpi.ZeroPayload(mBack))
 		}
 	}}
 }
@@ -548,7 +532,7 @@ func saturationExp(i, j, m, count, tag int) Exp {
 	return Exp{Initiator: i, Peers: [2]int{j, -1}, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			buf := payload(m)
+			buf := mpi.ZeroPayload(m)
 			for c := 0; c < count; c++ {
 				r.Send(j, tag, buf)
 			}
@@ -571,7 +555,7 @@ func sendOverheadExp(i, j, m, tag int) Exp {
 		switch r.Rank() {
 		case i:
 			t0 := r.Now()
-			r.Send(j, tag, payload(m))
+			r.Send(j, tag, mpi.ZeroPayload(m))
 			*custom = (r.Now() - t0).Seconds()
 			r.Recv(j, tag)
 		case j:
@@ -589,14 +573,14 @@ func recvOverheadExp(i, j, m int, wait time.Duration, tag int) Exp {
 	return Exp{Initiator: i, Peers: [2]int{j, -1}, Custom: custom, Body: func(r *mpi.Rank) {
 		switch r.Rank() {
 		case i:
-			r.Send(j, tag, payload(m))
+			r.Send(j, tag, mpi.ZeroPayload(m))
 			r.Sleep(wait) // ample time for the echo to arrive
 			t0 := r.Now()
 			r.Recv(j, tag)
 			*custom = (r.Now() - t0).Seconds()
 		case j:
 			r.Recv(i, tag)
-			r.Send(i, tag, payload(m))
+			r.Send(i, tag, mpi.ZeroPayload(m))
 		}
 	}}
 }

@@ -34,7 +34,7 @@ func ScanGather(cfg mpi.Config, root int, sizes []int, reps int, opt Options) (G
 	rep := Report{}
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		for si, m := range sizes {
-			block := payload(m)
+			block := mpi.ZeroPayload(m)
 			meas := mpib.Measure(r, root, mpib.RootTiming,
 				mpib.Options{MinReps: reps, MaxReps: reps}, func() {
 					r.Gather(mpi.Linear, root, block)

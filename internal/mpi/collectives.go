@@ -1,11 +1,11 @@
 package mpi
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/obs"
+	"repro/internal/simnet"
 )
 
 // Alg selects a collective algorithm. It is an alias of
@@ -28,10 +28,24 @@ func Algorithms() []Alg { return collective.Algorithms() }
 // tree returns the shared communication tree of a collective over the
 // whole job, rejecting a root outside the job as invalid input.
 func (r *Rank) tree(op string, alg Alg, root int) *collective.Tree {
+	tree, _ := r.shape(op, alg, 0, root)
+	return tree
+}
+
+// shape returns the tree of a candidate shape over the whole job — the
+// degree-ary tree when degree >= 2, else alg's own tree — and the
+// algorithm name its collective spans carry: alg's, or "tree" for a
+// k-ary tree. A root outside the job is rejected as invalid input
+// before any tree is built.
+func (r *Rank) shape(op string, alg Alg, degree, root int) (*collective.Tree, string) {
 	if root < 0 || root >= r.w.n {
 		badInput(op, "root %d out of range [0, %d)", root, r.w.n)
 	}
-	return alg.Tree(r.w.n, root)
+	name := alg.String()
+	if degree >= 2 {
+		name = "tree"
+	}
+	return collective.ShapeTree(alg, degree, r.w.n, root), name
 }
 
 // beginColl opens a per-rank collective-phase span named "op:alg" on
@@ -54,34 +68,72 @@ func (r *Rank) endColl(id obs.SpanID) {
 }
 
 // Scatter distributes blocks from root to every rank using the given
-// algorithm and returns this rank's block. blocks is meaningful only at
-// the root and must hold n equal-size blocks indexed by absolute rank.
-// The root's own block is returned without network cost (the paper
-// treats the root's local copy as negligible).
+// algorithm and returns this rank's block as a view of the root's.
+// blocks is meaningful only at the root and must hold n equal-size
+// blocks indexed by absolute rank. The root's own block is returned
+// without network cost (the paper treats the root's local copy as
+// negligible).
 func (r *Rank) Scatter(alg Alg, root int, blocks [][]byte) []byte {
-	defer r.endColl(r.beginColl("scatter", alg.String()))
-	return r.scatterTree(r.tree("scatter", alg, root), blocks)
-}
-
-// ScatterTree distributes blocks over an explicit communication tree
-// rooted at tree.Root — the algorithm-agnostic form behind Scatter,
-// exported so tuners can run candidate tree shapes (k-ary degrees,
-// optimized mappings) that no named algorithm produces. The tree must
-// span exactly the job's ranks.
-func (r *Rank) ScatterTree(tree *collective.Tree, blocks [][]byte) []byte {
-	defer r.endColl(r.beginColl("scatter", "tree"))
-	if tree.N != r.w.n {
-		badInput("scatter", "tree spans %d ranks, job has %d", tree.N, r.w.n)
-	}
-	return r.scatterTree(tree, blocks)
-}
-
-func (r *Rank) scatterTree(tree *collective.Tree, blocks [][]byte) []byte {
-	tag := r.collTag(opScatter)
-	if r.rank == tree.Root {
+	tree, name := r.shape("scatter", alg, 0, root)
+	if r.rank == root {
 		checkScatterBlocks("scatter", blocks, r.w.n)
 	}
-	return r.group().scatter("scatter", tag, tree, blocks, nil)
+	return view(r.scatterOnce(tree, name, blocks))
+}
+
+// ScatterShape scatters m-byte blocks from root over a candidate shape:
+// the degree-ary tree when degree >= 2, else alg's own tree. A segment
+// in (0, m) splits it into ceil(m/segment) back-to-back scatters, each
+// with its own tag and span. Every rank must pass the same m; blocks
+// is meaningful only at the root, which must hold one block of exactly
+// m bytes per rank. Each segment is a view cut from the root's blocks,
+// so every rank returns its whole block as a view.
+func (r *Rank) ScatterShape(alg Alg, degree, segment, root, m int, blocks [][]byte) []byte {
+	tree, name := r.shape("scatter", alg, degree, root)
+	if r.rank == root {
+		checkScatterBlocks("scatter", blocks, r.w.n)
+		if len(blocks[0]) != m {
+			badInput("scatter", "root blocks have %d bytes, want %d", len(blocks[0]), m)
+		}
+	}
+	if segment <= 0 || segment >= m {
+		own := r.scatterOnce(tree, name, blocks)
+		if len(own) != m {
+			badInput("scatter", "block of %d bytes, want %d", len(own), m)
+		}
+		return view(own)
+	}
+	// The scatter walk never keeps the list it is given, so one list of
+	// segment views serves every segment.
+	var piece [][]byte
+	if r.rank == root {
+		piece = make([][]byte, len(blocks))
+	}
+	var first []byte
+	for lo := 0; lo < m; lo += segment {
+		hi := min(lo+segment, m)
+		for i := range piece {
+			piece[i] = blocks[i][lo:hi]
+		}
+		own := r.scatterOnce(tree, name, piece)
+		if len(own) != hi-lo {
+			badInput("scatter", "segment of %d bytes, want %d", len(own), hi-lo)
+		}
+		if lo == 0 {
+			first = own
+		}
+	}
+	// The segments were cut back to back from one block of the root's,
+	// and each had the size this rank expects, so the first one,
+	// extended to m bytes, is this rank's whole block.
+	return first[:m:m]
+}
+
+// scatterOnce runs one scatter over tree in its own collective span
+// and returns this rank's block uncut.
+func (r *Rank) scatterOnce(tree *collective.Tree, name string, blocks [][]byte) []byte {
+	defer r.endColl(r.beginColl("scatter", name))
+	return r.group().scatter("scatter", r.collTag(opScatter), tree, blocks, nil)
 }
 
 // checkScatterBlocks rejects a scatter root's blocks unless there is
@@ -99,25 +151,61 @@ func checkScatterBlocks(op string, blocks [][]byte, n int) {
 
 // Gather collects equal-size blocks from every rank at root using the
 // given algorithm. At the root it returns n blocks indexed by absolute
-// rank; elsewhere it returns nil.
+// rank, each a view of its rank's block; elsewhere it returns nil.
 func (r *Rank) Gather(alg Alg, root int, block []byte) [][]byte {
-	defer r.endColl(r.beginColl("gather", alg.String()))
-	return r.gatherTree(r.tree("gather", alg, root), block)
+	return r.GatherShape(alg, 0, 0, root, block)
 }
 
-// GatherTree collects equal-size blocks over an explicit communication
-// tree rooted at tree.Root — the algorithm-agnostic form behind
-// Gather, exported for the same tuner candidates as ScatterTree.
-func (r *Rank) GatherTree(tree *collective.Tree, block []byte) [][]byte {
-	defer r.endColl(r.beginColl("gather", "tree"))
-	if tree.N != r.w.n {
-		badInput("gather", "tree spans %d ranks, job has %d", tree.N, r.w.n)
+// GatherShape gathers equal-size blocks at root over a candidate shape:
+// the degree-ary tree when degree >= 2, else alg's own tree. A segment
+// in (0, len(block)) splits it into ceil(len(block)/segment)
+// back-to-back gathers, each with its own tag and span. Each segment is
+// a view cut from the rank's block, so the root returns every rank's
+// whole block as a view, n blocks indexed by absolute rank; elsewhere
+// it returns nil.
+func (r *Rank) GatherShape(alg Alg, degree, segment, root int, block []byte) [][]byte {
+	tree, name := r.shape("gather", alg, degree, root)
+	m := len(block)
+	if segment <= 0 || segment >= m {
+		return views(r.gatherOnce(tree, name, block, nil))
 	}
-	return r.gatherTree(tree, block)
+	// The root keeps the first segment's list; the later segments share
+	// one list, which each of them overwrites.
+	var out, rest [][]byte
+	for lo := 0; lo < m; lo += segment {
+		part := r.gatherOnce(tree, name, block[lo:min(lo+segment, m)], rest)
+		if lo == 0 {
+			out = part
+		} else {
+			rest = part
+		}
+	}
+	// Every segment passed the walk's size check, so every rank's block
+	// holds m bytes, and its first segment extended to m bytes is the
+	// whole block.
+	for i, b := range out {
+		out[i] = b[:m:m]
+	}
+	return out
 }
 
-func (r *Rank) gatherTree(tree *collective.Tree, block []byte) [][]byte {
-	return r.group().gather("gather", r.collTag(opGather), tree, block, nil)
+// gatherOnce runs one gather over tree in its own collective span; the
+// root gets the blocks uncut, in out when out is non-nil.
+func (r *Rank) gatherOnce(tree *collective.Tree, name string, block []byte, out [][]byte) [][]byte {
+	defer r.endColl(r.beginColl("gather", name))
+	return r.group().gather("gather", r.collTag(opGather), tree, block, nil, out)
+}
+
+// view returns b with its capacity cut to its length, so that an
+// append to a lent block cannot write past it.
+func view(b []byte) []byte { return b[:len(b):len(b)] }
+
+// views cuts every entry of a gather result to its length.
+func views(out [][]byte) [][]byte {
+	for i, b := range out {
+		out[i] = view(b)
+	}
+	return out
 }
 
 // group is the rank space a scatter or gather walks its tree in: the
@@ -140,18 +228,49 @@ func (g group) send(dst, tag int, data []byte) {
 	g.r.send(dst, tag, data)
 }
 
+// sendParts transmits a batch held in several buffers to group rank
+// dst as one message of their total size.
+func (g group) sendParts(dst, tag int, parts [][]byte) {
+	if g.members != nil {
+		dst = g.members[dst]
+	}
+	g.r.w.net.SendParts(g.r.p, g.r.rank, dst, tag, parts)
+}
+
 // recv receives from group rank src (or AnySource) and reports the
 // sender as a group rank.
 func (g group) recv(src, tag int) ([]byte, Status) {
-	if g.members == nil {
-		return g.r.Recv(src, tag)
-	}
-	if src != AnySource {
+	return received(g.recvMsg(src, tag))
+}
+
+// recvMsg receives the message behind recv, its Src a group rank.
+func (g group) recvMsg(src, tag int) simnet.Message {
+	if g.members != nil && src != AnySource {
 		src = g.members[src]
 	}
-	data, st := g.r.Recv(src, tag)
-	st.Source = slices.Index(g.members, st.Source)
-	return data, st
+	msg := g.r.w.net.Recv(g.r.p, g.r.rank, src, tag)
+	if g.members != nil {
+		msg.Src = slices.Index(g.members, msg.Src)
+	}
+	return msg
+}
+
+// blockOf returns block i of a received batch. A batch of one block
+// travels as a plain payload, a batch of several as parts, one block
+// each.
+func blockOf(msg simnet.Message, i int) []byte {
+	if msg.Parts == nil {
+		return msg.Payload
+	}
+	return msg.Parts[i]
+}
+
+// blocksIn returns how many blocks a received batch holds.
+func blocksIn(msg simnet.Message) int {
+	if msg.Parts == nil {
+		return 1
+	}
+	return len(msg.Parts)
 }
 
 // layout sizes the blocks of one scatter or gather: bs bytes each, or
@@ -183,95 +302,101 @@ func (l layout) rule() string {
 }
 
 // scatter is the tree walk behind every scatter; counts sizes a
-// Scatterv's blocks (nil: equal blocks, sized from the batch a rank
-// receives). Only the root copies, and only where a child's subtree
-// merges several ranks' blocks (subtreeBatch). Every other rank sends
-// its children slices of the batch it received and returns a view of
-// its own block.
+// Scatterv's blocks (nil: equal blocks). It moves no payload bytes: a
+// batch is a list of block views, sent as one message. The root sends
+// a child whose subtree is one rank that rank's block, and a larger
+// subtree its blocks in relative order, listed in a fresh header slice
+// (never blocks, which the caller may reuse once the call returns).
+// Every other rank forwards its children sublists of the list it
+// received and returns its own block. Blocks come back uncut: the
+// public wrappers cut them to their length.
 func (g group) scatter(op string, tag int, tree *collective.Tree, blocks [][]byte, counts []int) []byte {
 	if g.me == tree.Root {
+		var rel [][]byte // blocks by relative rank, listed on first need
 		for _, c := range tree.Children[g.me] {
-			g.send(c, tag, subtreeBatch(blocks, tree, c))
+			lo, hi := tree.RelRange(c)
+			if hi-lo == 1 {
+				g.send(c, tag, blocks[(lo+tree.Root)%tree.N])
+				continue
+			}
+			if rel == nil {
+				rel = make([][]byte, tree.N)
+				for i := range rel {
+					rel[i] = blocks[(i+tree.Root)%tree.N]
+				}
+			}
+			g.sendParts(c, tag, rel[lo:hi])
 		}
 		return blocks[g.me]
 	}
-	payload, _ := g.recv(tree.Parent[g.me], tag)
+	msg := g.recvMsg(tree.Parent[g.me], tag)
 	lo, hi := tree.RelRange(g.me)
-	l := layout{tree: tree, counts: counts}
-	if counts == nil {
-		if len(payload)%(hi-lo) != 0 {
-			panic(fmt.Sprintf("mpi: %s batch of %d bytes not divisible by subtree size %d", op, len(payload), hi-lo))
+	if k := blocksIn(msg); k != hi-lo {
+		badInput(op, "batch of %d blocks, want one per rank of a %d-rank subtree", k, hi-lo)
+	}
+	if counts != nil {
+		l := layout{tree: tree, counts: counts}
+		if want := l.size(lo, hi); msg.Size() != want {
+			badInput(op, "%s: batch of %d bytes, want %d", l.rule(), msg.Size(), want)
 		}
-		l.bs = len(payload) / (hi - lo)
-	} else if want := l.size(lo, hi); len(payload) != want {
-		badInput(op, "%s: batch of %d bytes, want %d", l.rule(), len(payload), want)
 	}
 	for _, c := range tree.Children[g.me] {
 		clo, chi := tree.RelRange(c)
-		start := l.size(lo, clo)
-		g.send(c, tag, payload[start:start+l.size(clo, chi)])
+		if chi-clo == 1 {
+			g.send(c, tag, blockOf(msg, clo-lo))
+		} else {
+			g.sendParts(c, tag, msg.Parts[clo-lo:chi-lo])
+		}
 	}
-	own := l.size(lo, lo+1)
-	return payload[:own:own]
-}
-
-// subtreeBatch returns what a scatter root sends child c: the block
-// itself when c's subtree is one rank, else the subtree's blocks in
-// relative order, merged into one buffer of their exact size.
-func subtreeBatch(blocks [][]byte, tree *collective.Tree, c int) []byte {
-	lo, hi := tree.RelRange(c)
-	if hi-lo == 1 {
-		return blocks[(lo+tree.Root)%tree.N]
-	}
-	size := 0
-	for rel := lo; rel < hi; rel++ {
-		size += len(blocks[(rel+tree.Root)%tree.N])
-	}
-	out := make([]byte, 0, size)
-	for rel := lo; rel < hi; rel++ {
-		out = append(out, blocks[(rel+tree.Root)%tree.N]...)
-	}
-	return out
+	return blockOf(msg, 0)
 }
 
 // gather is the tree walk behind every gather; counts sizes a
-// Gatherv's blocks (nil: every block has len(block) bytes). Only an
-// interior rank copies: it merges its own block and its children's
-// batches into one batch of their exact size. A rank without children
-// sends its block itself, and the root returns views of the batches it
-// receives and of its own block.
-func (g group) gather(op string, tag int, tree *collective.Tree, block []byte, counts []int) [][]byte {
+// Gatherv's blocks (nil: every block has len(block) bytes). It moves
+// no payload bytes: a rank without children sends its block itself,
+// an interior rank sends its own block and its children's in relative
+// order as one list of views, and the root returns the blocks it
+// receives and its own, uncut (the public wrappers cut them), in out
+// when out is non-nil and in a fresh list otherwise.
+func (g group) gather(op string, tag int, tree *collective.Tree, block []byte, counts []int, out [][]byte) [][]byte {
+	kids := tree.Children[g.me]
+	if g.me != tree.Root && len(kids) == 0 {
+		g.send(tree.Parent[g.me], tag, block)
+		return nil
+	}
 	l := layout{tree: tree, bs: len(block), counts: counts}
 	lo, hi := tree.RelRange(g.me)
-	var out [][]byte
-	batch := block
-	switch {
-	case g.me == tree.Root:
-		out = make([][]byte, tree.N)
-		out[g.me] = block[:len(block):len(block)]
-	case len(tree.Children[g.me]) > 0:
-		batch = make([]byte, l.size(lo, hi))
-		copy(batch, block)
-	}
-	for range tree.Children[g.me] {
-		payload, st := g.recv(AnySource, tag)
-		clo, chi := tree.RelRange(st.Source)
-		if want := l.size(clo, chi); len(payload) != want {
-			badInput(op, "%s: batch from rank %d has %d bytes, want %d", l.rule(), st.Source, len(payload), want)
-		}
+	// The root lists the blocks by absolute rank, an interior rank its
+	// subtree's by relative rank from lo.
+	var batch [][]byte
+	if g.me == tree.Root {
 		if out == nil {
-			copy(batch[l.size(lo, clo):], payload)
-			continue
+			out = make([][]byte, tree.N)
 		}
-		at := 0
+		out[g.me] = block
+	} else {
+		batch = make([][]byte, hi-lo)
+		batch[0] = block
+	}
+	for range kids {
+		msg := g.recvMsg(AnySource, tag)
+		clo, chi := tree.RelRange(msg.Src)
+		if want := l.size(clo, chi); msg.Size() != want {
+			badInput(op, "%s: batch from rank %d has %d bytes, want %d", l.rule(), msg.Src, msg.Size(), want)
+		}
+		if k := blocksIn(msg); k != chi-clo {
+			badInput(op, "batch from rank %d has %d blocks, want %d", msg.Src, k, chi-clo)
+		}
 		for rel := clo; rel < chi; rel++ {
-			end := at + l.size(rel, rel+1)
-			out[(rel+tree.Root)%tree.N] = payload[at:end:end]
-			at = end
+			if out != nil {
+				out[(rel+tree.Root)%tree.N] = blockOf(msg, rel-clo)
+			} else {
+				batch[rel-lo] = blockOf(msg, rel-clo)
+			}
 		}
 	}
 	if out == nil {
-		g.send(tree.Parent[g.me], tag, batch)
+		g.sendParts(tree.Parent[g.me], tag, batch)
 	}
 	return out
 }

@@ -140,7 +140,7 @@ func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 	if c.myRank == root {
 		checkScatterBlocks("comm scatter", blocks, c.Size())
 	}
-	return c.group().scatter("comm scatter", tag, tree, blocks, nil)
+	return view(c.group().scatter("comm scatter", tag, tree, blocks, nil))
 }
 
 // Gather collects equal-size blocks at the comm root; the root receives
@@ -148,7 +148,7 @@ func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 func (c *Comm) Gather(alg Alg, root int, block []byte) [][]byte {
 	tag := c.nextTag(opGather)
 	tree := c.tree("comm gather", alg, root)
-	return c.group().gather("comm gather", tag, tree, block, nil)
+	return views(c.group().gather("comm gather", tag, tree, block, nil, nil))
 }
 
 // Bcast sends data from the comm root to every member over a binomial

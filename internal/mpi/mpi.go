@@ -10,15 +10,18 @@
 // Payloads are lent, not copied. Do not write a buffer after passing it
 // to Send or to a collective, and treat received payloads, scattered
 // blocks and gathered entries as read-only: they may share memory with
-// the sender's buffer or with each other. Only a tree's merge points
-// copy (an interior gather rank's batch, a scatter root's batch for a
-// subtree of several ranks), and Reduce, whose op may write its
-// accumulator.
+// the sender's buffer or with each other. Nothing copies payload bytes
+// except Reduce, whose op may write its accumulator. A scatter or
+// gather batch of several blocks travels as one message whose parts
+// are views of the blocks (simnet.Network.SendParts), and a segmented
+// collective (ScatterShape, GatherShape) cuts its segments as views of
+// each block and returns every rank's whole block as a view.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -173,8 +176,18 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 // Recv blocks until a message matching (src, tag) arrives and returns
 // its payload. src may be AnySource, tag may be AnyTag.
 func (r *Rank) Recv(src, tag int) ([]byte, Status) {
-	msg := r.w.net.Recv(r.p, r.rank, src, tag)
-	return msg.Payload, Status{Source: msg.Src, Tag: msg.Tag, Bytes: len(msg.Payload)}
+	return received(r.w.net.Recv(r.p, r.rank, src, tag))
+}
+
+// received returns a message's payload and status. A collective's
+// batch of several blocks travels as parts; a user receive can take
+// one only with AnyTag, and gets it joined into one buffer.
+func received(msg simnet.Message) ([]byte, Status) {
+	payload := msg.Payload
+	if msg.Parts != nil {
+		payload = slices.Concat(msg.Parts...)
+	}
+	return payload, Status{Source: msg.Src, Tag: msg.Tag, Bytes: len(payload)}
 }
 
 // SendTimeout is the deadline-aware, error-returning Send: it reports
@@ -208,7 +221,23 @@ func (r *Rank) RecvTimeout(src, tag int, timeout time.Duration) ([]byte, Status,
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return msg.Payload, Status{Source: msg.Src, Tag: msg.Tag, Bytes: len(msg.Payload)}, nil
+	payload, st := received(msg)
+	return payload, st, nil
+}
+
+// zeroPayload backs ZeroPayload. Nothing writes it: the simulator
+// reads only a payload's length, and payloads are lent read-only.
+var zeroPayload [256 << 10]byte
+
+// ZeroPayload returns an m-byte read-only zero payload for Send or a
+// collective: a view of one shared zero array, or a fresh buffer for
+// sizes beyond its 256 KiB. Measurement harnesses send it instead of
+// allocating payloads whose contents nobody reads.
+func ZeroPayload(m int) []byte {
+	if m <= len(zeroPayload) {
+		return zeroPayload[:m:m]
+	}
+	return make([]byte, m)
 }
 
 // send is the internal untagged-range-checked variant used by

@@ -2,9 +2,13 @@ package mpi
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,10 +93,9 @@ func TestScatterGatherRoundTripAllAlgorithms(t *testing.T) {
 			func(r *Rank, root int, blocks [][]byte) []byte { return r.Scatter(alg, root, blocks) },
 			func(r *Rank, root int, block []byte) [][]byte { return r.Gather(alg, root, block) }})
 	}
-	kary := func(r *Rank, root int) *collective.Tree { return collective.ShapeTree(Binary, 3, r.Size(), root) }
 	shapes = append(shapes, shape{"3-ary",
-		func(r *Rank, root int, blocks [][]byte) []byte { return r.ScatterTree(kary(r, root), blocks) },
-		func(r *Rank, root int, block []byte) [][]byte { return r.GatherTree(kary(r, root), block) }})
+		func(r *Rank, root int, blocks [][]byte) []byte { return r.ScatterShape(Binary, 3, 0, root, 64, blocks) },
+		func(r *Rank, root int, block []byte) [][]byte { return r.GatherShape(Binary, 3, 0, root, block) }})
 	for _, sh := range shapes {
 		for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
 			for _, root := range []int{0, n - 1, n / 2} {
@@ -423,12 +426,18 @@ func TestMismatchedCollectiveDeadlocks(t *testing.T) {
 	}
 }
 
-// TestCollectivesCopyOnlyAtMerges gates the rule that collectives lend
-// payloads and copy only where a tree merges buffers. On Table I under
-// LAM, root 0, 64 KiB blocks, a warm gather may allocate at most the
-// batches of the non-root ranks that have children, and a warm scatter
-// at most the root's batches for children whose subtree holds more
-// than one rank, each plus 1 KiB for the result slice and bookkeeping.
+// TestCollectivesCopyNoPayload gates the rule that gather and scatter
+// move no payload bytes: batches travel as lists of block views, and a
+// segmented collective lends whole blocks. On Table I under LAM, root
+// 0, each case allocates the same warm bytes per operation, within
+// 1 KiB, at 4 KiB and at 64 KiB blocks, where one copied block would
+// already differ by 60 KiB. At both sizes a case allocates at most its
+// header lists, 24 B per listed block, plus 1 KiB for the result slice
+// and bookkeeping: an interior gather rank lists its subtree's blocks,
+// and a scatter root all n once some child's subtree has several
+// ranks. The cases are the four algorithms, a 3-ary tree, and a
+// segmented gather and scatter with four segments at both sizes.
+//
 // Warm bytes per operation are the TotalAlloc difference between the
 // ends of operations 20 and 40 of one job, over 20. Reading both inside
 // one job leaves out the job's set-up, whose goroutine start-up varies
@@ -436,15 +445,10 @@ func TestMismatchedCollectiveDeadlocks(t *testing.T) {
 // ends at a HardSync, as a measured repetition does (mpib.Measure):
 // without it eager senders run operations ahead of the root, and the
 // simulator's message and event pools grow with the job.
-func TestCollectivesCopyOnlyAtMerges(t *testing.T) {
-	const bs, root, slack = 64 << 10, 0, 1 << 10
+func TestCollectivesCopyNoPayload(t *testing.T) {
+	const root, slack = 0, 1 << 10
 	cfg := Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
 	n := cfg.Cluster.N()
-	block := make([]byte, bs)
-	blocks := make([][]byte, n)
-	for i := range blocks {
-		blocks[i] = make([]byte, bs)
-	}
 	// perOp returns the warm bytes one call of op allocates.
 	perOp := func(op func(r *Rank)) float64 {
 		var at [2]runtime.MemStats // after operations 20 and 40
@@ -465,33 +469,211 @@ func TestCollectivesCopyOnlyAtMerges(t *testing.T) {
 		}
 		return float64(int64(at[1].TotalAlloc-at[0].TotalAlloc)) / 20
 	}
+	// listed returns the blocks the header lists of one gather or
+	// scatter over tree hold.
+	listed := func(tree *collective.Tree, gather bool) int {
+		k := 0
+		for r := 0; r < n; r++ {
+			if gather && r != root && len(tree.Children[r]) > 0 {
+				k += tree.SubtreeSize[r]
+			}
+			if !gather && r != root && tree.Parent[r] == root && tree.SubtreeSize[r] > 1 {
+				k = n
+			}
+		}
+		return k
+	}
+	// A case runs one gather or scatter of bs-byte blocks, the root's
+	// in blocks, and lists at most lists blocks.
+	type cse struct {
+		name  string
+		lists int
+		op    func(r *Rank, bs int, blocks [][]byte)
+	}
+	var cases []cse
 	for _, alg := range Algorithms() {
 		tree := alg.Tree(n, root)
-		gatherMax, scatterMax := slack, slack
-		for r := 0; r < n; r++ {
-			if r != root && len(tree.Children[r]) > 0 {
-				gatherMax += tree.SubtreeSize[r] * bs
+		cases = append(cases,
+			cse{alg.String() + " gather", listed(tree, true), func(r *Rank, bs int, blocks [][]byte) { r.Gather(alg, root, blocks[r.Rank()]) }},
+			cse{alg.String() + " scatter", listed(tree, false), func(r *Rank, bs int, blocks [][]byte) { r.Scatter(alg, root, blocks) }})
+	}
+	ternary := collective.ShapeTree(Binary, 3, n, root)
+	binomial := Binomial.Tree(n, root)
+	cases = append(cases,
+		cse{"3-ary gather", listed(ternary, true), func(r *Rank, bs int, blocks [][]byte) { r.GatherShape(Binary, 3, 0, root, blocks[r.Rank()]) }},
+		cse{"3-ary scatter", listed(ternary, false), func(r *Rank, bs int, blocks [][]byte) { r.ScatterShape(Binary, 3, 0, root, bs, blocks) }},
+		cse{"segmented binomial gather", 4 * listed(binomial, true), func(r *Rank, bs int, blocks [][]byte) {
+			r.GatherShape(Binomial, 0, bs/4, root, blocks[r.Rank()])
+		}},
+		cse{"segmented binomial scatter", 4 * listed(binomial, false), func(r *Rank, bs int, blocks [][]byte) {
+			r.ScatterShape(Binomial, 0, bs/4, root, bs, blocks)
+		}})
+	for _, c := range cases {
+		var bytesAt [2]float64
+		for k, bs := range []int{4 << 10, 64 << 10} {
+			blocks := make([][]byte, n)
+			for i := range blocks {
+				blocks[i] = make([]byte, bs)
 			}
+			bytesAt[k] = perOp(func(r *Rank) { c.op(r, bs, blocks) })
 		}
-		for _, c := range tree.Children[root] {
-			if tree.SubtreeSize[c] > 1 {
-				scatterMax += tree.SubtreeSize[c] * bs
-			}
+		most := 24*c.lists + slack
+		t.Logf("%s: %.0f B per operation at 4 KiB blocks, %.0f B at 64 KiB (at most %d)", c.name, bytesAt[0], bytesAt[1], most)
+		if d := bytesAt[1] - bytesAt[0]; d > slack || d < -slack {
+			t.Errorf("%s allocates %.0f B per operation at 4 KiB blocks and %.0f B at 64 KiB, want equal within %d B", c.name, bytesAt[0], bytesAt[1], slack)
 		}
-		gather := perOp(func(r *Rank) { r.Gather(alg, root, block) })
-		scatter := perOp(func(r *Rank) {
-			var in [][]byte
-			if r.Rank() == root {
-				in = blocks
+		if max(bytesAt[0], bytesAt[1]) > float64(most) {
+			t.Errorf("%s allocates %.0f B per operation at 4 KiB blocks and %.0f B at 64 KiB, want at most %d", c.name, bytesAt[0], bytesAt[1], most)
+		}
+	}
+}
+
+// ScatterShape and GatherShape reject bad input as an *InputError: a
+// root outside the job before any tree is built, whatever the degree;
+// root blocks of any size but m, segmented or not; a rank whose m
+// disagrees with the root's, which would otherwise get bytes of the
+// next rank's block when the root's blocks share one buffer; and a
+// rank whose tree disagrees with the root's.
+func TestShapeRejectsBadInput(t *testing.T) {
+	cfg := Config{Cluster: cluster.Table1().Prefix(4), Profile: cluster.LAM(), Seed: 1}
+	const m = 3 << 10
+	// blocksOf returns 4 blocks of size bytes, views of one buffer.
+	blocksOf := func(size int) [][]byte {
+		buf := make([]byte, 4*size)
+		blocks := make([][]byte, 4)
+		for i := range blocks {
+			blocks[i] = buf[i*size : (i+1)*size]
+		}
+		return blocks
+	}
+	// mOf returns the block size rank 2 passes, and want elsewhere.
+	mOf := func(r *Rank, want, rank2 int) int {
+		if r.Rank() == 2 {
+			return rank2
+		}
+		return want
+	}
+	cases := []struct {
+		name   string
+		body   func(r *Rank)
+		reason string
+	}{
+		{"3ary-scatter-bad-root", func(r *Rank) {
+			r.ScatterShape(Binary, 3, 0, 7, m, blocksOf(m))
+		}, "root 7 out of range"},
+		{"3ary-gather-bad-root", func(r *Rank) {
+			r.GatherShape(Binary, 3, 0, 7, make([]byte, m))
+		}, "root 7 out of range"},
+		{"segmented-scatter-short-blocks", func(r *Rank) {
+			r.ScatterShape(Linear, 0, 1<<10, 0, m, blocksOf(2<<10))
+		}, "root blocks have 2048 bytes, want 3072"},
+		{"segmented-scatter-long-blocks", func(r *Rank) {
+			r.ScatterShape(Linear, 0, 1<<10, 0, m, blocksOf(4<<10))
+		}, "root blocks have 4096 bytes, want 3072"},
+		{"scatter-long-blocks", func(r *Rank) {
+			r.ScatterShape(Binomial, 0, 0, 0, m, blocksOf(4<<10))
+		}, "root blocks have 4096 bytes, want 3072"},
+		{"segmented-scatter-rank-m-disagrees", func(r *Rank) {
+			r.ScatterShape(Linear, 0, 4096, 0, mOf(r, 10000, 12000), blocksOf(10000))
+		}, "segment of 1808 bytes, want 3808"},
+		{"scatter-rank-m-disagrees", func(r *Rank) {
+			r.ScatterShape(Binomial, 0, 0, 0, mOf(r, m, 4<<10), blocksOf(m))
+		}, "block of 3072 bytes, want 4096"},
+		{"scatter-rank-tree-disagrees", func(r *Rank) {
+			alg := Binomial
+			if r.Rank() == 2 {
+				alg = Linear
 			}
-			r.Scatter(alg, root, in)
+			r.ScatterShape(alg, 0, 0, 0, m, blocksOf(m))
+		}, "batch of 2 blocks, want one per rank of a 1-rank subtree"},
+		{"gather-rank-tree-disagrees", func(r *Rank) {
+			alg := Binomial
+			if r.Rank() == 2 {
+				alg = Linear
+			}
+			r.GatherShape(alg, 0, 0, 0, nil) // empty blocks pass every size check
+		}, "batch from rank 2 has 1 blocks, want 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(cfg, c.body)
+			var ie *InputError
+			if !errors.As(err, &ie) || !strings.Contains(ie.Reason, c.reason) {
+				t.Errorf("got %v, want an *InputError saying %q", err, c.reason)
+			}
 		})
-		t.Logf("%v: %.0f B per gather (at most %d), %.0f B per scatter (at most %d)", alg, gather, gatherMax, scatter, scatterMax)
-		if gather > float64(gatherMax) {
-			t.Errorf("%v gather allocates %.0f B per operation, want at most %d", alg, gather, gatherMax)
-		}
-		if scatter > float64(scatterMax) {
-			t.Errorf("%v scatter allocates %.0f B per operation, want at most %d", alg, scatter, scatterMax)
+	}
+}
+
+// A ScatterShape then a GatherShape lend whole blocks: every scattered
+// block and every gathered entry is a view of the root's input block,
+// equal to an independent copy byte for byte, and the input is
+// unchanged afterwards. It holds for every algorithm and a 3-ary tree,
+// unsegmented and in segments of 4 096 bytes (the last one short), at
+// root 0 and at a root whose subtrees wrap past rank n-1.
+func TestShapeLendsWholeBlocks(t *testing.T) {
+	const m = 10000
+	cfg := Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
+	n := cfg.Cluster.N()
+	rng := rand.New(rand.NewSource(1))
+	in := make([][]byte, n)
+	want := make([][]byte, n) // an independent copy
+	for i := range in {
+		in[i] = make([]byte, m)
+		rng.Read(in[i])
+		want[i] = bytes.Clone(in[i])
+	}
+	hash := func() [32]byte { return sha256.Sum256(bytes.Join(in, nil)) }
+	before := hash()
+	type shape struct {
+		alg    Alg
+		degree int
+	}
+	var shapes []shape
+	for _, alg := range Algorithms() {
+		shapes = append(shapes, shape{alg, 0})
+	}
+	shapes = append(shapes, shape{Binary, 3})
+	for _, sh := range shapes {
+		for _, segment := range []int{0, 4096} {
+			for _, root := range []int{0, n - 3} {
+				name := fmt.Sprintf("%v/degree %d/segment %d/root %d", sh.alg, sh.degree, segment, root)
+				lent := func(what string, got []byte, i int) {
+					if len(got) != m || &got[0] != &in[i][0] {
+						t.Errorf("%s: %s is not a view of block %d", name, what, i)
+					} else if !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: %s differs from block %d", name, what, i)
+					}
+				}
+				_, err := Run(cfg, func(r *Rank) {
+					var blocks [][]byte
+					if r.Rank() == root {
+						blocks = in
+					}
+					mine := r.ScatterShape(sh.alg, sh.degree, segment, root, m, blocks)
+					lent(fmt.Sprintf("rank %d's scattered block", r.Rank()), mine, r.Rank())
+					out := r.GatherShape(sh.alg, sh.degree, segment, root, mine)
+					if r.Rank() != root {
+						if out != nil {
+							t.Errorf("%s: rank %d gathered %d blocks", name, r.Rank(), len(out))
+						}
+						return
+					}
+					if len(out) != n {
+						t.Errorf("%s: root gathered %d blocks, want %d", name, len(out), n)
+						return
+					}
+					for i, b := range out {
+						lent(fmt.Sprintf("gathered entry %d", i), b, i)
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if hash() != before {
+					t.Fatalf("%s: the input changed", name)
+				}
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ func (r *Rank) Scatterv(alg Alg, root int, blocks [][]byte, counts []int) []byte
 			}
 		}
 	}
-	return r.group().scatter("scatterv", tag, tree, blocks, counts)
+	return view(r.group().scatter("scatterv", tag, tree, blocks, counts))
 }
 
 // Gatherv collects variable-size blocks at root: every rank contributes
@@ -42,5 +42,5 @@ func (r *Rank) Gatherv(alg Alg, root int, block []byte, counts []int) [][]byte {
 	if len(block) != counts[r.rank] {
 		badInput("gatherv", "rank %d block has %d bytes, counts say %d", r.rank, len(block), counts[r.rank])
 	}
-	return r.group().gather("gatherv", tag, tree, block, counts)
+	return views(r.group().gather("gatherv", tag, tree, block, counts, nil))
 }

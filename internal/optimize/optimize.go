@@ -54,14 +54,14 @@ func ShouldSplitGather(g models.GatherEmpirical, m int) bool {
 // message is split into segments of at most GatherSegment bytes and
 // gathered in a series of linear gathers, each below M1 and therefore
 // escalation-free; otherwise a single native linear gather runs. All
-// ranks must call it collectively; the root gets the n reassembled
-// blocks, others nil.
+// ranks must call it collectively; the root gets the n whole blocks as
+// views of the ranks' own, others nil.
 func OptimizedGather(r *mpi.Rank, root int, block []byte, g models.GatherEmpirical) [][]byte {
 	seg := 0
 	if ShouldSplitGather(g, len(block)) {
 		seg = GatherSegment(g)
 	}
-	return ExecGather(r, mpi.Linear, 0, seg, root, block)
+	return r.GatherShape(mpi.Linear, 0, seg, root, block)
 }
 
 // MapBinomialTree searches for a processor-to-tree-position mapping

@@ -23,6 +23,12 @@
 // Collective operation times therefore emerge from event interleaving
 // and can genuinely diverge from any analytical model — which is the
 // property the paper's evaluation depends on.
+//
+// The simulator reads only a payload's length, and it passes payloads
+// by reference. A message may carry its payload as a list of buffers
+// (SendParts): it travels as one message of their total size, so it
+// costs, counts and orders exactly like a Send of that size, and the
+// receiver gets the sender's buffers in Message.Parts.
 package simnet
 
 import (
@@ -43,14 +49,26 @@ const AnySource = -1
 // AnyTag matches any message tag in Recv.
 const AnyTag = -1
 
-// Message is a delivered network message.
+// Message is a delivered network message. Its payload is Payload, or
+// for a message sent with SendParts the buffers in Parts.
 type Message struct {
 	Src, Dst   int
 	Tag        int
 	Payload    []byte
+	Parts      [][]byte      // the buffers of a SendParts, as the sender listed them
 	SentAt     time.Duration // when the sender's CPU began processing it
 	InjectedAt time.Duration // when it entered the wire
 	ArrivedAt  time.Duration // when it reached the destination's mailbox
+}
+
+// Size returns the payload bytes the message carries: the length of
+// Payload plus the lengths of its Parts.
+func (m *Message) Size() int {
+	size := len(m.Payload)
+	for _, p := range m.Parts {
+		size += len(p)
+	}
+	return size
 }
 
 // Counters accumulate traffic statistics for reports and tests.
@@ -212,7 +230,7 @@ func (d *inTransit) Fire() {
 		// black-hole it.
 		n.counters.BlackHole++
 		if n.obs != nil {
-			n.obs.EmitMsg(obs.CatMessage, "black-hole", dst, msg.InjectedAt, n.eng.Now(), src, dst, len(msg.Payload))
+			n.obs.EmitMsg(obs.CatMessage, "black-hole", dst, msg.InjectedAt, n.eng.Now(), src, dst, msg.Size())
 		}
 		n.putMessage(msg)
 	} else {
@@ -220,7 +238,7 @@ func (d *inTransit) Fire() {
 		n.boxes[dst] = append(n.boxes[dst], msg)
 		n.conds[dst].Broadcast()
 		if n.obs != nil {
-			n.obs.EmitMsg(obs.CatMessage, "wire", dst, msg.InjectedAt, msg.ArrivedAt, src, dst, len(msg.Payload))
+			n.obs.EmitMsg(obs.CatMessage, "wire", dst, msg.InjectedAt, msg.ArrivedAt, src, dst, msg.Size())
 		}
 	}
 	if d.delivered != nil {
@@ -400,7 +418,18 @@ func (n *Network) WireTime(src, dst, m int) time.Duration {
 // crashed panics with a *CrashError (use SendDeadline for the
 // error-returning form).
 func (n *Network) Send(p *vtime.Proc, src, dst, tag int, payload []byte) {
-	if err := n.SendDeadline(p, src, dst, tag, payload, 0); err != nil {
+	if err := n.send(p, src, dst, tag, payload, nil, 0); err != nil {
+		panic(err)
+	}
+}
+
+// SendParts is Send for a payload held in several buffers: the message
+// travels as one message of their total size, with the cost, counters
+// and spans of a Send of that size, and arrives with the same buffers
+// in Message.Parts. Nothing is copied, so the sender must not write
+// the buffers or the list after the call.
+func (n *Network) SendParts(p *vtime.Proc, src, dst, tag int, parts [][]byte) {
+	if err := n.send(p, src, dst, tag, nil, parts, 0); err != nil {
 		panic(err)
 	}
 }
@@ -412,6 +441,12 @@ func (n *Network) Send(p *vtime.Proc, src, dst, tag int, payload []byte) {
 // deadline). Eager sends commit once the sender's CPU frees, so the
 // deadline only bounds the rendezvous wait.
 func (n *Network) SendDeadline(p *vtime.Proc, src, dst, tag int, payload []byte, deadline time.Duration) error {
+	return n.send(p, src, dst, tag, payload, nil, deadline)
+}
+
+// send transmits a message whose payload is payload or, for SendParts,
+// parts.
+func (n *Network) send(p *vtime.Proc, src, dst, tag int, payload []byte, parts [][]byte, deadline time.Duration) error {
 	if src == dst {
 		panic("simnet: self-send not supported; local copies are modelled as free")
 	}
@@ -422,9 +457,9 @@ func (n *Network) SendDeadline(p *vtime.Proc, src, dst, tag int, payload []byte,
 	if n.dead[dst] {
 		return &CrashError{Nodes: []int{dst}, Waiter: src, At: p.Now()}
 	}
-	m := len(payload)
 	msg := n.getMessage()
-	*msg = Message{Src: src, Dst: dst, Tag: tag, Payload: payload, SentAt: p.Now()}
+	*msg = Message{Src: src, Dst: dst, Tag: tag, Payload: payload, Parts: parts, SentAt: p.Now()}
+	m := msg.Size()
 
 	// 1. Sender CPU processing: serializes consecutive sends and
 	// contends with receive processing on the same node. Straggler
@@ -623,10 +658,11 @@ func (n *Network) RecvDeadline(p *vtime.Proc, dst, src, tag int, deadline time.D
 				n.boxes[dst] = box[:len(box)-1]
 				out := *msg
 				n.putMessage(msg)
-				n.cpus[dst].Use(p, 1, n.scaleCPU(dst, n.ReceiverCost(dst, len(out.Payload))))
+				size := out.Size()
+				n.cpus[dst].Use(p, 1, n.scaleCPU(dst, n.ReceiverCost(dst, size)))
 				n.checkSelf(p, dst)
 				if n.obs != nil {
-					n.obs.EmitMsg(obs.CatMessage, "recv", dst, out.ArrivedAt, p.Now(), out.Src, dst, len(out.Payload))
+					n.obs.EmitMsg(obs.CatMessage, "recv", dst, out.ArrivedAt, p.Now(), out.Src, dst, size)
 				}
 				return out, nil
 			}

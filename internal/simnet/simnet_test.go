@@ -679,3 +679,84 @@ func TestRendezvousThreshold(t *testing.T) {
 		t.Fatalf("big send should have blocked till delivery: %v", bigDone)
 	}
 }
+
+// A message sent as parts costs exactly what one Send of their total
+// size costs — same send, injection and arrival times, same counters,
+// escalations and serialized ingress included — and arrives as the
+// sender's own buffers.
+func TestSendPartsCostsLikeOneSend(t *testing.T) {
+	const senders, rounds = 8, 60
+	cl := testCluster(senders + 1)
+	// Round r sends partSizes[r%4]: twice inside the escalation region,
+	// then past M2 (serialized ingress) and below M1.
+	partSizes := [][]int{{10 << 10, 12 << 10, 8 << 10}, {4 << 10, 16 << 10}, {40 << 10, 60 << 10}, {1 << 10, 1 << 10}}
+	sent := make([][][][]byte, senders+1) // sent[src][round]: the parts
+	for i := 1; i <= senders; i++ {
+		sent[i] = make([][][]byte, rounds)
+		for r := range sent[i] {
+			for _, size := range partSizes[r%4] {
+				sent[i][r] = append(sent[i][r], make([]byte, size))
+			}
+		}
+	}
+	type arrival struct {
+		src, tag, size                int
+		sentAt, injectedAt, arrivedAt time.Duration
+		receivedAt                    time.Duration
+	}
+	runOnce := func(asParts bool) ([]arrival, Counters) {
+		var got []arrival
+		net := run(t, cl, cluster.LAM(), 7, func(net *Network, eng *vtime.Engine) {
+			for i := 1; i <= senders; i++ {
+				i := i
+				eng.Go("s", func(p *vtime.Proc) {
+					for r, parts := range sent[i] {
+						if asParts {
+							net.SendParts(p, i, 0, r, parts)
+						} else {
+							total := 0
+							for _, b := range parts {
+								total += len(b)
+							}
+							net.Send(p, i, 0, r, make([]byte, total))
+						}
+						p.Sleep(100 * time.Millisecond) // start rounds together
+					}
+				})
+			}
+			eng.Go("r", func(p *vtime.Proc) {
+				for k := 0; k < senders*rounds; k++ {
+					msg := net.Recv(p, 0, AnySource, AnyTag)
+					got = append(got, arrival{msg.Src, msg.Tag, msg.Size(), msg.SentAt, msg.InjectedAt, msg.ArrivedAt, p.Now()})
+					if !asParts {
+						continue
+					}
+					want := sent[msg.Src][msg.Tag]
+					if msg.Payload != nil || len(msg.Parts) != len(want) {
+						t.Fatalf("message %d/%d arrived with payload %d B and %d parts, want %d parts", msg.Src, msg.Tag, len(msg.Payload), len(msg.Parts), len(want))
+					}
+					for k, b := range msg.Parts {
+						if len(b) != len(want[k]) || &b[0] != &want[k][0] {
+							t.Fatalf("message %d/%d part %d is not the buffer sent", msg.Src, msg.Tag, k)
+						}
+					}
+				}
+			})
+		})
+		return got, net.Counters()
+	}
+	whole, wc := runOnce(false)
+	parts, pc := runOnce(true)
+	t.Logf("counters %+v", wc)
+	if wc.Escalations == 0 || wc.Serialized == 0 {
+		t.Fatalf("counters %+v: the traffic must escalate and serialize to test both", wc)
+	}
+	if pc != wc {
+		t.Fatalf("counters: parts %+v, one send %+v", pc, wc)
+	}
+	for k := range whole {
+		if parts[k] != whole[k] {
+			t.Fatalf("arrival %d: parts %+v, one send %+v", k, parts[k], whole[k])
+		}
+	}
+}

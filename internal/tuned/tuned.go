@@ -185,7 +185,7 @@ func (t *Tuner) Scatter(r *mpi.Rank, root int, blocks [][]byte) []byte {
 	}
 	t.stats.ScatterCalls++
 	t.stats.ByAlg[label]++
-	return optimize.ExecScatter(r, d.alg, d.degree, d.segment, root, m, blocks)
+	return r.ScatterShape(d.alg, d.degree, d.segment, root, m, blocks)
 }
 
 // Gather collects blocks with the table- or model-chosen shape; with
@@ -201,7 +201,7 @@ func (t *Tuner) Gather(r *mpi.Rank, root int, block []byte) [][]byte {
 			t.stats.Splits++
 		}
 		t.stats.ByAlg[label]++
-		return optimize.ExecGather(r, d.alg, d.degree, d.segment, root, block)
+		return r.GatherShape(d.alg, d.degree, d.segment, root, block)
 	}
 	if t.lmo != nil && optimize.ShouldSplitGather(t.lmo.Gather, m) {
 		t.stats.Splits++

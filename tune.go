@@ -9,7 +9,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/optimize"
 	"repro/internal/tuned"
 )
 
@@ -215,17 +214,17 @@ func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	n := cfg.Cluster.N()
 	_, err = mpi.Run(cfg, func(r *mpi.Rank) {
 		if rule.Op == tuned.OpGather {
-			optimize.ExecGather(r, alg, rule.Degree, rule.Segment, tbl.Root, make([]byte, m))
+			r.GatherShape(alg, rule.Degree, rule.Segment, tbl.Root, mpi.ZeroPayload(m))
 			return
 		}
 		var blocks [][]byte
 		if r.Rank() == tbl.Root {
 			blocks = make([][]byte, n)
 			for i := range blocks {
-				blocks[i] = make([]byte, m)
+				blocks[i] = mpi.ZeroPayload(m)
 			}
 		}
-		optimize.ExecScatter(r, alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
+		r.ScatterShape(alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
 	})
 	return err
 }
