@@ -51,8 +51,8 @@ func goldenScenarios() []goldenScenario {
 
 // goldenWorkload exercises every hot path of the simulator: binomial
 // scatter (tree sends), linear gather through the irregular region
-// (escalations, mailbox scans), and a ring exchange large enough to
-// take the rendezvous path when the profile enables one.
+// (escalations, many-sender mailbox matching), and a ring exchange
+// large enough to take the rendezvous path when the profile enables one.
 func goldenWorkload(r *mpi.Rank) {
 	r.HardSync()
 	blocks := make([][]byte, r.Size())

@@ -411,7 +411,7 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 		return data
 	}
 	if r.rank != root {
-		data, _ = r.Recv(tree.Parent[r.rank], tag)
+		data, _ = r.recv(tree.Parent[r.rank], tag)
 	}
 	for _, c := range tree.Children[r.rank] {
 		r.send(c, tag, data)
@@ -432,7 +432,7 @@ func (r *Rank) Reduce(root int, block []byte, op func(a, b []byte) []byte) []byt
 	}
 	acc := append([]byte(nil), block...)
 	for range tree.Children[r.rank] {
-		payload, _ := r.Recv(AnySource, tag)
+		payload, _ := r.recv(AnySource, tag)
 		acc = op(acc, payload)
 	}
 	if r.rank == root {
@@ -455,7 +455,7 @@ func (r *Rank) Barrier() {
 		to := (r.rank + k) % n
 		from := (r.rank - k + n) % n
 		r.send(to, tag, nil)
-		r.Recv(from, tag)
+		r.recv(from, tag)
 	}
 }
 
@@ -476,7 +476,7 @@ func (r *Rank) Allgather(block []byte) [][]byte {
 	have := r.rank // index of the block we forward next
 	for s := 0; s < n-1; s++ {
 		r.send(right, tag, out[have])
-		payload, _ := r.Recv(left, tag)
+		payload, _ := r.recv(left, tag)
 		have = (have - 1 + n) % n
 		out[have] = payload
 	}
@@ -500,7 +500,7 @@ func (r *Rank) Alltoall(send [][]byte) [][]byte {
 		r.send(dst, tag, send[dst])
 	}
 	for i := 1; i < n; i++ {
-		payload, st := r.Recv(AnySource, tag)
+		payload, st := r.recv(AnySource, tag)
 		out[st.Source] = payload
 	}
 	return out

@@ -98,11 +98,11 @@ const commTagSpace = 1 << 30
 // nextTag reserves the tag block of the next collective on this
 // communicator. Each member advances its own counter; SPMD lockstep
 // within the comm keeps the counters aligned, exactly like the world
-// collectives' tags.
+// collectives' tags, which are negative for the same reason.
 func (c *Comm) nextTag(op int) int {
 	seq := c.seq[c.r.rank]
 	c.seq[c.r.rank]++
-	return commTagSpace + c.id*(1<<20) + (seq%(1<<16))*16 + op
+	return -(commTagSpace + c.id*(1<<20) + (seq%(1<<16))*16 + op)
 }
 
 // Send transmits data to comm rank dst.
@@ -114,11 +114,17 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 }
 
 // Recv receives from comm rank src (or AnySource) and returns the
-// payload with the status translated to comm ranks. Messages from
-// non-members do not match a specific src; with AnySource they would —
-// callers mixing world point-to-point and comm traffic should
+// payload with the status translated to comm ranks. Like Rank.Recv, it
+// takes a user tag or AnyTag, which matches user tags only. Messages
+// from non-members do not match a specific src; with AnySource they
+// would — callers mixing world point-to-point and comm traffic should
 // partition their tags.
-func (c *Comm) Recv(src, tag int) ([]byte, Status) { return c.group().recv(src, tag) }
+func (c *Comm) Recv(src, tag int) ([]byte, Status) {
+	if !recvTag(tag) {
+		badInput("recv", "user tag %d out of range [0, %d]", tag, MaxUserTag)
+	}
+	return c.group().recv(src, tag)
+}
 
 // group returns the communicator as a collective's rank space.
 func (c *Comm) group() group { return group{r: c.r, members: c.members, me: c.myRank} }
@@ -160,7 +166,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 		return data
 	}
 	if c.myRank != root {
-		data, _ = c.r.Recv(c.members[tree.Parent[c.myRank]], tag)
+		data, _ = c.r.recv(c.members[tree.Parent[c.myRank]], tag)
 	}
 	for _, cc := range tree.Children[c.myRank] {
 		c.r.send(c.members[cc], tag, data)
@@ -179,6 +185,6 @@ func (c *Comm) Barrier() {
 		to := c.members[(c.myRank+k)%n]
 		from := c.members[(c.myRank-k+n)%n]
 		c.r.send(to, tag, nil)
-		c.r.Recv(from, tag)
+		c.r.recv(from, tag)
 	}
 }

@@ -113,6 +113,16 @@ func TestBadCollectiveInputReturnsInputError(t *testing.T) {
 				r.Send(1, MaxUserTag+1, nil)
 			}
 		}},
+		{"recv-tag-range", 4, func(r *Rank) {
+			if r.Rank() == 0 {
+				r.Recv(AnySource, -2) // negative, but not AnyTag
+			}
+		}},
+		{"comm-recv-tag-range", 4, comm(func(c *Comm) {
+			if c.Rank() == 0 {
+				c.Recv(AnySource, MaxUserTag+1)
+			}
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,9 +264,10 @@ func TestRunFaultDeterminism(t *testing.T) {
 }
 
 func TestRecvTimeoutAndSendTimeout(t *testing.T) {
-	var recvErr, sendOK, tagErr error
+	var recvErr, sendOK, tagErr, recvTagErr error
 	_, err := Run(Config{Cluster: faultTestCluster(2)}, func(r *Rank) {
 		if r.Rank() == 1 {
+			_, _, recvTagErr = r.RecvTimeout(0, -2, time.Millisecond)
 			_, _, recvErr = r.RecvTimeout(0, 5, 1*time.Millisecond)
 			// The late message still arrives; drain it so the job ends
 			// cleanly.
@@ -280,6 +291,9 @@ func TestRecvTimeoutAndSendTimeout(t *testing.T) {
 	var ie *InputError
 	if !errors.As(tagErr, &ie) {
 		t.Fatalf("SendTimeout with bad tag returned %v, want *InputError", tagErr)
+	}
+	if !errors.As(recvTagErr, &ie) {
+		t.Fatalf("RecvTimeout with bad tag returned %v, want *InputError", recvTagErr)
 	}
 }
 

@@ -16,12 +16,17 @@
 // are views of the blocks (simnet.Network.SendParts), and a segmented
 // collective (ScatterShape, GatherShape) cuts its segments as views of
 // each block and returns every rank's whole block as a view.
+//
+// Collectives run in a tag space of their own, apart from the user
+// tags 0..MaxUserTag that Send, Recv and their Comm and Timeout forms
+// accept. No user receive takes a collective's message, not even a
+// wildcard one: AnyTag matches user tags only, just as MPI_ANY_TAG
+// never matches a collective's traffic, which runs in its own context.
 package mpi
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -34,10 +39,12 @@ import (
 // AnySource matches any sender in Recv.
 const AnySource = simnet.AnySource
 
-// AnyTag matches any tag in Recv.
+// AnyTag matches any user tag in Recv.
 const AnyTag = simnet.AnyTag
 
 // Internal tag space for collectives: user tags must stay below this.
+// Collectives send with the negated tag, which simnet's AnyTag does
+// not match.
 const collTagBase = 1 << 20
 
 // MaxUserTag is the largest tag application code may use in Send/Recv.
@@ -174,20 +181,27 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
-// its payload. src may be AnySource, tag may be AnyTag.
+// its payload. src may be AnySource, tag a user tag (0..MaxUserTag) or
+// AnyTag, which matches user tags only.
 func (r *Rank) Recv(src, tag int) ([]byte, Status) {
+	if !recvTag(tag) {
+		badInput("recv", "user tag %d out of range [0, %d]", tag, MaxUserTag)
+	}
+	return r.recv(src, tag)
+}
+
+// recv is Recv without the tag check, for collectives' own tags.
+func (r *Rank) recv(src, tag int) ([]byte, Status) {
 	return received(r.w.net.Recv(r.p, r.rank, src, tag))
 }
 
-// received returns a message's payload and status. A collective's
-// batch of several blocks travels as parts; a user receive can take
-// one only with AnyTag, and gets it joined into one buffer.
+// recvTag reports whether a user receive may name tag: AnyTag or a
+// user tag.
+func recvTag(tag int) bool { return tag == AnyTag || (tag >= 0 && tag <= MaxUserTag) }
+
+// received returns a message's payload and status.
 func received(msg simnet.Message) ([]byte, Status) {
-	payload := msg.Payload
-	if msg.Parts != nil {
-		payload = slices.Concat(msg.Parts...)
-	}
-	return payload, Status{Source: msg.Src, Tag: msg.Tag, Bytes: len(payload)}
+	return msg.Payload, Status{Source: msg.Src, Tag: msg.Tag, Bytes: len(msg.Payload)}
 }
 
 // SendTimeout is the deadline-aware, error-returning Send: it reports
@@ -211,8 +225,12 @@ func (r *Rank) SendTimeout(dst, tag int, data []byte, timeout time.Duration) err
 // a *CrashError when the awaited specific source has crashed with
 // nothing left in flight, and a *TimeoutError when no match arrives
 // within timeout of virtual time (non-positive timeout means no
-// deadline).
+// deadline). Like Recv, it matches user tags only; a tag outside them
+// is reported as an *InputError.
 func (r *Rank) RecvTimeout(src, tag int, timeout time.Duration) ([]byte, Status, error) {
+	if !recvTag(tag) {
+		return nil, Status{}, &InputError{Op: "recv", Reason: fmt.Sprintf("user tag %d out of range [0, %d]", tag, MaxUserTag)}
+	}
 	var deadline time.Duration
 	if timeout > 0 {
 		deadline = r.p.Now() + timeout
@@ -255,11 +273,12 @@ func (r *Rank) HardSync() { r.w.sync.Wait(r.p) }
 // collTag returns a fresh internal tag for the next collective call on
 // this rank. SPMD lockstep keeps the per-rank sequence numbers aligned,
 // so all ranks of one collective agree on the tag while distinct
-// collective invocations never cross-match.
+// collective invocations never cross-match. The tag is negative, so no
+// wildcard receive takes its messages.
 func (r *Rank) collTag(op int) int {
 	seq := r.w.seq[r.rank]
 	r.w.seq[r.rank]++
-	return collTagBase + seq*16 + op
+	return -(collTagBase + seq*16 + op)
 }
 
 // Collective op codes folded into internal tags.

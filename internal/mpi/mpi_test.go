@@ -72,6 +72,68 @@ func TestUserTagRangeEnforced(t *testing.T) {
 	}
 }
 
+// TestWildcardRecvSkipsCollectiveTraffic pins MPI's rule that a
+// wildcard-tag receive never takes a collective's message. Rank 0
+// waits on (AnySource, AnyTag) while rank 2's gather block already
+// sits in its mailbox; it must get rank 1's later user message, and
+// the gather must then complete. Recv, RecvTimeout and a
+// communicator's Recv (beside the communicator's gather) all obey it.
+func TestWildcardRecvSkipsCollectiveTraffic(t *testing.T) {
+	cases := []struct {
+		name string
+		comm bool // receive and gather on a communicator of all ranks
+		recv func(r *Rank, c *Comm) ([]byte, Status, error)
+	}{
+		{"recv", false, func(r *Rank, _ *Comm) ([]byte, Status, error) {
+			data, st := r.Recv(AnySource, AnyTag)
+			return data, st, nil
+		}},
+		{"recv-timeout", false, func(r *Rank, _ *Comm) ([]byte, Status, error) {
+			return r.RecvTimeout(AnySource, AnyTag, time.Second)
+		}},
+		{"comm-recv", true, func(_ *Rank, c *Comm) ([]byte, Status, error) {
+			data, st := c.Recv(AnySource, AnyTag)
+			return data, st, nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				data    []byte
+				st      Status
+				recvErr error
+			)
+			_, err := Run(Config{Cluster: cluster.Table1().Prefix(3)}, func(r *Rank) {
+				c, err := r.CommOf([]int{0, 1, 2})
+				if err != nil {
+					panic(err)
+				}
+				switch r.Rank() {
+				case 0:
+					data, st, recvErr = tc.recv(r, c)
+				case 1:
+					r.Sleep(time.Millisecond)
+					r.Send(0, 5, []byte("user"))
+				}
+				if tc.comm {
+					c.Gather(Linear, 0, []byte{0})
+				} else {
+					r.Gather(Linear, 0, []byte{0})
+				}
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if recvErr != nil {
+				t.Fatalf("receive: %v", recvErr)
+			}
+			if string(data) != "user" || st != (Status{Source: 1, Tag: 5, Bytes: 4}) {
+				t.Fatalf("wildcard receive got %q with %+v, want rank 1's \"user\" with tag 5", data, st)
+			}
+		})
+	}
+}
+
 // digest hashes blocks in order.
 func digest(blocks [][]byte) uint64 {
 	h := fnv.New64a()

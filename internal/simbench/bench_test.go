@@ -131,8 +131,8 @@ func BenchmarkPingPong(b *testing.B) {
 
 // BenchmarkLinearGather measures one 8-node linear gather in the
 // irregular message region per iteration — the collective whose
-// schedule the paper's eq (5) models, and the worst case for the
-// mailbox scan (the root receives from everyone).
+// schedule the paper's eq (5) models. Its root receives every rank's
+// block under one tag, each from the head of that tag's mailbox list.
 func BenchmarkLinearGather(b *testing.B) {
 	cfg := mpi.Config{Cluster: cluster.Table1().Prefix(8), Profile: cluster.LAM(), Seed: 1}
 	block := make([]byte, 48<<10)

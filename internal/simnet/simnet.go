@@ -29,6 +29,16 @@
 // (SendParts): it travels as one message of their total size, so it
 // costs, counts and orders exactly like a Send of that size, and the
 // receiver gets the sender's buffers in Message.Parts.
+//
+// A receive gets the earliest-arrived pending message that matches its
+// source and tag selectors, so messages from one sender with one tag,
+// which cross their link in order, are received in the order they were
+// sent. AnySource matches every sender. AnyTag matches every
+// non-negative tag: a layer above keeps its own traffic from wildcard
+// receives by giving it negative tags, which only a receive naming the
+// tag gets. Each node's mailbox is indexed by tag, one arrival-ordered
+// list per pending tag in a tag-sorted array, so a receive finds its
+// message without scanning other tags' messages or shifting the queue.
 package simnet
 
 import (
@@ -46,7 +56,9 @@ import (
 // AnySource matches any sending node in Recv.
 const AnySource = -1
 
-// AnyTag matches any message tag in Recv.
+// AnyTag matches any non-negative message tag in Recv and Probe.
+// Negative tags are reserved for traffic a wildcard receive must not
+// take: only a receive that names such a tag gets its messages.
 const AnyTag = -1
 
 // Message is a delivered network message. Its payload is Payload, or
@@ -99,7 +111,7 @@ type Network struct {
 
 	cpus        []*vtime.Resource // one per node, capacity 1
 	conds       []*vtime.Cond     // mailbox wakeups, one per node
-	boxes       [][]*Message      // pending messages per destination
+	boxes       []mailbox         // pending messages per destination
 	linkFree    [][]time.Duration // per directed link: when its transmission slot frees
 	ingressFree []time.Duration   // per node: when its serialized ingress port frees
 	inflight    [][]int           // inflight[dst][src]: concurrent wire transfers per flow
@@ -113,7 +125,7 @@ type Network struct {
 	laneFree [][]time.Duration // laneFree[directedEdge][lane]: when the lane frees
 
 	rdv         map[int]*vtime.Cond // per-(src,dst) rendezvous completion conds, created lazily
-	free        []*Message          // freelist of recycled Message structs
+	free        []*envelope         // freelist of recycled message headers
 	freeTransit []*inTransit        // freelist of recycled delivery handlers
 
 	inj  *faults.Injector // nil-safe fault injection (nil = no faults)
@@ -142,7 +154,7 @@ func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed 
 		seed:        seed,
 		cpus:        make([]*vtime.Resource, n),
 		conds:       make([]*vtime.Cond, n),
-		boxes:       make([][]*Message, n),
+		boxes:       make([]mailbox, n),
 		linkFree:    make([][]time.Duration, n),
 		ingressFree: make([]time.Duration, n),
 		inflight:    make([][]int, n),
@@ -177,18 +189,18 @@ func (n *Network) Profile() *cluster.TCPProfile { return n.prof }
 // Counters returns a snapshot of the traffic counters.
 func (n *Network) Counters() Counters { return n.counters }
 
-// getMessage takes a Message struct from the freelist, falling back to
-// the heap. Messages cycle sender → mailbox → receiver copy → freelist,
+// getMessage takes a message header from the freelist, falling back to
+// the heap. Headers cycle sender → mailbox → receiver copy → freelist,
 // so steady-state traffic allocates no message headers.
 //
 //lmovet:hotpath
-func (n *Network) getMessage() *Message {
+func (n *Network) getMessage() *envelope {
 	if k := len(n.free); k > 0 {
 		m := n.free[k-1]
 		n.free = n.free[:k-1]
 		return m
 	}
-	return &Message{}
+	return &envelope{}
 }
 
 // putMessage recycles a message header once its contents have been
@@ -196,8 +208,8 @@ func (n *Network) getMessage() *Message {
 // dropped so the freelist does not pin user buffers.
 //
 //lmovet:hotpath
-func (n *Network) putMessage(m *Message) {
-	*m = Message{}
+func (n *Network) putMessage(m *envelope) {
+	*m = envelope{}
 	n.free = append(n.free, m)
 }
 
@@ -209,7 +221,7 @@ func (n *Network) putMessage(m *Message) {
 // Fire recycles it).
 type inTransit struct {
 	net       *Network
-	msg       *Message
+	msg       *envelope
 	delivered *vtime.Cond // non-nil for rendezvous sends
 	arrived   bool        // set by Fire; polled by the rendezvous sender
 	abandoned bool        // sender timed out; Fire owns the recycle
@@ -235,7 +247,7 @@ func (d *inTransit) Fire() {
 		n.putMessage(msg)
 	} else {
 		msg.ArrivedAt = n.eng.Now()
-		n.boxes[dst] = append(n.boxes[dst], msg)
+		n.boxes[dst].put(msg)
 		n.conds[dst].Broadcast()
 		if n.obs != nil {
 			n.obs.EmitMsg(obs.CatMessage, "wire", dst, msg.InjectedAt, msg.ArrivedAt, src, dst, msg.Size())
@@ -325,11 +337,16 @@ func (n *Network) SetFaults(plan *faults.Plan) error {
 			// Black-hole anything already queued for the dead node and
 			// wake every waiter so blocked peers can re-examine their
 			// state (and detect the crash).
-			n.counters.BlackHole += len(n.boxes[node])
-			for _, m := range n.boxes[node] {
-				n.putMessage(m)
+			box := &n.boxes[node]
+			n.counters.BlackHole += box.pending
+			for _, l := range box.lists {
+				for m := l.head; m != nil; {
+					next := m.next
+					n.putMessage(m)
+					m = next
+				}
 			}
-			n.boxes[node] = nil
+			*box = mailbox{}
 			// Broadcast in slice (node-index) order, which is already
 			// deterministic. Order is additionally provably irrelevant:
 			// Cond.Broadcast only moves each parked waiter onto the
@@ -458,7 +475,7 @@ func (n *Network) send(p *vtime.Proc, src, dst, tag int, payload []byte, parts [
 		return &CrashError{Nodes: []int{dst}, Waiter: src, At: p.Now()}
 	}
 	msg := n.getMessage()
-	*msg = Message{Src: src, Dst: dst, Tag: tag, Payload: payload, Parts: parts, SentAt: p.Now()}
+	msg.Message = Message{Src: src, Dst: dst, Tag: tag, Payload: payload, Parts: parts, SentAt: p.Now()}
 	m := msg.Size()
 
 	// 1. Sender CPU processing: serializes consecutive sends and
@@ -615,14 +632,10 @@ func (n *Network) scaleCPU(node int, d time.Duration) time.Duration {
 	return d
 }
 
-// match reports whether msg satisfies the (src, tag) selector.
-func match(msg *Message, src, tag int) bool {
-	return (src == AnySource || msg.Src == src) && (tag == AnyTag || msg.Tag == tag)
-}
-
 // Recv blocks the process running on node dst until a message matching
 // (src, tag) is available, charges the receiver's CPU processing time,
-// and returns the message. src may be AnySource and tag may be AnyTag.
+// and returns the message: the earliest-arrived match. src may be
+// AnySource and tag may be AnyTag, which matches non-negative tags only.
 // Receiving from a crashed peer with nothing left in flight panics
 // with a *CrashError (use RecvDeadline for the error-returning form).
 func (n *Network) Recv(p *vtime.Proc, dst, src, tag int) Message {
@@ -646,26 +659,16 @@ func (n *Network) RecvDeadline(p *vtime.Proc, dst, src, tag int, deadline time.D
 	timerArmed := false
 	for {
 		n.checkSelf(p, dst)
-		box := n.boxes[dst]
-		for i, msg := range box {
-			if match(msg, src, tag) {
-				// Order-preserving in-place delete: later messages keep
-				// their FIFO positions and the mailbox keeps its backing
-				// array (the old append(box[:i:i], ...) form reallocated
-				// the whole box on every receive).
-				copy(box[i:], box[i+1:])
-				box[len(box)-1] = nil
-				n.boxes[dst] = box[:len(box)-1]
-				out := *msg
-				n.putMessage(msg)
-				size := out.Size()
-				n.cpus[dst].Use(p, 1, n.scaleCPU(dst, n.ReceiverCost(dst, size)))
-				n.checkSelf(p, dst)
-				if n.obs != nil {
-					n.obs.EmitMsg(obs.CatMessage, "recv", dst, out.ArrivedAt, p.Now(), out.Src, dst, size)
-				}
-				return out, nil
+		if msg := n.boxes[dst].take(src, tag); msg != nil {
+			out := msg.Message
+			n.putMessage(msg)
+			size := out.Size()
+			n.cpus[dst].Use(p, 1, n.scaleCPU(dst, n.ReceiverCost(dst, size)))
+			n.checkSelf(p, dst)
+			if n.obs != nil {
+				n.obs.EmitMsg(obs.CatMessage, "recv", dst, out.ArrivedAt, p.Now(), out.Src, dst, size)
 			}
+			return out, nil
 		}
 		if src != AnySource && n.dead[src] && n.inflight[dst][src] == 0 {
 			// The peer is dead and nothing from it is on the wire: the
@@ -685,16 +688,12 @@ func (n *Network) RecvDeadline(p *vtime.Proc, dst, src, tag int, deadline time.D
 	}
 }
 
-// Probe reports whether a matching message is already waiting at dst,
-// without consuming it.
+// Probe reports whether a message matching (src, tag) is already
+// waiting at dst, without consuming it.
 func (n *Network) Probe(dst, src, tag int) bool {
-	for _, msg := range n.boxes[dst] {
-		if match(msg, src, tag) {
-			return true
-		}
-	}
-	return false
+	_, _, msg := n.boxes[dst].find(src, tag)
+	return msg != nil
 }
 
 // Pending returns the number of undelivered messages waiting at dst.
-func (n *Network) Pending(dst int) int { return len(n.boxes[dst]) }
+func (n *Network) Pending(dst int) int { return n.boxes[dst].pending }
