@@ -19,10 +19,10 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/autotune"
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/models"
-	"repro/internal/mpi"
 	"repro/internal/serve"
 	"repro/internal/textplot"
 	"repro/internal/topo"
@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.models, "models", "", "load estimated models from this JSON file (from cmd/estimate -json) instead of re-estimating")
 	fs.StringVar(&o.topo, "topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
 	fs.StringVar(&o.batch, "batch", "", `batch mode: read JSONL queries ({"op","alg","m","root","degree","segment"}, blanks inherit the flags) from this file ("-" = stdin) and emit one JSON prediction per line; skips the observation run`)
-	fs.StringVar(&o.tuned, "tuned", "", "answer from an auto-tuned decision table (JSON from lmobench -exp tune or lmoserve /tune): print its chosen shape for this op and size and observe it")
+	fs.StringVar(&o.tuned, "tuned", "", "answer from an auto-tuned decision table (JSON from lmobench -exp tune or lmoserve /tune) tuned for this -root and node count: print its chosen shape for this op and size and observe it")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -112,6 +112,12 @@ func (o options) run(stdout, stderr io.Writer) error {
 	if o.batch == "" && q.Coll != models.CollScatter && q.Coll != models.CollGather {
 		return fmt.Errorf("the observation runs scatter and gather only; predict %v with -batch", q.Coll)
 	}
+	var tbl *tuned.Table
+	if o.batch == "" && o.tuned != "" {
+		if tbl, err = loadTable(o.tuned, n, q.Root); err != nil {
+			return err
+		}
+	}
 
 	if ms == nil {
 		clusterName := "Table I"
@@ -151,8 +157,8 @@ func (o options) run(stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "\n%v %v of %d-byte blocks on %d nodes (root %d):\n\n", q.Alg, q.Coll, q.M, n, q.Root)
 	fmt.Fprintln(stdout, textplot.Table(rows))
 
-	if o.tuned != "" {
-		if err := reportTuned(stdout, cfg, o.tuned, q.Coll.String(), q.M, obs.Mean[0]); err != nil {
+	if tbl != nil {
+		if err := reportTuned(stdout, cfg, tbl, o.tuned, tuned.Op(q.Coll.String()), q.M, obs.Mean[0]); err != nil {
 			return err
 		}
 	}
@@ -318,51 +324,48 @@ func runBatch(path string, fams []models.CollectivePredictor, lmo *models.LMOX, 
 	return sc.Err()
 }
 
-// reportTuned answers the query from an auto-tuned decision table:
-// look up the rule covering (op, m), print the chosen shape with its
-// tuning-time predictions, then observe that shape on this cluster and
-// compare it with the naive observation obsNaive.
-func reportTuned(w io.Writer, cfg experiment.Config, path, opName string, m int, obsNaive float64) error {
+// loadTable reads the -tuned decision table and checks that it answers
+// for this cluster's size and this root: a table decides for the one
+// root it was tuned at.
+func loadTable(path string, n, root int) (*tuned.Table, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tbl, err := tuned.UnmarshalTable(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n := cfg.Cluster.N()
 	if meta := tbl.Meta; meta != nil && meta.Nodes != n {
-		return fmt.Errorf("decision table %s was tuned for %d nodes; this cluster has %d", path, meta.Nodes, n)
+		return nil, fmt.Errorf("decision table %s was tuned for %d nodes; this cluster has %d", path, meta.Nodes, n)
 	}
-	rule, ok := tbl.Lookup(tuned.Op(opName), m)
+	if tbl.Root != root {
+		return nil, fmt.Errorf("decision table %s was tuned for root %d; -root is %d", path, tbl.Root, root)
+	}
+	return tbl, nil
+}
+
+// reportTuned answers the query from the decision table tbl, read from
+// path: look up the rule covering (op, m), print the chosen shape with
+// its tuning-time figures, then time that shape on this cluster as the
+// tuner does (autotune.Simulate, -reps repetitions) and compare it with
+// the flagged algorithm's observation obsNaive.
+func reportTuned(w io.Writer, cfg experiment.Config, tbl *tuned.Table, path string, op tuned.Op, m int, obsNaive float64) error {
+	rule, ok := tbl.Lookup(op, m)
 	if !ok {
-		fmt.Fprintf(w, "tuned: %s has no %s rule covering %d bytes\n", path, opName, m)
+		fmt.Fprintf(w, "tuned: %s has no %s rule covering %d bytes\n", path, op, m)
 		return nil
 	}
 	alg, err := rule.AlgValue()
 	if err != nil {
 		return err
 	}
-	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-		if tuned.Op(opName) == tuned.OpGather {
-			r.GatherShape(alg, rule.Degree, rule.Segment, tbl.Root, mpi.ZeroPayload(m))
-			return
-		}
-		var blocks [][]byte
-		if r.Rank() == tbl.Root {
-			blocks = make([][]byte, n)
-			for i := range blocks {
-				blocks[i] = mpi.ZeroPayload(m)
-			}
-		}
-		r.ScatterShape(alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
-	})
+	got, err := autotune.Simulate(cfg.MPIConfig(), cfg.ObsReps, op,
+		autotune.Candidate{Alg: alg, Degree: rule.Degree, Segment: rule.Segment}, tbl.Root, m)
 	if err != nil {
 		return err
 	}
-	got := res.Duration.Seconds()
-	fmt.Fprintf(w, "\ntuned decision for %s at %d bytes: %s\n", opName, m, rule.String())
+	fmt.Fprintf(w, "\ntuned decision for %s at %d bytes: %s\n", op, m, rule.String())
 	fmt.Fprintf(w, "  tuning-time: predicted %.6f s, simulated %.6f s\n", rule.PredictedS, rule.SimulatedS)
 	fmt.Fprintf(w, "  observed here: %.6f s (%+.1f%% vs the flagged algorithm's %.6f s)\n",
 		got, 100*(got-obsNaive)/obsNaive, obsNaive)

@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/autotune"
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/models"
+	"repro/internal/mpi"
 	"repro/internal/stats"
+	"repro/internal/tuned"
 )
 
 const testNodes = 8
@@ -212,5 +216,82 @@ func checkRow(t *testing.T, zoo map[string]models.CollectivePredictor, row batch
 	}
 	if len(row.Predictions) == 0 {
 		t.Fatalf("row for %+v has no predictions", q)
+	}
+}
+
+// TestTunedMode drives -tuned: the decision's "observed here" figure is
+// autotune.Simulate of the rule's shape with -reps repetitions, the
+// procedure that timed it when it was tuned, and a table tuned for
+// another root or cluster size is an input error reported before any
+// estimation, on stderr only.
+func TestTunedMode(t *testing.T) {
+	dir := t.TempDir()
+	data, err := zooFile(t).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(dir, "zoo.json")
+	if err := os.WriteFile(modelPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl := &tuned.Table{
+		Version: tuned.TableVersion,
+		Meta:    &models.Meta{Cluster: "table1", Nodes: testNodes, Profile: cluster.LAM().Name, Seed: 1, Est: "autotune"},
+		Rules: []tuned.Rule{
+			{Op: tuned.OpGather, MaxBytes: 8 << 10, Alg: "binomial"},
+			{Op: tuned.OpGather, MinBytes: 8 << 10, Alg: "linear", Segment: 4 << 10, PredictedS: 0.0011, SimulatedS: 0.0007},
+		},
+	}
+	if data, err = tbl.Marshal(); err != nil {
+		t.Fatal(err)
+	}
+	tablePath := filepath.Join(dir, "table.json")
+	if err := os.WriteFile(tablePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("observed here is Simulate", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-models", modelPath, "-tuned", tablePath, "-op", "gather", "-m", "16384", "-reps", "3"}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
+		}
+		cfg := mpi.Config{Cluster: cluster.Table1().Prefix(testNodes), Profile: cluster.LAM(), Seed: 1}
+		want, err := autotune.Simulate(cfg, 3, tuned.OpGather, autotune.Candidate{Alg: mpi.Linear, Segment: 4 << 10}, 0, 16<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			"tuned decision for gather at 16384 bytes: linear+seg4096",
+			"tuning-time: predicted 0.001100 s, simulated 0.000700 s",
+			fmt.Sprintf("observed here: %.6f s (", want),
+		} {
+			if !strings.Contains(stdout.String(), line) {
+				t.Fatalf("stdout lacks %q:\n%s", line, stdout.String())
+			}
+		}
+	})
+
+	for _, tc := range []struct {
+		name    string
+		flags   []string
+		wantErr string
+	}{
+		{"root mismatch", []string{"-topo", "single:8", "-root", "3"}, "was tuned for root 0; -root is 3"},
+		{"node mismatch", nil, "was tuned for 8 nodes; this cluster has 16"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-tuned", tablePath, "-op", "gather"}, tc.flags...)
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit code %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("stdout is not empty:\n%s", stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantErr) {
+				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.wantErr)
+			}
+		})
 	}
 }

@@ -20,13 +20,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/mpi"
+	"repro/internal/mpib"
 	"repro/internal/optimize"
 	"repro/internal/tuned"
 )
@@ -105,7 +108,8 @@ type Cell struct {
 
 	// Infeasible counts candidates the model could not answer;
 	// Pruned the answerable candidates dropped by the closed-form
-	// ranking before simulation.
+	// ranking before simulation, those that run the same shape as a
+	// better-ranked one included.
 	Infeasible int      `json:"infeasible"`
 	Pruned     int      `json:"pruned"`
 	Ranked     []Scored `json:"ranked"`
@@ -125,8 +129,8 @@ type Options struct {
 	// range [size_i, size_i+1). Default: the experiment sweep
 	// 1 KB – 200 KB (experiment.DefaultSizes).
 	MsgSizes []int
-	// TopK survivors of the closed-form prune are validated in the
-	// simulator (default 3).
+	// TopK survivors of the closed-form prune, each a different shape,
+	// are validated in the simulator (default 3).
 	TopK int
 	// Candidates overrides the search space (default
 	// DefaultCandidates(model)).
@@ -219,7 +223,9 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 
 	// Phase 1: closed-form prune. The model answers every candidate it
 	// can; the rest are infeasible for this (model, cell) pair. Only
-	// the top-k by predicted makespan move on to simulation.
+	// the top-k distinct shapes by predicted makespan move on to
+	// simulation: a candidate that runs the same shape as a
+	// better-ranked one would only simulate it again.
 	var cells []Cell
 	for _, op := range opt.Ops {
 		coll, err := collFor(op)
@@ -239,10 +245,14 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 			sort.SliceStable(cell.Ranked, func(a, b int) bool {
 				return cell.Ranked[a].PredictedS < cell.Ranked[b].PredictedS
 			})
-			if len(cell.Ranked) > opt.TopK {
-				cell.Pruned = len(cell.Ranked) - opt.TopK
-				cell.Ranked = cell.Ranked[:opt.TopK]
+			kept := cell.Ranked[:0]
+			for _, sc := range cell.Ranked {
+				if len(kept) < opt.TopK && !runsAnyOf(sc.Candidate, kept, n, opt.Root, m) {
+					kept = append(kept, sc)
+				}
 			}
+			cell.Pruned = len(cell.Ranked) - len(kept)
+			cell.Ranked = kept
 			if len(cell.Ranked) == 0 {
 				return nil, fmt.Errorf("autotune: model %q answered no candidate for %s at %d bytes", model.Name(), op, m)
 			}
@@ -252,9 +262,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 
 	// Phase 2: simulator validation through the campaign engine — one
 	// Custom target per surviving (cell, candidate), executed by a
-	// RunTask hook that replays the exact candidate shape with
-	// mpi.Rank.ScatterShape/GatherShape and reports the virtual-time
-	// makespan.
+	// RunTask hook that times the exact candidate shape with Simulate.
 	type ref struct{ cell, cand int }
 	var targets []campaign.Target
 	var refs []ref
@@ -280,7 +288,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 			r := t.NewResult()
 			rf := refs[t.Coord.Target]
 			cell := cells[rf.cell]
-			s, err := Simulate(cfg, cell.Op, cell.Ranked[rf.cand].Candidate, opt.Root, cell.M)
+			s, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, cell.Op, cell.Ranked[rf.cand].Candidate, opt.Root, cell.M)
 			if err != nil {
 				r.Err = err.Error()
 				return r
@@ -336,6 +344,29 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	return res, nil
 }
 
+// runsAnyOf reports whether candidate c runs the same collective as one
+// of the kept candidates on n ranks rooted at root with m-byte blocks:
+// every rank sends to the same children in the same order, and the
+// block is cut into the same segments (a segment of 0 or of at least m
+// cuts none). The trees come shared from collective.ShapeTree, so a
+// comparison allocates nothing.
+func runsAnyOf(c Candidate, kept []Scored, n, root, m int) bool {
+	segment := func(s int) int {
+		if s >= m {
+			return 0
+		}
+		return max(s, 0)
+	}
+	children := collective.ShapeTree(c.Alg, c.Degree, n, root).Children
+	for _, k := range kept {
+		if segment(k.Candidate.Segment) == segment(c.Segment) && slices.EqualFunc(children,
+			collective.ShapeTree(k.Candidate.Alg, k.Candidate.Degree, n, root).Children, slices.Equal[[]int]) {
+			return true
+		}
+	}
+	return false
+}
+
 // buildTable folds the per-cell winners into a decision table: cell i
 // of an operation governs message sizes [size_i, size_i+1), with the
 // first range opened down to 0 and the last unbounded.
@@ -375,43 +406,37 @@ func buildTable(cfg experiment.Config, opt Options, n int, cells []Cell) *tuned.
 	return tbl
 }
 
-// Simulate measures one collective under a candidate shape in the
-// event simulator and returns the virtual-time makespan in seconds —
-// the ground truth the closed-form predictions are judged against.
-//
-// The collective repeats cfg.ObsReps times (minimum 1) back to back in
-// one simulated job and the makespan is the per-repetition mean: the
-// TCP escalations of the irregular region are probabilistic, so a
-// single draw misrepresents the expected cost the closed-form models
-// predict.
-func Simulate(cfg experiment.Config, op tuned.Op, c Candidate, root, m int) (float64, error) {
-	n := cfg.Cluster.N()
-	reps := cfg.ObsReps
-	if reps <= 0 {
-		reps = 1
-	}
+// Simulate times one scatter or gather under a candidate shape in the
+// event simulator and returns its makespan in seconds, the ground truth
+// the closed-form predictions are judged against. It times as
+// experiment.Observe times the figures: reps synchronised repetitions
+// (at least one) under mpib.Measure, each sample the maximum over the
+// ranks, and returns their mean. The closed forms predict one isolated
+// collective, so no repetition may overlap the next; and the TCP
+// escalations of the irregular region are probabilistic, so a single
+// draw misrepresents the expected cost they predict.
+func Simulate(cfg mpi.Config, reps int, op tuned.Op, c Candidate, root, m int) (float64, error) {
 	// Every block is the same read-only zero payload: collectives lend
 	// blocks, and the simulator reads only their lengths.
 	block := mpi.ZeroPayload(m)
 	var blocks [][]byte
 	if op == tuned.OpScatter {
-		blocks = make([][]byte, n)
+		blocks = make([][]byte, cfg.Cluster.N())
 		for i := range blocks {
 			blocks[i] = block
 		}
 	}
-	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-		for rep := 0; rep < reps; rep++ {
-			switch op {
-			case tuned.OpScatter:
-				r.ScatterShape(c.Alg, c.Degree, c.Segment, root, m, blocks)
-			case tuned.OpGather:
-				r.GatherShape(c.Alg, c.Degree, c.Segment, root, block)
-			}
+	opts := mpib.Options{MinReps: max(reps, 1), MaxReps: max(reps, 1)}
+	var mean float64
+	_, err := mpi.Run(cfg, func(r *mpi.Rank) {
+		run := func() { r.GatherShape(c.Alg, c.Degree, c.Segment, root, block) }
+		if op == tuned.OpScatter {
+			run = func() { r.ScatterShape(c.Alg, c.Degree, c.Segment, root, m, blocks) }
+		}
+		meas := mpib.Measure(r, root, mpib.MaxTiming, opts, run)
+		if r.Rank() == root {
+			mean = meas.Mean
 		}
 	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Duration.Seconds() / float64(reps), nil
+	return mean, err
 }

@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/experiment"
 	"repro/internal/faults"
 	"repro/internal/models"
@@ -80,7 +82,7 @@ func TestTuneBeatsNaiveGatherAndAgrees(t *testing.T) {
 	if cell == nil {
 		t.Fatalf("no gather cell at %d bytes", big)
 	}
-	naive, err := Simulate(cfg, tuned.OpGather, Candidate{Alg: mpi.Linear}, 0, big)
+	naive, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, Candidate{Alg: mpi.Linear}, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestTuneBeatsNaiveGatherAndAgrees(t *testing.T) {
 	// The Fig 7 optimization — linear gather split into sub-M1
 	// segments — is in the candidate space and must itself clear the
 	// bar, whether or not a tree shape edged it out.
-	split, err := Simulate(cfg, tuned.OpGather, Candidate{Alg: mpi.Linear, Segment: 4 << 10}, 0, big)
+	split, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, Candidate{Alg: mpi.Linear, Segment: 4 << 10}, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +232,47 @@ func TestTunePrunesToTopK(t *testing.T) {
 	}
 }
 
+// No two survivors of a cell run the same collective, so the top-k
+// validation always compares k different shapes. Two candidates run the
+// same collective when their trees are equal and their segments cut
+// the same pieces (0 and any segment of at least m cut none). On 8
+// nodes linear and binary/k=7 and /k=8 build the same flat tree from
+// root 0, and segments of 4 and 16 KB leave small blocks whole.
+func TestTuneSurvivorsRunDistinctShapes(t *testing.T) {
+	for _, n := range []int{16, 8} {
+		res, err := Tune(context.Background(), tuneCfg(n), lmoFor(n), Options{MsgSizes: TuneSizes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range res.Cells {
+			pieces := func(segment int) int {
+				if segment <= 0 || segment >= cell.M {
+					return 0
+				}
+				return segment
+			}
+			for i, a := range cell.Ranked {
+				for _, b := range cell.Ranked[:i] {
+					ta := collective.ShapeTree(a.Candidate.Alg, a.Candidate.Degree, n, 0)
+					tb := collective.ShapeTree(b.Candidate.Alg, b.Candidate.Degree, n, 0)
+					if pieces(a.Candidate.Segment) == pieces(b.Candidate.Segment) && reflect.DeepEqual(ta, tb) {
+						t.Errorf("%d nodes, %s at %d bytes: survivors %v and %v run the same collective",
+							n, cell.Op, cell.M, b.Candidate, a.Candidate)
+					}
+				}
+			}
+			if len(cell.Ranked) != 3 {
+				t.Errorf("%d nodes, %s at %d bytes: %d survivors, want 3", n, cell.Op, cell.M, len(cell.Ranked))
+			}
+			// The prune compares shared trees: it allocates nothing.
+			c, kept := cell.Ranked[2].Candidate, cell.Ranked[:2]
+			if a := testing.AllocsPerRun(10, func() { runsAnyOf(c, kept, n, 0, cell.M) }); a != 0 {
+				t.Errorf("%d nodes, %s at %d bytes: a shape comparison allocates %v times", n, cell.Op, cell.M, a)
+			}
+		}
+	}
+}
+
 // A flat-only model (no tree capability) shrinks the feasible space
 // instead of failing the tune.
 func TestTuneWithFlatOnlyModel(t *testing.T) {
@@ -260,47 +303,15 @@ func TestTuneWithFlatOnlyModel(t *testing.T) {
 	}
 }
 
-// SimPredictor answers the same vocabulary as the closed-form models
-// and matches Simulate exactly.
-func TestSimPredictor(t *testing.T) {
-	const n = 6
-	cfg := tuneCfg(n)
-	sp := NewSimPredictor(cfg)
-	if !sp.Capabilities().Simulates {
-		t.Fatal("SimPredictor must advertise Simulates")
-	}
-	q := models.Query{Coll: models.CollGather, Alg: mpi.Linear, N: n, M: 8 << 10, Segment: 2 << 10}
-	got, err := sp.Predict(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Simulate(cfg, tuned.OpGather, Candidate{Alg: mpi.Linear, Segment: 2 << 10}, 0, 8<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Predict = %v, Simulate = %v", got, want)
-	}
-	if v := sp.P2P(0, 1, 1<<10); v <= 0 {
-		t.Fatalf("P2P = %v, want > 0", v)
-	}
-	if _, err := sp.Predict(models.Query{Coll: models.CollBcast, Alg: mpi.Linear, N: n, M: 1}); err == nil {
-		t.Fatal("bcast should be unsupported")
-	}
-	if _, err := sp.Predict(models.Query{Coll: models.CollGather, Alg: mpi.Linear, N: n + 1, M: 1}); err == nil {
-		t.Fatal("node-count mismatch should be rejected")
-	}
-}
-
-// TestSimulateAppliesFaultPlan: the simulator-backed paths run on the
-// configured fault plan. A 4× CPU straggler at the root must slow a
-// 16 KB linear scatter and a point-to-point send from it.
+// TestSimulateAppliesFaultPlan: Simulate runs on the configured fault
+// plan. A 4× CPU straggler at the root must slow a 16 KB linear
+// scatter.
 func TestSimulateAppliesFaultPlan(t *testing.T) {
-	clean := experiment.Config{Cluster: cluster.Table1().Prefix(8), Profile: cluster.LAM(), Seed: 1, ObsReps: 3}
+	clean := mpi.Config{Cluster: cluster.Table1().Prefix(8), Profile: cluster.LAM(), Seed: 1}
 	faulty := clean
 	faulty.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Node: 0, CPUX: 4}}}
-	scatter := func(cfg experiment.Config) float64 {
-		s, err := Simulate(cfg, tuned.OpScatter, Candidate{Alg: mpi.Linear}, 0, 16<<10)
+	scatter := func(cfg mpi.Config) float64 {
+		s, err := Simulate(cfg, 3, tuned.OpScatter, Candidate{Alg: mpi.Linear}, 0, 16<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,9 +319,6 @@ func TestSimulateAppliesFaultPlan(t *testing.T) {
 	}
 	if c, f := scatter(clean), scatter(faulty); f <= 1.5*c {
 		t.Fatalf("Simulate: straggling root %.6f s, clean %.6f s; the fault plan did not reach the simulator", f, c)
-	}
-	if c, f := NewSimPredictor(clean).P2P(0, 1, 16<<10), NewSimPredictor(faulty).P2P(0, 1, 16<<10); f <= c {
-		t.Fatalf("P2P: straggling source %.6f s, clean %.6f s; the fault plan did not reach the simulator", f, c)
 	}
 }
 

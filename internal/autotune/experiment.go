@@ -69,7 +69,7 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 	rows := [][]string{{"op", "size", "chosen", "predicted (s)", "simulated (s)", "naive linear (s)", "speedup"}}
 	var bestGatherSpeedup float64
 	for _, cell := range res.Cells {
-		naive, err := Simulate(cfg, cell.Op, Candidate{Alg: mpi.Linear}, cfg.Root, cell.M)
+		naive, err := Simulate(mcfg, cfg.ObsReps, cell.Op, Candidate{Alg: mpi.Linear}, cfg.Root, cell.M)
 		if err != nil {
 			return nil, nil, err
 		}

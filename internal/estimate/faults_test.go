@@ -26,9 +26,9 @@ func observeScatterLinear(t *testing.T, cfg mpi.Config, m int) float64 {
 	}
 	var obs float64
 	_, err := mpi.Run(cfg, func(r *mpi.Rank) {
-		obs = mpib.MeasureOnce(r, 0, mpib.MaxTiming, func() {
+		obs = mpib.Measure(r, 0, mpib.MaxTiming, mpib.Options{MinReps: 1, MaxReps: 1}, func() {
 			r.Scatter(mpi.Linear, 0, blocks)
-		})
+		}).Mean
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -134,16 +134,13 @@ type Capabilities struct {
 	// are pinned to the estimated cluster size (queries with a
 	// different N fail instead of extrapolating).
 	PerNode bool
-	// Simulates: predictions come from discrete-event simulation
-	// rather than a closed form — accurate, orders of magnitude
-	// slower; tuners use it to validate, never to enumerate.
-	Simulates bool
 }
 
 // CollectivePredictor is the prediction interface: one Alg-keyed
 // Predict entry point over the whole algorithm zoo plus a capabilities
-// surface. All seven models implement it, as does the
-// simulator-backed predictor in internal/autotune.
+// surface. All seven models implement it; the simulator is not a
+// predictor but the ground truth they are judged against
+// (autotune.Simulate).
 type CollectivePredictor interface {
 	Name() string
 	// P2P predicts one message of m bytes from src to dst.

@@ -228,9 +228,6 @@ func TestCapabilitiesMatchBehavior(t *testing.T) {
 		if !caps.Trees && err == nil {
 			t.Fatalf("%s denies Trees but answered a chain scatter", p.Name())
 		}
-		if caps.Simulates {
-			t.Fatalf("%s is a closed form and must not claim Simulates", p.Name())
-		}
 		if !caps.PerNode {
 			continue
 		}

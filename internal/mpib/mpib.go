@@ -7,6 +7,12 @@
 // root side, "fast and quite accurate for collective operations on a
 // small number of processors") or taking the maximum over all
 // processes (the global makespan).
+//
+// Measure is the repository's one procedure for timing a collective:
+// the figures' observations, the auto-tuner's validations and
+// cmd/predict all time through it, so the closed forms are always
+// judged against one isolated operation's makespan, never against
+// repetitions that overlap.
 package mpib
 
 import (
@@ -111,7 +117,9 @@ func (m Measurement) Seconds() float64 { return m.Mean }
 // must call Measure at the same point, and op must itself be a
 // collective (or locally empty) action. The roles:
 //
-//   - every repetition starts from a HardSync so ranks are aligned;
+//   - every repetition starts with the ranks aligned: one HardSync
+//     opens the measurement, and each repetition's closing HardSync
+//     releases every rank at one instant to start the next;
 //   - each rank times its local part of op;
 //   - the per-repetition sample is either the designated rank's local
 //     time (RootTiming) or the maximum over ranks (MaxTiming).
@@ -143,11 +151,10 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 		msp = tr.Begin(obs.CatMeasure, "measure:"+timing.String(), designated, start)
 	}
 	for rep := 1; ; rep++ {
-		r.HardSync()
 		t0 := r.Now()
 		op()
 		st.locals[r.Rank()] = (r.Now() - t0).Seconds()
-		r.HardSync() // every rank has written its local duration
+		r.HardSync() // every rank has written its local duration, and starts the next repetition here
 		if len(st.samples) < rep {
 			st.record(designated, timing) // first rank past the sync
 		}
@@ -225,25 +232,4 @@ func (st *measureState) record(designated int, timing Timing) {
 		st.backoff *= 2
 		st.budget = len(st.samples) + o.MaxReps
 	}
-}
-
-// MeasureOnce runs op a single repetition per rank and returns the
-// duration according to the timing method, without the adaptive loop.
-// Useful for one-shot observations where the caller handles statistics.
-func MeasureOnce(r *mpi.Rank, designated int, timing Timing, op func()) float64 {
-	n := r.Size()
-	cell := r.SharedCell()
-	if cell.V == nil {
-		cell.V = make([]float64, n)
-	}
-	locals := cell.V.([]float64)
-	r.HardSync()
-	t0 := r.Now()
-	op()
-	locals[r.Rank()] = (r.Now() - t0).Seconds()
-	r.HardSync()
-	if timing == RootTiming {
-		return locals[designated]
-	}
-	return stats.Max(locals)
 }

@@ -153,27 +153,6 @@ func TestMeasureSequentialCallsIndependent(t *testing.T) {
 	}
 }
 
-func TestMeasureOnce(t *testing.T) {
-	const n = 4
-	vals := make([]float64, n)
-	_, err := mpi.Run(testConfig(n), func(r *mpi.Rank) {
-		vals[r.Rank()] = MeasureOnce(r, 0, MaxTiming, func() {
-			r.Scatter(mpi.Linear, 0, blocks(n, 1000))
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		if vals[i] != vals[0] {
-			t.Fatalf("ranks disagree: %v", vals)
-		}
-	}
-	if vals[0] <= 0 {
-		t.Fatal("duration must be positive")
-	}
-}
-
 func TestLocalOpOnDesignatedRankOnly(t *testing.T) {
 	// Measuring a root-local operation: only the designated rank works;
 	// RootTiming sees it, and all ranks still agree.

@@ -72,16 +72,25 @@ func measurePerRank(r *mpi.Rank, designated int, timing Timing, opts Options, op
 	}
 }
 
+// kernelCost is what one simulated job cost the event kernel.
+type kernelCost struct {
+	duration        time.Duration
+	events, resumes int64
+}
+
 // TestMeasureMatchesPerRankOracle drives seeded random measurements of
 // a linear gather — 2–12 ranks, both timing methods, varied
 // repetition bounds, outlier rejection and retries, with TCP
 // irregularities and packet loss that keep some confidence intervals
 // open — through Measure and the per-rank reference, and requires an
 // identical Measurement on every rank and an identical virtual
-// duration, event count and resume count.
+// duration. The reference opens every repetition with a HardSync of
+// its own; Measure starts each repetition from the previous one's
+// closing HardSync, so it must dispatch exactly n fewer events and
+// resumes per repetition (a barrier over n ranks resumes each once).
 func TestMeasureMatchesPerRankOracle(t *testing.T) {
 	run := func(cfg mpi.Config, designated int, timing Timing, opts Options, m int,
-		measure func(*mpi.Rank, int, Timing, Options, func()) Measurement) ([][]Measurement, string) {
+		measure func(*mpi.Rank, int, Timing, Options, func()) Measurement) ([][]Measurement, kernelCost) {
 		tr := obs.NewTrace()
 		cfg.Obs = tr
 		got := make([][]Measurement, cfg.Cluster.N())
@@ -95,8 +104,7 @@ func TestMeasureMatchesPerRankOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, fmt.Sprintf("duration %v, %d events, %d resumes",
-			res.Duration, tr.Counter("vtime.events").Value(), tr.Counter("vtime.resumes").Value())
+		return got, kernelCost{res.Duration, tr.Counter("vtime.events").Value(), tr.Counter("vtime.resumes").Value()}
 	}
 	nonConverged, retried := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -125,15 +133,19 @@ func TestMeasureMatchesPerRankOracle(t *testing.T) {
 		designated := rng.Intn(n)
 		m := []int{0, 1 << 10, 32 << 10, 100 << 10}[rng.Intn(4)]
 
-		got, gotRun := run(cfg, designated, timing, opts, m, Measure)
-		want, wantRun := run(cfg, designated, timing, opts, m, measurePerRank)
-		if gotRun != wantRun {
-			t.Fatalf("seed %d: %s; per-rank reference %s", seed, gotRun, wantRun)
-		}
+		got, gotCost := run(cfg, designated, timing, opts, m, Measure)
+		want, wantCost := run(cfg, designated, timing, opts, m, measurePerRank)
 		for rank := range want {
 			if g, w := fmt.Sprintf("%+v", got[rank]), fmt.Sprintf("%+v", want[rank]); g != w {
 				t.Fatalf("seed %d rank %d: measurements differ\n got %s\nwant %s", seed, rank, g, w)
 			}
+		}
+		reps := int64(want[0][0].Reps + want[0][1].Reps)
+		wantCost.events -= int64(n) * reps
+		wantCost.resumes -= int64(n) * reps
+		if gotCost != wantCost {
+			t.Fatalf("seed %d (%d ranks, %d repetitions): %+v, want the per-rank reference less one barrier per repetition, %+v",
+				seed, n, reps, gotCost, wantCost)
 		}
 		for _, meas := range want[0] {
 			if !meas.Converged {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/experiment"
 	"repro/internal/models"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/tuned"
 )
@@ -87,9 +86,9 @@ type topKOption int
 
 func (o topKOption) applyTune(c *tuneConfig) { c.opt.TopK = int(o) }
 
-// WithTopK keeps the k best closed-form candidates per cell for
-// simulator validation (default 3). Larger k trades tuning time for
-// robustness against model mispredictions.
+// WithTopK keeps the k best closed-form candidates per cell, each a
+// different shape, for simulator validation (default 3). Larger k
+// trades tuning time for robustness against model mispredictions.
 func WithTopK(k int) TuneOption { return topKOption(k) }
 
 type candidatesOption []autotune.Candidate
@@ -188,8 +187,9 @@ func (s *System) Tune(opts ...TuneOption) (*Tuning, error) {
 	return tn, nil
 }
 
-// replayWinner re-runs the decision table's last rule (the largest
-// tuned range; gather preferred) once with the observer attached.
+// replayWinner times the decision table's last rule (the largest tuned
+// range; gather preferred) once more, one repetition with the observer
+// attached.
 func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	var rule *tuned.Rule
 	for i := range tbl.Rules {
@@ -211,20 +211,6 @@ func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	}
 	cfg := s.cfg
 	cfg.Obs = tr
-	n := cfg.Cluster.N()
-	_, err = mpi.Run(cfg, func(r *mpi.Rank) {
-		if rule.Op == tuned.OpGather {
-			r.GatherShape(alg, rule.Degree, rule.Segment, tbl.Root, mpi.ZeroPayload(m))
-			return
-		}
-		var blocks [][]byte
-		if r.Rank() == tbl.Root {
-			blocks = make([][]byte, n)
-			for i := range blocks {
-				blocks[i] = mpi.ZeroPayload(m)
-			}
-		}
-		r.ScatterShape(alg, rule.Degree, rule.Segment, tbl.Root, m, blocks)
-	})
+	_, err = autotune.Simulate(cfg, 1, rule.Op, autotune.Candidate{Alg: alg, Degree: rule.Degree, Segment: rule.Segment}, tbl.Root, m)
 	return err
 }
