@@ -356,16 +356,15 @@ func reportTuned(w io.Writer, cfg experiment.Config, tbl *tuned.Table, path stri
 		fmt.Fprintf(w, "tuned: %s has no %s rule covering %d bytes\n", path, op, m)
 		return nil
 	}
-	alg, err := rule.AlgValue()
+	shape, err := rule.Shape()
 	if err != nil {
 		return err
 	}
-	got, err := autotune.Simulate(cfg.MPIConfig(), cfg.ObsReps, op,
-		autotune.Candidate{Alg: alg, Degree: rule.Degree, Segment: rule.Segment}, tbl.Root, m)
+	got, err := autotune.Simulate(cfg.MPIConfig(), cfg.ObsReps, op, shape, tbl.Root, m)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\ntuned decision for %s at %d bytes: %s\n", op, m, rule.String())
+	fmt.Fprintf(w, "\ntuned decision for %s at %d bytes: %s\n", op, m, shape)
 	fmt.Fprintf(w, "  tuning-time: predicted %.6f s, simulated %.6f s\n", rule.PredictedS, rule.SimulatedS)
 	fmt.Fprintf(w, "  observed here: %.6f s (%+.1f%% vs the flagged algorithm's %.6f s)\n",
 		got, 100*(got-obsNaive)/obsNaive, obsNaive)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/models"
 	"repro/internal/mpi"
+	"repro/internal/optimize"
 	"repro/internal/stats"
 	"repro/internal/tuned"
 )
@@ -257,7 +258,7 @@ func TestTunedMode(t *testing.T) {
 			t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
 		}
 		cfg := mpi.Config{Cluster: cluster.Table1().Prefix(testNodes), Profile: cluster.LAM(), Seed: 1}
-		want, err := autotune.Simulate(cfg, 3, tuned.OpGather, autotune.Candidate{Alg: mpi.Linear, Segment: 4 << 10}, 0, 16<<10)
+		want, err := autotune.Simulate(cfg, 3, tuned.OpGather, optimize.Shape{Alg: mpi.Linear, Segment: 4 << 10}, 0, 16<<10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
-	"repro/internal/collective"
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/mpi"
@@ -34,69 +32,38 @@ import (
 	"repro/internal/tuned"
 )
 
-// Candidate is one point of the tuning search space: an algorithm
-// family, an optional k-ary tree degree (0 = the family's own tree,
-// ≥2 overrides it), and an optional segment size (0 = unsegmented).
-type Candidate struct {
-	Alg     mpi.Alg `json:"alg"`
-	Degree  int     `json:"degree,omitempty"`
-	Segment int     `json:"segment,omitempty"`
-}
-
-// String renders the candidate like a tuned.Rule shape
-// ("linear+seg4096", "binary/k=4").
-func (c Candidate) String() string {
-	return tuned.Rule{Alg: c.Alg.String(), Degree: c.Degree, Segment: c.Segment}.String()
-}
-
-// Query is the closed-form question this candidate poses to a model.
-func (c Candidate) Query(coll models.Collective, root, n, m int) models.Query {
-	return models.Query{Coll: coll, Alg: c.Alg, Root: root, N: n, M: m, Degree: c.Degree, Segment: c.Segment}
-}
-
-// rule converts the candidate into a decision-table rule body.
-func (c Candidate) rule(op tuned.Op, min, max int) tuned.Rule {
-	return tuned.Rule{Op: op, MinBytes: min, MaxBytes: max,
-		Alg: c.Alg.String(), Degree: c.Degree, Segment: c.Segment}
-}
-
 // DefaultCandidates enumerates the stock search space: every
 // algorithm family unsegmented and with 4K/16K segments, plus k-ary
 // trees of degree 4 and 8. When the model is an LMO with detected
 // gather irregularity, the empirical split segment (M1) joins the
 // segment set so the Fig 7 optimization is always reachable.
-func DefaultCandidates(model models.CollectivePredictor) []Candidate {
+func DefaultCandidates(model models.CollectivePredictor) []optimize.Shape {
 	segments := []int{0, 4 << 10, 16 << 10}
-	if lmo, ok := model.(*models.LMOX); ok && lmo.Gather.Valid() {
-		s := optimize.GatherSegment(lmo.Gather)
-		dup := false
-		for _, have := range segments {
-			dup = dup || have == s
-		}
-		if s > 0 && !dup {
+	if lmo, ok := model.(*models.LMOX); ok {
+		if s := optimize.GatherSegment(lmo.Gather); s > 0 && !slices.Contains(segments, s) {
 			segments = append(segments, s)
 		}
 	}
-	var cands []Candidate
+	var cands []optimize.Shape
 	for _, alg := range mpi.Algorithms() {
 		for _, seg := range segments {
-			cands = append(cands, Candidate{Alg: alg, Segment: seg})
+			cands = append(cands, optimize.Shape{Alg: alg, Segment: seg})
 		}
 	}
 	for _, k := range []int{4, 8} {
 		for _, seg := range segments {
-			cands = append(cands, Candidate{Alg: mpi.Binary, Degree: k, Segment: seg})
+			cands = append(cands, optimize.Shape{Alg: mpi.Binary, Degree: k, Segment: seg})
 		}
 	}
 	return cands
 }
 
-// Scored is a candidate with its closed-form prediction and (for
-// prune survivors) its simulated makespan, both in seconds.
+// Scored is a candidate shape with its closed-form prediction and
+// (for prune survivors) its simulated makespan, both in seconds.
 type Scored struct {
-	Candidate  Candidate `json:"candidate"`
-	PredictedS float64   `json:"predicted_s"`
-	SimulatedS float64   `json:"simulated_s,omitempty"`
+	Candidate  optimize.Shape `json:"candidate"`
+	PredictedS float64        `json:"predicted_s"`
+	SimulatedS float64        `json:"simulated_s,omitempty"`
 }
 
 // Cell is one tuning cell: a collective operation at one probed
@@ -134,7 +101,7 @@ type Options struct {
 	TopK int
 	// Candidates overrides the search space (default
 	// DefaultCandidates(model)).
-	Candidates []Candidate
+	Candidates []optimize.Shape
 	// Root is the collective root rank.
 	Root int
 	// Parallel caps the campaign worker pool (<=0 = GOMAXPROCS).
@@ -152,9 +119,8 @@ func (o Options) withDefaults(model models.CollectivePredictor) Options {
 	if len(o.MsgSizes) == 0 {
 		o.MsgSizes = experiment.DefaultSizes()
 	}
-	sizes := append([]int(nil), o.MsgSizes...)
-	sort.Ints(sizes)
-	o.MsgSizes = sizes
+	o.MsgSizes = slices.Clone(o.MsgSizes)
+	slices.Sort(o.MsgSizes)
 	if o.TopK <= 0 {
 		o.TopK = 3
 	}
@@ -221,10 +187,9 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	opt = opt.withDefaults(model)
 	n := cfg.Cluster.N()
 
-	// Phase 1: closed-form prune. The model answers every candidate it
-	// can; the rest are infeasible for this (model, cell) pair. Only
-	// the top-k distinct shapes by predicted makespan move on to
-	// simulation: a candidate that runs the same shape as a
+	// Phase 1: closed-form prune. optimize.Rank answers every candidate
+	// the model can and keeps the top-k distinct shapes by predicted
+	// makespan for simulation: a candidate that runs the same shape as a
 	// better-ranked one would only simulate it again.
 	var cells []Cell
 	for _, op := range opt.Ops {
@@ -233,28 +198,13 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 			return nil, err
 		}
 		for _, m := range opt.MsgSizes {
-			cell := Cell{Op: op, M: m}
-			for _, c := range opt.Candidates {
-				pred, err := model.Predict(c.Query(coll, opt.Root, n, m))
-				if err != nil {
-					cell.Infeasible++
-					continue
-				}
-				cell.Ranked = append(cell.Ranked, Scored{Candidate: c, PredictedS: pred})
-			}
-			sort.SliceStable(cell.Ranked, func(a, b int) bool {
-				return cell.Ranked[a].PredictedS < cell.Ranked[b].PredictedS
-			})
-			kept := cell.Ranked[:0]
-			for _, sc := range cell.Ranked {
-				if len(kept) < opt.TopK && !runsAnyOf(sc.Candidate, kept, n, opt.Root, m) {
-					kept = append(kept, sc)
-				}
-			}
-			cell.Pruned = len(cell.Ranked) - len(kept)
-			cell.Ranked = kept
-			if len(cell.Ranked) == 0 {
+			kept, infeasible, pruned := optimize.Rank(model, coll, opt.Root, n, m, opt.Candidates, opt.TopK)
+			if len(kept) == 0 {
 				return nil, fmt.Errorf("autotune: model %q answered no candidate for %s at %d bytes", model.Name(), op, m)
+			}
+			cell := Cell{Op: op, M: m, Infeasible: infeasible, Pruned: pruned, Ranked: make([]Scored, len(kept))}
+			for i, r := range kept {
+				cell.Ranked[i] = Scored{Candidate: r.Shape, PredictedS: r.PredictedS}
 			}
 			cells = append(cells, cell)
 		}
@@ -344,29 +294,6 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	return res, nil
 }
 
-// runsAnyOf reports whether candidate c runs the same collective as one
-// of the kept candidates on n ranks rooted at root with m-byte blocks:
-// every rank sends to the same children in the same order, and the
-// block is cut into the same segments (a segment of 0 or of at least m
-// cuts none). The trees come shared from collective.ShapeTree, so a
-// comparison allocates nothing.
-func runsAnyOf(c Candidate, kept []Scored, n, root, m int) bool {
-	segment := func(s int) int {
-		if s >= m {
-			return 0
-		}
-		return max(s, 0)
-	}
-	children := collective.ShapeTree(c.Alg, c.Degree, n, root).Children
-	for _, k := range kept {
-		if segment(k.Candidate.Segment) == segment(c.Segment) && slices.EqualFunc(children,
-			collective.ShapeTree(k.Candidate.Alg, k.Candidate.Degree, n, root).Children, slices.Equal[[]int]) {
-			return true
-		}
-	}
-	return false
-}
-
 // buildTable folds the per-cell winners into a decision table: cell i
 // of an operation governs message sizes [size_i, size_i+1), with the
 // first range opened down to 0 and the last unbounded.
@@ -397,10 +324,10 @@ func buildTable(cfg experiment.Config, opt Options, n int, cells []Cell) *tuned.
 			if i+1 < len(opCells) {
 				max = opCells[i+1].M
 			}
-			rule := c.Winner.Candidate.rule(op, min, max)
-			rule.PredictedS = c.Winner.PredictedS
-			rule.SimulatedS = c.Winner.SimulatedS
-			tbl.Rules = append(tbl.Rules, rule)
+			w := c.Winner
+			tbl.Rules = append(tbl.Rules, tuned.Rule{Op: op, MinBytes: min, MaxBytes: max,
+				Alg: w.Candidate.Alg.String(), Degree: w.Candidate.Degree, Segment: w.Candidate.Segment,
+				PredictedS: w.PredictedS, SimulatedS: w.SimulatedS})
 		}
 	}
 	return tbl
@@ -415,7 +342,7 @@ func buildTable(cfg experiment.Config, opt Options, n int, cells []Cell) *tuned.
 // collective, so no repetition may overlap the next; and the TCP
 // escalations of the irregular region are probabilistic, so a single
 // draw misrepresents the expected cost they predict.
-func Simulate(cfg mpi.Config, reps int, op tuned.Op, c Candidate, root, m int) (float64, error) {
+func Simulate(cfg mpi.Config, reps int, op tuned.Op, c optimize.Shape, root, m int) (float64, error) {
 	// Every block is the same read-only zero payload: collectives lend
 	// blocks, and the simulator reads only their lengths.
 	block := mpi.ZeroPayload(m)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/models"
 	"repro/internal/mpi"
+	"repro/internal/optimize"
 	"repro/internal/stats"
 	"repro/internal/tuned"
 )
@@ -82,7 +83,7 @@ func TestTuneBeatsNaiveGatherAndAgrees(t *testing.T) {
 	if cell == nil {
 		t.Fatalf("no gather cell at %d bytes", big)
 	}
-	naive, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, Candidate{Alg: mpi.Linear}, 0, big)
+	naive, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, optimize.Shape{Alg: mpi.Linear}, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestTuneBeatsNaiveGatherAndAgrees(t *testing.T) {
 	// The Fig 7 optimization — linear gather split into sub-M1
 	// segments — is in the candidate space and must itself clear the
 	// bar, whether or not a tree shape edged it out.
-	split, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, Candidate{Alg: mpi.Linear, Segment: 4 << 10}, 0, big)
+	split, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, optimize.Shape{Alg: mpi.Linear, Segment: 4 << 10}, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestTuneTableDrivesTuner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner, err := tuned.NewFromTable(tbl, nil, n)
+	tuner, err := tuned.NewFromTable(tbl, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +265,6 @@ func TestTuneSurvivorsRunDistinctShapes(t *testing.T) {
 			if len(cell.Ranked) != 3 {
 				t.Errorf("%d nodes, %s at %d bytes: %d survivors, want 3", n, cell.Op, cell.M, len(cell.Ranked))
 			}
-			// The prune compares shared trees: it allocates nothing.
-			c, kept := cell.Ranked[2].Candidate, cell.Ranked[:2]
-			if a := testing.AllocsPerRun(10, func() { runsAnyOf(c, kept, n, 0, cell.M) }); a != 0 {
-				t.Errorf("%d nodes, %s at %d bytes: a shape comparison allocates %v times", n, cell.Op, cell.M, a)
-			}
 		}
 	}
 }
@@ -311,7 +307,7 @@ func TestSimulateAppliesFaultPlan(t *testing.T) {
 	faulty := clean
 	faulty.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Node: 0, CPUX: 4}}}
 	scatter := func(cfg mpi.Config) float64 {
-		s, err := Simulate(cfg, 3, tuned.OpScatter, Candidate{Alg: mpi.Linear}, 0, 16<<10)
+		s, err := Simulate(cfg, 3, tuned.OpScatter, optimize.Shape{Alg: mpi.Linear}, 0, 16<<10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/experiment"
 	"repro/internal/mpi"
+	"repro/internal/optimize"
 	"repro/internal/tuned"
 )
 
@@ -69,7 +70,7 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 	rows := [][]string{{"op", "size", "chosen", "predicted (s)", "simulated (s)", "naive linear (s)", "speedup"}}
 	var bestGatherSpeedup float64
 	for _, cell := range res.Cells {
-		naive, err := Simulate(mcfg, cfg.ObsReps, cell.Op, Candidate{Alg: mpi.Linear}, cfg.Root, cell.M)
+		naive, err := Simulate(mcfg, cfg.ObsReps, cell.Op, optimize.Shape{Alg: mpi.Linear}, cfg.Root, cell.M)
 		if err != nil {
 			return nil, nil, err
 		}

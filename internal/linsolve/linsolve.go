@@ -66,35 +66,3 @@ func Solve(a [][]float64, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// LeastSquares solves the over-determined system A·x ≈ b (rows ≥ cols)
-// in the least-squares sense via the normal equations AᵀA·x = Aᵀb.
-// Adequate for the small, well-conditioned systems the estimators
-// produce.
-func LeastSquares(a [][]float64, b []float64) ([]float64, error) {
-	rows := len(a)
-	if rows == 0 || len(b) != rows {
-		return nil, fmt.Errorf("linsolve: bad dimensions")
-	}
-	cols := len(a[0])
-	if cols == 0 || rows < cols {
-		return nil, fmt.Errorf("linsolve: need rows >= cols > 0, have %dx%d", rows, cols)
-	}
-	ata := make([][]float64, cols)
-	atb := make([]float64, cols)
-	for i := 0; i < cols; i++ {
-		ata[i] = make([]float64, cols)
-	}
-	for r := 0; r < rows; r++ {
-		if len(a[r]) != cols {
-			return nil, fmt.Errorf("linsolve: ragged matrix at row %d", r)
-		}
-		for i := 0; i < cols; i++ {
-			atb[i] += a[r][i] * b[r]
-			for j := 0; j < cols; j++ {
-				ata[i][j] += a[r][i] * a[r][j]
-			}
-		}
-	}
-	return Solve(ata, atb)
-}

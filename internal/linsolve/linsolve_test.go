@@ -116,55 +116,6 @@ func TestSolvePropertyRandomSystems(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresExactSquare(t *testing.T) {
-	a := [][]float64{{1, 0}, {0, 1}}
-	x, err := LeastSquares(a, []float64{4, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 4 || x[1] != 9 {
-		t.Fatalf("x = %v", x)
-	}
-}
-
-func TestLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = c0 + c1*x through noisy-free points of y = 2 + 3x, with
-	// a redundant third row; exact fit expected.
-	a := [][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}}
-	b := []float64{2, 5, 8, 11}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-9 || math.Abs(x[1]-3) > 1e-9 {
-		t.Fatalf("x = %v, want [2 3]", x)
-	}
-}
-
-func TestLeastSquaresMinimizesResidual(t *testing.T) {
-	// Inconsistent system: best fit of constant through {1, 2, 3} is 2.
-	a := [][]float64{{1}, {1}, {1}}
-	x, err := LeastSquares(a, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-12 {
-		t.Fatalf("x = %v, want [2]", x)
-	}
-}
-
-func TestLeastSquaresBadShapes(t *testing.T) {
-	if _, err := LeastSquares(nil, nil); err == nil {
-		t.Fatal("empty should error")
-	}
-	if _, err := LeastSquares([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Fatal("rows < cols should error")
-	}
-	if _, err := LeastSquares([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
-		t.Fatal("ragged matrix should error")
-	}
-}
-
 // residual returns the max-norm of A·x - b.
 func residual(a [][]float64, x, b []float64) float64 {
 	res := 0.0

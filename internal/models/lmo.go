@@ -188,9 +188,9 @@ func (x *LMOX) GatherLinearBand(root, n, m int) (low, high float64) {
 	}
 }
 
-// linearSegmented predicts the segmented flat collective the optimizer
-// executes (optimize.OptimizedGather/Scatter): ceil(m/seg) sub-ops run
-// back to back, but they pipeline through the root's serialized
+// linearSegmented predicts the segmented flat collective that mpi's
+// Rank.GatherShape and Rank.ScatterShape execute: ceil(m/seg) sub-ops
+// run back to back, but they pipeline through the root's serialized
 // per-message slots — segment k+1's processing starts while segment
 // k's wire and remote-end tail are still in flight, so each segment
 // contributes its serialized portion (root slots plus, for gather,

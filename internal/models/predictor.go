@@ -68,8 +68,8 @@ type Query struct {
 
 	// Segment, when > 0 and < M, splits the message into
 	// ceil(M/Segment) pieces predicted as a series of back-to-back
-	// collectives — the cost shape of optimize.OptimizedGather's
-	// segmented execution.
+	// collectives — the cost shape of the segmented execution in mpi's
+	// Rank.GatherShape and Rank.ScatterShape.
 	Segment int
 
 	// Tree, when non-nil, overrides Alg and Degree with an explicit

@@ -7,6 +7,9 @@
 package optimize
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/collective"
 	"repro/internal/models"
 	"repro/internal/mpi"
@@ -87,7 +90,7 @@ func MapBinomialTree(x *models.LMOX, root, n, m int) ([]int, float64) {
 			positions = append(positions, pos)
 		}
 	}
-	sortBy(positions, func(a, b int) bool { return relay[a] > relay[b] })
+	slices.SortStableFunc(positions, func(a, b int) int { return cmp.Compare(relay[b], relay[a]) })
 
 	procs := make([]int, 0, n-1)
 	for p := 0; p < n; p++ {
@@ -96,7 +99,7 @@ func MapBinomialTree(x *models.LMOX, root, n, m int) ([]int, float64) {
 		}
 	}
 	cost := func(p int) float64 { return x.SendCost(p, m) + x.RecvCost(p, m) }
-	sortBy(procs, func(a, b int) bool { return cost(a) < cost(b) })
+	slices.SortStableFunc(procs, func(a, b int) int { return cmp.Compare(cost(a), cost(b)) })
 
 	perm := make([]int, n)
 	perm[root] = root
@@ -163,16 +166,6 @@ func applyMapping(tree *collective.Tree, perm []int) *collective.Tree {
 		out.Children[p] = cs
 	}
 	return out
-}
-
-// sortBy is a tiny insertion sort with a less function, avoiding a
-// sort.Slice dependency in a hot path of trivial size.
-func sortBy(xs []int, less func(a, b int) bool) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // OptimizedGatherv is OptimizedGather for variable block sizes: when

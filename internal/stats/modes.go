@@ -46,27 +46,3 @@ func Modes(xs []float64, tol float64) []Mode {
 	})
 	return out
 }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. Returns 0 for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[n-1]
-	}
-	pos := q * float64(n-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= n {
-		return s[n-1]
-	}
-	return s[i] + frac*(s[i+1]-s[i])
-}

@@ -41,21 +41,6 @@ func NewPWLinear(xs, ys []float64) (*PWLinear, error) {
 	return p, nil
 }
 
-// AddKnot inserts (x, y) keeping knots sorted; an existing knot at x is
-// replaced.
-func (p *PWLinear) AddKnot(x, y float64) {
-	i := sort.SearchFloat64s(p.xs, x)
-	if i < len(p.xs) && p.xs[i] == x {
-		p.ys[i] = y
-		return
-	}
-	p.xs = append(p.xs, 0)
-	p.ys = append(p.ys, 0)
-	copy(p.xs[i+1:], p.xs[i:])
-	copy(p.ys[i+1:], p.ys[i:])
-	p.xs[i], p.ys[i] = x, y
-}
-
 // NumKnots returns the number of knots.
 func (p *PWLinear) NumKnots() int { return len(p.xs) }
 

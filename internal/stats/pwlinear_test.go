@@ -52,27 +52,6 @@ func TestPWLinearSingleKnot(t *testing.T) {
 	}
 }
 
-func TestPWLinearAddKnot(t *testing.T) {
-	p, _ := NewPWLinear([]float64{0, 10}, []float64{0, 10})
-	p.AddKnot(5, 100)
-	if got := p.Eval(5); got != 100 {
-		t.Fatalf("inserted knot ignored: %v", got)
-	}
-	p.AddKnot(5, 50) // replace
-	if got := p.Eval(5); got != 50 {
-		t.Fatalf("replaced knot ignored: %v", got)
-	}
-	if p.NumKnots() != 3 {
-		t.Fatalf("knots = %d", p.NumKnots())
-	}
-	x0, _ := p.Knot(0)
-	x1, _ := p.Knot(1)
-	x2, _ := p.Knot(2)
-	if !(x0 < x1 && x1 < x2) {
-		t.Fatal("knots not sorted after AddKnot")
-	}
-}
-
 func TestPWLinearDegenerate(t *testing.T) {
 	if _, err := NewPWLinear(nil, nil); err == nil {
 		t.Fatal("empty knots should error")
@@ -189,21 +168,5 @@ func TestModesPropertyCountsSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 4 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 2.5 {
-		t.Fatalf("median quantile = %v", q)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
 	}
 }

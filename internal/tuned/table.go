@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/models"
-	"repro/internal/mpi"
+	"repro/internal/optimize"
 )
 
 // TableVersion is the decision-table envelope version this build reads
@@ -43,20 +43,21 @@ type Rule struct {
 	SimulatedS float64 `json:"simulated_s,omitempty"`
 }
 
-// AlgValue parses the rule's algorithm name.
-func (r Rule) AlgValue() (mpi.Alg, error) { return collective.ParseAlg(r.Alg) }
+// Shape is the collective shape the rule runs; it fails when the
+// algorithm name does not parse.
+func (r Rule) Shape() (optimize.Shape, error) {
+	alg, err := collective.ParseAlg(r.Alg)
+	return optimize.Shape{Alg: alg, Degree: r.Degree, Segment: r.Segment}, err
+}
 
-// String renders the decision shape compactly ("linear+seg4096",
-// "binary/k=4").
+// String renders the rule's shape ("linear+seg4096", "binary/k=4"), or
+// only its algorithm name when that does not parse.
 func (r Rule) String() string {
-	s := r.Alg
-	if r.Degree >= 2 {
-		s += fmt.Sprintf("/k=%d", r.Degree)
+	s, err := r.Shape()
+	if err != nil {
+		return r.Alg
 	}
-	if r.Segment > 0 {
-		s += fmt.Sprintf("+seg%d", r.Segment)
-	}
-	return s
+	return s.String()
 }
 
 // Table is a versioned collective-tuning decision table: the
@@ -80,7 +81,7 @@ func (t *Table) Validate() error {
 		if r.Op != OpScatter && r.Op != OpGather {
 			return fmt.Errorf("tuned: rule %d has unknown op %q", i, r.Op)
 		}
-		if _, err := r.AlgValue(); err != nil {
+		if _, err := r.Shape(); err != nil {
 			return fmt.Errorf("tuned: rule %d: %w", i, err)
 		}
 		if r.Degree != 0 && r.Degree < 2 {

@@ -137,21 +137,17 @@ func TestRuleString(t *testing.T) {
 
 func TestNewFromTableChecksCompatibility(t *testing.T) {
 	tbl := sampleTable()
-	if _, err := NewFromTable(nil, nil, 16); err == nil {
+	if _, err := NewFromTable(nil, 16); err == nil {
 		t.Fatal("nil table accepted")
 	}
-	if _, err := NewFromTable(tbl, nil, 8); err == nil || !strings.Contains(err.Error(), "tuned for 16 nodes") {
+	if _, err := NewFromTable(tbl, 8); err == nil || !strings.Contains(err.Error(), "tuned for 16 nodes") {
 		t.Fatalf("node mismatch: err = %v", err)
 	}
-	tn, err := NewFromTable(tbl, nil, 16)
-	if err != nil {
+	if _, err := NewFromTable(tbl, 16); err != nil {
 		t.Fatal(err)
 	}
-	if tn.Table() != tbl || tn.Model() != nil {
-		t.Fatal("table-driven tuner should hold the table and a nil model")
-	}
 	bad := &Table{Rules: []Rule{{Op: "bcast", Alg: "linear"}}}
-	if _, err := NewFromTable(bad, nil, 16); err == nil {
+	if _, err := NewFromTable(bad, 16); err == nil {
 		t.Fatal("invalid table accepted")
 	}
 }

@@ -1,18 +1,19 @@
 // Package tuned provides model-driven, drop-in collective operations —
 // the direction of the paper's reference [10] (optimization of
-// collectives in HeteroMPI): at call time a Tuner consults an
-// estimated communication performance model to pick the collective
-// algorithm, and for gather applies the LMO empirical parameters to
-// split messages that would fall into the TCP irregularity region.
+// collectives in HeteroMPI): at call time a Tuner turns the call into
+// one collective shape, from an auto-tuned decision table or from an
+// estimated communication performance model, and for gather applies
+// the LMO empirical parameters to split messages that would fall into
+// the TCP irregularity region.
 //
-// All decisions are pure functions of the (shared) model and the call
-// shape, so every rank of an SPMD program reaches the same decision
-// without extra communication.
+// All decisions are pure functions of the (shared) model or table and
+// the call shape (operation, root, exact size), so every rank of an
+// SPMD program reaches the same decision without extra communication.
 package tuned
 
 import (
 	"fmt"
-	"math/bits"
+	"maps"
 	"sort"
 
 	"repro/internal/models"
@@ -20,27 +21,23 @@ import (
 	"repro/internal/optimize"
 )
 
-// Tuner holds the model(s) driving the decisions and a decision cache.
-// A single Tuner must be shared by all ranks of a job (decisions stay
-// consistent because it is read-mostly and the simulation kernel is
-// cooperatively scheduled; in a real MPI setting each process would
+// Tuner holds the model or table driving the decisions and a decision
+// cache. A single Tuner must be shared by all ranks of a job (decisions
+// stay consistent because it is read-mostly and the simulation kernel
+// is cooperatively scheduled; in a real MPI setting each process would
 // hold an identical copy of the model file).
-//
-// A Tuner built from an auto-tuned decision table (NewFromTable)
-// consults the table first: a matching rule fixes the full candidate
-// shape — algorithm, tree degree, segment size — and only sizes no
-// rule covers fall back to on-line model decisions.
 type Tuner struct {
-	model models.CollectivePredictor
-	lmo   *models.LMOX // non-nil when the model is an LMO: enables splitting
-	table *Table       // non-nil in table-driven mode
-	n     int
+	model  models.CollectivePredictor // nil in a table-driven tuner
+	region models.GatherEmpirical     // the LMO irregular region, if any
+	table  *Table                     // non-nil in table-driven mode
+	n      int
 
-	cache map[decisionKey]decision
+	cache map[decisionKey]optimize.Shape
 	stats Stats
 }
 
-// Stats counts the tuner's decisions, for reports and tests.
+// Stats counts the tuner's decisions, for reports and tests. ByAlg
+// counts calls by the shape they ran ("binomial", "linear+seg4096").
 type Stats struct {
 	ScatterCalls int
 	GatherCalls  int
@@ -51,35 +48,27 @@ type Stats struct {
 }
 
 type decisionKey struct {
-	op     byte // 's' or 'g'
-	root   int
-	bucket int // log2 size bucket
-}
-
-// decision is a resolved candidate shape: the algorithm family plus an
-// optional k-ary tree degree and segment size (0 each when unused).
-type decision struct {
-	alg     mpi.Alg
-	degree  int
-	segment int
+	op      Op
+	root, m int
 }
 
 // New builds a tuner over any model on the predictor interface
-// (models.CollectivePredictor) for an n-rank job.
+// (models.CollectivePredictor) for an n-rank job. An LMO model's gather
+// irregularity, which enables splitting, is read here: attach it first.
 func New(model models.CollectivePredictor, n int) *Tuner {
-	t := &Tuner{model: model, n: n, cache: map[decisionKey]decision{}}
+	t := &Tuner{model: model, n: n, cache: map[decisionKey]optimize.Shape{}}
 	t.stats.ByAlg = map[string]int{}
 	if lmo, ok := model.(*models.LMOX); ok {
-		t.lmo = lmo
+		t.region = lmo.Gather
 	}
 	return t
 }
 
-// NewFromTable builds a table-driven tuner: decisions come from the
-// auto-tuned table where it has rules, and from the model where it
-// does not. The model may be nil when the table covers every size the
-// program uses (uncovered sizes then fall back to linear).
-func NewFromTable(tbl *Table, model models.CollectivePredictor, n int) (*Tuner, error) {
+// NewFromTable builds a table-driven tuner for an n-rank job: the
+// auto-tuned table decides every size it has a rule for, and linear
+// runs the sizes it does not cover. A table decides for the root it
+// was tuned at; a call at another root fails the job.
+func NewFromTable(tbl *Table, n int) (*Tuner, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("tuned: nil decision table")
 	}
@@ -89,85 +78,54 @@ func NewFromTable(tbl *Table, model models.CollectivePredictor, n int) (*Tuner, 
 	if tbl.Meta != nil && tbl.Meta.Nodes != 0 && tbl.Meta.Nodes != n {
 		return nil, fmt.Errorf("tuned: decision table was tuned for %d nodes, job has %d", tbl.Meta.Nodes, n)
 	}
-	var t *Tuner
-	if model != nil {
-		t = New(model, n)
-	} else {
-		t = &Tuner{n: n, cache: map[decisionKey]decision{}}
-		t.stats.ByAlg = map[string]int{}
-	}
+	t := New(nil, n)
 	t.table = tbl
 	return t, nil
 }
 
-// Model returns the model driving the fallback decisions (nil for a
-// purely table-driven tuner).
-func (t *Tuner) Model() models.CollectivePredictor { return t.model }
-
-// Table returns the decision table, if the tuner is table-driven.
-func (t *Tuner) Table() *Table { return t.table }
-
 // Stats returns a snapshot of the decision counters.
 func (t *Tuner) Stats() Stats {
 	s := t.stats
-	s.ByAlg = map[string]int{}
-	// Plain map copy: same keys in, same keys out, order-free.
-	//lmovet:commutative
-	for k, v := range t.stats.ByAlg {
-		s.ByAlg[k] = v
-	}
+	s.ByAlg = maps.Clone(t.stats.ByAlg)
 	return s
 }
 
-// bucket maps a size to its log2 bucket so the decision cache stays
-// small while nearby sizes share decisions.
-func bucket(m int) int {
-	if m <= 0 {
-		return 0
+// decide turns an m-byte call at root into one shape: the covering
+// table rule; else, for a gather strictly inside the LMO irregular
+// region (M1, M2), linear split into M1-byte segments (the Fig 7
+// optimization); else the algorithm the model ranks first (linear
+// without a model). Table lookups are counted per call; the other
+// decisions are cached by the exact (op, root, m). A table decides
+// only at the root it was tuned at: another root panics, failing the
+// job.
+func (t *Tuner) decide(op Op, coll models.Collective, root, m int) optimize.Shape {
+	if t.table != nil {
+		if root != t.table.Root {
+			panic(fmt.Sprintf("tuned: decision table was tuned for root %d, called with root %d", t.table.Root, root))
+		}
+		if rule, ok := t.table.Lookup(op, m); ok {
+			t.stats.TableHits++
+			s, _ := rule.Shape() // NewFromTable validated every rule
+			return s
+		}
 	}
-	return bits.Len(uint(m))
-}
-
-// tableDecision consults the decision table for a size. Table lookups
-// bypass the log2-bucket cache on purpose: a rule boundary can fall
-// inside a bucket, and two sizes sharing a bucket may land on
-// different rules.
-func (t *Tuner) tableDecision(op Op, m int) (decision, string, bool) {
-	if t.table == nil {
-		return decision{}, "", false
-	}
-	rule, ok := t.table.Lookup(op, m)
-	if !ok {
-		return decision{}, "", false
-	}
-	alg, err := rule.AlgValue()
-	if err != nil {
-		// Validate() rejects unparseable algs, so this is unreachable
-		// for tables built through NewFromTable; be safe anyway.
-		return decision{}, "", false
-	}
-	t.stats.TableHits++
-	return decision{alg: alg, degree: rule.Degree, segment: rule.Segment}, rule.String(), true
-}
-
-// decide picks (and caches) the algorithm for a size from the fallback
-// model.
-func (t *Tuner) decide(op byte, coll models.Collective, root, m int) decision {
-	key := decisionKey{op, root, bucket(m)}
-	if d, ok := t.cache[key]; ok {
+	key := decisionKey{op, root, m}
+	if s, ok := t.cache[key]; ok {
 		t.stats.CacheHits++
-		return d
+		return s
 	}
-	d := decision{alg: mpi.Linear}
-	if t.model != nil {
-		alg, _ := optimize.SelectAlgAmong(t.model, coll, root, t.n, m, nil)
-		d.alg = alg
+	s := optimize.Shape{Alg: mpi.Linear}
+	switch {
+	case op == OpGather && optimize.ShouldSplitGather(t.region, m):
+		s.Segment = optimize.GatherSegment(t.region)
+	case t.model != nil:
+		s.Alg, _ = optimize.SelectAlgAmong(t.model, coll, root, t.n, m, nil)
 	}
-	t.cache[key] = d
-	return d
+	t.cache[key] = s
+	return s
 }
 
-// Scatter distributes blocks with the table- or model-chosen shape.
+// Scatter distributes blocks with the decided shape.
 func (t *Tuner) Scatter(r *mpi.Rank, root int, blocks [][]byte) []byte {
 	t.checkN(r)
 	m := 0
@@ -178,39 +136,23 @@ func (t *Tuner) Scatter(r *mpi.Rank, root int, blocks [][]byte) []byte {
 	// model-independent convention that scatter block sizes are global
 	// knowledge in SPMD code (as in MPI, where recvcount is an argument).
 	m = t.agreeSize(r, root, m)
-	d, label, fromTable := t.tableDecision(OpScatter, m)
-	if !fromTable {
-		d = t.decide('s', models.CollScatter, root, m)
-		label = d.alg.String()
-	}
+	s := t.decide(OpScatter, models.CollScatter, root, m)
 	t.stats.ScatterCalls++
-	t.stats.ByAlg[label]++
-	return r.ScatterShape(d.alg, d.degree, d.segment, root, m, blocks)
+	t.stats.ByAlg[s.String()]++
+	return r.ScatterShape(s.Alg, s.Degree, s.Segment, root, m, blocks)
 }
 
-// Gather collects blocks with the table- or model-chosen shape; with
-// no table rule, when the block size falls inside the LMO empirical
-// irregularity region the message is split into sub-M1 segments (the
-// Fig 7 optimization).
+// Gather collects blocks with the decided shape.
 func (t *Tuner) Gather(r *mpi.Rank, root int, block []byte) [][]byte {
 	t.checkN(r)
 	m := len(block)
+	s := t.decide(OpGather, models.CollGather, root, m)
 	t.stats.GatherCalls++
-	if d, label, ok := t.tableDecision(OpGather, m); ok {
-		if d.segment > 0 && d.segment < m {
-			t.stats.Splits++
-		}
-		t.stats.ByAlg[label]++
-		return r.GatherShape(d.alg, d.degree, d.segment, root, block)
-	}
-	if t.lmo != nil && optimize.ShouldSplitGather(t.lmo.Gather, m) {
+	t.stats.ByAlg[s.String()]++
+	if s.Segment > 0 && s.Segment < m {
 		t.stats.Splits++
-		t.stats.ByAlg["split-linear"]++
-		return optimize.OptimizedGather(r, root, block, t.lmo.Gather)
 	}
-	d := t.decide('g', models.CollGather, root, m)
-	t.stats.ByAlg[d.alg.String()]++
-	return r.Gather(d.alg, root, block)
+	return r.GatherShape(s.Alg, s.Degree, s.Segment, root, block)
 }
 
 // agreeSize shares the root's block size with every rank at harness

@@ -2,6 +2,7 @@ package tuned
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,7 +218,7 @@ func mkBlocks(n, bs int) [][]byte {
 
 // A table-driven tuner must execute the rule's full candidate shape —
 // algorithm, degree, segment — and still deliver correct data, while
-// sizes no rule covers fall back to the model path.
+// sizes no rule covers fall back to linear.
 func TestTunerFollowsDecisionTable(t *testing.T) {
 	const n = 8
 	tbl := &Table{
@@ -226,10 +227,10 @@ func TestTunerFollowsDecisionTable(t *testing.T) {
 			{Op: OpScatter, MinBytes: 0, MaxBytes: 1 << 10, Alg: "binomial"},
 			{Op: OpScatter, MinBytes: 1 << 10, MaxBytes: 0, Alg: "binary", Degree: 4, Segment: 2 << 10},
 			{Op: OpGather, MinBytes: 0, MaxBytes: 32 << 10, Alg: "linear", Segment: 2 << 10},
-			// No gather rule above 32K: falls back to the model.
+			// No gather rule above 32K: falls back to linear.
 		},
 	}
-	tuner, err := NewFromTable(tbl, lmoFor(n), n)
+	tuner, err := NewFromTable(tbl, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +291,79 @@ func TestTunerFromEstimatedModel(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Decisions are pure functions of the call, not of the call order: the
+// model's scatter crossover on 16 ranks lies between 1 100 and 1 900
+// bytes, and each size runs its own algorithm whichever comes first.
+func TestDecisionsIndependentOfCallOrder(t *testing.T) {
+	const n = 16
+	want := map[int]string{1100: "binomial", 1900: "linear"}
+	for _, order := range [][]int{{1100, 1900}, {1900, 1100}} {
+		tuner := New(lmoFor(n), n)
+		for _, m := range order {
+			before := tuner.Stats().ByAlg[want[m]]
+			if _, err := mpi.Run(homCfg(n), func(r *mpi.Rank) { tuner.Scatter(r, 0, mkBlocks(n, m)) }); err != nil {
+				t.Fatal(err)
+			}
+			if got := tuner.Stats().ByAlg[want[m]] - before; got != n {
+				t.Errorf("order %v: %d of %d ranks ran the %d-byte scatter %s (stats %v)",
+					order, got, n, m, want[m], tuner.Stats().ByAlg)
+			}
+		}
+	}
+}
+
+// A table decides for the root it was tuned at: a call at another root
+// fails the job with an error naming both roots, and no rule runs.
+func TestTableRootMismatchFailsJob(t *testing.T) {
+	const n = 8
+	tbl := &Table{Root: 0, Rules: []Rule{{Op: OpScatter, Alg: "binary", Degree: 4, Segment: 1024}}}
+	tuner, err := NewFromTable(tbl, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mpi.Run(homCfg(n), func(r *mpi.Rank) { tuner.Scatter(r, 3, mkBlocks(n, 4<<10)) })
+	if err == nil || !strings.Contains(err.Error(), "root 0") || !strings.Contains(err.Error(), "root 3") {
+		t.Fatalf("scatter at root 3 from a root-0 table: err = %v, want one naming both roots", err)
+	}
+	if hits := tuner.Stats().TableHits; hits != 0 {
+		t.Fatalf("a root-0 rule ran %d times at root 3", hits)
+	}
+}
+
+// The model-driven gather splits exactly on the open irregular region
+// (M1, M2), decided at the exact call size. A table could not keep
+// this: one tuned at TuneSizes decides 4.5 KB at its 4 KB probe.
+func TestTunedGatherSplitsOnOpenRegion(t *testing.T) {
+	const n = 8
+	lmo := lmoFor(n)
+	lmo.Gather = models.GatherEmpirical{
+		M1: 4 << 10, M2: 64 << 10,
+		EscModes: []stats.Mode{{Value: 0.2, Count: 1}},
+		ProbLow:  0.1, ProbHigh: 0.5,
+	}
+	g := lmo.Gather
+	tuner := New(lmo, n)
+	for _, c := range []struct {
+		m     int
+		split bool
+	}{{g.M1, false}, {g.M1 + 1, true}, {g.M2 - 1, true}, {g.M2, false}} {
+		before := tuner.Stats()
+		if _, err := mpi.Run(homCfg(n), func(r *mpi.Rank) { tuner.Gather(r, 0, make([]byte, c.m)) }); err != nil {
+			t.Fatal(err)
+		}
+		after := tuner.Stats()
+		want := 0
+		if c.split {
+			want = n
+		}
+		splits := after.Splits - before.Splits
+		segmented := after.ByAlg["linear+seg4096"] - before.ByAlg["linear+seg4096"]
+		if splits != want || segmented != want {
+			t.Errorf("%d-byte gather: %d splits, %d linear+seg4096 runs, want %d each (stats %v)",
+				c.m, splits, segmented, want, after.ByAlg)
+		}
 	}
 }

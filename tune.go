@@ -8,6 +8,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/optimize"
 	"repro/internal/tuned"
 )
 
@@ -26,8 +27,8 @@ type (
 	// TunedOp names a tunable collective ("scatter", "gather").
 	TunedOp = tuned.Op
 	// TuneCandidate is one algorithm shape in the tuner's search
-	// space.
-	TuneCandidate = autotune.Candidate
+	// space: algorithm, k-ary tree degree and segment size.
+	TuneCandidate = optimize.Shape
 	// TuneCell reports one (op, message size) tuning cell: the pruned
 	// candidate ranking, the simulated winner and whether the
 	// closed-form top pick agreed with the simulator.
@@ -47,9 +48,9 @@ const (
 const TunedTableVersion = tuned.TableVersion
 
 var (
-	// NewTunerFromTable builds a Tuner that executes a decision table
-	// (with a model fallback for uncovered sizes; nil model falls back
-	// to linear).
+	// NewTunerFromTable builds a Tuner for an n-rank job that executes
+	// a decision table at the root it was tuned for; sizes no rule
+	// covers run linear.
 	NewTunerFromTable = tuned.NewFromTable
 	// UnmarshalTunedTable reconstructs and validates a decision table
 	// from its JSON envelope, rejecting unsupported versions.
@@ -91,9 +92,9 @@ func (o topKOption) applyTune(c *tuneConfig) { c.opt.TopK = int(o) }
 // trades tuning time for robustness against model mispredictions.
 func WithTopK(k int) TuneOption { return topKOption(k) }
 
-type candidatesOption []autotune.Candidate
+type candidatesOption []optimize.Shape
 
-func (o candidatesOption) applyTune(c *tuneConfig) { c.opt.Candidates = []autotune.Candidate(o) }
+func (o candidatesOption) applyTune(c *tuneConfig) { c.opt.Candidates = []optimize.Shape(o) }
 
 // WithCandidates replaces the tuner's search space.
 func WithCandidates(cands ...TuneCandidate) TuneOption { return candidatesOption(cands) }
@@ -145,7 +146,7 @@ type Tuning struct {
 //
 //	tn, err := sys.Tune(commperf.WithTuneMsgSizes(4<<10, 32<<10, 64<<10))
 //	...
-//	tuner, err := commperf.NewTunerFromTable(tn.Table, nil, sys.Cluster().N())
+//	tuner, err := commperf.NewTunerFromTable(tn.Table, sys.Cluster().N())
 //	sys.Run(func(r *commperf.Rank) { tuner.Gather(r, 0, block) })
 //
 // With WithObserver the winning shape of the largest tuned cell is
@@ -201,7 +202,7 @@ func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	if rule == nil {
 		return nil
 	}
-	alg, err := rule.AlgValue()
+	shape, err := rule.Shape()
 	if err != nil {
 		return err
 	}
@@ -211,6 +212,6 @@ func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	}
 	cfg := s.cfg
 	cfg.Obs = tr
-	_, err = autotune.Simulate(cfg, 1, rule.Op, autotune.Candidate{Alg: alg, Degree: rule.Degree, Segment: rule.Segment}, tbl.Root, m)
+	_, err = autotune.Simulate(cfg, 1, rule.Op, shape, tbl.Root, m)
 	return err
 }

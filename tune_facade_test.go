@@ -89,7 +89,7 @@ func TestSystemTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner, err := NewTunerFromTable(tbl, nil, 8)
+	tuner, err := NewTunerFromTable(tbl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
