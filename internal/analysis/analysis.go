@@ -112,8 +112,9 @@ func (p *Pass) Hotpath(decl *ast.FuncDecl) bool {
 	return false
 }
 
-func (p *Pass) lineOf(pos token.Pos) int {
-	return p.Fset.Position(pos).Line
+func (p *Pass) lineOf(pos token.Pos) srcLine {
+	at := p.Fset.Position(pos)
+	return srcLine{file: at.Filename, line: at.Line}
 }
 
 // allowedAt reports whether the analyzer's findings are suppressed on
@@ -170,22 +171,28 @@ type directiveRecord struct {
 	usedAny bool            // commutative/hotpath: governed something real
 }
 
+// srcLine is one line of one source file.
+type srcLine struct {
+	file string
+	line int
+}
+
 // directiveIndex maps source lines to the directives that govern them.
-// A directive on line L governs line L; a standalone directive comment
-// additionally governs line L+1, so it can sit directly above the
-// statement it describes.
+// A directive on line L governs line L of its own file; a standalone
+// directive comment additionally governs line L+1, so it can sit
+// directly above the statement it describes.
 type directiveIndex struct {
 	records     []*directiveRecord
-	allow       map[int]map[string]*directiveRecord
-	commutative map[int]*directiveRecord
-	hotpath     map[int]*directiveRecord
+	allow       map[srcLine]map[string]*directiveRecord
+	commutative map[srcLine]*directiveRecord
+	hotpath     map[srcLine]*directiveRecord
 }
 
 func buildDirectiveIndex(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	idx := &directiveIndex{
-		allow:       map[int]map[string]*directiveRecord{},
-		commutative: map[int]*directiveRecord{},
-		hotpath:     map[int]*directiveRecord{},
+		allow:       map[srcLine]map[string]*directiveRecord{},
+		commutative: map[srcLine]*directiveRecord{},
+		hotpath:     map[srcLine]*directiveRecord{},
 	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -199,8 +206,8 @@ func buildDirectiveIndex(fset *token.FileSet, files []*ast.File) *directiveIndex
 					used: map[string]bool{},
 				}
 				idx.records = append(idx.records, rec)
-				line := fset.Position(c.Pos()).Line
-				for _, l := range []int{line, line + 1} {
+				at := fset.Position(c.Pos())
+				for _, l := range []srcLine{{at.Filename, at.Line}, {at.Filename, at.Line + 1}} {
 					switch d.kind {
 					case "allow":
 						m := idx.allow[l]

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,17 +61,18 @@ type family struct {
 }
 
 // get returns the series for the label values, creating it in sorted
-// position on first use. The caller must hold fam.mu.
+// position on first use. Series compare label by label, so label sets
+// that differ in any value never share a series, and finding an
+// existing one allocates nothing. The caller must hold fam.mu.
 func (f *family) get(labelVals []string) *series {
 	if len(labelVals) != len(f.labelKeys) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d",
 			f.name, len(f.labelKeys), len(labelVals)))
 	}
-	key := strings.Join(labelVals, "\x00")
 	i := sort.Search(len(f.series), func(i int) bool {
-		return strings.Join(f.series[i].labelVals, "\x00") >= key
+		return slices.Compare(f.series[i].labelVals, labelVals) >= 0
 	})
-	if i < len(f.series) && strings.Join(f.series[i].labelVals, "\x00") == key {
+	if i < len(f.series) && slices.Equal(f.series[i].labelVals, labelVals) {
 		return f.series[i]
 	}
 	s := &series{labelVals: append([]string(nil), labelVals...)}

@@ -89,6 +89,35 @@ func TestRegistryAccessors(t *testing.T) {
 	}
 }
 
+// TestLabeledUpdateZeroAllocDistinctSets pins the series lookup: an
+// update of an existing two-label series (the serving path's
+// serve_predictions_total{cache,batch}) allocates nothing, and label
+// sets that join to the same bytes stay distinct series.
+func TestLabeledUpdateZeroAllocDistinctSets(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("preds_total", "", "cache", "batch")
+	for _, cache := range []string{"hit", "estimated", "joined"} {
+		c.Add(0, cache, "unary")
+		c.Add(0, cache, "batch")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Add(1, "hit", "batch") }); allocs != 0 {
+		t.Fatalf("update of an existing series allocates %v objects, want 0", allocs)
+	}
+	if got := c.Value("hit", "batch"); got != 101 {
+		t.Fatalf("hit/batch = %v, want 101", got)
+	}
+
+	nul := reg.Counter("nul_total", "", "a", "b")
+	nul.Add(1, "a\x00", "b")
+	nul.Add(2, "a", "\x00b")
+	if sets := nul.LabelSets(); len(sets) != 2 {
+		t.Fatalf("label sets %q share a series: %d sets", sets, len(sets))
+	}
+	if x, y := nul.Value("a\x00", "b"), nul.Value("a", "\x00b"); x != 1 || y != 2 {
+		t.Fatalf("series values %v and %v, want 1 and 2", x, y)
+	}
+}
+
 func TestRegistryLabelArityPanics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "", "endpoint")

@@ -86,8 +86,11 @@ func batchErrorParts(err error) (code, msg string) {
 }
 
 // handleBatchPredict answers a /predict request carrying a queries
-// array. Validation failures reject the whole batch with 400 (they are
-// client bugs); per-key serving failures degrade to per-item errors.
+// array. A canonical body reaches it decoded by decodeJSON's scanner,
+// with no allocation per row; each distinct platform's key is resolved
+// once, without building its cluster. Validation failures reject the
+// whole batch with 400 (they are client bugs); per-key serving failures
+// degrade to per-item errors.
 func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req *PredictRequest) {
 	if len(req.Queries) == 0 {
 		httpError(w, http.StatusBadRequest, "queries must not be empty in batch mode")
@@ -118,7 +121,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 		}
 		st, ok := platforms[plat]
 		if !ok {
-			key, _, _, err := plat.resolve()
+			key, err := plat.key()
 			if err != nil {
 				httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
 				return

@@ -262,9 +262,10 @@ func TestChaosHandlerPanicRecovers(t *testing.T) {
 
 // TestChaosMalformedAndOversizedPayloads checks the payload guards:
 // malformed JSON gets a byte-stable 400 bad_json, a body past
-// MaxBodyBytes gets a byte-stable 413 oversized.
+// MaxBodyBytes gets a byte-stable 413 oversized — also when its JSON
+// value ends inside the limit and padding follows.
 func TestChaosMalformedAndOversizedPayloads(t *testing.T) {
-	_, ts := testServer(t, Config{MaxBodyBytes: 256})
+	_, ts := testServer(t, Config{MaxBodyBytes: 256, taskHook: chaosTaskOK})
 
 	st1, _, body1 := rawPost(t, ts.URL+"/predict", `{"op": not json`)
 	if st1 != http.StatusBadRequest || !strings.Contains(string(body1), `"code": "bad_json"`) {
@@ -290,6 +291,14 @@ func TestChaosMalformedAndOversizedPayloads(t *testing.T) {
 	// The same guard protects /estimate.
 	if st, _, body := rawPost(t, ts.URL+"/estimate", big); st != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized estimate: status %d body %s, want 413", st, body)
+	}
+	// A request padded past the limit is oversized on every
+	// endpoint that takes a body, though its JSON value ends early.
+	padded := `{"cluster":"table1","nodes":16,"profile":"lam","seed":1,"op":"gather","m":4096}` + strings.Repeat(" ", 4096)
+	for _, ep := range []string{"/predict", "/estimate", "/tune"} {
+		if st, _, body := rawPost(t, ts.URL+ep, padded); st != http.StatusRequestEntityTooLarge || !bytes.Equal(body, body3) {
+			t.Fatalf("padded body on %s: status %d body %s, want 413 %s", ep, st, body, body3)
+		}
 	}
 }
 

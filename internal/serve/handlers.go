@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -11,24 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/models"
 )
-
-// decodeJSON decodes a request body bounded by Config.MaxBodyBytes,
-// answering 413 with a typed error body for oversized requests and 400
-// for malformed ones. It reports whether the handler should proceed.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpErrorCode(w, http.StatusRequestEntityTooLarge, "oversized",
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		httpErrorCode(w, http.StatusBadRequest, "bad_json", "bad request body: %v", err)
-		return false
-	}
-	return true
-}
 
 // writeWorkError maps the robustness layer's typed failures to HTTP:
 // load shedding to 429 + Retry-After, an open circuit to 503 +
@@ -119,7 +100,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.handleBatchPredict(w, r, &req)
 		return
 	}
-	key, _, _, err := req.resolve()
+	key, err := req.key()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -206,7 +187,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	key, spec, prof, err := req.resolve()
+	key, spec, prof, err := req.build()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

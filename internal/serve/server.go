@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -45,8 +46,8 @@ type Config struct {
 	// JobTTL evicts terminal jobs this long after completion
 	// (default 1h; <0 disables).
 	JobTTL time.Duration
-	// MaxBodyBytes caps request bodies; larger ones get 413
-	// (default 1 MiB).
+	// MaxBodyBytes caps request bodies; larger ones get 413, however
+	// early their JSON value ends (default 1 MiB).
 	MaxBodyBytes int64
 	// Breaker configures the per-key estimation circuit breakers.
 	Breaker BreakerConfig
@@ -292,44 +293,60 @@ type platformRequest struct {
 	Seed    int64  `json:"seed"`    // default 1
 }
 
-// resolve validates the platform and returns the registry key plus the
-// concrete cluster spec.
-func (p platformRequest) resolve() (Key, campaign.ClusterSpec, *cluster.TCPProfile, error) {
-	name := p.Cluster
-	if name == "" {
-		name = "table1"
+// namedCluster is a cluster a platform may name: how to build it, and
+// its full size, known without building it.
+type namedCluster struct {
+	build func() *cluster.Cluster
+	n     int
+}
+
+var namedClusters = map[string]namedCluster{
+	"table1":       {cluster.Table1, cluster.Table1().N()},
+	"table1hetero": {cluster.Table1Hetero, cluster.Table1Hetero().N()},
+}
+
+// profileNames maps the TCP profiles a platform may name to the
+// display names registry keys carry.
+var profileNames = map[string]string{
+	"lam":   cluster.LAM().Name,
+	"mpich": cluster.MPICH().Name,
+	"ideal": cluster.Ideal().Name,
+}
+
+// key validates the platform and returns its registry key. It builds
+// neither the cluster nor the profile: build does, for the paths that
+// estimate.
+func (p platformRequest) key() (Key, error) {
+	name := cmp.Or(p.Cluster, "table1")
+	nc, ok := namedClusters[name]
+	if !ok {
+		return Key{}, fmt.Errorf("unknown cluster %q (table1, table1hetero)", name)
 	}
-	var cl *cluster.Cluster
-	switch name {
-	case "table1":
-		cl = cluster.Table1()
-	case "table1hetero":
-		cl = cluster.Table1Hetero()
-	default:
-		return Key{}, campaign.ClusterSpec{}, nil, fmt.Errorf("unknown cluster %q (table1, table1hetero)", name)
+	nodes := cmp.Or(p.Nodes, nc.n)
+	if nodes < 3 || nodes > nc.n {
+		return Key{}, fmt.Errorf("nodes must be in [3, %d]", nc.n)
 	}
-	nodes := p.Nodes
-	if nodes == 0 {
-		nodes = cl.N()
+	profName := cmp.Or(p.Profile, "lam")
+	prof, ok := profileNames[profName]
+	if !ok {
+		return Key{}, fmt.Errorf("unknown profile %q (lam, mpich, ideal)", profName)
 	}
-	if nodes < 3 || nodes > cl.N() {
-		return Key{}, campaign.ClusterSpec{}, nil, fmt.Errorf("nodes must be in [3, %d]", cl.N())
-	}
-	cl = cl.Prefix(nodes)
-	profName := p.Profile
-	if profName == "" {
-		profName = "lam"
-	}
-	prof, err := cluster.ParseProfile(profName)
+	return Key{Cluster: name, Nodes: nodes, Profile: prof, Seed: cmp.Or(p.Seed, 1)}, nil
+}
+
+// build validates the platform like key and also builds what an
+// estimation runs on: the named cluster's prefix and the TCP profile.
+func (p platformRequest) build() (Key, campaign.ClusterSpec, *cluster.TCPProfile, error) {
+	key, err := p.key()
 	if err != nil {
-		return Key{}, campaign.ClusterSpec{}, nil, fmt.Errorf("unknown profile %q (lam, mpich, ideal)", profName)
+		return Key{}, campaign.ClusterSpec{}, nil, err
 	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
+	prof, err := cluster.ParseProfile(cmp.Or(p.Profile, "lam"))
+	if err != nil {
+		return Key{}, campaign.ClusterSpec{}, nil, err
 	}
-	key := Key{Cluster: name, Nodes: nodes, Profile: prof.Name, Seed: seed}
-	return key, campaign.ClusterSpec{Name: name, Cluster: cl}, prof, nil
+	cl := namedClusters[key.Cluster].build().Prefix(key.Nodes)
+	return key, campaign.ClusterSpec{Name: key.Cluster, Cluster: cl}, prof, nil
 }
 
 // keyPlatform reconstructs the platform of a registry key (used by the
@@ -358,7 +375,7 @@ func (s *Server) estimateKey(ctx context.Context, k Key) (*models.ModelFile, err
 	if err != nil {
 		return nil, err
 	}
-	_, spec, prof, err := preq.resolve()
+	_, spec, prof, err := preq.build()
 	if err != nil {
 		return nil, err
 	}

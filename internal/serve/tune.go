@@ -112,7 +112,7 @@ func (s *Server) handleTuneGet(w http.ResponseWriter, r *http.Request) {
 		}
 		p.Seed = sd
 	}
-	key, _, _, err := p.resolve()
+	key, err := p.key()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -153,7 +153,7 @@ func (s *Server) handleTunePost(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	key, spec, prof, err := req.resolve()
+	key, spec, prof, err := req.build()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
