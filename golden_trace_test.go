@@ -211,7 +211,8 @@ func TestSingleSwitchTopologyGoldenIdentical(t *testing.T) {
 // TestDeterministicReruns verifies that a fixed (cluster, profile,
 // seed, fault plan) scenario produces identical traces, counters and
 // estimates when run twice in one process. The CI race job runs this
-// under -race, standing guard over the vtime coroutine handoff.
+// under -race, standing guard over the vtime kernel's coroutine
+// switches and its pooled workers, which the second run reuses.
 func TestDeterministicReruns(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc

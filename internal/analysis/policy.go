@@ -85,7 +85,7 @@ func IsDeterministic(path string) bool { return deterministicPkgs[path] }
 //     and stable iteration order are output-stability requirements for
 //     the serving and reporting layers too;
 //   - vtimeblock: everywhere except the vtime kernel itself, whose
-//     channel handoff implements the primitive the check protects;
+//     coroutine switches implement the primitive the check protects;
 //   - hotalloc: everywhere (it only fires inside //lmovet:hotpath
 //     functions);
 //   - snapshotmut, atomicmix, poolreuse: everywhere — the concurrency

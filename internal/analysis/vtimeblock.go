@@ -9,12 +9,12 @@ import (
 )
 
 // Vtimeblock flags real (host-level) blocking primitives inside code
-// that runs in virtual-time process context. A vtime.Proc body that
+// that runs in virtual-time process context. Process bodies run as
+// coroutines of the one goroutine that calls Engine.Run, so a body that
 // parks on a real sync.Mutex, waits on a sync.WaitGroup, sends or
 // receives on an unbuffered channel, or calls time.Sleep blocks the
-// one goroutine that carries the dispatcher role — the virtual clock
-// stops and the simulation deadlocks (or, worse, times depend on the
-// host scheduler).
+// whole engine — the virtual clock stops and the simulation deadlocks
+// (or, worse, times depend on the host scheduler).
 //
 // Context is seeded from spawn and scheduling call sites —
 // Engine.Go(name, body), Engine.At(t, fn), Engine.After(d, fn) on a
@@ -22,8 +22,10 @@ import (
 // graph: every same-package function reachable from a seeded body
 // runs in proc context, however deep the call chain. Diagnostics in
 // transitively reached functions name the chain from the proc root.
-// The vtime kernel itself is excluded by the driver: its channel
-// handoff is the mechanism the invariant protects.
+// The vtime kernel itself is outside the analyzer's Scope: its
+// coroutine switches are the mechanism the invariant protects, and the
+// mutex on its idle-worker list is taken by Run only, never in process
+// context.
 var Vtimeblock = &Analyzer{
 	Name: "vtimeblock",
 	Doc:  "flag real blocking primitives reachable from vtime process context",

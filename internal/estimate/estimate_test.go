@@ -130,6 +130,32 @@ func TestParallelEstimationSameParamsLowerCost(t *testing.T) {
 	t.Logf("estimation cost: serial %v, parallel %v (speedup %.1f×)", repS.Cost, repP.Cost, speedup)
 }
 
+// TestKernelHandoffsOnTable1 pins the event kernel's hand-offs, the
+// resumes that switch coroutines (every resume but a process popping
+// its own event), next to its resumes, for two estimations on Table I
+// under LAM at seed 1 with the parallel schedule. Both counts depend
+// only on the event stream.
+func TestKernelHandoffsOnTable1(t *testing.T) {
+	cfg := mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
+	for _, c := range []struct {
+		name              string
+		run               func(Options) error
+		handoffs, resumes int64
+	}{
+		{"HetHockney", func(o Options) error { _, _, err := HetHockney(cfg, o); return err }, 20012, 20192},
+		{"LMOX", func(o Options) error { _, _, err := LMOX(cfg, o); return err }, 261868, 271423},
+	} {
+		tr := obs.NewTrace()
+		if err := c.run(Options{Parallel: true, Obs: tr}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h, r := tr.Counter("vtime.handoffs").Value(), tr.Counter("vtime.resumes").Value()
+		if h != c.handoffs || r != c.resumes {
+			t.Errorf("%s: %d hand-offs of %d resumes, want %d of %d", c.name, h, r, c.handoffs, c.resumes)
+		}
+	}
+}
+
 func TestHomHockneyFitsLine(t *testing.T) {
 	cfg := homConfig(4)
 	h, _, err := HomHockney(cfg, Options{}, nil)

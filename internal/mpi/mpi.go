@@ -82,7 +82,7 @@ type World struct {
 }
 
 // Rank is the handle each SPMD process receives. All methods must be
-// called from that process's goroutine.
+// called from that process's body, which runs as a vtime coroutine.
 type Rank struct {
 	w    *World
 	p    *vtime.Proc

@@ -126,7 +126,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 				httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
 				return
 			}
-			st = &batchPlatform{key: key, keyStr: key.String(), n: key.Nodes}
+			st = &batchPlatform{key: key, n: key.Nodes}
 			platforms[plat] = st
 			order = append(order, st)
 		}
@@ -211,6 +211,15 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	}
 	if release != nil {
 		release()
+	}
+	// A resolved key's string comes rendered with its entry; only a
+	// failed key renders one per batch.
+	for _, st := range order {
+		if st.entry != nil {
+			st.keyStr = st.entry.keyStr
+		} else {
+			st.keyStr = st.key.String()
+		}
 	}
 
 	// Pass 3 — stream the response through a pooled buffer: the

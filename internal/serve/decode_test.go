@@ -147,7 +147,8 @@ func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 // per row: through Server.ServeHTTP, a cached 256-row batch allocates
 // within a small constant of a 16-row batch over the same 8 hot keys.
 // Decoding and answering a canonical row allocate nothing, so what a
-// batch allocates is per request and per distinct key.
+// batch allocates is per request and per distinct key, and at most 32
+// objects in all: a cached key's string comes rendered with its entry.
 func TestCachedBatchAllocsFlatInRows(t *testing.T) {
 	var preload []*models.ModelFile
 	for seed := int64(1); seed <= 8; seed++ { // hotBatch's keys
@@ -175,4 +176,13 @@ func TestCachedBatchAllocsFlatInRows(t *testing.T) {
 	if large-small > 8 {
 		t.Fatalf("a 256-row batch allocates %v objects, a 16-row one %v: more than 8 apart, so rows allocate", large, small)
 	}
+	if raceEnabled {
+		return // the race detector drops sync.Pool puts at random, so pooled buffers reallocate
+	}
+	if large > 32 || small > 32 {
+		t.Fatalf("a cached batch allocates %v objects at 16 rows and %v at 256, want at most 32", small, large)
+	}
 }
+
+// raceEnabled reports a race-detector build (race_test.go sets it).
+var raceEnabled bool

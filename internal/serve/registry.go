@@ -43,6 +43,8 @@ type Entry struct {
 	Key  Key
 	File *models.ModelFile
 
+	keyStr string // Key.String(), rendered once here for batch responses
+
 	Hom   *models.Hockney
 	Het   *models.HetHockney
 	LogP  *models.LogP
@@ -71,15 +73,17 @@ func newEntry(mf *models.ModelFile) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	key := keyOfMeta(mf.Meta)
 	e := &Entry{
-		Key:   keyOfMeta(mf.Meta),
-		File:  mf,
-		Hom:   mf.Hockney,
-		Het:   mf.GetHetHockney(),
-		LogP:  mf.LogP,
-		LogGP: mf.LogGP,
-		PLogP: plogp,
-		LMO:   mf.GetLMO(),
+		Key:    key,
+		File:   mf,
+		keyStr: key.String(),
+		Hom:    mf.Hockney,
+		Het:    mf.GetHetHockney(),
+		LogP:   mf.LogP,
+		LogGP:  mf.LogGP,
+		PLogP:  plogp,
+		LMO:    mf.GetLMO(),
 	}
 	// A typed nil pointer boxed into an interface is non-nil; only box
 	// the families that are actually present so the kernel's nil check

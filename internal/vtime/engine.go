@@ -1,20 +1,26 @@
+//go:build go1.23
+
 // Package vtime implements a deterministic discrete-event simulation
-// kernel with coroutine-style processes.
+// kernel with coroutine processes.
 //
-// An Engine owns a virtual clock and an event queue. Processes are
-// goroutines that cooperate with the engine so that exactly one
-// goroutine (either the Run caller or a single process) runs at any
-// moment. Events with equal timestamps fire in scheduling order, which
-// makes a simulation fully deterministic for a deterministic program.
+// An Engine owns a virtual clock and an event queue. Each process body
+// runs in a coroutine (iter.Pull), and Run is the engine's only
+// goroutine: exactly one of Run and the processes runs at any moment,
+// and control passes between them by coroutine switches, never through
+// the Go scheduler. Events with equal timestamps fire in scheduling
+// order, which makes a simulation fully deterministic for a
+// deterministic program.
 //
 // The event loop is allocation-free on its dominant path. Events are
 // a typed union held in a hand-rolled slice-backed min-heap — no
-// container/heap interface boxing, no per-event closure — and the
-// dispatcher role migrates with control: whichever goroutine is active
-// processes events, so a process that sleeps and is the next to wake
-// simply continues, with no goroutine switch and no channel operation.
-// Handing control to a different process costs one switch, not the two
-// (process → engine → process) of a central dispatcher.
+// container/heap interface boxing, no per-event closure — and a parked
+// process pops events in its own coroutine, so a process that sleeps
+// and is the next to wake simply continues, with no switch at all.
+// Resuming a different process costs two coroutine switches: the
+// parked process yields it to Run, and Run switches to it. The
+// coroutines come from a package-wide list of idle workers, each of
+// which runs one process body after another, so a simulation reuses
+// the coroutines, and the grown stacks, of earlier simulations.
 //
 // The package provides the synchronization primitives needed by the
 // network simulator built on top of it: Sleep (advance local time),
@@ -24,6 +30,8 @@ package vtime
 
 import (
 	"fmt"
+	"iter" // go1.23: the build line raises this file's language version above go.mod's
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -36,9 +44,6 @@ type Engine struct {
 	seq    uint64
 	events eventQueue
 
-	mainWake chan struct{} // wakes the Run caller at drain or failure
-
-	liveProcs   int // processes that have been started and not finished
 	blockedSync int // processes parked in a Resource/Cond queue (no pending event)
 
 	running  bool
@@ -50,15 +55,16 @@ type Engine struct {
 
 	// Observability. The counters are cached at SetObserver time so the
 	// dispatch loops pay one nil check per event when tracing is off and
-	// one atomic add when it is on — never a lookup, never an allocation.
-	obsTrace   *obs.Trace
-	obsEvents  *obs.Counter // events dispatched (resume + call + handler)
-	obsResumes *obs.Counter // events that resumed a process
+	// a few atomic adds when it is on — never a lookup, never an allocation.
+	obsTrace    *obs.Trace
+	obsEvents   *obs.Counter // events dispatched (resume + call + handler)
+	obsResumes  *obs.Counter // events that resumed a process
+	obsHandoffs *obs.Counter // resumes that switched coroutines (all but self-resumes)
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{mainWake: make(chan struct{}, 1)}
+	return &Engine{}
 }
 
 // SetMaxSteps bounds the number of events the engine will process in
@@ -76,24 +82,31 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) SetObserver(t *obs.Trace) {
 	e.obsTrace = t
 	if t == nil {
-		e.obsEvents, e.obsResumes = nil, nil
+		e.obsEvents, e.obsResumes, e.obsHandoffs = nil, nil, nil
 		return
 	}
 	e.obsEvents = t.Counter("vtime.events")
 	e.obsResumes = t.Counter("vtime.resumes")
+	e.obsHandoffs = t.Counter("vtime.handoffs")
 }
 
-// noteEvent counts one dispatched event against the observer. The
-// disabled path is a single nil compare.
+// noteEvent counts one dispatched event against the observer: p is the
+// process the event resumes (nil for a callback or handler) and self
+// the process popping it (nil in Run). The disabled path is a single
+// nil compare.
 //
 //lmovet:hotpath
-func (e *Engine) noteEvent(resume bool) {
+func (e *Engine) noteEvent(p, self *Proc) {
 	if e.obsEvents == nil {
 		return
 	}
 	e.obsEvents.Add(1)
-	if resume {
-		e.obsResumes.Add(1)
+	if p == nil {
+		return
+	}
+	e.obsResumes.Add(1)
+	if p != self {
+		e.obsHandoffs.Add(1)
 	}
 }
 
@@ -222,14 +235,16 @@ func (e *Engine) AtHandler(t time.Duration, h Handler) {
 // fn must not block.
 func (e *Engine) After(d time.Duration, fn func()) { e.scheduleCall(e.now+d, fn) }
 
-// Proc is a simulated process. All Proc methods must be called from the
-// goroutine running the process body.
+// Proc is a simulated process: a body that runs in a coroutine, not a
+// goroutine of its own. All Proc methods must be called from the
+// process body.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{} // capacity 1: at most one resume token in flight
-	done   bool
+	e    *Engine
+	id   int
+	name string
+	body func(p *Proc)
+	w    *worker // runs the body; nil before the first resume and after the end
+	done bool
 
 	// Embedded wait-queue nodes, reused across waits: a process blocks
 	// on at most one Resource or Cond at a time, so queueing it never
@@ -265,34 +280,105 @@ func (p *Proc) Exit() {
 
 // Go starts a new process executing body. It may be called before Run
 // or from a running process or event callback. The process begins at
-// the current virtual time.
+// the current virtual time; it gets its coroutine when that first
+// resume pops.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{e: e, id: e.nextID, name: name, resume: make(chan struct{}, 1)}
-	e.liveProcs++
-	go func() {
-		<-p.resume // wait for a dispatcher to hand us control
-		defer func() {
-			if r := recover(); r != nil {
-				if _, exited := r.(procExit); !exited && e.failErr == nil {
-					// A panic value that is itself an error stays unwrappable
-					// (errors.As), so typed failures — bad collective input, a
-					// crashed peer — survive the trip through the engine.
-					if err, ok := r.(error); ok {
-						e.failErr = fmt.Errorf("vtime: process %q failed: %w", p.name, err)
-					} else {
-						e.failErr = fmt.Errorf("vtime: process %q panicked: %v", p.name, r)
-					}
-				}
-			}
-			p.done = true
-			e.liveProcs--
-			e.dispatchFromExit() // pass the dispatcher role on, then die
-		}()
-		body(p)
-	}()
+	p := &Proc{e: e, id: e.nextID, name: name, body: body}
 	e.scheduleResume(e.now, p)
 	return p
+}
+
+// runBody runs the process body on its worker. A panic other than
+// Exit's fails the run; either way the process ends here.
+func (p *Proc) runBody() {
+	defer func() {
+		e := p.e
+		if r := recover(); r != nil {
+			if _, exited := r.(procExit); !exited && e.failErr == nil {
+				// A panic value that is itself an error stays unwrappable
+				// (errors.As), so typed failures — bad collective input, a
+				// crashed peer — survive the trip through the engine.
+				if err, ok := r.(error); ok {
+					e.failErr = fmt.Errorf("vtime: process %q failed: %w", p.name, err)
+				} else {
+					e.failErr = fmt.Errorf("vtime: process %q panicked: %v", p.name, r)
+				}
+			}
+		}
+		p.done = true
+	}()
+	p.body(p)
+}
+
+// worker is a coroutine that runs process bodies one after another.
+// Between bodies it sits on the idle list, suspended at the end of its
+// loop; next resumes it and yield hands control back to Run.
+type worker struct {
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
+	p     *Proc // the process whose body the worker runs
+}
+
+// loop is the worker's coroutine. After each body it yields nil to Run,
+// which hands it the next process or stops it.
+func (w *worker) loop(yield func(*Proc) bool) {
+	w.yield = yield
+	for {
+		w.p.runBody()
+		if !yield(nil) {
+			return // stopped: the idle list was full
+		}
+	}
+}
+
+// maxIdleWorkers bounds the idle list. It covers the 1 024 concurrent
+// processes of a 1 024-host fat-tree estimation several times over, so
+// simulations that run side by side in a campaign's workers reuse
+// their workers too.
+const maxIdleWorkers = 4096
+
+// idleWorkers holds the workers of finished processes for later
+// processes, of this simulation or another. Only Run takes and returns
+// workers, never a process, and engines run on several goroutines at
+// once, so a mutex guards the list. It is not a sync.Pool: a pool
+// drops items without stopping them, and a dropped worker's goroutine
+// would stay parked for good.
+var idleWorkers struct {
+	sync.Mutex
+	ws []*worker
+}
+
+// takeWorker returns an idle worker, or a new one when none is idle.
+func takeWorker() *worker {
+	idleWorkers.Lock()
+	if n := len(idleWorkers.ws); n > 0 {
+		w := idleWorkers.ws[n-1]
+		idleWorkers.ws[n-1] = nil
+		idleWorkers.ws = idleWorkers.ws[:n-1]
+		idleWorkers.Unlock()
+		return w
+	}
+	idleWorkers.Unlock()
+	w := new(worker)
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// releaseWorker puts the worker of a finished process on the idle
+// list, or stops it, ending its goroutine, when the list is full.
+func releaseWorker(w *worker) {
+	w.p = nil
+	idleWorkers.Lock()
+	kept := len(idleWorkers.ws) < maxIdleWorkers
+	if kept {
+		idleWorkers.ws = append(idleWorkers.ws, w)
+	}
+	idleWorkers.Unlock()
+	if !kept {
+		w.stop()
+	}
 }
 
 // broken reports whether the run has failed and dispatching must stop.
@@ -319,7 +405,7 @@ func (e *Engine) bumpSteps() bool {
 
 // callEvent runs a callback or handler event, capturing a panic so it
 // can be re-raised from Run on the caller's stack (an event may execute
-// on whichever goroutine holds the dispatcher role).
+// in whichever process's coroutine is dispatching).
 func (e *Engine) callEvent(ev event) {
 	// The deferred recover closure is open-coded by the compiler and
 	// captures only the receiver; it does not heap-allocate (guarded by
@@ -337,64 +423,64 @@ func (e *Engine) callEvent(ev event) {
 	}
 }
 
-// dispatchAs runs the event loop on behalf of the engine until self's
-// own resume event pops, the queue drains, or the run breaks. The
-// calling process must either have a resume event queued (Sleep) or be
+// dispatchAs runs the event loop in self's coroutine until self's own
+// resume event pops, the queue drains, or the run breaks. The calling
+// process must either have a resume event queued (Sleep) or be
 // registered with a Resource/Cond that will schedule one (blockSync).
 //
 // This is the kernel's hot path: when the popped event resumes the
-// dispatching process itself, it simply returns — no goroutine switch,
-// no channel operation, no allocation.
+// dispatching process itself, it simply returns — no coroutine switch,
+// no allocation. Any other resume goes to Run, which switches to that
+// process; self continues when a later pop resumes it.
 //
 //lmovet:hotpath
 func (e *Engine) dispatchAs(self *Proc) {
 	for {
 		if e.broken() || e.events.len() == 0 || !e.bumpSteps() {
-			// Drained or failed: hand control back to Run, park until a
-			// later Run pops our resume event.
-			e.mainWake <- struct{}{}
-			<-self.resume
+			// Drained or failed: hand control back to Run, parked until
+			// a later Run pops our resume event. Only an idle worker is
+			// ever stopped, so yield reports true here.
+			self.w.yield(nil)
 			return
 		}
 		ev := e.events.pop()
 		e.now = ev.t
-		e.noteEvent(ev.p != nil)
+		e.noteEvent(ev.p, self)
+		if ev.p == self {
+			return // fast path: the dispatcher resumes itself
+		}
 		if ev.p != nil {
-			if ev.p == self {
-				return // fast path: the dispatcher resumes itself
-			}
-			ev.p.resume <- struct{}{} // hand the role to the woken process
-			<-self.resume
+			self.w.yield(ev.p) // Run switches to the woken process
 			return
 		}
 		e.callEvent(ev)
 	}
 }
 
-// dispatchFromExit passes the dispatcher role on when a process
-// terminates: events run here until control lands on another process
-// or the run ends, then the dead process's goroutine returns.
-//
-//lmovet:hotpath
-func (e *Engine) dispatchFromExit() {
-	for {
-		if e.broken() || e.events.len() == 0 || !e.bumpSteps() {
-			e.mainWake <- struct{}{}
-			return
+// switchTo runs p until control comes back to Run. A process that pops
+// another process's resume yields it, and switchTo switches to that one
+// in turn; the chain ends when a process yields nil because its body
+// ended, or because the run drained or broke while it was parked. A
+// process's first resume always comes through here, so this is where
+// it takes a worker, and where the worker goes back when the body ends.
+func (e *Engine) switchTo(p *Proc) {
+	for p != nil {
+		w := p.w
+		if w == nil {
+			w = takeWorker()
+			w.p, p.w = p, w
 		}
-		ev := e.events.pop()
-		e.now = ev.t
-		e.noteEvent(ev.p != nil)
-		if ev.p != nil {
-			ev.p.resume <- struct{}{}
-			return
+		next, _ := w.next()
+		if p.done {
+			p.w = nil
+			releaseWorker(w)
 		}
-		e.callEvent(ev)
+		p = next
 	}
 }
 
-// park suspends the calling process until something resumes it, lending
-// its goroutine to the engine as the event dispatcher meanwhile.
+// park suspends the calling process until something resumes it, running
+// the engine's events in its coroutine meanwhile.
 func (p *Proc) park() { p.e.dispatchAs(p) }
 
 // Sleep advances the process's local time by d, modelling the process
@@ -442,9 +528,9 @@ func (d *DeadlockError) Error() string {
 
 // Run processes events until none remain. It returns a *DeadlockError
 // if processes remain blocked on a Resource or Cond when the event
-// queue drains, or an error if the step bound is exceeded. After the
-// first handoff to a process, the dispatcher role lives with the
-// processes; Run sleeps until the run drains or breaks.
+// queue drains, or an error if the step bound is exceeded. Processes
+// run in coroutines that Run switches to; a process parked when the
+// queue drains stays parked and resumes in a later Run.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("vtime: engine already running")
@@ -469,10 +555,9 @@ func (e *Engine) Run() error {
 		}
 		ev := e.events.pop()
 		e.now = ev.t
-		e.noteEvent(ev.p != nil)
+		e.noteEvent(ev.p, nil)
 		if ev.p != nil {
-			ev.p.resume <- struct{}{}
-			<-e.mainWake // sleep until the run drains or breaks
+			e.switchTo(ev.p)
 			continue
 		}
 		e.callEvent(ev)

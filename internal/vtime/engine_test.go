@@ -1,6 +1,10 @@
 package vtime
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -480,4 +484,206 @@ func TestClockMonotonicityProperty(t *testing.T) {
 	if violated {
 		t.Fatal("virtual clock went backwards")
 	}
+}
+
+// A process parked when Run drains stays parked across the
+// DeadlockError and resumes in a later Run, once an event wakes it.
+func TestParkedProcessResumesInLaterRun(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	woke := time.Duration(-1)
+	e.Go("waiter", func(p *Proc) {
+		c.Wait(p)
+		woke = p.Now()
+	})
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) || de.Blocked != 1 {
+		t.Fatalf("first Run: err = %v, want a DeadlockError with 1 blocked", err)
+	}
+	e.At(5*time.Millisecond, c.Broadcast)
+	if err := e.Run(); err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if woke != 5*time.Millisecond {
+		t.Fatalf("waiter resumed at %v, want 5ms", woke)
+	}
+}
+
+// A callback's panic is re-raised from Run on the caller's stack, also
+// when the callback ran while a process was dispatching events.
+func TestCallbackPanicReraisedFromRun(t *testing.T) {
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) { p.Sleep(10 * time.Millisecond) })
+	e.At(time.Millisecond, func() { panic("callback boom") })
+	var err error
+	raised := func() (r any) {
+		defer func() { r = recover() }()
+		err = e.Run()
+		return nil
+	}()
+	if raised != "callback boom" {
+		t.Fatalf("Run raised %v and returned %v, want it to re-raise the callback's panic", raised, err)
+	}
+}
+
+// Exit unwinds the body and runs its deferred calls without failing the
+// run; a panic whose value is an error fails the run with an error that
+// unwraps to it.
+func TestExitRunsDeferredAndErrorPanicUnwraps(t *testing.T) {
+	e := NewEngine()
+	deferred := false
+	e.Go("crash", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Sleep(time.Millisecond)
+		p.Exit()
+		t.Error("Exit returned")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Exit failed the run: %v", err)
+	}
+	if !deferred {
+		t.Fatal("Exit did not run the body's deferred call")
+	}
+
+	bad := errors.New("bad input")
+	e = NewEngine()
+	e.Go("fail", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic(fmt.Errorf("collective: %w", bad))
+	})
+	if err := e.Run(); !errors.Is(err, bad) {
+		t.Fatalf("err = %v, want one that unwraps to %v", err, bad)
+	}
+}
+
+// Go from an event callback starts a process at the callback's time,
+// whether Run or a dispatching process runs the callback.
+func TestGoFromCallback(t *testing.T) {
+	e := NewEngine()
+	var ends []time.Duration
+	start := func() {
+		e.Go("child", func(c *Proc) {
+			c.Sleep(time.Millisecond)
+			ends = append(ends, c.Now())
+		})
+	}
+	e.At(2*time.Millisecond, start) // popped by Run: no process is live
+	e.At(5*time.Millisecond, func() {
+		e.Go("sleeper", func(p *Proc) { p.Sleep(10 * time.Millisecond) })
+	})
+	e.At(7*time.Millisecond, start) // popped by the sleeper's coroutine
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ends) != 2 || ends[0] != 3*time.Millisecond || ends[1] != 8*time.Millisecond {
+		t.Fatalf("children ended at %v, want [3ms 8ms]", ends)
+	}
+}
+
+// barrierRun runs n processes through one Barrier; each calls inside
+// once the barrier releases it.
+func barrierRun(t *testing.T, n int, inside func()) {
+	e := NewEngine()
+	b := NewBarrier(e, n)
+	for i := 0; i < n; i++ {
+		e.Go("p", func(p *Proc) {
+			b.Wait(p)
+			inside()
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A warm run allocates its processes and their scheduling, not a
+// goroutine, channel or closure per process: the workers of earlier
+// runs run the bodies.
+func TestWarmRunAllocsPerProcess(t *testing.T) {
+	const procs = 16
+	run := func() { barrierRun(t, procs, func() {}) }
+	run() // warm-up: leaves at least procs idle workers
+	n := testing.AllocsPerRun(20, run)
+	t.Logf("a warm %d-process barrier run allocates %v objects", procs, n)
+	if n > 3*procs {
+		t.Fatalf("a warm %d-process barrier run allocates %v objects, want at most %d", procs, n, 3*procs)
+	}
+}
+
+// A warm run starts no goroutine: every live process runs on an idle
+// worker left by an earlier run.
+func TestWarmRunStartsNoGoroutine(t *testing.T) {
+	const procs = 16
+	barrierRun(t, procs, func() {}) // warm-up
+	before := runtime.NumGoroutine()
+	most := 0
+	barrierRun(t, procs, func() { most = max(most, runtime.NumGoroutine()) })
+	if most != before {
+		t.Fatalf("%d goroutines inside a warm %d-process run, %d before it", most, procs, before)
+	}
+}
+
+// A worker the full idle list cannot take is stopped, so its goroutine
+// exits instead of staying parked.
+func TestFullIdleListStopsWorker(t *testing.T) {
+	idleWorkers.Lock()
+	saved := idleWorkers.ws
+	idleWorkers.ws = nil // the process below takes a new worker
+	idleWorkers.Unlock()
+	defer func() {
+		idleWorkers.Lock()
+		idleWorkers.ws = saved
+		idleWorkers.Unlock()
+	}()
+	e := NewEngine()
+	during := 0
+	e.Go("p", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		// Fill the list while the body runs (nil entries stand in for
+		// idle workers; nothing takes them before the deferred restore).
+		idleWorkers.Lock()
+		idleWorkers.ws = make([]*worker, maxIdleWorkers)
+		idleWorkers.Unlock()
+		during = runtime.NumGoroutine()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != during-1 {
+		t.Fatalf("%d goroutines after the run, %d while its process ran: the worker was not stopped", after, during)
+	}
+}
+
+// Engines running on several goroutines at once share the idle list:
+// every run completes as it would alone, on workers that other runs
+// left behind.
+func TestConcurrentEnginesShareWorkers(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				e := NewEngine()
+				b := NewBarrier(e, 8)
+				sum := 0
+				for k := 0; k < 8; k++ {
+					e.Go("p", func(p *Proc) {
+						p.Sleep(time.Duration(k) * time.Millisecond)
+						b.Wait(p)
+						sum += k
+					})
+				}
+				if err := e.Run(); err != nil {
+					t.Error(err)
+					return
+				}
+				if sum != 28 || e.Now() != 7*time.Millisecond {
+					t.Errorf("run %d on goroutine %d: sum %d at %v, want 28 at 7ms", i, g, sum, e.Now())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
