@@ -94,10 +94,10 @@ func (o options) run(stdout, stderr io.Writer) error {
 	}
 	n := cfg.Cluster.N()
 
-	var ms *experiment.ModelSet
+	var set *models.Set
 	if o.models != "" {
 		var err error
-		if ms, err = o.loadModels(&cfg, prof, info); err != nil {
+		if set, err = o.loadModels(&cfg, prof, info); err != nil {
 			return err
 		}
 		n = cfg.Cluster.N()
@@ -119,20 +119,21 @@ func (o options) run(stdout, stderr io.Writer) error {
 		}
 	}
 
-	if ms == nil {
+	if set == nil {
 		clusterName := "Table I"
 		if o.topo != "" {
 			clusterName = o.topo
 		}
 		fmt.Fprintf(info, "Estimating models on the %d-node %s cluster (%s)...\n", n, clusterName, prof.Name)
-		if ms, err = experiment.EstimateAll(cfg); err != nil {
+		ms, err := experiment.EstimateAll(cfg)
+		if err != nil {
 			return err
 		}
+		set = &ms.Set
 	}
-	fams := families(ms)
 
 	if o.batch != "" {
-		return runBatch(o.batch, fams, ms.LMO, flagRow, n, stdout)
+		return runBatch(o.batch, *set, flagRow, n, stdout)
 	}
 
 	op := experiment.Scatter
@@ -146,7 +147,10 @@ func (o options) run(stdout, stderr io.Writer) error {
 	}
 	rows := [][]string{{"source", "time (s)", "vs observed"}}
 	rows = append(rows, []string{"observed (mean of " + fmt.Sprint(o.reps) + ")", fmt.Sprintf("%.6f", obs.Mean[0]), "—"})
-	for _, p := range fams {
+	for _, p := range set.Predictors() {
+		if p == nil {
+			continue
+		}
 		v, err := p.Predict(q)
 		if err != nil {
 			continue
@@ -162,7 +166,7 @@ func (o options) run(stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if lo, hi, ok := serve.GatherBand(ms.LMO, q); ok {
+	if lo, hi, ok := serve.GatherBand(set.LMO, q); ok {
 		fmt.Fprintf(stdout, "LMO escalation band at this size: [%.6f, %.6f] s (observed worst rep %.6f)\n",
 			lo, hi, obs.Max[0])
 	}
@@ -172,7 +176,7 @@ func (o options) run(stdout, stderr io.Writer) error {
 // loadModels reads the -models file. The file's provenance pins the
 // platform it was estimated on: the cluster shrinks to match, and a
 // profile mismatch is noted on info.
-func (o options) loadModels(cfg *experiment.Config, prof *cluster.TCPProfile, info io.Writer) (*experiment.ModelSet, error) {
+func (o options) loadModels(cfg *experiment.Config, prof *cluster.TCPProfile, info io.Writer) (*models.Set, error) {
 	data, err := os.ReadFile(o.models)
 	if err != nil {
 		return nil, err
@@ -194,41 +198,15 @@ func (o options) loadModels(cfg *experiment.Config, prof *cluster.TCPProfile, in
 			fmt.Fprintf(info, "note: models were estimated under %s, observing under %s\n", meta.Profile, prof.Name)
 		}
 	}
-	plogp, err := mf.GetPLogP()
+	set, err := mf.Set()
 	if err != nil {
 		return nil, err
 	}
-	ms := &experiment.ModelSet{
-		Hom: mf.Hockney, Het: mf.GetHetHockney(),
-		LogP: mf.LogP, LogGP: mf.LogGP, PLogP: plogp, LMO: mf.GetLMO(),
-	}
-	if ms.Het == nil || ms.LMO == nil || ms.LogGP == nil || ms.PLogP == nil {
+	if set.Het == nil || set.LMO == nil || set.LogGP == nil || set.PLogP == nil {
 		return nil, fmt.Errorf("model file %s is missing required models; regenerate with cmd/estimate -json", o.models)
 	}
 	fmt.Fprintf(info, "Loaded models from %s for the %d-node Table I cluster (%s)\n", o.models, n, prof.Name)
-	return ms, nil
-}
-
-// families lists the model set's predictors in lmoserve's render order,
-// skipping the families a -models file left out.
-func families(ms *experiment.ModelSet) []models.CollectivePredictor {
-	var out []models.CollectivePredictor
-	for _, f := range []struct {
-		p       models.CollectivePredictor
-		present bool
-	}{
-		{ms.Hom, ms.Hom != nil},
-		{ms.Het, ms.Het != nil},
-		{ms.LogP, ms.LogP != nil},
-		{ms.LogGP, ms.LogGP != nil},
-		{ms.PLogP, ms.PLogP != nil},
-		{ms.LMO, ms.LMO != nil},
-	} {
-		if f.present {
-			out = append(out, f.p)
-		}
-	}
-	return out
+	return &set, nil
 }
 
 // batchQuery is one JSONL row of -batch input. Absent fields inherit
@@ -261,7 +239,7 @@ type batchResult struct {
 // is parsed with /predict's query conversion, piece-count limit
 // included; a family whose Predict rejects a shape is left out of the
 // row, as lmoserve does.
-func runBatch(path string, fams []models.CollectivePredictor, lmo *models.LMOX, def serve.QueryRow, n int, stdout io.Writer) error {
+func runBatch(path string, set models.Set, def serve.QueryRow, n int, stdout io.Writer) error {
 	in := os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -271,6 +249,7 @@ func runBatch(path string, fams []models.CollectivePredictor, lmo *models.LMOX, 
 		defer f.Close()
 		in = f
 	}
+	preds := set.Predictors()
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 	enc := json.NewEncoder(out)
@@ -309,12 +288,15 @@ func runBatch(path string, fams []models.CollectivePredictor, lmo *models.LMOX, 
 			Op: q.Coll.String(), Alg: q.Alg.String(), M: q.M, Nodes: n, Root: q.Root,
 			Degree: q.Degree, Segment: q.Segment, Predictions: map[string]float64{},
 		}
-		for _, p := range fams {
+		for _, p := range preds {
+			if p == nil {
+				continue
+			}
 			if v, err := p.Predict(q); err == nil {
 				res.Predictions[strings.ToLower(p.Name())] = v
 			}
 		}
-		if lo, hi, ok := serve.GatherBand(lmo, q); ok {
+		if lo, hi, ok := serve.GatherBand(set.LMO, q); ok {
 			res.BandLow, res.BandHigh = &lo, &hi
 		}
 		if err := enc.Encode(res); err != nil {

@@ -498,15 +498,19 @@ func MeasureMakespan(r *Rank, op func(), opts ...MeasureOption) Measurement {
 	return mpib.Measure(r, 0, mpib.MaxTiming, cfg.opt, op)
 }
 
-// DetectGatherIrregularity scans linear gather for the empirical
-// region (M1, M2) and escalation statistics.
-func (s *System) DetectGatherIrregularity(root int, opts ...EstimateOptions) (GatherEmpirical, EstimateReport, error) {
-	opt, err := pickOpt(opts)
+// DetectGatherIrregularity scans linear gather from root for the
+// empirical region (M1, M2) and escalation statistics, configured by
+// the same options as Estimate. WithLogicalGroups does not apply.
+func (s *System) DetectGatherIrregularity(root int, opts ...EstimateOption) (GatherEmpirical, EstimateReport, error) {
+	cfg, err := resolveEstimate(opts)
+	if err == nil && cfg.grouped {
+		err = fmt.Errorf("commperf: WithLogicalGroups requires Estimate(ModelLMO)")
+	}
 	if err != nil {
 		return GatherEmpirical{}, EstimateReport{}, err
 	}
 	return estimate.DetectGatherIrregularity(
-		s.cfg, root, estimate.DefaultScanSizes(), 20, opt)
+		s.cfg, root, estimate.DefaultScanSizes(), 20, cfg.opt)
 }
 
 // Experiment runs one of the paper's figure/table reproductions on
@@ -522,22 +526,6 @@ func (s *System) Experiment(id string) (*ExperimentReport, error) {
 	cfg.Seed = s.cfg.Seed
 	cfg.Faults = s.cfg.Faults
 	return r.Run(cfg)
-}
-
-// pickOpt resolves the legacy variadic EstimateOptions convention:
-// none means the defaults (parallel schedule), exactly one is used as
-// given, and more than one is an error — silently ignoring the extras,
-// as earlier versions did, hid real configuration mistakes.
-func pickOpt(opts []EstimateOptions) (EstimateOptions, error) {
-	switch len(opts) {
-	case 0:
-		return EstimateOptions{Parallel: true}, nil
-	case 1:
-		return opts[0], nil
-	default:
-		return EstimateOptions{}, fmt.Errorf(
-			"commperf: %d EstimateOptions given; pass at most one (merge the structs, or use Estimate with functional options)", len(opts))
-	}
 }
 
 type errUnknownExperiment string

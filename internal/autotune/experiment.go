@@ -41,18 +41,12 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 	}
 	mcfg := cfg.MPIConfig()
 
-	lmo, _, err := estimate.LMOX(mcfg, cfg.Est)
+	est, _, err := estimate.Family(mcfg, "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
 	if err != nil {
-		return nil, nil, fmt.Errorf("autotune: LMO estimation: %w", err)
+		return nil, nil, fmt.Errorf("autotune: %w", err)
 	}
-	irr, _, err := estimate.DetectGatherIrregularity(
-		mcfg, cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
-	if err != nil {
-		return nil, nil, fmt.Errorf("autotune: irregularity detection: %w", err)
-	}
-	lmo.Gather = irr
 
-	res, err := Tune(ctx, cfg, lmo, Options{
+	res, err := Tune(ctx, cfg, est.LMO, Options{
 		MsgSizes:    TuneSizes(),
 		Root:        cfg.Root,
 		ClusterName: "table1",
@@ -101,7 +95,7 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 		fmt.Sprintf("closed-form top-1 agreed with the simulator on %.0f%% of cells", 100*res.Agreement),
 		fmt.Sprintf("best tuned-gather speedup over naive linear: %.1f× (paper's Fig 7 reports ~10× inside the irregular region)", bestGatherSpeedup),
 	)
-	if irr.Valid() {
+	if irr := est.LMO.Gather; irr.Valid() {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"detected irregular region [%d, %d] bytes; split segment %d B (M1)", irr.M1, irr.M2, irr.M1))
 	}

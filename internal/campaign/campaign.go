@@ -18,6 +18,8 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,8 +40,8 @@ const (
 	// Experiment runs one of the figure/table reproductions
 	// (experiment.Lookup IDs: "fig1" … "faults").
 	Experiment TargetKind = "experiment"
-	// Estimator runs a model estimation ("all", "lmo", "lmo5",
-	// "hethockney", "hockney", "logp", "plogp") and returns the
+	// Estimator runs the estimation of one model family of the
+	// estimation table (an estimate.Families name) and returns the
 	// estimated models plus parameter metrics.
 	Estimator TargetKind = "estimator"
 	// Custom marks a caller-defined unit of work: the grid supplies the
@@ -130,8 +132,8 @@ func (g Grid) validate(customOK bool) error {
 				return fmt.Errorf("campaign: unknown experiment %q", t.ID)
 			}
 		case Estimator:
-			if !knownEstimator(t.ID) {
-				return fmt.Errorf("campaign: unknown estimator %q (all, lmo, lmo5, hethockney, hockney, logp, plogp)", t.ID)
+			if fams := estimate.Families(false); !slices.Contains(fams, t.ID) {
+				return fmt.Errorf("campaign: unknown estimator %q (%s)", t.ID, strings.Join(fams, ", "))
 			}
 		case Custom:
 			if !customOK {

@@ -3,12 +3,14 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/estimate"
 )
 
 // smallGrid is a fast 5-node grid exercising both target kinds across
@@ -30,8 +32,13 @@ func smallGrid() Grid {
 // the same grid merged under one worker and under eight workers must
 // produce byte-identical canonical output — seeded runs are
 // deterministic, and completion order must not leak into the result.
+// The grid runs every estimator family of the estimation table.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	g := smallGrid()
+	g.Targets = []Target{{Kind: Experiment, ID: "fig1"}}
+	for _, f := range estimate.Families(false) {
+		g.Targets = append(g.Targets, Target{Kind: Estimator, ID: f})
+	}
 	serial, err := Run(context.Background(), g, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +125,56 @@ func TestAggregatesSummarizeAcrossSeeds(t *testing.T) {
 	}
 	if sum.Mean <= 0 {
 		t.Fatalf("estimated alpha mean %v not positive", sum.Mean)
+	}
+}
+
+// TestEstimatorMetricKeys pins the metric keys every estimator target
+// reports on a 3-node Ideal platform, where no gather region exists
+// (so no lmo.M1/M2): each target keeps the keys below, and every target
+// reports the totals and the cost of each procedure it ran.
+func TestEstimatorMetricKeys(t *testing.T) {
+	lmo := []string{"lmo.C[0]", "lmo.C[1]", "lmo.C[2]", "lmo.t[0]", "lmo.t[1]", "lmo.t[2]", "lmo.L[0][1]", "lmo.beta[0][1]"}
+	want := map[string][]string{
+		"all": append([]string{"cost_s.hockney", "cost_s.logp", "cost_s.plogp", "cost_s.lmo",
+			"cost_s.irregularity-scan", "hockney.alpha", "hockney.beta"}, lmo...),
+		"lmo":        append([]string{"cost_s", "experiments", "repetitions"}, lmo...),
+		"lmo5":       {"lmo5.C[0]", "lmo5.C[1]", "lmo5.C[2]", "lmo5.t[0]", "lmo5.t[1]", "lmo5.t[2]", "cost_s"},
+		"hethockney": {"hockney.alpha", "hockney.beta", "hethockney.alpha[0][1]", "hethockney.beta[0][1]", "cost_s", "experiments", "repetitions"},
+		"hockney":    {"hockney.alpha", "hockney.beta", "cost_s"},
+		"logp":       {"logp.L", "logp.o", "logp.g", "loggp.G", "cost_s"},
+		"plogp":      {"plogp.L", "plogp.g(1)", "plogp.g(64K)", "cost_s"},
+	}
+	g := Grid{
+		Profiles: []*cluster.TCPProfile{cluster.Ideal()},
+		Clusters: []ClusterSpec{{Name: "table1:3", Cluster: cluster.Table1().Prefix(3)}},
+	}
+	g.Est.Parallel, g.Est.Mpib.MinReps, g.Est.Mpib.MaxReps = true, 2, 2
+	for _, f := range estimate.Families(false) {
+		g.Targets = append(g.Targets, Target{Kind: Estimator, ID: f})
+	}
+	out, err := Run(context.Background(), g, Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range out.Results {
+		keys, ok := want[r.Target.ID]
+		if r.Err != "" || !ok {
+			t.Fatalf("%s: err %q, pinned keys %v", r.Target, r.Err, ok)
+		}
+		for _, k := range slices.Concat(keys, []string{"cost_s", "experiments", "repetitions"}) {
+			if _, present := r.Metrics[k]; !present {
+				t.Errorf("%s lacks metric %q", r.Target, k)
+			}
+		}
+		procs := 0
+		for k := range r.Metrics {
+			if strings.HasPrefix(k, "cost_s.") {
+				procs++
+			}
+		}
+		if procs == 0 {
+			t.Errorf("%s reports no procedure cost", r.Target)
+		}
 	}
 }
 

@@ -2,26 +2,12 @@ package campaign
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/estimate"
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/mpi"
-	"repro/internal/textplot"
 )
-
-// estimatorIDs lists the supported estimator targets.
-var estimatorIDs = []string{"all", "lmo", "lmo5", "hethockney", "hockney", "logp", "plogp"}
-
-func knownEstimator(id string) bool {
-	for _, e := range estimatorIDs {
-		if e == id {
-			return true
-		}
-	}
-	return false
-}
 
 // runTaskFn is the task executor; tests substitute it to exercise the
 // engine's panic/timeout/cancellation paths without a simulator run.
@@ -56,13 +42,11 @@ func (g Grid) experimentConfig(t Task) experiment.Config {
 	return cfg
 }
 
-func (g Grid) mpiConfig(t Task) mpi.Config {
-	return mpi.Config{Cluster: t.Cluster.Cluster, Profile: t.Profile, Seed: t.Seed}
-}
-
 // runExperiment runs a figure/table reproduction and derives
-// prediction-error metrics: for every prediction series, the mean
-// absolute relative error against the observed series.
+// prediction-error metrics: each prediction series' mean |rel.err|
+// against the observation (experiment.Report.RelErrors) as
+// "relerr.<series>". Reports without an observation (tree/table
+// reproductions) yield no metrics.
 func runExperiment(g Grid, t Task, r *Result) {
 	runner := experiment.Lookup(t.Target.ID)
 	rep, err := runner.Run(g.experimentConfig(t))
@@ -71,142 +55,48 @@ func runExperiment(g Grid, t Task, r *Result) {
 		return
 	}
 	r.Series = rep.Series
-	r.Metrics = experimentMetrics(rep)
-}
-
-// experimentMetrics compares each prediction series to the first
-// series whose name starts with "observed" (the convention of every
-// figure runner). Reports without series (tree/table reproductions)
-// yield no metrics.
-func experimentMetrics(rep *experiment.Report) map[string]float64 {
-	var obs []float64
-	for _, s := range rep.Series {
-		if strings.HasPrefix(s.Name, "observed") {
-			obs = ys(s.Points)
-			break
-		}
-	}
-	if obs == nil {
-		return nil
-	}
-	m := map[string]float64{}
-	for _, s := range rep.Series {
-		if strings.HasPrefix(s.Name, "observed") || len(s.Points) != len(obs) {
-			continue
-		}
-		m["relerr."+s.Name] = meanAbsRelError(obs, ys(s.Points))
-	}
-	return m
-}
-
-func ys(pts []textplot.Point) []float64 {
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p.Y
-	}
-	return out
-}
-
-// runEstimator estimates the requested model family and records both
-// the models (for the registry) and flattened parameter metrics (for
-// seed aggregation).
-func runEstimator(g Grid, t Task, r *Result) {
-	cfg := g.mpiConfig(t)
-	opt := g.Est
-	met := map[string]float64{}
-	switch t.Target.ID {
-	case "all":
-		ms, err := experiment.EstimateAll(g.experimentConfig(t))
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		r.Models = models.NewModelFile(ms.Hom, ms.Het, ms.LogP, ms.LogGP, ms.PLogP, ms.LMO)
-		// Keyed map-to-map transform; per-family entries are independent.
+	if errs := rep.RelErrors(); errs != nil {
+		r.Metrics = make(map[string]float64, len(errs))
+		// Keyed map-to-map transform; each series' entry is independent.
 		//lmovet:commutative
-		for fam, c := range ms.EstCosts {
-			met["cost_s."+fam] = c.Seconds()
+		for name, e := range errs {
+			r.Metrics["relerr."+name] = e
 		}
-		lmoMetrics(met, ms.LMO)
-		met["hockney.alpha"], met["hockney.beta"] = ms.Hom.Alpha, ms.Hom.Beta
-	case "lmo":
-		lmo, rep, err := estimate.LMOX(cfg, opt)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		irr, irrRep, err := estimate.DetectGatherIrregularity(
-			cfg, g.Root, estimate.DefaultScanSizes(), 20, opt)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		lmo.Gather = irr
-		r.Models = models.NewModelFile(nil, nil, nil, nil, nil, lmo)
-		lmoMetrics(met, lmo)
-		met["cost_s"] = (rep.Cost + irrRep.Cost).Seconds()
-		met["experiments"] = float64(rep.Experiments + irrRep.Experiments)
-		met["repetitions"] = float64(rep.Repetitions + irrRep.Repetitions)
-	case "lmo5":
-		lmo5, rep, err := estimate.LMOOriginal(cfg, opt)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		for i, c := range lmo5.C() {
-			met[fmt.Sprintf("lmo5.C[%d]", i)] = c
-		}
-		for i, ti := range lmo5.T() {
-			met[fmt.Sprintf("lmo5.t[%d]", i)] = ti
-		}
-		met["cost_s"] = rep.Cost.Seconds()
-	case "hethockney":
-		het, rep, err := estimate.HetHockney(cfg, opt)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		r.Models = models.NewModelFile(het.Averaged(), het, nil, nil, nil, nil)
-		hom := het.Averaged()
-		met["hockney.alpha"], met["hockney.beta"] = hom.Alpha, hom.Beta
-		met["hethockney.alpha[0][1]"] = het.Alpha[0][1]
-		met["hethockney.beta[0][1]"] = het.Beta[0][1]
-		met["cost_s"] = rep.Cost.Seconds()
-		met["experiments"] = float64(rep.Experiments)
-		met["repetitions"] = float64(rep.Repetitions)
-	case "hockney":
-		hom, rep, err := estimate.HomHockney(cfg, opt, nil)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		r.Models = models.NewModelFile(hom, nil, nil, nil, nil, nil)
-		met["hockney.alpha"], met["hockney.beta"] = hom.Alpha, hom.Beta
-		met["cost_s"] = rep.Cost.Seconds()
-	case "logp":
-		logp, loggp, rep, err := estimate.LogPLogGP(cfg, opt)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		r.Models = models.NewModelFile(nil, nil, logp, loggp, nil, nil)
-		met["logp.L"], met["logp.o"], met["logp.g"] = logp.L, logp.O, logp.G
-		met["loggp.G"] = loggp.BigG
-		met["cost_s"] = rep.Cost.Seconds()
-	case "plogp":
-		plogp, rep, err := estimate.PLogP(cfg, opt)
-		if err != nil {
-			r.Err = err.Error()
-			return
-		}
-		r.Models = models.NewModelFile(nil, nil, nil, nil, plogp, nil)
-		met["plogp.L"] = plogp.L
-		met["plogp.g(1)"] = plogp.Gap(1)
-		met["plogp.g(64K)"] = plogp.Gap(64 << 10)
-		met["cost_s"] = rep.Cost.Seconds()
 	}
+}
+
+// runEstimator estimates the target's model family through the
+// estimation table (estimate.Family) and records the models (for the
+// registry) and flat metrics (for seed aggregation): the report totals
+// cost_s, experiments and repetitions, each procedure's cost_s.<name>,
+// and the parameters of every model estimated.
+func runEstimator(g Grid, t Task, r *Result) {
+	cfg := mpi.Config{Cluster: t.Cluster.Cluster, Profile: t.Profile, Seed: t.Seed}
+	m, rep, err := estimate.Family(cfg, t.Target.ID, g.Root, 20, g.Est)
+	if err != nil {
+		r.Err = err.Error()
+		return
+	}
+	met := map[string]float64{
+		"cost_s":      rep.Cost.Seconds(),
+		"experiments": float64(rep.Experiments),
+		"repetitions": float64(rep.Repetitions),
+	}
+	// Keyed map-to-map transform; each procedure's entry is independent.
+	//lmovet:commutative
+	for proc, c := range m.Costs {
+		met["cost_s."+proc] = c.Seconds()
+	}
+	set := m.Set
+	if set.Hom == nil && set.Het != nil {
+		// A het-Hockney estimate also serves the homogeneous model, its
+		// pairwise average, as in family "all".
+		set.Hom = set.Het.Averaged()
+	}
+	modelMetrics(met, set, m.LMO5)
 	r.Metrics = met
-	if r.Models != nil {
+	if set != (models.Set{}) {
+		r.Models = models.NewModelFile(set.Hom, set.Het, set.LogP, set.LogGP, set.PLogP, set.LMO)
 		r.Models.Meta = &models.Meta{
 			Cluster: t.Cluster.Name,
 			Nodes:   t.Cluster.Cluster.N(),
@@ -216,39 +106,49 @@ func runEstimator(g Grid, t Task, r *Result) {
 	}
 }
 
-// lmoMetrics flattens the extended LMO parameters: per-node constants
-// and per-byte costs, plus a representative link.
-func lmoMetrics(met map[string]float64, lmo *models.LMOX) {
-	for i, c := range lmo.C {
-		met[fmt.Sprintf("lmo.C[%d]", i)] = c
+// modelMetrics flattens the parameters of every model present, with a
+// representative link (0, 1) for the per-pair ones.
+func modelMetrics(met map[string]float64, s models.Set, lmo5 *models.LMO) {
+	if s.Hom != nil {
+		met["hockney.alpha"], met["hockney.beta"] = s.Hom.Alpha, s.Hom.Beta
 	}
-	for i, t := range lmo.T {
-		met[fmt.Sprintf("lmo.t[%d]", i)] = t
+	if s.Het != nil {
+		met["hethockney.alpha[0][1]"] = s.Het.Alpha[0][1]
+		met["hethockney.beta[0][1]"] = s.Het.Beta[0][1]
 	}
-	if len(lmo.L) > 1 {
-		met["lmo.L[0][1]"] = lmo.L[0][1]
-		met["lmo.beta[0][1]"] = lmo.Beta[0][1]
+	if s.LogP != nil {
+		met["logp.L"], met["logp.o"], met["logp.g"] = s.LogP.L, s.LogP.O, s.LogP.G
 	}
-	if lmo.Gather.Valid() {
-		met["lmo.M1"] = float64(lmo.Gather.M1)
-		met["lmo.M2"] = float64(lmo.Gather.M2)
+	if s.LogGP != nil {
+		met["loggp.G"] = s.LogGP.BigG
 	}
-}
-
-// meanAbsRelError is the figures' accuracy metric: mean |pred-obs|/obs.
-func meanAbsRelError(obs, pred []float64) float64 {
-	if len(obs) == 0 {
-		return 0
+	if s.PLogP != nil {
+		met["plogp.L"] = s.PLogP.L
+		met["plogp.g(1)"] = s.PLogP.Gap(1)
+		met["plogp.g(64K)"] = s.PLogP.Gap(64 << 10)
 	}
-	s := 0.0
-	for i := range obs {
-		if obs[i] != 0 {
-			d := (pred[i] - obs[i]) / obs[i]
-			if d < 0 {
-				d = -d
-			}
-			s += d
+	if lmo := s.LMO; lmo != nil {
+		for i, c := range lmo.C {
+			met[fmt.Sprintf("lmo.C[%d]", i)] = c
+		}
+		for i, t := range lmo.T {
+			met[fmt.Sprintf("lmo.t[%d]", i)] = t
+		}
+		if len(lmo.L) > 1 {
+			met["lmo.L[0][1]"] = lmo.L[0][1]
+			met["lmo.beta[0][1]"] = lmo.Beta[0][1]
+		}
+		if lmo.Gather.Valid() {
+			met["lmo.M1"] = float64(lmo.Gather.M1)
+			met["lmo.M2"] = float64(lmo.Gather.M2)
 		}
 	}
-	return s / float64(len(obs))
+	if lmo5 != nil {
+		for i, c := range lmo5.C() {
+			met[fmt.Sprintf("lmo5.C[%d]", i)] = c
+		}
+		for i, ti := range lmo5.T() {
+			met[fmt.Sprintf("lmo5.t[%d]", i)] = ti
+		}
+	}
 }

@@ -7,13 +7,12 @@
 package experiment
 
 import (
-	"fmt"
-	"time"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
 	"repro/internal/faults"
-	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/stats"
@@ -99,61 +98,39 @@ type Report struct {
 	Notes  []string
 }
 
-// ModelSet bundles the estimated models a figure compares.
-type ModelSet struct {
-	Hom   *models.Hockney
-	Het   *models.HetHockney
-	LogP  *models.LogP
-	LogGP *models.LogGP
-	PLogP *models.PLogP
-	LMO   *models.LMOX
-
-	EstCosts map[string]time.Duration // estimation cost per model family
+// RelErrors returns each prediction series' mean |rel.err| against the
+// report's observation, keyed by series name, or nil without one. The
+// observation is the first series named "observed…", every figure
+// runner's convention; other observed series and lengths are skipped.
+func (r *Report) RelErrors() map[string]float64 {
+	i := slices.IndexFunc(r.Series, func(s textplot.Series) bool { return strings.HasPrefix(s.Name, "observed") })
+	if i < 0 {
+		return nil
+	}
+	obs, errs := ys(r.Series[i].Points), map[string]float64{}
+	for _, s := range r.Series {
+		if !strings.HasPrefix(s.Name, "observed") && len(s.Points) == len(obs) {
+			errs[s.Name] = meanAbsRelError(obs, ys(s.Points))
+		}
+	}
+	return errs
 }
 
-// EstimateAll runs every estimator (with the configured schedule) and
-// attaches the detected gather irregularity to the LMO model.
-func EstimateAll(cfg Config) (*ModelSet, error) {
+func ys(pts []textplot.Point) []float64 {
+	out := make([]float64, len(pts))
+	for i, p := range pts {
+		out[i] = p.Y
+	}
+	return out
+}
+
+// EstimateAll estimates the six servable models with the configured
+// schedule: the estimation table's family "all", whose LMO model
+// carries the gather scan from cfg.Root at cfg.ScanReps repetitions.
+func EstimateAll(cfg Config) (*estimate.Models, error) {
 	cfg = cfg.withDefaults()
-	ms := &ModelSet{EstCosts: map[string]time.Duration{}}
-
-	het, repHet, err := estimate.HetHockney(cfg.MPIConfig(), cfg.Est)
-	if err != nil {
-		return nil, fmt.Errorf("het-Hockney estimation: %w", err)
-	}
-	ms.Het = het
-	ms.Hom = het.Averaged()
-	ms.EstCosts["hockney"] = repHet.Cost
-
-	logp, loggp, repLG, err := estimate.LogPLogGP(cfg.MPIConfig(), cfg.Est)
-	if err != nil {
-		return nil, fmt.Errorf("LogP/LogGP estimation: %w", err)
-	}
-	ms.LogP, ms.LogGP = logp, loggp
-	ms.EstCosts["logp"] = repLG.Cost
-
-	plogp, repPL, err := estimate.PLogP(cfg.MPIConfig(), cfg.Est)
-	if err != nil {
-		return nil, fmt.Errorf("PLogP estimation: %w", err)
-	}
-	ms.PLogP = plogp
-	ms.EstCosts["plogp"] = repPL.Cost
-
-	lmo, repLMO, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
-	if err != nil {
-		return nil, fmt.Errorf("LMO estimation: %w", err)
-	}
-	ms.EstCosts["lmo"] = repLMO.Cost
-
-	irr, repIrr, err := estimate.DetectGatherIrregularity(
-		cfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
-	if err != nil {
-		return nil, fmt.Errorf("irregularity detection: %w", err)
-	}
-	lmo.Gather = irr
-	ms.LMO = lmo
-	ms.EstCosts["irregularity-scan"] = repIrr.Cost
-	return ms, nil
+	ms, _, err := estimate.Family(cfg.MPIConfig(), "all", cfg.Root, cfg.ScanReps, cfg.Est)
+	return ms, err
 }
 
 // CollectiveOp selects the observed operation.

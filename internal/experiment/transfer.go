@@ -27,16 +27,11 @@ func Transfer(cfg Config) (*Report, error) {
 	mpichCfg.Profile = cluster.MPICH()
 
 	// Estimate everything under LAM.
-	lmo, _, err := estimate.LMOX(lamCfg.MPIConfig(), lamCfg.Est)
+	lam, _, err := estimate.Family(lamCfg.MPIConfig(), "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, err
 	}
-	irrLAM, _, err := estimate.DetectGatherIrregularity(
-		lamCfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
-	if err != nil {
-		return nil, err
-	}
-	lmo.Gather = irrLAM
+	lmo := lam.LMO
 
 	// Observe scatter under MPICH — the analytic part should transfer.
 	scatterObs, err := Observe(mpichCfg, Scatter, mpi.Linear)
@@ -68,7 +63,7 @@ func Transfer(cfg Config) (*Report, error) {
 	rows = append(rows, []string{
 		"empirical parameters (M1, M2, escalations)", "no",
 		fmt.Sprintf("at 96 KB the LAM thresholds (M1=%dK, M2=%dK) predict the serialized regime, but MPICH (M2=125K) still escalates: %.0f%% error",
-			irrLAM.M1>>10, irrLAM.M2>>10, 100*misclass),
+			lmo.Gather.M1>>10, lmo.Gather.M2>>10, 100*misclass),
 	})
 
 	// Re-detecting under MPICH restores the fit.

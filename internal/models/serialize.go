@@ -27,6 +27,44 @@ type ModelFile struct {
 	LMO        *lmoJSON        `json:"lmo,omitempty"`
 }
 
+// Set is one platform's servable models: the six families a model file
+// carries and lmoserve predicts with. A nil field is a family the set
+// lacks.
+type Set struct {
+	Hom   *Hockney
+	Het   *HetHockney
+	LogP  *LogP
+	LogGP *LogGP
+	PLogP *PLogP
+	LMO   *LMOX
+}
+
+// Predictors returns the set's models in lmoserve's render order:
+// hockney, het-hockney, logp, loggp, plogp, lmo. An absent family's
+// slot is a nil interface, never a boxed nil pointer, so p == nil
+// tests presence.
+func (s Set) Predictors() [6]CollectivePredictor {
+	slot := func(present bool, p CollectivePredictor) CollectivePredictor {
+		if present {
+			return p
+		}
+		return nil
+	}
+	return [6]CollectivePredictor{slot(s.Hom != nil, s.Hom), slot(s.Het != nil, s.Het), slot(s.LogP != nil, s.LogP),
+		slot(s.LogGP != nil, s.LogGP), slot(s.PLogP != nil, s.PLogP), slot(s.LMO != nil, s.LMO)}
+}
+
+// Set reconstructs the file's models; it fails only on malformed PLogP
+// knot lists.
+func (mf *ModelFile) Set() (Set, error) {
+	plogp, err := mf.GetPLogP()
+	if err != nil {
+		return Set{}, err
+	}
+	return Set{Hom: mf.Hockney, Het: mf.GetHetHockney(), LogP: mf.LogP,
+		LogGP: mf.LogGP, PLogP: plogp, LMO: mf.GetLMO()}, nil
+}
+
 // Meta records the estimation provenance of a model file: which
 // cluster, TCP profile and seed the experiments ran on.
 type Meta struct {

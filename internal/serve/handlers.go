@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
+	"repro/internal/estimate"
 	"repro/internal/models"
 )
 
@@ -171,8 +173,9 @@ type EstimateRequest struct {
 	platformRequest
 	// Seeds to estimate; default {seed} (or {1}).
 	Seeds []int64 `json:"seeds"`
-	// Estimator selects the model families ("all", "lmo",
-	// "hethockney", "hockney", "logp", "plogp"); default "all".
+	// Estimator names the family of the estimation table to estimate,
+	// one whose models a model file carries (estimate.Families(true));
+	// default "all".
 	Estimator string `json:"estimator"`
 	// Parallel is the campaign worker count; default: the server's.
 	Parallel int `json:"parallel"`
@@ -200,13 +203,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if estimator == "" {
 		estimator = "all"
 	}
-	modelBearing := map[string]bool{
-		"all": true, "lmo": true, "hethockney": true,
-		"hockney": true, "logp": true, "plogp": true,
-	}
-	if !modelBearing[estimator] {
+	if fams := estimate.Families(true); !slices.Contains(fams, estimator) {
 		httpError(w, http.StatusBadRequest,
-			"estimator %q does not produce servable models (all, lmo, hethockney, hockney, logp, plogp)", estimator)
+			"estimator %q does not produce servable models (%s)", estimator, strings.Join(fams, ", "))
 		return
 	}
 	parallel := req.Parallel
@@ -295,19 +294,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	infos := make([]modelInfo, 0, len(entries))
 	for _, e := range entries {
 		var present []string
-		for _, m := range []struct {
-			name string
-			has  bool
-		}{
-			{"hockney", e.Hom != nil},
-			{"het-hockney", e.Het != nil},
-			{"logp", e.LogP != nil},
-			{"loggp", e.LogGP != nil},
-			{"plogp", e.PLogP != nil},
-			{"lmo", e.LMO != nil},
-		} {
-			if m.has {
-				present = append(present, m.name)
+		for i, p := range e.preds {
+			if p != nil {
+				present = append(present, familyNames[i])
 			}
 		}
 		infos = append(infos, modelInfo{Key: e.Key.String(), Models: present})

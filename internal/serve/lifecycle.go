@@ -54,9 +54,6 @@ func ReadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Interrupted returns the jobs a previous process left running at its
 // drain deadline (loaded from Config.ManifestPath at startup).
 func (s *Server) Interrupted() []Job { return append([]Job(nil), s.interrupted...) }

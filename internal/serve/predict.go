@@ -18,7 +18,8 @@ import (
 	"repro/internal/models"
 )
 
-// The model families a registry entry can hold, in render order.
+// The model families a registry entry can hold, in render order: the
+// order of models.Set.Predictors.
 const (
 	famHockney = iota
 	famHetHockney

@@ -40,21 +40,14 @@ func keyOfMeta(m *models.Meta) Key {
 // predictors. Entries are immutable after construction: the snapshot
 // read path hands them to concurrent readers without synchronization.
 type Entry struct {
-	Key  Key
-	File *models.ModelFile
+	Key Key
 
 	keyStr string // Key.String(), rendered once here for batch responses
 
-	Hom   *models.Hockney
-	Het   *models.HetHockney
-	LogP  *models.LogP
-	LogGP *models.LogGP
-	PLogP *models.PLogP
-	LMO   *models.LMOX
+	models.Set
 
-	// preds indexes the predictors by family (famHockney..famLMO); a
-	// nil slot means the family is absent from the file. Built once
-	// here so the prediction kernel never re-derives it per query.
+	// preds is the set's Predictors, indexed by family (famHockney..famLMO,
+	// nil if absent): built once so the kernel never re-derives it per query.
 	preds [numFamilies]models.CollectivePredictor
 
 	// lastUsed is the registry's recency stamp (a tick of the
@@ -69,44 +62,12 @@ func newEntry(mf *models.ModelFile) (*Entry, error) {
 	if mf.Meta == nil {
 		return nil, fmt.Errorf("serve: model file has no meta (cluster/profile/seed provenance); regenerate it with cmd/estimate -json")
 	}
-	plogp, err := mf.GetPLogP()
+	set, err := mf.Set()
 	if err != nil {
 		return nil, err
 	}
 	key := keyOfMeta(mf.Meta)
-	e := &Entry{
-		Key:    key,
-		File:   mf,
-		keyStr: key.String(),
-		Hom:    mf.Hockney,
-		Het:    mf.GetHetHockney(),
-		LogP:   mf.LogP,
-		LogGP:  mf.LogGP,
-		PLogP:  plogp,
-		LMO:    mf.GetLMO(),
-	}
-	// A typed nil pointer boxed into an interface is non-nil; only box
-	// the families that are actually present so the kernel's nil check
-	// stays a plain interface comparison.
-	if e.Hom != nil {
-		e.preds[famHockney] = e.Hom
-	}
-	if e.Het != nil {
-		e.preds[famHetHockney] = e.Het
-	}
-	if e.LogP != nil {
-		e.preds[famLogP] = e.LogP
-	}
-	if e.LogGP != nil {
-		e.preds[famLogGP] = e.LogGP
-	}
-	if e.PLogP != nil {
-		e.preds[famPLogP] = e.PLogP
-	}
-	if e.LMO != nil {
-		e.preds[famLMO] = e.LMO
-	}
-	return e, nil
+	return &Entry{Key: key, keyStr: key.String(), Set: set, preds: set.Predictors()}, nil
 }
 
 // CacheStats are the registry's monotone counters.

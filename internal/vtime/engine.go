@@ -47,7 +47,6 @@ type Engine struct {
 	blockedSync int // processes parked in a Resource/Cond queue (no pending event)
 
 	running  bool
-	nextID   int
 	failErr  error // first process panic or step-bound violation
 	cbPanic  any   // panic raised by an event callback, re-raised from Run
 	steps    uint64
@@ -240,7 +239,6 @@ func (e *Engine) After(d time.Duration, fn func()) { e.scheduleCall(e.now+d, fn)
 // process body.
 type Proc struct {
 	e    *Engine
-	id   int
 	name string
 	body func(p *Proc)
 	w    *worker // runs the body; nil before the first resume and after the end
@@ -255,9 +253,6 @@ type Proc struct {
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns the engine-unique process id.
-func (p *Proc) ID() int { return p.id }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
@@ -283,8 +278,7 @@ func (p *Proc) Exit() {
 // the current virtual time; it gets its coroutine when that first
 // resume pops.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	e.nextID++
-	p := &Proc{e: e, id: e.nextID, name: name, body: body}
+	p := &Proc{e: e, name: name, body: body}
 	e.scheduleResume(e.now, p)
 	return p
 }

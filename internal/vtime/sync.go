@@ -35,9 +35,6 @@ func NewResource(e *Engine, name string, capacity int64) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
 // InUse returns the units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 

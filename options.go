@@ -34,24 +34,19 @@ func ModelKinds() []ModelKind {
 	return []ModelKind{ModelLMO, ModelLMOOriginal, ModelHetHockney, ModelHockney, ModelLogP, ModelPLogP}
 }
 
-// String names the model kind.
+// modelKindNames names each model kind by its family in the estimation
+// table.
+var modelKindNames = [...]string{
+	ModelLMO: "lmo", ModelLMOOriginal: "lmo5", ModelHetHockney: "hethockney",
+	ModelHockney: "hockney", ModelLogP: "logp", ModelPLogP: "plogp",
+}
+
+// String names the model kind: its family in the estimation table.
 func (k ModelKind) String() string {
-	switch k {
-	case ModelLMO:
-		return "lmo"
-	case ModelLMOOriginal:
-		return "lmo5"
-	case ModelHetHockney:
-		return "hethockney"
-	case ModelHockney:
-		return "hockney"
-	case ModelLogP:
-		return "logp"
-	case ModelPLogP:
-		return "plogp"
-	default:
-		return fmt.Sprintf("ModelKind(%d)", int(k))
+	if k >= 0 && int(k) < len(modelKindNames) {
+		return modelKindNames[k]
 	}
+	return fmt.Sprintf("ModelKind(%d)", int(k))
 }
 
 // Schedule selects how an estimation's experiments are scheduled.
@@ -92,8 +87,9 @@ type runConfig struct {
 	obs *obs.Trace
 }
 
-// EstimateOption configures System.Estimate. Options apply in call
-// order: a later option overrides what an earlier one set.
+// EstimateOption configures System.Estimate and
+// System.DetectGatherIrregularity. Options apply in call order: a later
+// option overrides what an earlier one set.
 type EstimateOption interface{ applyEstimate(*estimateConfig) }
 
 // MeasureOption configures Measure and MeasureMakespan.
@@ -297,7 +293,9 @@ func (e *Estimation) Predictor() CollectivePredictor {
 
 // Estimate runs the timing experiments of the requested model family
 // on the system and returns the estimated model(s) with the cost
-// report, configured by functional options:
+// report, configured by functional options. Each kind is the
+// estimation table's family of the same name (ModelKind.String), with
+// ModelLMO's gather scan from root 0 at 20 repetitions per size:
 //
 //	tr := commperf.NewTrace()
 //	est, err := sys.Estimate(commperf.ModelLMO,
@@ -308,83 +306,44 @@ func (e *Estimation) Predictor() CollectivePredictor {
 //	        Coll: commperf.CollScatter, Alg: commperf.Linear, N: 16, M: 64 << 10})
 //
 // The returned Estimation is non-nil even on error, carrying the
-// report accumulated before the failure.
+// report of the work done until the failure.
 func (s *System) Estimate(kind ModelKind, opts ...EstimateOption) (*Estimation, error) {
+	cfg, err := resolveEstimate(opts)
+	est := &Estimation{Kind: kind, Trace: cfg.opt.Obs}
+	if err != nil {
+		return est, err
+	}
+	if cfg.grouped {
+		if kind != ModelLMO {
+			return est, fmt.Errorf("commperf: WithLogicalGroups requires ModelLMO, got %v", kind)
+		}
+		m, g, rep, err := estimate.LMOGrouped(s.cfg, cfg.opt)
+		est.Report = rep
+		if err != nil {
+			return est, err
+		}
+		est.LMO, est.Groups = m, g
+		return est, nil
+	}
+	m, rep, err := estimate.Family(s.cfg, kind.String(), 0, 20, cfg.opt)
+	est.Report = rep
+	if err != nil {
+		return est, err
+	}
+	// The family returns exactly its own models, so every other field
+	// stays nil.
+	est.LMO, est.LMOOriginal, est.HetHockney, est.Hockney = m.LMO, m.LMO5, m.Het, m.Hom
+	est.LogP, est.LogGP, est.PLogP = m.LogP, m.LogGP, m.PLogP
+	return est, nil
+}
+
+// resolveEstimate applies opts, in call order, over the default base
+// (parallel schedule): the one option path of Estimate and
+// DetectGatherIrregularity.
+func resolveEstimate(opts []EstimateOption) (estimateConfig, error) {
 	cfg := estimateConfig{opt: EstimateOptions{Parallel: true}}
 	for _, o := range opts {
 		o.applyEstimate(&cfg)
 	}
-	est := &Estimation{Kind: kind, Trace: cfg.opt.Obs}
-	if cfg.err != nil {
-		return est, cfg.err
-	}
-	if cfg.grouped && kind != ModelLMO {
-		return est, fmt.Errorf("commperf: WithLogicalGroups requires ModelLMO, got %v", kind)
-	}
-	switch kind {
-	case ModelLMO:
-		if cfg.grouped {
-			m, g, rep, err := estimate.LMOGrouped(s.cfg, cfg.opt)
-			est.Report = rep
-			if err != nil {
-				return est, err
-			}
-			est.LMO = m
-			est.Groups = g
-			break
-		}
-		m, rep, err := estimate.LMOX(s.cfg, cfg.opt)
-		est.Report = rep
-		if err != nil {
-			return est, err
-		}
-		irr, irrRep, err := estimate.DetectGatherIrregularity(
-			s.cfg, 0, estimate.DefaultScanSizes(), 20, cfg.opt)
-		if err != nil {
-			return est, err
-		}
-		m.Gather = irr
-		est.Report.Cost += irrRep.Cost
-		est.Report.Experiments += irrRep.Experiments
-		est.Report.Repetitions += irrRep.Repetitions
-		est.LMO = m
-	case ModelLMOOriginal:
-		m, rep, err := estimate.LMOOriginal(s.cfg, cfg.opt)
-		est.Report = rep
-		if err != nil {
-			return est, err
-		}
-		est.LMOOriginal = m
-	case ModelHetHockney:
-		m, rep, err := estimate.HetHockney(s.cfg, cfg.opt)
-		est.Report = rep
-		if err != nil {
-			return est, err
-		}
-		est.HetHockney = m
-	case ModelHockney:
-		m, rep, err := estimate.HomHockney(s.cfg, cfg.opt, nil)
-		est.Report = rep
-		if err != nil {
-			return est, err
-		}
-		est.Hockney = m
-	case ModelLogP:
-		lp, lgp, rep, err := estimate.LogPLogGP(s.cfg, cfg.opt)
-		est.Report = rep
-		if err != nil {
-			return est, err
-		}
-		est.LogP, est.LogGP = lp, lgp
-	case ModelPLogP:
-		m, rep, err := estimate.PLogP(s.cfg, cfg.opt)
-		est.Report = rep
-		if err != nil {
-			return est, err
-		}
-		est.PLogP = m
-	default:
-		return est, fmt.Errorf("commperf: unknown model kind %v", kind)
-	}
-	return est, nil
+	return cfg, cfg.err
 }

@@ -47,11 +47,12 @@ func TestEstimateUnknownKind(t *testing.T) {
 	}
 }
 
-func TestPickOptRejectsMultipleOptions(t *testing.T) {
-	// Regression: pickOpt used to silently ignore all but the first
-	// EstimateOptions value. It must now refuse.
+func TestDetectGatherIrregularityAtMostOneBase(t *testing.T) {
+	// Regression: DetectGatherIrregularity used to silently ignore all
+	// but the first EstimateOptions value. It takes Estimate's options
+	// now, and two bases must still fail.
 	sys := testSystem()
-	a, b := fastOpt(), fastOpt()
+	a, b := WithEstimateOptions(fastOpt()), WithEstimateOptions(fastOpt())
 	if _, _, err := sys.DetectGatherIrregularity(0, a, b); err == nil ||
 		!strings.Contains(err.Error(), "at most one") {
 		t.Fatalf("DetectGatherIrregularity with two options should error, got %v", err)
