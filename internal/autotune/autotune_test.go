@@ -318,6 +318,26 @@ func TestSimulateAppliesFaultPlan(t *testing.T) {
 	}
 }
 
+// A warm Simulate of a gather allocates per repetition, not per rank
+// or per message: on Table I under LAM, ten repetitions of a binomial
+// 16 KiB gather allocate the root's ten result lists, the measurement's
+// state and samples, and Simulate's closures. The job runs on a
+// recycled world, whose gather batch lists, message headers, processes
+// and rank table come back from the warm-up run.
+func TestWarmSimulateGatherAllocs(t *testing.T) {
+	cfg := mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
+	run := func() {
+		if _, err := Simulate(cfg, 10, tuned.OpGather, optimize.Shape{Alg: mpi.Binomial}, 0, 16<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: leaves the world idle
+	const want = 19
+	if n := testing.AllocsPerRun(20, run); n > want {
+		t.Fatalf("a warm 16-rank Simulate gather allocates %v objects, want at most %d", n, want)
+	}
+}
+
 // The full experiment runner: estimation, tuning, report.
 func TestExperimentRunner(t *testing.T) {
 	if testing.Short() {

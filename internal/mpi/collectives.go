@@ -357,7 +357,9 @@ func (g group) scatter(op string, tag int, tree *collective.Tree, blocks [][]byt
 // an interior rank sends its own block and its children's in relative
 // order as one list of views, and the root returns the blocks it
 // receives and its own, uncut (the public wrappers cut them), in out
-// when out is non-nil and in a fresh list otherwise.
+// when out is non-nil and in a fresh list otherwise. An interior rank
+// takes its list from the world's free list, and its parent hands it
+// back once it has copied the views out.
 func (g group) gather(op string, tag int, tree *collective.Tree, block []byte, counts []int, out [][]byte) [][]byte {
 	kids := tree.Children[g.me]
 	if g.me != tree.Root && len(kids) == 0 {
@@ -375,7 +377,7 @@ func (g group) gather(op string, tag int, tree *collective.Tree, block []byte, c
 		}
 		out[g.me] = block
 	} else {
-		batch = make([][]byte, hi-lo)
+		batch = g.r.w.batch(hi - lo)
 		batch[0] = block
 	}
 	for range kids {
@@ -394,11 +396,36 @@ func (g group) gather(op string, tag int, tree *collective.Tree, block []byte, c
 				batch[rel-lo] = blockOf(msg, rel-clo)
 			}
 		}
+		if msg.Parts != nil {
+			g.r.w.freeBatch(msg.Parts) // the child's list, its views copied out
+		}
 	}
 	if out == nil {
 		g.sendParts(tree.Parent[g.me], tag, batch)
 	}
 	return out
+}
+
+// batch returns a gather batch list of k entries, from the free list
+// when a list there has room for k.
+func (w *World) batch(k int) [][]byte {
+	for i := len(w.batches) - 1; i >= 0; i-- {
+		if b := w.batches[i]; cap(b) >= k {
+			last := len(w.batches) - 1
+			w.batches[i] = w.batches[last]
+			w.batches[last] = nil
+			w.batches = w.batches[:last]
+			return b[:k]
+		}
+	}
+	return make([][]byte, k)
+}
+
+// freeBatch puts a received gather batch list on the free list; its
+// views are dropped so the list pins no blocks.
+func (w *World) freeBatch(b [][]byte) {
+	clear(b)
+	w.batches = append(w.batches, b)
 }
 
 // Bcast sends data from root to every rank over a binomial tree and

@@ -27,12 +27,15 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/topo"
 	"repro/internal/vtime"
 )
 
@@ -66,23 +69,33 @@ type Result struct {
 	Faults   faults.Stats    // what the fault injector did (zero when fault-free)
 }
 
-// World is the shared state of one SPMD job.
+// World is the shared state of one SPMD job. Jobs recycle worlds: Run
+// takes an idle world of the job's shape, or builds one, and puts it
+// back after a run that succeeded.
 type World struct {
 	net  *simnet.Network
 	eng  *vtime.Engine
 	n    int
+	topo *topo.Topology // the cluster's topology: with n, the shape an idle world is taken by
 	sync *vtime.Barrier
 	seq  []int // per-rank collective sequence numbers (must stay in lockstep)
 
-	cells   map[int]*SharedCell // harness-level shared cells by call sequence
-	cellSeq []int               // per-rank SharedCell call counters
-	commSeq map[string][]int    // per-member-set, per-rank collective sequences for Comm
+	cells   []*SharedCell    // harness-level shared cells by call sequence
+	cellSeq []int            // per-rank SharedCell call counters
+	commSeq map[string][]int // per-member-set, per-rank collective sequences for Comm
 
 	obs *obs.Trace // span observer shared by all ranks (nil = disabled)
+
+	body    func(r *Rank)       // the job's body
+	ranks   []Rank              // the rank table: rank i's handle
+	starts  []func(*vtime.Proc) // rank i's process body, bound once
+	batches [][][]byte          // free gather batch lists
 }
 
 // Rank is the handle each SPMD process receives. All methods must be
-// called from that process's body, which runs as a vtime coroutine.
+// called from that process's body, which runs as a vtime coroutine. A
+// Rank, like its Proc, is valid only during its run: the world's next
+// job reuses it.
 type Rank struct {
 	w    *World
 	p    *vtime.Proc
@@ -91,6 +104,8 @@ type Rank struct {
 
 // Run executes body on every rank of the cluster and returns traffic
 // statistics. body runs once per rank, concurrently in virtual time.
+// Each rank's *Rank, and the Proc behind it, is valid only until Run
+// returns: a later job may reuse them.
 //
 // Failures surface as typed errors rather than hangs or raw panics:
 // invalid collective input as *InputError, operations on crashed nodes
@@ -98,48 +113,168 @@ type Rank struct {
 // nodes and the job then stalled — ranks blocked on a peer they cannot
 // identify, such as a wildcard receive — the engine's deadlock report
 // is wrapped into a *CrashError naming the crashed nodes.
+//
+// The job runs on a world taken from a bounded list of idle worlds of
+// its node count and topology, reset for the job, or on a new one.
+// Only a world whose run returned nil goes back on the list; one whose
+// setup or run failed may hold parked processes and is dropped.
 func Run(cfg Config, body func(r *Rank)) (Result, error) {
 	if cfg.Cluster == nil {
 		return Result{}, fmt.Errorf("mpi: nil cluster")
 	}
-	eng := vtime.NewEngine()
-	net, err := simnet.New(eng, cfg.Cluster, cfg.Profile, cfg.Seed)
+	w, err := openWorld(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := net.SetFaults(cfg.Faults); err != nil {
-		return Result{}, err
+	w.body = body
+	for i := range w.ranks {
+		w.eng.Go(rankName(i), w.starts[i])
 	}
-	if cfg.Obs != nil {
-		eng.SetObserver(cfg.Obs)
-		net.SetObserver(cfg.Obs)
-	}
-	n := cfg.Cluster.N()
-	w := &World{
-		net: net, eng: eng, n: n, obs: cfg.Obs,
-		sync:    vtime.NewBarrier(eng, n),
-		seq:     make([]int, n),
-		cells:   make(map[int]*SharedCell),
-		cellSeq: make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("rank%d", i), func(p *vtime.Proc) {
-			body(&Rank{w: w, p: p, rank: i})
-		})
-	}
-	res := Result{Net: net.Counters()}
-	if err := eng.Run(); err != nil {
+	err = w.eng.Run()
+	res := Result{Duration: w.eng.Now(), Net: w.net.Counters(), Faults: w.net.FaultStats()}
+	if err != nil {
 		var dl *vtime.DeadlockError
-		if crashed := net.CrashedNodes(); len(crashed) > 0 && errors.As(err, &dl) {
-			err = &CrashError{Nodes: crashed, Waiter: -1, At: eng.Now(), Cause: err}
+		if crashed := w.net.CrashedNodes(); len(crashed) > 0 && errors.As(err, &dl) {
+			err = &CrashError{Nodes: crashed, Waiter: -1, At: w.eng.Now(), Cause: err}
 		}
-		res.Duration = eng.Now()
-		res.Net = net.Counters()
-		res.Faults = net.FaultStats()
 		return res, err
 	}
-	return Result{Duration: eng.Now(), Net: net.Counters(), Faults: net.FaultStats()}, nil
+	closeWorld(w)
+	return res, nil
+}
+
+// start is rank r's process body: it runs the job's body as r.
+func (r *Rank) start(p *vtime.Proc) {
+	r.p = p
+	r.w.body(r)
+}
+
+// maxIdleRanks bounds the ranks of the idle worlds together: room for
+// one 1 024-rank world and for the 16-rank worlds of a campaign's
+// concurrent jobs.
+const maxIdleRanks = 2048
+
+// idleWorlds holds the worlds of finished jobs for later jobs of the
+// same shape, the longest idle first. Jobs run on several goroutines at
+// once, so a mutex guards the list; a world on it belongs to no job.
+var idleWorlds struct {
+	sync.Mutex
+	ws    []*World
+	ranks int // sum of the idle worlds' ranks
+}
+
+// openWorld returns a world set up for a job under cfg: an idle world
+// of the cluster's node count and topology, or a new one.
+func openWorld(cfg Config) (*World, error) {
+	cl := cfg.Cluster
+	if w := takeWorld(cl.N(), cl.Topo); w != nil {
+		return w, w.setup(cfg)
+	}
+	eng := vtime.NewEngine()
+	net, err := simnet.New(eng, cl, cfg.Profile, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	w := newWorld(eng, net, cl.N(), cl.Topo)
+	return w, w.setup(cfg)
+}
+
+// setup prepares the world for a job under cfg, the same way whether
+// the world is new or recycled: it resets the engine and the network,
+// installs the fault plan and the observer, and restarts the ranks'
+// sequences and shared cells.
+func (w *World) setup(cfg Config) error {
+	w.eng.Reset()
+	if err := w.net.Reset(cfg.Cluster, cfg.Profile, cfg.Seed); err != nil {
+		return err
+	}
+	if err := w.net.SetFaults(cfg.Faults); err != nil {
+		return err
+	}
+	w.eng.SetObserver(cfg.Obs)
+	w.net.SetObserver(cfg.Obs)
+	w.obs = cfg.Obs
+	clear(w.seq)
+	clear(w.cellSeq)
+	for _, c := range w.cells {
+		c.V = nil
+	}
+	clear(w.commSeq)
+	return nil
+}
+
+// newWorld builds the world of an n-rank job over eng and net.
+func newWorld(eng *vtime.Engine, net *simnet.Network, n int, tp *topo.Topology) *World {
+	w := &World{
+		net: net, eng: eng, n: n, topo: tp,
+		sync:    vtime.NewBarrier(eng, n),
+		seq:     make([]int, n),
+		cellSeq: make([]int, n),
+		ranks:   make([]Rank, n),
+		starts:  make([]func(*vtime.Proc), n),
+	}
+	for i := range w.ranks {
+		w.ranks[i] = Rank{w: w, rank: i}
+		w.starts[i] = w.ranks[i].start
+	}
+	return w
+}
+
+// rankNames is the table of process names rank0, rank1, ..., rendered
+// once and read-only after, so jobs on several goroutines at once share
+// it. It covers a 1 024-rank job.
+var rankNames = sync.OnceValue(func() []string {
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("rank%d", i)
+	}
+	return names
+})
+
+// rankName returns the process name of rank i.
+func rankName(i int) string {
+	if names := rankNames(); i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("rank%d", i)
+}
+
+// takeWorld removes and returns the most recently idle world of n
+// ranks over tp, or nil when there is none.
+func takeWorld(n int, tp *topo.Topology) *World {
+	idleWorlds.Lock()
+	defer idleWorlds.Unlock()
+	ws := idleWorlds.ws
+	for i := len(ws) - 1; i >= 0; i-- {
+		if w := ws[i]; w.n == n && w.topo == tp {
+			idleWorlds.ws = slices.Delete(ws, i, i+1)
+			idleWorlds.ranks -= n
+			return w
+		}
+	}
+	return nil
+}
+
+// closeWorld puts the world of a job that succeeded on the idle list.
+// When the list has no room, the longest idle worlds go first: the
+// shapes that stopped running age out. The world lets go of the job's
+// body and observer before it goes on the list.
+func closeWorld(w *World) {
+	w.body, w.obs = nil, nil
+	w.eng.SetObserver(nil)
+	w.net.SetObserver(nil)
+	if w.n > maxIdleRanks {
+		return
+	}
+	idleWorlds.Lock()
+	defer idleWorlds.Unlock()
+	drop := 0
+	for idleWorlds.ranks+w.n > maxIdleRanks {
+		idleWorlds.ranks -= idleWorlds.ws[drop].n
+		drop++
+	}
+	idleWorlds.ws = append(slices.Delete(idleWorlds.ws, 0, drop), w)
+	idleWorlds.ranks += w.n
 }
 
 // Rank returns this process's rank.
@@ -155,7 +290,8 @@ func (r *Rank) Now() time.Duration { return r.p.Now() }
 func (r *Rank) Sleep(d time.Duration) { r.p.Sleep(d) }
 
 // Proc exposes the underlying simulation process (for benchmarking
-// layers that need engine access).
+// layers that need engine access). Like the Rank, it is valid only
+// inside the body, during its run.
 func (r *Rank) Proc() *vtime.Proc { return r.p }
 
 // Observer returns the span trace installed for this job via

@@ -26,10 +26,13 @@ type SharedCell struct {
 func (r *Rank) SharedCell() *SharedCell {
 	seq := r.w.cellSeq[r.rank]
 	r.w.cellSeq[r.rank]++
-	if c, ok := r.w.cells[seq]; ok {
-		return c
+	if seq < len(r.w.cells) {
+		return r.w.cells[seq]
 	}
+	// The first rank to make its k-th call has made the k before it, so
+	// the cells stay dense in the call sequence. A recycled world keeps
+	// its cells and empties them for each job.
 	c := &SharedCell{}
-	r.w.cells[seq] = c
+	r.w.cells = append(r.w.cells, c)
 	return c
 }

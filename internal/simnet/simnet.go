@@ -44,6 +44,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -103,11 +104,12 @@ type Counters struct {
 
 // Network is the simulated switched cluster.
 type Network struct {
-	eng  *vtime.Engine
-	cl   *cluster.Cluster
-	prof *cluster.TCPProfile
-	rng  *rand.Rand
-	seed int64
+	eng    *vtime.Engine
+	cl     *cluster.Cluster
+	prof   *cluster.TCPProfile
+	rng    *rand.Rand // escalation randomness, seeded on the run's first draw
+	seeded bool       // rng has been seeded with seed since the last Reset
+	seed   int64
 
 	cpus        []*vtime.Resource // one per node, capacity 1
 	conds       []*vtime.Cond     // mailbox wakeups, one per node
@@ -137,21 +139,16 @@ type Network struct {
 
 // New builds a network over the engine for the given cluster and TCP
 // profile. The seed drives the escalation randomness; everything else
-// is deterministic.
+// is deterministic. It allocates the state of a network of the
+// cluster's shape, then sets it up as Reset does.
 func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed int64) (*Network, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
-	if prof == nil {
-		prof = cluster.Ideal()
-	}
 	n := cl.N()
 	net := &Network{
 		eng:         eng,
-		cl:          cl,
-		prof:        prof,
-		rng:         rand.New(rand.NewSource(seed)),
-		seed:        seed,
+		topo:        fabricOf(cl),
 		cpus:        make([]*vtime.Resource, n),
 		conds:       make([]*vtime.Cond, n),
 		boxes:       make([]mailbox, n),
@@ -162,19 +159,126 @@ func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed 
 		dead:        make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		net.cpus[i] = vtime.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
+		net.cpus[i] = vtime.NewResource(eng, cpuName(i), 1)
 		net.conds[i] = vtime.NewCond(eng)
 		net.linkFree[i] = make([]time.Duration, n)
 		net.inflight[i] = make([]int, n)
 	}
-	if tp := cl.Topo; tp != nil && tp.HasFabric() {
-		net.topo = tp
+	if tp := net.topo; tp != nil {
 		net.laneFree = make([][]time.Duration, 2*tp.NumEdges())
 		for de := range net.laneFree {
 			net.laneFree[de] = make([]time.Duration, tp.EdgeSpec(int32(de)).Lanes)
 		}
 	}
+	net.reset(cl, prof, seed)
 	return net, nil
+}
+
+// cpuNames is the table of CPU resource names cpu0, cpu1, ..., rendered
+// once and read-only after, so networks built on several goroutines at
+// once share it. It covers a 1 024-host cluster.
+var cpuNames = sync.OnceValue(func() []string {
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("cpu%d", i)
+	}
+	return names
+})
+
+// cpuName returns the name of node i's CPU resource.
+func cpuName(i int) string {
+	if names := cpuNames(); i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("cpu%d", i)
+}
+
+// fabricOf returns the cluster's multi-switch fabric, or nil for a
+// single switch.
+func fabricOf(cl *cluster.Cluster) *topo.Topology {
+	if tp := cl.Topo; tp != nil && tp.HasFabric() {
+		return tp
+	}
+	return nil
+}
+
+// Reset sets the network up for a new simulation of cl under prof and
+// seed, as New does: idle links, ports and lanes, no crashed node, no
+// fault plan, no observer, zero counters, and escalation randomness
+// from seed. Messages left undelivered in the mailboxes go back to the
+// header freelist. cl must validate and have the node count and fabric
+// the network was built for. The engine is not touched: reset it too
+// for a new run. The network's CPU resources and mailbox conds are
+// reused as they are, so Reset is for a network that was never run or
+// whose last run ended with every process finished; after a failed
+// run, build a new network.
+func (n *Network) Reset(cl *cluster.Cluster, prof *cluster.TCPProfile, seed int64) error {
+	if err := cl.Validate(); err != nil {
+		return err
+	}
+	if cl.N() != len(n.cpus) || fabricOf(cl) != n.topo {
+		return fmt.Errorf("simnet: reset to a cluster of another shape: the network simulates %d nodes on its fabric, the cluster has %d", len(n.cpus), cl.N())
+	}
+	n.reset(cl, prof, seed)
+	return nil
+}
+
+// reset sets the network up for a simulation of a validated cluster of
+// its shape.
+func (n *Network) reset(cl *cluster.Cluster, prof *cluster.TCPProfile, seed int64) {
+	if prof == nil {
+		prof = cluster.Ideal()
+	}
+	n.cl, n.prof, n.seed, n.seeded = cl, prof, seed, false
+	for i := range n.boxes {
+		n.drain(&n.boxes[i])
+	}
+	for _, row := range n.linkFree {
+		clear(row)
+	}
+	for dst, tot := range n.inflightTot {
+		if tot != 0 { // inflightTot[dst] sums the row, whose counts are non-negative
+			clear(n.inflight[dst])
+		}
+	}
+	clear(n.inflightTot)
+	clear(n.ingressFree)
+	for _, lanes := range n.laneFree {
+		clear(lanes)
+	}
+	clear(n.dead)
+	n.inj = nil
+	n.counters = Counters{}
+	n.obs = nil
+}
+
+// drain empties a mailbox, returning its messages' headers to the
+// freelist. The box keeps its list array.
+func (n *Network) drain(b *mailbox) {
+	for _, l := range b.lists {
+		for m := l.head; m != nil; {
+			next := m.next
+			n.putMessage(m)
+			m = next
+		}
+	}
+	clear(b.lists)
+	*b = mailbox{lists: b.lists[:0]}
+}
+
+// draw returns the next number of the escalation randomness. The
+// generator is seeded in place on a run's first draw, so a run that
+// draws nothing, such as any under the Ideal profile, never seeds it.
+func (n *Network) draw() float64 {
+	if !n.seeded {
+		if n.rng == nil {
+			n.rng = rand.New(rand.NewSource(n.seed))
+		} else {
+			n.rng.Seed(n.seed)
+		}
+		n.seeded = true
+	}
+	return n.rng.Float64()
 }
 
 // Engine returns the underlying simulation engine.
@@ -339,14 +443,7 @@ func (n *Network) SetFaults(plan *faults.Plan) error {
 			// state (and detect the crash).
 			box := &n.boxes[node]
 			n.counters.BlackHole += box.pending
-			for _, l := range box.lists {
-				for m := l.head; m != nil; {
-					next := m.next
-					n.putMessage(m)
-					m = next
-				}
-			}
-			*box = mailbox{}
+			n.drain(box)
 			// Broadcast in slice (node-index) order, which is already
 			// deterministic. Order is additionally provably irrelevant:
 			// Cond.Broadcast only moves each parked waiter onto the
@@ -504,8 +601,8 @@ func (n *Network) send(p *vtime.Proc, src, dst, tag int, payload []byte, parts [
 	// are a many-to-one phenomenon (§III).
 	escalated := false
 	if !n.prof.SerializesIngress(m) && n.inflightTot[dst]-n.inflight[dst][src] > 0 {
-		if pr := n.prof.EscalationProb(m); pr > 0 && n.rng.Float64() < pr {
-			seg += n.prof.PickEscalation(n.rng.Float64())
+		if pr := n.prof.EscalationProb(m); pr > 0 && n.draw() < pr {
+			seg += n.prof.PickEscalation(n.draw())
 			n.counters.Escalations++
 			escalated = true
 		}

@@ -356,6 +356,34 @@ func TestNewRejectsBadCluster(t *testing.T) {
 	}
 }
 
+// Reset refuses a cluster of another shape or an invalid one, and
+// returns the headers of messages nobody received to the freelist.
+func TestResetShapesAndDrains(t *testing.T) {
+	net := run(t, testCluster(3), cluster.Ideal(), 1, func(net *Network, eng *vtime.Engine) {
+		eng.Go("sender", func(p *vtime.Proc) {
+			net.Send(p, 0, 2, 1, nil)
+			net.Send(p, 0, 2, 2, nil)
+		})
+	})
+	if net.Pending(2) != 2 {
+		t.Fatalf("%d messages pending at node 2, want 2", net.Pending(2))
+	}
+	if err := net.Reset(testCluster(4), nil, 1); err == nil {
+		t.Fatal("Reset to a 4-node cluster succeeded on a 3-node network")
+	}
+	if err := net.Reset(&cluster.Cluster{}, nil, 1); err == nil {
+		t.Fatal("Reset to an invalid cluster succeeded")
+	}
+	free := len(net.free)
+	if err := net.Reset(testCluster(3), cluster.LAM(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if net.Pending(2) != 0 || len(net.free) != free+2 || net.Counters() != (Counters{}) || net.Profile().Name != cluster.LAM().Name {
+		t.Fatalf("after Reset: %d pending, %d free headers (want %d), counters %+v, profile %s",
+			net.Pending(2), len(net.free), free+2, net.Counters(), net.Profile().Name)
+	}
+}
+
 func TestHeterogeneousCosts(t *testing.T) {
 	cl := cluster.Table1()
 	eng := vtime.NewEngine()

@@ -12,15 +12,18 @@
 // deterministic program.
 //
 // The event loop is allocation-free on its dominant path. Events are
-// a typed union held in a hand-rolled slice-backed min-heap — no
-// container/heap interface boxing, no per-event closure — and a parked
-// process pops events in its own coroutine, so a process that sleeps
-// and is the next to wake simply continues, with no switch at all.
+// a typed union — no interface boxing, no per-event closure — held in
+// two queues: an event due at the current instant joins a FIFO ring,
+// a later one a hand-rolled slice-backed min-heap. A parked process
+// pops events in its own coroutine, so a process that sleeps and is
+// the next to wake simply continues, with no switch at all.
 // Resuming a different process costs two coroutine switches: the
 // parked process yields it to Run, and Run switches to it. The
 // coroutines come from a package-wide list of idle workers, each of
 // which runs one process body after another, so a simulation reuses
-// the coroutines, and the grown stacks, of earlier simulations.
+// the coroutines, and the grown stacks, of earlier simulations. Reset
+// returns an engine to its state at NewEngine for another simulation,
+// keeping its grown queues and the Proc structs of finished processes.
 //
 // The package provides the synchronization primitives needed by the
 // network simulator built on top of it: Sleep (advance local time),
@@ -40,9 +43,16 @@ import (
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now    time.Duration
-	seq    uint64
-	events eventQueue
+	now  time.Duration
+	seq  uint64
+	heap eventHeap // events due after now
+	fifo eventRing // events due at now, in scheduling order
+
+	// procs holds the engine's Proc structs: procs[:started] went to
+	// the processes Go started since the last Reset, and procs[started:]
+	// are earlier simulations' finished ones, which Go hands out next.
+	procs   []*Proc
+	started int
 
 	blockedSync int // processes parked in a Resource/Cond queue (no pending event)
 
@@ -64,6 +74,31 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{}
+}
+
+// Reset returns the engine to the state NewEngine gives it, for another
+// simulation: the clock and sequence at zero, no queued events, no
+// observer, no step bound and no failure. It keeps the queues' grown
+// arrays, and the Proc structs of finished processes for the next
+// Go calls, so a Proc is valid only while its body runs. A process
+// still parked in its body (the run failed or deadlocked) keeps its
+// struct, which the engine gives up. Reset must not be called during
+// Run.
+func (e *Engine) Reset() {
+	if e.running {
+		panic("vtime: Reset during Run")
+	}
+	kept := e.procs[:0]
+	for _, p := range e.procs {
+		if p.w == nil { // ended, or never resumed: no coroutine holds it
+			*p = Proc{}
+			kept = append(kept, p)
+		}
+	}
+	clear(e.procs[len(kept):])
+	e.heap.reset()
+	e.fifo.reset()
+	*e = Engine{heap: e.heap, fifo: e.fifo, procs: kept}
 }
 
 // SetMaxSteps bounds the number of events the engine will process in
@@ -136,107 +171,177 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a slice-backed binary min-heap of typed events.
+// eventHeap is a slice-backed binary min-heap of typed events.
 // Hand-rolled instead of container/heap so pushing and popping never
 // box an event into an interface: a push is an append plus sift-up,
-// allocation-free once the backing array has grown.
-type eventQueue struct {
+// allocation-free once the backing array has grown. Both sifts move a
+// hole instead of swapping, writing each displaced event once.
+type eventHeap struct {
 	ev []event
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
-
 // push appends and sifts up. Allocation-free once the backing array
-// has grown (q.ev is a long-lived field, so append amortizes away).
+// has grown (ev is a long-lived field, so append amortizes away).
 //
 //lmovet:hotpath
-func (q *eventQueue) push(e event) {
+func (q *eventHeap) push(e event) {
 	q.ev = append(q.ev, e)
 	i := len(q.ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.ev[i].before(q.ev[parent]) {
+		if !e.before(q.ev[parent]) {
 			break
 		}
-		q.ev[i], q.ev[parent] = q.ev[parent], q.ev[i]
+		q.ev[i] = q.ev[parent]
 		i = parent
 	}
+	q.ev[i] = e
 }
 
-// pop removes the min event and sifts down, allocation-free.
+// pop removes the min event and sifts the last one down from the root,
+// allocation-free.
 //
 //lmovet:hotpath
-func (q *eventQueue) pop() event {
+func (q *eventHeap) pop() event {
 	top := q.ev[0]
 	n := len(q.ev) - 1
-	q.ev[0] = q.ev[n]
+	last := q.ev[n]
 	q.ev[n] = event{} // drop the fn/proc references
 	q.ev = q.ev[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		c := l
-		if r := l + 1; r < n && q.ev[r].before(q.ev[l]) {
+		if r := c + 1; r < n && q.ev[r].before(q.ev[c]) {
 			c = r
 		}
-		if !q.ev[c].before(q.ev[i]) {
+		if !q.ev[c].before(last) {
 			break
 		}
-		q.ev[i], q.ev[c] = q.ev[c], q.ev[i]
+		q.ev[i] = q.ev[c]
 		i = c
 	}
+	q.ev[i] = last
 	return top
 }
 
-// scheduleCall enqueues an engine-context callback at absolute time t
-// (clamped to now).
-func (e *Engine) scheduleCall(t time.Duration, fn func()) {
-	if t < e.now {
-		t = e.now
+// reset empties the heap, dropping its references, and keeps its array.
+func (q *eventHeap) reset() {
+	clear(q.ev)
+	q.ev = q.ev[:0]
+}
+
+// eventRing is a FIFO of events in a power-of-two ring buffer. It
+// holds the events due at the current instant, which pop in the order
+// they were queued.
+type eventRing struct {
+	buf  []event // len is zero or a power of two
+	head int     // index of the oldest event
+	n    int     // events held
+}
+
+// push appends an event, doubling the ring when it is full.
+//
+//lmovet:hotpath
+func (r *eventRing) push(e event) {
+	if r.n == len(r.buf) {
+		r.grow()
 	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
+}
+
+// pop removes and returns the oldest event.
+//
+//lmovet:hotpath
+func (r *eventRing) pop() event {
+	e := r.buf[r.head]
+	r.buf[r.head] = event{} // drop the fn/proc references
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return e
+}
+
+// grow doubles the ring, keeping the events in order.
+func (r *eventRing) grow() {
+	buf := make([]event, max(16, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}
+
+// reset empties the ring, dropping its references, and keeps its array.
+func (r *eventRing) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
+// pending returns the number of queued events.
+func (e *Engine) pending() int { return len(e.heap.ev) + e.fifo.n }
+
+// push queues an event at its time, clamped to now, with the next
+// sequence number. An event due now goes to the FIFO: its sequence
+// exceeds every queued event's, so it comes after all of them in
+// (time, sequence) order, and in particular after the heap's events at
+// now, which were all queued before the clock reached now.
+//
+//lmovet:hotpath
+func (e *Engine) push(ev event) {
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	if ev.t <= e.now {
+		ev.t = e.now
+		e.fifo.push(ev)
+		return
+	}
+	e.heap.push(ev)
+}
+
+// pop removes the earliest event in (time, sequence) order: the heap's
+// head while it is due now (it was queued before every FIFO event),
+// else the FIFO's oldest, else the heap's head. The queue must not be
+// empty.
+//
+//lmovet:hotpath
+func (e *Engine) pop() event {
+	if e.fifo.n > 0 && (len(e.heap.ev) == 0 || e.heap.ev[0].t != e.now) {
+		return e.fifo.pop()
+	}
+	return e.heap.pop()
 }
 
 // scheduleResume enqueues the resumption of p at absolute time t
 // (clamped to now). This is the allocation-free fast path.
 //
 //lmovet:hotpath
-func (e *Engine) scheduleResume(t time.Duration, p *Proc) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p})
-}
+func (e *Engine) scheduleResume(t time.Duration, p *Proc) { e.push(event{t: t, p: p}) }
 
 // At schedules fn to run in engine context at absolute virtual time t
 // (clamped to now). fn must not block.
-func (e *Engine) At(t time.Duration, fn func()) { e.scheduleCall(t, fn) }
+func (e *Engine) At(t time.Duration, fn func()) { e.push(event{t: t, fn: fn}) }
 
 // AtHandler schedules h.Fire() to run in engine context at absolute
 // virtual time t (clamped to now), without allocating a closure. Fire
 // must not block.
 //
 //lmovet:hotpath
-func (e *Engine) AtHandler(t time.Duration, h Handler) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{t: t, seq: e.seq, h: h})
-}
+func (e *Engine) AtHandler(t time.Duration, h Handler) { e.push(event{t: t, h: h}) }
 
 // After schedules fn to run in engine context d after the current time.
 // fn must not block.
-func (e *Engine) After(d time.Duration, fn func()) { e.scheduleCall(e.now+d, fn) }
+func (e *Engine) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Proc is a simulated process: a body that runs in a coroutine, not a
 // goroutine of its own. All Proc methods must be called from the
-// process body.
+// process body, and a Proc is valid only while its body runs: once
+// the engine is Reset, a later Go may hand the same struct to another
+// process.
 type Proc struct {
 	e    *Engine
 	name string
@@ -276,9 +381,18 @@ func (p *Proc) Exit() {
 // Go starts a new process executing body. It may be called before Run
 // or from a running process or event callback. The process begins at
 // the current virtual time; it gets its coroutine when that first
-// resume pops.
+// resume pops. After a Reset, Go hands out the structs of the previous
+// simulation's finished processes before it allocates new ones.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, body: body}
+	var p *Proc
+	if e.started < len(e.procs) {
+		p = e.procs[e.started]
+	} else {
+		p = new(Proc)
+		e.procs = append(e.procs, p)
+	}
+	e.started++
+	*p = Proc{e: e, name: name, body: body}
 	e.scheduleResume(e.now, p)
 	return p
 }
@@ -430,14 +544,14 @@ func (e *Engine) callEvent(ev event) {
 //lmovet:hotpath
 func (e *Engine) dispatchAs(self *Proc) {
 	for {
-		if e.broken() || e.events.len() == 0 || !e.bumpSteps() {
+		if e.broken() || e.pending() == 0 || !e.bumpSteps() {
 			// Drained or failed: hand control back to Run, parked until
 			// a later Run pops our resume event. Only an idle worker is
 			// ever stopped, so yield reports true here.
 			self.w.yield(nil)
 			return
 		}
-		ev := e.events.pop()
+		ev := e.pop()
 		e.now = ev.t
 		e.noteEvent(ev.p, self)
 		if ev.p == self {
@@ -541,13 +655,13 @@ func (e *Engine) Run() error {
 		if e.failErr != nil {
 			return e.failErr
 		}
-		if e.events.len() == 0 {
+		if e.pending() == 0 {
 			break
 		}
 		if !e.bumpSteps() {
 			return e.failErr
 		}
-		ev := e.events.pop()
+		ev := e.pop()
 		e.now = ev.t
 		e.noteEvent(ev.p, nil)
 		if ev.p != nil {

@@ -1,9 +1,11 @@
 package vtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -686,4 +688,198 @@ func TestConcurrentEnginesShareWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// fireFunc adapts a function to Handler for AtHandler.
+type fireFunc func()
+
+func (f fireFunc) Fire() { f() }
+
+// Property: whatever mix of Sleep(0), Sleep(d), At, AtHandler and Cond
+// wakes a simulation schedules — events due now go to the FIFO, later
+// ones to the heap — every event fires exactly once, in the order of a
+// reference sort of all of them by (time, sequence).
+func TestEventsFireInTimeSequenceOrder(t *testing.T) {
+	type key struct {
+		t   time.Duration
+		seq uint64
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		s := seed * 0x9E3779B97F4A7C15
+		rnd := func(n int) int {
+			s ^= s << 13
+			s ^= s >> 7
+			s ^= s << 17
+			return int(s % uint64(n))
+		}
+		e := NewEngine()
+		c := NewCond(e)
+		var sched []key // by event id
+		var fired []int // event ids in firing order
+		waiting := map[*Proc]int{}
+
+		// queued records an event queued at t (clamped to now) with the
+		// sequence number seq, and returns its id.
+		queued := func(t time.Duration, seq uint64) int {
+			sched = append(sched, key{max(t, e.now), seq})
+			return len(sched) - 1
+		}
+		sleep := func(p *Proc, d time.Duration) {
+			id := queued(e.now+max(d, 0), e.seq+1)
+			p.Sleep(d)
+			fired = append(fired, id)
+		}
+		// wake wakes every waiter (Broadcast) or the first (Signal),
+		// recording the resume events it queues in waiter order.
+		wake := func(all bool) {
+			ws := c.waiters
+			if !all {
+				ws = ws[:min(1, len(ws))]
+			}
+			for i, w := range ws {
+				sched[waiting[w.p]] = key{e.now, e.seq + uint64(i) + 1}
+			}
+			if all {
+				c.Broadcast()
+			} else {
+				c.Signal()
+			}
+		}
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			d := time.Duration(rnd(4)-1) * time.Millisecond // -1 to 2 ms: in the past, now and later
+			var id int
+			fire := func() {
+				fired = append(fired, id)
+				if depth < 2 && rnd(3) == 0 {
+					schedule(depth + 1) // from engine context, often due now
+				}
+				if rnd(4) == 0 {
+					wake(rnd(2) == 0)
+				}
+			}
+			if rnd(2) == 0 {
+				e.At(e.now+d, fire)
+			} else {
+				e.AtHandler(e.now+d, fireFunc(fire))
+			}
+			id = queued(e.now+d, e.seq)
+		}
+
+		const procs = 6
+		done := 0
+		for i := 0; i < procs; i++ {
+			id := queued(e.now, e.seq+1)
+			e.Go("p", func(p *Proc) {
+				fired = append(fired, id)
+				for step := 0; step < 30; step++ {
+					switch rnd(6) {
+					case 0:
+						sleep(p, 0)
+					case 1:
+						sleep(p, time.Duration(rnd(3)+1)*time.Millisecond)
+					case 2:
+						schedule(0)
+					case 3:
+						waiting[p] = queued(-1, 0) // the wake fills in time and sequence
+						c.Wait(p)
+						fired = append(fired, waiting[p])
+						delete(waiting, p)
+					case 4:
+						wake(rnd(2) == 0)
+					case 5:
+						schedule(0)
+						sleep(p, 0)
+					}
+				}
+				done++
+			})
+		}
+		// The ticker wakes every waiter each millisecond until all the
+		// processes have finished, so no process waits for good.
+		id := queued(e.now, e.seq+1)
+		e.Go("ticker", func(p *Proc) {
+			fired = append(fired, id)
+			for done < procs {
+				sleep(p, time.Millisecond)
+				wake(true)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := make([]int, len(sched))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			if sched[a].t != sched[b].t {
+				return cmp.Compare(sched[a].t, sched[b].t)
+			}
+			return cmp.Compare(sched[a].seq, sched[b].seq)
+		})
+		if !slices.Equal(fired, want) {
+			t.Fatalf("seed %d: %d events fired in order\n%v\nwant (time, sequence) order\n%v", seed, len(fired), fired, want)
+		}
+		if e.fifo.n != 0 || len(e.heap.ev) != 0 {
+			t.Fatalf("seed %d: queues not drained", seed)
+		}
+	}
+}
+
+// A reset engine runs a simulation exactly as a new engine does, after
+// a run that ended cleanly or one that deadlocked, and gives the
+// finished processes' structs to the next run's processes; a process
+// left parked keeps its struct.
+func TestResetEngineRerunsLikeNew(t *testing.T) {
+	// sim runs three processes through a barrier and a resource, and
+	// returns their end times and Procs.
+	sim := func(e *Engine) ([]time.Duration, []*Proc) {
+		b := NewBarrier(e, 3)
+		r := NewResource(e, "r", 1)
+		ends := make([]time.Duration, 3)
+		procs := make([]*Proc, 3)
+		for i := range procs {
+			procs[i] = e.Go("p", func(p *Proc) {
+				p.Sleep(time.Duration(i) * time.Millisecond)
+				b.Wait(p)
+				r.Use(p, 1, time.Millisecond)
+				ends[i] = p.Now()
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ends, procs
+	}
+	want, _ := sim(NewEngine())
+
+	e := NewEngine()
+	e.SetMaxSteps(1000)
+	_, first := sim(e)
+	e.Reset()
+	got, again := sim(e)
+	if !slices.Equal(got, want) || e.Now() != want[2] {
+		t.Fatalf("reset engine ended at %v (clock %v), new engine at %v", got, e.Now(), want)
+	}
+	if !slices.Equal(again, first) {
+		t.Fatal("the rerun did not reuse the finished processes' structs")
+	}
+
+	// A deadlocked run leaves a process parked: Reset gives up its
+	// struct, and the next run is again that of a new engine.
+	e.Reset()
+	stuck := e.Go("stuck", func(p *Proc) { NewCond(e).Wait(p) })
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a DeadlockError", err)
+	}
+	e.Reset()
+	got, again = sim(e)
+	if !slices.Equal(got, want) {
+		t.Fatalf("after a deadlock the reset engine ended at %v, want %v", got, want)
+	}
+	if slices.Contains(again, stuck) {
+		t.Fatal("Go handed out the struct of a process still parked in its body")
+	}
 }
