@@ -3,126 +3,213 @@
 // and LMO models from communication experiments, detects the gather
 // irregularity region, and prints the recovered parameters next to the
 // simulator's ground truth together with the estimation costs (serial
-// vs parallel schedules).
+// vs parallel schedules). The models come from one estimation of the
+// model family "all", which -json writes as a model file; -groups runs
+// the grouped LMO procedure instead.
 //
-// With -trace the LMO estimation (including the irregularity scan) is
-// recorded as a virtual-time span trace and written in Chrome's
-// trace_event format — load it at chrome://tracing or ui.perfetto.dev
-// to see the experiment rounds, per-rank collectives and message
-// lifecycle as swimlanes.
+// With -trace the whole estimation is recorded as a virtual-time span
+// trace and written in Chrome's trace_event format — load it at
+// chrome://tracing or ui.perfetto.dev to see the experiment rounds,
+// per-rank collectives and message lifecycle as swimlanes.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"time"
 
 	commperf "repro"
 	"repro/internal/cluster"
+	"repro/internal/estimate"
+	"repro/internal/models"
+	"repro/internal/mpi"
 	"repro/internal/textplot"
 )
 
-func main() {
-	var (
-		mpiName  = flag.String("mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
-		seed     = flag.Int64("seed", 1, "TCP randomness seed")
-		nodes    = flag.Int("n", 16, "number of nodes (prefix of the Table I cluster)")
-		serial   = flag.Bool("serial", false, "use the serial experiment schedule")
-		topoSpec = flag.String("topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
-		groups   = flag.Bool("groups", false, "grouped LMO only: detect logical homogeneous groups and estimate per group/link class (skips the other model families and the irregularity scan)")
-		jsonOut  = flag.String("json", "", "write the estimated models to this JSON file")
-		traceOut = flag.String("trace", "", "write a Chrome trace_event file of the LMO estimation")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var cl *commperf.Cluster
-	if *topoSpec != "" {
-		t, err := commperf.ParseTopology(*topoSpec)
-		check(err)
-		cl = commperf.ClusterFromTopology(t, commperf.NodeSpec{}, commperf.LinkSpec{})
-	} else {
-		full := commperf.Table1()
-		if *nodes < 3 || *nodes > full.N() {
-			fmt.Fprintf(os.Stderr, "estimate: -n must be in [3, %d]\n", full.N())
-			os.Exit(2)
+// options are the parsed command-line flags.
+type options struct {
+	mpi, topo, json, trace string
+	seed                   int64
+	nodes                  int
+	serial, groups         bool
+}
+
+// run executes the command and returns its exit code: 0 on success, 2
+// on a usage error, 1 when the estimation or writing a file fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("estimate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.mpi, "mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
+	fs.Int64Var(&o.seed, "seed", 1, "TCP randomness seed")
+	fs.IntVar(&o.nodes, "n", 16, "number of nodes (prefix of the Table I cluster)")
+	fs.BoolVar(&o.serial, "serial", false, "use the serial experiment schedule")
+	fs.StringVar(&o.topo, "topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
+	fs.BoolVar(&o.groups, "groups", false, "grouped LMO only: detect logical homogeneous groups and estimate per group/link class (skips the other model families and the irregularity scan)")
+	fs.StringVar(&o.json, "json", "", "write the estimated models to this JSON file")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event file of the whole estimation")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		cl = full.Prefix(*nodes)
+		return 2
 	}
-	if *groups && *jsonOut != "" {
-		fmt.Fprintln(os.Stderr, "estimate: -json needs the full model suite; drop -groups")
-		os.Exit(2)
-	}
-	prof, err := cluster.ParseProfile(*mpiName)
+	cl, prof, err := o.platform()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "estimate: unknown -mpi %q\n", *mpiName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "estimate: %v\n", err)
+		return 2
 	}
-	sys := commperf.NewSystem(cl, prof, *seed)
+	if err := o.estimate(stdout, cl, prof); err != nil {
+		fmt.Fprintf(stderr, "estimate: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// platform checks the flags and builds the cluster and profile they
+// name.
+func (o options) platform() (*cluster.Cluster, *cluster.TCPProfile, error) {
+	if o.groups && o.json != "" {
+		return nil, nil, fmt.Errorf("-json needs the full model suite; drop -groups")
+	}
+	prof, err := cluster.ParseProfile(o.mpi)
+	if err != nil {
+		return nil, nil, fmt.Errorf("unknown -mpi %q", o.mpi)
+	}
+	if o.topo != "" {
+		t, err := commperf.ParseTopology(o.topo)
+		if err != nil {
+			return nil, nil, err
+		}
+		return commperf.ClusterFromTopology(t, commperf.NodeSpec{}, commperf.LinkSpec{}), prof, nil
+	}
+	full := commperf.Table1()
+	if o.nodes < 3 || o.nodes > full.N() {
+		return nil, nil, fmt.Errorf("-n must be in [3, %d]", full.N())
+	}
+	return full.Prefix(o.nodes), prof, nil
+}
+
+// estimate runs the estimation on cl under prof, prints it to stdout
+// and writes the files the flags ask for.
+func (o options) estimate(stdout io.Writer, cl *cluster.Cluster, prof *cluster.TCPProfile) error {
 	sched := commperf.ScheduleParallel
-	if *serial {
+	if o.serial {
 		sched = commperf.ScheduleSerial
 	}
-	opts := []commperf.EstimateOption{commperf.WithSchedule(sched)}
-
-	fmt.Printf("Estimating communication models on %d nodes (%s, %s schedule)\n\n",
+	var tr *commperf.Trace
+	if o.trace != "" {
+		tr = commperf.NewTrace()
+	}
+	fmt.Fprintf(stdout, "Estimating communication models on %d nodes (%s, %s schedule)\n\n",
 		cl.N(), prof.Name, sched)
 
-	var total time.Duration
-	var hom *commperf.Hockney
-	var het *commperf.HetHockney
-	var estLG, estPL *commperf.Estimation
-	if !*groups {
-		// Heterogeneous Hockney.
-		estHet, err := sys.Estimate(commperf.ModelHetHockney, opts...)
-		check(err)
-		het = estHet.HetHockney
-		hom = het.Averaged()
-		fmt.Printf("Hockney (averaged homogeneous): %v\n", hom)
-		fmt.Printf("  het-Hockney: %d experiments, %d repetitions, cost %v\n\n",
-			estHet.Report.Experiments, estHet.Report.Repetitions, estHet.Report.Cost.Round(time.Millisecond))
-
-		// LogP / LogGP.
-		var err2 error
-		estLG, err2 = sys.Estimate(commperf.ModelLogP, opts...)
-		check(err2)
-		fmt.Printf("%v\n%v\n", estLG.LogP, estLG.LogGP)
-		fmt.Printf("  cost %v\n\n", estLG.Report.Cost.Round(time.Millisecond))
-
-		// PLogP.
-		estPL, err2 = sys.Estimate(commperf.ModelPLogP, opts...)
-		check(err2)
-		fmt.Printf("%v\n  g knots: %v\n  cost %v\n\n",
-			estPL.PLogP, estPL.PLogP.G, estPL.Report.Cost.Round(time.Millisecond))
-		total = estHet.Report.Cost + estLG.Report.Cost + estPL.Report.Cost
-	}
-
-	// LMO, with the gather irregularity scan folded in (or, with
-	// -groups, the grouped procedure). The observer (if any) goes here:
-	// the LMO estimation is the paper's headline procedure and the
-	// trace shows its phases end to end.
-	lmoOpts := opts
-	if *groups {
-		lmoOpts = append(lmoOpts, commperf.WithLogicalGroups())
-	}
-	var tr *commperf.Trace
-	if *traceOut != "" {
-		tr = commperf.NewTrace()
-		lmoOpts = append(lmoOpts, commperf.WithObserver(tr))
-	}
-	estLMO, err := sys.Estimate(commperf.ModelLMO, lmoOpts...)
-	check(err)
-	lmo := estLMO.LMO
-	if *groups {
-		fmt.Printf("LMO (grouped): %d logical groups, %d experiments, %d repetitions, cost %v\n",
-			estLMO.Groups.NumGroups(), estLMO.Report.Experiments,
-			estLMO.Report.Repetitions, estLMO.Report.Cost.Round(time.Millisecond))
+	var (
+		lmo    *models.LMOX
+		groups [][]int
+		m      *estimate.Models
+		rep    estimate.Report
+	)
+	if o.groups {
+		opts := []commperf.EstimateOption{commperf.WithSchedule(sched), commperf.WithLogicalGroups()}
+		if tr != nil {
+			opts = append(opts, commperf.WithObserver(tr))
+		}
+		est, err := commperf.NewSystem(cl, prof, o.seed).Estimate(commperf.ModelLMO, opts...)
+		if err != nil {
+			return err
+		}
+		lmo, groups, rep = est.LMO, est.Groups.Groups, est.Report
+		fmt.Fprintf(stdout, "LMO (grouped): %d logical groups, %d experiments, %d repetitions, cost %v\n",
+			len(groups), rep.Experiments, rep.Repetitions, rep.Cost.Round(time.Millisecond))
 	} else {
-		fmt.Printf("LMO (extended, 6-parameter): %d experiments, %d repetitions, cost %v (incl. irregularity scan)\n",
-			estLMO.Report.Experiments, estLMO.Report.Repetitions, estLMO.Report.Cost.Round(time.Millisecond))
+		cfg := mpi.Config{Cluster: cl, Profile: prof, Seed: o.seed}
+		var err error
+		m, rep, err = estimate.Family(cfg, "all", 0, 20, estimate.Options{Parallel: !o.serial, Obs: tr})
+		if err != nil {
+			return err
+		}
+		lmo = m.LMO
+		fmt.Fprintf(stdout, "Hockney (averaged homogeneous): %v\n\n", m.Hom)
+		fmt.Fprintf(stdout, "%v\n%v\n\n", m.LogP, m.LogGP)
+		fmt.Fprintf(stdout, "%v\n  g knots: %v\n\n", m.PLogP, m.PLogP.G)
+		fmt.Fprintln(stdout, "LMO (extended, 6-parameter):")
 	}
+	printLMO(stdout, cl, lmo)
+
+	if o.groups {
+		for gi, members := range groups {
+			if gi == maxRows {
+				fmt.Fprintf(stdout, "  (+%d more groups)\n", len(groups)-maxRows)
+				break
+			}
+			fmt.Fprintf(stdout, "  group %d: %d nodes %v\n", gi, len(members), head(members, 8))
+		}
+	} else {
+		// Irregularity detection (the family attaches it to the LMO model).
+		if irr := lmo.Gather; irr.Valid() {
+			fmt.Fprintf(stdout, "gather irregularity: M1=%d B (true %d), M2=%d B (true %d)\n",
+				irr.M1, prof.M1, irr.M2, prof.M2)
+			fmt.Fprintf(stdout, "  escalation modes: %v, per-op probability %.2f→%.2f\n", irr.EscModes, irr.ProbLow, irr.ProbHigh)
+		} else {
+			fmt.Fprintln(stdout, "gather irregularity: none detected")
+		}
+		fmt.Fprintln(stdout, "\nestimation cost by procedure (virtual time on the cluster):")
+		procs := make([]string, 0, len(m.Costs))
+		for name := range m.Costs {
+			procs = append(procs, name)
+		}
+		sort.Strings(procs)
+		for _, name := range procs {
+			fmt.Fprintf(stdout, "  %-18s %v\n", name, m.Costs[name].Round(time.Millisecond))
+		}
+		fmt.Fprintf(stdout, "  %d experiments, %d repetitions in all\n", rep.Experiments, rep.Repetitions)
+	}
+	fmt.Fprintf(stdout, "\ntotal estimation cost (virtual time on the cluster): %v\n", rep.Cost.Round(time.Millisecond))
+
+	if tr != nil {
+		if err := writeTrace(o.trace, cl, tr); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "estimation trace written to %s (%d spans; open at chrome://tracing)\n",
+			o.trace, len(tr.Spans()))
+	}
+	if o.json != "" {
+		clusterName := "table1"
+		if o.topo != "" {
+			clusterName = o.topo
+		}
+		mf := models.NewModelFile(m.Hom, m.Het, m.LogP, m.LogGP, m.PLogP, m.LMO)
+		mf.Meta = &models.Meta{
+			Cluster: clusterName, Nodes: cl.N(), Profile: prof.Name, Seed: o.seed,
+			Est:  sched.String(),
+			Tool: "cmd/estimate",
+		}
+		data, err := mf.Marshal()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.json, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "models written to %s\n", o.json)
+	}
+	return nil
+}
+
+// maxRows bounds the node and group listings.
+const maxRows = 16
+
+// printLMO prints the estimated processor parameters next to the
+// cluster's ground truth, and one link's.
+func printLMO(stdout io.Writer, cl *cluster.Cluster, lmo *models.LMOX) {
 	rows := [][]string{{"node", "model", "C_i est", "C_i true", "t_i est", "t_i true"}}
-	const maxRows = 16
 	for i, nd := range cl.Nodes {
 		if i == maxRows {
 			rows = append(rows, []string{fmt.Sprintf("(+%d more)", len(cl.Nodes)-maxRows), "", "", "", "", ""})
@@ -134,67 +221,32 @@ func main() {
 			fmt.Sprintf("%.2gns/B", lmo.T[i]*1e9), fmt.Sprintf("%.2gns/B", nd.T*1e9),
 		})
 	}
-	fmt.Println(textplot.Table(rows))
+	fmt.Fprintln(stdout, textplot.Table(rows))
 	l01 := cl.Links[0][1]
-	fmt.Printf("link (0,1): L est %.1fµs (true %.1fµs), β est %.3g B/s (true %.3g B/s)\n\n",
+	fmt.Fprintf(stdout, "link (0,1): L est %.1fµs (true %.1fµs), β est %.3g B/s (true %.3g B/s)\n\n",
 		lmo.L[0][1]*1e6, float64(l01.L.Microseconds()), lmo.Beta[0][1], l01.Beta)
+}
 
-	if *groups {
-		for gi, members := range estLMO.Groups.Groups {
-			if gi == maxRows {
-				fmt.Printf("  (+%d more groups)\n", estLMO.Groups.NumGroups()-maxRows)
-				break
-			}
-			fmt.Printf("  group %d: %d nodes %v\n", gi, len(members), head(members, 8))
-		}
-	} else {
-		// Irregularity detection (attached to the LMO model by Estimate).
-		irr := lmo.Gather
-		if irr.Valid() {
-			fmt.Printf("gather irregularity: M1=%d B (true %d), M2=%d B (true %d)\n",
-				irr.M1, prof.M1, irr.M2, prof.M2)
-			fmt.Printf("  escalation modes: %v, per-op probability %.2f→%.2f\n", irr.EscModes, irr.ProbLow, irr.ProbHigh)
-		} else {
-			fmt.Println("gather irregularity: none detected")
-		}
+// writeTrace writes tr to path in Chrome's trace_event format, one
+// swimlane per node.
+func writeTrace(path string, cl *cluster.Cluster, tr *commperf.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-
-	total += estLMO.Report.Cost
-	fmt.Printf("\ntotal estimation cost (virtual time on the cluster): %v\n", total.Round(time.Millisecond))
-
-	if tr != nil {
-		f, err := os.Create(*traceOut)
-		check(err)
-		check(commperf.WriteChromeTrace(f, tr, func(track int) string {
-			if track == commperf.GlobalTrack {
-				return "estimation"
-			}
-			if track >= 0 && track < len(cl.Nodes) {
-				return fmt.Sprintf("%d %s", track, cl.Nodes[track].Name)
-			}
-			return fmt.Sprintf("track %d", track)
-		}))
-		check(f.Close())
-		fmt.Printf("LMO estimation trace written to %s (%d spans; open at chrome://tracing)\n",
-			*traceOut, len(tr.Spans()))
-	}
-
-	if *jsonOut != "" {
-		clusterName := "table1"
-		if *topoSpec != "" {
-			clusterName = *topoSpec
+	err = commperf.WriteChromeTrace(f, tr, func(track int) string {
+		if track == commperf.GlobalTrack {
+			return "estimation"
 		}
-		mf := commperf.NewModelFile(hom, het, estLG.LogP, estLG.LogGP, estPL.PLogP, lmo)
-		mf.Meta = &commperf.ModelMeta{
-			Cluster: clusterName, Nodes: cl.N(), Profile: prof.Name, Seed: *seed,
-			Est:  sched.String(),
-			Tool: "cmd/estimate",
+		if track >= 0 && track < len(cl.Nodes) {
+			return fmt.Sprintf("%d %s", track, cl.Nodes[track].Name)
 		}
-		data, err := mf.Marshal()
-		check(err)
-		check(os.WriteFile(*jsonOut, data, 0o644))
-		fmt.Printf("models written to %s\n", *jsonOut)
+		return fmt.Sprintf("track %d", track)
+	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	return err
 }
 
 func head(xs []int, n int) []int {
@@ -209,11 +261,4 @@ func short(s string) string {
 		return s[:28]
 	}
 	return s
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "estimate: %v\n", err)
-		os.Exit(1)
-	}
 }

@@ -3,8 +3,8 @@
 // in flight each (the sigmaos stats-server load-test shape), issuing
 // unary or batched predictions with a configurable key-skew across
 // platform seeds, and reports predictions/sec with p50/p95/p99 request
-// latency as JSON — the live-traffic counterpart of the committed
-// BENCH_serve.json figures.
+// latency as JSON — the live-server counterpart of the benchmark's
+// serve-mixed workload (bash bench/run.sh -workload serve-mixed).
 //
 // Examples:
 //

@@ -20,7 +20,13 @@ type Comm struct {
 	members []int // world ranks, comm rank = index
 	myRank  int   // this process's comm rank
 	seq     []int // per-world-rank collective sequence counters (lockstep)
-	id      int   // tag-space discriminator derived from the members
+	id      int   // the member set's number: its block of the tag space
+}
+
+// commSet is a member set's entry in the world's communicator registry.
+type commSet struct {
+	id  int   // sets are numbered in the order of their first construction
+	seq []int // per-world-rank collective sequence counters
 }
 
 // CommOf builds the communicator containing the given world ranks (in
@@ -48,39 +54,25 @@ func (r *Rank) CommOf(members []int) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: rank %d is not a member of %v", r.rank, members)
 	}
 	key := commKey(members)
-	if r.w.commSeq == nil {
-		r.w.commSeq = map[string][]int{}
+	if r.w.comms == nil {
+		r.w.comms = map[string]commSet{}
 	}
-	seq, ok := r.w.commSeq[key]
+	set, ok := r.w.comms[key]
 	if !ok {
-		seq = make([]int, r.w.n)
-		r.w.commSeq[key] = seq
+		set = commSet{id: len(r.w.comms), seq: make([]int, r.w.n)}
+		r.w.comms[key] = set
 	}
-	return &Comm{r: r, members: append([]int(nil), members...), myRank: my, seq: seq, id: commID(members)}, nil
+	return &Comm{r: r, members: append([]int(nil), members...), myRank: my, seq: set.seq, id: set.id}, nil
 }
 
-// commKey canonicalizes a member list for the shared-sequence registry
-// (order matters for rank numbering but not for the key: the same set
-// reuses the same sequence, preventing tag collisions between
-// same-set communicators created in different orders).
+// commKey canonicalizes a member list for the world's registry (order
+// matters for rank numbering but not for the key: communicators of the
+// same set, created in any order, share its number and sequences, and
+// distinct sets never share a tag).
 func commKey(members []int) string {
 	s := append([]int(nil), members...)
 	sort.Ints(s)
 	return fmt.Sprint(s)
-}
-
-// commID folds the member set into a small tag-space discriminator.
-func commID(members []int) int {
-	h := 0
-	s := append([]int(nil), members...)
-	sort.Ints(s)
-	for _, m := range s {
-		h = h*31 + m + 1
-	}
-	if h < 0 {
-		h = -h
-	}
-	return h % 1021 // prime < 1024
 }
 
 // Rank returns this process's rank within the communicator.

@@ -199,3 +199,39 @@ func payloadIf(cond bool, s string) []byte {
 	}
 	return nil
 }
+
+// Distinct member sets never share a tag, whatever their members: the
+// world numbers each set as it is first built. {0,1} and {0,1,30} once
+// folded to the same tag block, so rank 1, entering the second set's
+// broadcast first, took the first set's message there.
+func TestCommDistinctSetsDoNotCrossMatch(t *testing.T) {
+	a, b := []int{0, 1}, []int{0, 1, 30}
+	_, err := Run(testConfig(32), func(r *Rank) {
+		comm := func(members []int) *Comm {
+			c, err := r.CommOf(members)
+			if err != nil {
+				panic(err)
+			}
+			return c
+		}
+		switch r.Rank() {
+		case 0:
+			comm(a).Bcast(0, []byte("from A"))
+			comm(b).Bcast(0, []byte("from B"))
+		case 1:
+			ca, cb := comm(a), comm(b)
+			gotB := cb.Bcast(0, nil)
+			gotA := ca.Bcast(0, nil)
+			if string(gotA) != "from A" || string(gotB) != "from B" {
+				t.Errorf("rank 1 received %q on %v and %q on %v", gotA, a, gotB, b)
+			}
+		case 30:
+			if got := comm(b).Bcast(0, nil); string(got) != "from B" {
+				t.Errorf("rank 30 received %q on %v", got, b)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -80,9 +80,9 @@ type World struct {
 	sync *vtime.Barrier
 	seq  []int // per-rank collective sequence numbers (must stay in lockstep)
 
-	cells   []*SharedCell    // harness-level shared cells by call sequence
-	cellSeq []int            // per-rank SharedCell call counters
-	commSeq map[string][]int // per-member-set, per-rank collective sequences for Comm
+	cells   []*SharedCell      // harness-level shared cells by call sequence
+	cellSeq []int              // per-rank SharedCell call counters
+	comms   map[string]commSet // communicator registry: each member set's number and sequences
 
 	obs *obs.Trace // span observer shared by all ranks (nil = disabled)
 
@@ -117,7 +117,8 @@ type Rank struct {
 // The job runs on a world taken from a bounded list of idle worlds of
 // its node count and topology, reset for the job, or on a new one.
 // Only a world whose run returned nil goes back on the list; one whose
-// setup or run failed may hold parked processes and is dropped.
+// setup or run failed is dropped, and the processes its run left
+// parked end with it.
 func Run(cfg Config, body func(r *Rank)) (Result, error) {
 	if cfg.Cluster == nil {
 		return Result{}, fmt.Errorf("mpi: nil cluster")
@@ -137,6 +138,11 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 		if crashed := w.net.CrashedNodes(); len(crashed) > 0 && errors.As(err, &dl) {
 			err = &CrashError{Nodes: crashed, Waiter: -1, At: w.eng.Now(), Cause: err}
 		}
+		// The world is dropped. End the processes its run left parked,
+		// whose coroutines would otherwise stay parked for as long as
+		// the program runs; the job's observer sees none of it.
+		w.release()
+		w.eng.Close()
 		return res, err
 	}
 	closeWorld(w)
@@ -199,7 +205,7 @@ func (w *World) setup(cfg Config) error {
 	for _, c := range w.cells {
 		c.V = nil
 	}
-	clear(w.commSeq)
+	clear(w.comms)
 	return nil
 }
 
@@ -255,14 +261,19 @@ func takeWorld(n int, tp *topo.Topology) *World {
 	return nil
 }
 
+// release lets go of the job's body and observer.
+func (w *World) release() {
+	w.body, w.obs = nil, nil
+	w.eng.SetObserver(nil)
+	w.net.SetObserver(nil)
+}
+
 // closeWorld puts the world of a job that succeeded on the idle list.
 // When the list has no room, the longest idle worlds go first: the
 // shapes that stopped running age out. The world lets go of the job's
 // body and observer before it goes on the list.
 func closeWorld(w *World) {
-	w.body, w.obs = nil, nil
-	w.eng.SetObserver(nil)
-	w.net.SetObserver(nil)
+	w.release()
 	if w.n > maxIdleRanks {
 		return
 	}

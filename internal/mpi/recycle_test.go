@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -289,5 +290,39 @@ func TestWarmHardSyncRunAllocatesNothing(t *testing.T) {
 	run() // warm-up: leaves the world idle
 	if n := testing.AllocsPerRun(20, run); n != 0 {
 		t.Fatalf("a warm 16-rank HardSync job allocates %v objects, want 0", n)
+	}
+}
+
+// A failed job's world is dropped, and the processes its run left
+// parked end with it: after a warm-up, jobs that deadlock, crash, time
+// out or panic leave no goroutine behind. Among them is a 16-rank Table
+// I job in which rank 3 sleeps and then receives from rank 5, which
+// never sends. Not parallel: it counts every goroutine of the program.
+func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
+	jobs := []recycleJob{{name: "table1 deadlock", cfg: Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}, body: func(r *Rank) {
+		if r.Rank() == 3 {
+			r.Sleep(time.Millisecond)
+			r.Recv(5, 1)
+		}
+	}}}
+	for _, j := range recycleJobs() {
+		if j.fails {
+			jobs = append(jobs, j)
+		}
+	}
+	run := func() {
+		for _, j := range jobs {
+			if _, err := Run(j.cfg, j.body); err == nil {
+				t.Fatalf("job %q succeeded, want a failure", j.name)
+			}
+		}
+	}
+	run() // warm-up: leaves the idle workers the jobs need
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after five more rounds of %d failing jobs, %d before them", after, len(jobs), before)
 	}
 }

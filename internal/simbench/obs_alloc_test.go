@@ -1,6 +1,11 @@
+// Package simbench pins the allocation behaviour of the simulation
+// kernel's hot path: the event loop with tracing off and on, and the
+// Cond/Barrier wake cycle every measurement repetition takes. Timings
+// are measured by the bench/ harness, not here.
 package simbench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,32 +13,56 @@ import (
 	"repro/internal/vtime"
 )
 
+// mallocsDuring runs fn and returns the number of heap allocations it
+// performed (whole-process; the tests of this package do not run in
+// parallel).
+func mallocsDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// tick is a prepared handler event that counts its firings: scheduling
+// it with AtHandler allocates nothing.
+type tick struct{ fired int }
+
+func (t *tick) Fire() { t.fired++ }
+
 // TestDisabledTracingZeroAlloc is the bench-smoke guard for the
 // observability layer: with no observer installed, the event hot path
-// must stay exactly as allocation-free as PR 3 left it (BENCH_simnet's
-// 0 allocs/op for EngineEvents). Every obs hook on the path is a nil
-// check, so a regression here means someone put work before the check.
+// stays allocation-free. Every obs hook on the path is a nil check, so
+// a regression here means someone put work before the check. Each
+// iteration dispatches a handler event and a resume, so the test also
+// pins the deferred recover with which the engine runs a callback.
 func TestDisabledTracingZeroAlloc(t *testing.T) {
 	run := func(n int) uint64 {
 		eng := vtime.NewEngine()
+		h := &tick{}
 		eng.Go("ticker", func(p *vtime.Proc) {
 			for i := 0; i < n; i++ {
+				eng.AtHandler(p.Now(), h)
 				p.Sleep(time.Microsecond)
 			}
 		})
-		return mallocsDuring(func() {
+		allocs := mallocsDuring(func() {
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if h.fired != n {
+			t.Fatalf("the handler fired %d times, want %d", h.fired, n)
+		}
+		return allocs
 	}
 	run(100) // warm up the runtime (goroutine stacks, timer wheels)
 	const n = 50000
 	allocs := run(n)
-	// Engine construction and the one proc are O(1); the n events must
+	// Engine construction and the one proc are O(1); the 2n events must
 	// contribute nothing. Allow the fixed setup a small budget.
 	if allocs > 64 {
-		t.Fatalf("disabled-tracing hot path allocated %d times over %d events; want O(1) setup only", allocs, n)
+		t.Fatalf("disabled-tracing hot path allocated %d times over %d iterations; want O(1) setup only", allocs, n)
 	}
 }
 

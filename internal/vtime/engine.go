@@ -32,6 +32,7 @@
 package vtime
 
 import (
+	"errors"
 	"fmt"
 	"iter" // go1.23: the build line raises this file's language version above go.mod's
 	"sync"
@@ -81,9 +82,9 @@ func NewEngine() *Engine {
 // observer, no step bound and no failure. It keeps the queues' grown
 // arrays, and the Proc structs of finished processes for the next
 // Go calls, so a Proc is valid only while its body runs. A process
-// still parked in its body (the run failed or deadlocked) keeps its
-// struct, which the engine gives up. Reset must not be called during
-// Run.
+// still parked in its body (the run failed or deadlocked, and Close did
+// not end it) keeps its struct, which the engine gives up. Reset must
+// not be called during Run.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("vtime: Reset during Run")
@@ -99,6 +100,31 @@ func (e *Engine) Reset() {
 	e.heap.reset()
 	e.fifo.reset()
 	*e = Engine{heap: e.heap, fifo: e.fifo, procs: kept}
+}
+
+// errClosed is the failure a closed engine reports until Reset.
+var errClosed = errors.New("vtime: engine closed")
+
+// Close ends the processes that a failed or deadlocked Run left parked
+// in their bodies, and with them their coroutines, which would
+// otherwise stay parked for as long as the program runs. Each body
+// unwinds as if it had called Exit, running its deferred calls, and
+// dispatches no event meanwhile. Call it before dropping an engine whose
+// Run failed; the engine runs again only after Reset. Close must not be
+// called during Run.
+func (e *Engine) Close() {
+	if e.running {
+		panic("vtime: Close during Run")
+	}
+	if e.failErr == nil {
+		e.failErr = errClosed
+	}
+	for _, p := range e.procs {
+		if w := p.w; w != nil {
+			w.stop() // the parked yield reports false, and dispatchAs exits
+			p.w = nil
+		}
+	}
 }
 
 // SetMaxSteps bounds the number of events the engine will process in
@@ -436,7 +462,7 @@ func (w *worker) loop(yield func(*Proc) bool) {
 	for {
 		w.p.runBody()
 		if !yield(nil) {
-			return // stopped: the idle list was full
+			return // stopped: the idle list was full, or Close ended the body
 		}
 	}
 }
@@ -516,8 +542,9 @@ func (e *Engine) bumpSteps() bool {
 // in whichever process's coroutine is dispatching).
 func (e *Engine) callEvent(ev event) {
 	// The deferred recover closure is open-coded by the compiler and
-	// captures only the receiver; it does not heap-allocate (guarded by
-	// the simbench zero-alloc benchmarks).
+	// captures only the receiver; it does not heap-allocate (pinned by
+	// simbench's TestDisabledTracingZeroAlloc, which fires a handler
+	// event per iteration).
 	//lmovet:allow hotalloc
 	defer func() {
 		if r := recover(); r != nil {
@@ -546,9 +573,11 @@ func (e *Engine) dispatchAs(self *Proc) {
 	for {
 		if e.broken() || e.pending() == 0 || !e.bumpSteps() {
 			// Drained or failed: hand control back to Run, parked until
-			// a later Run pops our resume event. Only an idle worker is
-			// ever stopped, so yield reports true here.
-			self.w.yield(nil)
+			// a later Run pops our resume event, or until Close stops
+			// the worker and yield reports false.
+			if !self.w.yield(nil) {
+				self.Exit()
+			}
 			return
 		}
 		ev := e.pop()
@@ -558,7 +587,9 @@ func (e *Engine) dispatchAs(self *Proc) {
 			return // fast path: the dispatcher resumes itself
 		}
 		if ev.p != nil {
-			self.w.yield(ev.p) // Run switches to the woken process
+			if !self.w.yield(ev.p) { // Run switches to the woken process
+				self.Exit()
+			}
 			return
 		}
 		e.callEvent(ev)

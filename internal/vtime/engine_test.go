@@ -511,6 +511,45 @@ func TestParkedProcessResumesInLaterRun(t *testing.T) {
 	}
 }
 
+// Close ends the processes a deadlocked run left parked: each body
+// unwinds through its deferred calls, which dispatch no event even when
+// they park again, its goroutine ends, and the engine runs again only
+// after Reset, then like a new one.
+func TestCloseEndsParkedProcesses(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		e.Go("stuck", func(p *Proc) {
+			defer func() {
+				unwound++
+				p.Sleep(time.Millisecond)
+				t.Error("a closed process resumed from Sleep")
+			}()
+			p.Sleep(time.Duration(i) * time.Millisecond)
+			c.Wait(p)
+			t.Error("a closed process resumed")
+		})
+	}
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) || de.Blocked != 3 {
+		t.Fatalf("Run: err = %v, want a DeadlockError with 3 blocked", err)
+	}
+	before := runtime.NumGoroutine()
+	e.Close()
+	if after := runtime.NumGoroutine(); unwound != 3 || after != before-3 {
+		t.Fatalf("Close unwound %d of 3 bodies and left %d goroutines of %d", unwound, after, before)
+	}
+	if err := e.Run(); !errors.Is(err, errClosed) {
+		t.Fatalf("Run after Close: err = %v, want %v", err, errClosed)
+	}
+	e.Reset()
+	e.Go("p", func(p *Proc) { p.Sleep(time.Millisecond) })
+	if err := e.Run(); err != nil || e.Now() != time.Millisecond {
+		t.Fatalf("after Close and Reset: err = %v at %v, want nil at 1ms", err, e.Now())
+	}
+}
+
 // A callback's panic is re-raised from Run on the caller's stack, also
 // when the callback ran while a process was dispatching events.
 func TestCallbackPanicReraisedFromRun(t *testing.T) {
