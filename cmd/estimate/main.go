@@ -185,7 +185,7 @@ func (o options) estimate(stdout io.Writer, cl *cluster.Cluster, prof *cluster.T
 		if o.topo != "" {
 			clusterName = o.topo
 		}
-		mf := models.NewModelFile(m.Hom, m.Het, m.LogP, m.LogGP, m.PLogP, m.LMO)
+		mf := m.File()
 		mf.Meta = &models.Meta{
 			Cluster: clusterName, Nodes: cl.N(), Profile: prof.Name, Seed: o.seed,
 			Est:  sched.String(),

@@ -34,7 +34,7 @@ func TestJSONWritesFamilyAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf := models.NewModelFile(m.Hom, m.Het, m.LogP, m.LogGP, m.PLogP, m.LMO)
+	mf := m.File()
 	mf.Meta = &models.Meta{Cluster: "table1", Nodes: 4, Profile: cluster.Ideal().Name, Seed: 1, Est: "parallel", Tool: "cmd/estimate"}
 	want, err := mf.Marshal()
 	if err != nil {

@@ -67,8 +67,8 @@ func TestSystemEstimateAndPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := lmo.ScatterLinear(0, 4, m)
-	if pred <= 0 {
+	pred, err := lmo.Predict(PredictQuery{Coll: CollScatter, Alg: Linear, N: 4, M: m})
+	if err != nil || pred <= 0 {
 		t.Fatal("no prediction")
 	}
 	rel := (pred - observed) / observed

@@ -26,7 +26,11 @@ func main() {
 	lmo := est.LMO
 
 	const m = 32 << 10
-	naive := lmo.ScatterBinomial(0, n, m)
+	binomial := commperf.PredictQuery{Coll: commperf.CollScatter, Alg: commperf.Binomial, N: n, M: m}
+	naive, err := lmo.Predict(binomial)
+	if err != nil {
+		log.Fatal(err)
+	}
 	perm, optimized := commperf.MapBinomialTree(lmo, 0, n, m)
 
 	fmt.Printf("\nbinomial scatter of %d KB blocks, predicted by LMO:\n", m>>10)
@@ -50,9 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hom := est.Hockney
-	fmt.Printf("\nfor contrast, homogeneous Hockney predicts %.3f ms for every mapping\n",
-		hom.ScatterBinomial(0, n, m)*1e3)
+	hom, err := est.Hockney.Predict(binomial)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nfor contrast, homogeneous Hockney predicts %.3f ms for every mapping\n", hom*1e3)
 }
 
 func allIdentity(perm []int) bool {

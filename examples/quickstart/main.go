@@ -37,7 +37,10 @@ func main() {
 
 	// 2. Predict a 64 KB linear scatter.
 	const m = 64 << 10
-	pred := lmo.ScatterLinear(0, n, m)
+	pred, err := lmo.Predict(commperf.PredictQuery{Coll: commperf.CollScatter, Alg: commperf.Linear, N: n, M: m})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("predicted linear scatter of %d KB blocks: %.3f ms\n", m>>10, pred*1e3)
 
 	// 3. Observe it on the (simulated) machine.

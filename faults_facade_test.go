@@ -36,8 +36,8 @@ func TestSystemEstimateLMOUnderFaults(t *testing.T) {
 	if len(rep.Confidence) != n {
 		t.Fatalf("Confidence has %d entries, want %d", len(rep.Confidence), n)
 	}
-	if pred := lmo.ScatterLinear(0, n, 32<<10); pred <= 0 {
-		t.Fatalf("nonsense prediction %v from the fault-estimated model", pred)
+	if pred, err := lmo.Predict(PredictQuery{Coll: CollScatter, Alg: Linear, N: n, M: 32 << 10}); err != nil || pred <= 0 {
+		t.Fatalf("nonsense prediction %v (%v) from the fault-estimated model", pred, err)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Hotalloc flags allocation-introducing constructs inside functions
 // annotated //lmovet:hotpath — the discrete-event fast path that the
-// PR-3 optimization made allocation-free and that the simbench
-// regression benchmarks guard. Directly inside a hot function it
+// PR-3 optimization made allocation-free and that vtime's allocation
+// tests guard. Directly inside a hot function it
 // reports:
 //
 //   - calls into package fmt (formatting always allocates);

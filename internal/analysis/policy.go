@@ -29,15 +29,14 @@ var deterministicPkgs = map[string]bool{
 }
 
 // wallClockAllowed lists the packages that legitimately touch the host
-// clock: the campaign scheduler times real work, simbench measures the
-// simulator itself, and the cmd binaries talk to humans.
+// clock: the campaign scheduler times real work and the cmd binaries
+// talk to humans.
 //
 // The list is maintained for documentation and for Scope's benefit; a
 // package is wall-clock-legitimate exactly when it is not
 // deterministic and not file-scoped (see wallClockFileAllowed).
 var wallClockAllowed = []string{
 	"repro/internal/campaign",
-	"repro/internal/simbench",
 	"repro/cmd/",
 }
 

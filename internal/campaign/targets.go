@@ -96,7 +96,7 @@ func runEstimator(g Grid, t Task, r *Result) {
 	modelMetrics(met, set, m.LMO5)
 	r.Metrics = met
 	if set != (models.Set{}) {
-		r.Models = models.NewModelFile(set.Hom, set.Het, set.LogP, set.LogGP, set.PLogP, set.LMO)
+		r.Models = set.File()
 		r.Models.Meta = &models.Meta{
 			Cluster: t.Cluster.Name,
 			Nodes:   t.Cluster.Cluster.N(),

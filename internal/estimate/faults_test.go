@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/faults"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/topo"
@@ -67,8 +69,15 @@ func TestLMOXSurvivesDemoFaultPlan(t *testing.T) {
 	// Each model predicts the platform it was estimated on.
 	obsClean := observeScatterLinear(t, clean, msg)
 	obsFaulty := observeScatterLinear(t, faulty, msg)
-	errClean := math.Abs(mClean.ScatterLinear(0, n, msg)-obsClean) / obsClean
-	errFaulty := math.Abs(mFaulty.ScatterLinear(0, n, msg)-obsFaulty) / obsFaulty
+	scatter := func(x *models.LMOX) float64 {
+		v, err := x.Predict(models.Query{Coll: models.CollScatter, Alg: collective.AlgLinear, N: n, M: msg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	errClean := math.Abs(scatter(mClean)-obsClean) / obsClean
+	errFaulty := math.Abs(scatter(mFaulty)-obsFaulty) / obsFaulty
 	// 2x the fault-free error, with a 2% floor for when the fault-free
 	// error is essentially zero.
 	if limit := math.Max(2*errClean, 0.02); errFaulty > limit {

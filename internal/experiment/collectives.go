@@ -3,8 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/collective"
 	"repro/internal/estimate"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 )
@@ -31,7 +31,7 @@ func Collectives(cfg Config) (*Report, error) {
 	entries := []entry{
 		{
 			"bcast (binomial)",
-			func(m int) float64 { return lmo.BcastTree(collective.AlgBinomial.Tree(n, cfg.Root), m) },
+			curve(lmo, models.CollBcast, mpi.Binomial, cfg.Root, n),
 			func(r *mpi.Rank, m int) func() {
 				return func() {
 					var data []byte
@@ -44,7 +44,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"reduce (binomial)",
-			func(m int) float64 { return lmo.ReduceTree(collective.AlgBinomial.Tree(n, cfg.Root), m) },
+			curve(lmo, models.CollReduce, mpi.Binomial, cfg.Root, n),
 			func(r *mpi.Rank, m int) func() {
 				op := func(a, b []byte) []byte { return a }
 				block := make([]byte, m)
@@ -53,7 +53,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"scatter (binary)",
-			func(m int) float64 { return lmo.ScatterTree(collective.AlgBinary.Tree(n, cfg.Root), m) },
+			curve(lmo, models.CollScatter, mpi.Binary, cfg.Root, n),
 			func(r *mpi.Rank, m int) func() {
 				blocks := rootBlocks(r, cfg.Root, n, m)
 				return func() { r.Scatter(mpi.Binary, cfg.Root, blocks) }
@@ -61,7 +61,7 @@ func Collectives(cfg Config) (*Report, error) {
 		},
 		{
 			"scatter (chain)",
-			func(m int) float64 { return lmo.ScatterTree(collective.AlgChain.Tree(n, cfg.Root), m) },
+			curve(lmo, models.CollScatter, mpi.Chain, cfg.Root, n),
 			func(r *mpi.Rank, m int) func() {
 				blocks := rootBlocks(r, cfg.Root, n, m)
 				return func() { r.Scatter(mpi.Chain, cfg.Root, blocks) }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/estimate"
 	"repro/internal/faults"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/stats"
@@ -219,6 +220,20 @@ func predict(sizes []int, f func(m int) float64) []float64 {
 		out[i] = f(m)
 	}
 	return out
+}
+
+// curve returns p's prediction of the coll collective over alg's tree,
+// from root on n ranks, as a function of the block size. The runners
+// query models estimated on the platform they observe, so an error is
+// a programming fault and panics.
+func curve(p models.CollectivePredictor, coll models.Collective, alg mpi.Alg, root, n int) func(m int) float64 {
+	return func(m int) float64 {
+		t, err := p.Predict(models.Query{Coll: coll, Alg: alg, Root: root, N: n, M: m})
+		if err != nil {
+			panic(err)
+		}
+		return t
+	}
 }
 
 // meanAbsRelError compares a prediction sweep to an observation sweep.

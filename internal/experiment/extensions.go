@@ -55,8 +55,8 @@ func Ablation(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	origPred := predict(obs.Sizes, func(m int) float64 { return orig.ScatterLinear(cfg.Root, n, m) })
-	extPred := predict(obs.Sizes, func(m int) float64 { return ext.ScatterLinear(cfg.Root, n, m) })
+	origPred := predict(obs.Sizes, curve(orig, models.CollScatter, mpi.Linear, cfg.Root, n))
+	extPred := predict(obs.Sizes, curve(ext, models.CollScatter, mpi.Linear, cfg.Root, n))
 	rows := [][]string{
 		{"model", "scatter mean |rel.err| (below the leap)", "C misattribution"},
 		{"LMO original (5 params)", fmt.Sprintf("%.1f%%", 100*meanAbsRelError(obs.Mean, origPred)),
@@ -107,9 +107,10 @@ func Ablation(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	hv := ext.HockneyView()
+	extScatter := curve(ext, models.CollScatter, mpi.Linear, cfg.Root, n)
 	rows = [][]string{{"size", "LMO eq(4) err (eager)", "LMO eq(4) err (rendezvous)", "Hockney-serial err (rendezvous)"}}
 	for i, m := range cfg.Sizes {
-		eq4 := ext.ScatterLinear(cfg.Root, n, m)
+		eq4 := extScatter(m)
 		serial := hv.ScatterLinearSerial(cfg.Root, m)
 		rows = append(rows, []string{
 			fmt.Sprintf("%dK", m>>10),
@@ -167,13 +168,7 @@ func AlgZoo(cfg Config) (*Report, error) {
 		rep.Series = append(rep.Series, series("observed "+alg.String(), o.Sizes, o.Mean))
 	}
 	for _, alg := range algs {
-		alg := alg
-		pred := predict(cfg.Sizes, func(m int) float64 {
-			if alg == mpi.Linear {
-				return lmo.ScatterLinear(cfg.Root, n, m)
-			}
-			return lmo.ScatterTree(alg.Tree(n, cfg.Root), m)
-		})
+		pred := predict(cfg.Sizes, curve(lmo, models.CollScatter, alg, cfg.Root, n))
 		rep.Series = append(rep.Series, series("LMO "+alg.String(), cfg.Sizes, pred))
 	}
 

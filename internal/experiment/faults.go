@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/estimate"
 	"repro/internal/faults"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/stats"
@@ -64,8 +65,8 @@ func FaultsExp(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	predClean := predict(cfg.Sizes, func(m int) float64 { return mClean.ScatterLinear(cfg.Root, n, m) })
-	predFaulty := predict(cfg.Sizes, func(m int) float64 { return mFaulty.ScatterLinear(cfg.Root, n, m) })
+	predClean := predict(cfg.Sizes, curve(mClean, models.CollScatter, mpi.Linear, cfg.Root, n))
+	predFaulty := predict(cfg.Sizes, curve(mFaulty, models.CollScatter, mpi.Linear, cfg.Root, n))
 	rep.Series = append(rep.Series,
 		series("observed (healthy)", cfg.Sizes, obsClean.Mean),
 		series("LMO healthy", cfg.Sizes, predClean),

@@ -95,8 +95,8 @@ func Fig3(cfg Config) (*Report, error) {
 		XLabel: "message size (bytes)",
 		YLabel: "execution time (s)",
 	}
-	homPred := predict(obs.Sizes, func(m int) float64 { return hom.ScatterBinomial(cfg.Root, n, m) })
-	hetPred := predict(obs.Sizes, func(m int) float64 { return het.ScatterBinomial(cfg.Root, n, m) })
+	homPred := predict(obs.Sizes, curve(hom, models.CollScatter, mpi.Binomial, cfg.Root, n))
+	hetPred := predict(obs.Sizes, curve(het, models.CollScatter, mpi.Binomial, cfg.Root, n))
 	rep.Series = append(rep.Series,
 		series("observed", obs.Sizes, obs.Mean),
 		series("hom-Hockney (eq 3)", obs.Sizes, homPred),
@@ -129,18 +129,13 @@ func Fig4(cfg Config) (*Report, error) {
 		YLabel: "execution time (s)",
 	}
 	preds := []struct {
-		name string
-		f    func(m int) float64
-	}{
-		{"het-Hockney", func(m int) float64 { return ms.Het.ScatterLinear(cfg.Root, n, m) }},
-		{"LogGP", func(m int) float64 { return ms.LogGP.ScatterLinear(cfg.Root, n, m) }},
-		{"PLogP", func(m int) float64 { return ms.PLogP.ScatterLinear(cfg.Root, n, m) }},
-		{"LMO (eq 4)", func(m int) float64 { return ms.LMO.ScatterLinear(cfg.Root, n, m) }},
-	}
+		name  string
+		model models.CollectivePredictor
+	}{{"het-Hockney", ms.Het}, {"LogGP", ms.LogGP}, {"PLogP", ms.PLogP}, {"LMO (eq 4)", ms.LMO}}
 	rep.Series = append(rep.Series, series("observed", obs.Sizes, obs.Mean))
 	rows := [][]string{{"model", "mean |rel.err|"}}
 	for _, p := range preds {
-		ys := predict(obs.Sizes, p.f)
+		ys := predict(obs.Sizes, curve(p.model, models.CollScatter, mpi.Linear, cfg.Root, n))
 		rep.Series = append(rep.Series, series(p.name, obs.Sizes, ys))
 		rows = append(rows, []string{p.name, fmt.Sprintf("%.1f%%", 100*meanAbsRelError(obs.Mean, ys))})
 	}
@@ -174,16 +169,11 @@ func Fig5(cfg Config) (*Report, error) {
 	)
 	rows := [][]string{{"model", "mean |rel.err| vs mean obs"}}
 	preds := []struct {
-		name string
-		f    func(m int) float64
-	}{
-		{"het-Hockney", func(m int) float64 { return ms.Het.GatherLinear(cfg.Root, n, m) }},
-		{"LogGP", func(m int) float64 { return ms.LogGP.GatherLinear(cfg.Root, n, m) }},
-		{"PLogP", func(m int) float64 { return ms.PLogP.GatherLinear(cfg.Root, n, m) }},
-		{"LMO (eq 5)", func(m int) float64 { return ms.LMO.GatherLinear(cfg.Root, n, m) }},
-	}
+		name  string
+		model models.CollectivePredictor
+	}{{"het-Hockney", ms.Het}, {"LogGP", ms.LogGP}, {"PLogP", ms.PLogP}, {"LMO (eq 5)", ms.LMO}}
 	for _, p := range preds {
-		ys := predict(obs.Sizes, p.f)
+		ys := predict(obs.Sizes, curve(p.model, models.CollGather, mpi.Linear, cfg.Root, n))
 		rep.Series = append(rep.Series, series(p.name, obs.Sizes, ys))
 		rows = append(rows, []string{p.name, fmt.Sprintf("%.1f%%", 100*meanAbsRelError(obs.Mean, ys))})
 	}
@@ -228,10 +218,10 @@ func Fig6(cfg Config) (*Report, error) {
 	rep.Series = append(rep.Series,
 		series("observed linear", obsLin.Sizes, obsLin.Mean),
 		series("observed binomial", obsBin.Sizes, obsBin.Mean),
-		series("het-Hockney linear", cfg.Sizes, predict(cfg.Sizes, func(m int) float64 { return ms.Het.ScatterLinear(cfg.Root, n, m) })),
-		series("het-Hockney binomial", cfg.Sizes, predict(cfg.Sizes, func(m int) float64 { return ms.Het.ScatterBinomial(cfg.Root, n, m) })),
-		series("LMO linear", cfg.Sizes, predict(cfg.Sizes, func(m int) float64 { return ms.LMO.ScatterLinear(cfg.Root, n, m) })),
-		series("LMO binomial", cfg.Sizes, predict(cfg.Sizes, func(m int) float64 { return ms.LMO.ScatterBinomial(cfg.Root, n, m) })),
+		series("het-Hockney linear", cfg.Sizes, predict(cfg.Sizes, curve(ms.Het, models.CollScatter, mpi.Linear, cfg.Root, n))),
+		series("het-Hockney binomial", cfg.Sizes, predict(cfg.Sizes, curve(ms.Het, models.CollScatter, mpi.Binomial, cfg.Root, n))),
+		series("LMO linear", cfg.Sizes, predict(cfg.Sizes, curve(ms.LMO, models.CollScatter, mpi.Linear, cfg.Root, n))),
+		series("LMO binomial", cfg.Sizes, predict(cfg.Sizes, curve(ms.LMO, models.CollScatter, mpi.Binomial, cfg.Root, n))),
 	)
 	rows := [][]string{{"size", "observed faster", "Hockney picks", "LMO picks"}}
 	hockneyRight, lmoRight := 0, 0

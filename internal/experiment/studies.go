@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/estimate"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 )
@@ -96,7 +97,7 @@ func Scaling(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred := lmo.ScatterLinear(sub.Root, n, 32<<10)
+		pred := curve(lmo, models.CollScatter, mpi.Linear, sub.Root, n)(32 << 10)
 		errPct := 100 * math.Abs(pred-obs.Mean[0]) / obs.Mean[0]
 		expected := n*(n-1) + n*(n-1)*(n-2) // ×2 sizes: C(n,2)·2 + 3·C(n,3)·2
 		rows = append(rows, []string{

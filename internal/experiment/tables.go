@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/estimate"
+	"repro/internal/models"
 )
 
 // Table1 reproduces Table I: the specification of the 16-node
@@ -57,28 +59,16 @@ func Table2(cfg Config) (*Report, error) {
 		rows[0] = append(rows[0], fmt.Sprintf("scatter@%dK", m>>10), fmt.Sprintf("gather@%dK", m>>10))
 	}
 	type entry struct {
-		name    string
-		scatter func(m int) float64
-		gather  func(m int) float64
+		name  string
+		model models.CollectivePredictor
 	}
-	entries := []entry{
-		{"het-Hockney",
-			func(m int) float64 { return ms.Het.ScatterLinear(cfg.Root, n, m) },
-			func(m int) float64 { return ms.Het.GatherLinear(cfg.Root, n, m) }},
-		{"LogGP",
-			func(m int) float64 { return ms.LogGP.ScatterLinear(cfg.Root, n, m) },
-			func(m int) float64 { return ms.LogGP.GatherLinear(cfg.Root, n, m) }},
-		{"PLogP",
-			func(m int) float64 { return ms.PLogP.ScatterLinear(cfg.Root, n, m) },
-			func(m int) float64 { return ms.PLogP.GatherLinear(cfg.Root, n, m) }},
-		{"LMO",
-			func(m int) float64 { return ms.LMO.ScatterLinear(cfg.Root, n, m) },
-			func(m int) float64 { return ms.LMO.GatherLinear(cfg.Root, n, m) }},
-	}
+	entries := []entry{{"het-Hockney", ms.Het}, {"LogGP", ms.LogGP}, {"PLogP", ms.PLogP}, {"LMO", ms.LMO}}
 	for _, e := range entries {
 		row := []string{e.name}
+		scatter := curve(e.model, models.CollScatter, collective.AlgLinear, cfg.Root, n)
+		gather := curve(e.model, models.CollGather, collective.AlgLinear, cfg.Root, n)
 		for _, m := range sampleSizes {
-			row = append(row, fmt.Sprintf("%.4fs", e.scatter(m)), fmt.Sprintf("%.4fs", e.gather(m)))
+			row = append(row, fmt.Sprintf("%.4fs", scatter(m)), fmt.Sprintf("%.4fs", gather(m)))
 		}
 		rows = append(rows, row)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
+	"repro/internal/models"
 	"repro/internal/mpi"
 )
 
@@ -38,7 +39,7 @@ func Transfer(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	scatterPred := predict(scatterObs.Sizes, func(m int) float64 { return lmo.ScatterLinear(cfg.Root, n, m) })
+	scatterPred := predict(scatterObs.Sizes, curve(lmo, models.CollScatter, mpi.Linear, cfg.Root, n))
 
 	rep := &Report{
 		ID:    "transfer",
@@ -58,7 +59,7 @@ func Transfer(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lamPred := lmo.GatherLinear(cfg.Root, n, probe)
+	lamPred := curve(lmo, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
 	misclass := math.Abs(lamPred-gObs.Mean[0]) / gObs.Mean[0]
 	rows = append(rows, []string{
 		"empirical parameters (M1, M2, escalations)", "no",
@@ -74,7 +75,7 @@ func Transfer(cfg Config) (*Report, error) {
 	}
 	lmoM := *lmo
 	lmoM.Gather = irrMPICH
-	mpichPred := lmoM.GatherLinear(cfg.Root, n, probe)
+	mpichPred := curve(&lmoM, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
 	refit := math.Abs(mpichPred-gObs.Mean[0]) / gObs.Mean[0]
 	rows = append(rows, []string{
 		"empirical parameters re-detected on MPICH", "—",

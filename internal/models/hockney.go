@@ -3,8 +3,6 @@ package models
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/collective"
 )
 
 // Hockney is the homogeneous Hockney model: point-to-point time
@@ -32,22 +30,16 @@ func (h *Hockney) ScatterLinearSerial(n, m int) float64 {
 // paper's optimistic prediction in Fig 1.
 func (h *Hockney) ScatterLinearParallel(_, m int) float64 { return h.P2P(0, 1, m) }
 
-// ScatterLinear predicts the flat-tree scatter with the serial
-// reading, the choice the paper's Table II uses for Hockney-family models.
-func (h *Hockney) ScatterLinear(_, n, m int) float64 { return h.ScatterLinearSerial(n, m) }
+// flat predicts the flat-tree scatter and gather with the serial
+// reading, the choice the paper's Table II uses for Hockney-family
+// models; by the design of the model gather is scatter (§II).
+func (h *Hockney) flat(_, n, m int) float64 { return h.ScatterLinearSerial(n, m) }
 
-// GatherLinear predicts the flat-tree gather. By the design of the Hockney
-// model the same formula applies to gather (§II).
-func (h *Hockney) GatherLinear(_, n, m int) float64 { return h.ScatterLinearSerial(n, m) }
-
-// ScatterBinomial predicts the binomial scatter: (log₂n)α + (n-1)βM (§II, eq 3).
-func (h *Hockney) ScatterBinomial(_, n, m int) float64 {
+// binomial predicts the binomial scatter and gather:
+// (log₂n)α + (n-1)βM (§II, eq 3).
+func (h *Hockney) binomial(n, m int) float64 {
 	return log2Ceil(n)*h.Alpha + float64(n-1)*h.Beta*float64(m)
 }
-
-// GatherBinomial predicts the binomial gather; identical to scatter
-// by design.
-func (h *Hockney) GatherBinomial(root, n, m int) float64 { return h.ScatterBinomial(root, n, m) }
 
 // String renders the parameters.
 func (h *Hockney) String() string {
@@ -107,34 +99,9 @@ func (h *HetHockney) ScatterLinearParallel(root, m int) float64 {
 	return mx
 }
 
-// ScatterLinear predicts the flat-tree scatter with the serial reading
-// (Table II).
-func (h *HetHockney) ScatterLinear(root, n, m int) float64 {
-	h.checkN(n)
-	return h.ScatterLinearSerial(root, m)
-}
-
-// GatherLinear predicts the flat-tree gather; same formula as scatter
-// (§II).
-func (h *HetHockney) GatherLinear(root, n, m int) float64 {
-	h.checkN(n)
-	return h.ScatterLinearSerial(root, m)
-}
-
-// ScatterBinomial predicts the binomial scatter with the recursive
-// formula (1):
-// sub-trees of equal order proceed in parallel, the largest block is
-// sent first.
-func (h *HetHockney) ScatterBinomial(root, n, m int) float64 {
-	h.checkN(n)
-	return h.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
-}
-
-// GatherBinomial predicts the binomial gather; the Hockney model cannot
-// distinguish the direction, so the same recursion applies.
-func (h *HetHockney) GatherBinomial(root, n, m int) float64 {
-	return h.ScatterBinomial(root, n, m)
-}
+// flat predicts the flat-tree scatter and gather with the serial
+// reading (Table II, §II).
+func (h *HetHockney) flat(root, _, m int) float64 { return h.ScatterLinearSerial(root, m) }
 
 // Averaged collapses the heterogeneous model to a homogeneous Hockney
 // model by averaging all pairs — the paper's "treat the heterogeneous
@@ -157,10 +124,4 @@ func (h *HetHockney) Averaged() *Hockney {
 		return &Hockney{}
 	}
 	return &Hockney{Alpha: a / float64(cnt), Beta: b / float64(cnt)}
-}
-
-func (h *HetHockney) checkN(n int) {
-	if n != h.N() {
-		panic(fmt.Sprintf("models: het-Hockney built for %d processors, asked for %d", h.N(), n))
-	}
 }

@@ -130,42 +130,64 @@ func (x *LMOX) remoteTerm(root, i, m int) float64 {
 	return x.WireCost(root, i, m) + x.RecvCost(i, m)
 }
 
-// ScatterLinear predicts the flat-tree scatter with eq (4): the root's
+// predict answers a valid unsegmented query. LMO separates processor
+// from network costs, so where the conflated models share eq (1) it
+// keeps forms of its own: eqs (4) and (5) for the flat tree, the
+// up-tree recursion for binomial gather, and the separated recursions
+// for every other tree.
+func (x *LMOX) predict(q Query) float64 {
+	natural := q.Tree == nil && q.Degree == 0
+	switch {
+	case natural && q.Alg == collective.AlgLinear && q.Coll == CollScatter:
+		return x.scatterLinear(q.Root, q.M)
+	case natural && q.Alg == collective.AlgLinear && q.Coll == CollGather:
+		return x.gatherLinear(q.Root, q.M)
+	}
+	tree := q.tree()
+	switch q.Coll {
+	case CollScatter:
+		return treeSeparated(tree, scatterBytes(tree, q.M), x.SendCost, x.WireCost, x.RecvCost)
+	case CollGather:
+		if natural && q.Alg == collective.AlgBinomial {
+			// The reverse flow has the same critical path under the
+			// separated model: the parent's receive processing
+			// serializes, the child's send and the wire overlap.
+			return treeSeparated(tree, scatterBytes(tree, q.M), x.RecvCost, x.WireCostRev, x.SendCost)
+		}
+		return x.gatherTree(tree, q.M)
+	case CollBcast:
+		return treeSeparated(tree, bcastBytes(q.M), x.SendCost, x.WireCost, x.RecvCost)
+	default:
+		// Reduction adds the combine work at each interior node, which
+		// the model folds into the receive processing term (the
+		// operands are combined as they are received).
+		return treeSeparated(tree, bcastBytes(q.M), x.RecvCost, x.WireCostRev, x.SendCost)
+	}
+}
+
+// scatterLinear predicts the flat-tree scatter with eq (4): the root's
 // processing serializes, transmissions and remote processing overlap:
 //
 //	(n-1)(C_r + M·t_r) + max_{i≠r}( L_ri + M/β_ri + C_i + M·t_i )
-func (x *LMOX) ScatterLinear(root, n, m int) float64 {
-	x.checkN(n)
-	mx := 0.0
-	for i := 0; i < n; i++ {
-		if i != root {
-			mx = math.Max(mx, x.remoteTerm(root, i, m))
-		}
-	}
-	return float64(n-1)*x.SendCost(root, m) + mx
+func (x *LMOX) scatterLinear(root, m int) float64 {
+	return float64(x.N()-1)*x.SendCost(root, m) + x.maxRemote(root, m)
 }
 
-// GatherLinear predicts the flat-tree gather with eq (5): below M1 the remote
-// terms overlap (max); above M2 the serialized ingress makes them sum;
-// between the thresholds the expected escalation cost is added to the
-// parallel branch. Without empirical parameters the parallel branch is
-// used throughout.
-func (x *LMOX) GatherLinear(root, n, m int) float64 {
-	x.checkN(n)
-	base := float64(n-1) * x.SendCost(root, m)
-	switch {
-	case !x.Gather.Valid() || m <= x.Gather.M1:
-		return base + x.maxRemote(root, n, m)
-	case m >= x.Gather.M2:
-		return base + x.sumRemote(root, n, m)
-	default:
+// gatherLinear predicts the flat-tree gather with eq (5): below M1 the
+// remote terms overlap (max); above M2 the serialized ingress makes
+// them sum; between the thresholds the expected escalation cost is
+// added to the parallel branch. Without empirical parameters the
+// parallel branch is used throughout.
+func (x *LMOX) gatherLinear(root, m int) float64 {
+	low, _ := x.GatherLinearBand(root, x.N(), m)
+	if x.Gather.Valid() && m > x.Gather.M1 && m < x.Gather.M2 {
 		// Concurrent stalls overlap at the root, so the observable is
 		// whether the operation escalated at all: the empirical Prob is
 		// the per-operation escalation probability, and the expected
 		// excursion is Prob times the mean stall magnitude.
-		expected := x.Gather.Prob(m) * x.Gather.MeanEscalation()
-		return base + x.maxRemote(root, n, m) + expected
+		low += x.Gather.Prob(m) * x.Gather.MeanEscalation()
 	}
+	return low
 }
 
 // GatherLinearBand returns the [low, high] band the LMO model predicts
@@ -174,16 +196,16 @@ func (x *LMOX) GatherLinear(root, n, m int) float64 {
 // the model quotes; the paper reports excursions up to ~0.25 s).
 func (x *LMOX) GatherLinearBand(root, n, m int) (low, high float64) {
 	x.checkN(n)
-	base := float64(n-1) * x.SendCost(root, m)
+	low = float64(n-1) * x.SendCost(root, m)
 	switch {
 	case !x.Gather.Valid() || m <= x.Gather.M1:
-		low = base + x.maxRemote(root, n, m)
+		low += x.maxRemote(root, m)
 		return low, low
 	case m >= x.Gather.M2:
-		low = base + x.sumRemote(root, n, m)
+		low += x.sumRemote(root, m)
 		return low, low
 	default:
-		low = base + x.maxRemote(root, n, m)
+		low += x.maxRemote(root, m)
 		return low, low + x.Gather.MaxEscalation()
 	}
 }
@@ -196,26 +218,26 @@ func (x *LMOX) GatherLinearBand(root, n, m int) (low, high float64) {
 // contributes its serialized portion (root slots plus, for gather,
 // the eq 5 empirical terms) and only the largest tail lands on the
 // critical path once.
-func (x *LMOX) linearSegmented(coll Collective, root, n, m, seg int) float64 {
+func (x *LMOX) linearSegmented(coll Collective, root, m, seg int) float64 {
 	total, tailMax := 0.0, 0.0
 	for rest := m; rest > 0; rest -= seg {
 		b := min(rest, seg)
 		var op float64
 		if coll == CollGather {
-			op = x.GatherLinear(root, n, b)
+			op = x.gatherLinear(root, b)
 		} else {
-			op = x.ScatterLinear(root, n, b)
+			op = x.scatterLinear(root, b)
 		}
-		tail := x.maxRemote(root, n, b)
+		tail := x.maxRemote(root, b)
 		total += op - tail
 		tailMax = math.Max(tailMax, tail)
 	}
 	return total + tailMax
 }
 
-func (x *LMOX) maxRemote(root, n, m int) float64 {
+func (x *LMOX) maxRemote(root, m int) float64 {
 	mx := 0.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < x.N(); i++ {
 		if i != root {
 			mx = math.Max(mx, x.remoteTerm(root, i, m))
 		}
@@ -223,9 +245,9 @@ func (x *LMOX) maxRemote(root, n, m int) float64 {
 	return mx
 }
 
-func (x *LMOX) sumRemote(root, n, m int) float64 {
+func (x *LMOX) sumRemote(root, m int) float64 {
 	s := 0.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < x.N(); i++ {
 		if i != root {
 			s += x.remoteTerm(root, i, m)
 		}
@@ -233,22 +255,52 @@ func (x *LMOX) sumRemote(root, n, m int) float64 {
 	return s
 }
 
-// ScatterBinomial predicts the binomial scatter with the separated
-// recursion: each parent's processing serializes across its children
-// while wires and the children's own processing overlap.
-func (x *LMOX) ScatterBinomial(root, n, m int) float64 {
-	x.checkN(n)
-	return x.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
-}
-
-// GatherBinomial predicts the binomial gather: the reverse flow has
-// the same critical path under the separated model (parents receive
-// their children's batches; the parent's receive processing
-// serializes, the child's send and the wire overlap).
-func (x *LMOX) GatherBinomial(root, n, m int) float64 {
-	x.checkN(n)
-	tree := collective.AlgBinomial.Tree(n, root)
-	return treeSeparated(tree, scatterBytes(tree, m), x.RecvCost, x.WireCostRev, x.SendCost)
+// gatherTree predicts a gather over the tree: the up-tree critical path
+// mirrors the down-tree one under the separated model, plus the
+// empirical irregularity of eq (5). Every interior parent with two or
+// more children is a many-to-one fan-in exactly like the flat gather
+// root, so its contended child flows carry the empirical branches:
+//
+//   - In the (M1, M2) region a flow may escalate. The scan measures
+//     Prob over the flat n-1-flow fan-in, so one flow's share is
+//     Prob(b)/(n-1)·MeanEscalation — which makes the flat tree's n-1
+//     edges sum back to the per-operation term gatherLinear charges.
+//     With rare escalations the expected delays of distinct flows
+//     add, so the charge lands on the parent's serialized slot.
+//   - At and above M2 the parent's ingress serializes the transfer
+//     itself (eq 5's sum branch): the flow's transmission time joins
+//     the serialized slot instead of overlapping with its siblings.
+//
+// Prob is zero outside (M1, M2) and single-child parents see no
+// contention (§III's escalations are a many-to-one phenomenon), so
+// regular flows keep the purely structural cost.
+func (x *LMOX) gatherTree(tree *collective.Tree, m int) float64 {
+	bytes := scatterBytes(tree, m)
+	g := x.Gather
+	perFlow := 0.0
+	if g.Valid() && x.N() > 2 {
+		perFlow = g.MeanEscalation() / float64(x.N()-1)
+	}
+	var up func(r int, cs []int) float64
+	up = func(r int, cs []int) float64 {
+		if len(cs) == 0 {
+			return 0
+		}
+		c := cs[0]
+		b := bytes(c)
+		slot := x.RecvCost(r, b)
+		if g.Valid() && len(tree.Children[r]) > 1 {
+			if b >= g.M2 {
+				slot += float64(b) * x.invBeta(c, r)
+			} else {
+				slot += g.Prob(b) * perFlow
+			}
+		}
+		rest := up(r, cs[1:])
+		sub := x.WireCostRev(r, c, b) + x.SendCost(c, b) + up(c, tree.Children[c])
+		return slot + math.Max(rest, sub)
+	}
+	return up(tree.Root, tree.Children[tree.Root])
 }
 
 // WireCostRev is the up-tree (child j to parent i) network part
@@ -313,15 +365,3 @@ func (l *LMO) Beta() [][]float64 { return l.inner.Beta }
 
 // P2P implements CollectivePredictor (L is identically zero).
 func (l *LMO) P2P(src, dst, m int) float64 { return l.inner.P2P(src, dst, m) }
-
-// ScatterLinear predicts the flat-tree scatter.
-func (l *LMO) ScatterLinear(root, n, m int) float64 { return l.inner.ScatterLinear(root, n, m) }
-
-// GatherLinear predicts the flat-tree gather.
-func (l *LMO) GatherLinear(root, n, m int) float64 { return l.inner.GatherLinear(root, n, m) }
-
-// ScatterBinomial predicts the binomial scatter.
-func (l *LMO) ScatterBinomial(root, n, m int) float64 { return l.inner.ScatterBinomial(root, n, m) }
-
-// GatherBinomial predicts the binomial gather.
-func (l *LMO) GatherBinomial(root, n, m int) float64 { return l.inner.GatherBinomial(root, n, m) }

@@ -3,7 +3,6 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/collective"
 	"repro/internal/stats"
 )
 
@@ -39,25 +38,13 @@ func (l *LogP) P2P(_, _, m int) float64 {
 	return l.L + 2*l.O + float64(l.packets(m)-1)*l.G
 }
 
-// ScatterLinear predicts the flat-tree scatter: the root emits (n-1) messages
-// separated by the gap; the last one completes after L + 2o more.
-func (l *LogP) ScatterLinear(_, n, m int) float64 {
+// flat predicts the flat-tree scatter and gather: the root emits (n-1)
+// messages separated by the gap; the last one completes after L + 2o
+// more.
+func (l *LogP) flat(_, n, m int) float64 {
 	per := float64(l.packets(m)) * l.G
 	return l.L + 2*l.O + float64(n-1)*per
 }
-
-// GatherLinear predicts the flat-tree gather; LogP cannot distinguish
-// direction.
-func (l *LogP) GatherLinear(root, n, m int) float64 { return l.ScatterLinear(root, n, m) }
-
-// ScatterBinomial predicts the binomial scatter via the tree recursion
-// with the LogP point-to-point cost.
-func (l *LogP) ScatterBinomial(root, n, m int) float64 {
-	return l.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
-}
-
-// GatherBinomial predicts the binomial gather.
-func (l *LogP) GatherBinomial(root, n, m int) float64 { return l.ScatterBinomial(root, n, m) }
 
 // String renders the parameters.
 func (l *LogP) String() string {
@@ -86,26 +73,14 @@ func (l *LogGP) P2P(_, _, m int) float64 {
 	return l.L + 2*l.O + float64(m-1)*l.BigG
 }
 
-// ScatterLinear predicts the flat-tree scatter with the paper's Table
-// II formula:
-// L + 2o + (n-1)(M-1)G + (n-2)g.
-func (l *LogGP) ScatterLinear(_, n, m int) float64 {
+// flat predicts the flat-tree scatter and gather with the paper's
+// Table II formula: L + 2o + (n-1)(M-1)G + (n-2)g.
+func (l *LogGP) flat(_, n, m int) float64 {
 	if m < 1 {
 		m = 1
 	}
 	return l.L + 2*l.O + float64(n-1)*float64(m-1)*l.BigG + float64(n-2)*l.SmG
 }
-
-// GatherLinear predicts the flat-tree gather; identical by model design.
-func (l *LogGP) GatherLinear(root, n, m int) float64 { return l.ScatterLinear(root, n, m) }
-
-// ScatterBinomial predicts the binomial scatter via the tree recursion.
-func (l *LogGP) ScatterBinomial(root, n, m int) float64 {
-	return l.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
-}
-
-// GatherBinomial predicts the binomial gather.
-func (l *LogGP) GatherBinomial(root, n, m int) float64 { return l.ScatterBinomial(root, n, m) }
 
 // String renders the parameters.
 func (l *LogGP) String() string {
@@ -138,23 +113,9 @@ func (p *PLogP) RecvOverhead(m int) float64 { return p.OR.Eval(float64(m)) }
 // P2P implements CollectivePredictor: L + g(M).
 func (p *PLogP) P2P(_, _, m int) float64 { return p.L + p.Gap(m) }
 
-// ScatterLinear predicts the flat-tree scatter with the paper's Table
-// II formula:
-// L + (n-1)·g(M).
-func (p *PLogP) ScatterLinear(_, n, m int) float64 {
-	return p.L + float64(n-1)*p.Gap(m)
-}
-
-// GatherLinear predicts the flat-tree gather; identical by model design.
-func (p *PLogP) GatherLinear(root, n, m int) float64 { return p.ScatterLinear(root, n, m) }
-
-// ScatterBinomial predicts the binomial scatter via the tree recursion.
-func (p *PLogP) ScatterBinomial(root, n, m int) float64 {
-	return p.ScatterTree(collective.AlgBinomial.Tree(n, root), m)
-}
-
-// GatherBinomial predicts the binomial gather.
-func (p *PLogP) GatherBinomial(root, n, m int) float64 { return p.ScatterBinomial(root, n, m) }
+// flat predicts the flat-tree scatter and gather with the paper's
+// Table II formula: L + (n-1)·g(M).
+func (p *PLogP) flat(_, n, m int) float64 { return p.L + float64(n-1)*p.Gap(m) }
 
 // String renders the parameters compactly.
 func (p *PLogP) String() string {

@@ -4,13 +4,17 @@
 // the paper's six-parameter extension that fully separates the constant
 // and variable contributions of processors and network.
 //
-// All times are in seconds and message sizes in bytes. Each model
+// All times are in seconds and message sizes in bytes. Every model
 // predicts point-to-point communication and collectives through one
-// interface, CollectivePredictor.Predict(Query); the closed forms of
-// the paper's evaluation — linear (flat-tree) and binomial scatter and
-// gather, per Table II and equations (1)–(5) — remain methods of the
-// models, and the tree-capable models add recursions over arbitrary
-// communication trees.
+// interface, CollectivePredictor.Predict(Query), and each model's
+// closed forms sit behind that one dispatch. The five conflated models
+// (Hockney, het-Hockney, LogP, LogGP, PLogP) keep only their flat-tree
+// scatter and gather of Table II, and Hockney its binomial eq (3);
+// every other tree runs through eq (1)'s recursion over their
+// point-to-point time. LMO keeps eqs (4) and (5) and its separated
+// recursions. The few forms a Query has no words for (Fig 1's serial
+// and parallel readings, the gather band, the ring allgather and the
+// linear all-to-all) remain methods of the models.
 package models
 
 import (

@@ -11,19 +11,19 @@ import (
 	"repro/internal/stats"
 )
 
-// Compile-time checks: every model keeps the closed forms of the
-// paper's evaluation beside Predict.
-var (
-	_ flatForms = (*Hockney)(nil)
-	_ flatForms = (*HetHockney)(nil)
-	_ flatForms = (*LogP)(nil)
-	_ flatForms = (*LogGP)(nil)
-	_ flatForms = (*PLogP)(nil)
-	_ flatForms = (*LMO)(nil)
-	_ flatForms = (*LMOX)(nil)
-)
-
 func feq(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(a)) }
+
+// predict returns p's prediction of the coll collective over alg's
+// tree from root on n ranks with m-byte blocks, failing the test on an
+// error.
+func predict(t *testing.T, p CollectivePredictor, coll Collective, alg collective.Alg, root, n, m int) float64 {
+	t.Helper()
+	v, err := p.Predict(Query{Coll: coll, Alg: alg, Root: root, N: n, M: m})
+	if err != nil {
+		t.Fatalf("%s: %v %v: %v", p.Name(), alg, coll, err)
+	}
+	return v
+}
 
 func TestHockneyFormulas(t *testing.T) {
 	h := &Hockney{Alpha: 1e-4, Beta: 1e-8}
@@ -37,12 +37,18 @@ func TestHockneyFormulas(t *testing.T) {
 	if !feq(h.ScatterLinearParallel(16, m), 2e-4) {
 		t.Fatal("parallel scatter")
 	}
-	// eq (3): log2(16)·α + 15·β·M.
-	if !feq(h.ScatterBinomial(0, 16, m), 4*1e-4+15*1e-4) {
-		t.Fatalf("binomial = %v", h.ScatterBinomial(0, 16, m))
+	// Table II: the serial reading.
+	if got := predict(t, h, CollScatter, collective.AlgLinear, 0, 16, m); got != h.ScatterLinearSerial(16, m) {
+		t.Fatalf("linear = %v, want the serial reading", got)
 	}
-	if h.GatherLinear(0, 16, m) != h.ScatterLinear(0, 16, m) {
-		t.Fatal("Hockney cannot distinguish gather from scatter")
+	// eq (3): log2(16)·α + 15·β·M.
+	if got := predict(t, h, CollScatter, collective.AlgBinomial, 0, 16, m); !feq(got, 4*1e-4+15*1e-4) {
+		t.Fatalf("binomial = %v", got)
+	}
+	for _, alg := range collective.Algorithms() {
+		if predict(t, h, CollGather, alg, 0, 16, m) != predict(t, h, CollScatter, alg, 0, 16, m) {
+			t.Fatalf("%v: Hockney cannot distinguish gather from scatter", alg)
+		}
 	}
 }
 
@@ -67,7 +73,7 @@ func TestHetHockneyEquation2(t *testing.T) {
 		a(0, 2)+2*b(0, 2)*mf+math.Max(a(0, 1)+b(0, 1)*mf, a(2, 3)+b(2, 3)*mf),
 		a(4, 6)+2*b(4, 6)*mf+math.Max(a(4, 5)+b(4, 5)*mf, a(6, 7)+b(6, 7)*mf),
 	)
-	if got := h.ScatterBinomial(0, n, M); !feq(got, want) {
+	if got := predict(t, h, CollScatter, collective.AlgBinomial, 0, n, M); !feq(got, want) {
 		t.Fatalf("eq(2): got %v, want %v", got, want)
 	}
 }
@@ -90,9 +96,9 @@ func TestHetHockneyCollapsesToHomogeneous(t *testing.T) {
 			t.Fatalf("averaged = %+v", hom)
 		}
 		M := 1 << 14
-		if !feq(h.ScatterBinomial(0, n, M), hom.ScatterBinomial(0, n, M)) {
-			t.Fatalf("n=%d: het %v != hom %v", n,
-				h.ScatterBinomial(0, n, M), hom.ScatterBinomial(0, n, M))
+		het := predict(t, h, CollScatter, collective.AlgBinomial, 0, n, M)
+		if eq3 := predict(t, hom, CollScatter, collective.AlgBinomial, 0, n, M); !feq(het, eq3) {
+			t.Fatalf("n=%d: het %v != hom %v", n, het, eq3)
 		}
 	}
 }
@@ -142,10 +148,11 @@ func TestLogGPFormulas(t *testing.T) {
 	}
 	// Table II: L + 2o + (n-1)(M-1)G + (n-2)g.
 	want := 1e-4 + 4e-5 + 15*1e4*1e-8 + 14*5e-5
-	if !feq(l.ScatterLinear(0, 16, m), want) {
-		t.Fatalf("scatter = %v, want %v", l.ScatterLinear(0, 16, m), want)
+	scatter := predict(t, l, CollScatter, collective.AlgLinear, 0, 16, m)
+	if !feq(scatter, want) {
+		t.Fatalf("scatter = %v, want %v", scatter, want)
 	}
-	if l.GatherLinear(0, 16, m) != l.ScatterLinear(0, 16, m) {
+	if predict(t, l, CollGather, collective.AlgLinear, 0, 16, m) != scatter {
 		t.Fatal("LogGP gather must equal scatter")
 	}
 	// m=0 is clamped to 1 byte.
@@ -167,7 +174,7 @@ func TestPLogPFormulas(t *testing.T) {
 	if !feq(p.P2P(0, 1, m), 1e-4+wantGap) {
 		t.Fatal("p2p = L + g(M)")
 	}
-	if !feq(p.ScatterLinear(0, 16, m), 1e-4+15*wantGap) {
+	if !feq(predict(t, p, CollScatter, collective.AlgLinear, 0, 16, m), 1e-4+15*wantGap) {
 		t.Fatal("Table II PLogP scatter")
 	}
 	if !feq(p.SendOverhead(m), 5e-6) || !feq(p.RecvOverhead(m), 6e-6) {
@@ -219,7 +226,7 @@ func TestLMOXScatterLinearEq4(t *testing.T) {
 		mx = math.Max(mx, term)
 	}
 	want := float64(n-1)*(x.C[root]+float64(m)*x.T[root]) + mx
-	if got := x.ScatterLinear(root, n, m); !feq(got, want) {
+	if got := predict(t, x, CollScatter, collective.AlgLinear, root, n, m); !feq(got, want) {
 		t.Fatalf("eq(4): got %v, want %v", got, want)
 	}
 }
@@ -234,18 +241,19 @@ func TestLMOXGatherLinearEq5Branches(t *testing.T) {
 	}
 	root := 0
 	base := func(m int) float64 { return float64(n-1) * (x.C[root] + float64(m)*x.T[root]) }
+	gather := func(m int) float64 { return predict(t, x, CollGather, collective.AlgLinear, root, n, m) }
 
 	small := 1 << 10
-	if !feq(x.GatherLinear(root, n, small), base(small)+x.maxRemote(root, n, small)) {
+	if !feq(gather(small), base(small)+x.maxRemote(root, small)) {
 		t.Fatal("small-message branch should be the max form")
 	}
 	big := 128 << 10
-	if !feq(x.GatherLinear(root, n, big), base(big)+x.sumRemote(root, n, big)) {
+	if !feq(gather(big), base(big)+x.sumRemote(root, big)) {
 		t.Fatal("large-message branch should be the sum form")
 	}
 	mid := 32 << 10
-	got := x.GatherLinear(root, n, mid)
-	low := base(mid) + x.maxRemote(root, n, mid)
+	got := gather(mid)
+	low := base(mid) + x.maxRemote(root, mid)
 	if got <= low {
 		t.Fatal("mid-region expectation should exceed the clean line")
 	}
@@ -270,7 +278,7 @@ func TestLMOXGatherSteeperThanScatterForLargeM(t *testing.T) {
 	x := buildLMOX(n)
 	x.Gather = GatherEmpirical{M1: 4 << 10, M2: 64 << 10}
 	m := 200 << 10
-	if x.GatherLinear(0, n, m) <= x.ScatterLinear(0, n, m) {
+	if predict(t, x, CollGather, collective.AlgLinear, 0, n, m) <= predict(t, x, CollScatter, collective.AlgLinear, 0, n, m) {
 		t.Fatal("above M2 gather must be steeper than scatter (sum vs max)")
 	}
 }
@@ -307,8 +315,8 @@ func TestSeparatedBinomialNoSlowerThanConflated(t *testing.T) {
 		x := buildLMOX(n)
 		h := x.HockneyView()
 		for _, m := range []int{0, 1 << 10, 64 << 10, 1 << 20} {
-			sep := x.ScatterBinomial(0, n, m)
-			con := h.ScatterBinomial(0, n, m)
+			sep := predict(t, x, CollScatter, collective.AlgBinomial, 0, n, m)
+			con := predict(t, h, CollScatter, collective.AlgBinomial, 0, n, m)
 			if sep > con+1e-15 {
 				t.Fatalf("n=%d m=%d: separated %v > conflated %v", n, m, sep, con)
 			}
@@ -337,7 +345,7 @@ func TestLMOOriginalFoldsLatency(t *testing.T) {
 		t.Fatal("original and extended models must be distinguishable")
 	}
 	l.inner.Gather = GatherEmpirical{M1: 10, M2: 20}
-	if l.GatherLinear(0, n, 15) <= l.GatherLinear(0, n, 9) {
+	if predict(t, l, CollGather, collective.AlgLinear, 0, n, 15) <= predict(t, l, CollGather, collective.AlgLinear, 0, n, 9) {
 		t.Fatal("gather empirical parameters should apply")
 	}
 }
@@ -347,7 +355,7 @@ func TestLMOOriginalFoldsLatency(t *testing.T) {
 func TestPredictionsMonotoneInSize(t *testing.T) {
 	g, _ := stats.NewPWLinear([]float64{0, 1 << 20}, []float64{1e-5, 1e-2})
 	o, _ := stats.NewPWLinear([]float64{0}, []float64{1e-6})
-	preds := []flatForms{
+	preds := []CollectivePredictor{
 		&Hockney{Alpha: 1e-4, Beta: 1e-8},
 		&LogP{L: 1e-4, O: 1e-5, G: 1e-5, W: 1024},
 		&LogGP{L: 1e-4, O: 1e-5, SmG: 5e-5, BigG: 1e-8},
@@ -358,8 +366,8 @@ func TestPredictionsMonotoneInSize(t *testing.T) {
 	for _, p := range preds {
 		for _, f := range []func(int) float64{
 			func(m int) float64 { return p.P2P(0, 1, m) },
-			func(m int) float64 { return p.ScatterLinear(0, 16, m) },
-			func(m int) float64 { return p.ScatterBinomial(0, 16, m) },
+			func(m int) float64 { return predict(t, p, CollScatter, collective.AlgLinear, 0, 16, m) },
+			func(m int) float64 { return predict(t, p, CollScatter, collective.AlgBinomial, 0, 16, m) },
 		} {
 			prev := -1.0
 			for _, m := range sizes {
@@ -415,28 +423,11 @@ func TestMoreCollectivePredictors(t *testing.T) {
 	if a2a <= ag/2 {
 		t.Fatalf("alltoall (%v) should be substantial vs allgather (%v)", a2a, ag)
 	}
-	// Homogeneous Hockney shapes.
-	hk := &Hockney{Alpha: 1e-4, Beta: 1e-8}
-	if hk.AllgatherRing(n, m) != float64(n-1)*hk.P2P(0, 1, m) {
-		t.Fatal("hockney allgather")
-	}
-	if hk.AlltoallLinear(n, m) != hk.AllgatherRing(n, m) {
-		t.Fatal("hockney alltoall should match its allgather form")
-	}
-	// Het ring uses the slowest hop.
-	het := NewHetHockney(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i != j {
-				het.Alpha[i][j] = 1e-4
-				het.Beta[i][j] = 1e-8
-			}
-		}
-	}
-	het.Alpha[1][2] = 5e-4 // slow hop on the ring
-	want := 2 * het.P2P(1, 2, m)
-	if got := het.AllgatherRing(3, m); got != want {
-		t.Fatalf("het allgather = %v, want %v", got, want)
+	// The ring gates every round on its slowest hop.
+	x.L[3][4] += 1e-3
+	hop := x.SendCost(3, m) + x.WireCost(3, 4, m) + x.RecvCost(4, m)
+	if got := x.AllgatherRing(n, m); got != float64(n-1)*hop {
+		t.Fatalf("allgather with a slow hop = %v, want %v", got, float64(n-1)*hop)
 	}
 }
 
@@ -516,7 +507,7 @@ func TestPredictorSurfaceUniform(t *testing.T) {
 			}
 		}
 	}
-	preds := []flatForms{
+	preds := []CollectivePredictor{
 		&Hockney{Alpha: 1e-4, Beta: 1e-8},
 		het,
 		&LogP{L: 1e-4, O: 1e-5, G: 1e-5, W: 1024, P: 8},
@@ -534,10 +525,10 @@ func TestPredictorSurfaceUniform(t *testing.T) {
 		names[p.Name()] = true
 		for what, v := range map[string]float64{
 			"p2p":             p.P2P(0, 1, m),
-			"scatterLinear":   p.ScatterLinear(root, n, m),
-			"gatherLinear":    p.GatherLinear(root, n, m),
-			"scatterBinomial": p.ScatterBinomial(root, n, m),
-			"gatherBinomial":  p.GatherBinomial(root, n, m),
+			"scatterLinear":   predict(t, p, CollScatter, collective.AlgLinear, root, n, m),
+			"gatherLinear":    predict(t, p, CollGather, collective.AlgLinear, root, n, m),
+			"scatterBinomial": predict(t, p, CollScatter, collective.AlgBinomial, root, n, m),
+			"gatherBinomial":  predict(t, p, CollGather, collective.AlgBinomial, root, n, m),
 		} {
 			if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
 				t.Fatalf("%s: %s = %v", p.Name(), what, v)
@@ -549,8 +540,8 @@ func TestPredictorSurfaceUniform(t *testing.T) {
 	}
 }
 
-// LMOX.GatherBinomial mirrors ScatterBinomial under homogeneous
-// parameters (the reverse flow has the same critical path).
+// LMOX's binomial gather mirrors its binomial scatter under
+// homogeneous parameters (the reverse flow has the same critical path).
 func TestLMOXBinomialSymmetries(t *testing.T) {
 	n := 8
 	x := NewLMOX(n)
@@ -565,7 +556,7 @@ func TestLMOXBinomialSymmetries(t *testing.T) {
 		}
 	}
 	m := 16 << 10
-	if !feq(x.GatherBinomial(0, n, m), x.ScatterBinomial(0, n, m)) {
+	if !feq(predict(t, x, CollGather, collective.AlgBinomial, 0, n, m), predict(t, x, CollScatter, collective.AlgBinomial, 0, n, m)) {
 		t.Fatal("homogeneous gather/scatter binomial should coincide")
 	}
 	if !feq(x.WireCostRev(1, 2, m), x.WireCost(2, 1, m)) {
@@ -573,10 +564,14 @@ func TestLMOXBinomialSymmetries(t *testing.T) {
 	}
 }
 
+// The forms a Query has no words for take the rank count and panic
+// when it is not the model's; Predict answers such a query with an
+// error instead (TestCapabilitiesMatchBehavior).
 func TestCheckNPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"het-hockney": func() { NewHetHockney(4).ScatterLinear(0, 5, 1) },
-		"lmox":        func() { NewLMOX(4).ScatterLinear(0, 5, 1) },
+		"gather band": func() { NewLMOX(4).GatherLinearBand(0, 5, 1) },
+		"allgather":   func() { NewLMOX(4).AllgatherRing(5, 1) },
+		"alltoall":    func() { NewLMOX(4).AlltoallLinear(5, 1) },
 	} {
 		func() {
 			defer func() {

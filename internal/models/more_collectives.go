@@ -59,27 +59,3 @@ func (x *LMOX) AlltoallLinear(n, m int) float64 {
 	}
 	return float64(n-1)*cpu + maxWire
 }
-
-// AllgatherRing predicts the ring allgather under the homogeneous
-// Hockney model: (n-1)(α + βM).
-func (h *Hockney) AllgatherRing(n, m int) float64 {
-	return float64(n-1) * h.P2P(0, 1, m)
-}
-
-// AlltoallLinear predicts the linear all-to-all under the homogeneous
-// Hockney model; the model cannot separate the two serialized CPU
-// phases from the wire, so the whole hop is charged per peer.
-func (h *Hockney) AlltoallLinear(n, m int) float64 {
-	return float64(n-1) * h.P2P(0, 1, m)
-}
-
-// AllgatherRing predicts the ring allgather with per-pair parameters:
-// rounds gate on the slowest ring hop.
-func (h *HetHockney) AllgatherRing(n, m int) float64 {
-	h.checkN(n)
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		worst = math.Max(worst, h.P2P(i, (i+1)%n, m))
-	}
-	return float64(n-1) * worst
-}

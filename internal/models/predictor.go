@@ -153,59 +153,45 @@ type CollectivePredictor interface {
 	Predict(Query) (float64, error)
 }
 
-// closedForms is the per-algorithm surface predictTree dispatches
-// over: a tree-capable model's closed forms for linear and binomial
-// scatter/gather (eqs (1)–(5)) plus its tree recursions.
-type closedForms interface {
-	ScatterLinear(root, n, m int) float64
-	GatherLinear(root, n, m int) float64
-	ScatterBinomial(root, n, m int) float64
-	GatherBinomial(root, n, m int) float64
-	ScatterTree(tree *collective.Tree, m int) float64
-	GatherTree(tree *collective.Tree, m int) float64
-	BcastTree(tree *collective.Tree, m int) float64
-	ReduceTree(tree *collective.Tree, m int) float64
+// conflated is what the five conflated models (Hockney, het-Hockney,
+// LogP, LogGP, PLogP) do not share. Each folds processor and network
+// costs into one point-to-point time, so each prices every
+// communication tree by eq (1)'s recursion over P2P; only the flat-tree
+// scatter and gather of Table II, and Hockney's binomial eq (3), have
+// forms of their own. A gather runs the scatter's recursion and a
+// reduction the broadcast's: the models cannot tell the directions
+// apart.
+type conflated interface {
+	P2P(src, dst, m int) float64
+	// flat predicts the flat-tree scatter and gather.
+	flat(root, n, m int) float64
 }
 
-// predictTree answers a query with a tree-capable model: flat-tree
-// scatter/gather resolve through ScatterLinear/GatherLinear (keeping
-// eq (4) and the empirical eq (5) branches), binomial scatter/gather
-// through the per-model closed forms, everything else through the tree
-// recursions. Segmented queries sum ceil(M/Segment) per-piece
-// predictions.
-func predictTree(p closedForms, q Query) (float64, error) {
+// predictConflated answers a query with a conflated model. Segmented
+// queries sum ceil(M/Segment) per-piece predictions.
+func predictConflated(p conflated, q Query) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
 	if q.Segment > 0 && q.Segment < q.M {
-		return predictSegmented(func(piece Query) (float64, error) { return predictTree(p, piece) }, q)
+		return predictSegmented(func(piece Query) (float64, error) { return predictConflated(p, piece) }, q)
 	}
-	if q.Tree == nil && q.Degree == 0 {
-		// The special forms: eq (4)/(5) for the flat tree (including
-		// the empirical gather branches) and the per-model binomial
-		// closed forms of eq (3).
-		switch {
-		case q.Alg == collective.AlgLinear && q.Coll == CollScatter:
-			return p.ScatterLinear(q.Root, q.N, q.M), nil
-		case q.Alg == collective.AlgLinear && q.Coll == CollGather:
-			return p.GatherLinear(q.Root, q.N, q.M), nil
-		case q.Alg == collective.AlgBinomial && q.Coll == CollScatter:
-			return p.ScatterBinomial(q.Root, q.N, q.M), nil
-		case q.Alg == collective.AlgBinomial && q.Coll == CollGather:
-			return p.GatherBinomial(q.Root, q.N, q.M), nil
+	blocks := q.Coll == CollScatter || q.Coll == CollGather
+	if blocks && q.Tree == nil && q.Degree == 0 {
+		switch q.Alg {
+		case collective.AlgLinear:
+			return p.flat(q.Root, q.N, q.M), nil
+		case collective.AlgBinomial:
+			if h, ok := p.(*Hockney); ok {
+				return h.binomial(q.N, q.M), nil
+			}
 		}
 	}
 	tree := q.tree()
-	switch q.Coll {
-	case CollScatter:
-		return p.ScatterTree(tree, q.M), nil
-	case CollGather:
-		return p.GatherTree(tree, q.M), nil
-	case CollBcast:
-		return p.BcastTree(tree, q.M), nil
-	default:
-		return p.ReduceTree(tree, q.M), nil
+	if blocks {
+		return treeRecursive(tree, scatterBytes(tree, q.M), p.P2P), nil
 	}
+	return treeRecursive(tree, bcastBytes(q.M), p.P2P), nil
 }
 
 // predictSegmented sums the per-piece predictions of a segmented
@@ -242,7 +228,7 @@ var (
 func (h *Hockney) Capabilities() Capabilities { return Capabilities{Trees: true} }
 
 // Predict implements CollectivePredictor.
-func (h *Hockney) Predict(q Query) (float64, error) { return predictTree(h, q) }
+func (h *Hockney) Predict(q Query) (float64, error) { return predictConflated(h, q) }
 
 // Capabilities implements CollectivePredictor.
 func (h *HetHockney) Capabilities() Capabilities {
@@ -254,26 +240,26 @@ func (h *HetHockney) Predict(q Query) (float64, error) {
 	if n := h.N(); q.N != n {
 		return 0, fmt.Errorf("models: %s estimated for %d processors, query has %d", h.Name(), n, q.N)
 	}
-	return predictTree(h, q)
+	return predictConflated(h, q)
 }
 
 // Capabilities implements CollectivePredictor.
 func (l *LogP) Capabilities() Capabilities { return Capabilities{Trees: true} }
 
 // Predict implements CollectivePredictor.
-func (l *LogP) Predict(q Query) (float64, error) { return predictTree(l, q) }
+func (l *LogP) Predict(q Query) (float64, error) { return predictConflated(l, q) }
 
 // Capabilities implements CollectivePredictor.
 func (l *LogGP) Capabilities() Capabilities { return Capabilities{Trees: true} }
 
 // Predict implements CollectivePredictor.
-func (l *LogGP) Predict(q Query) (float64, error) { return predictTree(l, q) }
+func (l *LogGP) Predict(q Query) (float64, error) { return predictConflated(l, q) }
 
 // Capabilities implements CollectivePredictor.
 func (p *PLogP) Capabilities() Capabilities { return Capabilities{Trees: true} }
 
 // Predict implements CollectivePredictor.
-func (p *PLogP) Predict(q Query) (float64, error) { return predictTree(p, q) }
+func (p *PLogP) Predict(q Query) (float64, error) { return predictConflated(p, q) }
 
 // Capabilities implements CollectivePredictor.
 func (x *LMOX) Capabilities() Capabilities {
@@ -290,14 +276,16 @@ func (x *LMOX) Predict(q Query) (float64, error) {
 	if q.N != x.N() {
 		return 0, fmt.Errorf("models: LMO estimated for %d processors, query has %d", x.N(), q.N)
 	}
-	if q.Segment > 0 && q.Segment < q.M && q.Tree == nil && q.Degree == 0 &&
-		q.Alg == collective.AlgLinear && (q.Coll == CollScatter || q.Coll == CollGather) {
-		if err := q.Validate(); err != nil {
-			return 0, err
-		}
-		return x.linearSegmented(q.Coll, q.Root, q.N, q.M, q.Segment), nil
+	if err := q.Validate(); err != nil {
+		return 0, err
 	}
-	return predictTree(x, q)
+	if q.Segment > 0 && q.Segment < q.M {
+		if q.Tree == nil && q.Degree == 0 && q.Alg == collective.AlgLinear && (q.Coll == CollScatter || q.Coll == CollGather) {
+			return x.linearSegmented(q.Coll, q.Root, q.M, q.Segment), nil
+		}
+		return predictSegmented(x.Predict, q)
+	}
+	return x.predict(q), nil
 }
 
 // Capabilities implements CollectivePredictor: the original
@@ -305,7 +293,8 @@ func (x *LMOX) Predict(q Query) (float64, error) {
 // evaluation (linear and binomial scatter/gather).
 func (l *LMO) Capabilities() Capabilities { return Capabilities{PerNode: true} }
 
-// Predict implements CollectivePredictor.
+// Predict implements CollectivePredictor through the extended model's
+// forms, limited to linear and binomial scatter and gather.
 func (l *LMO) Predict(q Query) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -319,16 +308,8 @@ func (l *LMO) Predict(q Query) (float64, error) {
 	if q.Tree != nil || q.Degree != 0 {
 		return 0, fmt.Errorf("models: %s predicts no tree shapes beyond linear and binomial", l.Name())
 	}
-	switch {
-	case q.Coll == CollScatter && q.Alg == collective.AlgLinear:
-		return l.ScatterLinear(q.Root, q.N, q.M), nil
-	case q.Coll == CollScatter && q.Alg == collective.AlgBinomial:
-		return l.ScatterBinomial(q.Root, q.N, q.M), nil
-	case q.Coll == CollGather && q.Alg == collective.AlgLinear:
-		return l.GatherLinear(q.Root, q.N, q.M), nil
-	case q.Coll == CollGather && q.Alg == collective.AlgBinomial:
-		return l.GatherBinomial(q.Root, q.N, q.M), nil
-	default:
-		return 0, fmt.Errorf("models: %s cannot predict %v %v", l.Name(), q.Alg, q.Coll)
+	if (q.Coll == CollScatter || q.Coll == CollGather) && (q.Alg == collective.AlgLinear || q.Alg == collective.AlgBinomial) {
+		return l.inner.predict(q), nil
 	}
+	return 0, fmt.Errorf("models: %s cannot predict %v %v", l.Name(), q.Alg, q.Coll)
 }

@@ -50,87 +50,28 @@ func zoo(n int) []CollectivePredictor {
 	}
 }
 
-// flatForms is the per-algorithm closed-form surface every model keeps
-// for the paper's evaluation: linear and binomial scatter/gather.
-type flatForms interface {
-	CollectivePredictor
-	ScatterLinear(root, n, m int) float64
-	GatherLinear(root, n, m int) float64
-	ScatterBinomial(root, n, m int) float64
-	GatherBinomial(root, n, m int) float64
-}
-
-// treeForms is the tree recursions of the tree-capable models.
-type treeForms interface {
-	ScatterTree(tree *collective.Tree, m int) float64
-	GatherTree(tree *collective.Tree, m int) float64
-	BcastTree(tree *collective.Tree, m int) float64
-	ReduceTree(tree *collective.Tree, m int) float64
-}
-
-// The headline equivalence: for every model, every operation and every
-// algorithm family, Predict answers exactly what the model's closed
-// forms and tree recursions answer, bit for bit.
-func TestPredictMatchesLegacyMethods(t *testing.T) {
-	const n, root = 8, 2
-	sizes := []int{1, 1 << 10, 8 << 10, 48 << 10, 1 << 20} // spans the LMO irregular region
-	for _, p := range zoo(n) {
-		forms := p.(flatForms)
-		tp, hasTrees := p.(treeForms)
-		for _, m := range sizes {
-			check := func(coll Collective, alg collective.Alg, want float64) {
-				t.Helper()
-				got, err := p.Predict(Query{Coll: coll, Alg: alg, Root: root, N: n, M: m})
-				if err != nil {
-					t.Fatalf("%s: Predict(%v,%v,m=%d): %v", p.Name(), coll, alg, m, err)
-				}
-				if got != want {
-					t.Fatalf("%s: Predict(%v,%v,m=%d) = %v, closed form = %v", p.Name(), coll, alg, m, got, want)
-				}
-			}
-			check(CollScatter, collective.AlgLinear, forms.ScatterLinear(root, n, m))
-			check(CollGather, collective.AlgLinear, forms.GatherLinear(root, n, m))
-			check(CollScatter, collective.AlgBinomial, forms.ScatterBinomial(root, n, m))
-			check(CollGather, collective.AlgBinomial, forms.GatherBinomial(root, n, m))
-			if !hasTrees {
-				continue
-			}
-			for _, alg := range collective.Algorithms() {
-				tree := alg.Tree(n, root)
-				// Linear and binomial scatter/gather resolve through the
-				// closed forms checked above; the structural tree shapes
-				// must match the tree methods.
-				if alg == collective.AlgBinary || alg == collective.AlgChain {
-					check(CollScatter, alg, tp.ScatterTree(tree, m))
-					check(CollGather, alg, tp.GatherTree(tree, m))
-				}
-				check(CollBcast, alg, tp.BcastTree(tree, m))
-				check(CollReduce, alg, tp.ReduceTree(tree, m))
-			}
-		}
-	}
-}
-
-// An explicit Query.Tree must answer exactly like the tree methods,
-// and a k-ary degree like the KAry constructor.
+// A k-ary degree must answer exactly like the explicit KAry tree, for
+// every collective and every model that predicts trees.
 func TestPredictTreeAndDegreeForms(t *testing.T) {
 	const n, root, m = 8, 0, 16 << 10
-	x := buildLMOX(n)
 	tree := collective.KAry(n, root, 4)
-	want := x.ScatterTree(tree, m)
-	got, err := x.Predict(Query{Coll: CollScatter, Alg: collective.AlgBinary, Degree: 4, Root: root, N: n, M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("degree-4 scatter = %v, KAry tree method = %v", got, want)
-	}
-	got, err = x.Predict(Query{Coll: CollGather, Tree: tree, Root: root, N: n, M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want = x.GatherTree(tree, m); got != want {
-		t.Fatalf("explicit-tree gather = %v, tree method = %v", got, want)
+	for _, p := range zoo(n) {
+		if !p.Capabilities().Trees {
+			continue
+		}
+		for _, coll := range []Collective{CollScatter, CollGather, CollBcast, CollReduce} {
+			got, err := p.Predict(Query{Coll: coll, Alg: collective.AlgBinary, Degree: 4, Root: root, N: n, M: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Predict(Query{Coll: coll, Tree: tree, Root: root, N: n, M: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s: degree-4 %v = %v, explicit KAry tree = %v", p.Name(), coll, got, want)
+			}
+		}
 	}
 }
 
@@ -150,8 +91,9 @@ func TestPredictSegmentedSumsPieces(t *testing.T) {
 	}
 	// Two full segments and a 2K remainder: sum of the pieces minus the
 	// two tails that overlap the next piece's processing.
-	sum := 2*x.GatherLinear(root, n, seg) + x.GatherLinear(root, n, m-2*seg)
-	want := sum - x.maxRemote(root, n, seg) - x.maxRemote(root, n, m-2*seg)
+	piece := func(b int) float64 { return predict(t, x, CollGather, collective.AlgLinear, root, n, b) }
+	sum := 2*piece(seg) + piece(m-2*seg)
+	want := sum - x.maxRemote(root, seg) - x.maxRemote(root, m-2*seg)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("segmented gather = %v, pipelined pieces = %v", got, want)
 	}

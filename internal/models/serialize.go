@@ -2,6 +2,7 @@ package models
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/stats"
@@ -54,15 +55,51 @@ func (s Set) Predictors() [6]CollectivePredictor {
 		slot(s.LogGP != nil, s.LogGP), slot(s.PLogP != nil, s.PLogP), slot(s.LMO != nil, s.LMO)}
 }
 
-// Set reconstructs the file's models; it fails only on malformed PLogP
-// knot lists.
+// File is the inverse of ModelFile.Set: the model file that carries
+// the set's models, without provenance.
+func (s Set) File() *ModelFile {
+	return NewModelFile(s.Hom, s.Het, s.LogP, s.LogGP, s.PLogP, s.LMO)
+}
+
+// Set reconstructs the file's models. It fails on malformed PLogP knot
+// lists and on per-node parameters that do not describe one cluster of
+// n processors: het-Hockney's α and β must be n×n, LMO's C and t n long
+// and its L and β n×n, so that no prediction indexes past them.
 func (mf *ModelFile) Set() (Set, error) {
 	plogp, err := mf.GetPLogP()
 	if err != nil {
 		return Set{}, err
 	}
+	if h := mf.HetHockney; h != nil {
+		n := len(h.Alpha)
+		if err := errors.Join(square("het_hockney alpha", h.Alpha, n), square("het_hockney beta", h.Beta, n)); err != nil {
+			return Set{}, err
+		}
+	}
+	if l := mf.LMO; l != nil {
+		n := len(l.C)
+		if len(l.T) != n {
+			return Set{}, fmt.Errorf("models: lmo has %d c values and %d t values", n, len(l.T))
+		}
+		if err := errors.Join(square("lmo l", l.L, n), square("lmo beta", l.Beta, n)); err != nil {
+			return Set{}, err
+		}
+	}
 	return Set{Hom: mf.Hockney, Het: mf.GetHetHockney(), LogP: mf.LogP,
 		LogGP: mf.LogGP, PLogP: plogp, LMO: mf.GetLMO()}, nil
+}
+
+// square reports an error unless the named matrix is n×n.
+func square(name string, m [][]float64, n int) error {
+	if len(m) != n {
+		return fmt.Errorf("models: %s has %d rows, want %d", name, len(m), n)
+	}
+	for i, row := range m {
+		if len(row) != n {
+			return fmt.Errorf("models: %s row %d has %d entries, want %d", name, i, len(row), n)
+		}
+	}
+	return nil
 }
 
 // Meta records the estimation provenance of a model file: which

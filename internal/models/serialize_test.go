@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/stats"
 )
 
@@ -69,7 +70,10 @@ func TestModelFileRoundTrip(t *testing.T) {
 		t.Fatalf("lmo empirical params lost: %+v", l2.Gather)
 	}
 	// The reconstructed model predicts collectives identically.
-	if l2.GatherLinear(0, 3, 30<<10) != lmo.GatherLinear(0, 3, 30<<10) {
+	gather := func(p CollectivePredictor) float64 {
+		return predict(t, p, CollGather, collective.AlgLinear, 0, 3, 30<<10)
+	}
+	if gather(l2) != gather(lmo) {
 		t.Fatal("gather prediction changed after round trip")
 	}
 }
@@ -141,5 +145,40 @@ func TestModelFileWithoutMeta(t *testing.T) {
 	}
 	if mf.Meta != nil {
 		t.Fatalf("meta = %+v, want nil", mf.Meta)
+	}
+}
+
+// A model file whose per-node arrays disagree in length is refused
+// when its models are reconstructed, instead of decoding fine and
+// panicking at prediction time. The first file is one lmoserve used to
+// preload without error and then answer /predict for with a panic.
+func TestSetRejectsRaggedModels(t *testing.T) {
+	for _, body := range []string{
+		`{"version":1,"meta":{"cluster":"table1","nodes":3,"profile":"LAM 7.1.3","seed":1},"lmo":{"c":[1e-5,1e-5,1e-5],"t":[1e-9],"l":[[0]],"beta":[]}}`,
+		`{"version":1,"lmo":{"c":[1e-5,1e-5],"t":[1e-9,1e-9],"l":[[0,4e-5],[4e-5]],"beta":[[0,1e8],[1e8,0]]}}`,
+		`{"version":1,"lmo":{"c":[1e-5,1e-5],"t":[1e-9,1e-9],"l":[[0,4e-5],[4e-5,0]],"beta":[[0,1e8]]}}`,
+		`{"version":1,"het_hockney":{"alpha":[[0,1e-4],[1e-4,0]],"beta":[[0,1e-8],[1e-8]]}}`,
+		`{"version":1,"het_hockney":{"alpha":[[0,1e-4,1e-4],[1e-4,0,1e-4]],"beta":[[0,1e-8,1e-8],[1e-8,0,1e-8]]}}`,
+	} {
+		mf, err := UnmarshalModelFile([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if s, err := mf.Set(); err == nil {
+			t.Errorf("Set accepted the ragged file %s as %+v", body, s)
+		}
+	}
+	// Square arrays of one size pass, the empty cluster included.
+	for _, body := range []string{
+		`{"version":1,"lmo":{"c":[],"t":[],"l":[],"beta":[]},"het_hockney":{"alpha":[],"beta":[]}}`,
+		`{"version":1,"lmo":{"c":[1e-5],"t":[1e-9],"l":[[0]],"beta":[[0]]},"het_hockney":{"alpha":[[0]],"beta":[[0]]}}`,
+	} {
+		mf, err := UnmarshalModelFile([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mf.Set(); err != nil {
+			t.Errorf("Set refused %s: %v", body, err)
+		}
 	}
 }

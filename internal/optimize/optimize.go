@@ -73,7 +73,8 @@ func OptimizedGather(r *mpi.Rank, root int, block []byte, g models.GatherEmpiric
 // It seeds a greedy assignment — positions in decreasing subtree size
 // get processors in increasing cost order — and improves it with
 // pairwise-swap local search. root stays fixed at its position. The
-// returned perm maps tree position → processor; perm[root] == root.
+// returned perm maps tree position → processor; perm[root] == root. n
+// must be the number of processors x was estimated for.
 func MapBinomialTree(x *models.LMOX, root, n, m int) ([]int, float64) {
 	tree := collective.AlgBinomial.Tree(n, root)
 
@@ -108,7 +109,11 @@ func MapBinomialTree(x *models.LMOX, root, n, m int) ([]int, float64) {
 	}
 
 	eval := func(perm []int) float64 {
-		return x.ScatterTree(applyMapping(tree, perm), m)
+		t, err := x.Predict(models.Query{Coll: models.CollScatter, Tree: applyMapping(tree, perm), Root: root, N: n, M: m})
+		if err != nil {
+			panic("optimize: MapBinomialTree: " + err.Error())
+		}
+		return t
 	}
 	best := eval(perm)
 	// Local search: first-improvement pairwise swaps, bounded passes.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/stats"
@@ -24,6 +25,17 @@ func lmoxFor(n int) *models.LMOX {
 		}
 	}
 	return x
+}
+
+// predict returns p's prediction of the coll collective over alg's
+// tree from root 0 on n ranks, failing the test on an error.
+func predict(t *testing.T, p models.CollectivePredictor, coll models.Collective, alg collective.Alg, n, m int) float64 {
+	t.Helper()
+	v, err := p.Predict(models.Query{Coll: coll, Alg: alg, N: n, M: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestSelectAlgAmongSwitches(t *testing.T) {
@@ -194,7 +206,7 @@ func TestMapBinomialTreeImprovesHeterogeneous(t *testing.T) {
 	for i := range identity {
 		identity[i] = i
 	}
-	naive := x.ScatterBinomial(0, n, m)
+	naive := predict(t, x, models.CollScatter, mpi.Binomial, n, m)
 	perm, best := MapBinomialTree(x, 0, n, m)
 	seen := make([]bool, n)
 	for _, p := range perm {
@@ -217,7 +229,7 @@ func TestMapBinomialTreeHomogeneousIsNeutral(t *testing.T) {
 	x := lmoxFor(n)
 	m := 8 << 10
 	_, best := MapBinomialTree(x, 0, n, m)
-	base := x.ScatterBinomial(0, n, m)
+	base := predict(t, x, models.CollScatter, mpi.Binomial, n, m)
 	if best > base+1e-12 {
 		t.Fatalf("mapping on a homogeneous cluster must not hurt: %v > %v", best, base)
 	}

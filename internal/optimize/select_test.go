@@ -3,7 +3,6 @@ package optimize
 import (
 	"testing"
 
-	"repro/internal/collective"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/stats"
@@ -65,7 +64,7 @@ func TestBestRootPrefersFastProcessor(t *testing.T) {
 	if root != 3 {
 		t.Fatalf("best scatter root = %d, want 3", root)
 	}
-	if pred >= x.ScatterLinear(0, n, 32<<10) {
+	if pred >= predict(t, x, models.CollScatter, mpi.Linear, n, 32<<10) {
 		t.Fatal("best root should beat root 0")
 	}
 	if groot, _ := BestRoot(x, models.CollGather, n, 1<<10); groot != 3 {
@@ -79,15 +78,15 @@ func TestBestRootPrefersFastProcessor(t *testing.T) {
 func TestTreePredictionOrdering(t *testing.T) {
 	x := lmoxFor(16)
 	m := 64
-	chain := x.ScatterTree(collective.Chain(16, 0), m)
-	binom := x.ScatterTree(collective.Binomial(16, 0), m)
+	chain := predict(t, x, models.CollScatter, mpi.Chain, 16, m)
+	binom := predict(t, x, models.CollScatter, mpi.Binomial, 16, m)
 	if chain <= binom {
 		t.Fatalf("chain (%v) should be slowest for tiny messages vs binomial (%v)", chain, binom)
 	}
 	// Scatter arcs carry subtree multiples of the block while bcast
 	// arcs carry one block, so at equal block size the binomial scatter
 	// cannot be cheaper than the binomial bcast.
-	bcast := x.BcastTree(collective.Binomial(16, 0), m)
+	bcast := predict(t, x, models.CollBcast, mpi.Binomial, 16, m)
 	if binom < bcast {
 		t.Fatalf("scatter (%v) should not be cheaper than bcast (%v) at equal m", binom, bcast)
 	}

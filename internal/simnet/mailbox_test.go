@@ -224,7 +224,7 @@ func checkMailboxAgainstScan(t *testing.T, seed int64) scanCoverage {
 }
 
 // TestDeepMailboxDrainZeroAlloc pins the tag-indexed mailbox's steady
-// state, in the manner of simbench's TestCondBroadcastCycleZeroAlloc.
+// state, in the manner of vtime's TestCondBroadcastCycleZeroAlloc.
 // In each round fifteen senders send node 0 one message per tag over
 // 64 tags, and node 0 drains the 960 messages in descending tag order,
 // naming each source, so its mailbox holds up to 64 tags' lists at

@@ -543,7 +543,7 @@ func (e *Engine) bumpSteps() bool {
 func (e *Engine) callEvent(ev event) {
 	// The deferred recover closure is open-coded by the compiler and
 	// captures only the receiver; it does not heap-allocate (pinned by
-	// simbench's TestDisabledTracingZeroAlloc, which fires a handler
+	// TestDisabledTracingZeroAlloc, which fires a handler
 	// event per iteration).
 	//lmovet:allow hotalloc
 	defer func() {
