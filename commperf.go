@@ -268,7 +268,7 @@ type (
 // uplink, wide-area), and the grouped estimation exploits the leaf
 // structure to collapse the experiment count.
 type (
-	// Topology is a switch graph with typed links and interned routes.
+	// Topology is a switch graph with typed links and a route table.
 	Topology = topo.Topology
 	// TopoLinkSpec is one fabric link class (latency, rate, lanes).
 	TopoLinkSpec = topo.ClassSpec

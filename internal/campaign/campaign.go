@@ -29,7 +29,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/textplot"
-	"repro/internal/topo"
 )
 
 // TargetKind selects what a grid target runs.
@@ -75,15 +74,9 @@ type Grid struct {
 	Profiles []*cluster.TCPProfile // default: {LAM}
 	Clusters []ClusterSpec         // default: {table1}
 	Targets  []Target              // required
-
-	// Topologies are topology specs (topo.ParseSpec syntax, e.g.
-	// "twotier:4x8" or "fattree:8") expanded into additional cluster
-	// specs with default hardware — the topology sweep axis.
-	Topologies []string
-
-	Est     estimate.Options // estimation options for every task
-	ObsReps int              // observation repetitions (experiment targets)
-	Root    int              // collective root
+	Est      estimate.Options      // estimation options for every task
+	ObsReps  int                   // observation repetitions (experiment targets)
+	Root     int                   // collective root
 }
 
 func (g Grid) withDefaults() Grid {
@@ -93,16 +86,6 @@ func (g Grid) withDefaults() Grid {
 	if len(g.Profiles) == 0 {
 		g.Profiles = []*cluster.TCPProfile{cluster.LAM()}
 	}
-	clusters := append([]ClusterSpec(nil), g.Clusters...)
-	for _, spec := range g.Topologies {
-		if t, err := topo.ParseSpec(spec); err == nil {
-			clusters = append(clusters, ClusterSpec{
-				Name:    spec,
-				Cluster: cluster.FromTopology(t, cluster.NodeSpec{}, cluster.LinkSpec{}),
-			})
-		}
-	}
-	g.Clusters = clusters
 	if len(g.Clusters) == 0 {
 		g.Clusters = []ClusterSpec{{Name: "table1", Cluster: cluster.Table1()}}
 	}
@@ -146,11 +129,6 @@ func (g Grid) validate(customOK bool) error {
 	for _, c := range g.Clusters {
 		if c.Cluster == nil {
 			return fmt.Errorf("campaign: cluster spec %q has a nil cluster", c.Name)
-		}
-	}
-	for _, spec := range g.Topologies {
-		if _, err := topo.ParseSpec(spec); err != nil {
-			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	for _, p := range g.Profiles {

@@ -96,11 +96,12 @@ func (c *Cluster) Validate() error {
 }
 
 // uniformLinks builds a symmetric link matrix where every off-diagonal
-// pair gets the same spec.
+// pair gets the same spec. The rows share one backing array.
 func uniformLinks(n int, spec LinkSpec) [][]LinkSpec {
+	all := make([]LinkSpec, n*n)
 	links := make([][]LinkSpec, n)
 	for i := range links {
-		links[i] = make([]LinkSpec, n)
+		links[i] = all[i*n : (i+1)*n : (i+1)*n]
 		for j := range links[i] {
 			if i != j {
 				links[i][j] = spec

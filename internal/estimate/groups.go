@@ -803,11 +803,13 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 		model.T[i] = est[g.Of[i]].t
 	}
 	// A link's parameters depend only on its endpoints' groups, the same
-	// either way round: fill the matrices row by row, in storage order.
-	for i := 0; i < n; i++ {
-		gi := g.Of[i]
+	// either way round: fill the rows of each group's first member, and
+	// copy them to the group's other members.
+	for gi, members := range g.Groups {
+		first := members[0]
+		rowL, rowB := model.L[first], model.Beta[first]
 		for j := 0; j < n; j++ {
-			if j == i {
+			if j == first {
 				continue
 			}
 			gj := g.Of[j]
@@ -820,7 +822,15 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 			if ib > 0 {
 				beta = 1 / ib
 			}
-			model.L[i][j], model.Beta[i][j] = l, beta
+			rowL[j], rowB[j] = l, beta
+		}
+		// Member i's row is the first member's with the zero diagonal
+		// and the intra-group link at first and i swapped.
+		for _, i := range members[1:] {
+			copy(model.L[i], rowL)
+			copy(model.Beta[i], rowB)
+			model.L[i][first], model.L[i][i] = rowL[i], 0
+			model.Beta[i][first], model.Beta[i][i] = rowB[i], 0
 		}
 	}
 	return model, g, rep, nil

@@ -13,7 +13,8 @@ import (
 // node count, and a set that decodes must round-trip through Set.File
 // and back unchanged, in memory and through JSON. The seed corpus
 // under testdata/fuzz/FuzzModelFile holds a whole zoo, partial and
-// empty files, and the ragged files Set refuses. Run it with
+// empty files, the ragged files Set refuses, and a file whose meta
+// names another node count than its LMO covers. Run it with
 //
 //	go test -run '^$' -fuzz FuzzModelFile -fuzztime 10s ./internal/models
 func FuzzModelFile(f *testing.F) {

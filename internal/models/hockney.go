@@ -56,12 +56,7 @@ type HetHockney struct {
 
 // NewHetHockney allocates an n×n heterogeneous Hockney model.
 func NewHetHockney(n int) *HetHockney {
-	h := &HetHockney{Alpha: make([][]float64, n), Beta: make([][]float64, n)}
-	for i := range h.Alpha {
-		h.Alpha[i] = make([]float64, n)
-		h.Beta[i] = make([]float64, n)
-	}
-	return h
+	return &HetHockney{Alpha: squareMatrix(n), Beta: squareMatrix(n)}
 }
 
 // N returns the number of processors the model covers.

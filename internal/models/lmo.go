@@ -76,19 +76,26 @@ type LMOX struct {
 	Gather GatherEmpirical
 }
 
-// NewLMOX allocates an n-processor extended LMO model.
+// NewLMOX allocates an n-processor extended LMO model. The rows of L
+// and of Beta share one backing array each.
 func NewLMOX(n int) *LMOX {
-	m := &LMOX{
+	return &LMOX{
 		C:    make([]float64, n),
 		T:    make([]float64, n),
-		L:    make([][]float64, n),
-		Beta: make([][]float64, n),
+		L:    squareMatrix(n),
+		Beta: squareMatrix(n),
 	}
-	for i := range m.L {
-		m.L[i] = make([]float64, n)
-		m.Beta[i] = make([]float64, n)
+}
+
+// squareMatrix returns an n×n zero matrix whose rows share one backing
+// array.
+func squareMatrix(n int) [][]float64 {
+	all := make([]float64, n*n)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = all[i*n : (i+1)*n : (i+1)*n]
 	}
-	return m
+	return rows
 }
 
 // N returns the number of processors the model covers.

@@ -64,26 +64,36 @@ func (s Set) File() *ModelFile {
 // Set reconstructs the file's models. It fails on malformed PLogP knot
 // lists and on per-node parameters that do not describe one cluster of
 // n processors: het-Hockney's α and β must be n×n, LMO's C and t n long
-// and its L and β n×n, so that no prediction indexes past them.
+// and its L and β n×n, so that no prediction indexes past them. Both
+// families must cover the same n, and so must the file's provenance
+// when it names a node count, so that a server keying the set by its
+// provenance never serves a family that refuses the key's node count.
 func (mf *ModelFile) Set() (Set, error) {
 	plogp, err := mf.GetPLogP()
 	if err != nil {
 		return Set{}, err
 	}
+	n := -1 // the per-node families' node count, once one is seen
 	if h := mf.HetHockney; h != nil {
-		n := len(h.Alpha)
+		n = len(h.Alpha)
 		if err := errors.Join(square("het_hockney alpha", h.Alpha, n), square("het_hockney beta", h.Beta, n)); err != nil {
 			return Set{}, err
 		}
 	}
 	if l := mf.LMO; l != nil {
-		n := len(l.C)
+		if n >= 0 && len(l.C) != n {
+			return Set{}, fmt.Errorf("models: het_hockney covers %d nodes and lmo %d", n, len(l.C))
+		}
+		n = len(l.C)
 		if len(l.T) != n {
 			return Set{}, fmt.Errorf("models: lmo has %d c values and %d t values", n, len(l.T))
 		}
 		if err := errors.Join(square("lmo l", l.L, n), square("lmo beta", l.Beta, n)); err != nil {
 			return Set{}, err
 		}
+	}
+	if m := mf.Meta; m != nil && m.Nodes != 0 && n >= 0 && m.Nodes != n {
+		return Set{}, fmt.Errorf("models: meta names %d nodes, the per-node models cover %d", m.Nodes, n)
 	}
 	return Set{Hom: mf.Hockney, Het: mf.GetHetHockney(), LogP: mf.LogP,
 		LogGP: mf.LogGP, PLogP: plogp, LMO: mf.GetLMO()}, nil

@@ -148,6 +148,45 @@ func TestModelFileWithoutMeta(t *testing.T) {
 	}
 }
 
+// metaNodesMismatch is a file whose meta names 3 nodes and whose LMO
+// covers 4: lmoserve used to preload it without error, and then answer
+// every /predict for its key with the lmo row missing. It is also in
+// FuzzModelFile's seed corpus.
+const metaNodesMismatch = `{"version":1,"meta":{"cluster":"table1","nodes":3,"profile":"LAM 7.1.3","seed":1},"lmo":{"c":[1e-5,1e-5,1e-5,1e-5],"t":[1e-9,1e-9,1e-9,1e-9],"l":[[0,4e-5,4e-5,4e-5],[4e-5,0,4e-5,4e-5],[4e-5,4e-5,0,4e-5],[4e-5,4e-5,4e-5,0]],"beta":[[0,1e8,1e8,1e8],[1e8,0,1e8,1e8],[1e8,1e8,0,1e8],[1e8,1e8,1e8,0]]}}`
+
+// A model file is one platform's: its per-node families and its meta,
+// when that names a node count, must agree on the node count.
+func TestSetRejectsDisagreeingNodeCounts(t *testing.T) {
+	for _, body := range []string{
+		metaNodesMismatch,
+		`{"version":1,"het_hockney":{"alpha":[[0,1e-4],[1e-4,0]],"beta":[[0,1e-8],[1e-8,0]]},"lmo":{"c":[1e-5],"t":[1e-9],"l":[[0]],"beta":[[0]]}}`,
+		`{"version":1,"meta":{"cluster":"table1","nodes":1,"profile":"LAM 7.1.3","seed":1},"het_hockney":{"alpha":[[0,1e-4],[1e-4,0]],"beta":[[0,1e-8],[1e-8,0]]}}`,
+	} {
+		mf, err := UnmarshalModelFile([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if s, err := mf.Set(); err == nil {
+			t.Errorf("Set accepted %s as %+v", body, s)
+		}
+	}
+	// One node count passes, as does a meta that names none or a file
+	// without per-node families.
+	for _, body := range []string{
+		`{"version":1,"meta":{"cluster":"table1","nodes":2,"profile":"LAM 7.1.3","seed":1},"het_hockney":{"alpha":[[0,1e-4],[1e-4,0]],"beta":[[0,1e-8],[1e-8,0]]},"lmo":{"c":[1e-5,1e-5],"t":[1e-9,1e-9],"l":[[0,4e-5],[4e-5,0]],"beta":[[0,1e8],[1e8,0]]}}`,
+		`{"version":1,"meta":{"cluster":"table1","profile":"LAM 7.1.3","seed":1},"lmo":{"c":[1e-5],"t":[1e-9],"l":[[0]],"beta":[[0]]}}`,
+		`{"version":1,"meta":{"cluster":"table1","nodes":8,"profile":"LAM 7.1.3","seed":1},"hockney":{"Alpha":0.0001,"Beta":1e-08}}`,
+	} {
+		mf, err := UnmarshalModelFile([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mf.Set(); err != nil {
+			t.Errorf("Set refused %s: %v", body, err)
+		}
+	}
+}
+
 // A model file whose per-node arrays disagree in length is refused
 // when its models are reconstructed, instead of decoding fine and
 // panicking at prediction time. The first file is one lmoserve used to

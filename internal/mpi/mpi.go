@@ -170,10 +170,16 @@ var idleWorlds struct {
 }
 
 // openWorld returns a world set up for a job under cfg: an idle world
-// of the cluster's node count and topology, or a new one.
+// of the cluster's node count and topology, or a new one. Either way
+// the cluster is validated once: simnet.New validates and sets up a new
+// network, and Network.Reset validates and resets a recycled one (the
+// cluster may have been edited since the world's last job).
 func openWorld(cfg Config) (*World, error) {
 	cl := cfg.Cluster
 	if w := takeWorld(cl.N(), cl.Topo); w != nil {
+		if err := w.net.Reset(cl, cfg.Profile, cfg.Seed); err != nil {
+			return nil, err
+		}
 		return w, w.setup(cfg)
 	}
 	eng := vtime.NewEngine()
@@ -186,14 +192,11 @@ func openWorld(cfg Config) (*World, error) {
 }
 
 // setup prepares the world for a job under cfg, the same way whether
-// the world is new or recycled: it resets the engine and the network,
-// installs the fault plan and the observer, and restarts the ranks'
-// sequences and shared cells.
+// the world is new or recycled, once its network is set up for the
+// job: it resets the engine, installs the fault plan and the observer,
+// and restarts the ranks' sequences and shared cells.
 func (w *World) setup(cfg Config) error {
 	w.eng.Reset()
-	if err := w.net.Reset(cfg.Cluster, cfg.Profile, cfg.Seed); err != nil {
-		return err
-	}
 	if err := w.net.SetFaults(cfg.Faults); err != nil {
 		return err
 	}

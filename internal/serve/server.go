@@ -169,7 +169,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		Sleep:   sleep,
 	})
 	for _, mf := range cfg.Preload {
-		if _, err := s.reg.Put(mf); err != nil {
+		if err := s.preload(mf); err != nil {
 			cancel()
 			return nil, fmt.Errorf("serve: preloading models: %w", err)
 		}
@@ -311,6 +311,43 @@ var profileNames = map[string]string{
 	"lam":   cluster.LAM().Name,
 	"mpich": cluster.MPICH().Name,
 	"ideal": cluster.Ideal().Name,
+}
+
+// canonicalProfile resolves a TCP profile, named as a platform names it
+// ("lam") or as registry keys carry it ("LAM 7.1.3"), to the name keys
+// carry.
+func canonicalProfile(name string) (string, bool) {
+	if display, ok := profileNames[name]; ok {
+		return display, true
+	}
+	// The display names are distinct: at most one matches.
+	//lmovet:commutative
+	for _, display := range profileNames {
+		if display == name {
+			return display, true
+		}
+	}
+	return "", false
+}
+
+// preload puts a model file on the registry under the key a request
+// for its platform resolves to: the profile its meta names, as a
+// request names it or as keys carry it, becomes the name keys carry,
+// and an unknown profile is refused. The caller's file is not changed.
+func (s *Server) preload(mf *models.ModelFile) error {
+	if mf.Meta != nil {
+		prof, ok := canonicalProfile(mf.Meta.Profile)
+		if !ok {
+			return fmt.Errorf("unknown profile %q in the model file's meta (lam, mpich, ideal)", mf.Meta.Profile)
+		}
+		meta := *mf.Meta
+		meta.Profile = prof
+		cp := *mf
+		cp.Meta = &meta
+		mf = &cp
+	}
+	_, err := s.reg.Put(mf)
+	return err
 }
 
 // key validates the platform and returns its registry key. It builds

@@ -329,6 +329,56 @@ func TestPredictFromPreload(t *testing.T) {
 	}
 }
 
+// A preloaded file whose meta names its profile as requests do ("lam")
+// is keyed by the name requests resolve to ("LAM 7.1.3"): its first
+// /predict is a hit, and nothing is estimated. Keyed by the meta's
+// name as written, the preload was never found, and the first /predict
+// estimated the platform again.
+func TestPreloadResolvesProfileAsRequestsDo(t *testing.T) {
+	for _, prof := range []string{"lam", cluster.LAM().Name} {
+		mf := fakeFile(Key{Cluster: "table1", Nodes: 8, Profile: prof, Seed: 1})
+		s, ts := testServer(t, Config{Preload: []*models.ModelFile{mf}})
+		if mf.Meta.Profile != prof {
+			t.Fatalf("preload changed the caller's meta to %q", mf.Meta.Profile)
+		}
+		var pred PredictResponse
+		status, body := postJSON(t, ts.URL+"/predict", map[string]any{
+			"cluster": "table1", "nodes": 8, "profile": "lam",
+			"op": "scatter", "m": 1024,
+		}, &pred)
+		if status != http.StatusOK || pred.Cache != "hit" {
+			t.Fatalf("meta profile %q: status %d cache %q, want 200/hit: %s", prof, status, pred.Cache, body)
+		}
+		if st := s.reg.Stats(); st.Estimations != 0 {
+			t.Fatalf("meta profile %q: %d estimations, want 0", prof, st.Estimations)
+		}
+	}
+}
+
+// A preloaded file whose meta names a profile no request can name is
+// refused: no request would ever find it.
+func TestNewRejectsPreloadOfUnknownProfile(t *testing.T) {
+	for _, prof := range []string{"openmpi", ""} {
+		mf := fakeFile(Key{Cluster: "table1", Nodes: 8, Profile: prof, Seed: 1})
+		if _, err := New(context.Background(), Config{Preload: []*models.ModelFile{mf}}); err == nil {
+			t.Errorf("New accepted a preload whose meta names profile %q", prof)
+		}
+	}
+}
+
+// A preloaded file whose per-node models cover another node count than
+// its meta names is refused. Served under its meta's key, every
+// /predict answered 200 with the lmo row missing, since LMO refuses
+// the key's node count.
+func TestNewRejectsPreloadOfOtherNodeCount(t *testing.T) {
+	lmo := models.NewLMOX(4)
+	mf := models.NewModelFile(&models.Hockney{Alpha: 1e-4, Beta: 1e-8}, nil, nil, nil, nil, lmo)
+	mf.Meta = &models.Meta{Cluster: "table1", Nodes: 3, Profile: cluster.LAM().Name, Seed: 1}
+	if _, err := New(context.Background(), Config{Preload: []*models.ModelFile{mf}}); err == nil {
+		t.Fatal("New accepted a 4-node LMO model under a 3-node meta")
+	}
+}
+
 func TestPredictValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	bad := []map[string]any{

@@ -152,17 +152,15 @@ func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed 
 		cpus:        make([]*vtime.Resource, n),
 		conds:       make([]*vtime.Cond, n),
 		boxes:       make([]mailbox, n),
-		linkFree:    make([][]time.Duration, n),
+		linkFree:    square[time.Duration](n),
 		ingressFree: make([]time.Duration, n),
-		inflight:    make([][]int, n),
+		inflight:    square[int](n),
 		inflightTot: make([]int, n),
 		dead:        make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		net.cpus[i] = vtime.NewResource(eng, cpuName(i), 1)
 		net.conds[i] = vtime.NewCond(eng)
-		net.linkFree[i] = make([]time.Duration, n)
-		net.inflight[i] = make([]int, n)
 	}
 	if tp := net.topo; tp != nil {
 		net.laneFree = make([][]time.Duration, 2*tp.NumEdges())
@@ -172,6 +170,16 @@ func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed 
 	}
 	net.reset(cl, prof, seed)
 	return net, nil
+}
+
+// square returns an n×n zero matrix whose rows share one backing array.
+func square[T any](n int) [][]T {
+	all := make([]T, n*n)
+	rows := make([][]T, n)
+	for i := range rows {
+		rows[i] = all[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
 }
 
 // cpuNames is the table of CPU resource names cpu0, cpu1, ..., rendered

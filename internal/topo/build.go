@@ -74,7 +74,7 @@ func FatTree(k int, fabric ClassSpec) *Topology {
 		i := (h % (half * half)) / half
 		nodeOf[h] = p*half + i
 	}
-	var edges []Edge
+	edges := make([]Edge, 0, 2*k*half*half) // edge-aggregation, then aggregation-core
 	for p := 0; p < k; p++ {
 		for i := 0; i < half; i++ {
 			for j := 0; j < half; j++ {

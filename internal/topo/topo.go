@@ -10,13 +10,15 @@
 // LinkSpec describes the access segment (NIC and first switch port),
 // while the topology adds the store-and-forward fabric between the
 // endpoints' switches. Routes are deterministic shortest paths,
-// computed once at construction and interned per (source switch,
-// destination switch), so the simulator's hot path looks a route up
-// with two array indexings and no allocation.
+// computed once at construction between every pair of switches that
+// host nodes (spines and cores are only passed through), into one
+// table whose hops share one array, so the simulator's hot path looks
+// a route up with a few array indexings and no allocation.
 package topo
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -97,8 +99,8 @@ type Edge struct {
 	Spec ClassSpec
 }
 
-// Route is the interned path between two switches: the directed edge
-// ids to traverse in order, plus the precomputed uncontended totals a
+// Route is the path between two switches: the directed edge ids to
+// traverse in order, plus the precomputed uncontended totals a
 // predictor or ground-truth query needs. A directed edge id is
 // 2·edgeIndex+0 for the A→B direction and 2·edgeIndex+1 for B→A.
 type Route struct {
@@ -108,17 +110,18 @@ type Route struct {
 	MaxClass Class         // highest tier crossed (Intra for an empty route)
 }
 
-// Topology is an immutable switch graph with node placement and
-// interned route tables. Build one with New or the shape constructors;
-// do not mutate the fields after construction.
+// Topology is an immutable switch graph with node placement and a
+// route table. Build one with New or the shape constructors; do not
+// mutate the fields after construction.
 type Topology struct {
 	Name     string
 	Switches int
 	NodeOf   []int // node index -> switch index
 	Edges    []Edge
 
-	routes   []Route // deduplicated hop sequences; routes[0] is the empty route
-	routeIdx []int32 // srcSwitch*Switches+dstSwitch -> index into routes
+	hostRow []int32 // switch -> its row and column of routes; -1 for a switch with no node
+	hosts   int     // switches with nodes: routes is hosts×hosts
+	routes  []Route // row-major by (source, destination) host switch; their Hops share one array
 }
 
 // New builds a topology and computes its route tables. NodeOf maps
@@ -180,8 +183,13 @@ func (t *Topology) Validate() error {
 	if err := t.validateStructure(); err != nil {
 		return err
 	}
-	if len(t.routeIdx) != t.Switches*t.Switches {
+	if len(t.hostRow) != t.Switches {
 		return fmt.Errorf("topo: route table not built (construct topologies with topo.New)")
+	}
+	for i, s := range t.NodeOf {
+		if t.hostRow[s] < 0 {
+			return fmt.Errorf("topo: node %d on switch %d, which the route table has no row for", i, s)
+		}
 	}
 	return nil
 }
@@ -192,15 +200,22 @@ type halfEdge struct {
 	de int32 // directed edge id
 }
 
-// buildRoutes computes deterministic shortest paths between every
-// switch pair with BFS and interns the hop sequences. Among equal-cost
-// parents the reconstruction spreads deterministically by a hash of
-// (src, dst, depth) — the ECMP-like load spreading that keeps a
-// fat-tree's core from collapsing onto one switch — so the chosen path
-// is a pure function of the topology and the pair.
+// buildRoutes computes deterministic shortest paths from every switch
+// that hosts nodes to every other one, with one BFS per source, which
+// also rejects a disconnected graph. Among equal-cost parents the
+// reconstruction spreads deterministically by a hash of (src, dst,
+// depth) — the ECMP-like load spreading that keeps a fat-tree's core
+// from collapsing onto one switch — so the chosen path is a pure
+// function of the topology and the pair. Route takes nodes, so routes
+// that start or end at a switch without nodes are never built.
 func (t *Topology) buildRoutes() error {
 	s := t.Switches
-	adj := make([][]halfEdge, s)
+	deg := make([]int, s)
+	for _, e := range t.Edges {
+		deg[e.A]++
+		deg[e.B]++
+	}
+	adj := carve(deg)
 	for ei, e := range t.Edges {
 		adj[e.A] = append(adj[e.A], halfEdge{e.B, int32(2 * ei)})
 		adj[e.B] = append(adj[e.B], halfEdge{e.A, int32(2*ei + 1)})
@@ -208,23 +223,38 @@ func (t *Topology) buildRoutes() error {
 	// Adjacency lists are appended in edge order, which is already
 	// deterministic; BFS visits them in that order.
 
-	t.routes = []Route{{}} // routes[0]: the empty (same-switch) route
-	t.routeIdx = make([]int32, s*s)
-	intern := map[string]int32{"": 0}
+	hasNode := make([]bool, s)
+	for _, sw := range t.NodeOf {
+		hasNode[sw] = true
+	}
+	t.hostRow = make([]int32, s)
+	hostSw := make([]int, 0, s) // the switches with nodes, in index order
+	for sw, ok := range hasNode {
+		t.hostRow[sw] = -1
+		if ok {
+			t.hostRow[sw] = int32(len(hostSw))
+			hostSw = append(hostSw, sw)
+		}
+	}
+	t.hosts = len(hostSw)
+	t.routes = make([]Route, t.hosts*t.hosts)
 
+	// Every route's hops go into one array, back to back in table
+	// order. Appending may move the array, so each route is pointed at
+	// its window only once all are written.
+	var hops []int32
 	dist := make([]int, s)
-	parents := make([][]halfEdge, s) // per switch: equal-cost incoming half-edges
+	parents := carve(deg) // per switch: equal-cost incoming half-edges
 	queue := make([]int, 0, s)
-	for src := 0; src < s; src++ {
+	for r, src := range hostSw {
 		for i := range dist {
 			dist[i] = -1
 			parents[i] = parents[i][:0]
 		}
 		dist[src] = 0
 		queue = append(queue[:0], src)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		for next := 0; next < len(queue); next++ { // each switch is queued once: no growth past s
+			v := queue[next]
 			for _, h := range adj[v] {
 				switch {
 				case dist[h.to] == -1:
@@ -236,31 +266,55 @@ func (t *Topology) buildRoutes() error {
 				}
 			}
 		}
-		for dst := 0; dst < s; dst++ {
-			if src == dst {
-				continue // routeIdx already 0
+		for v, d := range dist {
+			if d == -1 {
+				return fmt.Errorf("topo: switches %d and %d are not connected", src, v)
 			}
-			if dist[dst] == -1 {
-				return fmt.Errorf("topo: switches %d and %d are not connected", src, dst)
+		}
+		if hops == nil { // size the array by the first source's routes: exact when every source sees the same distances
+			need := 0
+			for _, dst := range hostSw {
+				need += dist[dst]
 			}
-			hops := make([]int32, dist[dst])
+			hops = make([]int32, 0, t.hosts*need)
+		}
+		for c, dst := range hostSw {
+			start := len(hops)
+			hops = slices.Grow(hops, dist[dst])[:start+dist[dst]]
 			for v, d := src, dst; d != v; {
 				ps := parents[d]
 				h := ps[mix(src, dst, dist[d])%uint32(len(ps))]
-				hops[dist[d]-1] = h.de
+				hops[start+dist[d]-1] = h.de
 				d = t.otherEnd(h.de)
 			}
-			key := hopKey(hops)
-			idx, ok := intern[key]
-			if !ok {
-				idx = int32(len(t.routes))
-				t.routes = append(t.routes, t.makeRoute(hops))
-				intern[key] = idx
-			}
-			t.routeIdx[src*s+dst] = idx
+			t.routes[r*t.hosts+c] = t.makeRoute(hops[start:])
 		}
 	}
+	at := 0
+	for i := range t.routes {
+		n := len(t.routes[i].Hops)
+		t.routes[i].Hops = hops[at : at+n : at+n]
+		at += n
+	}
 	return nil
+}
+
+// carve returns one empty list per switch, with room for deg[v]
+// half-edges, all cut from one array: a switch's adjacency list and its
+// BFS parents never outgrow its degree.
+func carve(deg []int) [][]halfEdge {
+	lists := make([][]halfEdge, len(deg))
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	all := make([]halfEdge, total)
+	at := 0
+	for v, d := range deg {
+		lists[v] = all[at : at : at+d]
+		at += d
+	}
+	return lists
 }
 
 // otherEnd returns the switch a directed edge id leads *from* (its
@@ -279,18 +333,6 @@ func mix(src, dst, depth int) uint32 {
 	h := uint32(src)*0x9e3779b1 ^ uint32(dst)*0x85ebca77 ^ uint32(depth)*0xc2b2ae3d
 	h ^= h >> 15
 	return h
-}
-
-// hopKey encodes a hop sequence for interning.
-func hopKey(hops []int32) string {
-	b := make([]byte, 4*len(hops))
-	for i, h := range hops {
-		b[4*i] = byte(h)
-		b[4*i+1] = byte(h >> 8)
-		b[4*i+2] = byte(h >> 16)
-		b[4*i+3] = byte(h >> 24)
-	}
-	return string(b)
 }
 
 // makeRoute precomputes a route's uncontended totals.
@@ -313,21 +355,23 @@ func (t *Topology) Nodes() int { return len(t.NodeOf) }
 // NumEdges returns the number of undirected fabric edges.
 func (t *Topology) NumEdges() int { return len(t.Edges) }
 
-// NumRoutes returns the number of distinct interned routes (including
-// the empty route) — the interning statistic the benchmarks report.
-func (t *Topology) NumRoutes() int { return len(t.routes) }
+// NumRoutes returns the number of distinct routes in the table,
+// counting the empty route once. Distinct endpoints give distinct hop
+// sequences, so only the empty route repeats: once per switch with
+// nodes, on the table's diagonal.
+func (t *Topology) NumRoutes() int { return len(t.routes) - t.hosts + 1 }
 
 // HasFabric reports whether any node pair crosses a fabric link; a
 // single-switch topology has none and the simulator skips the fabric
 // phase entirely.
 func (t *Topology) HasFabric() bool { return len(t.Edges) > 0 }
 
-// Route returns the interned route between two nodes' switches. The
-// returned route is shared and must not be mutated.
+// Route returns the route between two nodes' switches. The returned
+// route is shared and must not be mutated.
 //
 //lmovet:hotpath
 func (t *Topology) Route(src, dst int) *Route {
-	return &t.routes[t.routeIdx[t.NodeOf[src]*t.Switches+t.NodeOf[dst]]]
+	return &t.routes[int(t.hostRow[t.NodeOf[src]])*t.hosts+int(t.hostRow[t.NodeOf[dst]])]
 }
 
 // EdgeSpec returns the link class of a directed edge id from a route's

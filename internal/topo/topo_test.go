@@ -111,11 +111,12 @@ func TestRouteInterning(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("same switch pair returned distinct route objects")
 	}
-	// 32 nodes, but the table holds only the empty route, the 4·3
-	// directed rack pairs and the 4·2 rack-spine legs: interning keeps
-	// it switch-pair-sized, not node-pair-sized.
-	if tp.NumRoutes() != 1+4*3+4*2 {
-		t.Fatalf("interned %d routes, want 21", tp.NumRoutes())
+	// 32 nodes, but the table holds only the empty route and the 4·3
+	// directed rack pairs: it is sized by the switches with nodes, not
+	// by the node pairs, and the spine, which hosts no node, has no
+	// routes of its own.
+	if tp.NumRoutes() != 1+4*3 {
+		t.Fatalf("table holds %d distinct routes, want 13", tp.NumRoutes())
 	}
 }
 
@@ -131,6 +132,21 @@ func TestRouteLookupDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("route lookups allocated %v times per run", allocs)
+	}
+}
+
+// TestFatTreeBuildAllocs pins the allocations of building a 1 024-host
+// fat-tree (k = 16: 320 switches, 128 with hosts). The route table,
+// the hop array, the adjacency lists and the BFS state each take one
+// array, so the count grows with neither the switches nor their pairs:
+// a build that allocates per switch exceeds it by hundreds, one that
+// allocates per route by thousands (per-pair hop slices and interning
+// keys took 311 811).
+func TestFatTreeBuildAllocs(t *testing.T) {
+	const pin = 17
+	allocs := testing.AllocsPerRun(10, func() { FatTree(16, DefaultUplink()) })
+	if allocs > pin {
+		t.Fatalf("FatTree(16) allocated %v objects, want at most %d", allocs, pin)
 	}
 }
 
@@ -174,6 +190,13 @@ func TestValidateRequiresBuiltRoutes(t *testing.T) {
 	tp := &Topology{Name: "handmade", Switches: 1, NodeOf: []int{0}}
 	if err := tp.Validate(); err == nil {
 		t.Fatal("Validate accepted a topology without route tables")
+	}
+	// The table has rows only for the switches that hosted nodes when it
+	// was built: a node moved onto the spine afterwards has no route.
+	moved := TwoTier(2, 2, DefaultUplink())
+	moved.NodeOf = []int{0, 0, 1, 2}
+	if err := moved.Validate(); err == nil {
+		t.Fatal("Validate accepted a node on a switch the route table has no row for")
 	}
 }
 
