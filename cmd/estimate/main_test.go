@@ -59,6 +59,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"too many nodes", []string{"-n", "17"}, "-n must be in [3, 16]"},
 		{"unknown profile", []string{"-mpi", "openmpi"}, `unknown -mpi "openmpi"`},
 		{"bad topology", []string{"-topo", "ring:4"}, `unknown topology kind "ring"`},
+		{"oversized topology", []string{"-topo", "fattree:4000000"}, `spec "fattree:4000000" is too large`},
 		{"groups with json", []string{"-groups", "-json", "models.json"}, "-json needs the full model suite; drop -groups"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

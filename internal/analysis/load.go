@@ -32,12 +32,7 @@ type Module struct {
 	Path string // module path from go.mod
 	Fset *token.FileSet
 	Pkgs []*Package // dependency order (imports before importers)
-
-	byPath map[string]*Package
 }
-
-// Lookup returns the loaded package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
 
 // FindModuleRoot walks up from dir looking for go.mod.
 func FindModuleRoot(dir string) (string, error) {
@@ -125,12 +120,7 @@ func LoadModule(root string) (*Module, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	mod := &Module{
-		Root:   root,
-		Path:   modPath,
-		Fset:   fset,
-		byPath: map[string]*Package{},
-	}
+	mod := &Module{Root: root, Path: modPath, Fset: fset}
 
 	// Pass 1: parse every package directory.
 	type parsed struct {
@@ -214,7 +204,6 @@ func LoadModule(root string) (*Module, error) {
 			return err
 		}
 		im.loaded[path] = p.pkg
-		mod.byPath[path] = p.pkg
 		mod.Pkgs = append(mod.Pkgs, p.pkg)
 		return nil
 	}

@@ -1,10 +1,34 @@
 package analysis_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 )
+
+// loadModule loads and type-checks the real module once for the tests
+// that inspect it.
+var loadModule = func() func(t *testing.T) *analysis.Module {
+	var (
+		once sync.Once
+		mod  *analysis.Module
+		err  error
+	)
+	return func(t *testing.T) *analysis.Module {
+		t.Helper()
+		once.Do(func() {
+			var root string
+			if root, err = analysis.FindModuleRoot("."); err == nil {
+				mod, err = analysis.LoadModule(root)
+			}
+		})
+		if err != nil {
+			t.Fatalf("loading module: %v", err)
+		}
+		return mod
+	}
+}()
 
 // TestSuiteCleanOnModule is the regression guard that keeps the tree
 // lint-clean: it loads the real module and runs every analyzer with
@@ -16,14 +40,7 @@ func TestSuiteCleanOnModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("finding module root: %v", err)
-	}
-	mod, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	mod := loadModule(t)
 	if len(mod.Pkgs) == 0 {
 		t.Fatal("module loader found no packages")
 	}

@@ -1,7 +1,7 @@
 // Package vtime is a fixture stand-in for the simulator kernel: it
 // reproduces the spawn/scheduling API shape the vtimeblock analyzer
 // seeds its context from (a package whose import path ends in "vtime"
-// with Engine.Go/At/After methods).
+// with Engine.Go/At methods).
 package vtime
 
 // Proc is a simulated process handle.
@@ -22,9 +22,6 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 
 // At schedules fn in engine context at absolute time t.
 func (e *Engine) At(t int, fn func()) { fn() }
-
-// After schedules fn in engine context d after now.
-func (e *Engine) After(d int, fn func()) { fn() }
 
 // Cond is the virtual-time condition variable procs should use.
 type Cond struct{}

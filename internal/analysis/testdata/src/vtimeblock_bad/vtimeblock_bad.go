@@ -25,7 +25,7 @@ func spawnAll(e *vtime.Engine) {
 	e.At(10, func() {
 		time.Sleep(time.Millisecond) // want `time.Sleep in vtime proc context`
 	})
-	e.After(5, timerBody)
+	e.At(5, timerBody)
 }
 
 func namedBody(p *vtime.Proc) {

@@ -20,7 +20,7 @@ func spawn(e *vtime.Engine, c *vtime.Cond) {
 }
 
 // harness runs OUTSIDE the virtual-time universe (it is not passed to
-// Engine.Go/At/After), so real primitives are fine here.
+// Engine.Go/At), so real primitives are fine here.
 func harness() int {
 	var mu sync.Mutex
 	mu.Lock()

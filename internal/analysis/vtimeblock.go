@@ -17,10 +17,10 @@ import (
 // (or, worse, times depend on the host scheduler).
 //
 // Context is seeded from spawn and scheduling call sites —
-// Engine.Go(name, body), Engine.At(t, fn), Engine.After(d, fn) on a
-// vtime engine — and propagated transitively through the package call
-// graph: every same-package function reachable from a seeded body
-// runs in proc context, however deep the call chain. Diagnostics in
+// Engine.Go(name, body) and Engine.At(t, fn) on a vtime engine — and
+// propagated transitively through the package call graph: every
+// same-package function reachable from a seeded body runs in proc
+// context, however deep the call chain. Diagnostics in
 // transitively reached functions name the chain from the proc root.
 // The vtime kernel itself is outside the analyzer's Scope: its
 // coroutine switches are the mechanism the invariant protects, and the
@@ -35,9 +35,8 @@ var Vtimeblock = &Analyzer{
 // vtimeSeedMethods are the vtime.Engine methods whose function argument
 // executes inside the virtual-time universe.
 var vtimeSeedMethods = map[string]int{ // method name -> func-arg index
-	"Go":    1,
-	"At":    1,
-	"After": 1,
+	"Go": 1,
+	"At": 1,
 }
 
 // blockingSyncMethods are methods of package sync that park the calling
@@ -62,7 +61,7 @@ type procContext struct {
 func runVtimeblock(pass *Pass) error {
 	cg := pass.CallGraph()
 
-	// Seed pass: bodies handed to Engine.Go / Engine.At / Engine.After.
+	// Seed pass: bodies handed to Engine.Go / Engine.At.
 	var contexts []procContext
 	inContext := map[ast.Node]bool{}
 	reached := map[*types.Func]bool{}

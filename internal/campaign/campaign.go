@@ -95,12 +95,6 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// Size is the number of tasks the grid enumerates.
-func (g Grid) Size() int {
-	g = g.withDefaults()
-	return len(g.Seeds) * len(g.Profiles) * len(g.Clusters) * len(g.Targets)
-}
-
 // validate fails fast on an unusable grid, before any worker starts.
 // customOK reports whether a RunTask hook is installed, which Custom
 // targets require.

@@ -35,12 +35,3 @@ func (s *Stats) Snapshot() Snapshot {
 		Workers:  s.Workers.Load(),
 	}
 }
-
-// Utilization is the fraction of the pool currently busy (0 when the
-// campaign has not started or has finished).
-func (s Snapshot) Utilization() float64 {
-	if s.Workers == 0 {
-		return 0
-	}
-	return float64(s.Busy) / float64(s.Workers)
-}

@@ -35,7 +35,7 @@ func TestClusterTopologyRoundTrip(t *testing.T) {
 	}
 	// Route tables are rebuilt deterministically, so derived quantities
 	// survive the round-trip too.
-	if back.Topo.ExtraL(0, 3) != c.Topo.ExtraL(0, 3) {
+	if back.Topo.Route(0, 3).L != c.Topo.Route(0, 3).L {
 		t.Fatal("rebuilt routes disagree with the originals")
 	}
 }

@@ -8,8 +8,6 @@
 // irregularity region (M1, M2) and escalation statistics.
 package estimate
 
-import "fmt"
-
 // Pair is an unordered processor pair used in round-trip experiments.
 type Pair struct{ I, J int }
 
@@ -82,33 +80,6 @@ func PairRounds(n int) [][]Pair {
 // deterministic.
 func TripletRounds(n int) [][]Triplet {
 	return packTriplets(n, AllTriplets(n))
-}
-
-// validateRounds panics if a round reuses a processor; used in tests
-// and as an internal invariant check before launching parallel rounds.
-func validatePairRounds(n int, rounds [][]Pair) error {
-	seen := map[Pair]bool{}
-	for ri, round := range rounds {
-		used := make([]bool, n)
-		for _, p := range round {
-			if p.I == p.J || p.I < 0 || p.J >= n {
-				return fmt.Errorf("estimate: bad pair %v in round %d", p, ri)
-			}
-			if used[p.I] || used[p.J] {
-				return fmt.Errorf("estimate: processor reused in round %d", ri)
-			}
-			used[p.I], used[p.J] = true, true
-			if seen[p] {
-				return fmt.Errorf("estimate: pair %v scheduled twice", p)
-			}
-			seen[p] = true
-		}
-	}
-	want := n * (n - 1) / 2
-	if len(seen) != want {
-		return fmt.Errorf("estimate: scheduled %d pairs, want %d", len(seen), want)
-	}
-	return nil
 }
 
 // SampleTriplets returns a reduced triplet set in which every processor

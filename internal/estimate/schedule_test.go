@@ -1,9 +1,37 @@
 package estimate
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// validatePairRounds reports a round that reuses a processor or a
+// schedule that does not cover every pair exactly once.
+func validatePairRounds(n int, rounds [][]Pair) error {
+	seen := map[Pair]bool{}
+	for ri, round := range rounds {
+		used := make([]bool, n)
+		for _, p := range round {
+			if p.I == p.J || p.I < 0 || p.J >= n {
+				return fmt.Errorf("estimate: bad pair %v in round %d", p, ri)
+			}
+			if used[p.I] || used[p.J] {
+				return fmt.Errorf("estimate: processor reused in round %d", ri)
+			}
+			used[p.I], used[p.J] = true, true
+			if seen[p] {
+				return fmt.Errorf("estimate: pair %v scheduled twice", p)
+			}
+			seen[p] = true
+		}
+	}
+	want := n * (n - 1) / 2
+	if len(seen) != want {
+		return fmt.Errorf("estimate: scheduled %d pairs, want %d", len(seen), want)
+	}
+	return nil
+}
 
 func TestAllPairsCount(t *testing.T) {
 	for _, n := range []int{2, 3, 8, 16} {

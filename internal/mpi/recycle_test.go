@@ -214,7 +214,7 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 		}
 		if j.traced {
 			if !reflect.DeepEqual(r.tr.Spans(), f.tr.Spans()) {
-				t.Errorf("job %q: recycled world's transcript (%d spans) differs from the new world's (%d spans)", j.name, r.tr.Len(), f.tr.Len())
+				t.Errorf("job %q: recycled world's transcript (%d spans) differs from the new world's (%d spans)", j.name, len(r.tr.Spans()), len(f.tr.Spans()))
 			}
 			if !reflect.DeepEqual(r.tr.Counters(), f.tr.Counters()) {
 				t.Errorf("job %q: counters %v on the recycled world, %v on a new one", j.name, r.tr.Counters(), f.tr.Counters())

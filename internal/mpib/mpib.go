@@ -108,9 +108,6 @@ type Measurement struct {
 	Rejected      int           // samples dropped by outlier rejection
 }
 
-// Seconds returns the mean duration in seconds (convenience alias).
-func (m Measurement) Seconds() float64 { return m.Mean }
-
 // Measure runs op repeatedly on all ranks until the confidence interval
 // of its duration is within opts.RelErr, and returns the identical
 // Measurement on every rank. op is invoked collectively: every rank

@@ -25,8 +25,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := WriteJSONL(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(buf.String(), "\n"); n != tr.Len() {
-		t.Fatalf("JSONL has %d lines, want %d", n, tr.Len())
+	if n := strings.Count(buf.String(), "\n"); n != len(tr.Spans()) {
+		t.Fatalf("JSONL has %d lines, want %d", n, len(tr.Spans()))
 	}
 	got, err := ReadJSONL(&buf)
 	if err != nil {

@@ -142,14 +142,6 @@ type Trace struct {
 // NewTrace returns an empty, enabled trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Len returns the number of recorded spans (0 for nil).
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.spans)
-}
-
 // Spans returns the recorded spans in emission order. The slice is the
 // trace's backing store; callers must not mutate it.
 func (t *Trace) Spans() []Span {
@@ -309,19 +301,4 @@ func (t *Trace) Counters() []CounterValue {
 		}
 	}
 	return out
-}
-
-// MaxTrack returns the largest track index seen (GlobalTrack when the
-// trace is empty).
-func (t *Trace) MaxTrack() int {
-	max := GlobalTrack
-	if t == nil {
-		return max
-	}
-	for i := range t.spans {
-		if t.spans[i].Track > max {
-			max = t.spans[i].Track
-		}
-	}
-	return max
 }

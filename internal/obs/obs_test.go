@@ -25,11 +25,8 @@ func TestNilTraceIsDisabledAndSafe(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	if tr.Len() != 0 || tr.Spans() != nil || tr.Counters() != nil {
+	if tr.Spans() != nil || tr.Counters() != nil {
 		t.Fatal("nil trace is not empty")
-	}
-	if tr.MaxTrack() != GlobalTrack {
-		t.Fatal("nil trace MaxTrack")
 	}
 }
 
@@ -69,6 +66,8 @@ func TestSpanParenting(t *testing.T) {
 	}
 }
 
+// TestGlobalTrackAndMaxTrack nests spans on the global track as on any
+// other, and keeps the track of a point emitted past every open one.
 func TestGlobalTrackAndMaxTrack(t *testing.T) {
 	tr := NewTrace()
 	g := tr.Begin(CatEstimate, "phase", GlobalTrack, 0)
@@ -77,9 +76,9 @@ func TestGlobalTrackAndMaxTrack(t *testing.T) {
 	if got := tr.Spans()[child-1].Parent; got != g {
 		t.Fatalf("global-track child parent = %d, want %d", got, g)
 	}
-	tr.Point(CatFault, "crash", 7, 1)
-	if tr.MaxTrack() != 7 {
-		t.Fatalf("MaxTrack = %d, want 7", tr.MaxTrack())
+	crash := tr.Point(CatFault, "crash", 7, 1)
+	if sp := tr.Spans()[crash-1]; sp.Track != 7 || sp.Parent != 0 {
+		t.Fatalf("point on track 7 recorded as %+v", sp)
 	}
 }
 

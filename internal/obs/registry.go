@@ -171,32 +171,6 @@ func (v *GaugeVec) Set(x float64, labelVals ...string) {
 	f.mu.Unlock()
 }
 
-// Add adds d to the gauge series (d may be negative).
-func (v *GaugeVec) Add(d float64, labelVals ...string) {
-	f := v.fam
-	f.mu.Lock()
-	f.get(labelVals).value += d
-	f.mu.Unlock()
-}
-
-// SetMax raises the gauge series to x if x exceeds its current value.
-func (v *GaugeVec) SetMax(x float64, labelVals ...string) {
-	f := v.fam
-	f.mu.Lock()
-	if s := f.get(labelVals); x > s.value {
-		s.value = x
-	}
-	f.mu.Unlock()
-}
-
-// Value returns the gauge series' current value.
-func (v *GaugeVec) Value(labelVals ...string) float64 {
-	f := v.fam
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.get(labelVals).value
-}
-
 // Observe records x into the histogram series.
 func (v *HistogramVec) Observe(x float64, labelVals ...string) {
 	f := v.fam

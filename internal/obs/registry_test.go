@@ -65,13 +65,9 @@ func TestRegistryAccessors(t *testing.T) {
 	}
 	g := reg.Gauge("g", "", "k")
 	g.Set(4, "a")
-	g.SetMax(3, "a")
-	if got := g.Value("a"); got != 4 {
-		t.Fatalf("SetMax lowered the gauge: %v", got)
-	}
-	g.SetMax(9, "a")
-	if got := g.Value("a"); got != 9 {
-		t.Fatalf("SetMax did not raise the gauge: %v", got)
+	g.Set(3, "a")
+	if got := g.fam.get([]string{"a"}).value; got != 3 {
+		t.Fatalf("gauge value = %v, want the last Set's 3", got)
 	}
 	h := reg.Histogram("h", "", nil, "k")
 	h.Observe(0.2, "b")
@@ -151,7 +147,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				ep := endpoints[(w+i)%len(endpoints)]
 				c.Add(1, ep)
 				h.Observe(float64(i%7)/100, ep)
-				g.SetMax(float64(i%5), ep)
+				g.Set(float64(i%5), ep)
 				if i%50 == 0 {
 					var sink bytes.Buffer
 					if err := reg.WritePrometheus(&sink); err != nil {

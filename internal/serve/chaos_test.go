@@ -119,7 +119,7 @@ func TestChaosOverloadShedsWhileCacheServes(t *testing.T) {
 		t.Fatalf("cached predict during overload: status %d body %s", hitStatus, hitBody)
 	}
 
-	if got := s.metrics.ShedCount("predict"); got != 2 {
+	if got := int64(s.metrics.shed.Value("predict")); got != 2 {
 		t.Fatalf("serve_shed_total{predict} = %d, want 2", got)
 	}
 	var expo bytes.Buffer
@@ -666,7 +666,7 @@ func TestChaosBatchOverloadShedsPerItem(t *testing.T) {
 	if st2 != st1 || !bytes.Equal(body1, body2) {
 		t.Fatalf("overloaded batch responses not byte-stable:\n%s\n%s", body1, body2)
 	}
-	if gotShed := s.metrics.ShedCount("predict"); gotShed != 2 {
+	if gotShed := int64(s.metrics.shed.Value("predict")); gotShed != 2 {
 		t.Fatalf("serve_shed_total{predict} = %d, want 2 (one per batch)", gotShed)
 	}
 

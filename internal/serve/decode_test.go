@@ -61,26 +61,27 @@ func hotBatch(rows int) []byte {
 }
 
 // TestCanonicalBodiesTakeFastPath pins which bodies the scanner takes:
-// the shapes the benchmark's serve workload, cmd/loadgen and the
-// README send all decode on the fast path, equal to encoding/json, and
-// each departure from the canonical form goes to encoding/json.
+// the shapes the benchmark's serve workload and the README send, and a
+// closed-loop client's unary and batched requests, all decode on the
+// fast path, equal to encoding/json, and each departure from the
+// canonical form goes to encoding/json.
 func TestCanonicalBodiesTakeFastPath(t *testing.T) {
-	var loadgen strings.Builder // cmd/loadgen -batch 8 -seeds 8
-	loadgen.WriteString(`{"cluster":"table1","nodes":16,"profile":"lam","seed":3,"op":"gather","alg":"linear","m":4096,"queries":[`)
+	var overrides strings.Builder // 8 queries overriding m and seed
+	overrides.WriteString(`{"cluster":"table1","nodes":16,"profile":"lam","seed":3,"op":"gather","alg":"linear","m":4096,"queries":[`)
 	for i := 0; i < 8; i++ {
 		if i > 0 {
-			loadgen.WriteByte(',')
+			overrides.WriteByte(',')
 		}
-		fmt.Fprintf(&loadgen, `{"m":%d,"seed":%d}`, 4096<<uint(i%4), 1+i)
+		fmt.Fprintf(&overrides, `{"m":%d,"seed":%d}`, 4096<<uint(i%4), 1+i)
 	}
-	loadgen.WriteString("]}")
+	overrides.WriteString("]}")
 
 	for name, body := range map[string]string{
-		"serve-mixed batch": string(hotBatch(256)),
-		"serve-mixed cold":  `{"cluster":"table1","nodes":8,"profile":"lam","seed":1048577,"op":"gather","m":4096}`,
-		"loadgen unary":     `{"cluster":"table1","nodes":16,"profile":"lam","seed":1,"op":"gather","alg":"linear","m":4096}`,
-		"loadgen batch":     loadgen.String(),
-		"README unary":      `{"nodes":16,"op":"gather","m":65536}`,
+		"serve-mixed batch":   string(hotBatch(256)),
+		"serve-mixed cold":    `{"cluster":"table1","nodes":8,"profile":"lam","seed":1048577,"op":"gather","m":4096}`,
+		"full unary":          `{"cluster":"table1","nodes":16,"profile":"lam","seed":1,"op":"gather","alg":"linear","m":4096}`,
+		"size-and-seed batch": overrides.String(),
+		"README unary":        `{"nodes":16,"op":"gather","m":65536}`,
 		"README batch": `{"nodes":16,"op":"gather","m":4096,
   "queries":[{},{"m":65536},{"op":"scatter","alg":"binomial","root":3}]}`,
 		"every member": `{ "cluster" : "table1hetero", "nodes": 12, "profile": "mpich", "seed": -7,

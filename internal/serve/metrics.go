@@ -143,12 +143,6 @@ func (m *Metrics) Prediction(cache, batch string, n int64) {
 	}
 }
 
-// PredictionCount reads the served-prediction counter for one label
-// pair.
-func (m *Metrics) PredictionCount(cache, batch string) int64 {
-	return int64(m.predictions.Value(cache, batch))
-}
-
 // BatchSize records the query count of one batched /predict request.
 func (m *Metrics) BatchSize(n int) { m.batchSize.Observe(float64(n)) }
 
@@ -163,9 +157,6 @@ func (m *Metrics) Observe(endpoint string, status int, took time.Duration) {
 
 // Shed records one load-shed request.
 func (m *Metrics) Shed(endpoint string) { m.shed.Add(1, endpoint) }
-
-// ShedCount reads the shed counter for an endpoint.
-func (m *Metrics) ShedCount(endpoint string) int64 { return int64(m.shed.Value(endpoint)) }
 
 // Panic records one recovered handler panic.
 func (m *Metrics) Panic() { m.panics.Add(1) }

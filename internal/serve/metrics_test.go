@@ -119,9 +119,6 @@ func TestMetricsPredictionCounters(t *testing.T) {
 	if _, ok := rep.Predictions["shedded/batch"]; ok {
 		t.Fatal("Prediction with n=0 must not create a label pair")
 	}
-	if m.PredictionCount("hit", "batch") != 40 {
-		t.Fatalf("PredictionCount = %d, want 40", m.PredictionCount("hit", "batch"))
-	}
 	if rep.BatchSizes.Count != 2 || rep.BatchSizes.Sum != 41 || rep.BatchSizes.Max != 33 {
 		t.Fatalf("BatchSizes = %+v, want count 2 sum 41 max 33", rep.BatchSizes)
 	}

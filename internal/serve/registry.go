@@ -220,21 +220,10 @@ func (r *Registry) publishLocked(entries map[Key]*Entry) {
 	r.swaps.Add(1)
 }
 
-// Lookup returns the cached entry without estimating (no counters).
-// Lock-free: it reads the current snapshot and stamps recency with an
-// atomic store.
-func (r *Registry) Lookup(k Key) (*Entry, bool) {
-	e, ok := r.snap.Load().entries[k]
-	if !ok {
-		return nil, false
-	}
-	e.lastUsed.Store(r.clock.Add(1))
-	return e, true
-}
-
-// LookupHit is Lookup counting a cache hit — the /predict fast path,
-// which must not touch admission control, the estimation machinery, or
-// any lock: a snapshot load, a map probe and two atomic adds.
+// LookupHit returns the cached entry without estimating, stamping its
+// recency and counting a cache hit. It is the /predict fast path, which
+// must not touch admission control, the estimation machinery, or any
+// lock: a snapshot load, a map probe and two atomic adds.
 //
 //lmovet:hotpath
 func (r *Registry) LookupHit(k Key) (*Entry, bool) {

@@ -34,10 +34,10 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	if _, ok := r.Lookup(k(1)); ok {
+	if _, ok := r.LookupHit(k(1)); ok {
 		t.Fatal("seed 1 should have been evicted (LRU)")
 	}
-	if _, ok := r.Lookup(k(3)); !ok {
+	if _, ok := r.LookupHit(k(3)); !ok {
 		t.Fatal("seed 3 should be cached")
 	}
 	if st := r.Stats(); st.Evictions != 1 {
@@ -45,16 +45,16 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 
 	// Touching seed 2 protects it from the next eviction.
-	if _, ok := r.Lookup(k(2)); !ok {
+	if _, ok := r.LookupHit(k(2)); !ok {
 		t.Fatal("seed 2 should be cached")
 	}
 	if _, err := r.Put(fakeFile(k(4))); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Lookup(k(2)); !ok {
+	if _, ok := r.LookupHit(k(2)); !ok {
 		t.Fatal("recently used seed 2 should survive the eviction")
 	}
-	if _, ok := r.Lookup(k(3)); ok {
+	if _, ok := r.LookupHit(k(3)); ok {
 		t.Fatal("seed 3 was least recently used and should be gone")
 	}
 }

@@ -50,9 +50,6 @@ func (ts *tableStore) put(k Key, t *tuned.Table) {
 	ts.snap.Store(&next)
 }
 
-// len reports the table count in the current snapshot.
-func (ts *tableStore) len() int { return len(*ts.snap.Load()) }
-
 // TuneRequest launches an asynchronous auto-tuning job for a platform:
 // estimate the platform's LMO model (or reuse the cached one), run the
 // candidate prune + simulator validation pipeline, and publish the

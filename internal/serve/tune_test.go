@@ -142,7 +142,7 @@ func TestTableStoreSnapshotIsolation(t *testing.T) {
 		t.Fatal("get should see the new snapshot")
 	}
 	ts.put(k2, &tuned.Table{Version: tuned.TableVersion})
-	if ts.len() != 2 {
-		t.Fatalf("len = %d, want 2", ts.len())
+	if n := len(*ts.snap.Load()); n != 2 {
+		t.Fatalf("snapshot holds %d tables, want 2", n)
 	}
 }

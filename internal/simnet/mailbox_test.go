@@ -156,13 +156,13 @@ func checkMailboxAgainstScan(t *testing.T, seed int64) scanCoverage {
 			syncRef()
 			switch op := rng.Intn(6); {
 			case op == 0:
-				if got, want := net.Probe(0, src, tag), ref.find(src, tag) >= 0; got != want {
-					t.Errorf("seed %d at %v: Probe(%d, %d) = %v, reference %v", seed, p.Now(), src, tag, got, want)
+				if _, _, m := net.boxes[0].find(src, tag); (m != nil) != (ref.find(src, tag) >= 0) {
+					t.Errorf("seed %d at %v: find(%d, %d) = %v, reference %v", seed, p.Now(), src, tag, m != nil, ref.find(src, tag) >= 0)
 					return
 				}
 			case op == 1:
-				if got := net.Pending(0); got != len(ref) {
-					t.Errorf("seed %d at %v: Pending = %d, reference %d", seed, p.Now(), got, len(ref))
+				if got := net.boxes[0].pending; got != len(ref) {
+					t.Errorf("seed %d at %v: %d pending, reference %d", seed, p.Now(), got, len(ref))
 					return
 				}
 			default:
@@ -200,8 +200,8 @@ func checkMailboxAgainstScan(t *testing.T, seed int64) scanCoverage {
 		}
 		p.Sleep(settle - p.Now())
 		syncRef()
-		if got := net.Pending(0); got != len(ref) {
-			t.Errorf("seed %d: Pending = %d after the last arrival, reference %d", seed, got, len(ref))
+		if got := net.boxes[0].pending; got != len(ref) {
+			t.Errorf("seed %d: %d pending after the last arrival, reference %d", seed, got, len(ref))
 		}
 		cov.blackHoled = len(ref)
 	})
@@ -217,7 +217,7 @@ func checkMailboxAgainstScan(t *testing.T, seed int64) scanCoverage {
 	if c := net.Counters(); c.Crashed != 1 || c.BlackHole != cov.blackHoled {
 		t.Fatalf("seed %d: crash black-holed %d messages (crashes %d), want the %d pending", seed, c.BlackHole, c.Crashed, cov.blackHoled)
 	}
-	if got := net.Pending(0); got != 0 {
+	if got := net.boxes[0].pending; got != 0 {
 		t.Fatalf("seed %d: %d messages pending after the crash", seed, got)
 	}
 	return cov

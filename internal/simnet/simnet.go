@@ -44,7 +44,6 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -57,7 +56,7 @@ import (
 // AnySource matches any sending node in Recv.
 const AnySource = -1
 
-// AnyTag matches any non-negative message tag in Recv and Probe.
+// AnyTag matches any non-negative message tag in Recv.
 // Negative tags are reserved for traffic a wildcard receive must not
 // take: only a receive that names such a tag gets its messages.
 const AnyTag = -1
@@ -111,7 +110,7 @@ type Network struct {
 	seeded bool       // rng has been seeded with seed since the last Reset
 	seed   int64
 
-	cpus        []*vtime.Resource // one per node, capacity 1
+	cpus        []*vtime.Resource // one per node
 	conds       []*vtime.Cond     // mailbox wakeups, one per node
 	boxes       []mailbox         // pending messages per destination
 	linkFree    [][]time.Duration // per directed link: when its transmission slot frees
@@ -159,7 +158,7 @@ func New(eng *vtime.Engine, cl *cluster.Cluster, prof *cluster.TCPProfile, seed 
 		dead:        make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		net.cpus[i] = vtime.NewResource(eng, cpuName(i), 1)
+		net.cpus[i] = vtime.NewResource(eng)
 		net.conds[i] = vtime.NewCond(eng)
 	}
 	if tp := net.topo; tp != nil {
@@ -180,25 +179,6 @@ func square[T any](n int) [][]T {
 		rows[i] = all[i*n : (i+1)*n : (i+1)*n]
 	}
 	return rows
-}
-
-// cpuNames is the table of CPU resource names cpu0, cpu1, ..., rendered
-// once and read-only after, so networks built on several goroutines at
-// once share it. It covers a 1 024-host cluster.
-var cpuNames = sync.OnceValue(func() []string {
-	names := make([]string, 1024)
-	for i := range names {
-		names[i] = fmt.Sprintf("cpu%d", i)
-	}
-	return names
-})
-
-// cpuName returns the name of node i's CPU resource.
-func cpuName(i int) string {
-	if names := cpuNames(); i < len(names) {
-		return names[i]
-	}
-	return fmt.Sprintf("cpu%d", i)
 }
 
 // fabricOf returns the cluster's multi-switch fabric, or nil for a
@@ -288,15 +268,6 @@ func (n *Network) draw() float64 {
 	}
 	return n.rng.Float64()
 }
-
-// Engine returns the underlying simulation engine.
-func (n *Network) Engine() *vtime.Engine { return n.eng }
-
-// Cluster returns the cluster description the network simulates.
-func (n *Network) Cluster() *cluster.Cluster { return n.cl }
-
-// Profile returns the active TCP profile.
-func (n *Network) Profile() *cluster.TCPProfile { return n.prof }
 
 // Counters returns a snapshot of the traffic counters.
 func (n *Network) Counters() Counters { return n.counters }
@@ -478,9 +449,6 @@ func (n *Network) FaultStats() faults.Stats {
 	return n.inj.Stats()
 }
 
-// Dead reports whether the node's crash event has fired.
-func (n *Network) Dead(node int) bool { return n.dead[node] }
-
 // CrashedNodes lists the nodes whose crash events have fired, in
 // index order.
 func (n *Network) CrashedNodes() []int {
@@ -512,25 +480,6 @@ func (n *Network) SenderCost(src, m int) time.Duration {
 // ReceiverCost returns the CPU time node dst spends to receive m bytes.
 func (n *Network) ReceiverCost(dst, m int) time.Duration {
 	return n.SenderCost(dst, m) // same C + m·t form
-}
-
-// WireTime returns the uncontended wire time for m bytes from src to
-// dst: L_ij + m/β_ij plus any TCP leap, plus — on a multi-switch
-// topology — the store-and-forward traversal of the fabric route.
-func (n *Network) WireTime(src, dst, m int) time.Duration {
-	l := n.cl.Links[src][dst]
-	base := l.L + time.Duration(float64(m)/l.Beta*float64(time.Second))
-	base += n.prof.LeapExtra(m)
-	if n.topo != nil {
-		// Per-hop, truncating each transfer exactly as the simulation
-		// does, so predicted and simulated times agree to the nanosecond.
-		rt := n.topo.Route(src, dst)
-		for _, de := range rt.Hops {
-			spec := n.topo.EdgeSpec(de)
-			base += spec.L + time.Duration(float64(m)/spec.Beta*float64(time.Second))
-		}
-	}
-	return base
 }
 
 // Send transmits payload from src to dst with the given tag. It must be
@@ -586,7 +535,7 @@ func (n *Network) send(p *vtime.Proc, src, dst, tag int, payload []byte, parts [
 	// 1. Sender CPU processing: serializes consecutive sends and
 	// contends with receive processing on the same node. Straggler
 	// nodes pay their CPU inflation here.
-	n.cpus[src].Use(p, 1, n.scaleCPU(src, n.SenderCost(src, m)))
+	n.cpus[src].Use(p, n.scaleCPU(src, n.SenderCost(src, m)))
 	n.checkSelf(p, src) // the crash may have fired while the CPU was busy
 
 	// 2. Wire phase: parallel through the switch, with TCP effects.
@@ -768,7 +717,7 @@ func (n *Network) RecvDeadline(p *vtime.Proc, dst, src, tag int, deadline time.D
 			out := msg.Message
 			n.putMessage(msg)
 			size := out.Size()
-			n.cpus[dst].Use(p, 1, n.scaleCPU(dst, n.ReceiverCost(dst, size)))
+			n.cpus[dst].Use(p, n.scaleCPU(dst, n.ReceiverCost(dst, size)))
 			n.checkSelf(p, dst)
 			if n.obs != nil {
 				n.obs.EmitMsg(obs.CatMessage, "recv", dst, out.ArrivedAt, p.Now(), out.Src, dst, size)
@@ -792,13 +741,3 @@ func (n *Network) RecvDeadline(p *vtime.Proc, dst, src, tag int, deadline time.D
 		n.conds[dst].Wait(p)
 	}
 }
-
-// Probe reports whether a message matching (src, tag) is already
-// waiting at dst, without consuming it.
-func (n *Network) Probe(dst, src, tag int) bool {
-	_, _, msg := n.boxes[dst].find(src, tag)
-	return msg != nil
-}
-
-// Pending returns the number of undelivered messages waiting at dst.
-func (n *Network) Pending(dst int) int { return n.boxes[dst].pending }

@@ -16,6 +16,26 @@ func testCluster(n int) *cluster.Cluster {
 		cluster.LinkSpec{L: 40 * time.Microsecond, Beta: 1e8})
 }
 
+// wireTime returns the uncontended wire time for m bytes from src to
+// dst: L_ij + m/β_ij plus any TCP leap, plus — on a multi-switch
+// topology — the store-and-forward traversal of the fabric route: the
+// closed form the tests check simulated transfers against.
+func (n *Network) wireTime(src, dst, m int) time.Duration {
+	l := n.cl.Links[src][dst]
+	base := l.L + time.Duration(float64(m)/l.Beta*float64(time.Second))
+	base += n.prof.LeapExtra(m)
+	if n.topo != nil {
+		// Per-hop, truncating each transfer exactly as the simulation
+		// does, so predicted and simulated times agree to the nanosecond.
+		rt := n.topo.Route(src, dst)
+		for _, de := range rt.Hops {
+			spec := n.topo.EdgeSpec(de)
+			base += spec.L + time.Duration(float64(m)/spec.Beta*float64(time.Second))
+		}
+	}
+	return base
+}
+
 // run builds an engine+network, runs body inside it and returns the
 // network for counter inspection.
 func run(t *testing.T, cl *cluster.Cluster, prof *cluster.TCPProfile, seed int64, body func(net *Network, eng *vtime.Engine)) *Network {
@@ -122,7 +142,7 @@ func TestMailboxFIFOOrder(t *testing.T) {
 			// Let all three land so the mailbox holds, in delivery
 			// order: first, interloper, second.
 			p.Sleep(10 * time.Millisecond)
-			if got := net.Pending(2); got != 3 {
+			if got := net.boxes[2].pending; got != 3 {
 				t.Errorf("pending = %d, want 3", got)
 			}
 			// Remove the middle message first, exercising the in-place
@@ -162,7 +182,7 @@ func TestLinearScatterStructure(t *testing.T) {
 		}
 	})
 	sc := net.SenderCost(0, m)
-	wire := net.WireTime(0, 1, m)
+	wire := net.wireTime(0, 1, m)
 	rc := net.ReceiverCost(1, m)
 	want := 7*sc + wire + rc // eq (4) with identical receivers
 	if latest != want {
@@ -189,7 +209,7 @@ func TestGatherSmallMessagesParallel(t *testing.T) {
 		})
 	})
 	sc := net.SenderCost(1, m)
-	wire := net.WireTime(1, 0, m)
+	wire := net.wireTime(1, 0, m)
 	rc := net.ReceiverCost(0, m)
 	want := sc + wire + 7*rc // parallel wires, serialized root processing
 	if done != want {
@@ -308,24 +328,31 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestProbeAndPending follows a message through its destination's
+// mailbox: a receive's match finds it by source and tag only from its
+// arrival until a receive takes it, and the pending count follows.
 func TestProbeAndPending(t *testing.T) {
 	cl := testCluster(2)
 	run(t, cl, cluster.Ideal(), 1, func(net *Network, eng *vtime.Engine) {
+		probe := func(src, tag int) bool {
+			_, _, m := net.boxes[1].find(src, tag)
+			return m != nil
+		}
 		eng.Go("s", func(p *vtime.Proc) { net.Send(p, 0, 1, 5, []byte("x")) })
 		eng.Go("r", func(p *vtime.Proc) {
-			if net.Probe(1, 0, 5) {
+			if probe(0, 5) {
 				t.Error("probe before arrival should be false")
 			}
 			p.Sleep(time.Second)
-			if !net.Probe(1, 0, 5) || net.Probe(1, 0, 6) {
+			if !probe(0, 5) || probe(0, 6) || !probe(AnySource, AnyTag) {
 				t.Error("probe after arrival mismatched")
 			}
-			if net.Pending(1) != 1 {
-				t.Errorf("pending = %d", net.Pending(1))
+			if net.boxes[1].pending != 1 {
+				t.Errorf("pending = %d", net.boxes[1].pending)
 			}
 			net.Recv(p, 1, 0, 5)
-			if net.Pending(1) != 0 {
-				t.Error("pending after recv should be 0")
+			if net.boxes[1].pending != 0 || probe(AnySource, AnyTag) {
+				t.Error("the message should be gone after the receive")
 			}
 		})
 	})
@@ -365,8 +392,8 @@ func TestResetShapesAndDrains(t *testing.T) {
 			net.Send(p, 0, 2, 2, nil)
 		})
 	})
-	if net.Pending(2) != 2 {
-		t.Fatalf("%d messages pending at node 2, want 2", net.Pending(2))
+	if net.boxes[2].pending != 2 {
+		t.Fatalf("%d messages pending at node 2, want 2", net.boxes[2].pending)
 	}
 	if err := net.Reset(testCluster(4), nil, 1); err == nil {
 		t.Fatal("Reset to a 4-node cluster succeeded on a 3-node network")
@@ -378,9 +405,9 @@ func TestResetShapesAndDrains(t *testing.T) {
 	if err := net.Reset(testCluster(3), cluster.LAM(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if net.Pending(2) != 0 || len(net.free) != free+2 || net.Counters() != (Counters{}) || net.Profile().Name != cluster.LAM().Name {
+	if net.boxes[2].pending != 0 || len(net.free) != free+2 || net.Counters() != (Counters{}) || net.prof.Name != cluster.LAM().Name {
 		t.Fatalf("after Reset: %d pending, %d free headers (want %d), counters %+v, profile %s",
-			net.Pending(2), len(net.free), free+2, net.Counters(), net.Profile().Name)
+			net.boxes[2].pending, len(net.free), free+2, net.Counters(), net.prof.Name)
 	}
 }
 
@@ -399,7 +426,7 @@ func TestHeterogeneousCosts(t *testing.T) {
 		}
 	}
 	// Wire time uses the pair's link.
-	w := net.WireTime(0, 1, 9000)
+	w := net.wireTime(0, 1, 9000)
 	want := cl.Links[0][1].L + time.Duration(9000.0/cl.Links[0][1].Beta*float64(time.Second))
 	if w != want {
 		t.Fatalf("wire = %v, want %v", w, want)
@@ -462,7 +489,7 @@ func TestObserverSeesMessageLifecycle(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 3 {
+	if len(tr.Spans()) != 3 {
 		t.Fatal("observer should be disabled")
 	}
 }
@@ -658,7 +685,7 @@ func TestRendezvousSerializesScatter(t *testing.T) {
 		}
 	})
 	sc := net.SenderCost(0, m)
-	wire := net.WireTime(0, 1, m)
+	wire := net.wireTime(0, 1, m)
 	// Each send now occupies the root until arrival: 4 × (sc + wire).
 	want := 4 * (sc + wire)
 	if rootFree != want {

@@ -65,8 +65,8 @@ func TestWireTimeMatchesSimulatedFabric(t *testing.T) {
 				measured = msg.ArrivedAt - msg.InjectedAt
 			})
 		})
-		if want := net.WireTime(0, 3, m); measured != want {
-			t.Fatalf("m=%d: simulated wire time %v, WireTime says %v", m, measured, want)
+		if want := net.wireTime(0, 3, m); measured != want {
+			t.Fatalf("m=%d: simulated wire time %v, wireTime says %v", m, measured, want)
 		}
 	}
 }

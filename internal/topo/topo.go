@@ -77,21 +77,6 @@ type ClassSpec struct {
 	Lanes int           // parallel transmission slots (0 means 1)
 }
 
-// WithOversub returns the spec with its lane count derived from an
-// oversubscription factor: serving `ports` downstream ports at factor
-// f leaves max(1, ports/f) lanes.
-func (s ClassSpec) WithOversub(ports int, factor float64) ClassSpec {
-	if factor <= 0 {
-		factor = 1
-	}
-	lanes := int(float64(ports) / factor)
-	if lanes < 1 {
-		lanes = 1
-	}
-	s.Lanes = lanes
-	return s
-}
-
 // Edge is one undirected fabric link between two switches. The
 // simulator books its two directions independently (full duplex).
 type Edge struct {
@@ -355,12 +340,6 @@ func (t *Topology) Nodes() int { return len(t.NodeOf) }
 // NumEdges returns the number of undirected fabric edges.
 func (t *Topology) NumEdges() int { return len(t.Edges) }
 
-// NumRoutes returns the number of distinct routes in the table,
-// counting the empty route once. Distinct endpoints give distinct hop
-// sequences, so only the empty route repeats: once per switch with
-// nodes, on the table's diagonal.
-func (t *Topology) NumRoutes() int { return len(t.routes) - t.hosts + 1 }
-
 // HasFabric reports whether any node pair crosses a fabric link; a
 // single-switch topology has none and the simulator skips the fabric
 // phase entirely.
@@ -381,22 +360,6 @@ func (t *Topology) Route(src, dst int) *Route {
 func (t *Topology) EdgeSpec(de int32) *ClassSpec {
 	return &t.Edges[de>>1].Spec
 }
-
-// SameSwitch reports whether two nodes share a switch.
-func (t *Topology) SameSwitch(i, j int) bool { return t.NodeOf[i] == t.NodeOf[j] }
-
-// Tier returns the highest link class on the route between two nodes
-// (Intra when they share a switch).
-func (t *Topology) Tier(i, j int) Class { return t.Route(i, j).MaxClass }
-
-// ExtraL returns the fabric's contribution to the fixed latency of the
-// i→j path (zero on a shared switch).
-func (t *Topology) ExtraL(i, j int) time.Duration { return t.Route(i, j).L }
-
-// ExtraInvBeta returns the fabric's contribution to the inverse
-// transmission rate of the i→j path in seconds/byte: each hop forwards
-// store-and-forward, so the per-byte times add.
-func (t *Topology) ExtraInvBeta(i, j int) float64 { return t.Route(i, j).InvBeta }
 
 // LeafGroups partitions the nodes by switch, in switch index order,
 // omitting empty switches (spines and cores host no nodes). Members

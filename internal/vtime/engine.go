@@ -27,8 +27,9 @@
 //
 // The package provides the synchronization primitives needed by the
 // network simulator built on top of it: Sleep (advance local time),
-// Resource (FIFO counting semaphore, used for CPUs and ports) and Cond
-// (condition variable in virtual time, used for mailboxes).
+// Resource (a facility one process holds at a time, in arrival order,
+// used for CPUs) and Cond (condition variable in virtual time, used
+// for mailboxes).
 package vtime
 
 import (
@@ -57,11 +58,9 @@ type Engine struct {
 
 	blockedSync int // processes parked in a Resource/Cond queue (no pending event)
 
-	running  bool
-	failErr  error // first process panic or step-bound violation
-	cbPanic  any   // panic raised by an event callback, re-raised from Run
-	steps    uint64
-	maxSteps uint64 // safety valve; 0 means unlimited
+	running bool
+	failErr error // first process panic
+	cbPanic any   // panic raised by an event callback, re-raised from Run
 
 	// Observability. The counters are cached at SetObserver time so the
 	// dispatch loops pay one nil check per event when tracing is off and
@@ -79,12 +78,12 @@ func NewEngine() *Engine {
 
 // Reset returns the engine to the state NewEngine gives it, for another
 // simulation: the clock and sequence at zero, no queued events, no
-// observer, no step bound and no failure. It keeps the queues' grown
-// arrays, and the Proc structs of finished processes for the next
-// Go calls, so a Proc is valid only while its body runs. A process
-// still parked in its body (the run failed or deadlocked, and Close did
-// not end it) keeps its struct, which the engine gives up. Reset must
-// not be called during Run.
+// observer and no failure. It keeps the queues' grown arrays, and the
+// Proc structs of finished processes for the next Go calls, so a Proc
+// is valid only while its body runs. A process still parked in its
+// body (the run failed or deadlocked, and Close did not end it) keeps
+// its struct, which the engine gives up. Reset must not be called
+// during Run.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("vtime: Reset during Run")
@@ -126,11 +125,6 @@ func (e *Engine) Close() {
 		}
 	}
 }
-
-// SetMaxSteps bounds the number of events the engine will process in
-// Run; exceeding the bound makes Run return an error. Zero (the
-// default) means unlimited. Useful as a runaway guard in tests.
-func (e *Engine) SetMaxSteps(n uint64) { e.maxSteps = n }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
@@ -359,10 +353,6 @@ func (e *Engine) At(t time.Duration, fn func()) { e.push(event{t: t, fn: fn}) }
 //lmovet:hotpath
 func (e *Engine) AtHandler(t time.Duration, h Handler) { e.push(event{t: t, h: h}) }
 
-// After schedules fn to run in engine context d after the current time.
-// fn must not block.
-func (e *Engine) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
-
 // Proc is a simulated process: a body that runs in a coroutine, not a
 // goroutine of its own. All Proc methods must be called from the
 // process body, and a Proc is valid only while its body runs: once
@@ -381,9 +371,6 @@ type Proc struct {
 	resW  resWaiter
 	condW condWaiter
 }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
@@ -518,25 +505,6 @@ func releaseWorker(w *worker) {
 // broken reports whether the run has failed and dispatching must stop.
 func (e *Engine) broken() bool { return e.failErr != nil || e.cbPanic != nil }
 
-// bumpSteps counts one event against the per-Run step bound; false
-// means the bound was exceeded (failErr set, the event left queued).
-func (e *Engine) bumpSteps() bool {
-	if e.maxSteps == 0 {
-		return true
-	}
-	e.steps++
-	if e.steps > e.maxSteps {
-		if e.failErr == nil {
-			// Fires at most once per Run, on the failure path that ends
-			// the simulation.
-			//lmovet:allow hotalloc
-			e.failErr = fmt.Errorf("vtime: exceeded %d steps at %v", e.maxSteps, e.now)
-		}
-		return false
-	}
-	return true
-}
-
 // callEvent runs a callback or handler event, capturing a panic so it
 // can be re-raised from Run on the caller's stack (an event may execute
 // in whichever process's coroutine is dispatching).
@@ -571,7 +539,7 @@ func (e *Engine) callEvent(ev event) {
 //lmovet:hotpath
 func (e *Engine) dispatchAs(self *Proc) {
 	for {
-		if e.broken() || e.pending() == 0 || !e.bumpSteps() {
+		if e.broken() || e.pending() == 0 {
 			// Drained or failed: hand control back to Run, parked until
 			// a later Run pops our resume event, or until Close stops
 			// the worker and yield reports false.
@@ -667,16 +635,15 @@ func (d *DeadlockError) Error() string {
 
 // Run processes events until none remain. It returns a *DeadlockError
 // if processes remain blocked on a Resource or Cond when the event
-// queue drains, or an error if the step bound is exceeded. Processes
-// run in coroutines that Run switches to; a process parked when the
-// queue drains stays parked and resumes in a later Run.
+// queue drains, or the error of the first process that failed.
+// Processes run in coroutines that Run switches to; a process parked
+// when the queue drains stays parked and resumes in a later Run.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("vtime: engine already running")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.steps = 0
 	for {
 		if e.cbPanic != nil {
 			r := e.cbPanic
@@ -688,9 +655,6 @@ func (e *Engine) Run() error {
 		}
 		if e.pending() == 0 {
 			break
-		}
-		if !e.bumpSteps() {
-			return e.failErr
 		}
 		ev := e.pop()
 		e.now = ev.t

@@ -97,12 +97,14 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	}
 }
 
+// A callback a process schedules a delay after its own time fires at
+// that instant.
 func TestAfterCallback(t *testing.T) {
 	e := NewEngine()
 	var at time.Duration
 	e.Go("a", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond)
-		p.Engine().After(3*time.Millisecond, func() { at = e.Now() })
+		p.Engine().At(p.Now()+3*time.Millisecond, func() { at = e.Now() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -148,11 +150,11 @@ func TestGoFromProcess(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu", 1)
+	r := NewResource(e)
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
 		e.Go("p", func(p *Proc) {
-			r.Use(p, 1, 10*time.Millisecond)
+			r.Use(p, 10*time.Millisecond)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -167,107 +169,32 @@ func TestResourceSerializes(t *testing.T) {
 	}
 }
 
-func TestResourceCapacityTwoAllowsPairs(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "dual", 2)
-	var maxEnd time.Duration
-	for i := 0; i < 4; i++ {
-		e.Go("p", func(p *Proc) {
-			r.Use(p, 1, 10*time.Millisecond)
-			if p.Now() > maxEnd {
-				maxEnd = p.Now()
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxEnd != 20*time.Millisecond {
-		t.Fatalf("4 jobs on capacity-2 resource finished at %v, want 20ms", maxEnd)
-	}
-}
-
+// TestResourceFIFONoBarging serves waiters in arrival order: a process
+// that asks for the resource at the very instant its holder lets go
+// queues behind the processes already waiting, even though its resume
+// pops before the woken waiter's.
 func TestResourceFIFONoBarging(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "r", 2)
+	r := NewResource(e)
 	var order []string
-	// Holder takes both units; then "big" (needs 2) arrives before
-	// "small" (needs 1). When one unit frees, small must NOT overtake big.
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p, 2)
-		p.Sleep(10 * time.Millisecond)
-		r.Release(1)
-		p.Sleep(10 * time.Millisecond)
-		r.Release(1)
-	})
-	e.Go("big", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		r.Acquire(p, 2)
-		order = append(order, "big")
-		r.Release(2)
-	})
-	e.Go("small", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		r.Acquire(p, 1)
-		order = append(order, "small")
-		r.Release(1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "r", 1)
-	e.Go("a", func(p *Proc) {
-		if !r.TryAcquire(1) {
-			t.Error("first TryAcquire failed")
-		}
-		if r.TryAcquire(1) {
-			t.Error("second TryAcquire succeeded on full resource")
-		}
-		r.Release(1)
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire after release failed")
-		}
-		r.Release(1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCondSignalWakesInFIFO(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Millisecond) // arrival order 0,1,2
-			c.Wait(p)
-			order = append(order, i)
+	e.Go("holder", func(p *Proc) { r.Use(p, 10*time.Millisecond) })
+	for i, name := range []string{"first", "second"} {
+		e.Go(name, func(p *Proc) {
+			p.Sleep(time.Duration(i+1) * time.Millisecond)
+			r.Use(p, time.Millisecond)
+			order = append(order, name)
 		})
 	}
-	e.Go("signaler", func(p *Proc) {
+	e.Go("barger", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		c.Signal()
-		p.Sleep(time.Millisecond)
-		c.Signal()
-		p.Sleep(time.Millisecond)
-		c.Signal()
+		r.Use(p, time.Millisecond)
+		order = append(order, "barger")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("wake order = %v, want FIFO", order)
-		}
+	if !slices.Equal(order, []string{"first", "second", "barger"}) {
+		t.Fatalf("order = %v, want [first second barger]", order)
 	}
 }
 
@@ -290,6 +217,31 @@ func TestCondBroadcast(t *testing.T) {
 	}
 	if woken != 5 {
 		t.Fatalf("woken = %d, want 5", woken)
+	}
+}
+
+// TestCondBroadcastWakesInFIFO wakes waiters in the order they waited,
+// not the order they were started.
+func TestCondBroadcastWakesInFIFO(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	var order []int
+	for i := 0; i < 5; i++ {
+		e.Go("w", func(p *Proc) {
+			p.Sleep(time.Duration(4-i) * time.Microsecond) // wait in order 4, 3, ..., 0
+			c.Wait(p)
+			order = append(order, i)
+		})
+	}
+	e.Go("b", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		c.Broadcast()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{4, 3, 2, 1, 0}) {
+		t.Fatalf("wake order = %v, want the wait order [4 3 2 1 0]", order)
 	}
 }
 
@@ -360,19 +312,6 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 	}
 }
 
-func TestMaxStepsGuard(t *testing.T) {
-	e := NewEngine()
-	e.SetMaxSteps(100)
-	e.Go("spin", func(p *Proc) {
-		for {
-			p.Sleep(time.Millisecond)
-		}
-	})
-	if err := e.Run(); err == nil {
-		t.Fatal("expected step-bound error")
-	}
-}
-
 func TestRunTwiceSequentially(t *testing.T) {
 	e := NewEngine()
 	e.Go("a", func(p *Proc) { p.Sleep(time.Millisecond) })
@@ -404,8 +343,10 @@ func TestProcessPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-// Property: under random acquire/use/release workloads the resource
-// never exceeds capacity and every process completes.
+// Property: under random workloads the resource is a work-conserving
+// FIFO server: each process is served in the order it asked, from the
+// later of its request and the previous holder's release, and every
+// process completes with the resource left idle.
 func TestResourcePropertyRandomWorkload(t *testing.T) {
 	for seed := 1; seed <= 8; seed++ {
 		s := uint64(seed) * 0x9E3779B97F4A7C15
@@ -416,36 +357,35 @@ func TestResourcePropertyRandomWorkload(t *testing.T) {
 			return int(s % uint64(n))
 		}
 		e := NewEngine()
-		capacity := int64(rnd(4) + 1)
-		r := NewResource(e, "r", capacity)
-		maxSeen := int64(0)
-		completed := 0
+		r := NewResource(e)
+		type request struct{ at, hold, end time.Duration }
+		var asked []*request // in the order the processes asked
 		procs := rnd(10) + 2
 		for i := 0; i < procs; i++ {
-			units := int64(rnd(int(capacity)) + 1)
 			hold := time.Duration(rnd(5)+1) * time.Millisecond
 			delay := time.Duration(rnd(10)) * time.Millisecond
 			e.Go("w", func(p *Proc) {
 				p.Sleep(delay)
-				r.Acquire(p, units)
-				if r.InUse() > maxSeen {
-					maxSeen = r.InUse()
-				}
-				p.Sleep(hold)
-				r.Release(units)
-				completed++
+				req := &request{at: p.Now(), hold: hold}
+				asked = append(asked, req)
+				r.Use(p, hold)
+				req.end = p.Now()
 			})
 		}
 		if err := e.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if maxSeen > capacity {
-			t.Fatalf("seed %d: in-use %d exceeded capacity %d", seed, maxSeen, capacity)
+		if len(asked) != procs {
+			t.Fatalf("seed %d: %d of %d processes asked", seed, len(asked), procs)
 		}
-		if completed != procs {
-			t.Fatalf("seed %d: %d of %d processes completed", seed, completed, procs)
+		var free time.Duration
+		for i, req := range asked {
+			free = max(free, req.at) + req.hold
+			if req.end != free {
+				t.Fatalf("seed %d: request %d (at %v, hold %v) ended at %v, want %v", seed, i, req.at, req.hold, req.end, free)
+			}
 		}
-		if r.InUse() != 0 || r.QueueLen() != 0 {
+		if r.busy || len(r.waiters) != 0 {
 			t.Fatalf("seed %d: resource not drained", seed)
 		}
 	}
@@ -456,7 +396,7 @@ func TestResourcePropertyRandomWorkload(t *testing.T) {
 func TestClockMonotonicityProperty(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e)
-	r := NewResource(e, "r", 2)
+	r := NewResource(e)
 	violated := false
 	for i := 0; i < 12; i++ {
 		i := i
@@ -470,7 +410,7 @@ func TestClockMonotonicityProperty(t *testing.T) {
 			}
 			p.Sleep(time.Duration(i%4) * time.Millisecond)
 			check()
-			r.Use(p, 1, time.Millisecond)
+			r.Use(p, time.Millisecond)
 			check()
 			if i%3 == 0 {
 				c.Broadcast()
@@ -735,7 +675,7 @@ type fireFunc func()
 func (f fireFunc) Fire() { f() }
 
 // Property: whatever mix of Sleep(0), Sleep(d), At, AtHandler and Cond
-// wakes a simulation schedules — events due now go to the FIFO, later
+// broadcasts a simulation schedules — events due now go to the FIFO, later
 // ones to the heap — every event fires exactly once, in the order of a
 // reference sort of all of them by (time, sequence).
 func TestEventsFireInTimeSequenceOrder(t *testing.T) {
@@ -768,21 +708,13 @@ func TestEventsFireInTimeSequenceOrder(t *testing.T) {
 			p.Sleep(d)
 			fired = append(fired, id)
 		}
-		// wake wakes every waiter (Broadcast) or the first (Signal),
-		// recording the resume events it queues in waiter order.
-		wake := func(all bool) {
-			ws := c.waiters
-			if !all {
-				ws = ws[:min(1, len(ws))]
-			}
-			for i, w := range ws {
+		// wake wakes every waiter, recording the resume events it
+		// queues in waiter order.
+		wake := func() {
+			for i, w := range c.waiters {
 				sched[waiting[w.p]] = key{e.now, e.seq + uint64(i) + 1}
 			}
-			if all {
-				c.Broadcast()
-			} else {
-				c.Signal()
-			}
+			c.Broadcast()
 		}
 		var schedule func(depth int)
 		schedule = func(depth int) {
@@ -794,7 +726,7 @@ func TestEventsFireInTimeSequenceOrder(t *testing.T) {
 					schedule(depth + 1) // from engine context, often due now
 				}
 				if rnd(4) == 0 {
-					wake(rnd(2) == 0)
+					wake()
 				}
 			}
 			if rnd(2) == 0 {
@@ -825,7 +757,7 @@ func TestEventsFireInTimeSequenceOrder(t *testing.T) {
 						fired = append(fired, waiting[p])
 						delete(waiting, p)
 					case 4:
-						wake(rnd(2) == 0)
+						wake()
 					case 5:
 						schedule(0)
 						sleep(p, 0)
@@ -841,7 +773,7 @@ func TestEventsFireInTimeSequenceOrder(t *testing.T) {
 			fired = append(fired, id)
 			for done < procs {
 				sleep(p, time.Millisecond)
-				wake(true)
+				wake()
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -875,14 +807,14 @@ func TestResetEngineRerunsLikeNew(t *testing.T) {
 	// returns their end times and Procs.
 	sim := func(e *Engine) ([]time.Duration, []*Proc) {
 		b := NewBarrier(e, 3)
-		r := NewResource(e, "r", 1)
+		r := NewResource(e)
 		ends := make([]time.Duration, 3)
 		procs := make([]*Proc, 3)
 		for i := range procs {
 			procs[i] = e.Go("p", func(p *Proc) {
 				p.Sleep(time.Duration(i) * time.Millisecond)
 				b.Wait(p)
-				r.Use(p, 1, time.Millisecond)
+				r.Use(p, time.Millisecond)
 				ends[i] = p.Now()
 			})
 		}
@@ -894,7 +826,6 @@ func TestResetEngineRerunsLikeNew(t *testing.T) {
 	want, _ := sim(NewEngine())
 
 	e := NewEngine()
-	e.SetMaxSteps(1000)
 	_, first := sim(e)
 	e.Reset()
 	got, again := sim(e)

@@ -61,7 +61,7 @@ func TestSystemTune(t *testing.T) {
 	if tn.Report.Experiments != 0 {
 		t.Fatalf("WithTuneModel must skip estimation, got report %+v", tn.Report)
 	}
-	if tn.Trace != tr || tr.Len() == 0 {
+	if tn.Trace != tr || len(tr.Spans()) == 0 {
 		t.Fatal("observer should carry the winning shape's replay spans")
 	}
 
