@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -55,11 +56,17 @@ type Options struct {
 	Obs *obs.Trace
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills in the unset options and refuses invalid ones:
+// every estimator passes its options through here before it simulates
+// anything.
+func (o Options) withDefaults() (Options, error) {
+	if o.MsgSize < 0 {
+		return o, fmt.Errorf("estimate: MsgSize %d is negative; it is the variable-part message size in bytes (0 selects 32 KiB)", o.MsgSize)
+	}
 	if o.MsgSize == 0 {
 		o.MsgSize = 32 << 10
 	}
-	return o
+	return o, nil
 }
 
 // withObs returns cfg with the estimation's observer installed,

@@ -319,43 +319,40 @@ func TestLMOXNeedsThreeProcessors(t *testing.T) {
 	}
 }
 
+// synthTriplet returns the exact experiment times of a triplet on
+// processors 0, 1, 2 with the given parameters, processors' by member
+// slot and links' by pair slot. The one-to-two times follow the pinned
+// experiment design: the critical path runs through the designated
+// destination, the higher of the initiator's two partners.
+func synthTriplet(C, T, L, invB [3]float64, m int) TripletTimes {
+	tt := TripletTimes{Members: [3]int{0, 1, 2}, M: m}
+	mf := float64(m)
+	slot := map[[2]int]int{}
+	for p, pr := range tripletPairs {
+		slot[pr] = p
+		tt.RT0[p] = 2 * (C[pr[0]] + L[p] + C[pr[1]])
+		tt.RTM[p] = tt.RT0[p] + 2*mf*(T[pr[0]]+invB[p]+T[pr[1]])
+	}
+	for x, d := range [3]int{2, 2, 1} {
+		pd := slot[[2]int{min(x, d), max(x, d)}]
+		tt.OneToTwo0[x] = 2 * (2*C[x] + L[pd] + C[d])
+		tt.OneToTwoM[x] = 2*(2*C[x]+mf*T[x]) + 2*(L[pd]+C[d]) + mf*(invB[pd]+T[d])
+	}
+	return tt
+}
+
+// knownTriplet is a triplet of distinct processors and links, with
+// t = 3e-9 everywhere and β = 1e8 on every link.
+func knownTriplet() (C, L [3]float64, tt TripletTimes) {
+	C = [3]float64{5e-5, 7e-5, 4e-5}
+	L = [3]float64{4e-5, 3e-5, 5e-5} // pairs 0–1, 0–2, 1–2
+	return C, L, synthTriplet(C, [3]float64{3e-9, 3e-9, 3e-9}, L, [3]float64{1e-8, 1e-8, 1e-8}, 1<<15)
+}
+
 func TestSolveTripletClosedFormMatchesLinsolve(t *testing.T) {
 	// Synthesize exact experiment times from known parameters and check
 	// both solvers recover them identically.
-	C := map[int]float64{0: 5e-5, 1: 7e-5, 2: 4e-5}
-	L := map[Pair]float64{{0, 1}: 4e-5, {1, 2}: 5e-5, {0, 2}: 3e-5}
-	tt := TripletTimes{
-		I: 0, J: 1, K: 2, M: 1 << 15,
-		RT0: map[Pair]float64{}, RTM: map[Pair]float64{},
-		OneToTwo0: map[int]float64{}, OneToTwoM: map[int]float64{},
-	}
-	for p, l := range L {
-		tt.RT0[p] = 2 * (C[p.I] + l + C[p.J])
-	}
-	// One-to-two times follow the pinned-order experiment: the critical
-	// path runs through the designated branch d (higher index).
-	ott0 := func(x int) float64 {
-		d := tt.Designated(x)
-		return 2 * (2*C[x] + L[pairKey(x, d)] + C[d])
-	}
-	tt.OneToTwo0[0] = ott0(0)
-	tt.OneToTwo0[1] = ott0(1)
-	tt.OneToTwo0[2] = ott0(2)
-	// Variable parts: t=3e-9 each, β=1e8 every link.
-	tv := 3e-9
-	invb := 1e-8
-	mf := float64(tt.M)
-	for p := range L {
-		tt.RTM[p] = tt.RT0[p] + 2*mf*(2*tv+invb)
-	}
-	ottm := func(x int) float64 {
-		d := tt.Designated(x)
-		return 2*(2*C[x]+mf*tv) + 2*(L[pairKey(x, d)]+C[d]) + mf*(invb+tv)
-	}
-	tt.OneToTwoM[0] = ottm(0)
-	tt.OneToTwoM[1] = ottm(1)
-	tt.OneToTwoM[2] = ottm(2)
-
+	C, L, tt := knownTriplet()
 	closed := SolveTriplet(tt)
 	viaSolver, err := SolveTripletConstantsLinsolve(tt)
 	if err != nil {
@@ -371,17 +368,49 @@ func TestSolveTripletClosedFormMatchesLinsolve(t *testing.T) {
 	}
 	for p, want := range L {
 		if !relClose(closed.L[p], want, 1e-9) || !relClose(viaSolver.L[p], want, 1e-9) {
-			t.Fatalf("L[%v]: closed %v, linsolve %v, want %v", p, closed.L[p], viaSolver.L[p], want)
+			t.Fatalf("L[%v]: closed %v, linsolve %v, want %v", tripletPairs[p], closed.L[p], viaSolver.L[p], want)
 		}
 	}
-	for _, x := range []int{0, 1, 2} {
-		if !relClose(closed.T[x], tv, 1e-9) {
-			t.Fatalf("t[%d] = %v, want %v", x, closed.T[x], tv)
+	for x, tv := range closed.T {
+		if !relClose(tv, 3e-9, 1e-9) {
+			t.Fatalf("t[%d] = %v, want 3e-9", x, tv)
 		}
 	}
-	for _, p := range []Pair{{0, 1}, {1, 2}, {0, 2}} {
-		if !relClose(closed.Beta[p], 1e8, 1e-9) {
-			t.Fatalf("β[%v] = %v, want 1e8", p, closed.Beta[p])
+	for p, b := range closed.Beta {
+		if !relClose(b, 1e8, 1e-9) {
+			t.Fatalf("β[%v] = %v, want 1e8", tripletPairs[p], b)
+		}
+	}
+}
+
+// The solver works on fixed-size records: a call allocates nothing.
+func TestSolveTripletAllocatesNothing(t *testing.T) {
+	_, _, tt := knownTriplet()
+	var sol TripletSolution
+	if a := testing.AllocsPerRun(100, func() { sol = SolveTriplet(tt) }); a != 0 {
+		t.Fatalf("SolveTriplet allocates %v objects per call, want 0", a)
+	}
+	if sol.C[0] == 0 {
+		t.Fatal("SolveTriplet returned no solution")
+	}
+}
+
+// The rotation table is the experiment design the closed forms assume:
+// rotation r is initiated by member slot r, its destinations are the
+// other two members with the higher one designated (sent to last and
+// collected first by oneToTwoExp), and rt names their round trip.
+func TestRotationsMatchTheDesign(t *testing.T) {
+	p := [3]int{3, 5, 9}
+	for r, rot := range rotations {
+		if rot.init != r || rot.first == r || rot.desig == r || rot.first >= rot.desig {
+			t.Fatalf("rotation %d = %+v: want initiator %d and ascending destinations", r, rot, r)
+		}
+		if pr := tripletPairs[rot.rt]; pr != [2]int{min(r, rot.desig), max(r, rot.desig)} {
+			t.Fatalf("rotation %d: round trip slot %d joins %v, not the initiator and %d", r, rot.rt, pr, rot.desig)
+		}
+		e := rot.exp(p, 1<<10, 7)
+		if e.Initiator != p[r] || e.Peers != [2]int{p[rot.first], p[rot.desig]} {
+			t.Fatalf("rotation %d builds %d→%v, want %d→[%d %d]", r, e.Initiator, e.Peers, p[r], p[rot.first], p[rot.desig])
 		}
 	}
 }
@@ -598,37 +627,18 @@ func TestLMOXSampledCoverage(t *testing.T) {
 func TestSolveTripletPropertyExactInversion(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		C := map[int]float64{}
-		T := map[int]float64{}
-		for _, x := range []int{0, 1, 2} {
+		var C, T, L, B, invB [3]float64
+		for x := range C {
 			C[x] = 1e-5 + rng.Float64()*2e-4
 			T[x] = 1e-9 + rng.Float64()*2e-8
 		}
-		L := map[Pair]float64{}
-		B := map[Pair]float64{}
-		for _, p := range []Pair{{0, 1}, {1, 2}, {0, 2}} {
+		for p := range L {
 			L[p] = 1e-5 + rng.Float64()*2e-4
 			B[p] = 1e7 + rng.Float64()*2e8
+			invB[p] = 1 / B[p]
 		}
-		m := 1 << (12 + rng.Intn(8))
-		mf := float64(m)
-		tt := TripletTimes{
-			I: 0, J: 1, K: 2, M: m,
-			RT0: map[Pair]float64{}, RTM: map[Pair]float64{},
-			OneToTwo0: map[int]float64{}, OneToTwoM: map[int]float64{},
-		}
-		for p, l := range L {
-			tt.RT0[p] = 2 * (C[p.I] + l + C[p.J])
-			tt.RTM[p] = tt.RT0[p] + 2*mf*(T[p.I]+1/B[p]+T[p.J])
-		}
-		for _, x := range []int{0, 1, 2} {
-			d := tt.Designated(x)
-			pd := pairKey(x, d)
-			tt.OneToTwo0[x] = 2 * (2*C[x] + L[pd] + C[d])
-			tt.OneToTwoM[x] = 2*(2*C[x]+mf*T[x]) + 2*(L[pd]+C[d]) + mf*(1/B[pd]+T[d])
-		}
-		sol := SolveTriplet(tt)
-		for _, x := range []int{0, 1, 2} {
+		sol := SolveTriplet(synthTriplet(C, T, L, invB, 1<<(12+rng.Intn(8))))
+		for x := range C {
 			if !relClose(sol.C[x], C[x], 1e-9) || !relClose(sol.T[x], T[x], 1e-6) {
 				return false
 			}

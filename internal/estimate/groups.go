@@ -208,14 +208,16 @@ func bandCheck(ref int, band []int, z int, need *[]probe, needShard *[]int, shar
 // unassigned node serially, the replies are banded by signature, and
 // witness probes decide which band the prober itself belongs to.
 func DetectGroups(cfg mpi.Config, opt Options) (*Grouping, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	if n == 0 {
 		return nil, Report{}, fmt.Errorf("estimate: empty cluster")
 	}
 	rep := Report{}
 	var groups [][]int
-	var err error
 	if t := cfg.Cluster.Topo; t != nil && !opt.GroupBlind {
 		groups, err = detectHinted(cfg, opt, t.LeafGroups(), &rep)
 	} else {
@@ -446,36 +448,23 @@ func detectBlind(cfg mpi.Config, opt Options, rep *Report) ([][]int, error) {
 	return groups, nil
 }
 
-// groupTriplet is the measurement plan of one group with at least
-// three members: a triplet of representatives (the group's first three)
-// and the raw experiment times. Index convention: pair slot 0 =
-// (t0,t1), 1 = (t0,t2), 2 = (t1,t2); one-to-two slot r has initiator
-// trip[r].
-type groupTriplet struct {
-	trip       [3]int
-	rt0, rtm   [3]float64
-	ott0, ottm [3]float64
-}
-
 // smallPlan is the measurement plan of a group too small for an
 // intra-group triplet (one or two members). Each member runs a
 // one-to-two experiment against a witness pair borrowed from another
-// group: both branches then cross the fabric symmetrically, so the
-// critical path provably runs through the designated (second) witness
-// and eqs (8)/(11) apply per rotation. A borrowed-helper triplet would
-// instead put the far helper on a non-designated branch, where the
-// one-to-two degenerates into a plain round-trip and the solve absorbs
-// fabric latency into C. The intra link of a two-member group follows
-// from its round-trip once the members' C/t are known.
+// group, as the initiator of rotation 0 over (member, w[0], w[1]):
+// both branches then cross the fabric symmetrically, so the critical
+// path provably runs through the designated witness w[1] and eqs
+// (8)/(11) apply per member. A borrowed-helper triplet would instead put the far
+// helper on a non-designated branch, where the one-to-two degenerates
+// into a plain round-trip and the solve absorbs fabric latency into C.
+// The intra link of a two-member group follows from its round-trip
+// once the members' C/t are known.
 type smallPlan struct {
 	w          [2]int    // witness pair: another group's first two members
 	rt0, rtm   []float64 // per member: round-trip with w[1]
 	ott0, ottm []float64 // per member: one-to-two over {w[0], w[1]}
 	irt0, irtm float64   // intra round-trip (two-member groups only)
-	c, t       []float64 // per-member solution
 }
-
-var tripPairs = [3][2]int{{0, 1}, {0, 2}, {1, 2}}
 
 // interBucket is one inter-group link class: with a topology, all
 // group pairs whose route shares (class, hop count); blind, one bucket
@@ -509,13 +498,16 @@ func meanInto(dst *float64) func([]RoundSummary) {
 // logical groups: DetectGroups partitions the processors, one triplet
 // of representatives per group yields the group's C/t and intra-group
 // L/β (big groups measured in parallel — their triplets stay on their
-// own leaf switches — small ones serially with borrowed helpers), and
+// own leaf switches — small ones serially against witness pairs), and
 // inter-group links are measured per link class rather than per pair.
 // The result is expanded to a full per-node model. The gather
 // irregularity scan is intentionally omitted: callers estimating at
 // this scale opt into the collapsed procedure.
 func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	if n < 3 {
 		return nil, nil, Report{}, fmt.Errorf("estimate: grouped LMO estimation needs at least 3 processors, have %d", n)
@@ -526,10 +518,10 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	}
 
 	// Plan the per-group measurements: an intra triplet for groups of
-	// three or more (sorted, so the designated-branch convention matches
-	// the solver's), a witness-pair plan for smaller ones.
+	// three or more (the first three members, ascending as the triplet
+	// design requires), a witness-pair plan for smaller ones.
 	ngr := len(g.Groups)
-	gts := make([]*groupTriplet, ngr)
+	tts := make([]TripletTimes, ngr)
 	smalls := make([]*smallPlan, ngr)
 	pickWitness := func(gi int) [2]int {
 		for gj, mem := range g.Groups {
@@ -554,9 +546,7 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	var parallelG, serialG []int
 	for gi, members := range g.Groups {
 		if len(members) >= 3 {
-			gt := &groupTriplet{}
-			copy(gt.trip[:], members[:3])
-			gts[gi] = gt
+			tts[gi] = TripletTimes{Members: [3]int(members[:3]), M: opt.MsgSize}
 			parallelG = append(parallelG, gi)
 			continue
 		}
@@ -565,7 +555,6 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 			w:   pickWitness(gi),
 			rt0: make([]float64, k), rtm: make([]float64, k),
 			ott0: make([]float64, k), ottm: make([]float64, k),
-			c: make([]float64, k), t: make([]float64, k),
 		}
 		serialG = append(serialG, gi)
 	}
@@ -618,36 +607,22 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	sizes := []int{0, opt.MsgSize}
 	if len(parallelG) > 0 {
 		for _, m := range sizes {
-			for slot, pr := range tripPairs {
+			for p, pr := range tripletPairs {
 				exps := make([]Exp, len(parallelG))
 				for x, gi := range parallelG {
-					gt := gts[gi]
-					exps[x] = roundtripExp(gt.trip[pr[0]], gt.trip[pr[1]], m, m, x)
+					mem := tts[gi].Members
+					exps[x] = roundtripExp(mem[pr[0]], mem[pr[1]], m, m, x)
 				}
 				plan = append(plan, round{exps, func(s []RoundSummary) {
 					for x, gi := range parallelG {
-						*bySize(m, &gts[gi].rt0[slot], &gts[gi].rtm[slot]) = s[x].Mean
+						*bySize(m, &tts[gi].RT0[p], &tts[gi].RTM[p]) = s[x].Mean
 					}
 				}})
 			}
-			for rot := 0; rot < 3; rot++ {
-				exps := make([]Exp, len(parallelG))
-				for x, gi := range parallelG {
-					t := gts[gi].trip
-					var a, b, c int
-					switch rot {
-					case 0:
-						a, b, c = t[0], t[1], t[2]
-					case 1:
-						a, b, c = t[1], t[0], t[2]
-					default:
-						a, b, c = t[2], t[0], t[1]
-					}
-					exps[x] = oneToTwoExp(a, b, c, m, 0, x)
-				}
-				plan = append(plan, round{exps, func(s []RoundSummary) {
+			for _, r := range rotations {
+				plan = append(plan, round{oneToTwoExps(tts, parallelG, r, m), func(s []RoundSummary) {
 					for x, gi := range parallelG {
-						*bySize(m, &gts[gi].ott0[rot], &gts[gi].ottm[rot]) = s[x].Mean
+						*bySize(m, &tts[gi].OneToTwo0[r.init], &tts[gi].OneToTwoM[r.init]) = s[x].Mean
 					}
 				}})
 			}
@@ -661,9 +636,10 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 		members := g.Groups[gi]
 		for _, m := range sizes {
 			for xi, x := range members {
+				p, r := [3]int{x, sp.w[0], sp.w[1]}, rotations[0]
 				plan = append(plan,
-					round{[]Exp{roundtripExp(x, sp.w[1], m, m, 0)}, meanInto(bySize(m, &sp.rt0[xi], &sp.rtm[xi]))},
-					round{[]Exp{oneToTwoExp(x, sp.w[0], sp.w[1], m, 0, 0)}, meanInto(bySize(m, &sp.ott0[xi], &sp.ottm[xi]))})
+					round{[]Exp{roundtripExp(x, p[r.desig], m, m, 0)}, meanInto(bySize(m, &sp.rt0[xi], &sp.rtm[xi]))},
+					round{[]Exp{r.exp(p, m, 0)}, meanInto(bySize(m, &sp.ott0[xi], &sp.ottm[xi]))})
 			}
 			if len(members) == 2 {
 				plan = append(plan, round{[]Exp{roundtripExp(members[0], members[1], m, m, 0)}, meanInto(bySize(m, &sp.irt0, &sp.irtm))})
@@ -685,91 +661,44 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	}
 	rep.Cost += res.Duration
 
-	// Solve each big group's triplet and average the members'
-	// parameters.
+	// Solve each big group's triplet: the group's C/t average its three
+	// members', its intra-group link the triplet's three links.
 	type groupEst struct{ c, t, intraL, intraInvB float64 }
 	est := make([]groupEst, ngr)
 	mf := float64(opt.MsgSize)
 	for _, gi := range parallelG {
-		gt := gts[gi]
-		tt := TripletTimes{
-			I: gt.trip[0], J: gt.trip[1], K: gt.trip[2], M: opt.MsgSize,
-			RT0: map[Pair]float64{}, RTM: map[Pair]float64{},
-			OneToTwo0: map[int]float64{}, OneToTwoM: map[int]float64{},
+		sol := SolveTriplet(tts[gi])
+		e := &est[gi]
+		for x := range sol.C {
+			e.c += sol.C[x]
+			e.t += sol.T[x]
 		}
-		for slot, pr := range tripPairs {
-			tt.RT0[pairKey(gt.trip[pr[0]], gt.trip[pr[1]])] = gt.rt0[slot]
-			tt.RTM[pairKey(gt.trip[pr[0]], gt.trip[pr[1]])] = gt.rtm[slot]
+		for p := range sol.L {
+			e.intraL += sol.L[p]
+			e.intraInvB += 1 / sol.Beta[p] // Inf → 0, naturally
 		}
-		for rot := 0; rot < 3; rot++ {
-			var init int
-			switch rot {
-			case 0:
-				init = gt.trip[0]
-			case 1:
-				init = gt.trip[1]
-			default:
-				init = gt.trip[2]
-			}
-			tt.OneToTwo0[init] = gt.ott0[rot]
-			tt.OneToTwoM[init] = gt.ottm[rot]
-		}
-		sol := SolveTriplet(tt)
-		own := 0
-		for _, x := range gt.trip {
-			if g.Of[x] == gi {
-				est[gi].c += sol.C[x]
-				est[gi].t += sol.T[x]
-				own++
-			}
-		}
-		est[gi].c /= float64(own)
-		est[gi].t /= float64(own)
-		// Intra-group link: average over the triplet pairs whose both
-		// endpoints belong to the group (groups of one have none).
-		pairs := 0
-		for _, pr := range tripPairs {
-			a, b := gt.trip[pr[0]], gt.trip[pr[1]]
-			if g.Of[a] != gi || g.Of[b] != gi {
-				continue
-			}
-			est[gi].intraL += sol.L[pairKey(a, b)]
-			est[gi].intraInvB += 1 / sol.Beta[pairKey(a, b)] // Inf → 0, naturally
-			pairs++
-		}
-		if pairs > 0 {
-			est[gi].intraL /= float64(pairs)
-			est[gi].intraInvB /= float64(pairs)
-		}
+		e.c /= 3
+		e.t /= 3
+		e.intraL /= 3
+		e.intraInvB /= 3
 	}
 
 	// Solve the small groups: eq (8)/(11) per member from its witness
-	// rotation, then the intra link of two-member groups from the
+	// experiment, then the intra link of two-member groups from the
 	// members' round-trip with C/t known.
 	for _, gi := range serialG {
 		sp := smalls[gi]
 		members := g.Groups[gi]
+		var c, t [2]float64
 		for xi := range members {
-			c := (sp.ott0[xi] - sp.rt0[xi]) / 2
-			if c < 0 {
-				c = 0
-			}
-			tx := (sp.ottm[xi] - (sp.rt0[xi]+sp.rtm[xi])/2 - 2*c) / mf
-			if tx < 0 {
-				tx = 0
-			}
-			sp.c[xi], sp.t[xi] = c, tx
-			est[gi].c += c
-			est[gi].t += tx
+			c[xi], t[xi] = processorCT(sp.ott0[xi], sp.ottm[xi], sp.rt0[xi], sp.rtm[xi], mf)
+			est[gi].c += c[xi]
+			est[gi].t += t[xi]
 		}
 		est[gi].c /= float64(len(members))
 		est[gi].t /= float64(len(members))
 		if len(members) == 2 {
-			l := sp.irt0/2 - sp.c[0] - sp.c[1]
-			if l < 0 {
-				l = 0
-			}
-			ib := (sp.irtm/2-sp.c[0]-l-sp.c[1])/mf - sp.t[0] - sp.t[1]
+			l, ib := linkLInvB(sp.irt0, sp.irtm, c[0], c[1], t[0], t[1], mf)
 			if ib < 0 {
 				ib = 0
 			}
@@ -781,11 +710,7 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	for _, b := range buckets {
 		for ri := range b.reps {
 			ga, gb := est[b.repGs[ri][0]], est[b.repGs[ri][1]]
-			l := b.rt0[ri]/2 - ga.c - gb.c
-			if l < 0 {
-				l = 0
-			}
-			ib := (b.rtm[ri]/2-ga.c-l-gb.c)/mf - ga.t - gb.t
+			l, ib := linkLInvB(b.rt0[ri], b.rtm[ri], ga.c, gb.c, ga.t, gb.t, mf)
 			if ib < 0 {
 				ib = 0
 			}
@@ -818,11 +743,7 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 				b := buckets[bucketOf[min(gi, gj)*ngr+max(gi, gj)]]
 				l, ib = b.L, b.invB
 			}
-			beta := math.Inf(1)
-			if ib > 0 {
-				beta = 1 / ib
-			}
-			rowL[j], rowB[j] = l, beta
+			rowL[j], rowB[j] = l, rate(ib)
 		}
 		// Member i's row is the first member's with the zero diagonal
 		// and the intra-group link at first and i swapped.

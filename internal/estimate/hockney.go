@@ -18,19 +18,14 @@ import (
 // time of the estimation — the quantity the paper compares (serial
 // 16 s vs parallel 5 s).
 func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	h := models.NewHetHockney(n)
 	rep := Report{}
-
-	var rounds [][]Pair
-	if opt.Parallel {
-		rounds = PairRounds(n)
-	} else {
-		for _, p := range AllPairs(n) {
-			rounds = append(rounds, []Pair{p})
-		}
-	}
+	rounds := pairSchedule(n, opt.Parallel)
 
 	type obs struct{ xs, ys []float64 }
 	points := map[Pair]*obs{}
@@ -92,7 +87,10 @@ func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error)
 // intercept, β the slope. sizes defaults to a small geometric series
 // when nil.
 func HomHockney(cfg mpi.Config, opt Options, sizes []int) (*models.Hockney, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	if sizes == nil {
 		sizes = []int{0, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}

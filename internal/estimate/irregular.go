@@ -26,7 +26,10 @@ type GatherScan struct {
 // repetitions (adaptive stopping is useless in the irregular region —
 // the noise is the signal). Root-side timing, per §IV.
 func ScanGather(cfg mpi.Config, root int, sizes []int, reps int, opt Options) (GatherScan, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return GatherScan{}, Report{}, err
+	}
 	if reps <= 0 {
 		reps = 20
 	}

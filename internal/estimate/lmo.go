@@ -10,20 +10,45 @@ import (
 	"repro/internal/obs"
 )
 
-// TripletTimes holds the measured execution times of the experiments
-// involving one triplet {i,j,k}: the three round-trips and the three
-// one-to-two communications, each with empty and with MsgSize-byte
-// messages. Times are in seconds, measured on the initiator (the
-// paper's sender-side timing).
-type TripletTimes struct {
-	I, J, K int
-	M       int // the non-empty message size used
+// The LMO family's triplet design. A triplet's members are addressed
+// by member slot 0, 1, 2, ascending by processor, and its three round
+// trips by pair slot: pair slot p joins the members tripletPairs[p].
+var tripletPairs = [3][2]int{{0, 1}, {0, 2}, {1, 2}}
 
-	RT0 map[Pair]float64 // T_xy(0), round-trip with empty messages
-	RTM map[Pair]float64 // T_xy(M), round-trip with M-byte messages
-	// OneToTwo0[x] and OneToTwoM[x] are T_x{y,z}(·) with initiator x.
-	OneToTwo0 map[int]float64
-	OneToTwoM map[int]float64
+// rotation is one of a triplet's three one-to-two experiments, by
+// member slot: init sends to first, then to desig, and collects desig's
+// reply first (oneToTwoExp), so the experiment's critical path runs
+// through desig, its designated destination, deterministically. rt is
+// the pair slot of the init–desig round trip: eqs (8) and (11) read it
+// in place of the paper's max over branches, which the max reduces to
+// under this pinned design.
+type rotation struct{ init, first, desig, rt int }
+
+// rotations is the one-to-two design of LMOX, LMOOriginal and
+// LMOGrouped, listed by initiator slot: every one-to-two experiment
+// they run is one of these rotations, and every solve reads its
+// designated round trip from here. The designated destination is the
+// higher of the initiator's two partners.
+var rotations = [3]rotation{{0, 1, 2, 1}, {1, 0, 2, 2}, {2, 0, 1, 2}}
+
+// exp builds the rotation's experiment over the members p with m-byte
+// messages. Replies are always empty: the paper's guard against the
+// gather escalations contaminating the estimation.
+func (r rotation) exp(p [3]int, m, tag int) Exp {
+	return oneToTwoExp(p[r.init], p[r.first], p[r.desig], m, 0, tag)
+}
+
+// TripletTimes holds the measured execution times of the experiments
+// involving one triplet: the three round trips, by pair slot, and the
+// three one-to-two experiments, by initiator slot, each with empty and
+// with M-byte messages. Times are in seconds, measured on the
+// initiator (the paper's sender-side timing).
+type TripletTimes struct {
+	Members [3]int // the processors, ascending
+	M       int    // the non-empty message size used
+
+	RT0, RTM             [3]float64 // T_xy(0) and T_xy(M)
+	OneToTwo0, OneToTwoM [3]float64 // T_x{y,z}(0) and T_x{y,z}(M)
 }
 
 // pairKey normalizes an unordered pair.
@@ -34,144 +59,171 @@ func pairKey(a, b int) Pair {
 	return Pair{a, b}
 }
 
-// Designated returns the designated branch of the one-to-two
-// experiment with initiator x over triple {I,J,K}: the higher-indexed
-// of the two non-initiators. oneToTwoExp sends to it last and collects
-// its reply first, so the experiment's critical path deterministically
-// runs through it; the closed forms below use it in place of the
-// paper's max over branches (which the max reduces to under this
-// pinned design).
-func (tt TripletTimes) Designated(x int) int {
-	a, b := otherTwo(Triplet{tt.I, tt.J, tt.K}, x)
-	if a > b {
-		return a
+// tripletRecords returns one record per triplet, times unmeasured.
+func tripletRecords(triplets []Triplet, m int) []TripletTimes {
+	tts := make([]TripletTimes, len(triplets))
+	for i, tr := range triplets {
+		tts[i] = TripletTimes{Members: [3]int{tr.I, tr.J, tr.K}, M: m}
 	}
-	return b
+	return tts
+}
+
+// roundTrips fills tt's round trips from per-pair measurements.
+func (tt *TripletTimes) roundTrips(rt0, rtm map[Pair]float64) {
+	for p, pr := range tripletPairs {
+		k := Pair{tt.Members[pr[0]], tt.Members[pr[1]]}
+		tt.RT0[p], tt.RTM[p] = rt0[k], rtm[k]
+	}
+}
+
+// oneToTwoExps builds rotation r of the listed triplets with m-byte
+// messages, experiment x tagged x.
+func oneToTwoExps(tts []TripletTimes, idx []int, r rotation, m int) []Exp {
+	exps := make([]Exp, len(idx))
+	for x, ti := range idx {
+		exps[x] = r.exp(tts[ti].Members, m, x)
+	}
+	return exps
 }
 
 // TripletSolution is the closed-form solution of eqs (8) and (11) for
-// one triplet.
+// one triplet: the processor parameters by member slot, the link
+// parameters by pair slot.
 type TripletSolution struct {
-	C    map[int]float64  // fixed processing delays
-	T    map[int]float64  // per-byte processing delays
-	L    map[Pair]float64 // fixed link latencies
-	Beta map[Pair]float64 // link transmission rates (bytes/second)
+	C, T    [3]float64 // fixed and per-byte processing delays
+	L, Beta [3]float64 // fixed link latencies, transmission rates (bytes/second)
 }
 
 // SolveTriplet applies the paper's closed forms: eq (8) for the
-// constant parameters and eq (11) for the variable ones, with the max
-// branch replaced by the experiment's designated branch.
-func SolveTriplet(tt TripletTimes) TripletSolution {
-	i, j, k := tt.I, tt.J, tt.K
+// constant parameters and eq (11) for the variable ones, each
+// processor's from its one-to-two experiment and designated round
+// trip, each link's from its round trips.
+func SolveTriplet(tt TripletTimes) (sol TripletSolution) {
 	m := float64(tt.M)
-	rt0 := func(a, b int) float64 { return tt.RT0[pairKey(a, b)] }
-	rtm := func(a, b int) float64 { return tt.RTM[pairKey(a, b)] }
-
-	sol := TripletSolution{
-		C: map[int]float64{}, T: map[int]float64{},
-		L: map[Pair]float64{}, Beta: map[Pair]float64{},
+	for _, r := range rotations {
+		x := r.init
+		sol.C[x], sol.T[x] = processorCT(tt.OneToTwo0[x], tt.OneToTwoM[x], tt.RT0[r.rt], tt.RTM[r.rt], m)
 	}
-
-	// Eq (8): C_x = (T_x{y,z}(0) − T_xd(0)) / 2 with d the designated
-	// branch (the paper's max, pinned by the experiment design).
-	for _, x := range []int{i, j, k} {
-		sol.C[x] = (tt.OneToTwo0[x] - rt0(x, tt.Designated(x))) / 2
-	}
-	for _, c := range []int{i, j, k} {
-		if sol.C[c] < 0 {
-			sol.C[c] = 0
-		}
-	}
-	// Eq (8): L_xy = T_xy(0)/2 − C_x − C_y.
-	sol.L[pairKey(i, j)] = rt0(i, j)/2 - sol.C[i] - sol.C[j]
-	sol.L[pairKey(j, k)] = rt0(j, k)/2 - sol.C[j] - sol.C[k]
-	sol.L[pairKey(i, k)] = rt0(i, k)/2 - sol.C[i] - sol.C[k]
-	// In-place clamp: each entry is adjusted independently of every
-	// other, so iteration order cannot leak into the solution.
-	//lmovet:commutative
-	for p, v := range sol.L {
-		if v < 0 {
-			sol.L[p] = 0
-		}
-	}
-
-	// Eq (11): t_x = (T_x{y,z}(M) − (T_xd(0)+T_xd(M))/2 − 2C_x)/M with
-	// d again the designated branch.
-	for _, x := range []int{i, j, k} {
-		d := tt.Designated(x)
-		sol.T[x] = (tt.OneToTwoM[x] - (rt0(x, d)+rtm(x, d))/2 - 2*sol.C[x]) / m
-	}
-	for _, c := range []int{i, j, k} {
-		if sol.T[c] < 0 {
-			sol.T[c] = 0
-		}
-	}
-
-	// Eq (11): 1/β_xy = (T_xy(M)/2 − C_x − L_xy − C_y)/M − t_x − t_y.
-	invBeta := func(x, y int) float64 {
-		return (rtm(x, y)/2-sol.C[x]-sol.L[pairKey(x, y)]-sol.C[y])/m - sol.T[x] - sol.T[y]
-	}
-	for _, p := range []Pair{pairKey(i, j), pairKey(j, k), pairKey(i, k)} {
-		ib := invBeta(p.I, p.J)
-		if ib > 0 {
-			sol.Beta[p] = 1 / ib
-		} else {
-			sol.Beta[p] = math.Inf(1) // infinitely fast link (degenerate)
-		}
+	for p, pr := range tripletPairs {
+		a, b := pr[0], pr[1]
+		l, ib := linkLInvB(tt.RT0[p], tt.RTM[p], sol.C[a], sol.C[b], sol.T[a], sol.T[b], m)
+		sol.L[p], sol.Beta[p] = l, rate(ib)
 	}
 	return sol
 }
 
+// processorCT solves eqs (8) and (11) for a processor x from its
+// one-to-two experiment and its round trip with the experiment's
+// designated destination d, each at 0 and M bytes:
+//
+//	C_x = (T_x{y,z}(0) − T_xd(0)) / 2
+//	t_x = (T_x{y,z}(M) − (T_xd(0) + T_xd(M))/2 − 2C_x) / M
+//
+// A negative estimate clamps to zero.
+func processorCT(ott0, ottm, rt0, rtm, m float64) (c, t float64) {
+	c = (ott0 - rt0) / 2
+	if c < 0 {
+		c = 0
+	}
+	return c, processorT(ottm, rt0, rtm, c, m)
+}
+
+// processorT is eq (11)'s t_x alone, given C_x: LMOOriginal takes its
+// C from round-trip triangles instead.
+func processorT(ottm, rt0, rtm, c, m float64) float64 {
+	t := (ottm - (rt0+rtm)/2 - 2*c) / m
+	if t < 0 {
+		return 0
+	}
+	return t
+}
+
+// linkLInvB solves eqs (8) and (11) for a link xy from its round trips
+// at 0 and M bytes once C and t of x and y are known:
+//
+//	L_xy   = T_xy(0)/2 − C_x − C_y
+//	1/β_xy = (T_xy(M)/2 − C_x − L_xy − C_y)/M − t_x − t_y
+//
+// A negative L clamps to zero; the callers decide what a non-positive
+// 1/β stands for.
+func linkLInvB(rt0, rtm, cx, cy, tx, ty, m float64) (l, invB float64) {
+	l = rt0/2 - cx - cy
+	if l < 0 {
+		l = 0
+	}
+	return l, linkInvB(rtm, cx, l, cy, tx, ty, m)
+}
+
+// linkInvB is eq (11)'s 1/β_xy alone, given L_xy: LMOOriginal, whose
+// model has no L, passes 0.
+func linkInvB(rtm, cx, l, cy, tx, ty, m float64) float64 {
+	return (rtm/2-cx-l-cy)/m - tx - ty
+}
+
+// rate returns the transmission rate of a link with inverse rate invB:
+// a non-positive inverse is an infinitely fast link (degenerate).
+func rate(invB float64) float64 {
+	if invB > 0 {
+		return 1 / invB
+	}
+	return math.Inf(1)
+}
+
 // SolveTripletConstantsLinsolve solves the constant-parameter system
 // (6) for one triplet with the generic Gaussian solver instead of the
-// closed form, linearizing the max terms using the measured round-trip
-// ordering. It exists to cross-check eq (8); both must agree.
+// closed form, linearizing the max terms by the experiment design. It
+// exists to cross-check eq (8); both must agree.
 func SolveTripletConstantsLinsolve(tt TripletTimes) (TripletSolution, error) {
-	i, j, k := tt.I, tt.J, tt.K
-	rt0 := func(a, b int) float64 { return tt.RT0[pairKey(a, b)] }
-
-	// Unknowns: [C_i, C_j, C_k, L_ij, L_jk, L_ik].
-	idxC := map[int]int{i: 0, j: 1, k: 2}
-	idxL := map[Pair]int{pairKey(i, j): 3, pairKey(j, k): 4, pairKey(i, k): 5}
-
+	// Unknowns: C by member slot, then L by pair slot.
 	var a [][]float64
 	var b []float64
-	addRT := func(x, y int) {
+	for p, pr := range tripletPairs {
 		row := make([]float64, 6)
-		row[idxC[x]] = 2
-		row[idxC[y]] = 2
-		row[idxL[pairKey(x, y)]] = 2
+		row[pr[0]], row[pr[1]], row[3+p] = 2, 2, 2
 		a = append(a, row)
-		b = append(b, rt0(x, y))
+		b = append(b, tt.RT0[p])
 	}
-	addRT(i, j)
-	addRT(j, k)
-	addRT(i, k)
-	// One-to-two rows: T_x{y,z}(0) = 4C_x + 2L_xw + 2C_w where w is the
-	// experiment's designated branch (eq 6's max, pinned by design).
-	addOTT := func(x, y, z int) {
-		w := tt.Designated(x)
+	// One-to-two rows: T_x{y,z}(0) = 4C_x + 2L_xd + 2C_d where d is the
+	// experiment's designated destination (eq 6's max, pinned by design).
+	for _, r := range rotations {
 		row := make([]float64, 6)
-		row[idxC[x]] = 4
-		row[idxC[w]] += 2
-		row[idxL[pairKey(x, w)]] = 2
+		row[r.init], row[r.desig], row[3+r.rt] = 4, 2, 2
 		a = append(a, row)
-		b = append(b, tt.OneToTwo0[x])
+		b = append(b, tt.OneToTwo0[r.init])
 	}
-	addOTT(i, j, k)
-	addOTT(j, i, k)
-	addOTT(k, i, j)
-
 	x, err := linsolve.Solve(a, b)
 	if err != nil {
 		return TripletSolution{}, fmt.Errorf("estimate: triplet system: %w", err)
 	}
-	sol := TripletSolution{C: map[int]float64{}, L: map[Pair]float64{}}
-	sol.C[i], sol.C[j], sol.C[k] = x[0], x[1], x[2]
-	sol.L[pairKey(i, j)] = x[3]
-	sol.L[pairKey(j, k)] = x[4]
-	sol.L[pairKey(i, k)] = x[5]
+	var sol TripletSolution
+	copy(sol.C[:], x[:3])
+	copy(sol.L[:], x[3:])
 	return sol, nil
+}
+
+// roundTripPlan builds the round-trip phase over the pair rounds: each
+// round with empty and then with m-byte messages, recording T_xy(0) in
+// rt0 and T_xy(m) in rtm, then passing the round's summaries to count.
+func roundTripPlan(pairRounds [][]Pair, m int, rt0, rtm map[Pair]float64, count func([]RoundSummary)) []round {
+	var plan []round
+	for _, pairs := range pairRounds {
+		exps0 := make([]Exp, len(pairs))
+		expsM := make([]Exp, len(pairs))
+		for x, p := range pairs {
+			exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
+			expsM[x] = roundtripExp(p.I, p.J, m, m, x)
+		}
+		record := func(rt map[Pair]float64) func([]RoundSummary) {
+			return func(s []RoundSummary) {
+				for x, p := range pairs {
+					rt[p] = s[x].Mean
+				}
+				count(s)
+			}
+		}
+		plan = append(plan, round{exps0, record(rt0)}, round{expsM, record(rtm)})
+	}
+	return plan
 }
 
 // LMOX estimates the extended LMO model per §IV: C(n,2) round-trips and
@@ -180,7 +232,10 @@ func SolveTripletConstantsLinsolve(tt TripletTimes) (TripletSolution, error) {
 // redundancy averaging per eq (12) — C_x and t_x from every triplet
 // containing x, L_xy and β_xy from every triplet containing the pair.
 func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	if n < 3 {
 		return nil, Report{}, fmt.Errorf("estimate: LMO estimation needs at least 3 processors, have %d", n)
@@ -189,36 +244,18 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 
 	rt0 := make(map[Pair]float64)
 	rtm := make(map[Pair]float64)
-	ott0 := make(map[[3]int]float64) // key: [initiator, lo, hi]
-	ottm := make(map[[3]int]float64)
-
-	var pairRounds [][]Pair
-	if opt.Parallel {
-		pairRounds = PairRounds(n)
-	} else {
-		for _, p := range AllPairs(n) {
-			pairRounds = append(pairRounds, []Pair{p})
-		}
-	}
 	triplets := AllTriplets(n)
 	if opt.TripletCoverage > 0 {
 		triplets = SampleTriplets(n, opt.TripletCoverage)
 	}
-	var tripRounds [][]Triplet
-	if opt.Parallel {
-		tripRounds = packTriplets(n, triplets)
-	} else {
-		for _, t := range triplets {
-			tripRounds = append(tripRounds, []Triplet{t})
-		}
-	}
+	tts := tripletRecords(triplets, opt.MsgSize)
 
 	// suspect records the one-to-two measurements whose CI never met
-	// the target (after retries): their triplet contributions are
-	// excluded from the eq-(12) averaging below, which tolerates the
-	// loss thanks to the redundancy. Keyed like ott0/ottm; the value is
-	// the worst relative error observed.
-	suspect := make(map[[3]int]float64)
+	// the target (after retries), keyed by (triplet, initiator slot):
+	// their triplet contributions are excluded from the eq-(12)
+	// averaging below, which tolerates the loss thanks to the
+	// redundancy. The value is the worst relative error observed.
+	suspect := make(map[[2]int]float64)
 
 	// countRound keeps the report's robustness accounting of a round.
 	countRound := func(s []RoundSummary) {
@@ -233,67 +270,26 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	}
 
 	// Phase 1: round-trips with empty and with M-byte messages.
-	var pairPlan []round
-	for _, pairs := range pairRounds {
-		exps0 := make([]Exp, len(pairs))
-		expsM := make([]Exp, len(pairs))
-		for x, p := range pairs {
-			exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
-			expsM[x] = roundtripExp(p.I, p.J, opt.MsgSize, opt.MsgSize, x)
-		}
-		pairPlan = append(pairPlan, round{exps0, func(s0 []RoundSummary) {
-			for x, p := range pairs {
-				rt0[pairKey(p.I, p.J)] = s0[x].Mean
-			}
-			countRound(s0)
-		}}, round{expsM, func(sm []RoundSummary) {
-			for x, p := range pairs {
-				rtm[pairKey(p.I, p.J)] = sm[x].Mean
-			}
-			countRound(sm)
-		}})
-	}
-	// Phase 2: one-to-two experiments; each unordered round runs
-	// three initiator rotations, with empty and M-byte messages.
-	// Replies are always empty: the paper's guard against the gather
-	// escalations contaminating the estimation.
+	pairPlan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm, countRound)
+	// Phase 2: one-to-two experiments; each round of triplets runs the
+	// three rotations, with empty and M-byte messages.
 	var tripPlan []round
-	for _, trips := range tripRounds {
-		for rot := 0; rot < 3; rot++ {
-			exps0 := make([]Exp, len(trips))
-			expsM := make([]Exp, len(trips))
-			keys := make([][3]int, len(trips))
-			for x, tr := range trips {
-				var a, b, c int
-				switch rot {
-				case 0:
-					a, b, c = tr.I, tr.J, tr.K
-				case 1:
-					a, b, c = tr.J, tr.I, tr.K
-				default:
-					a, b, c = tr.K, tr.I, tr.J
-				}
-				lo, hi := minmax2(b, c)
-				keys[x] = [3]int{a, lo, hi}
-				exps0[x] = oneToTwoExp(a, b, c, 0, 0, x)
-				expsM[x] = oneToTwoExp(a, b, c, opt.MsgSize, 0, x)
-			}
+	for _, idx := range tripletSchedule(n, triplets, opt.Parallel) {
+		for _, r := range rotations {
+			x := r.init
 			var s0 []RoundSummary
-			tripPlan = append(tripPlan, round{exps0, func(s []RoundSummary) {
+			tripPlan = append(tripPlan, round{oneToTwoExps(tts, idx, r, 0), func(s []RoundSummary) {
 				s0 = s
 				countRound(s0)
-			}}, round{expsM, func(sm []RoundSummary) {
-				for x, key := range keys {
-					ott0[key] = s0[x].Mean
-					ottm[key] = sm[x].Mean
-					if !s0[x].Converged || !sm[x].Converged {
-						worst := s0[x].RelErr()
-						if e := sm[x].RelErr(); e > worst {
-							worst = e
+			}}, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {
+				for e, ti := range idx {
+					tts[ti].OneToTwo0[x], tts[ti].OneToTwoM[x] = s0[e].Mean, sm[e].Mean
+					if !s0[e].Converged || !sm[e].Converged {
+						worst := s0[e].RelErr()
+						if re := sm[e].RelErr(); re > worst {
+							worst = re
 						}
-						if e, ok := suspect[key]; !ok || worst > e {
-							suspect[key] = worst
-						}
+						suspect[[2]int{ti, x}] = worst
 					}
 				}
 				countRound(sm)
@@ -333,39 +329,26 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	sumCAll := make([]float64, n)
 	sumTAll := make([]float64, n)
 	cntAll := make([]int, n)
-	droppedSeen := make(map[[3]int]bool)
 
-	for _, tr := range triplets {
-		tt := TripletTimes{
-			I: tr.I, J: tr.J, K: tr.K, M: opt.MsgSize,
-			RT0: rt0, RTM: rtm,
-			OneToTwo0: map[int]float64{},
-			OneToTwoM: map[int]float64{},
-		}
-		for _, x := range []int{tr.I, tr.J, tr.K} {
-			lo, hi := minmax2(otherTwo(tr, x))
-			tt.OneToTwo0[x] = ott0[[3]int{x, lo, hi}]
-			tt.OneToTwoM[x] = ottm[[3]int{x, lo, hi}]
-		}
-		sol := SolveTriplet(tt)
+	for ti := range tts {
+		tt := &tts[ti]
+		tt.roundTrips(rt0, rtm)
+		sol := SolveTriplet(*tt)
 		// Host-side solve: virtual time is frozen at res.Duration, so the
 		// solver appears as instants at the end of the global track.
 		opt.Obs.Point(obs.CatEstimate, "solve:triplet", obs.GlobalTrack, res.Duration)
-		for _, x := range []int{tr.I, tr.J, tr.K} {
-			lo, hi := minmax2(otherTwo(tr, x))
-			key := [3]int{x, lo, hi}
-			sumCAll[x] += sol.C[x]
-			sumTAll[x] += sol.T[x]
+		for _, r := range rotations {
+			s := r.init
+			x := tt.Members[s]
+			sumCAll[x] += sol.C[s]
+			sumTAll[x] += sol.T[s]
 			cntAll[x]++
-			if relErr, bad := suspect[key]; bad {
-				if !droppedSeen[key] {
-					droppedSeen[key] = true
-					rep.Dropped = append(rep.Dropped, DroppedExp{Initiator: x, Lo: lo, Hi: hi, RelErr: relErr})
-				}
+			if relErr, bad := suspect[[2]int{ti, s}]; bad {
+				rep.Dropped = append(rep.Dropped, DroppedExp{Initiator: x, Lo: tt.Members[r.first], Hi: tt.Members[r.desig], RelErr: relErr})
 				continue
 			}
-			sumC[x] += sol.C[x]
-			sumT[x] += sol.T[x]
+			sumC[x] += sol.C[s]
+			sumT[x] += sol.T[s]
 			cntCT[x]++
 		}
 	}
@@ -387,37 +370,11 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	}
 	mf := float64(opt.MsgSize)
 	for _, p := range AllPairs(n) {
-		l := rt0[p]/2 - model.C[p.I] - model.C[p.J]
-		if l < 0 {
-			l = 0
-		}
+		l, ib := linkLInvB(rt0[p], rtm[p], model.C[p.I], model.C[p.J], model.T[p.I], model.T[p.J], mf)
+		beta := rate(ib)
 		model.L[p.I][p.J], model.L[p.J][p.I] = l, l
-		ib := (rtm[p]/2-model.C[p.I]-l-model.C[p.J])/mf - model.T[p.I] - model.T[p.J]
-		if ib > 0 {
-			model.Beta[p.I][p.J], model.Beta[p.J][p.I] = 1/ib, 1/ib
-		} else {
-			model.Beta[p.I][p.J], model.Beta[p.J][p.I] = math.Inf(1), math.Inf(1)
-		}
+		model.Beta[p.I][p.J], model.Beta[p.J][p.I] = beta, beta
 	}
 	opt.Obs.Point(obs.CatEstimate, "solve:eq12", obs.GlobalTrack, res.Duration)
 	return model, rep, nil
-}
-
-// otherTwo returns the two members of tr that are not x.
-func otherTwo(tr Triplet, x int) (int, int) {
-	switch x {
-	case tr.I:
-		return tr.J, tr.K
-	case tr.J:
-		return tr.I, tr.K
-	default:
-		return tr.I, tr.J
-	}
-}
-
-func minmax2(a, b int) (int, int) {
-	if a > b {
-		return b, a
-	}
-	return a, b
 }

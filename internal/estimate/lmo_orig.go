@@ -19,9 +19,12 @@ import (
 // precisely the conflation the paper's extension removes; the
 // estimator exists as the ablation baseline quantifying what the
 // extension buys. The variable parameters use the same one-to-two
-// experiments as the extended model.
+// experiments (rotations) and eq (11) forms as the extended model.
 func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	if n < 3 {
 		return nil, Report{}, fmt.Errorf("estimate: LMO estimation needs at least 3 processors, have %d", n)
@@ -30,64 +33,16 @@ func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
 
 	rt0 := make(map[Pair]float64)
 	rtm := make(map[Pair]float64)
-	ottm := make(map[[3]int]float64)
+	triplets := AllTriplets(n)
+	tts := tripletRecords(triplets, opt.MsgSize)
 
-	var pairRounds [][]Pair
-	if opt.Parallel {
-		pairRounds = PairRounds(n)
-	} else {
-		for _, p := range AllPairs(n) {
-			pairRounds = append(pairRounds, []Pair{p})
-		}
-	}
-	var tripRounds [][]Triplet
-	if opt.Parallel {
-		tripRounds = TripletRounds(n)
-	} else {
-		for _, t := range AllTriplets(n) {
-			tripRounds = append(tripRounds, []Triplet{t})
-		}
-	}
-
-	var plan []round
-	for _, pairs := range pairRounds {
-		exps0 := make([]Exp, len(pairs))
-		expsM := make([]Exp, len(pairs))
-		for x, p := range pairs {
-			exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
-			expsM[x] = roundtripExp(p.I, p.J, opt.MsgSize, opt.MsgSize, x)
-		}
-		plan = append(plan, round{exps0, func(s0 []RoundSummary) {
-			for x, p := range pairs {
-				rt0[pairKey(p.I, p.J)] = s0[x].Mean
-			}
-		}}, round{expsM, func(sm []RoundSummary) {
-			for x, p := range pairs {
-				rtm[pairKey(p.I, p.J)] = sm[x].Mean
-			}
-		}})
-	}
-	for _, trips := range tripRounds {
-		for rot := 0; rot < 3; rot++ {
-			expsM := make([]Exp, len(trips))
-			keys := make([][3]int, len(trips))
-			for x, tr := range trips {
-				var a, b, c int
-				switch rot {
-				case 0:
-					a, b, c = tr.I, tr.J, tr.K
-				case 1:
-					a, b, c = tr.J, tr.I, tr.K
-				default:
-					a, b, c = tr.K, tr.I, tr.J
-				}
-				lo, hi := minmax2(b, c)
-				keys[x] = [3]int{a, lo, hi}
-				expsM[x] = oneToTwoExp(a, b, c, opt.MsgSize, 0, x)
-			}
-			plan = append(plan, round{expsM, func(sm []RoundSummary) {
-				for x, key := range keys {
-					ottm[key] = sm[x].Mean
+	// Only LMOX keeps the report's robustness accounting.
+	plan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm, func([]RoundSummary) {})
+	for _, idx := range tripletSchedule(n, triplets, opt.Parallel) {
+		for _, r := range rotations {
+			plan = append(plan, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {
+				for e, ti := range idx {
+					tts[ti].OneToTwoM[r.init] = sm[e].Mean
 				}
 			}})
 		}
@@ -109,41 +64,33 @@ func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
 	sumInvB := make(map[Pair]float64)
 	cntPair := make(map[Pair]int)
 
-	for _, tr := range AllTriplets(n) {
-		i, j, k := tr.I, tr.J, tr.K
-		half := func(a, b int) float64 { return rt0[pairKey(a, b)] / 2 }
-		c := map[int]float64{
-			i: (half(i, j) + half(i, k) - half(j, k)) / 2,
-			j: (half(i, j) + half(j, k) - half(i, k)) / 2,
-			k: (half(i, k) + half(j, k) - half(i, j)) / 2,
-		}
-		for _, x := range []int{i, j, k} {
+	for ti := range tts {
+		tt := &tts[ti]
+		tt.roundTrips(rt0, rtm)
+		// The triangle constants, from the half round trips by pair slot.
+		h := [3]float64{tt.RT0[0] / 2, tt.RT0[1] / 2, tt.RT0[2] / 2}
+		c := [3]float64{(h[0] + h[1] - h[2]) / 2, (h[0] + h[2] - h[1]) / 2, (h[1] + h[2] - h[0]) / 2}
+		for x := range c {
 			if c[x] < 0 {
 				c[x] = 0
 			}
 		}
-		// Variable parts, designated-branch forms as in SolveTriplet.
-		tt := TripletTimes{I: i, J: j, K: k}
-		tv := map[int]float64{}
-		for _, x := range []int{i, j, k} {
-			d := tt.Designated(x)
-			lo, hi := minmax2(otherTwo(tr, x))
-			t := (ottm[[3]int{x, lo, hi}] - (rt0[pairKey(x, d)]+rtm[pairKey(x, d)])/2 - 2*c[x]) / m
-			if t < 0 {
-				t = 0
-			}
-			tv[x] = t
+		// Variable parts: eq (11) with the triangle constants.
+		var t [3]float64
+		for _, r := range rotations {
+			t[r.init] = processorT(tt.OneToTwoM[r.init], tt.RT0[r.rt], tt.RTM[r.rt], c[r.init], m)
 		}
-		for _, x := range []int{i, j, k} {
-			sumC[x] += c[x]
-			sumT[x] += tv[x]
-			cntCT[x]++
+		for x, proc := range tt.Members {
+			sumC[proc] += c[x]
+			sumT[proc] += t[x]
+			cntCT[proc]++
 		}
-		for _, p := range []Pair{pairKey(i, j), pairKey(j, k), pairKey(i, k)} {
-			ib := (rtm[p]/2-c[p.I]-c[p.J])/m - tv[p.I] - tv[p.J]
-			if ib > 0 {
-				sumInvB[p] += ib
-				cntPair[p]++
+		for p, pr := range tripletPairs {
+			a, b := pr[0], pr[1]
+			if ib := linkInvB(tt.RTM[p], c[a], 0, c[b], t[a], t[b], m); ib > 0 {
+				k := Pair{tt.Members[a], tt.Members[b]}
+				sumInvB[k] += ib
+				cntPair[k]++
 			}
 		}
 	}

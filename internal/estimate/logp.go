@@ -19,7 +19,10 @@ const logpWait = 50 * time.Millisecond
 // small-message saturation, and LogGP's gap per byte G from the slope
 // between small- and large-message saturations.
 func LogPLogGP(cfg mpi.Config, opt Options) (*models.LogP, *models.LogGP, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	smallW := 1 << 10
 	bigM := opt.MsgSize
@@ -104,7 +107,10 @@ func samplePairs(n int) []Pair {
 // linear extrapolation from the previous two sizes by more than tol,
 // the midpoint is measured too.
 func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	n := cfg.Cluster.N()
 	const i, j = 0, 1
 	cnt := saturationCount

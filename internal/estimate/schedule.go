@@ -12,7 +12,8 @@ package estimate
 type Pair struct{ I, J int }
 
 // Triplet is an unordered processor triple used in one-to-two
-// experiments; each triple spawns three experiments, one per initiator.
+// experiments, held ascending (I < J < K); each triple spawns three
+// experiments, one per initiator (rotations).
 type Triplet struct{ I, J, K int }
 
 // AllPairs enumerates the C(n,2) unordered pairs.
@@ -75,11 +76,18 @@ func PairRounds(n int) [][]Pair {
 	return rounds
 }
 
-// TripletRounds greedily packs all C(n,3) triples into rounds of
-// mutually disjoint triples (at most ⌊n/3⌋ per round). The packing is
-// deterministic.
-func TripletRounds(n int) [][]Triplet {
-	return packTriplets(n, AllTriplets(n))
+// pairSchedule returns the rounds of the round-trip phase over all
+// C(n,2) pairs: the tournament rounds of PairRounds when parallel, one
+// pair per round otherwise.
+func pairSchedule(n int, parallel bool) [][]Pair {
+	if parallel {
+		return PairRounds(n)
+	}
+	var rounds [][]Pair
+	for _, p := range AllPairs(n) {
+		rounds = append(rounds, []Pair{p})
+	}
+	return rounds
 }
 
 // SampleTriplets returns a reduced triplet set in which every processor
@@ -175,22 +183,32 @@ func SampleTriplets(n, k int) []Triplet {
 	}
 }
 
-// packTriplets greedily packs an arbitrary triplet set into rounds of
-// mutually disjoint triples (the generalization TripletRounds uses for
-// the full set).
-func packTriplets(n int, triplets []Triplet) [][]Triplet {
-	remaining := append([]Triplet(nil), triplets...)
-	var rounds [][]Triplet
+// tripletSchedule returns the rounds of the one-to-two phase over
+// triplets, each round a list of indices into triplets: one triplet
+// per round when serial; when parallel, rounds of mutually disjoint
+// triplets (at most ⌊n/3⌋ per round), packed greedily in input order,
+// so the packing is deterministic.
+func tripletSchedule(n int, triplets []Triplet, parallel bool) [][]int {
+	var rounds [][]int
+	if !parallel {
+		for i := range triplets {
+			rounds = append(rounds, []int{i})
+		}
+		return rounds
+	}
+	remaining := make([]int, len(triplets))
+	for i := range remaining {
+		remaining[i] = i
+	}
 	for len(remaining) > 0 {
 		used := make([]bool, n)
-		var round []Triplet
-		var rest []Triplet
-		for _, t := range remaining {
-			if !used[t.I] && !used[t.J] && !used[t.K] {
+		var round, rest []int
+		for _, i := range remaining {
+			if t := triplets[i]; !used[t.I] && !used[t.J] && !used[t.K] {
 				used[t.I], used[t.J], used[t.K] = true, true, true
-				round = append(round, t)
+				round = append(round, i)
 			} else {
-				rest = append(rest, t)
+				rest = append(rest, i)
 			}
 		}
 		rounds = append(rounds, round)

@@ -99,14 +99,16 @@ func TestPairRoundsProperty(t *testing.T) {
 
 func TestTripletRoundsCoverAndDisjoint(t *testing.T) {
 	for _, n := range []int{3, 5, 9, 16} {
-		rounds := TripletRounds(n)
+		triplets := AllTriplets(n)
+		rounds := tripletSchedule(n, triplets, true)
 		seen := map[Triplet]bool{}
 		for ri, round := range rounds {
 			used := make([]bool, n)
 			if len(round) > n/3 {
 				t.Fatalf("n=%d round %d has %d triples > n/3", n, ri, len(round))
 			}
-			for _, tr := range round {
+			for _, i := range round {
+				tr := triplets[i]
 				for _, x := range []int{tr.I, tr.J, tr.K} {
 					if used[x] {
 						t.Fatalf("n=%d round %d reuses processor %d", n, ri, x)
@@ -126,7 +128,7 @@ func TestTripletRoundsCoverAndDisjoint(t *testing.T) {
 }
 
 func TestTripletRoundsParallelismFor16(t *testing.T) {
-	rounds := TripletRounds(16)
+	rounds := tripletSchedule(16, AllTriplets(16), true)
 	serial := len(AllTriplets(16)) // 560
 	if len(rounds) >= serial {
 		t.Fatalf("parallel rounds (%d) should be far fewer than %d", len(rounds), serial)

@@ -14,9 +14,11 @@ func TestParseSpecValid(t *testing.T) {
 		nodes int
 	}{
 		{"single:8", 8},
+		{"single:16", 16},
 		{"twotier:4x8", 32},
 		{"fattree:4", 16}, // k³/4
 		{"multicluster:3x5", 15},
+		{"multicluster:3x6", 18},
 		// At the limits: 4 096 hosts, 512 switches that hold hosts.
 		{"single:4096", 4096},
 		{"twotier:512x8", 4096},
@@ -49,6 +51,7 @@ func TestParseSpecErrors(t *testing.T) {
 	}{
 		{"single8", "needs the form kind:params"},
 		{"", "needs the form kind:params"},
+		{"fattree", "needs the form kind:params"},
 		{"single:", "bad node count"},
 		{"single:abc", "bad node count"},
 		{"single:0", "bad node count"},

@@ -219,33 +219,6 @@ func TestPrefixSharesRoutes(t *testing.T) {
 	tp.Prefix(9)
 }
 
-func TestParseSpec(t *testing.T) {
-	good := []struct {
-		spec  string
-		nodes int
-	}{
-		{"single:16", 16},
-		{"twotier:4x8", 32},
-		{"fattree:4", 16},
-		{"multicluster:3x6", 18},
-	}
-	for _, c := range good {
-		tp, err := ParseSpec(c.spec)
-		if err != nil {
-			t.Errorf("%s: %v", c.spec, err)
-			continue
-		}
-		if tp.Nodes() != c.nodes {
-			t.Errorf("%s: %d nodes, want %d", c.spec, tp.Nodes(), c.nodes)
-		}
-	}
-	for _, bad := range []string{"", "fattree", "fattree:3", "twotier:4", "ring:8", "single:0"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("%q: ParseSpec accepted it", bad)
-		}
-	}
-}
-
 func TestClassRoundTrip(t *testing.T) {
 	for _, c := range []Class{Intra, Uplink, WAN} {
 		got, err := ParseClass(c.String())

@@ -95,6 +95,49 @@ func TestFineGrainedOptionsOverrideBase(t *testing.T) {
 	}
 }
 
+// A negative message size is refused up front with an error naming the
+// option, for every family that reads it and for the grouped path: no
+// experiment runs and no span is traced. Zero still selects the 32 KiB
+// default.
+func TestWithMsgSizeNegativeRefusedUpFront(t *testing.T) {
+	cases := []struct {
+		name string
+		kind ModelKind
+		opts []EstimateOption
+	}{
+		{"lmo", ModelLMO, nil},
+		{"lmo5", ModelLMOOriginal, nil},
+		{"logp", ModelLogP, nil},
+		{"grouped", ModelLMO, []EstimateOption{WithLogicalGroups()}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := NewTrace()
+			opts := append(c.opts, WithEstimateOptions(fastOpt()), WithMsgSize(-1), WithObserver(tr))
+			est, err := testSystem().Estimate(c.kind, opts...)
+			if err == nil || !strings.Contains(err.Error(), "MsgSize") {
+				t.Fatalf("WithMsgSize(-1): error %v, want one naming MsgSize", err)
+			}
+			if est.Report.Experiments != 0 || est.Report.Cost != 0 || len(tr.Spans()) != 0 {
+				t.Fatalf("WithMsgSize(-1) simulated before refusing: report %+v, %d spans", est.Report, len(tr.Spans()))
+			}
+		})
+	}
+	t.Run("zero is the default", func(t *testing.T) {
+		zero, err := testSystem().Estimate(ModelLogP, WithEstimateOptions(fastOpt()), WithMsgSize(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := testSystem().Estimate(ModelLogP, WithEstimateOptions(fastOpt()), WithMsgSize(32<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *zero.LogGP != *def.LogGP {
+			t.Fatalf("WithMsgSize(0) estimated LogGP %+v, WithMsgSize(32 KiB) %+v", *zero.LogGP, *def.LogGP)
+		}
+	})
+}
+
 func TestWithObserverThreadsTraceThroughRun(t *testing.T) {
 	sys := testSystem()
 	tr := NewTrace()
