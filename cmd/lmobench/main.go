@@ -19,16 +19,17 @@
 //	lmobench -list                     # list experiments
 //
 // For profiling the simulation kernel, -cpuprofile and -memprofile
-// write pprof profiles of the run (error exits skip the flush, as with
-// go test's profiling flags):
+// write pprof profiles of the run:
 //
 //	lmobench -exp table1 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -46,36 +47,52 @@ import (
 	"repro/internal/tuned"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes the command and returns its exit code: 0 on success, 1
+// when an experiment fails, 2 on a usage or input error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lmobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig1..fig7, table1, table2, estcost, irreg, faults, ...; see -list) or 'all'")
-		mpiName  = flag.String("mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
-		seed     = flag.Int64("seed", 1, "TCP randomness seed")
-		root     = flag.Int("root", 0, "collective root rank")
-		reps     = flag.Int("reps", 10, "repetitions per observation point")
-		csvPath  = flag.String("csv", "", "write the experiment's series to this CSV file")
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		hetLink  = flag.Bool("hetlinks", false, "use per-pair link variation (Table1Hetero)")
-		clPath   = flag.String("cluster", "", "JSON cluster description to use instead of Table I")
-		topoSpec = flag.String("topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
-		seeds    = flag.Int("seeds", 1, "sweep this many consecutive seeds (starting at -seed) as a campaign and report mean ± CI")
-		parallel = flag.Int("parallel", 0, "campaign worker count for -seeds sweeps (0: GOMAXPROCS)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		gantt    = flag.String("gantt", "", "with -seeds > 1: write the campaign's task Gantt chart as a Chrome trace_event file")
-		tunedTab = flag.String("tuned", "", "decision-table file for -exp tune: when it exists the tuner answers from it (no re-tuning); otherwise the freshly tuned table is written there")
+		exp      = fs.String("exp", "all", "experiment id (fig1..fig7, table1, table2, estcost, irreg, faults, ...; see -list) or 'all'")
+		mpiName  = fs.String("mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
+		seed     = fs.Int64("seed", 1, "TCP randomness seed")
+		root     = fs.Int("root", 0, "collective root rank")
+		reps     = fs.Int("reps", 10, "repetitions per observation point (at least 1)")
+		csvPath  = fs.String("csv", "", "write the experiment's series to this CSV file")
+		list     = fs.Bool("list", false, "list available experiments and exit")
+		hetLink  = fs.Bool("hetlinks", false, "use per-pair link variation (Table1Hetero)")
+		clPath   = fs.String("cluster", "", "JSON cluster description to use instead of Table I")
+		topoSpec = fs.String("topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
+		seeds    = fs.Int("seeds", 1, "sweep this many consecutive seeds (starting at -seed) as a campaign and report mean ± CI")
+		parallel = fs.Int("parallel", 0, "campaign worker count for -seeds sweeps (0: GOMAXPROCS)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
+		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		gantt    = fs.String("gantt", "", "with -seeds > 1: write the campaign's task Gantt chart as a Chrome trace_event file")
+		tunedTab = fs.String("tuned", "", "decision-table file for -exp tune: when it exists the tuner answers from it (no re-tuning); otherwise the freshly tuned table is written there")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "lmobench: "+format+"\n", a...)
+		return code
+	}
+	if *reps < 1 {
+		return fail(2, "-reps %d: an observation needs at least one repetition", *reps)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -86,23 +103,23 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
+				fmt.Fprintf(stderr, "lmobench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live objects
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
+				fmt.Fprintf(stderr, "lmobench: %v\n", err)
 			}
 		}()
 	}
 
 	if *list {
 		for _, r := range experiment.Runners() {
-			fmt.Printf("  %-8s %s\n", r.ID, r.Brief)
+			fmt.Fprintf(stdout, "  %-8s %s\n", r.ID, r.Brief)
 		}
-		fmt.Printf("  %-8s %s\n", "tune", "model-guided collective auto-tuning: prune + simulate, decision table, gather-splitting win")
-		return
+		fmt.Fprintf(stdout, "  %-8s %s\n", "tune", "model-guided collective auto-tuning: prune + simulate, decision table, gather-splitting win")
+		return 0
 	}
 
 	cfg := experiment.Default()
@@ -115,50 +132,42 @@ func main() {
 	if *clPath != "" {
 		data, err := os.ReadFile(*clPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		cl, err := cluster.FromJSON(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		cfg.Cluster = cl
 	}
 	if *topoSpec != "" {
 		t, err := topo.ParseSpec(*topoSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		cfg.Cluster = cluster.FromTopology(t, cluster.NodeSpec{}, cluster.LinkSpec{})
 	}
 	prof, err := cluster.ParseProfile(*mpiName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmobench: unknown -mpi %q (lam, mpich, ideal)\n", *mpiName)
-		os.Exit(2)
+		return fail(2, "unknown -mpi %q (lam, mpich, ideal)", *mpiName)
 	}
 	cfg.Profile = prof
 
 	if *exp == "tune" {
 		if *seeds > 1 {
-			fmt.Fprintln(os.Stderr, "lmobench: -exp tune runs its own validation campaign; -seeds sweeps are not supported")
-			os.Exit(2)
+			return fail(2, "-exp tune runs its own validation campaign; -seeds sweeps are not supported")
 		}
-		runTune(cfg, *tunedTab, *csvPath)
-		return
+		return runTune(stdout, stderr, cfg, *tunedTab, *csvPath)
 	}
 	if *tunedTab != "" {
-		fmt.Fprintln(os.Stderr, "lmobench: -tuned only applies to -exp tune")
-		os.Exit(2)
+		return fail(2, "-tuned only applies to -exp tune")
 	}
 
 	runners := experiment.Runners()
 	if *exp != "all" {
 		r := experiment.Lookup(*exp)
 		if r == nil {
-			fmt.Fprintf(os.Stderr, "lmobench: unknown experiment %q; use -list\n", *exp)
-			os.Exit(2)
+			return fail(2, "unknown experiment %q; use -list", *exp)
 		}
 		runners = []experiment.Runner{*r}
 	}
@@ -174,12 +183,10 @@ func main() {
 		if *topoSpec != "" {
 			clusterName = *topoSpec
 		}
-		runCampaign(cfg, runners, clusterName, *seed, *seeds, *parallel, *gantt)
-		return
+		return runCampaign(stdout, stderr, cfg, runners, clusterName, *seed, *seeds, *parallel, *gantt)
 	}
 	if *gantt != "" {
-		fmt.Fprintln(os.Stderr, "lmobench: -gantt requires a -seeds sweep (campaign mode)")
-		os.Exit(2)
+		return fail(2, "-gantt requires a -seeds sweep (campaign mode)")
 	}
 
 	// Experiments are independent simulations; run them concurrently
@@ -192,7 +199,6 @@ func main() {
 	results := make([]outcome, len(runners))
 	var wg sync.WaitGroup
 	for idx := range runners {
-		idx := idx
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -206,31 +212,37 @@ func main() {
 	for i, r := range runners {
 		res := results[i]
 		if res.err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %s: %v\n", r.ID, res.err)
-			os.Exit(1)
+			return fail(1, "%s: %v", r.ID, res.err)
 		}
 		rep := res.rep
-		experiment.Render(os.Stdout, rep)
-		fmt.Printf("(%s completed in %v wall-clock)\n\n", r.ID, res.took.Round(time.Millisecond))
+		experiment.Render(stdout, rep)
+		fmt.Fprintf(stdout, "(%s completed in %v wall-clock)\n\n", r.ID, res.took.Round(time.Millisecond))
 
 		if *csvPath != "" && len(rep.Series) > 0 {
 			path := *csvPath
 			if *exp == "all" {
 				path = rep.ID + "_" + path
 			}
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-				os.Exit(1)
+			if err := writeCSV(path, rep); err != nil {
+				return fail(1, "%v", err)
 			}
-			if err := experiment.WriteCSV(f, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("(series written to %s)\n\n", path)
+			fmt.Fprintf(stdout, "(series written to %s)\n\n", path)
 		}
 	}
+	return 0
+}
+
+// writeCSV writes a report's series to the CSV file at path.
+func writeCSV(path string, rep *experiment.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := experiment.WriteCSV(f, rep); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runTune runs the model-guided auto-tuning experiment: estimate the
@@ -239,61 +251,56 @@ func main() {
 // render the predicted-vs-simulated makespan report with the
 // gather-splitting comparison. With tablePath naming an existing file
 // the tuner answers from that decision table instead of re-tuning;
-// otherwise the fresh table is written there.
-func runTune(cfg experiment.Config, tablePath, csvPath string) {
+// otherwise the fresh table is written there. It returns run's exit
+// code.
+func runTune(stdout, stderr io.Writer, cfg experiment.Config, tablePath, csvPath string) int {
 	start := time.Now()
 	if tablePath != "" {
 		if data, err := os.ReadFile(tablePath); err == nil {
 			tbl, err := tuned.UnmarshalTable(data)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "lmobench: %s: %v\n", tablePath, err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "lmobench: %s: %v\n", tablePath, err)
+				return 2
 			}
-			fmt.Printf("answering from decision table %s (no re-tuning):\n\n", tablePath)
-			renderDecisionTable(tbl)
-			return
+			fmt.Fprintf(stdout, "answering from decision table %s (no re-tuning):\n\n", tablePath)
+			renderDecisionTable(stdout, tbl)
+			return 0
 		}
 		// Missing file: tune below and write the result there.
 	}
 	rep, res, err := autotune.Experiment(context.Background(), cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmobench: tune: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "lmobench: tune: %v\n", err)
+		return 1
 	}
-	experiment.Render(os.Stdout, rep)
-	fmt.Printf("(tune completed in %v wall-clock: %d-candidate space per cell, %d simulator validations)\n\n",
+	experiment.Render(stdout, rep)
+	fmt.Fprintf(stdout, "(tune completed in %v wall-clock: %d-candidate space per cell, %d simulator validations)\n\n",
 		time.Since(start).Round(time.Millisecond), res.Candidates, res.Simulated)
 	if tablePath != "" {
 		data, err := res.Table.Marshal()
+		if err == nil {
+			err = os.WriteFile(tablePath, append(data, '\n'), 0o644)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lmobench: %v\n", err)
+			return 1
 		}
-		if err := os.WriteFile(tablePath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(decision table written to %s)\n\n", tablePath)
+		fmt.Fprintf(stdout, "(decision table written to %s)\n\n", tablePath)
 	}
 	if csvPath != "" && len(rep.Series) > 0 {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(1)
+		if err := writeCSV(csvPath, rep); err != nil {
+			fmt.Fprintf(stderr, "lmobench: %v\n", err)
+			return 1
 		}
-		if err := experiment.WriteCSV(f, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("(series written to %s)\n\n", csvPath)
+		fmt.Fprintf(stdout, "(series written to %s)\n\n", csvPath)
 	}
+	return 0
 }
 
 // renderDecisionTable prints a decision table's rules.
-func renderDecisionTable(tbl *tuned.Table) {
+func renderDecisionTable(w io.Writer, tbl *tuned.Table) {
 	if m := tbl.Meta; m != nil {
-		fmt.Printf("tuned for %s (%d nodes) under %s, seed %d\n\n", m.Cluster, m.Nodes, m.Profile, m.Seed)
+		fmt.Fprintf(w, "tuned for %s (%d nodes) under %s, seed %d\n\n", m.Cluster, m.Nodes, m.Profile, m.Seed)
 	}
 	rows := [][]string{{"op", "range (bytes)", "shape", "predicted (s)", "simulated (s)"}}
 	for _, r := range tbl.Rules {
@@ -304,13 +311,14 @@ func renderDecisionTable(tbl *tuned.Table) {
 		rows = append(rows, []string{string(r.Op), fmt.Sprintf("[%d, %s)", r.MinBytes, hi),
 			r.String(), fmt.Sprintf("%.6f", r.PredictedS), fmt.Sprintf("%.6f", r.SimulatedS)})
 	}
-	fmt.Println(textplot.Table(rows))
+	fmt.Fprintln(w, textplot.Table(rows))
 }
 
 // runCampaign sweeps the experiments over nSeeds consecutive seeds
 // through the campaign engine and renders the seed-aggregated view:
-// mean series and mean ± 95% CI of every metric.
-func runCampaign(cfg experiment.Config, runners []experiment.Runner, clusterName string, seed int64, nSeeds, parallel int, gantt string) {
+// mean series and mean ± 95% CI of every metric. It returns run's exit
+// code.
+func runCampaign(stdout, stderr io.Writer, cfg experiment.Config, runners []experiment.Runner, clusterName string, seed int64, nSeeds, parallel int, gantt string) int {
 	g := campaign.Grid{
 		Profiles: []*cluster.TCPProfile{cfg.Profile},
 		Clusters: []campaign.ClusterSpec{{Name: clusterName, Cluster: cfg.Cluster}},
@@ -331,14 +339,14 @@ func runCampaign(cfg experiment.Config, runners []experiment.Runner, clusterName
 	start := time.Now()
 	out, err := campaign.Run(context.Background(), g, campaign.Options{Parallel: parallel, Obs: tr})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "lmobench: %v\n", err)
+		return 2
 	}
 	if tr != nil {
 		f, err := os.Create(gantt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "lmobench: %v\n", err)
+			return 2
 		}
 		// Campaign tracks are task indices, and Results is ordered by
 		// task index; label each lane with its unit of work.
@@ -356,20 +364,20 @@ func runCampaign(cfg experiment.Config, runners []experiment.Runner, clusterName
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintf(os.Stderr, "lmobench: %v\n", werr)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "lmobench: %v\n", werr)
+			return 2
 		}
-		fmt.Printf("campaign Gantt trace written to %s (%d spans; open at chrome://tracing)\n\n",
+		fmt.Fprintf(stdout, "campaign Gantt trace written to %s (%d spans; open at chrome://tracing)\n\n",
 			gantt, len(tr.Spans()))
 	}
 	for _, res := range out.Results {
 		if res.Err != "" {
-			fmt.Fprintf(os.Stderr, "lmobench: %s seed %d: %s\n", res.Target, res.Seed, res.Err)
+			fmt.Fprintf(stderr, "lmobench: %s seed %d: %s\n", res.Target, res.Seed, res.Err)
 		}
 	}
 
 	for _, a := range out.Aggregates {
-		fmt.Printf("== %s on %s under %s — %d/%d seeds ==\n\n",
+		fmt.Fprintf(stdout, "== %s on %s under %s — %d/%d seeds ==\n\n",
 			a.Target, a.Cluster, a.Profile, a.OK, a.Seeds)
 		if a.OK == 0 {
 			continue
@@ -383,7 +391,7 @@ func runCampaign(cfg experiment.Config, runners []experiment.Runner, clusterName
 				}
 				series[i] = textplot.Series{Name: as.Name + " (mean)", Points: pts}
 			}
-			fmt.Println(textplot.Chart("", "message size", "seconds", series, 72, 20))
+			fmt.Fprintln(stdout, textplot.Chart("", "message size", "seconds", series, 72, 20))
 		}
 		if len(a.Metrics) > 0 {
 			names := make([]string, 0, len(a.Metrics))
@@ -400,9 +408,10 @@ func runCampaign(cfg experiment.Config, runners []experiment.Runner, clusterName
 					fmt.Sprintf("%.3g", s.StdDev),
 					fmt.Sprint(s.N)})
 			}
-			fmt.Println(textplot.Table(rows))
+			fmt.Fprintln(stdout, textplot.Table(rows))
 		}
 	}
-	fmt.Printf("(%d tasks, %d failed, %v wall-clock)\n",
+	fmt.Fprintf(stdout, "(%d tasks, %d failed, %v wall-clock)\n",
 		len(out.Results), out.Failed(), time.Since(start).Round(time.Millisecond))
+	return 0
 }

@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.root, "root", 0, "root rank")
 	fs.StringVar(&o.mpi, "mpi", "lam", "MPI implementation profile: lam, mpich or ideal")
 	fs.Int64Var(&o.seed, "seed", 1, "TCP randomness seed")
-	fs.IntVar(&o.reps, "reps", 10, "observation repetitions")
+	fs.IntVar(&o.reps, "reps", 10, "observation repetitions (at least 1)")
 	fs.StringVar(&o.models, "models", "", "load estimated models from this JSON file (from cmd/estimate -json) instead of re-estimating")
 	fs.StringVar(&o.topo, "topo", "", "homogeneous multi-switch cluster from a topology spec (single:N, twotier:RxP, fattree:K, multicluster:SxP) instead of Table I")
 	fs.StringVar(&o.batch, "batch", "", `batch mode: read JSONL queries ({"op","alg","m","root","degree","segment"}, blanks inherit the flags) from this file ("-" = stdin) and emit one JSON prediction per line; skips the observation run`)
@@ -59,6 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if o.reps < 1 {
+		fmt.Fprintf(stderr, "predict: -reps %d: an observation needs at least one repetition\n", o.reps)
 		return 2
 	}
 	if err := o.run(stdout, stderr); err != nil {
@@ -136,12 +140,8 @@ func (o options) run(stdout, stderr io.Writer) error {
 		return runBatch(o.batch, *set, flagRow, n, stdout)
 	}
 
-	op := experiment.Scatter
-	if q.Coll == models.CollGather {
-		op = experiment.Gather
-	}
 	cfg.Sizes = []int{q.M}
-	obs, err := experiment.Observe(cfg, op, q.Alg)
+	obs, err := experiment.Observe(cfg, q.Coll, q.Alg)
 	if err != nil {
 		return err
 	}
@@ -342,7 +342,7 @@ func reportTuned(w io.Writer, cfg experiment.Config, tbl *tuned.Table, path stri
 	if err != nil {
 		return err
 	}
-	got, err := autotune.Simulate(cfg.MPIConfig(), cfg.ObsReps, op, shape, tbl.Root, m)
+	got, err := autotune.Simulate(cfg, op, shape, m)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/cluster"
 	"repro/internal/collective"
+	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/optimize"
@@ -257,8 +258,8 @@ func TestTunedMode(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
 		}
-		cfg := mpi.Config{Cluster: cluster.Table1().Prefix(testNodes), Profile: cluster.LAM(), Seed: 1}
-		want, err := autotune.Simulate(cfg, 3, tuned.OpGather, optimize.Shape{Alg: mpi.Linear, Segment: 4 << 10}, 0, 16<<10)
+		cfg := experiment.Config{Cluster: cluster.Table1().Prefix(testNodes), Profile: cluster.LAM(), Seed: 1, ObsReps: 3}
+		want, err := autotune.Simulate(cfg, tuned.OpGather, optimize.Shape{Alg: mpi.Linear, Segment: 4 << 10}, 16<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,6 +293,26 @@ func TestTunedMode(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.wantErr) {
 				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.wantErr)
+			}
+		})
+	}
+}
+
+// A -reps below 1 is refused before anything runs: the observation and
+// the tuned shape's timing both run -reps repetitions, and no count
+// below one times anything.
+func TestRepsBelowOneExit2(t *testing.T) {
+	for _, reps := range []string{"0", "-3"} {
+		t.Run(reps, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-op", "gather", "-reps", reps}, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit code %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("stdout should be empty:\n%s", stdout.String())
+			}
+			if !strings.Contains(stderr.String(), "-reps "+reps) {
+				t.Fatalf("stderr does not name the flag:\n%s", stderr.String())
 			}
 		})
 	}

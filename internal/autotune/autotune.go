@@ -168,8 +168,9 @@ func collFor(op tuned.Op) (models.Collective, error) {
 
 // Tune runs the full pipeline — enumerate, prune, simulate, decide —
 // for one cluster and model. The cfg supplies the machine, TCP
-// profile and seed (zero-value fields fall back to the experiment
-// defaults: Table 1 cluster, LAM profile).
+// profile, seed and observation rule (zero-value fields fall back to
+// the experiment defaults: Table 1 cluster, LAM profile); opt.Root
+// replaces its root.
 func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePredictor, opt Options) (*Result, error) {
 	if model == nil {
 		return nil, fmt.Errorf("autotune: nil model")
@@ -181,9 +182,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	if cfg.Profile == nil {
 		cfg.Profile = def.Profile
 	}
-	if cfg.ObsReps <= 0 {
-		cfg.ObsReps = def.ObsReps
-	}
+	cfg.Root = opt.Root
 	opt = opt.withDefaults(model)
 	n := cfg.Cluster.N()
 
@@ -238,7 +237,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 			r := t.NewResult()
 			rf := refs[t.Coord.Target]
 			cell := cells[rf.cell]
-			s, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, cell.Op, cell.Ranked[rf.cand].Candidate, opt.Root, cell.M)
+			s, err := Simulate(cfg, cell.Op, cell.Ranked[rf.cand].Candidate, cell.M)
 			if err != nil {
 				r.Err = err.Error()
 				return r
@@ -333,37 +332,26 @@ func buildTable(cfg experiment.Config, opt Options, n int, cells []Cell) *tuned.
 	return tbl
 }
 
-// Simulate times one scatter or gather under a candidate shape in the
-// event simulator and returns its makespan in seconds, the ground truth
-// the closed-form predictions are judged against. It times as
-// experiment.Observe times the figures: reps synchronised repetitions
-// (at least one) under mpib.Measure, each sample the maximum over the
-// ranks, and returns their mean. The closed forms predict one isolated
-// collective, so no repetition may overlap the next; and the TCP
-// escalations of the irregular region are probabilistic, so a single
-// draw misrepresents the expected cost they predict.
-func Simulate(cfg mpi.Config, reps int, op tuned.Op, c optimize.Shape, root, m int) (float64, error) {
-	// Every block is the same read-only zero payload: collectives lend
-	// blocks, and the simulator reads only their lengths.
-	block := mpi.ZeroPayload(m)
-	var blocks [][]byte
-	if op == tuned.OpScatter {
-		blocks = make([][]byte, cfg.Cluster.N())
-		for i := range blocks {
-			blocks[i] = block
-		}
+// Simulate times one scatter or gather under a candidate shape, with
+// m-byte blocks from cfg.Root, in one job on cfg's platform, and
+// returns its makespan in seconds: the ground truth the closed-form
+// predictions are judged against. It times through cfg's
+// experiment.Probe, the one observation procedure of the figures:
+// synchronised repetitions under mpib.Measure, each sample the
+// maximum over the ranks, and it returns their mean. The closed forms
+// predict one isolated collective, so no repetition may overlap the
+// next; and the TCP escalations of the irregular region are
+// probabilistic, so a single draw misrepresents the expected cost they
+// predict.
+func Simulate(cfg experiment.Config, op tuned.Op, c optimize.Shape, m int) (float64, error) {
+	coll, err := collFor(op)
+	if err != nil {
+		return 0, err
 	}
-	opts := mpib.Options{MinReps: max(reps, 1), MaxReps: max(reps, 1)}
+	p := cfg.Probe()
 	var mean float64
-	_, err := mpi.Run(cfg, func(r *mpi.Rank) {
-		run := func() { r.GatherShape(c.Alg, c.Degree, c.Segment, root, block) }
-		if op == tuned.OpScatter {
-			run = func() { r.ScatterShape(c.Alg, c.Degree, c.Segment, root, m, blocks) }
-		}
-		meas := mpib.Measure(r, root, mpib.MaxTiming, opts, run)
-		if r.Rank() == root {
-			mean = meas.Mean
-		}
+	_, err = mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
+		mean = p.Measure(r, mpib.MaxTiming, coll, c, m).Mean
 	})
 	return mean, err
 }

@@ -83,7 +83,7 @@ func TestTuneBeatsNaiveGatherAndAgrees(t *testing.T) {
 	if cell == nil {
 		t.Fatalf("no gather cell at %d bytes", big)
 	}
-	naive, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, optimize.Shape{Alg: mpi.Linear}, 0, big)
+	naive, err := Simulate(cfg, tuned.OpGather, optimize.Shape{Alg: mpi.Linear}, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTuneBeatsNaiveGatherAndAgrees(t *testing.T) {
 	// The Fig 7 optimization — linear gather split into sub-M1
 	// segments — is in the candidate space and must itself clear the
 	// bar, whether or not a tree shape edged it out.
-	split, err := Simulate(cfg.MPIConfig(), cfg.ObsReps, tuned.OpGather, optimize.Shape{Alg: mpi.Linear, Segment: 4 << 10}, 0, big)
+	split, err := Simulate(cfg, tuned.OpGather, optimize.Shape{Alg: mpi.Linear, Segment: 4 << 10}, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +303,11 @@ func TestTuneWithFlatOnlyModel(t *testing.T) {
 // plan. A 4× CPU straggler at the root must slow a 16 KB linear
 // scatter.
 func TestSimulateAppliesFaultPlan(t *testing.T) {
-	clean := mpi.Config{Cluster: cluster.Table1().Prefix(8), Profile: cluster.LAM(), Seed: 1}
+	clean := experiment.Config{Cluster: cluster.Table1().Prefix(8), Profile: cluster.LAM(), Seed: 1, ObsReps: 3}
 	faulty := clean
 	faulty.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Node: 0, CPUX: 4}}}
-	scatter := func(cfg mpi.Config) float64 {
-		s, err := Simulate(cfg, 3, tuned.OpScatter, optimize.Shape{Alg: mpi.Linear}, 0, 16<<10)
+	scatter := func(cfg experiment.Config) float64 {
+		s, err := Simulate(cfg, tuned.OpScatter, optimize.Shape{Alg: mpi.Linear}, 16<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,13 +321,14 @@ func TestSimulateAppliesFaultPlan(t *testing.T) {
 // A warm Simulate of a gather allocates per repetition, not per rank
 // or per message: on Table I under LAM, ten repetitions of a binomial
 // 16 KiB gather allocate the root's ten result lists, the measurement's
-// state and samples, and Simulate's closures. The job runs on a
+// state and samples, and Simulate's job body; the operation that
+// experiment.Probe.Measure times stays on the stack. The job runs on a
 // recycled world, whose gather batch lists, message headers, processes
 // and rank table come back from the warm-up run.
 func TestWarmSimulateGatherAllocs(t *testing.T) {
-	cfg := mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
+	cfg := experiment.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1, ObsReps: 10}
 	run := func() {
-		if _, err := Simulate(cfg, 10, tuned.OpGather, optimize.Shape{Alg: mpi.Binomial}, 0, 16<<10); err != nil {
+		if _, err := Simulate(cfg, tuned.OpGather, optimize.Shape{Alg: mpi.Binomial}, 16<<10); err != nil {
 			t.Fatal(err)
 		}
 	}

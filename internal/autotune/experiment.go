@@ -36,12 +36,8 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 	if cfg.ScanReps == 0 {
 		cfg.ScanReps = def.ScanReps
 	}
-	if cfg.ObsReps <= 0 {
-		cfg.ObsReps = def.ObsReps
-	}
-	mcfg := cfg.MPIConfig()
 
-	est, _, err := estimate.Family(mcfg, "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
+	est, _, err := estimate.Family(cfg.MPIConfig(), "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, nil, fmt.Errorf("autotune: %w", err)
 	}
@@ -64,7 +60,7 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 	rows := [][]string{{"op", "size", "chosen", "predicted (s)", "simulated (s)", "naive linear (s)", "speedup"}}
 	var bestGatherSpeedup float64
 	for _, cell := range res.Cells {
-		naive, err := Simulate(mcfg, cfg.ObsReps, cell.Op, optimize.Shape{Alg: mpi.Linear}, cfg.Root, cell.M)
+		naive, err := Simulate(cfg, cell.Op, optimize.Shape{Alg: mpi.Linear}, cell.M)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -75,7 +75,7 @@ type Grid struct {
 	Clusters []ClusterSpec         // default: {table1}
 	Targets  []Target              // required
 	Est      estimate.Options      // estimation options for every task
-	ObsReps  int                   // observation repetitions (experiment targets)
+	ObsReps  int                   // observation repetitions (experiment targets; see experiment.Probe)
 	Root     int                   // collective root
 }
 

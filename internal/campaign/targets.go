@@ -36,9 +36,7 @@ func (g Grid) experimentConfig(t Task) experiment.Config {
 	cfg.Seed = t.Seed
 	cfg.Root = g.Root
 	cfg.Est = g.Est
-	if g.ObsReps > 0 {
-		cfg.ObsReps = g.ObsReps
-	}
+	cfg.ObsReps = g.ObsReps
 	return cfg
 }
 

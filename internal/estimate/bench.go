@@ -178,9 +178,9 @@ type RoundSummary struct {
 // same ranks reach every measureRound of a job in the same order: the
 // round's state lives in their SharedCell. Each runs its own
 // experiment (see roundState.sit) and returns the same read-only
-// summaries. A plan of rounds built before mpi.Run goes through
-// runRounds instead.
-func measureRound(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSummary {
+// summaries; the rank whose arrival ends the round counts it into rep.
+// A plan of rounds built before mpi.Run goes through runRounds instead.
+func measureRound(r *mpi.Rank, opts mpib.Options, exps []Exp, rep *Report) []RoundSummary {
 	cell := r.SharedCell()
 	st, _ := cell.V.(*roundState)
 	if st == nil {
@@ -196,7 +196,9 @@ func measureRound(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSummary {
 	}
 	for x := range exps {
 		if rs, n := exps[x].ranks(); slices.Contains(rs[:n], r.Rank()) {
-			st.sit(r, x, &exps[x])
+			if st.sit(r, x, &exps[x]) {
+				rep.count(st.out)
+			}
 			return st.out
 		}
 	}
@@ -214,10 +216,9 @@ type round struct {
 // runRounds measures a plan's rounds in order; every rank of the job
 // calls it. A rank runs only the rounds it sits in, and in each only
 // its own experiment; the rank whose arrival ends a round records the
-// round's summaries and counts its experiments and repetitions into
-// rep. A round starts once its ranks have arrived and the round before
-// it has ended, so rounds never overlap on shared links, and a world
-// HardSync closes the plan.
+// round's summaries and counts the round into rep. A round starts once
+// its ranks have arrived and the round before it has ended, so rounds
+// never overlap on shared links, and a world HardSync closes the plan.
 func runRounds(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) {
 	cell := r.SharedCell()
 	pl, _ := cell.V.(*planState)
@@ -289,14 +290,27 @@ func newPlanState(opts mpib.Options, n int, plan []round, rep *Report) *planStat
 	return pl
 }
 
-// record records round k's summaries into the plan's report.
+// record counts round k into the plan's report and hands its summaries
+// to the round's record function.
 func (pl *planState) record(k int) {
 	s := pl.rounds[k].out
-	for _, x := range s {
-		pl.rep.Experiments++
-		pl.rep.Repetitions += x.N
-	}
+	pl.rep.count(s)
 	pl.plan[k].record(s)
+}
+
+// count adds a finished round to the report: its experiments, their
+// repetitions and non-converged measurements, and the round's retries.
+func (rep *Report) count(s []RoundSummary) {
+	for _, x := range s {
+		rep.Experiments++
+		rep.Repetitions += x.N
+		if !x.Converged {
+			rep.NonConverged++
+		}
+	}
+	if len(s) > 0 {
+		rep.Retries += s[0].Retries
+	}
 }
 
 // cond returns a wait queue for a round: a finished round's, whose

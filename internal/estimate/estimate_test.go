@@ -516,14 +516,16 @@ func TestScanGatherUsesFixedReps(t *testing.T) {
 }
 
 // Guard: the measureRound engine with a custom sample pointer reports
-// the sub-interval, not the whole body.
+// the sub-interval, not the whole body, and each round is counted once,
+// by the rank that ends it.
 func TestCustomSampleExp(t *testing.T) {
 	cfg := homConfig(2)
 	var whole, sub float64
+	var rep Report
 	_, err := mpi.Run(cfg, func(r *mpi.Rank) {
-		s := measureRound(r, mpib.Options{MinReps: 3, MaxReps: 3}, []Exp{recvOverheadExp(0, 1, 1000, logpWait, 0)})
+		s := measureRound(r, mpib.Options{MinReps: 3, MaxReps: 3}, []Exp{recvOverheadExp(0, 1, 1000, logpWait, 0)}, &rep)
 		sub = s[0].Mean
-		w := measureRound(r, mpib.Options{MinReps: 3, MaxReps: 3}, []Exp{roundtripExp(0, 1, 1000, 1000, 1)})
+		w := measureRound(r, mpib.Options{MinReps: 3, MaxReps: 3}, []Exp{roundtripExp(0, 1, 1000, 1000, 1)}, &rep)
 		whole = w[0].Mean
 	})
 	if err != nil {
@@ -531,6 +533,9 @@ func TestCustomSampleExp(t *testing.T) {
 	}
 	if sub <= 0 || sub >= whole {
 		t.Fatalf("recv overhead %v should be positive and below the round-trip %v", sub, whole)
+	}
+	if rep.Experiments != 2 || rep.Repetitions != 6 {
+		t.Fatalf("report counts %d experiments and %d repetitions, want 2 and 6", rep.Experiments, rep.Repetitions)
 	}
 }
 

@@ -171,6 +171,30 @@ func TestLMOXDropsSufferingTriplets(t *testing.T) {
 	}
 }
 
+// TestEveryFamilyCountsItsRobustness: every family's experiments cross
+// the lossy 0<->1 link of TestLMOXDropsSufferingTriplets, and every
+// family's report counts the measurements that did not converge there
+// and the retries they took, whichever procedure ran them (a plan of
+// rounds or standalone rounds).
+func TestEveryFamilyCountsItsRobustness(t *testing.T) {
+	cfg := homConfig(5)
+	cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{
+		{Src: 0, Dst: 1, Prob: 0.45, RTO: 3 * time.Millisecond, MaxRetr: 1},
+		{Src: 1, Dst: 0, Prob: 0.45, RTO: 3 * time.Millisecond, MaxRetr: 1},
+	}}
+	opt := Options{Parallel: true, Mpib: mpib.Options{MaxReps: 12, Retries: 1}}
+	for _, name := range Families(false) {
+		_, rep, err := Family(cfg, name, 0, 20, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.NonConverged == 0 || rep.Retries == 0 {
+			t.Errorf("family %s reports %d non-converged measurements and %d retries under the lossy link, want both positive",
+				name, rep.NonConverged, rep.Retries)
+		}
+	}
+}
+
 // TestEstimationUnderCrashPinned runs estimators into a node crash and
 // pins what they report: a *mpi.CrashError, and the Report's cost,
 // experiment and repetition counts at the failure. The rounds recorded

@@ -203,8 +203,8 @@ func SolveTripletConstantsLinsolve(tt TripletTimes) (TripletSolution, error) {
 
 // roundTripPlan builds the round-trip phase over the pair rounds: each
 // round with empty and then with m-byte messages, recording T_xy(0) in
-// rt0 and T_xy(m) in rtm, then passing the round's summaries to count.
-func roundTripPlan(pairRounds [][]Pair, m int, rt0, rtm map[Pair]float64, count func([]RoundSummary)) []round {
+// rt0 and T_xy(m) in rtm.
+func roundTripPlan(pairRounds [][]Pair, m int, rt0, rtm map[Pair]float64) []round {
 	var plan []round
 	for _, pairs := range pairRounds {
 		exps0 := make([]Exp, len(pairs))
@@ -218,7 +218,6 @@ func roundTripPlan(pairRounds [][]Pair, m int, rt0, rtm map[Pair]float64, count 
 				for x, p := range pairs {
 					rt[p] = s[x].Mean
 				}
-				count(s)
 			}
 		}
 		plan = append(plan, round{exps0, record(rt0)}, round{expsM, record(rtm)})
@@ -257,20 +256,8 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	// redundancy. The value is the worst relative error observed.
 	suspect := make(map[[2]int]float64)
 
-	// countRound keeps the report's robustness accounting of a round.
-	countRound := func(s []RoundSummary) {
-		for x := range s {
-			if !s[x].Converged {
-				rep.NonConverged++
-			}
-		}
-		if len(s) > 0 {
-			rep.Retries += s[0].Retries
-		}
-	}
-
 	// Phase 1: round-trips with empty and with M-byte messages.
-	pairPlan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm, countRound)
+	pairPlan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm)
 	// Phase 2: one-to-two experiments; each round of triplets runs the
 	// three rotations, with empty and M-byte messages.
 	var tripPlan []round
@@ -280,7 +267,6 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 			var s0 []RoundSummary
 			tripPlan = append(tripPlan, round{oneToTwoExps(tts, idx, r, 0), func(s []RoundSummary) {
 				s0 = s
-				countRound(s0)
 			}}, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {
 				for e, ti := range idx {
 					tts[ti].OneToTwo0[x], tts[ti].OneToTwoM[x] = s0[e].Mean, sm[e].Mean
@@ -292,7 +278,6 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 						suspect[[2]int{ti, x}] = worst
 					}
 				}
-				countRound(sm)
 			}})
 		}
 	}

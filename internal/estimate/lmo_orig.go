@@ -36,8 +36,7 @@ func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
 	triplets := AllTriplets(n)
 	tts := tripletRecords(triplets, opt.MsgSize)
 
-	// Only LMOX keeps the report's robustness accounting.
-	plan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm, func([]RoundSummary) {})
+	plan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm)
 	for _, idx := range tripletSchedule(n, triplets, opt.Parallel) {
 		for _, r := range rotations {
 			plan = append(plan, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {

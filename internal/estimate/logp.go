@@ -129,24 +129,16 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 		}
 		tag := 0
 		measureSize := func(m int) plogpPoint {
-			satS := measureRound(r, opt.Mpib, []Exp{saturationExp(i, j, m, cnt, tag)})
-			osS := measureRound(r, opt.Mpib, []Exp{sendOverheadExp(i, j, m, tag+1)})
-			orS := measureRound(r, opt.Mpib, []Exp{recvOverheadExp(i, j, m, logpWait, tag+2)})
+			satS := measureRound(r, opt.Mpib, []Exp{saturationExp(i, j, m, cnt, tag)}, &rep)
+			osS := measureRound(r, opt.Mpib, []Exp{sendOverheadExp(i, j, m, tag+1)}, &rep)
+			orS := measureRound(r, opt.Mpib, []Exp{recvOverheadExp(i, j, m, logpWait, tag+2)}, &rep)
 			tag += 3
-			if r.Rank() == i {
-				rep.Experiments += 3
-				rep.Repetitions += satS[0].N + osS[0].N + orS[0].N
-			}
 			return plogpPoint{g: satS[0].Mean / float64(cnt), os: osS[0].Mean, or: orS[0].Mean}
 		}
 
-		s := measureRound(r, opt.Mpib, []Exp{roundtripExp(i, j, 0, 0, tag)})
+		s := measureRound(r, opt.Mpib, []Exp{roundtripExp(i, j, 0, 0, tag)}, &rep)
 		tag++
 		rtt0 = s[0].Mean
-		if r.Rank() == i {
-			rep.Experiments++
-			rep.Repetitions += s[0].N
-		}
 
 		for _, m := range sizes {
 			measured[m] = measureSize(m)

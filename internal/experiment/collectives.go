@@ -7,6 +7,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
+	"repro/internal/optimize"
 )
 
 // Collectives validates the paper's claim that an intuitive model can
@@ -23,69 +24,36 @@ func Collectives(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	// The tree entries time coll over alg's tree through the probe, and
+	// LMO predicts them with its tree recursion; the others time their
+	// own operation under the probe's rule against LMO's closed form.
 	type entry struct {
 		name    string
 		predict func(m int) float64
-		observe func(r *mpi.Rank, m int) func()
+		measure func(r *mpi.Rank, m int) mpib.Measurement
+	}
+	p := cfg.Probe()
+	tree := func(name string, coll models.Collective, alg mpi.Alg) entry {
+		return entry{name, curve(lmo, coll, alg, cfg.Root, n), func(r *mpi.Rank, m int) mpib.Measurement {
+			return p.Measure(r, mpib.MaxTiming, coll, optimize.Shape{Alg: alg}, m)
+		}}
 	}
 	entries := []entry{
-		{
-			"bcast (binomial)",
-			curve(lmo, models.CollBcast, mpi.Binomial, cfg.Root, n),
-			func(r *mpi.Rank, m int) func() {
-				return func() {
-					var data []byte
-					if r.Rank() == cfg.Root {
-						data = make([]byte, m)
-					}
-					r.Bcast(cfg.Root, data)
-				}
-			},
-		},
-		{
-			"reduce (binomial)",
-			curve(lmo, models.CollReduce, mpi.Binomial, cfg.Root, n),
-			func(r *mpi.Rank, m int) func() {
-				op := func(a, b []byte) []byte { return a }
-				block := make([]byte, m)
-				return func() { r.Reduce(cfg.Root, block, op) }
-			},
-		},
-		{
-			"scatter (binary)",
-			curve(lmo, models.CollScatter, mpi.Binary, cfg.Root, n),
-			func(r *mpi.Rank, m int) func() {
-				blocks := rootBlocks(r, cfg.Root, n, m)
-				return func() { r.Scatter(mpi.Binary, cfg.Root, blocks) }
-			},
-		},
-		{
-			"scatter (chain)",
-			curve(lmo, models.CollScatter, mpi.Chain, cfg.Root, n),
-			func(r *mpi.Rank, m int) func() {
-				blocks := rootBlocks(r, cfg.Root, n, m)
-				return func() { r.Scatter(mpi.Chain, cfg.Root, blocks) }
-			},
-		},
-		{
-			"allgather (ring)",
-			func(m int) float64 { return lmo.AllgatherRing(n, m) },
-			func(r *mpi.Rank, m int) func() {
-				block := make([]byte, m)
-				return func() { r.Allgather(block) }
-			},
-		},
-		{
-			"alltoall (linear)",
-			func(m int) float64 { return lmo.AlltoallLinear(n, m) },
-			func(r *mpi.Rank, m int) func() {
-				send := make([][]byte, n)
-				for i := range send {
-					send[i] = make([]byte, m)
-				}
-				return func() { r.Alltoall(send) }
-			},
-		},
+		tree("bcast (binomial)", models.CollBcast, mpi.Binomial),
+		tree("reduce (binomial)", models.CollReduce, mpi.Binomial),
+		tree("scatter (binary)", models.CollScatter, mpi.Binary),
+		tree("scatter (chain)", models.CollScatter, mpi.Chain),
+		{"allgather (ring)", func(m int) float64 { return lmo.AllgatherRing(n, m) }, func(r *mpi.Rank, m int) mpib.Measurement {
+			block := mpi.ZeroPayload(m)
+			return mpib.Measure(r, p.root, mpib.MaxTiming, p.opts, func() { r.Allgather(block) })
+		}},
+		{"alltoall (linear)", func(m int) float64 { return lmo.AlltoallLinear(n, m) }, func(r *mpi.Rank, m int) mpib.Measurement {
+			send := make([][]byte, n)
+			for i := range send {
+				send[i] = mpi.ZeroPayload(m)
+			}
+			return mpib.Measure(r, p.root, mpib.MaxTiming, p.opts, func() { r.Alltoall(send) })
+		}},
 	}
 
 	rep := &Report{
@@ -100,10 +68,7 @@ func Collectives(cfg Config) (*Report, error) {
 		for _, m := range []int{4 << 10, 128 << 10} {
 			var observed float64
 			_, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-				fn := e.observe(r, m)
-				meas := mpib.Measure(r, cfg.Root, mpib.MaxTiming,
-					mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, fn)
-				if r.Rank() == 0 {
+				if meas := e.measure(r, m); r.Rank() == 0 {
 					observed = meas.Mean
 				}
 			})

@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
+	"repro/internal/optimize"
 	"repro/internal/stats"
 	"repro/internal/textplot"
 )
@@ -27,7 +29,7 @@ type Config struct {
 	Seed     int64               // TCP randomness seed
 	Root     int                 // collective root
 	Sizes    []int               // message-size sweep for the figures
-	ObsReps  int                 // repetitions per observation point
+	ObsReps  int                 // repetitions per observation point (see Probe)
 	Est      estimate.Options    // estimation options (parallel schedules by default)
 	ScanReps int                 // repetitions per size in the irregularity scan
 	Faults   *faults.Plan        // fault plan injected into every run (nil = none)
@@ -42,7 +44,6 @@ func Default() Config {
 		Seed:     1,
 		Root:     0,
 		Sizes:    DefaultSizes(),
-		ObsReps:  10,
 		Est:      estimate.Options{Parallel: true},
 		ScanReps: 20,
 	}
@@ -66,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Sizes) == 0 {
 		c.Sizes = DefaultSizes()
-	}
-	if c.ObsReps == 0 {
-		c.ObsReps = 10
 	}
 	if c.ScanReps == 0 {
 		c.ScanReps = 20
@@ -134,75 +132,96 @@ func EstimateAll(cfg Config) (*estimate.Models, error) {
 	return ms, err
 }
 
-// CollectiveOp selects the observed operation.
-type CollectiveOp int
-
-// The collectives the figures observe.
-const (
-	Scatter CollectiveOp = iota
-	Gather
-)
-
-// String returns the op name.
-func (o CollectiveOp) String() string {
-	if o == Scatter {
-		return "scatter"
-	}
-	return "gather"
-}
-
 // Observation is one observed size sweep.
 type Observation struct {
-	Sizes []int
-	Mean  []float64 // mean over repetitions (seconds)
-	Max   []float64 // worst repetition
-	Min   []float64 // best repetition
+	Sizes  []int
+	Mean   []float64    // mean over repetitions (seconds)
+	Max    []float64    // worst repetition
+	Faults faults.Stats // what the fault injector did during the sweep
 }
 
-// Observe measures a collective across cfg.Sizes with fixed
-// repetitions and max-timing (the makespan the paper's plots show).
-func Observe(cfg Config, op CollectiveOp, alg mpi.Alg) (Observation, error) {
+// Observe times coll over alg's tree at every size of cfg.Sizes, in one
+// job on cfg's platform, through cfg's Probe. Each point is the mean
+// and the worst of its repetitions, each the makespan the paper's plots
+// show.
+func Observe(cfg Config, coll models.Collective, alg mpi.Alg) (Observation, error) {
+	return observe(cfg, coll, func(int) optimize.Shape { return optimize.Shape{Alg: alg} })
+}
+
+// observe is Observe over the shape shapeAt(m) at each size m, which
+// may change with the size.
+func observe(cfg Config, coll models.Collective, shapeAt func(m int) optimize.Shape) (Observation, error) {
 	cfg = cfg.withDefaults()
-	obs := Observation{Sizes: cfg.Sizes}
-	obs.Mean = make([]float64, len(cfg.Sizes))
-	obs.Max = make([]float64, len(cfg.Sizes))
-	obs.Min = make([]float64, len(cfg.Sizes))
-	n := cfg.Cluster.N()
-	_, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-		for si, m := range cfg.Sizes {
-			var fn func()
-			switch op {
-			case Scatter:
-				blocks := rootBlocks(r, cfg.Root, n, m)
-				fn = func() { r.Scatter(alg, cfg.Root, blocks) }
-			default:
-				block := make([]byte, m)
-				fn = func() { r.Gather(alg, cfg.Root, block) }
-			}
-			meas := mpib.Measure(r, cfg.Root, mpib.MaxTiming,
-				mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, fn)
+	p := cfg.Probe()
+	obs := Observation{Sizes: cfg.Sizes, Mean: make([]float64, len(cfg.Sizes)), Max: make([]float64, len(cfg.Sizes))}
+	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
+		for i, m := range cfg.Sizes {
+			meas := p.Measure(r, mpib.MaxTiming, coll, shapeAt(m), m)
 			if r.Rank() == 0 {
-				obs.Mean[si] = meas.Mean
-				obs.Max[si] = stats.Max(meas.Samples)
-				obs.Min[si] = stats.Min(meas.Samples)
+				obs.Mean[i], obs.Max[i] = meas.Mean, stats.Max(meas.Samples)
 			}
 		}
 	})
+	obs.Faults = res.Faults
 	return obs, err
 }
 
-// rootBlocks returns a scatter's input for one size: n blocks of m
-// bytes at the root, nil elsewhere, since only the root reads them.
-func rootBlocks(r *mpi.Rank, root, n, m int) [][]byte {
-	if r.Rank() != root {
-		return nil
-	}
-	blocks := make([][]byte, n)
-	for i := range blocks {
-		blocks[i] = make([]byte, m)
-	}
-	return blocks
+// Probe is a configuration's observation procedure: every figure, study
+// and tuner validation times its collective through Measure, under the
+// one repetition rule that Config.Probe sets.
+type Probe struct {
+	root int
+	opts mpib.Options
 }
+
+// Probe returns c's observation procedure. Its rule: ObsReps
+// synchronized repetitions, 10 when ObsReps is not positive, rejecting
+// samples beyond Est.Mpib.OutlierMAD scaled MADs when that is set. The
+// collectives run from c.Root.
+func (c Config) Probe() Probe {
+	reps := c.ObsReps
+	if reps <= 0 {
+		reps = 10
+	}
+	return Probe{root: c.Root, opts: mpib.Options{MinReps: reps, MaxReps: reps, OutlierMAD: c.Est.Mpib.OutlierMAD}}
+}
+
+// Measure times coll over shape s with m-byte blocks from the probe's
+// root: one mpib.Measure of the rule's repetitions, each sample taken
+// by timing. Every rank of a running job calls it at the same point.
+// Bcast and reduce run mpi's binomial trees, whatever s says. Every
+// block is the read-only zero payload, since the simulator reads only
+// lengths.
+func (p Probe) Measure(r *mpi.Rank, timing mpib.Timing, coll models.Collective, s optimize.Shape, m int) mpib.Measurement {
+	// The operation is built here, beside the mpib.Measure call that
+	// takes it, so it stays on the stack.
+	root, block := p.root, mpi.ZeroPayload(m)
+	var run func()
+	switch coll {
+	case models.CollScatter:
+		var blocks [][]byte
+		if r.Rank() == root {
+			blocks = make([][]byte, r.Size())
+			for i := range blocks {
+				blocks[i] = block
+			}
+		}
+		run = func() { r.ScatterShape(s.Alg, s.Degree, s.Segment, root, m, blocks) }
+	case models.CollGather:
+		run = func() { r.GatherShape(s.Alg, s.Degree, s.Segment, root, block) }
+	case models.CollBcast:
+		run = func() { r.Bcast(root, block) }
+	case models.CollReduce:
+		run = func() { r.Reduce(root, block, keepFirst) }
+	default:
+		panic(fmt.Sprintf("experiment: cannot observe %v", coll))
+	}
+	return mpib.Measure(r, root, timing, p.opts, run)
+}
+
+// keepFirst is the observed reduce's operation; nothing reads its
+// result.
+func keepFirst(a, _ []byte) []byte { return a }
 
 // series builds a textplot series from a size sweep and y values.
 func series(name string, sizes []int, ys []float64) textplot.Series {

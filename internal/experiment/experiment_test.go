@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/textplot"
 )
@@ -368,7 +369,7 @@ func TestObserveShapes(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Sizes = []int{1 << 10, 4 << 10}
 	cfg.ObsReps = 3
-	obs, err := Observe(cfg, Scatter, mpi.Linear)
+	obs, err := Observe(cfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +377,8 @@ func TestObserveShapes(t *testing.T) {
 		t.Fatalf("observation = %+v", obs)
 	}
 	const ulp = 1e-12
-	if obs.Max[0] < obs.Mean[0]-ulp || obs.Min[0] > obs.Mean[0]+ulp {
-		t.Fatal("max/min bracket violated")
+	if obs.Max[0] < obs.Mean[0]-ulp {
+		t.Fatal("the worst repetition is below the mean")
 	}
 }
 

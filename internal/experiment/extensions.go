@@ -51,7 +51,7 @@ func Ablation(cfg Config) (*Report, error) {
 			scoreCfg.Sizes = below
 		}
 	}
-	obs, err := Observe(scoreCfg, Scatter, mpi.Linear)
+	obs, err := Observe(scoreCfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -67,21 +67,21 @@ func Ablation(cfg Config) (*Report, error) {
 	rep.Tables = append(rep.Tables, TableBlock{Caption: "model ablation: separating the fixed network latency", Rows: rows})
 
 	// --- substrate ablation (full size range) ---
-	obsFull, err := Observe(cfg, Scatter, mpi.Linear)
+	obsFull, err := Observe(cfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
 	ideal := cfg
 	ideal.Profile = cluster.Ideal()
-	obsIdeal, err := Observe(ideal, Scatter, mpi.Linear)
+	obsIdeal, err := Observe(ideal, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
-	gObs, err := Observe(cfg, Gather, mpi.Linear)
+	gObs, err := Observe(cfg, models.CollGather, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
-	gIdeal, err := Observe(ideal, Gather, mpi.Linear)
+	gIdeal, err := Observe(ideal, models.CollGather, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func Ablation(cfg Config) (*Report, error) {
 	// presumes eager sends; this ablation makes the dependency visible.
 	rdv := ideal
 	rdv.Profile = cluster.Ideal().RendezvousAt(1)
-	obsRdv, err := Observe(rdv, Scatter, mpi.Linear)
+	obsRdv, err := Observe(rdv, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func AlgZoo(cfg Config) (*Report, error) {
 	algs := mpi.Algorithms()
 	observed := map[mpi.Alg]Observation{}
 	for _, alg := range algs {
-		o, err := Observe(cfg, Scatter, alg)
+		o, err := Observe(cfg, models.CollScatter, alg)
 		if err != nil {
 			return nil, err
 		}
@@ -213,26 +213,16 @@ func Timing(cfg Config) (*Report, error) {
 		YLabel: "execution time (s)",
 	}
 	type row struct{ root, max []float64 }
-	results := map[CollectiveOp]*row{}
-	for _, op := range []CollectiveOp{Scatter, Gather} {
+	results := map[models.Collective]*row{}
+	p := cfg.Probe()
+	linear := optimize.Shape{Alg: mpi.Linear}
+	for _, coll := range []models.Collective{models.CollScatter, models.CollGather} {
 		r := &row{make([]float64, len(cfg.Sizes)), make([]float64, len(cfg.Sizes))}
-		results[op] = r
-		op := op
+		results[coll] = r
 		_, err := mpi.Run(cfg.MPIConfig(), func(rk *mpi.Rank) {
-			n := rk.Size()
 			for si, m := range cfg.Sizes {
-				var fn func()
-				if op == Scatter {
-					blocks := rootBlocks(rk, cfg.Root, n, m)
-					fn = func() { rk.Scatter(mpi.Linear, cfg.Root, blocks) }
-				} else {
-					block := make([]byte, m)
-					fn = func() { rk.Gather(mpi.Linear, cfg.Root, block) }
-				}
-				mr := mpib.Measure(rk, cfg.Root, mpib.RootTiming,
-					mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, fn)
-				mm := mpib.Measure(rk, cfg.Root, mpib.MaxTiming,
-					mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, fn)
+				mr := p.Measure(rk, mpib.RootTiming, coll, linear, m)
+				mm := p.Measure(rk, mpib.MaxTiming, coll, linear, m)
 				if rk.Rank() == 0 {
 					r.root[si] = mr.Mean
 					r.max[si] = mm.Mean
@@ -244,15 +234,15 @@ func Timing(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Series = append(rep.Series,
-		series("scatter root-timing", cfg.Sizes, results[Scatter].root),
-		series("scatter makespan", cfg.Sizes, results[Scatter].max),
-		series("gather root-timing", cfg.Sizes, results[Gather].root),
-		series("gather makespan", cfg.Sizes, results[Gather].max),
+		series("scatter root-timing", cfg.Sizes, results[models.CollScatter].root),
+		series("scatter makespan", cfg.Sizes, results[models.CollScatter].max),
+		series("gather root-timing", cfg.Sizes, results[models.CollGather].root),
+		series("gather makespan", cfg.Sizes, results[models.CollGather].max),
 	)
 	// Root timing underestimates scatter (the root finishes first) but
 	// matches gather (the root finishes last).
-	gapScatter := stats.Mean(ratio(results[Scatter].root, results[Scatter].max))
-	gapGather := stats.Mean(ratio(results[Gather].root, results[Gather].max))
+	gapScatter := stats.Mean(ratio(results[models.CollScatter].root, results[models.CollScatter].max))
+	gapGather := stats.Mean(ratio(results[models.CollGather].root, results[models.CollGather].max))
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"root-timing captures %.0f%% of the scatter makespan but %.0f%% of the gather makespan — why sender-side timing works for the round-trip-style estimation experiments (§IV) yet observation of scatter needs the makespan",
 		100*gapScatter, 100*gapGather))

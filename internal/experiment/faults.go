@@ -9,7 +9,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
-	"repro/internal/stats"
 )
 
 // FaultsExp is the robustness experiment ("-exp faults"): it estimates
@@ -53,17 +52,19 @@ func FaultsExp(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("faulty estimation: %w", err)
 	}
 
-	obsClean, _, err := observeScatterRobust(clean, 0)
+	obsClean, err := Observe(clean, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
 	// The faulty observation rejects spikes with the same MAD threshold
-	// the estimation used: the comparison target is the platform's
-	// typical behaviour, not the occasional RTO stall.
-	obsFaulty, fstats, err := observeScatterRobust(faulty, faulty.Est.Mpib.OutlierMAD)
+	// the estimation used (the probe reads Est.Mpib.OutlierMAD): the
+	// comparison target is the platform's typical behaviour, not the
+	// occasional RTO stall.
+	obsFaulty, err := Observe(faulty, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
+	fstats := obsFaulty.Faults
 
 	predClean := predict(cfg.Sizes, curve(mClean, models.CollScatter, mpi.Linear, cfg.Root, n))
 	predFaulty := predict(cfg.Sizes, curve(mFaulty, models.CollScatter, mpi.Linear, cfg.Root, n))
@@ -163,30 +164,4 @@ func planRows(p *faults.Plan) [][]string {
 		rows = append(rows, []string{"crash", fmt.Sprintf("node %d", c.Node), fmt.Sprintf("at %v", c.At)})
 	}
 	return rows
-}
-
-// observeScatterRobust is Observe for linear scatter, with optional
-// MAD-based outlier rejection of the per-size sample series, and it
-// additionally returns the injector activity of the run.
-func observeScatterRobust(cfg Config, outlierMAD float64) (Observation, faults.Stats, error) {
-	cfg = cfg.withDefaults()
-	obs := Observation{Sizes: cfg.Sizes}
-	obs.Mean = make([]float64, len(cfg.Sizes))
-	obs.Max = make([]float64, len(cfg.Sizes))
-	obs.Min = make([]float64, len(cfg.Sizes))
-	n := cfg.Cluster.N()
-	res, err := mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-		for si, m := range cfg.Sizes {
-			blocks := rootBlocks(r, cfg.Root, n, m)
-			meas := mpib.Measure(r, cfg.Root, mpib.MaxTiming,
-				mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps, OutlierMAD: outlierMAD},
-				func() { r.Scatter(mpi.Linear, cfg.Root, blocks) })
-			if r.Rank() == 0 {
-				obs.Mean[si] = meas.Mean
-				obs.Max[si] = stats.Max(meas.Samples)
-				obs.Min[si] = stats.Min(meas.Samples)
-			}
-		}
-	})
-	return obs, res.Faults, err
 }

@@ -7,9 +7,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/models"
 	"repro/internal/mpi"
-	"repro/internal/mpib"
 	"repro/internal/optimize"
-	"repro/internal/stats"
 )
 
 // Fig1 reproduces Figure 1: the four Hockney readings of linear
@@ -23,7 +21,7 @@ func Fig1(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	hom := het.Averaged()
-	obs, err := Observe(cfg, Scatter, mpi.Linear)
+	obs, err := Observe(cfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +82,7 @@ func Fig3(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	hom := het.Averaged()
-	obs, err := Observe(cfg, Scatter, mpi.Binomial)
+	obs, err := Observe(cfg, models.CollScatter, mpi.Binomial)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +115,7 @@ func Fig4(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs, err := Observe(cfg, Scatter, mpi.Linear)
+	obs, err := Observe(cfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +150,7 @@ func Fig5(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs, err := Observe(cfg, Gather, mpi.Linear)
+	obs, err := Observe(cfg, models.CollGather, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +198,11 @@ func Fig6(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	obsLin, err := Observe(cfg, Scatter, mpi.Linear)
+	obsLin, err := Observe(cfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
-	obsBin, err := Observe(cfg, Scatter, mpi.Binomial)
+	obsBin, err := Observe(cfg, models.CollScatter, mpi.Binomial)
 	if err != nil {
 		return nil, err
 	}
@@ -264,25 +262,11 @@ func Fig7(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("fig7: no irregularity region detected; nothing to optimize")
 	}
 
-	native, err := Observe(cfg, Gather, mpi.Linear)
+	native, err := Observe(cfg, models.CollGather, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
-	optimized := Observation{Sizes: cfg.Sizes,
-		Mean: make([]float64, len(cfg.Sizes)),
-		Max:  make([]float64, len(cfg.Sizes)),
-		Min:  make([]float64, len(cfg.Sizes))}
-	_, err = mpi.Run(cfg.MPIConfig(), func(r *mpi.Rank) {
-		for si, m := range cfg.Sizes {
-			block := make([]byte, m)
-			meas := measureFixed(r, cfg, func() { optimize.OptimizedGather(r, cfg.Root, block, irr) })
-			if r.Rank() == 0 {
-				optimized.Mean[si] = meas.mean
-				optimized.Max[si] = meas.max
-				optimized.Min[si] = meas.min
-			}
-		}
-	})
+	optimized, err := observe(cfg, models.CollGather, func(m int) optimize.Shape { return optimize.OptimizedGatherShape(irr, m) })
 	if err != nil {
 		return nil, err
 	}
@@ -323,14 +307,4 @@ func Fig7(cfg Config) (*Report, error) {
 			totalSpeed/float64(cnt), optimize.GatherSegment(irr)))
 	}
 	return rep, nil
-}
-
-// fixedMeas is a fixed-repetition max-timing measurement summary.
-type fixedMeas struct{ mean, max, min float64 }
-
-// measureFixed measures op with cfg.ObsReps repetitions and max timing.
-func measureFixed(r *mpi.Rank, cfg Config, op func()) fixedMeas {
-	meas := mpib.Measure(r, cfg.Root, mpib.MaxTiming,
-		mpib.Options{MinReps: cfg.ObsReps, MaxReps: cfg.ObsReps}, op)
-	return fixedMeas{mean: meas.Mean, max: stats.Max(meas.Samples), min: stats.Min(meas.Samples)}
 }

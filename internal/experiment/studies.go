@@ -93,7 +93,7 @@ func Scaling(cfg Config) (*Report, error) {
 		// Quick accuracy probe: linear scatter at one mid size.
 		probe := sub
 		probe.Sizes = []int{32 << 10}
-		obs, err := Observe(probe, Scatter, mpi.Linear)
+		obs, err := Observe(probe, models.CollScatter, mpi.Linear)
 		if err != nil {
 			return nil, err
 		}

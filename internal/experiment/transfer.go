@@ -35,7 +35,7 @@ func Transfer(cfg Config) (*Report, error) {
 	lmo := lam.LMO
 
 	// Observe scatter under MPICH — the analytic part should transfer.
-	scatterObs, err := Observe(mpichCfg, Scatter, mpi.Linear)
+	scatterObs, err := Observe(mpichCfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func Transfer(cfg Config) (*Report, error) {
 	// The 65–125 KB band: MPICH still escalates there (its M2 is
 	// 125 KB) while the LAM-estimated thresholds say the region ended.
 	probe := 96 << 10
-	gObs, err := Observe(withSizes(mpichCfg, []int{probe}), Gather, mpi.Linear)
+	gObs, err := Observe(withSizes(mpichCfg, []int{probe}), models.CollGather, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,11 @@
 // small number of processors") or taking the maximum over all
 // processes (the global makespan).
 //
-// Measure is the repository's one procedure for timing a collective:
-// the figures' observations, the auto-tuner's validations and
-// cmd/predict all time through it, so the closed forms are always
-// judged against one isolated operation's makespan, never against
-// repetitions that overlap.
+// Measure is the repository's one repetition loop for timing a
+// collective. The observation procedure, experiment.Probe, times every
+// figure's, study's and tuner validation's collective through it, so
+// the closed forms are always judged against one isolated operation's
+// makespan, never against repetitions that overlap.
 package mpib
 
 import (

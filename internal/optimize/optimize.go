@@ -52,19 +52,25 @@ func ShouldSplitGather(g models.GatherEmpirical, m int) bool {
 	return g.Valid() && m > g.M1 && m < g.M2
 }
 
-// OptimizedGather performs the paper's model-based gather (Fig 7): if
-// the block size falls into the empirical irregularity region, the
-// message is split into segments of at most GatherSegment bytes and
-// gathered in a series of linear gathers, each below M1 and therefore
-// escalation-free; otherwise a single native linear gather runs. All
-// ranks must call it collectively; the root gets the n whole blocks as
-// views of the ranks' own, others nil.
-func OptimizedGather(r *mpi.Rank, root int, block []byte, g models.GatherEmpirical) [][]byte {
-	seg := 0
-	if ShouldSplitGather(g, len(block)) {
-		seg = GatherSegment(g)
+// OptimizedGatherShape returns the shape of the paper's model-based
+// gather (Fig 7) at m-byte blocks: linear, split into segments of
+// GatherSegment bytes when m falls into the empirical irregularity
+// region, so that each segment's gather stays below M1 and therefore
+// escalation-free; unsplit otherwise.
+func OptimizedGatherShape(g models.GatherEmpirical, m int) Shape {
+	s := Shape{Alg: mpi.Linear}
+	if ShouldSplitGather(g, m) {
+		s.Segment = GatherSegment(g)
 	}
-	return r.GatherShape(mpi.Linear, 0, seg, root, block)
+	return s
+}
+
+// OptimizedGather performs the paper's model-based gather (Fig 7) over
+// OptimizedGatherShape. All ranks must call it collectively; the root
+// gets the n whole blocks as views of the ranks' own, others nil.
+func OptimizedGather(r *mpi.Rank, root int, block []byte, g models.GatherEmpirical) [][]byte {
+	s := OptimizedGatherShape(g, len(block))
+	return r.GatherShape(s.Alg, s.Degree, s.Segment, root, block)
 }
 
 // MapBinomialTree searches for a processor-to-tree-position mapping

@@ -115,10 +115,10 @@ func (t *Tuner) decide(op Op, coll models.Collective, root, m int) optimize.Shap
 		return s
 	}
 	s := optimize.Shape{Alg: mpi.Linear}
-	switch {
-	case op == OpGather && optimize.ShouldSplitGather(t.region, m):
-		s.Segment = optimize.GatherSegment(t.region)
-	case t.model != nil:
+	if op == OpGather {
+		s = optimize.OptimizedGatherShape(t.region, m)
+	}
+	if s.Segment == 0 && t.model != nil {
 		s.Alg, _ = optimize.SelectAlgAmong(t.model, coll, root, t.n, m, nil)
 	}
 	t.cache[key] = s

@@ -7,6 +7,7 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/experiment"
 	"repro/internal/models"
+	"repro/internal/mpib"
 	"repro/internal/obs"
 	"repro/internal/optimize"
 	"repro/internal/tuned"
@@ -189,7 +190,8 @@ func (s *System) Tune(opts ...TuneOption) (*Tuning, error) {
 }
 
 // replayWinner times the decision table's last rule (the largest tuned
-// range; gather preferred) once more, one repetition with the observer
+// range; gather preferred) once more through the observation procedure
+// the tuner validated it with, one repetition with the observer
 // attached.
 func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	var rule *tuned.Rule
@@ -206,12 +208,15 @@ func (s *System) replayWinner(tbl *tuned.Table, tr *obs.Trace) error {
 	if err != nil {
 		return err
 	}
+	coll, err := models.ParseCollective(string(rule.Op))
+	if err != nil {
+		return err
+	}
 	m := rule.MinBytes
 	if m == 0 {
 		m = 1 << 10
 	}
-	cfg := s.cfg
-	cfg.Obs = tr
-	_, err = autotune.Simulate(cfg, 1, rule.Op, shape, tbl.Root, m)
+	p := experiment.Config{Root: tbl.Root, ObsReps: 1}.Probe()
+	_, err = s.Run(func(r *Rank) { p.Measure(r, mpib.MaxTiming, coll, shape, m) }, WithObserver(tr))
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -63,6 +64,17 @@ func TestSystemTune(t *testing.T) {
 	}
 	if tn.Trace != tr || len(tr.Spans()) == 0 {
 		t.Fatal("observer should carry the winning shape's replay spans")
+	}
+	// The replay is one measurement of one repetition; a measurement
+	// span records its repetition count in Bytes.
+	var reps []int
+	for _, sp := range tr.Spans() {
+		if sp.Cat == obs.CatMeasure {
+			reps = append(reps, sp.Bytes)
+		}
+	}
+	if len(reps) != 1 || reps[0] != 1 {
+		t.Fatalf("replay measurements ran %v repetitions, want one measurement of 1", reps)
 	}
 
 	// Decision tables are deterministic: a second tune of the same
