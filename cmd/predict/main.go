@@ -23,6 +23,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/models"
+	"repro/internal/mpi"
 	"repro/internal/serve"
 	"repro/internal/textplot"
 	"repro/internal/topo"
@@ -44,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.op, "op", "scatter", "collective: scatter, gather, bcast or reduce (the observation runs scatter and gather)")
+	fs.StringVar(&o.op, "op", "scatter", "collective: scatter, gather, bcast or reduce (bcast and reduce with -alg binomial only, and without -tuned)")
 	fs.StringVar(&o.alg, "alg", "linear", "algorithm: linear, binomial, binary or chain")
 	fs.IntVar(&o.m, "m", 64<<10, "block size in bytes")
 	fs.IntVar(&o.root, "root", 0, "root rank")
@@ -113,8 +114,15 @@ func (o options) run(stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if o.batch == "" && q.Coll != models.CollScatter && q.Coll != models.CollGather {
-		return fmt.Errorf("the observation runs scatter and gather only; predict %v with -batch", q.Coll)
+	if o.batch == "" && (q.Coll == models.CollBcast || q.Coll == models.CollReduce) {
+		// The observation runs mpi's binomial tree for these whatever
+		// the algorithm, so another one would compare two trees.
+		if q.Alg != mpi.Binomial {
+			return fmt.Errorf("-alg %v: %v is observed over the binomial tree only; use -alg binomial", q.Alg, q.Coll)
+		}
+		if o.tuned != "" {
+			return fmt.Errorf("-tuned: decision tables hold scatter and gather only, not %v", q.Coll)
+		}
 	}
 	var tbl *tuned.Table
 	if o.batch == "" && o.tuned != "" {

@@ -317,3 +317,55 @@ func TestRepsBelowOneExit2(t *testing.T) {
 		})
 	}
 }
+
+// Bcast and reduce are observed over mpi's binomial trees, the one tree
+// the observation runs for them: -alg binomial observes what
+// experiment.Observe times, and another -alg is refused before anything
+// runs, since it would set one tree's prediction beside another tree's
+// time; so is -tuned, whose tables hold scatter and gather only.
+func TestBcastReduceObservation(t *testing.T) {
+	dir := t.TempDir()
+	data, err := zooFile(t).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(dir, "zoo.json")
+	if err := os.WriteFile(modelPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		coll    models.Collective
+		m       int
+		flags   []string
+		wantErr string // empty: the run observes coll at m bytes
+	}{
+		{"bcast observes the binomial tree", models.CollBcast, 4096, []string{"-alg", "binomial"}, ""},
+		{"reduce observes the binomial tree", models.CollReduce, 65536, []string{"-alg", "binomial"}, ""},
+		{"reduce refuses another tree", models.CollReduce, 4096, []string{"-alg", "linear"}, "-alg linear"},
+		{"bcast refuses a tuned table", models.CollBcast, 4096, []string{"-alg", "binomial", "-tuned", "t.json"}, "-tuned"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-op", tc.coll.String(), "-m", fmt.Sprint(tc.m), "-reps", "3"}, tc.flags...)
+			if tc.wantErr != "" {
+				if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.wantErr) {
+					t.Fatalf("exit code %d, want 2 with %q on stderr and nothing on stdout\nstdout:\n%s\nstderr:\n%s",
+						code, tc.wantErr, stdout.String(), stderr.String())
+				}
+				return
+			}
+			if code := run(append(args, "-models", modelPath), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
+			}
+			cfg := experiment.Config{Cluster: cluster.Table1().Prefix(testNodes), Profile: cluster.LAM(), Seed: 1, ObsReps: 3, Sizes: []int{tc.m}}
+			want, err := experiment.Observe(cfg, tc.coll, mpi.Binomial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line := fmt.Sprintf("observed (mean of 3)  %.6f", want.Mean[0]); !strings.Contains(stdout.String(), line) {
+				t.Fatalf("stdout lacks %q:\n%s", line, stdout.String())
+			}
+		})
+	}
+}

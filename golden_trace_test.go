@@ -7,12 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
 	"repro/internal/faults"
 	"repro/internal/mpi"
+	"repro/internal/mpib"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/timeline"
 	"repro/internal/topo"
 )
@@ -143,6 +146,57 @@ func renderLMO(t *testing.T, tr *obs.Trace) string {
 	return b.String()
 }
 
+// renderPLogP formats PLogP estimates at full float64 precision: every
+// knot of g, o_s and o_r, L, and the report's cost and counts. Three
+// platforms: Table I under LAM and under MPICH, and a homogeneous
+// 5-node cluster whose 0<->1 link loses 45% of its messages, where
+// rounds exhaust their budget, retry and stay non-converged.
+func renderPLogP(t *testing.T) string {
+	t.Helper()
+	lossy := mpi.Config{
+		Cluster: cluster.Homogeneous(5,
+			cluster.NodeSpec{C: 50 * time.Microsecond, T: 4e-9},
+			cluster.LinkSpec{L: 40 * time.Microsecond, Beta: 1e8}),
+		Profile: cluster.Ideal(),
+		Seed:    1,
+		Faults: &faults.Plan{Loss: []faults.LinkLoss{
+			{Src: 0, Dst: 1, Prob: 0.45, RTO: 3 * time.Millisecond, MaxRetr: 1},
+			{Src: 1, Dst: 0, Prob: 0.45, RTO: 3 * time.Millisecond, MaxRetr: 1},
+		}},
+	}
+	cases := []struct {
+		name string
+		cfg  mpi.Config
+		opt  estimate.Options
+	}{
+		{"table1 lam seed=1", mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}, estimate.Options{}},
+		{"table1 mpich seed=3", mpi.Config{Cluster: cluster.Table1(), Profile: cluster.MPICH(), Seed: 3}, estimate.Options{}},
+		{"homogeneous:5 ideal seed=1 loss0<->1=0.45 maxreps=12 retries=1", lossy,
+			estimate.Options{Mpib: mpib.Options{MaxReps: 12, Retries: 1}}},
+	}
+	var b strings.Builder
+	for _, c := range cases {
+		p, rep, err := estimate.PLogP(c.cfg, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "plogp estimate %s\n", c.name)
+		fmt.Fprintf(&b, "cost %d experiments %d repetitions %d retries %d nonconverged %d\n",
+			int64(rep.Cost), rep.Experiments, rep.Repetitions, rep.Retries, rep.NonConverged)
+		fmt.Fprintf(&b, "L %.17g\n", p.L)
+		for _, f := range []struct {
+			name string
+			pw   *stats.PWLinear
+		}{{"g", p.G}, {"os", p.OS}, {"or", p.OR}} {
+			for k := 0; k < f.pw.NumKnots(); k++ {
+				x, y := f.pw.Knot(k)
+				fmt.Fprintf(&b, "%s(%.17g) %.17g\n", f.name, x, y)
+			}
+		}
+	}
+	return b.String()
+}
+
 func checkGolden(t *testing.T, file, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
@@ -190,6 +244,12 @@ func TestGoldenTraces(t *testing.T) {
 // the pre-optimization values at full precision.
 func TestGoldenLMOEstimate(t *testing.T) {
 	checkGolden(t, "golden_lmo.txt", renderLMO(t, nil))
+}
+
+// TestGoldenPLogPEstimate locks PLogP's adaptively refined knots, its
+// latency and its report to committed values at full precision.
+func TestGoldenPLogPEstimate(t *testing.T) {
+	checkGolden(t, "golden_plogp.txt", renderPLogP(t))
 }
 
 // TestSingleSwitchTopologyGoldenIdentical guards the fabric threading

@@ -102,8 +102,6 @@ type Options struct {
 	// Candidates overrides the search space (default
 	// DefaultCandidates(model)).
 	Candidates []optimize.Shape
-	// Root is the collective root rank.
-	Root int
 	// Parallel caps the campaign worker pool (<=0 = GOMAXPROCS).
 	Parallel int
 	// Stats, when non-nil, receives live campaign progress counters.
@@ -168,9 +166,8 @@ func collFor(op tuned.Op) (models.Collective, error) {
 
 // Tune runs the full pipeline — enumerate, prune, simulate, decide —
 // for one cluster and model. The cfg supplies the machine, TCP
-// profile, seed and observation rule (zero-value fields fall back to
-// the experiment defaults: Table 1 cluster, LAM profile); opt.Root
-// replaces its root.
+// profile, root, seed and observation rule (zero-value fields fall
+// back to the experiment defaults: Table 1 cluster, LAM profile).
 func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePredictor, opt Options) (*Result, error) {
 	if model == nil {
 		return nil, fmt.Errorf("autotune: nil model")
@@ -182,7 +179,6 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	if cfg.Profile == nil {
 		cfg.Profile = def.Profile
 	}
-	cfg.Root = opt.Root
 	opt = opt.withDefaults(model)
 	n := cfg.Cluster.N()
 
@@ -197,7 +193,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 			return nil, err
 		}
 		for _, m := range opt.MsgSizes {
-			kept, infeasible, pruned := optimize.Rank(model, coll, opt.Root, n, m, opt.Candidates, opt.TopK)
+			kept, infeasible, pruned := optimize.Rank(model, coll, cfg.Root, n, m, opt.Candidates, opt.TopK)
 			if len(kept) == 0 {
 				return nil, fmt.Errorf("autotune: model %q answered no candidate for %s at %d bytes", model.Name(), op, m)
 			}
@@ -299,7 +295,7 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 func buildTable(cfg experiment.Config, opt Options, n int, cells []Cell) *tuned.Table {
 	tbl := &tuned.Table{
 		Version: tuned.TableVersion,
-		Root:    opt.Root,
+		Root:    cfg.Root,
 		Meta: &models.Meta{
 			Cluster: opt.ClusterName,
 			Nodes:   n,

@@ -321,7 +321,8 @@ func TestSimulateAppliesFaultPlan(t *testing.T) {
 // A warm Simulate of a gather allocates per repetition, not per rank
 // or per message: on Table I under LAM, ten repetitions of a binomial
 // 16 KiB gather allocate the root's ten result lists, the measurement's
-// state and samples, and Simulate's job body; the operation that
+// state, its per-rank durations and its one sample array, and
+// Simulate's job body; the operation that
 // experiment.Probe.Measure times stays on the stack. The job runs on a
 // recycled world, whose gather batch lists, message headers, processes
 // and rank table come back from the warm-up run.
@@ -333,7 +334,7 @@ func TestWarmSimulateGatherAllocs(t *testing.T) {
 		}
 	}
 	run() // warm-up: leaves the world idle
-	const want = 19
+	const want = 15
 	if n := testing.AllocsPerRun(20, run); n > want {
 		t.Fatalf("a warm 16-rank Simulate gather allocates %v objects, want at most %d", n, want)
 	}

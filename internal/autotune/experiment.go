@@ -44,7 +44,6 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 
 	res, err := Tune(ctx, cfg, est.LMO, Options{
 		MsgSizes:    TuneSizes(),
-		Root:        cfg.Root,
 		ClusterName: "table1",
 	})
 	if err != nil {

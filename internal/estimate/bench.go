@@ -2,13 +2,11 @@ package estimate
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/vtime"
 )
 
@@ -155,55 +153,11 @@ func (e *Exp) ranks() (rs [3]int, n int) {
 	return rs, n
 }
 
-// RoundSummary is one experiment's result from a round: its sample
-// summary (over the samples surviving outlier rejection) plus the
-// robustness metadata the degradation-aware estimators consume. A
-// round's []RoundSummary is shared and read-only.
-type RoundSummary struct {
-	stats.Summary
-	Converged bool // the CI met the RelErr target
-	Reps      int  // repetitions actually run
-	Rejected  int  // samples dropped by outlier rejection
-	Retries   int  // re-measurement attempts of the round (same for all its experiments)
-}
-
-// measureRound runs a set of experiments on mutually disjoint processor
-// groups simultaneously, repeating until every experiment's
-// initiator-side sample has converged per opts, and returns one summary
-// per experiment. With opts.Retries > 0, a round in which some
-// experiment's CI failed to close within MaxReps is re-measured after a
-// doubling virtual-time backoff, up to the bound.
-//
-// Only the experiments' ranks call it, every one of them, and the
-// same ranks reach every measureRound of a job in the same order: the
-// round's state lives in their SharedCell. Each runs its own
-// experiment (see roundState.sit) and returns the same read-only
-// summaries; the rank whose arrival ends the round counts it into rep.
-// A plan of rounds built before mpi.Run goes through runRounds instead.
-func measureRound(r *mpi.Rank, opts mpib.Options, exps []Exp, rep *Report) []RoundSummary {
-	cell := r.SharedCell()
-	st, _ := cell.V.(*roundState)
-	if st == nil {
-		ranks := 0
-		for x := range exps {
-			_, n := exps[x].ranks()
-			ranks += n
-		}
-		st = new(roundState)
-		st.init(opts.WithDefaults(), len(exps), ranks)
-		st.wait = vtime.NewCond(r.Proc().Engine())
-		cell.V = st
-	}
-	for x := range exps {
-		if rs, n := exps[x].ranks(); slices.Contains(rs[:n], r.Rank()) {
-			if st.sit(r, x, &exps[x]) {
-				rep.count(st.out)
-			}
-			return st.out
-		}
-	}
-	panic("estimate: measureRound called by a rank outside its experiments")
-}
+// RoundSummary is one experiment's result from a round: the
+// repetition rule's Result for the experiment's sample series. A
+// round's []RoundSummary is shared and read-only; every experiment of
+// a round reports the round's Retries.
+type RoundSummary = mpib.Result
 
 // round is one measurement round of an estimation plan: experiments on
 // disjoint processor groups, built once before mpi.Run, and the
@@ -214,16 +168,20 @@ type round struct {
 }
 
 // runRounds measures a plan's rounds in order; every rank of the job
-// calls it. A rank runs only the rounds it sits in, and in each only
-// its own experiment; the rank whose arrival ends a round records the
-// round's summaries and counts the round into rep. A round starts once
-// its ranks have arrived and the round before it has ended, so rounds
-// never overlap on shared links, and a world HardSync closes the plan.
+// calls it, and it is the one runner of estimation rounds. A rank runs
+// only the rounds it sits in, and in each only its own experiment; the
+// rank whose arrival ends a round records the round's summaries and
+// counts the round into rep. A round starts once its ranks have
+// arrived and the round before it has ended, so rounds never overlap
+// on shared links, and a world HardSync closes the plan. An adaptive
+// estimator runs its passes as successive plans of one job: the first
+// rank back from a plan's closing HardSync builds the next plan, once,
+// from what the plans before it measured.
 func runRounds(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) {
 	cell := r.SharedCell()
 	pl, _ := cell.V.(*planState)
 	if pl == nil {
-		pl = newPlanState(opts.WithDefaults(), r.Size(), plan, rep)
+		pl = newPlanState(opts, r.Size(), plan, rep)
 		cell.V = pl
 	}
 	me := r.Rank()
@@ -267,7 +225,6 @@ func newPlanState(opts mpib.Options, n int, plan []round, rep *Report) *planStat
 			ranks += m
 		}
 		pl.rounds[k].init(opts, len(rd.exps), ranks)
-		pl.rounds[k].gate = 1
 	}
 	// Lay the seats out rank by rank: first[i+1] holds the start of rank
 	// i's seats while they are placed, advancing past each, so it ends
@@ -340,78 +297,44 @@ func (pl *planState) finish(k int) {
 func (pl *planState) open(k int) {
 	for ; k < len(pl.rounds); k++ {
 		if st := &pl.rounds[k]; st.ranks > 0 {
-			st.arrive(st.ranks + st.gate)
+			st.arrive(st.ranks + 1)
 			return
 		}
 		pl.record(k)
 	}
 }
 
-// roundAction is the decision every rank of a round follows after a
-// repetition.
-type roundAction int
-
-const (
-	roundRepeat roundAction = iota
-	roundRetry              // sleep st.sleep, then start a new attempt
-	roundFinish             // the round is over; st.out holds its summaries
-)
-
 // roundState is one round's state, shared by the round's ranks: its
-// barrier, and its samples and decision, kept once rather than once
-// per rank.
+// barrier, and its experiments' samples under one repetition loop,
+// kept once rather than once per rank.
 type roundState struct {
-	opts mpib.Options
-
-	// The round's barrier. Its parties are the round's ranks, plus, in
-	// a plan (gate 1), one arrival made once the previous round has
-	// ended. It releases its waiters in arrival order and the last
-	// arrival after them, as vtime.Barrier does, so a round's ranks
-	// start in the order in which they fell idle: the order a world
-	// HardSync, which every rank once took, gave them. A round has its
-	// wait queue before any of its ranks arrives.
+	// The round's barrier. Its parties are the round's ranks, plus one
+	// arrival made once the previous round has ended. It releases its
+	// waiters in arrival order and the last arrival after them, as
+	// vtime.Barrier does, so a round's ranks start in the order in
+	// which they fell idle: the order a world HardSync, which every
+	// rank once took, gave them. A round has its wait queue before any
+	// of its ranks arrives.
 	ranks   int
-	gate    int
 	arrived int
 	wait    *vtime.Cond
 
-	slots   []float64   // each experiment's sample of the current repetition
-	samples [][]float64 // each experiment's samples, pre-rejection
-	reps    int         // repetitions recorded
-	budget  int         // repetition count at which the current attempt ends
-	retries int
-	backoff time.Duration // pause before the next retry, doubling per retry
-	next    roundAction
-	sleep   time.Duration
-	out     []RoundSummary
+	slots []float64 // each experiment's sample of the current repetition
+	loop  mpib.Loop
+	out   []RoundSummary // each experiment's result, once the loop finishes
 }
 
 func (st *roundState) init(opts mpib.Options, nexp, ranks int) {
-	*st = roundState{
-		opts:    opts,
-		ranks:   ranks,
-		slots:   make([]float64, nexp),
-		samples: make([][]float64, nexp),
-		budget:  opts.MaxReps,
-		backoff: opts.Backoff,
-		out:     make([]RoundSummary, nexp),
-	}
-	// The experiments' samples start in one backing array sized for
-	// twice the minimum repetitions; an experiment that outgrows its
-	// share moves to storage of its own.
-	c := min(2*opts.MinReps, opts.MaxReps)
-	backing := make([]float64, nexp*c)
-	for i := range st.samples {
-		st.samples[i] = backing[i*c : i*c : (i+1)*c]
-	}
+	*st = roundState{ranks: ranks, slots: make([]float64, nexp), out: make([]RoundSummary, nexp)}
+	st.loop.Init(opts, make([][]float64, nexp), st.out)
 }
 
 // sit runs rank r's seat in the round, experiment x. It waits at the
 // round's barrier until the round starts, then runs e's body once per
 // repetition, publishes the sample if r initiates e, and meets the
 // round's other ranks at the barrier again. The last of them to arrive
-// records the repetition and decides for all. sit reports whether r's
-// arrival ended the round.
+// records the repetition in the round's loop, and every rank follows
+// the loop's decision. sit reports whether r's arrival ended the round.
 //
 // A retry's pause needs no barrier after it: a repetition receives
 // every message it sends, so no event wakes a rank of the round during
@@ -419,7 +342,7 @@ func (st *roundState) init(opts mpib.Options, nexp, ranks int) {
 // order a barrier would release them in.
 func (st *roundState) sit(r *mpi.Rank, x int, e *Exp) (ended bool) {
 	p := r.Proc()
-	if st.arrive(st.ranks + st.gate) {
+	if st.arrive(st.ranks + 1) {
 		p.Yield() // run after the ranks just released
 	} else {
 		st.wait.Wait(p)
@@ -438,16 +361,16 @@ func (st *roundState) sit(r *mpi.Rank, x int, e *Exp) (ended bool) {
 		}
 		last := st.arrive(st.ranks)
 		if last {
-			st.record()
+			st.loop.Record(st.slots...)
 			p.Yield()
 		} else {
 			st.wait.Wait(p)
 		}
-		switch st.next {
-		case roundFinish:
+		switch act, pause := st.loop.Next(); act {
+		case mpib.Finish:
 			return last
-		case roundRetry:
-			r.Sleep(st.sleep)
+		case mpib.Retry:
+			r.Sleep(pause)
 		}
 	}
 }
@@ -463,40 +386,6 @@ func (st *roundState) arrive(parties int) bool {
 	st.arrived = 0
 	st.wait.Broadcast()
 	return true
-}
-
-// record appends the repetition's samples and decides for every rank.
-// The attempt goes on while it has budget left and some experiment has
-// not converged; a spent attempt is retried while retries remain and
-// some experiment has not converged; otherwise the round finishes with
-// st.out.
-func (st *roundState) record() {
-	o := st.opts
-	for i, v := range st.slots {
-		st.samples[i] = append(st.samples[i], v)
-	}
-	st.reps++
-	st.next = roundRepeat
-	allConverged := true
-	for i, xs := range st.samples {
-		s, rejected := stats.RobustSummarize(xs, o.Confidence, o.OutlierMAD)
-		ok := s.N >= o.MinReps && s.RelErr() <= o.RelErr
-		st.out[i] = RoundSummary{Summary: s, Converged: ok, Reps: st.reps, Rejected: rejected, Retries: st.retries}
-		if !ok {
-			if st.reps < st.budget {
-				return
-			}
-			allConverged = false
-		}
-	}
-	if allConverged || st.retries >= o.Retries {
-		st.next = roundFinish
-		return
-	}
-	st.retries++
-	st.next, st.sleep = roundRetry, st.backoff
-	st.backoff *= 2
-	st.budget += o.MaxReps
 }
 
 // Experiment bodies. Only the experiment's ranks run its body, each

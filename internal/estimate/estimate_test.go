@@ -515,18 +515,19 @@ func TestScanGatherUsesFixedReps(t *testing.T) {
 	}
 }
 
-// Guard: the measureRound engine with a custom sample pointer reports
+// Guard: a round whose experiment has a custom sample pointer reports
 // the sub-interval, not the whole body, and each round is counted once,
 // by the rank that ends it.
 func TestCustomSampleExp(t *testing.T) {
 	cfg := homConfig(2)
 	var whole, sub float64
 	var rep Report
+	plan := []round{
+		{[]Exp{recvOverheadExp(0, 1, 1000, logpWait, 0)}, func(s []RoundSummary) { sub = s[0].Mean }},
+		{[]Exp{roundtripExp(0, 1, 1000, 1000, 1)}, func(s []RoundSummary) { whole = s[0].Mean }},
+	}
 	_, err := mpi.Run(cfg, func(r *mpi.Rank) {
-		s := measureRound(r, mpib.Options{MinReps: 3, MaxReps: 3}, []Exp{recvOverheadExp(0, 1, 1000, logpWait, 0)}, &rep)
-		sub = s[0].Mean
-		w := measureRound(r, mpib.Options{MinReps: 3, MaxReps: 3}, []Exp{roundtripExp(0, 1, 1000, 1000, 1)}, &rep)
-		whole = w[0].Mean
+		runRounds(r, mpib.Options{MinReps: 3, MaxReps: 3}, plan, &rep)
 	})
 	if err != nil {
 		t.Fatal(err)

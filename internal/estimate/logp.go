@@ -1,6 +1,8 @@
 package estimate
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/models"
@@ -106,6 +108,11 @@ func samplePairs(n int) []Pair {
 // refined by the paper's rule: when g at a size disagrees with the
 // linear extrapolation from the previous two sizes by more than tol,
 // the midpoint is measured too.
+//
+// The job runs a first plan, the empty round trip and six sizes, then
+// up to four refinement passes, each a plan of its own: the first rank
+// back from the previous plan's closing HardSync builds the pass from
+// the points measured so far, and an empty pass ends the job.
 func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -113,58 +120,62 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 	}
 	n := cfg.Cluster.N()
 	const i, j = 0, 1
-	cnt := saturationCount
-	rep := Report{}
-
-	sizes := []int{0, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 128 << 10}
 	const maxPoints = 24
 	const tol = 0.08
+	rep := Report{}
 
-	measured := map[int]plogpPoint{}
 	var rtt0 float64
+	var pts []plogpPoint // the sizes measured or planned
+	bySize := func(a, b plogpPoint) int { return a.m - b.m }
+	tag := 0
+	// measure appends to plan the three rounds that measure size m:
+	// gap, send overhead and receive overhead, between i and j.
+	measure := func(plan []round, m int) []round {
+		k := len(pts)
+		pts = append(pts, plogpPoint{m: m})
+		plan = append(plan,
+			round{[]Exp{saturationExp(i, j, m, saturationCount, tag)}, func(s []RoundSummary) {
+				pts[k].g = s[0].Mean / float64(saturationCount)
+			}},
+			round{[]Exp{sendOverheadExp(i, j, m, tag+1)}, func(s []RoundSummary) { pts[k].os = s[0].Mean }},
+			round{[]Exp{recvOverheadExp(i, j, m, logpWait, tag+2)}, func(s []RoundSummary) { pts[k].or = s[0].Mean }},
+		)
+		tag += 3
+		return plan
+	}
+	// refine plans a pass: the midpoint of every interval where g is not
+	// locally linear, judged from the points measured before the pass.
+	refine := func() []round {
+		slices.SortFunc(pts, bySize)
+		grid := pts // measure appends the pass's midpoints past its end
+		var plan []round
+		for k := 2; k < len(grid); k++ {
+			p0, p1, p2 := grid[k-2], grid[k-1], grid[k]
+			extrap := p1.g + (p1.g-p0.g)*float64(p2.m-p1.m)/float64(p1.m-p0.m)
+			if p2.g > 0 && math.Abs(p2.g-extrap) > tol*p2.g && p2.m-p1.m > 1<<10 && len(pts) < maxPoints {
+				plan = measure(plan, (p1.m+p2.m)/2)
+			}
+		}
+		return plan
+	}
 
+	first := []round{{[]Exp{roundtripExp(i, j, 0, 0, tag)}, func(s []RoundSummary) { rtt0 = s[0].Mean }}}
+	tag++
+	for _, m := range []int{0, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 128 << 10} {
+		first = measure(first, m)
+	}
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		if r.Rank() != i && r.Rank() != j {
-			return // every experiment runs between i and j
-		}
-		tag := 0
-		measureSize := func(m int) plogpPoint {
-			satS := measureRound(r, opt.Mpib, []Exp{saturationExp(i, j, m, cnt, tag)}, &rep)
-			osS := measureRound(r, opt.Mpib, []Exp{sendOverheadExp(i, j, m, tag+1)}, &rep)
-			orS := measureRound(r, opt.Mpib, []Exp{recvOverheadExp(i, j, m, logpWait, tag+2)}, &rep)
-			tag += 3
-			return plogpPoint{g: satS[0].Mean / float64(cnt), os: osS[0].Mean, or: orS[0].Mean}
-		}
-
-		s := measureRound(r, opt.Mpib, []Exp{roundtripExp(i, j, 0, 0, tag)}, &rep)
-		tag++
-		rtt0 = s[0].Mean
-
-		for _, m := range sizes {
-			measured[m] = measureSize(m)
-		}
-		// Adaptive refinement: bisect where g is not locally linear.
-		for pass := 0; pass < 4 && len(measured) < maxPoints; pass++ {
-			grid := sortedKeys(measured)
-			inserted := false
-			for k := 2; k < len(grid); k++ {
-				m0, m1, m2 := grid[k-2], grid[k-1], grid[k]
-				g0, g1, g2 := measured[m0].g, measured[m1].g, measured[m2].g
-				extrap := g1 + (g1-g0)*float64(m2-m1)/float64(m1-m0)
-				if g2 <= 0 {
-					continue
-				}
-				if absf(g2-extrap) > tol*g2 && m2-m1 > 1<<10 {
-					mid := (m1 + m2) / 2
-					if _, ok := measured[mid]; !ok && len(measured) < maxPoints {
-						measured[mid] = measureSize(mid)
-						inserted = true
-					}
-				}
+		runRounds(r, opt.Mpib, first, &rep)
+		for pass := 0; pass < 4; pass++ {
+			cell := r.SharedCell()
+			if cell.V == nil {
+				cell.V = refine()
 			}
-			if !inserted {
-				break
+			plan := cell.V.([]round)
+			if len(plan) == 0 {
+				return
 			}
+			runRounds(r, opt.Mpib, plan, &rep)
 		}
 	})
 	if err != nil {
@@ -172,16 +183,16 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 	}
 	rep.Cost = res.Duration
 
-	grid := sortedKeys(measured)
-	gx := make([]float64, len(grid))
-	gy := make([]float64, len(grid))
-	osy := make([]float64, len(grid))
-	ory := make([]float64, len(grid))
-	for k, m := range grid {
-		gx[k] = float64(m)
-		gy[k] = measured[m].g
-		osy[k] = measured[m].os
-		ory[k] = measured[m].or
+	slices.SortFunc(pts, bySize)
+	gx := make([]float64, len(pts))
+	gy := make([]float64, len(pts))
+	osy := make([]float64, len(pts))
+	ory := make([]float64, len(pts))
+	for k, p := range pts {
+		gx[k] = float64(p.m)
+		gy[k] = p.g
+		osy[k] = p.os
+		ory[k] = p.or
 	}
 	g, err := stats.NewPWLinear(gx, gy)
 	if err != nil {
@@ -202,25 +213,8 @@ func PLogP(cfg mpi.Config, opt Options) (*models.PLogP, Report, error) {
 	return &models.PLogP{L: l, OS: osf, OR: orf, G: g, P: n}, rep, nil
 }
 
-// plogpPoint is one measured PLogP sample: gap and overheads at a size.
-type plogpPoint struct{ g, os, or float64 }
-
-func sortedKeys(m map[int]plogpPoint) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for a := 1; a < len(out); a++ {
-		for b := a; b > 0 && out[b] < out[b-1]; b-- {
-			out[b], out[b-1] = out[b-1], out[b]
-		}
-	}
-	return out
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+// plogpPoint is one PLogP sample: gap and overheads at size m.
+type plogpPoint struct {
+	m         int
+	g, os, or float64
 }

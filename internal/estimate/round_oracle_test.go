@@ -15,7 +15,7 @@ import (
 	"repro/internal/stats"
 )
 
-// measureRoundPerRank is measureRound with per-rank bookkeeping: every
+// measureRoundPerRank measures one round with per-rank bookkeeping: every
 // rank keeps its own copy of every experiment's samples, summarizes
 // them and derives the stopping decision itself. It is the reference
 // the shared round state must reproduce exactly.

@@ -8,11 +8,15 @@
 // small number of processors") or taking the maximum over all
 // processes (the global makespan).
 //
-// Measure is the repository's one repetition loop for timing a
-// collective. The observation procedure, experiment.Probe, times every
-// figure's, study's and tuner validation's collective through it, so
-// the closed forms are always judged against one isolated operation's
-// makespan, never against repetitions that overlap.
+// Loop is the repository's one repetition rule: after each repetition
+// it decides, for every rank, whether to repeat, to back off and retry,
+// or to finish, and Result is what it reports per sample series. It has
+// two drivers. Measure runs it over one series to time a collective:
+// the observation procedure, experiment.Probe, times every figure's,
+// study's and tuner validation's collective through Measure, so the
+// closed forms are always judged against one isolated operation's
+// makespan, never against repetitions that overlap. The estimation
+// rounds of internal/estimate run it over one series per experiment.
 package mpib
 
 import (
@@ -72,8 +76,8 @@ type Options struct {
 }
 
 // WithDefaults fills unset fields with the paper's values. It is the
-// one defaulting of the repetition rule: Measure and the estimation
-// harness's rounds both apply it.
+// one defaulting of the repetition rule: Loop.Init applies it, for
+// Measure and for the estimation rounds alike.
 func (o Options) WithDefaults() Options {
 	if o.Confidence == 0 {
 		o.Confidence = 0.95
@@ -96,17 +100,111 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// Result is one sample series' outcome under the repetition rule: its
+// summary over the samples that survived outlier rejection, and how the
+// rule reached it. A Measurement carries one; an estimation round
+// returns one per experiment.
+type Result struct {
+	stats.Summary
+	Converged bool // the CI met the RelErr target
+	Reps      int  // repetitions actually run
+	Retries   int  // re-measurement attempts used
+	Rejected  int  // samples dropped by outlier rejection
+}
+
 // Measurement is the result of an adaptive measurement; all ranks
 // receive identical values.
 type Measurement struct {
-	stats.Summary               // over the samples that survived rejection
-	Samples       []float64     // all per-repetition durations in seconds (pre-rejection)
-	Elapsed       time.Duration // virtual time the whole measurement consumed
-	Converged     bool          // the CI met the RelErr target
-	Reps          int           // repetitions actually run
-	Retries       int           // re-measurement attempts used
-	Rejected      int           // samples dropped by outlier rejection
+	Result
+	Samples []float64     // all per-repetition durations in seconds (pre-rejection)
+	Elapsed time.Duration // virtual time the whole measurement consumed
 }
+
+// Action is what every rank of a measurement does after a repetition.
+type Action int
+
+const (
+	Repeat Action = iota // run the next repetition
+	Retry                // pause, then start a new attempt
+	Finish               // the results are final
+)
+
+// Loop is the repetition rule over k sample series measured in
+// lockstep: one repetition yields one sample per series, and after it
+// Record decides for every rank whether to repeat, to back off and
+// retry, or to finish. A loop writes its samples and results into the
+// slices its owner hands to Init, and lives by value in the owner's
+// shared state, so it allocates nothing beyond its samples' backing
+// array.
+type Loop struct {
+	opts    Options
+	samples [][]float64 // each series' samples, pre-rejection
+	results []Result    // each series' result, final once the loop finishes
+	reps    int         // repetitions recorded
+	budget  int         // repetition count at which the current attempt ends
+	retries int
+	backoff time.Duration // pause before the next retry, doubling per retry
+	next    Action
+	pause   time.Duration // the retry's pause
+}
+
+// Init starts a loop over len(samples) series under opts, which it
+// defaults. The series' samples start in one backing array of twice
+// the minimum repetitions each (at most MaxReps); a series that
+// outgrows its share moves to storage of its own. results receives
+// one Result per series.
+func (l *Loop) Init(opts Options, samples [][]float64, results []Result) {
+	o := opts.WithDefaults()
+	*l = Loop{opts: o, samples: samples, results: results, budget: o.MaxReps, backoff: o.Backoff}
+	c := min(2*o.MinReps, o.MaxReps)
+	backing := make([]float64, len(samples)*c)
+	for i := range samples {
+		samples[i] = backing[i*c : i*c : (i+1)*c]
+	}
+}
+
+// Record appends one repetition's samples, xs[i] to series i, and
+// decides what every rank does next. The attempt goes on while it has
+// budget left and some series has not converged; a spent attempt is
+// retried while retries remain and some series has not converged;
+// otherwise the loop finishes. A series converges once at least
+// MinReps samples survive rejection and its CI is within RelErr, so
+// the series are summarized only from MinReps repetitions on.
+func (l *Loop) Record(xs ...float64) {
+	for i, x := range xs {
+		l.samples[i] = append(l.samples[i], x)
+	}
+	l.reps++
+	l.next = Repeat
+	o := l.opts
+	if l.reps < o.MinReps {
+		return // the budget is at least MinReps
+	}
+	allConverged := true
+	for i, series := range l.samples {
+		s, rejected := stats.RobustSummarize(series, o.Confidence, o.OutlierMAD)
+		ok := s.N >= o.MinReps && s.RelErr() <= o.RelErr
+		l.results[i] = Result{Summary: s, Converged: ok, Reps: l.reps, Retries: l.retries, Rejected: rejected}
+		if !ok {
+			if l.reps < l.budget {
+				return
+			}
+			allConverged = false
+		}
+	}
+	if allConverged || l.retries >= o.Retries {
+		l.next = Finish
+		return
+	}
+	l.retries++
+	l.next, l.pause = Retry, l.backoff
+	l.backoff *= 2
+	l.budget += o.MaxReps
+}
+
+// Next returns the decision of the last Record, and the pause that
+// comes before the next attempt when it is Retry.
+func (l *Loop) Next() (Action, time.Duration) { return l.next, l.pause }
 
 // Measure runs op repeatedly on all ranks until the confidence interval
 // of its duration is within opts.RelErr, and returns the identical
@@ -123,16 +221,15 @@ type Measurement struct {
 //
 // The samples and the stopping decision live once, in the call's
 // SharedCell: after a repetition's closing HardSync the first rank to
-// run records the sample and decides for every rank whether to repeat,
-// back off and retry, or finish, and every rank follows that decision.
-// The returned Samples slice is that one shared slice, the same on
-// every rank; callers must treat it as read-only.
+// run records the sample in the call's Loop, and every rank follows
+// the loop's decision. The returned Samples slice is that one shared
+// slice, the same on every rank; callers must treat it as read-only.
 func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()) Measurement {
 	cell := r.SharedCell()
 	st, _ := cell.V.(*measureState)
 	if st == nil {
-		o := opts.WithDefaults()
-		st = &measureState{opts: o, locals: make([]float64, r.Size()), budget: o.MaxReps, backoff: o.Backoff}
+		st = &measureState{locals: make([]float64, r.Size())}
+		st.loop.Init(opts, st.samples[:], st.result[:])
 		cell.V = st
 	}
 
@@ -152,81 +249,37 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 		op()
 		st.locals[r.Rank()] = (r.Now() - t0).Seconds()
 		r.HardSync() // every rank has written its local duration, and starts the next repetition here
-		if len(st.samples) < rep {
-			st.record(designated, timing) // first rank past the sync
+		if len(st.samples[0]) < rep {
+			// The first rank past the sync records the repetition.
+			sample := st.locals[designated]
+			if timing != RootTiming {
+				sample = stats.Max(st.locals)
+			}
+			st.loop.Record(sample)
 		}
-		if st.done {
+		act, pause := st.loop.Next()
+		if act == Finish {
 			break
 		}
-		if st.retry {
+		if act == Retry {
 			// Non-converged attempt: back off (transient contention or a
 			// degradation window may pass in virtual time) and re-measure.
-			r.Sleep(st.sleep)
+			r.Sleep(pause)
 		}
 	}
 
 	if msp != 0 {
-		tr.Annotate(msp, -1, -1, len(st.samples)) // bytes field reused as rep count
+		tr.Annotate(msp, -1, -1, len(st.samples[0])) // bytes field reused as rep count
 		tr.End(msp, r.Now())
 	}
-	return Measurement{
-		Summary:   st.summary,
-		Samples:   st.samples,
-		Elapsed:   r.Now() - start,
-		Converged: st.converged,
-		Reps:      len(st.samples),
-		Retries:   st.retries,
-		Rejected:  st.rejected,
-	}
+	return Measurement{Result: st.result[0], Samples: st.samples[0], Elapsed: r.Now() - start}
 }
 
 // measureState is one Measure call's state, shared by every rank
-// through the call's SharedCell.
+// through the call's SharedCell: one series under the repetition rule.
 type measureState struct {
-	opts    Options
-	locals  []float64     // per-rank durations of the current repetition
-	samples []float64     // one sample per repetition, pre-rejection
-	budget  int           // sample count at which the current attempt ends
-	backoff time.Duration // pause before the next retry, doubling per retry
-
-	// The decision every rank follows after a repetition.
-	done  bool          // the measurement is over
-	retry bool          // the attempt failed: sleep, then measure again
-	sleep time.Duration // the retry's pause
-
-	converged bool
-	retries   int
-	summary   stats.Summary // over the samples surviving rejection
-	rejected  int
-}
-
-// record appends the repetition's sample and decides for every rank:
-// finish once the CI has closed, or once the attempt's budget is spent
-// and no retry is left; otherwise repeat, after a backoff when a new
-// attempt starts.
-func (st *measureState) record(designated int, timing Timing) {
-	sample := st.locals[designated]
-	if timing != RootTiming {
-		sample = stats.Max(st.locals)
-	}
-	st.samples = append(st.samples, sample)
-	st.retry = false
-	o := st.opts
-	if len(st.samples) >= o.MinReps {
-		st.summary, st.rejected = stats.RobustSummarize(st.samples, o.Confidence, o.OutlierMAD)
-		if st.summary.N >= o.MinReps && st.summary.RelErr() <= o.RelErr {
-			st.converged, st.done = true, true
-			return
-		}
-	}
-	switch {
-	case len(st.samples) < st.budget:
-	case st.retries >= o.Retries:
-		st.done = true
-	default:
-		st.retries++
-		st.retry, st.sleep = true, st.backoff
-		st.backoff *= 2
-		st.budget = len(st.samples) + o.MaxReps
-	}
+	loop    Loop
+	locals  []float64    // per-rank durations of the current repetition
+	samples [1][]float64 // the loop's one series, pre-rejection
+	result  [1]Result    // the series' result
 }

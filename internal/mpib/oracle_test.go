@@ -62,13 +62,15 @@ func measurePerRank(r *mpi.Rank, designated int, timing Timing, opts Options, op
 	}
 	summary, rejected := summarize()
 	return Measurement{
-		Summary:   summary,
-		Samples:   samples,
-		Elapsed:   r.Now() - start,
-		Converged: converged,
-		Reps:      len(samples),
-		Retries:   retries,
-		Rejected:  rejected,
+		Result: Result{
+			Summary:   summary,
+			Converged: converged,
+			Reps:      len(samples),
+			Retries:   retries,
+			Rejected:  rejected,
+		},
+		Samples: samples,
+		Elapsed: r.Now() - start,
 	}
 }
 
