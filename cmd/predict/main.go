@@ -100,9 +100,10 @@ func (o options) run(stdout, stderr io.Writer) error {
 	n := cfg.Cluster.N()
 
 	var set *models.Set
+	var loaded string // a -models load's status, printed once the query is valid
 	if o.models != "" {
 		var err error
-		if set, err = o.loadModels(&cfg, prof, info); err != nil {
+		if set, loaded, err = o.loadModels(&cfg, prof); err != nil {
 			return err
 		}
 		n = cfg.Cluster.N()
@@ -131,6 +132,7 @@ func (o options) run(stdout, stderr io.Writer) error {
 		}
 	}
 
+	fmt.Fprint(info, loaded)
 	if set == nil {
 		clusterName := "Table I"
 		if o.topo != "" {
@@ -182,71 +184,49 @@ func (o options) run(stdout, stderr io.Writer) error {
 }
 
 // loadModels reads the -models file. The file's provenance pins the
-// platform it was estimated on: the cluster shrinks to match, and a
-// profile mismatch is noted on info.
-func (o options) loadModels(cfg *experiment.Config, prof *cluster.TCPProfile, info io.Writer) (*models.Set, error) {
+// platform it was estimated on: the cluster shrinks to match. It
+// returns the status lines to print once the query is known to be
+// valid: a profile mismatch note and the load itself.
+func (o options) loadModels(cfg *experiment.Config, prof *cluster.TCPProfile) (*models.Set, string, error) {
 	data, err := os.ReadFile(o.models)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	mf, err := models.UnmarshalModelFile(data)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
+	var status strings.Builder
 	n := cfg.Cluster.N()
 	if meta := mf.Meta; meta != nil {
 		if meta.Nodes != n {
 			if meta.Nodes < 3 || meta.Nodes > n {
-				return nil, fmt.Errorf("model file %s was estimated on %d nodes; this cluster has %d", o.models, meta.Nodes, n)
+				return nil, "", fmt.Errorf("model file %s was estimated on %d nodes; this cluster has %d", o.models, meta.Nodes, n)
 			}
 			cfg.Cluster = cfg.Cluster.Prefix(meta.Nodes)
 			n = meta.Nodes
 		}
 		if meta.Profile != prof.Name {
-			fmt.Fprintf(info, "note: models were estimated under %s, observing under %s\n", meta.Profile, prof.Name)
+			fmt.Fprintf(&status, "note: models were estimated under %s, observing under %s\n", meta.Profile, prof.Name)
 		}
 	}
 	set, err := mf.Set()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if set.Het == nil || set.LMO == nil || set.LogGP == nil || set.PLogP == nil {
-		return nil, fmt.Errorf("model file %s is missing required models; regenerate with cmd/estimate -json", o.models)
+		return nil, "", fmt.Errorf("model file %s is missing required models; regenerate with cmd/estimate -json", o.models)
 	}
-	fmt.Fprintf(info, "Loaded models from %s for the %d-node Table I cluster (%s)\n", o.models, n, prof.Name)
-	return &set, nil
+	fmt.Fprintf(&status, "Loaded models from %s for the %d-node Table I cluster (%s)\n", o.models, n, prof.Name)
+	return &set, status.String(), nil
 }
 
-// batchQuery is one JSONL row of -batch input. Absent fields inherit
-// the command-line flags (the batched /predict default-merge idiom).
-type batchQuery struct {
-	Op      string `json:"op,omitempty"`
-	Alg     string `json:"alg,omitempty"`
-	M       int    `json:"m,omitempty"`
-	Root    *int   `json:"root,omitempty"`
-	Degree  int    `json:"degree,omitempty"`
-	Segment int    `json:"segment,omitempty"`
-}
-
-// batchResult is one output line: the resolved query plus every model
-// family's prediction for it, keyed like lmoserve's /predict.
-type batchResult struct {
-	Op          string             `json:"op"`
-	Alg         string             `json:"alg"`
-	M           int                `json:"m"`
-	Nodes       int                `json:"nodes"`
-	Root        int                `json:"root"`
-	Degree      int                `json:"degree,omitempty"`
-	Segment     int                `json:"segment,omitempty"`
-	Predictions map[string]float64 `json:"predictions"`
-	BandLow     *float64           `json:"band_low,omitempty"`
-	BandHigh    *float64           `json:"band_high,omitempty"`
-}
-
-// runBatch streams JSONL queries through the model families. Each row
-// is parsed with /predict's query conversion, piece-count limit
-// included; a family whose Predict rejects a shape is left out of the
-// row, as lmoserve does.
+// runBatch streams JSONL queries through the model families. Each line
+// is a /predict row merged over the flags and parsed with /predict's
+// query conversion, piece-count limit included, and prints as
+// serve.AppendAnswer renders it: a family whose Predict rejects a shape
+// is left out of the line, as lmoserve does. The flags and -models fix
+// the platform, so a line naming one is refused.
 func runBatch(path string, set models.Set, def serve.QueryRow, n int, stdout io.Writer) error {
 	in := os.Stdin
 	if path != "-" {
@@ -260,9 +240,9 @@ func runBatch(path string, set models.Set, def serve.QueryRow, n int, stdout io.
 	preds := set.Predictors()
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
-	enc := json.NewEncoder(out)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	var b []byte
 	line := 0
 	for sc.Scan() {
 		line++
@@ -270,44 +250,21 @@ func runBatch(path string, set models.Set, def serve.QueryRow, n int, stdout io.
 		if len(raw) == 0 {
 			continue
 		}
-		var bq batchQuery
-		if err := json.Unmarshal(raw, &bq); err != nil {
+		var row serve.BatchQuery
+		if err := json.Unmarshal(raw, &row); err != nil {
 			return fmt.Errorf("line %d: %v", line, err)
 		}
-		row := def
-		if bq.Op != "" {
-			row.Op = bq.Op
+		if row.Cluster != "" || row.Nodes != 0 || row.Profile != "" || row.Seed != 0 {
+			return fmt.Errorf("line %d: cluster, nodes, profile and seed are fixed by the flags and -models, not by a query", line)
 		}
-		if bq.Alg != "" {
-			row.Alg = bq.Alg
-		}
-		if bq.M != 0 {
-			row.M = bq.M
-		}
-		if bq.Root != nil {
-			row.Root = *bq.Root
-		}
-		row.Degree, row.Segment = bq.Degree, bq.Segment
-		q, err := row.Query(n)
+		q, err := row.Merge(def).Query(n)
 		if err != nil {
 			return fmt.Errorf("line %d: %v", line, err)
 		}
-		res := batchResult{
-			Op: q.Coll.String(), Alg: q.Alg.String(), M: q.M, Nodes: n, Root: q.Root,
-			Degree: q.Degree, Segment: q.Segment, Predictions: map[string]float64{},
-		}
-		for _, p := range preds {
-			if p == nil {
-				continue
-			}
-			if v, err := p.Predict(q); err == nil {
-				res.Predictions[strings.ToLower(p.Name())] = v
-			}
-		}
-		if lo, hi, ok := serve.GatherBand(set.LMO, q); ok {
-			res.BandLow, res.BandHigh = &lo, &hi
-		}
-		if err := enc.Encode(res); err != nil {
+		b = append(b[:0], '{')
+		b = serve.AppendAnswer(b, &preds, set.LMO, q)
+		b = append(b, "}\n"...)
+		if _, err := out.Write(b); err != nil {
 			return err
 		}
 	}

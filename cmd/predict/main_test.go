@@ -141,6 +141,16 @@ func TestBatchMode(t *testing.T) {
 		{name: "root out of range", rows: `{"root":8}`, wantCode: 2, wantErr: "line 1: root must be in [0, 8)"},
 		{name: "malformed json", rows: `{"m":`, wantCode: 2, wantErr: "line 1:"},
 		{name: "bad flag query", flags: []string{"-alg", "ring"}, rows: `{}`, wantCode: 2, wantErr: "alg must be"},
+		{
+			name:     "row names the node count",
+			rows:     `{"m":1024}` + "\n" + `{"nodes":8,"m":1024}` + "\n",
+			wantCode: 2, wantRows: 1, wantErr: "line 2: cluster, nodes, profile and seed are fixed by the flags",
+		},
+		{
+			name:     "row names a platform",
+			rows:     `{"cluster":"nope","seed":9,"profile":"zzz","m":2048}`,
+			wantCode: 2, wantErr: "line 1: cluster, nodes, profile and seed are fixed by the flags",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,6 +195,33 @@ func TestBatchMode(t *testing.T) {
 				t.Fatalf("%d rows carry the band, want %d", bands, tc.wantBand)
 			}
 		})
+	}
+}
+
+// A query refused before anything runs leaves stdout empty with
+// -models too: the load's status lines print only once the flag query
+// and the bcast, reduce and -tuned rules pass.
+func TestRefusedQueryLeavesStdoutEmpty(t *testing.T) {
+	data, err := zooFile(t).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(t.TempDir(), "zoo.json")
+	if err := os.WriteFile(modelPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range [][]string{
+		{"-alg", "foo"},
+		{"-mpi", "mpich", "-alg", "foo"}, // a LAM file: the profile note waits too
+		{"-op", "reduce", "-alg", "linear"},
+		{"-op", "bcast", "-alg", "binomial", "-tuned", "t.json"},
+		{"-root", "8"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-models", modelPath}, flags...), &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Fatalf("%v: exit code %d, want 2 with the refusal on stderr and nothing on stdout\nstdout:\n%s\nstderr:\n%s",
+				flags, code, stdout.String(), stderr.String())
+		}
 	}
 }
 

@@ -44,9 +44,6 @@ type Options struct {
 	// this many triplets instead of running all C(n,3) — the
 	// runtime-estimation trade-off of §IV. Zero runs the full set.
 	TripletCoverage int
-	// GroupBlind forces the logical-group detector to ignore the
-	// cluster's topology hint and discover groups by probing alone.
-	GroupBlind bool
 	// Obs, when non-nil, receives the estimation's span trace: the
 	// simulated universe's message/collective spans plus rank-0
 	// estimation-phase spans on the global track and post-run solver

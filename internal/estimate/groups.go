@@ -200,14 +200,20 @@ func bandCheck(ref int, band []int, z int, need *[]probe, needShard *[]int, shar
 }
 
 // DetectGroups discovers the logical homogeneous groups of the
-// cluster from timing probes. With a topology attached (and GroupBlind
-// unset) the leaf switches are used as candidate sets and probed in
-// parallel — the fabric guarantees the probes are contention-free —
-// needing two jobs in total. Without the hint the detector peels one
-// group at a time: the lowest unassigned node probes every other
-// unassigned node serially, the replies are banded by signature, and
-// witness probes decide which band the prober itself belongs to.
+// cluster from timing probes. With a topology attached the leaf
+// switches are used as candidate sets and probed in parallel — the
+// fabric guarantees the probes are contention-free — needing two jobs
+// in total. Without the hint the detector peels one group at a time:
+// the lowest unassigned node probes every other unassigned node
+// serially, the replies are banded by signature, and witness probes
+// decide which band the prober itself belongs to.
 func DetectGroups(cfg mpi.Config, opt Options) (*Grouping, Report, error) {
+	return detectGroups(cfg, opt, cfg.Cluster.Topo != nil)
+}
+
+// detectGroups is DetectGroups with the topology hint taken only when
+// hinted is set.
+func detectGroups(cfg mpi.Config, opt Options, hinted bool) (*Grouping, Report, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, Report{}, err
@@ -218,8 +224,8 @@ func DetectGroups(cfg mpi.Config, opt Options) (*Grouping, Report, error) {
 	}
 	rep := Report{}
 	var groups [][]int
-	if t := cfg.Cluster.Topo; t != nil && !opt.GroupBlind {
-		groups, err = detectHinted(cfg, opt, t.LeafGroups(), &rep)
+	if hinted {
+		groups, err = detectHinted(cfg, opt, cfg.Cluster.Topo.LeafGroups(), &rep)
 	} else {
 		groups, err = detectBlind(cfg, opt, &rep)
 	}
@@ -467,13 +473,13 @@ type smallPlan struct {
 }
 
 // interBucket is one inter-group link class: with a topology, all
-// group pairs whose route shares (class, hop count); blind, one bucket
-// per group pair. Up to three representative pairs are measured and
-// averaged.
+// group pairs whose route shares (class, hop count); without one, one
+// bucket per group pair. Up to three representative pairs are measured
+// and averaged.
 type interBucket struct {
 	cls      topo.Class
 	hops     int
-	gi, gj   int // identity bucket when blind (class buckets use -1,-1)
+	gi, gj   int // identity bucket without a topology (class buckets use -1,-1)
 	reps     [][2]int
 	repGs    [][2]int
 	rt0, rtm []float64
@@ -563,9 +569,6 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	var buckets []*interBucket
 	bucketOf := make([]int, ngr*ngr)
 	topol := cfg.Cluster.Topo
-	if opt.GroupBlind {
-		topol = nil
-	}
 	findBucket := func(gi, gj int) *interBucket {
 		if topol != nil {
 			rt := topol.Route(g.Groups[gi][0], g.Groups[gj][0])

@@ -45,31 +45,35 @@ func TestDetectGroupsTable(t *testing.T) {
 			cluster.NodeSpec{}, cluster.LinkSpec{})
 	}
 	cases := []struct {
-		name string
-		cl   *cluster.Cluster
-		opt  Options
-		want [][]int
+		name  string
+		cl    *cluster.Cluster
+		blind bool // withhold the topology hint
+		want  [][]int
 	}{
 		{"homogeneous single switch",
 			cluster.Homogeneous(6, cluster.DefaultTopoNode(), cluster.DefaultTopoAccess()),
-			Options{},
+			false,
 			[][]int{{0, 1, 2, 3, 4, 5}}},
-		{"two racks hinted", twoTier(), Options{},
+		{"two racks hinted", twoTier(), false,
 			[][]int{{0, 1, 2}, {3, 4, 5}}},
-		{"two racks blind", twoTier(), Options{GroupBlind: true},
+		{"two racks blind", twoTier(), true,
 			[][]int{{0, 1, 2}, {3, 4, 5}}},
 		{"straggler singleton",
 			straggle(cluster.Homogeneous(5, cluster.DefaultTopoNode(), cluster.DefaultTopoAccess()), 4),
-			Options{},
+			false,
 			[][]int{{0, 1, 2, 3}, {4}}},
-		{"straggler inside rack hinted", straggle(twoTier(), 2), Options{},
+		{"straggler inside rack hinted", straggle(twoTier(), 2), false,
 			[][]int{{0, 1}, {2}, {3, 4, 5}}},
-		{"straggler is the reference", straggle(twoTier(), 0), Options{},
+		{"straggler is the reference", straggle(twoTier(), 0), false,
 			[][]int{{0}, {1, 2}, {3, 4, 5}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, _, err := DetectGroups(groupCfg(tc.cl), tc.opt)
+			detect := DetectGroups
+			if tc.blind {
+				detect = func(cfg mpi.Config, opt Options) (*Grouping, Report, error) { return detectGroups(cfg, opt, false) }
+			}
+			g, _, err := detect(groupCfg(tc.cl), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,24 +1,27 @@
 package serve
 
-// Batched /predict: one POST answering thousands of prediction queries.
-// The request carries shared defaults at the top level and an array of
-// per-query overrides (the runfile idiom: globals, then rows — see
-// SNIPPETS.md snippet 1). The handler resolves each distinct platform
-// key once, keeps cache hits on the admission-free read path exactly
-// like the unary handler, claims at most one admission slot for all of
-// a batch's misses, and streams the response through a pooled encoder
-// buffer so the per-query cost is the prediction kernel plus a few
-// appended bytes. Per-key failures (shed, open breaker, drain,
-// estimation errors) degrade to typed per-item errors: the rest of the
-// batch still answers.
+// The /predict request path. A request carries shared defaults at the
+// top level and, in batch mode, an array of per-query overrides (the
+// runfile idiom: globals, then rows — see SNIPPETS.md snippet 1); a
+// unary request is a batch of one row that sets nothing, so it inherits
+// every top-level field. Both take the one path: plan merges each row
+// over the defaults and validates it, resolve finds each distinct
+// platform's models once — cache hits on the admission-free read path,
+// all of the request's misses under one admission slot — and the
+// answers stream through a pooled buffer, each item hand-appended by
+// appendItem around AppendAnswer, so the per-query cost is the
+// prediction kernel plus a few appended bytes. Only the ends differ: a
+// batch wraps its items in a count envelope, and a per-key failure
+// (shed, open breaker, drain, estimation error) degrades to a typed
+// per-item error while the rest of the batch answers; a unary request
+// answers its one item, or its failure with writeWorkError's status.
 //
 // This file is clock-free (lmovet walltime scope): admission waits ride
 // on the request context like everywhere else in the serve package.
 
 import (
 	"context"
-	"errors"
-	"math"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -42,16 +45,59 @@ type BatchQuery struct {
 	Segment int    `json:"segment,omitempty"`
 }
 
-// batchPlatform is one distinct platform key appearing in a batch: the
-// model set is resolved once here however many queries reference it.
+// Merge returns the row's query merged over the defaults def: each
+// field the row sets replaces def's. cmd/predict merges its -batch
+// lines over the flags through it.
+func (q *BatchQuery) Merge(def QueryRow) QueryRow {
+	if q.Op != "" {
+		def.Op = q.Op
+	}
+	if q.Alg != "" {
+		def.Alg = q.Alg
+	}
+	if q.M != 0 {
+		def.M = q.M
+	}
+	if q.Root != nil {
+		def.Root = *q.Root
+	}
+	if q.Degree != 0 {
+		def.Degree = q.Degree
+	}
+	if q.Segment != 0 {
+		def.Segment = q.Segment
+	}
+	return def
+}
+
+// platform returns the row's platform merged over the defaults def.
+func (q *BatchQuery) platform(def platformRequest) platformRequest {
+	if q.Cluster != "" {
+		def.Cluster = q.Cluster
+	}
+	if q.Nodes != 0 {
+		def.Nodes = q.Nodes
+	}
+	if q.Profile != "" {
+		def.Profile = q.Profile
+	}
+	if q.Seed != 0 {
+		def.Seed = q.Seed
+	}
+	return def
+}
+
+// batchPlatform is one distinct platform key appearing in a request:
+// the model set is resolved once here however many queries reference
+// it.
 type batchPlatform struct {
 	key    Key
 	keyStr string
-	n      int
 	entry  *Entry
 	cache  string // "hit", "estimated" or "joined" when entry != nil
-	code   string // typed error code when entry == nil
-	msg    string // error message when entry == nil
+	err    error  // why entry is nil
+	code   string // err's typed code, as a batch item reports it
+	msg    string // err's message, as a batch item reports it
 }
 
 // batchQueryPlan is one query after validation: its platform state plus
@@ -61,170 +107,54 @@ type batchQueryPlan struct {
 	q    models.Query
 }
 
-// batchErrorParts maps a miss-path failure to the same typed codes the
-// unary handler's writeWorkError uses, as per-item fields.
-func batchErrorParts(err error) (code, msg string) {
-	var shed *ShedError
-	if errors.As(err, &shed) {
-		return "shed", shed.Error()
-	}
-	var open *BreakerOpenError
-	if errors.As(err, &open) {
-		return "breaker_open", open.Error()
-	}
-	var draining *DrainingError
-	if errors.As(err, &draining) {
-		return "draining", draining.Error()
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return "deadline", "request deadline exceeded"
-	}
-	if errors.Is(err, context.Canceled) {
-		return "cancelled", "request cancelled"
-	}
-	return "error", err.Error()
-}
-
-// handleBatchPredict answers a /predict request carrying a queries
-// array. A canonical body reaches it decoded by decodeJSON's scanner,
-// with no allocation per row; each distinct platform's key is resolved
-// once, without building its cluster. Validation failures reject the
-// whole batch with 400 (they are client bugs); per-key serving failures
-// degrade to per-item errors.
-func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req *PredictRequest) {
-	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, "queries must not be empty in batch mode")
+// handlePredict answers /predict. A canonical body reaches it decoded
+// by decodeJSON's scanner, with no allocation per row; each distinct
+// platform's key is resolved once, without building its cluster.
+// Validation failures reject the whole request with 400 (they are
+// client bugs).
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	s.metrics.BatchSize(len(req.Queries))
-
-	// Pass 1 — merge defaults into each row, validate, and group the
-	// rows by distinct platform key.
-	plans := make([]batchQueryPlan, len(req.Queries))
-	platforms := map[platformRequest]*batchPlatform{}
-	order := make([]*batchPlatform, 0, 4) // insertion order: deterministic resolution
-	pieces := 0
-	for i := range req.Queries {
-		q := &req.Queries[i]
-		plat := req.platformRequest
-		if q.Cluster != "" {
-			plat.Cluster = q.Cluster
-		}
-		if q.Nodes != 0 {
-			plat.Nodes = q.Nodes
-		}
-		if q.Profile != "" {
-			plat.Profile = q.Profile
-		}
-		if q.Seed != 0 {
-			plat.Seed = q.Seed
-		}
-		st, ok := platforms[plat]
-		if !ok {
-			key, err := plat.key()
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
-				return
-			}
-			st = &batchPlatform{key: key, n: key.Nodes}
-			platforms[plat] = st
-			order = append(order, st)
-		}
-		row := QueryRow{Op: req.Op, Alg: req.Alg, M: req.M, Root: req.Root, Degree: req.Degree, Segment: req.Segment}
-		if q.Op != "" {
-			row.Op = q.Op
-		}
-		if q.Alg != "" {
-			row.Alg = q.Alg
-		}
-		if q.M != 0 {
-			row.M = q.M
-		}
-		if q.Root != nil {
-			row.Root = *q.Root
-		}
-		if q.Degree != 0 {
-			row.Degree = q.Degree
-		}
-		if q.Segment != 0 {
-			row.Segment = q.Segment
-		}
-		query, err := row.Query(st.n)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
+	var req PredictRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	unary := req.Queries == nil
+	rows := req.Queries
+	var one [1]BatchQuery
+	if unary {
+		rows = one[:]
+	} else {
+		if len(rows) == 0 {
+			httpError(w, http.StatusBadRequest, "queries must not be empty in batch mode")
 			return
 		}
-		if pieces += segmentPieces(query); pieces > maxSegmentPieces {
-			httpError(w, http.StatusBadRequest,
-				"query %d: segmented queries need more than %d pieces in total, the per-request limit", i, maxSegmentPieces)
-			return
-		}
-		plans[i] = batchQueryPlan{plat: st, q: query}
+		s.metrics.BatchSize(len(rows))
 	}
 
-	// Pass 2 — resolve each distinct key once. Hits stay on the
-	// lock-free read path; all of the batch's misses share one
-	// admission slot.
-	var release func()
-	admit := func() error { // lazy: only the first miss claims a slot
-		if release != nil {
-			return nil
-		}
-		rel, err := s.adm.acquire(r.Context())
-		if err != nil {
-			return err
-		}
-		release = rel
-		return nil
-	}
-	var admitErr error
-	for _, st := range order {
-		if entry, ok := s.reg.LookupHit(st.key); ok {
-			st.entry, st.cache = entry, "hit"
-			continue
-		}
-		if s.draining.Load() {
-			st.code, st.msg = batchErrorParts(&DrainingError{})
-			continue
-		}
-		if admitErr == nil {
-			admitErr = admit()
-			if admitErr != nil {
-				s.metrics.Shed("predict")
-			}
-		}
-		if admitErr != nil {
-			st.code, st.msg = batchErrorParts(admitErr)
-			continue
-		}
-		entry, hit, err := s.reg.GetOrEstimate(r.Context(), st.key)
-		if err != nil {
-			st.code, st.msg = batchErrorParts(err)
-			continue
-		}
-		st.entry = entry
-		if hit {
-			st.cache = "joined"
+	plans := make([]batchQueryPlan, len(rows))
+	order, bad, err := plan(&req, rows, plans, make([]*batchPlatform, 0, 4))
+	if err != nil {
+		if unary {
+			httpError(w, http.StatusBadRequest, "%v", err)
 		} else {
-			st.cache = "estimated"
+			httpError(w, http.StatusBadRequest, "query %d: %v", bad, err)
 		}
+		return
 	}
-	if release != nil {
-		release()
+	refused := s.resolve(r.Context(), order)
+	if unary && order[0].entry == nil {
+		s.writeWorkError(w, "predict", order[0].err)
+		return
 	}
-	// A resolved key's string comes rendered with its entry; only a
-	// failed key renders one per batch.
-	for _, st := range order {
-		if st.entry != nil {
-			st.keyStr = st.entry.keyStr
-		} else {
-			st.keyStr = st.key.String()
-		}
+	if refused {
+		// A batch refused admission is one shed request, however many
+		// of its keys missed.
+		s.metrics.Shed("predict")
 	}
 
-	// Pass 3 — stream the response through a pooled buffer: the
-	// per-item rendering is hand-appended JSON, no per-item encoder or
-	// map allocation.
 	var hits, estimated, joined, failed int64
 	for _, p := range plans {
 		switch p.plat.cache {
@@ -238,42 +168,140 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 			failed++
 		}
 	}
-	s.metrics.Prediction("hit", "batch", hits)
-	s.metrics.Prediction("estimated", "batch", estimated)
-	s.metrics.Prediction("joined", "batch", joined)
+	shape := "batch"
+	if unary {
+		shape = "unary"
+	}
+	s.metrics.Prediction("hit", shape, hits)
+	s.metrics.Prediction("estimated", shape, estimated)
+	s.metrics.Prediction("joined", shape, joined)
 
+	// Stream the answer through a pooled buffer: the per-item
+	// rendering is hand-appended JSON, no per-item encoder or map
+	// allocation.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	bp := batchBufs.Get().(*[]byte)
 	b := (*bp)[:0]
-	b = append(b, `{"count":`...)
-	b = strconv.AppendInt(b, int64(len(plans)), 10)
-	b = append(b, `,"errors":`...)
-	b = strconv.AppendInt(b, failed, 10)
-	b = append(b, `,"results":[`...)
+	if !unary {
+		b = append(b, `{"count":`...)
+		b = strconv.AppendInt(b, int64(len(plans)), 10)
+		b = append(b, `,"errors":`...)
+		b = strconv.AppendInt(b, failed, 10)
+		b = append(b, `,"results":[`...)
+	}
 	for i := range plans {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendBatchItem(b, &plans[i])
+		b = appendItem(b, &plans[i])
 		if len(b) >= batchFlushBytes {
 			w.Write(b)
 			b = b[:0]
 		}
 	}
-	b = append(b, `]}`...)
+	if !unary {
+		b = append(b, `]}`...)
+	}
 	b = append(b, '\n')
 	w.Write(b)
 	*bp = b[:0]
 	batchBufs.Put(bp)
 }
 
+// plan merges each row over the request's defaults, validates it for
+// its platform and fills plans, grouping the rows by distinct platform:
+// order, which the caller passes empty (an array in the caller's frame
+// keeps it off the heap), receives the platforms in first-seen order,
+// so that they resolve deterministically. On a validation failure plan
+// returns the failing row's index and the error.
+func plan(req *PredictRequest, rows []BatchQuery, plans []batchQueryPlan, order []*batchPlatform) ([]*batchPlatform, int, error) {
+	def := QueryRow{Op: req.Op, Alg: req.Alg, M: req.M, Root: req.Root, Degree: req.Degree, Segment: req.Segment}
+	platforms := map[platformRequest]*batchPlatform{}
+	pieces := 0
+	for i := range rows {
+		q := &rows[i]
+		plat := q.platform(req.platformRequest)
+		st, ok := platforms[plat]
+		if !ok {
+			key, err := plat.key()
+			if err != nil {
+				return nil, i, err
+			}
+			st = &batchPlatform{key: key}
+			platforms[plat] = st
+			order = append(order, st)
+		}
+		query, err := q.Merge(def).Query(st.key.Nodes)
+		if err != nil {
+			return nil, i, err
+		}
+		if pieces += segmentPieces(query); pieces > maxSegmentPieces {
+			return nil, i, fmt.Errorf("segmented queries need more than %d pieces in total, the per-request limit", maxSegmentPieces)
+		}
+		plans[i] = batchQueryPlan{plat: st, q: query}
+	}
+	return order, 0, nil
+}
+
+// resolve finds each platform's model set. Hits stay on the lock-free
+// read path; a miss is refused during drain, and otherwise all of the
+// misses share one admission slot, claimed by the first. A platform
+// left without an entry records why, with its typed code and message.
+// resolve reports whether admission refused the request.
+func (s *Server) resolve(ctx context.Context, order []*batchPlatform) (refused bool) {
+	var release func()
+	var admitErr error
+	for _, st := range order {
+		if entry, ok := s.reg.LookupHit(st.key); ok {
+			st.entry, st.cache = entry, "hit"
+			continue
+		}
+		if s.draining.Load() {
+			st.err = &DrainingError{}
+			continue
+		}
+		if release == nil && admitErr == nil {
+			release, admitErr = s.adm.acquire(ctx)
+		}
+		if admitErr != nil {
+			st.err = admitErr
+			continue
+		}
+		entry, hit, err := s.reg.GetOrEstimate(ctx, st.key)
+		switch {
+		case err != nil:
+			st.err = err
+		case hit:
+			// A concurrent estimation landed between the lookup above
+			// and GetOrEstimate: this request rode someone else's work.
+			st.entry, st.cache = entry, "joined"
+		default:
+			st.entry, st.cache = entry, "estimated"
+		}
+	}
+	if release != nil {
+		release()
+	}
+	// A resolved key's string comes rendered with its entry; only a
+	// failed key renders one per request.
+	for _, st := range order {
+		if st.entry != nil {
+			st.keyStr = st.entry.keyStr
+			continue
+		}
+		st.keyStr = st.key.String()
+		_, st.code, st.msg, _ = workError(st.err)
+	}
+	return admitErr != nil
+}
+
 // batchFlushBytes is the streaming threshold: the response buffer is
 // flushed to the wire whenever it grows past this.
 const batchFlushBytes = 32 << 10
 
-// batchBufs pools the batch response buffers (pointer-to-slice so the
-// pool holds the backing array, not a copy of the header).
+// batchBufs pools the /predict response buffers (pointer-to-slice so
+// the pool holds the backing array, not a copy of the header).
 var batchBufs = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64<<10)
@@ -281,93 +309,25 @@ var batchBufs = sync.Pool{
 	},
 }
 
-// familyJSON holds the pre-rendered `"name":` fragments of the
-// predictions object, indexed by family.
-var familyJSON = [numFamilies]string{
-	`"hockney":`, `"het-hockney":`, `"logp":`, `"loggp":`, `"plogp":`, `"lmo":`,
-}
-
-// appendBatchItem renders one query's result (or typed error) onto b.
-// Registry key strings and family names contain no characters needing
-// JSON escaping, so they are appended verbatim inside quotes; error
-// messages go through strconv.AppendQuote.
-func appendBatchItem(b []byte, p *batchQueryPlan) []byte {
+// appendItem renders one planned query as a /predict item onto b: its
+// key, then its cache state and AppendAnswer's members, or its typed
+// error. Registry key strings contain no characters needing JSON
+// escaping, so they are appended verbatim inside quotes; error messages
+// go through strconv.AppendQuote.
+func appendItem(b []byte, p *batchQueryPlan) []byte {
 	st := p.plat
 	b = append(b, `{"key":"`...)
 	b = append(b, st.keyStr...)
-	b = append(b, '"')
 	if st.entry == nil {
-		b = append(b, `,"code":"`...)
+		b = append(b, `","code":"`...)
 		b = append(b, st.code...)
 		b = append(b, `","error":`...)
 		b = strconv.AppendQuote(b, st.msg)
-		b = append(b, '}')
-		return b
+		return append(b, '}')
 	}
-	q := p.q
-	b = append(b, `,"cache":"`...)
+	b = append(b, `","cache":"`...)
 	b = append(b, st.cache...)
-	b = append(b, `","op":"`...)
-	b = append(b, q.Coll.String()...)
-	b = append(b, `","alg":"`...)
-	b = append(b, q.Alg.String()...)
-	b = append(b, `","m":`...)
-	b = strconv.AppendInt(b, int64(q.M), 10)
-	b = append(b, `,"nodes":`...)
-	b = strconv.AppendInt(b, int64(st.n), 10)
-	b = append(b, `,"root":`...)
-	b = strconv.AppendInt(b, int64(q.Root), 10)
-	if q.Degree != 0 {
-		b = append(b, `,"degree":`...)
-		b = strconv.AppendInt(b, int64(q.Degree), 10)
-	}
-	if q.Segment != 0 {
-		b = append(b, `,"segment":`...)
-		b = strconv.AppendInt(b, int64(q.Segment), 10)
-	}
-	b = append(b, `,"predictions":{`...)
-	var vals [numFamilies]float64
-	mask := st.entry.predictInto(q, &vals)
-	first := true
-	for i := 0; i < numFamilies; i++ {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, familyJSON[i]...)
-		b = appendJSONFloat(b, vals[i])
-	}
-	b = append(b, '}')
-	if lo, hi, ok := GatherBand(st.entry.LMO, q); ok {
-		b = append(b, `,"band_low":`...)
-		b = appendJSONFloat(b, lo)
-		b = append(b, `,"band_high":`...)
-		b = appendJSONFloat(b, hi)
-	}
-	b = append(b, '}')
-	return b
-}
-
-// appendJSONFloat renders a float the way encoding/json does ('f' for
-// mid-range magnitudes, 'e' with a trimmed exponent otherwise), so
-// batch items and unary responses agree on the bytes of a prediction.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json strips the leading zero of a two-digit
-		// exponent: "2e-07" becomes "2e-7".
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
+	b = append(b, `",`...)
+	b = AppendAnswer(b, &st.entry.preds, st.entry.LMO, p.q)
+	return append(b, '}')
 }

@@ -259,8 +259,8 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 
 // TestPredictHotPathZeroAlloc is the bench-smoke guard: a cached
 // prediction — lock-free registry lookup plus the full-zoo kernel —
-// performs zero heap allocations for every tree shape, and the unary
-// path's pooled map stays allocation-free in steady state. Tree shapes
+// performs zero heap allocations for every tree shape, and so does
+// rendering its answer into a warm buffer. Tree shapes
 // recurse over the shared collective.ShapeTree trees, which are built
 // on first use: AllocsPerRun's warm-up call builds them before counting.
 func TestPredictHotPathZeroAlloc(t *testing.T) {
@@ -294,7 +294,7 @@ func TestPredictHotPathZeroAlloc(t *testing.T) {
 				t.Fatal("lost the cached entry")
 			}
 			var vals [numFamilies]float64
-			e.predictInto(q, &vals)
+			predictInto(&e.preds, q, &vals)
 			sink += vals[famLMO]
 		}); n != 0 {
 			t.Fatalf("cached predict hot path (%v %v degree %d root %d) allocates %.1f/op, want 0", q.Alg, q.Coll, q.Degree, q.Root, n)
@@ -302,17 +302,15 @@ func TestPredictHotPathZeroAlloc(t *testing.T) {
 	}
 
 	e, _ := r.LookupHit(k)
-	q := models.Query{Coll: models.CollScatter, Alg: collective.AlgLinear, N: k.Nodes, M: 4096}
-	preds := predMaps.Get().(map[string]float64)
-	predictAll(e, q, preds) // warm the map's buckets
-	if n := testing.AllocsPerRun(200, func() {
-		clear(preds)
-		predictAll(e, q, preds)
-	}); n != 0 {
-		t.Fatalf("reused predictAll map allocates %.1f/op, want 0", n)
+	for _, q := range queries {
+		q.N, q.M = k.Nodes, 4096
+		b := AppendAnswer(nil, &e.preds, e.LMO, q) // warm the buffer
+		if n := testing.AllocsPerRun(200, func() {
+			b = AppendAnswer(b[:0], &e.preds, e.LMO, q)
+		}); n != 0 {
+			t.Fatalf("rendering the answer to %v %v degree %d into a warm buffer allocates %.1f/op, want 0", q.Alg, q.Coll, q.Degree, n)
+		}
 	}
-	clear(preds)
-	predMaps.Put(preds)
 	_ = fmt.Sprint(sink)
 }
 

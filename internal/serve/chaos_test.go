@@ -115,7 +115,7 @@ func TestChaosOverloadShedsWhileCacheServes(t *testing.T) {
 	// Cached models keep answering while the backlog is wedged.
 	hitStatus, _, hitBody := rawPost(t, ts.URL+"/predict",
 		`{"cluster":"table1","nodes":8,"profile":"lam","op":"scatter","m":1024}`)
-	if hitStatus != http.StatusOK || !strings.Contains(string(hitBody), `"cache": "hit"`) {
+	if hitStatus != http.StatusOK || !strings.Contains(string(hitBody), `"cache":"hit"`) {
 		t.Fatalf("cached predict during overload: status %d body %s", hitStatus, hitBody)
 	}
 
@@ -178,7 +178,7 @@ func TestChaosWedgedProfileTripsBreakerIsolated(t *testing.T) {
 	// Healthy keys are untouched by the wedged one.
 	lam := `{"cluster":"table1","nodes":4,"profile":"lam","op":"gather","m":1024}`
 	if st, _, body := rawPost(t, ts.URL+"/predict", lam); st != http.StatusOK ||
-		!strings.Contains(string(body), `"cache": "estimated"`) {
+		!strings.Contains(string(body), `"cache":"estimated"`) {
 		t.Fatalf("healthy key during trip: status %d body %s", st, body)
 	}
 
@@ -512,7 +512,7 @@ func TestChaosCleanDrain(t *testing.T) {
 	// ...but cached reads keep answering.
 	if st, _, body := rawPost(t, ts.URL+"/predict",
 		`{"cluster":"table1","nodes":8,"profile":"lam","op":"scatter","m":1024}`); st != http.StatusOK ||
-		!strings.Contains(string(body), `"cache": "hit"`) {
+		!strings.Contains(string(body), `"cache":"hit"`) {
 		t.Fatalf("cached predict during drain: status %d body %s", st, body)
 	}
 
@@ -545,7 +545,7 @@ func TestChaosSnapshotChurnKeepsReadsStable(t *testing.T) {
 	// Reference bytes for a cache-hit read of the hot key.
 	body := `{"cluster":"table1","nodes":8,"profile":"lam","op":"scatter","m":1024}`
 	refStatus, _, ref := rawPost(t, ts.URL+"/predict", body)
-	if refStatus != http.StatusOK || !strings.Contains(string(ref), `"cache": "hit"`) {
+	if refStatus != http.StatusOK || !strings.Contains(string(ref), `"cache":"hit"`) {
 		t.Fatalf("reference read: status %d body %s", refStatus, ref)
 	}
 
@@ -589,7 +589,7 @@ func TestChaosSnapshotChurnKeepsReadsStable(t *testing.T) {
 					httpErrs <- "predict status " + http.StatusText(st)
 					return
 				}
-				if strings.Contains(string(got), `"cache": "hit"`) && !bytes.Equal(got, ref) {
+				if strings.Contains(string(got), `"cache":"hit"`) && !bytes.Equal(got, ref) {
 					httpErrs <- "cache-hit response not byte-stable:\n" + string(got)
 					return
 				}

@@ -174,14 +174,55 @@ func TestCachedBatchAllocsFlatInRows(t *testing.T) {
 	}
 	small, large := allocs(16), allocs(256)
 	t.Logf("allocations per batch: 16 rows %v, 256 rows %v", small, large)
-	if large-small > 8 {
-		t.Fatalf("a 256-row batch allocates %v objects, a 16-row one %v: more than 8 apart, so rows allocate", large, small)
-	}
 	if raceEnabled {
 		return // the race detector drops sync.Pool puts at random, so pooled buffers reallocate
 	}
+	if large-small > 8 {
+		t.Fatalf("a 256-row batch allocates %v objects, a 16-row one %v: more than 8 apart, so rows allocate", large, small)
+	}
 	if large > 32 || small > 32 {
 		t.Fatalf("a cached batch allocates %v objects at 16 rows and %v at 256, want at most 32", small, large)
+	}
+}
+
+// TestUnaryPredictIsOneRowBatch pins the one /predict answer path: a
+// cached unary request through Server.ServeHTTP answers exactly the
+// item a one-row batch of the same query answers, followed by a
+// newline, and allocates no more than that batch.
+func TestUnaryPredictIsOneRowBatch(t *testing.T) {
+	k := Key{Cluster: "table1", Nodes: 16, Profile: cluster.LAM().Name, Seed: 3}
+	s, err := New(context.Background(), Config{Preload: []*models.ModelFile{fullZooFile(t, k)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = `"cluster":"table1","nodes":16,"profile":"lam","seed":3,"op":"gather","m":4096,"root":5`
+	serve := func(body string) ([]byte, float64) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		w := &discardResponse{h: http.Header{}}
+		n := testing.AllocsPerRun(20, func() {
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		})
+		return rec.Body.Bytes(), n
+	}
+	unary, unaryAllocs := serve("{" + query + "}")
+	batch, batchAllocs := serve("{" + query + `,"queries":[{}]}`)
+	var br struct{ Results []json.RawMessage }
+	if err := json.Unmarshal(batch, &br); err != nil || len(br.Results) != 1 {
+		t.Fatalf("one-row batch: %v: %s", err, batch)
+	}
+	if want := append(br.Results[0], '\n'); !bytes.Equal(unary, want) {
+		t.Fatalf("unary body is not the batch item:\nunary %s\nitem  %s", unary, want)
+	}
+	t.Logf("allocations: unary %v, one-row batch %v", unaryAllocs, batchAllocs)
+	if raceEnabled {
+		return // the race detector drops sync.Pool puts at random, so pooled buffers reallocate
+	}
+	if unaryAllocs > batchAllocs {
+		t.Fatalf("a cached unary request allocates %v objects, a one-row batch %v", unaryAllocs, batchAllocs)
 	}
 }
 

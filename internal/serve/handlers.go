@@ -5,53 +5,64 @@ import (
 	"errors"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/estimate"
-	"repro/internal/models"
 )
 
-// writeWorkError maps the robustness layer's typed failures to HTTP:
-// load shedding to 429 + Retry-After, an open circuit to 503 +
-// Retry-After, drain to 503, an expired request deadline to 504.
-// Anything else is a 500.
-func (s *Server) writeWorkError(w http.ResponseWriter, endpoint string, err error) {
+// workError classifies a failed piece of work the way a response
+// reports it: the HTTP status, a machine-readable code, the message,
+// and, for a refusal that clears by itself, the Retry-After hint in
+// whole seconds (0 for none). Load shedding is 429 "shed" and an open
+// circuit 503 "breaker_open", both with the hint; drain is 503
+// "draining", an expired request deadline 504 "deadline", a cancelled
+// request 503 "cancelled", and anything else 500 "error".
+func workError(err error) (status int, code, msg string, retryAfter int64) {
 	var shed *ShedError
-	if errors.As(err, &shed) {
-		s.metrics.Shed(endpoint)
-		retryAfterHeader(w, shed.RetryAfter)
-		httpErrorCode(w, http.StatusTooManyRequests, "shed", "%v", shed)
-		return
-	}
 	var open *BreakerOpenError
-	if errors.As(err, &open) {
-		retryAfterHeader(w, open.RetryAfter)
-		httpErrorCode(w, http.StatusServiceUnavailable, "breaker_open", "%v", open)
-		return
-	}
 	var draining *DrainingError
-	if errors.As(err, &draining) {
-		httpErrorCode(w, http.StatusServiceUnavailable, "draining", "%v", draining)
-		return
+	switch {
+	case errors.As(err, &shed):
+		return http.StatusTooManyRequests, "shed", shed.Error(), retrySeconds(shed.RetryAfter)
+	case errors.As(err, &open):
+		return http.StatusServiceUnavailable, "breaker_open", open.Error(), retrySeconds(open.RetryAfter)
+	case errors.As(err, &draining):
+		return http.StatusServiceUnavailable, "draining", draining.Error(), 0
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "deadline", "request deadline exceeded", 0
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "cancelled", "request cancelled", 0
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		httpErrorCode(w, http.StatusGatewayTimeout, "deadline", "request deadline exceeded")
-		return
+	return http.StatusInternalServerError, "error", err.Error(), 0
+}
+
+// writeWorkError answers a request whose work failed, as workError
+// classifies it, and counts a shed request under its endpoint. A 500's
+// body carries its message alone: "error" is no typed code.
+func (s *Server) writeWorkError(w http.ResponseWriter, endpoint string, err error) {
+	status, code, msg, retryAfter := workError(err)
+	if code == "shed" {
+		s.metrics.Shed(endpoint)
 	}
-	if errors.Is(err, context.Canceled) {
-		httpErrorCode(w, http.StatusServiceUnavailable, "cancelled", "request cancelled")
-		return
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
 	}
-	httpError(w, http.StatusInternalServerError, "%v", err)
+	if code == "error" {
+		code = ""
+	}
+	writeJSON(w, status, errorBody{Error: msg, Code: code})
 }
 
 // PredictRequest asks for one collective's predicted time on a
 // platform — or, when Queries is present, for a whole batch of them
-// with the top-level fields acting as shared defaults. A registry miss
-// estimates the platform's models first (deduped across concurrent
-// requests, admission-controlled, and circuit-broken per platform).
+// with the top-level fields acting as shared defaults; a request
+// without Queries is answered as a batch of one row that sets nothing
+// (batch.go). A registry miss estimates the platform's models first
+// (deduped across concurrent requests, admission-controlled, and
+// circuit-broken per platform).
 type PredictRequest struct {
 	platformRequest
 	Op   string `json:"op"`   // "scatter", "gather", "bcast" or "reduce"
@@ -71,7 +82,11 @@ type PredictRequest struct {
 	Queries []BatchQuery `json:"queries,omitempty"`
 }
 
-// PredictResponse reports the per-model predictions.
+// PredictResponse is the shape of one /predict answer: a unary
+// request's body, and each answered item of a batch's results. The
+// handler renders it by hand (appendItem, AppendAnswer), compact and
+// with the predictions in family order; this type documents the shape
+// and decodes it.
 type PredictResponse struct {
 	Key         string             `json:"key"`
 	Cache       string             `json:"cache"` // "hit", "estimated" or "joined"
@@ -87,85 +102,6 @@ type PredictResponse struct {
 	// the LMO empirical parameters cover m.
 	BandLow  *float64 `json:"band_low,omitempty"`
 	BandHigh *float64 `json:"band_high,omitempty"`
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req PredictRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Queries != nil {
-		s.handleBatchPredict(w, r, &req)
-		return
-	}
-	key, err := req.key()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	row := QueryRow{Op: req.Op, Alg: req.Alg, M: req.M, Root: req.Root, Degree: req.Degree, Segment: req.Segment}
-	q, err := row.Query(key.Nodes)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// Cached platforms answer without touching admission: reads must
-	// keep flowing whatever the estimation backlog looks like.
-	if entry, ok := s.reg.LookupHit(key); ok {
-		s.writePrediction(w, q, key, entry, "hit")
-		return
-	}
-
-	// A registry miss is estimation work: refuse during drain, then
-	// pass through admission control before occupying a worker.
-	if s.draining.Load() {
-		s.writeWorkError(w, "predict", &DrainingError{})
-		return
-	}
-	release, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeWorkError(w, "predict", err)
-		return
-	}
-	defer release()
-	entry, hit, err := s.reg.GetOrEstimate(r.Context(), key)
-	if err != nil {
-		s.writeWorkError(w, "predict", err)
-		return
-	}
-	cache := "estimated"
-	if hit {
-		// A concurrent estimation landed between the lookup above and
-		// GetOrEstimate: this request rode someone else's work.
-		cache = "joined"
-	}
-	s.writePrediction(w, q, key, entry, cache)
-}
-
-// writePrediction renders the prediction response for a resolved
-// entry. The predictions map comes from a pool and is reused across
-// requests: the unary path allocates no fresh map per request
-// (TestPredictAllReusesMap pins this).
-func (s *Server) writePrediction(w http.ResponseWriter, q models.Query, key Key, entry *Entry, cache string) {
-	preds := predMaps.Get().(map[string]float64)
-	predictAll(entry, q, preds)
-	resp := PredictResponse{
-		Key: key.String(), Op: q.Coll.String(), Alg: q.Alg.String(), Cache: cache,
-		M: q.M, Nodes: key.Nodes, Root: q.Root, Degree: q.Degree, Segment: q.Segment,
-		Predictions: preds,
-	}
-	if lo, hi, ok := GatherBand(entry.LMO, q); ok {
-		resp.BandLow, resp.BandHigh = &lo, &hi
-	}
-	s.metrics.Prediction(cache, "unary", 1)
-	writeJSON(w, http.StatusOK, resp)
-	clear(preds)
-	predMaps.Put(preds)
 }
 
 // EstimateRequest launches an asynchronous estimation campaign.

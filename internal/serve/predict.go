@@ -12,7 +12,8 @@ package serve
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"strconv"
 
 	"repro/internal/collective"
 	"repro/internal/models"
@@ -95,17 +96,17 @@ func segmentPieces(q models.Query) int {
 	return p
 }
 
-// predictInto evaluates every model family the entry holds on the
-// query, writing values into out (indexed by family) and reporting a
-// bitmask of the families that answered; a family whose Predict errors
-// (a shape outside its capabilities) is left out. The arrays live in
-// the caller's frame: the kernel itself performs no allocation.
+// predictInto evaluates every model family of the table preds (indexed
+// by family, nil where absent) on the query, writing values into out
+// and reporting a bitmask of the families that answered; a family whose
+// Predict errors (a shape outside its capabilities) is left out. The
+// arrays live in the caller's frame: the kernel itself performs no
+// allocation.
 //
 //lmovet:hotpath
-func (e *Entry) predictInto(q models.Query, out *[numFamilies]float64) uint8 {
+func predictInto(preds *[numFamilies]models.CollectivePredictor, q models.Query, out *[numFamilies]float64) uint8 {
 	var mask uint8
-	for i := 0; i < numFamilies; i++ {
-		p := e.preds[i]
+	for i, p := range preds {
 		if p == nil {
 			continue
 		}
@@ -133,21 +134,84 @@ func GatherBand(lmo *models.LMOX, q models.Query) (lo, hi float64, ok bool) {
 	return lo, hi, hi > lo
 }
 
-// predMaps pools the per-response prediction maps of the unary path:
-// the map is filled, marshalled, cleared and reused, so steady-state
-// unary predicts allocate no fresh map per request.
-var predMaps = sync.Pool{
-	New: func() any { return make(map[string]float64, numFamilies) },
+// familyJSON holds the pre-rendered `"name":` fragments of the
+// predictions object, indexed by family.
+var familyJSON = [numFamilies]string{
+	`"hockney":`, `"het-hockney":`, `"logp":`, `"loggp":`, `"plogp":`, `"lmo":`,
 }
 
-// predictAll evaluates the entry on the query into the provided map
-// (obtained from predMaps and reused across requests).
-func predictAll(e *Entry, q models.Query, out map[string]float64) {
+// AppendAnswer appends the members of one prediction answer to b,
+// without the enclosing braces: the query echoed (op, alg, m, nodes,
+// root, and degree and segment when set), the predictions of the
+// families of preds that answer q, in family order and keyed like
+// PredictResponse, and, when lmo's empirical parameters cover q,
+// linear gather's escalation band. preds is indexed like
+// models.Set.Predictors. Floats render as encoding/json renders them,
+// and nothing allocates but the growth of b. /predict wraps the members
+// with the key and cache state; cmd/predict -batch prints them as one
+// object per line.
+func AppendAnswer(b []byte, preds *[numFamilies]models.CollectivePredictor, lmo *models.LMOX, q models.Query) []byte {
+	b = append(b, `"op":"`...)
+	b = append(b, q.Coll.String()...)
+	b = append(b, `","alg":"`...)
+	b = append(b, q.Alg.String()...)
+	b = append(b, `","m":`...)
+	b = strconv.AppendInt(b, int64(q.M), 10)
+	b = append(b, `,"nodes":`...)
+	b = strconv.AppendInt(b, int64(q.N), 10)
+	b = append(b, `,"root":`...)
+	b = strconv.AppendInt(b, int64(q.Root), 10)
+	if q.Degree != 0 {
+		b = append(b, `,"degree":`...)
+		b = strconv.AppendInt(b, int64(q.Degree), 10)
+	}
+	if q.Segment != 0 {
+		b = append(b, `,"segment":`...)
+		b = strconv.AppendInt(b, int64(q.Segment), 10)
+	}
+	b = append(b, `,"predictions":{`...)
 	var vals [numFamilies]float64
-	mask := e.predictInto(q, &vals)
+	mask := predictInto(preds, q, &vals)
+	first := true
 	for i := 0; i < numFamilies; i++ {
-		if mask&(1<<i) != 0 {
-			out[familyNames[i]] = vals[i]
+		if mask&(1<<i) == 0 {
+			continue
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		b = append(b, familyJSON[i]...)
+		b = appendJSONFloat(b, vals[i])
+	}
+	b = append(b, '}')
+	if lo, hi, ok := GatherBand(lmo, q); ok {
+		b = append(b, `,"band_low":`...)
+		b = appendJSONFloat(b, lo)
+		b = append(b, `,"band_high":`...)
+		b = appendJSONFloat(b, hi)
+	}
+	return b
+}
+
+// appendJSONFloat renders a float the way encoding/json does ('f' for
+// mid-range magnitudes, 'e' with a trimmed exponent otherwise), so
+// hand-rendered answers and encoding/json agree on the bytes of a
+// prediction.
+func appendJSONFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// encoding/json strips the leading zero of a two-digit
+		// exponent: "2e-07" becomes "2e-7".
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
 		}
 	}
+	return b
 }

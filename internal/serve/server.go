@@ -275,14 +275,10 @@ func httpErrorCode(w http.ResponseWriter, status int, code, format string, args 
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// retryAfterHeader sets Retry-After, rounding the hint up to whole
-// seconds (minimum 1).
-func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+// retrySeconds is a Retry-After hint in whole seconds: d rounded up,
+// at least 1.
+func retrySeconds(d time.Duration) int64 {
+	return max(int64((d+time.Second-1)/time.Second), 1)
 }
 
 // platformRequest selects the simulated platform a request refers to.

@@ -172,12 +172,9 @@ func (o tripletCoverageOption) applyEstimate(c *estimateConfig) {
 // set.
 func WithTripletCoverage(k int) EstimateOption { return tripletCoverageOption(k) }
 
-type groupedOption struct{ blind bool }
+type groupedOption struct{}
 
-func (o groupedOption) applyEstimate(c *estimateConfig) {
-	c.grouped = true
-	c.opt.GroupBlind = o.blind
-}
+func (groupedOption) applyEstimate(c *estimateConfig) { c.grouped = true }
 
 // WithLogicalGroups switches ModelLMO estimation to the grouped
 // procedure: detect logical homogeneous groups, run one triplet of
@@ -187,12 +184,8 @@ func (o groupedOption) applyEstimate(c *estimateConfig) {
 // estimable; the detected partition lands in Estimation.Groups. The
 // gather irregularity scan is skipped (Gather stays nil). Valid only
 // with ModelLMO. When the cluster has a topology attached the detector
-// uses its leaf structure as a hint; WithBlindGroups ignores it.
+// uses its leaf structure as a hint.
 func WithLogicalGroups() EstimateOption { return groupedOption{} }
-
-// WithBlindGroups is WithLogicalGroups with the topology hint disabled:
-// groups are detected purely from probe timings.
-func WithBlindGroups() EstimateOption { return groupedOption{blind: true} }
 
 type observerOption struct{ t *obs.Trace }
 
