@@ -251,8 +251,13 @@ func runBatch(path string, set models.Set, def serve.QueryRow, n int, stdout io.
 			continue
 		}
 		var row serve.BatchQuery
-		if err := json.Unmarshal(raw, &row); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields() // a misspelled field must not fall back to the flags
+		if err := dec.Decode(&row); err != nil {
 			return fmt.Errorf("line %d: %v", line, err)
+		}
+		if dec.InputOffset() != int64(len(raw)) {
+			return fmt.Errorf("line %d: data after the query object", line)
 		}
 		if row.Cluster != "" || row.Nodes != 0 || row.Profile != "" || row.Seed != 0 {
 			return fmt.Errorf("line %d: cluster, nodes, profile and seed are fixed by the flags and -models, not by a query", line)

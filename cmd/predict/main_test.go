@@ -140,6 +140,12 @@ func TestBatchMode(t *testing.T) {
 		{name: "degree off the k-ary family", rows: `{"alg":"chain","degree":3}`, wantCode: 2, wantErr: "line 1:"},
 		{name: "root out of range", rows: `{"root":8}`, wantCode: 2, wantErr: "line 1: root must be in [0, 8)"},
 		{name: "malformed json", rows: `{"m":`, wantCode: 2, wantErr: "line 1:"},
+		{
+			name:     "misspelled field",
+			rows:     `{"m":1024}` + "\n" + `{"opp":"bcast","alg":"binomial","mm":1024}` + "\n",
+			wantCode: 2, wantRows: 1, wantErr: `line 2: json: unknown field "opp"`,
+		},
+		{name: "two objects on a line", rows: `{"m":1024} {"m":2048}`, wantCode: 2, wantErr: "line 1:"},
 		{name: "bad flag query", flags: []string{"-alg", "ring"}, rows: `{}`, wantCode: 2, wantErr: "alg must be"},
 		{
 			name:     "row names the node count",

@@ -200,8 +200,9 @@ func TestEveryFamilyCountsItsRobustness(t *testing.T) {
 // experiment and repetition counts at the failure. The rounds recorded
 // before a crash, and the jobs' durations, must not depend on which
 // rank records a round or on which ranks wait at a round's barrier.
-// The figures were measured when every rank took part in every round
-// and rank 0 recorded them all.
+// The figures were first measured, at a minimum of five repetitions,
+// when every rank took part in every round and rank 0 recorded them
+// all; they were re-measured when the minimum fell to two.
 func TestEstimationUnderCrashPinned(t *testing.T) {
 	fat := cluster.FromTopology(topo.FatTree(4, topo.DefaultUplink()), cluster.NodeSpec{}, cluster.LinkSpec{})
 	cases := []struct {
@@ -212,15 +213,15 @@ func TestEstimationUnderCrashPinned(t *testing.T) {
 		exps, rep int
 	}{
 		{false, 0, 100 * time.Microsecond, 0, 0, 0},
-		{false, 0, 3 * time.Millisecond, 0, 8, 40},
-		{false, 0, 20 * time.Millisecond, 20 * time.Millisecond, 19, 95},
+		{false, 0, 3 * time.Millisecond, 0, 8, 16},
+		{false, 0, 20 * time.Millisecond, 20 * time.Millisecond, 23, 46},
 		{false, 5, 100 * time.Microsecond, 0, 0, 0},
-		{false, 5, 3 * time.Millisecond, 0, 8, 40},
-		{false, 5, 20 * time.Millisecond, 20 * time.Millisecond, 24, 120},
+		{false, 5, 3 * time.Millisecond, 3162784 * time.Nanosecond, 24, 48},
+		{false, 5, 20 * time.Millisecond, 20 * time.Millisecond, 24, 48},
 		{false, 15, 100 * time.Microsecond, 0, 0, 0},
-		{false, 15, 3 * time.Millisecond, 0, 8, 40},
-		{false, 15, 20 * time.Millisecond, 20 * time.Millisecond, 44, 220},
-		{true, 9, 50 * time.Millisecond, 0, 64, 320},
+		{false, 15, 3 * time.Millisecond, 3162784 * time.Nanosecond, 44, 88},
+		{false, 15, 20 * time.Millisecond, 20 * time.Millisecond, 44, 88},
+		{true, 9, 50 * time.Millisecond, 0, 168, 336},
 	}
 	for _, c := range cases {
 		plan := &faults.Plan{Crashes: []faults.Crash{{Node: c.node, At: c.at}}}

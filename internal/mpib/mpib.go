@@ -48,13 +48,15 @@ func (t Timing) String() string {
 }
 
 // Options control the adaptive repetition loop. The zero value is
-// replaced by the paper's defaults; the robustness knobs (OutlierMAD,
+// replaced by the defaults: the paper's confidence level and relative
+// error, from a minimum of two repetitions, so the interval rather than
+// a count decides when a series stops; the robustness knobs (OutlierMAD,
 // Retries) default to off, leaving the measurement trajectory
 // identical to the plain adaptive loop.
 type Options struct {
 	Confidence float64 // confidence level; default 0.95
 	RelErr     float64 // target relative error of the CI; default 0.025
-	MinReps    int     // repetitions before the stopping rule applies; default 5
+	MinReps    int     // repetitions before the stopping rule applies; default 2, the fewest with a CI
 	MaxReps    int     // hard cap per attempt; default 100
 
 	// OutlierMAD, when positive, drops samples farther than this many
@@ -75,7 +77,7 @@ type Options struct {
 	Backoff time.Duration
 }
 
-// WithDefaults fills unset fields with the paper's values. It is the
+// WithDefaults fills unset fields with the defaults. It is the
 // one defaulting of the repetition rule: Loop.Init applies it, for
 // Measure and for the estimation rounds alike.
 func (o Options) WithDefaults() Options {
@@ -86,7 +88,7 @@ func (o Options) WithDefaults() Options {
 		o.RelErr = 0.025
 	}
 	if o.MinReps == 0 {
-		o.MinReps = 5
+		o.MinReps = 2
 	}
 	if o.MaxReps == 0 {
 		o.MaxReps = 100

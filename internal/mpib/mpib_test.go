@@ -20,7 +20,7 @@ func testConfig(n int) mpi.Config {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.Confidence != 0.95 || o.RelErr != 0.025 || o.MinReps != 5 || o.MaxReps != 100 {
+	if o.Confidence != 0.95 || o.RelErr != 0.025 || o.MinReps != 2 || o.MaxReps != 100 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	o = Options{MinReps: 50, MaxReps: 10}.WithDefaults()
@@ -44,8 +44,8 @@ func TestMeasureDeterministicOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A deterministic operation converges at MinReps with zero stddev.
-	if got.N != 5 {
-		t.Fatalf("reps = %d, want 5 (deterministic op)", got.N)
+	if got.N != 2 {
+		t.Fatalf("reps = %d, want 2 (deterministic op)", got.N)
 	}
 	if got.StdDev != 0 {
 		t.Fatalf("stddev = %v, want 0", got.StdDev)

@@ -2,6 +2,7 @@ package mpib
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -33,8 +34,8 @@ func TestZeroVarianceSeriesConvergesAndSummarizes(t *testing.T) {
 	if got.Rejected != 0 {
 		t.Fatalf("rejected %d samples of an identical series", got.Rejected)
 	}
-	if got.Reps != 5 || got.N != 5 {
-		t.Fatalf("Reps = %d, N = %d, want 5/5", got.Reps, got.N)
+	if got.Reps != 2 || got.N != 2 {
+		t.Fatalf("Reps = %d, N = %d, want 2/2", got.Reps, got.N)
 	}
 	if got.StdDev != 0 || got.CIHalf != 0 {
 		t.Fatalf("zero-variance summary has spread: %+v", got.Summary)
@@ -93,6 +94,69 @@ func TestNonConvergedPathReportsHonestly(t *testing.T) {
 	}
 	if got.RelErr() <= 0.025 {
 		t.Fatalf("non-converged measurement reports rel err %v <= target", got.RelErr())
+	}
+}
+
+// measureSchedule measures, on two ranks, an op whose k-th repetition
+// sleeps schedule[k] on rank 0 alone, and returns rank 0's Measurement:
+// RootTiming at rank 0 samples the schedule exactly.
+func measureSchedule(t *testing.T, schedule []time.Duration, opts Options) Measurement {
+	t.Helper()
+	var got Measurement
+	_, err := mpi.Run(testConfig(2), func(r *mpi.Rank) {
+		k := 0
+		m := Measure(r, 0, RootTiming, opts, func() {
+			if r.Rank() == 0 {
+				r.Sleep(schedule[k])
+				k++
+			}
+		})
+		if r.Rank() == 0 {
+			got = m
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestMinimumIsAFloorNotACount checks that the default minimum of two
+// repetitions only lets a series stop early when its samples agree. A
+// seeded op whose duration jitters by 4% (CV) repeats past two until
+// its CI is within RelErr, and stops at the first repetition where it
+// is. With outlier rejection on, a spike at the second repetition
+// keeps the loop going too: two samples are too few to reject one, so
+// the spike widens the CI, and the third repetition rejects it.
+func TestMinimumIsAFloorNotACount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	jitter := make([]time.Duration, 100)
+	for i := range jitter {
+		jitter[i] = time.Duration(float64(time.Millisecond) * (1 + 0.04*rng.NormFloat64()))
+	}
+	got := measureSchedule(t, jitter, Options{})
+	if got.Reps <= 2 {
+		t.Fatalf("jittered series stopped at %d repetitions: %v", got.Reps, got.Samples)
+	}
+	if !got.Converged || got.RelErr() > 0.025 {
+		t.Fatalf("jittered series finished at rel err %v (converged %v), want within 0.025", got.RelErr(), got.Converged)
+	}
+	for k := 2; k < got.Reps; k++ {
+		if s := stats.Summarize(got.Samples[:k], 0.95); s.RelErr() <= 0.025 {
+			t.Fatalf("CI was within 0.025 at %d repetitions (%v), but the loop ran %d", k, s.RelErr(), got.Reps)
+		}
+	}
+	for k, x := range got.Samples {
+		if x != jitter[k].Seconds() {
+			t.Fatalf("sample %d = %v, want the schedule's %v", k, x, jitter[k].Seconds())
+		}
+	}
+
+	spike := []time.Duration{time.Millisecond, 10 * time.Millisecond, time.Millisecond, time.Millisecond}
+	got = measureSchedule(t, spike, Options{OutlierMAD: 3})
+	if got.Reps != 3 || got.Rejected != 1 || !got.Converged || got.Mean != 0.001 {
+		t.Fatalf("spike at repetition 2: %d repetitions, %d rejected, converged %v, mean %v; want 3, 1, true, 0.001",
+			got.Reps, got.Rejected, got.Converged, got.Mean)
 	}
 }
 

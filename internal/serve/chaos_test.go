@@ -69,6 +69,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // answering throughout.
 func TestChaosOverloadShedsWhileCacheServes(t *testing.T) {
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
 	preKey := Key{Cluster: "table1", Nodes: 8, Profile: cluster.LAM().Name, Seed: 1}
 	s, ts := testServer(t, Config{
 		MaxConcurrent: 1,
@@ -80,6 +81,9 @@ func TestChaosOverloadShedsWhileCacheServes(t *testing.T) {
 			return chaosTaskOK(g, tk)
 		},
 	})
+	// Registered after testServer's ts.Close, so it runs first: a failed
+	// assertion releases the wedge instead of leaving Close waiting on it.
+	t.Cleanup(release)
 
 	// A slow miss occupies the only estimation slot.
 	slow := make(chan int, 1)
@@ -134,7 +138,7 @@ func TestChaosOverloadShedsWhileCacheServes(t *testing.T) {
 	}
 
 	// Release the wedge: the slow request completes normally.
-	close(gate)
+	release()
 	if st := <-slow; st != http.StatusOK {
 		t.Fatalf("slow predict after release: status %d", st)
 	}
@@ -620,6 +624,7 @@ func TestChaosSnapshotChurnKeepsReadsStable(t *testing.T) {
 // byte-stable, and the shed is counted once per batch.
 func TestChaosBatchOverloadShedsPerItem(t *testing.T) {
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
 	preKey := Key{Cluster: "table1", Nodes: 8, Profile: cluster.LAM().Name, Seed: 1}
 	s, ts := testServer(t, Config{
 		MaxConcurrent: 1,
@@ -631,6 +636,7 @@ func TestChaosBatchOverloadShedsPerItem(t *testing.T) {
 			return chaosTaskOK(g, tk)
 		},
 	})
+	t.Cleanup(release) // runs before ts.Close, as above
 
 	// A slow unary miss occupies the only estimation slot.
 	slow := make(chan int, 1)
@@ -670,7 +676,7 @@ func TestChaosBatchOverloadShedsPerItem(t *testing.T) {
 		t.Fatalf("serve_shed_total{predict} = %d, want 2 (one per batch)", gotShed)
 	}
 
-	close(gate)
+	release()
 	if st := <-slow; st != http.StatusOK {
 		t.Fatalf("slow predict after release: status %d", st)
 	}

@@ -7,7 +7,10 @@ package serve
 // any other body, and every other request type, goes to encoding/json
 // on the same bytes. The scanner accepts only bodies on which it
 // decodes exactly what encoding/json decodes, so the fast path changes
-// no result and no error text (FuzzPredictScanner checks this).
+// no result and no error text (FuzzPredictScanner checks this). Neither
+// path accepts a /predict field that PredictRequest does not have: the
+// scanner hands such a body over, and encoding/json refuses it with 400
+// bad_json, so a misspelled field never answers with its default.
 
 import (
 	"bytes"
@@ -39,10 +42,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 		return false
 	}
 	body := bs.buf.Bytes()
-	if req, ok := v.(*PredictRequest); ok && bs.predict(body, req) {
+	req, isPredict := v.(*PredictRequest)
+	if isPredict && bs.predict(body, req) {
 		return true
 	}
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if isPredict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
 		httpErrorCode(w, http.StatusBadRequest, "bad_json", "bad request body: %v", err)
 		return false
 	}

@@ -133,6 +133,30 @@ func TestCanonicalBodiesTakeFastPath(t *testing.T) {
 	}
 }
 
+// TestPredictRefusesUnknownFields checks that a /predict body naming a
+// field PredictRequest does not have, at the top level or in a batch
+// row, is refused with 400 bad_json instead of answering with that
+// field's default. The same body spelled correctly answers from the
+// cache.
+func TestPredictRefusesUnknownFields(t *testing.T) {
+	k := Key{Cluster: "table1", Nodes: 8, Profile: cluster.LAM().Name, Seed: 1}
+	_, ts := testServer(t, Config{Preload: []*models.ModelFile{fakeFile(k)}})
+	const platform = `"cluster":"table1","nodes":8,"profile":"lam","seed":1`
+	if status, _, body := rawPost(t, ts.URL+"/predict", `{`+platform+`,"op":"scatter","m":1024,"root":3}`); status != http.StatusOK {
+		t.Fatalf("correctly spelled body: status %d: %s", status, body)
+	}
+	for field, body := range map[string]string{
+		"roott": `{` + platform + `,"op":"scatter","m":1024,"roott":3}`,
+		"opp":   `{` + platform + `,"op":"scatter","m":1024,"queries":[{},{"opp":"bcast","alg":"binomial","mm":1024}]}`,
+	} {
+		status, _, out := rawPost(t, ts.URL+"/predict", body)
+		if status != http.StatusBadRequest || !strings.Contains(string(out), `"code": "bad_json"`) ||
+			!strings.Contains(string(out), `unknown field \"`+field+`\"`) {
+			t.Errorf("%s: status %d, want 400 bad_json naming the unknown field %q: %s", body, status, field, out)
+		}
+	}
+}
+
 // discardResponse is a ResponseWriter that keeps nothing, so an
 // allocation count sees the server's work alone.
 type discardResponse struct {
