@@ -106,6 +106,9 @@ type Report struct {
 	// Confidence[x], when non-nil, is the fraction of processor x's
 	// redundant triplet contributions that survived dropping (1 = all).
 	Confidence []float64
+	// triplets holds the records LMOX measured, round trips included,
+	// which LMOOriginal solves; other estimators leave it nil.
+	triplets []TripletTimes
 }
 
 // DroppedExp identifies a one-to-two experiment whose measurement was

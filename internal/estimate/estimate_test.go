@@ -572,27 +572,28 @@ func TestCustomSampleExp(t *testing.T) {
 	}
 }
 
-// The original five-parameter model must fold half the network latency
-// into each processor constant (the conflation the paper criticizes),
-// while the extended model separates it.
+// The original five-parameter model, solved over LMOX's records, must
+// fold half the network latency into each processor constant (the
+// conflation the paper criticizes), while the extended model separates
+// it. A report without LMOX's records has nothing to solve.
 func TestLMOOriginalConflatesLatency(t *testing.T) {
 	cfg := homConfig(5) // C = 50µs, L = 40µs ground truth
-	orig, rep, err := LMOOriginal(cfg, Options{Parallel: true})
+	ext, rep, err := LMOX(cfg, Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Experiments == 0 || rep.Cost <= 0 {
-		t.Fatalf("report = %+v", rep)
+	orig, err := LMOOriginal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := LMOOriginal(Report{}); err == nil {
+		t.Fatalf("solved a report without records: %+v", m)
 	}
 	// Expect C ≈ 50µs + L/2 = 70µs for every processor.
 	for i := 0; i < 5; i++ {
 		if !relClose(orig.C()[i], 70e-6, 0.1) {
 			t.Fatalf("orig C[%d] = %v, want ≈70µs (true C + L/2)", i, orig.C()[i])
 		}
-	}
-	ext, _, err := LMOX(cfg, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
 	}
 	// The extension separates: C back to ≈50µs, L ≈40µs.
 	if !relClose(ext.C[0], 50e-6, 0.1) || !relClose(ext.L[0][1], 40e-6, 0.3) {
@@ -610,11 +611,11 @@ func TestLMOOriginalConflatesLatency(t *testing.T) {
 // constants; the extension's separation must track ground truth better.
 func TestLMOOriginalVsExtendedOnHeterogeneous(t *testing.T) {
 	cfg := hetConfig()
-	orig, _, err := LMOOriginal(cfg, Options{Parallel: true})
+	ext, rep, err := LMOX(cfg, Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, _, err := LMOX(cfg, Options{Parallel: true})
+	orig, err := LMOOriginal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,9 @@ var (
 		return r, err
 	}}
 	procLMO5 = procedure{"lmo5", "five-parameter LMO estimation", func(c call, m *Models) (r Report, err error) {
-		m.LMO5, r, err = LMOOriginal(c.cfg, c.opt)
+		if _, r, err = LMOX(c.cfg, c.opt); err == nil {
+			m.LMO5, err = LMOOriginal(r)
+		}
 		return r, err
 	}}
 )
@@ -132,7 +134,8 @@ func Family(cfg mpi.Config, name string, root, scanReps int, opt Options) (*Mode
 }
 
 // add accumulates another procedure's report into r. Only LMOX
-// computes per-processor Confidence, so r takes the one reported.
+// computes per-processor Confidence and keeps triplet records, so r
+// takes the ones reported.
 func (r *Report) add(o Report) {
 	r.Cost += o.Cost
 	r.Experiments += o.Experiments
@@ -141,6 +144,6 @@ func (r *Report) add(o Report) {
 	r.NonConverged += o.NonConverged
 	r.Dropped = append(r.Dropped, o.Dropped...)
 	if o.Confidence != nil {
-		r.Confidence = o.Confidence
+		r.Confidence, r.triplets = o.Confidence, o.triplets
 	}
 }

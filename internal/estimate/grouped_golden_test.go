@@ -14,10 +14,10 @@ import (
 	"repro/internal/topo"
 )
 
-// -update regenerates testdata/grouped_fattree128.golden:
+// -update regenerates the goldens under testdata/, one test's with -run:
 //
 //	go test ./internal/estimate -run TestLMOGroupedGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/grouped_fattree128.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestLMOGroupedGolden pins LMOGrouped's whole model on a 128-host
 // fat-tree (k = 8, Ideal profile, seed 1, default options) bit for
@@ -45,13 +45,20 @@ func TestLMOGroupedGolden(t *testing.T) {
 		fmt.Fprintf(&b, "beta[%d]:%s\n", i, runLengths(model.Beta[i]))
 	}
 	fmt.Fprintf(&b, "gather: %+v\n", model.Gather)
+	matchGolden(t, "grouped_fattree128.golden", b.String())
+}
 
-	path := filepath.Join("testdata", "grouped_fattree128.golden")
+// matchGolden compares a test's rendering with testdata/name, or
+// rewrites the file under -update. A mismatch names the first line
+// that differs.
+func matchGolden(t *testing.T, name, rendered string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -60,10 +67,10 @@ func TestLMOGroupedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to generate): %v", err)
 	}
-	if b.String() == string(want) {
+	if rendered == string(want) {
 		return
 	}
-	got, exp := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	got, exp := strings.Split(rendered, "\n"), strings.Split(string(want), "\n")
 	for i := range min(len(got), len(exp)) {
 		if got[i] != exp[i] {
 			t.Fatalf("%s line %d:\nwant %s\ngot  %s", path, i+1, exp[i], got[i])

@@ -24,11 +24,11 @@ var tripletPairs = [3][2]int{{0, 1}, {0, 2}, {1, 2}}
 // under this pinned design.
 type rotation struct{ init, first, desig, rt int }
 
-// rotations is the one-to-two design of LMOX, LMOOriginal and
-// LMOGrouped, listed by initiator slot: every one-to-two experiment
-// they run is one of these rotations, and every solve reads its
-// designated round trip from here. The designated destination is the
-// higher of the initiator's two partners.
+// rotations is the one-to-two design of LMOX and LMOGrouped, listed
+// by initiator slot: every one-to-two experiment they run is one of
+// these rotations, and every solve, LMOOriginal's over LMOX's records
+// included, reads its designated round trip from here. The designated
+// destination is the higher of the initiator's two partners.
 var rotations = [3]rotation{{0, 1, 2, 1}, {1, 0, 2, 2}, {2, 0, 1, 2}}
 
 // exp builds the rotation's experiment over the members p with m-byte
@@ -57,15 +57,6 @@ func pairKey(a, b int) Pair {
 		a, b = b, a
 	}
 	return Pair{a, b}
-}
-
-// tripletRecords returns one record per triplet, times unmeasured.
-func tripletRecords(triplets []Triplet, m int) []TripletTimes {
-	tts := make([]TripletTimes, len(triplets))
-	for i, tr := range triplets {
-		tts[i] = TripletTimes{Members: [3]int{tr.I, tr.J, tr.K}, M: m}
-	}
-	return tts
 }
 
 // roundTrips fills tt's round trips from per-pair measurements.
@@ -247,7 +238,10 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	if opt.TripletCoverage > 0 {
 		triplets = SampleTriplets(n, opt.TripletCoverage)
 	}
-	tts := tripletRecords(triplets, opt.MsgSize)
+	tts := make([]TripletTimes, len(triplets)) // one record per triplet
+	for i, tr := range triplets {
+		tts[i] = TripletTimes{Members: [3]int{tr.I, tr.J, tr.K}, M: opt.MsgSize}
+	}
 
 	// suspect records the one-to-two measurements whose CI never met
 	// the target (after retries), keyed by (triplet, initiator slot):
@@ -361,5 +355,6 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 		model.Beta[p.I][p.J], model.Beta[p.J][p.I] = beta, beta
 	}
 	opt.Obs.Point(obs.CatEstimate, "solve:eq12", obs.GlobalTrack, res.Duration)
+	rep.triplets = tts
 	return model, rep, nil
 }

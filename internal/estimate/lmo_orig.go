@@ -1,15 +1,16 @@
 package estimate
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/models"
-	"repro/internal/mpi"
 )
 
-// LMOOriginal estimates the original five-parameter LMO model [8,9]:
+// LMOOriginal solves the original five-parameter LMO model [8,9]:
 // T(i→j, M) = C_i + C_j + M(t_i + 1/β_ij + t_j), with no separate
-// network latency. Its constants come from round-trip triangles alone —
+// network latency, from the triplet records of LMOX's report x; it
+// runs no experiment. Its constants come from round-trip triangles
+// alone —
 //
 //	C_i = (T_ij(0)/2 + T_ik(0)/2 − T_jk(0)/2) / 2
 //
@@ -18,54 +19,27 @@ import (
 // round-trip, the triangle solution yields C_i + L/2). This is
 // precisely the conflation the paper's extension removes; the
 // estimator exists as the ablation baseline quantifying what the
-// extension buys. The variable parameters use the same one-to-two
-// experiments (rotations) and eq (11) forms as the extended model.
-func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, Report{}, err
+// extension buys. The variable parameters take eq (11) over the M-byte
+// one-to-two experiments. Under a positive TripletCoverage the model
+// averages the triplets LMOX sampled.
+func LMOOriginal(x Report) (*models.LMO, error) {
+	tts := x.triplets
+	if len(tts) == 0 {
+		return nil, errors.New("estimate: the five-parameter LMO needs an LMOX report's triplet records")
 	}
-	n := cfg.Cluster.N()
-	if n < 3 {
-		return nil, Report{}, fmt.Errorf("estimate: LMO estimation needs at least 3 processors, have %d", n)
+	n := 0
+	for _, tt := range tts {
+		n = max(n, tt.Members[2]+1)
 	}
-	rep := Report{}
-
-	rt0 := make(map[Pair]float64)
-	rtm := make(map[Pair]float64)
-	triplets := AllTriplets(n)
-	tts := tripletRecords(triplets, opt.MsgSize)
-
-	plan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm)
-	for _, idx := range tripletSchedule(n, triplets, opt.Parallel) {
-		for _, r := range rotations {
-			plan = append(plan, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {
-				for e, ti := range idx {
-					tts[ti].OneToTwoM[r.init] = sm[e].Mean
-				}
-			}})
-		}
-	}
-
-	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
-		runRounds(r, opt.Mpib, plan, &rep)
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.Cost = res.Duration
-
 	model := models.NewLMO(n)
-	m := float64(opt.MsgSize)
+	m := float64(tts[0].M)
 	sumC := make([]float64, n)
 	sumT := make([]float64, n)
 	cntCT := make([]int, n)
 	sumInvB := make(map[Pair]float64)
 	cntPair := make(map[Pair]int)
 
-	for ti := range tts {
-		tt := &tts[ti]
-		tt.roundTrips(rt0, rtm)
+	for _, tt := range tts {
 		// The triangle constants, from the half round trips by pair slot.
 		h := [3]float64{tt.RT0[0] / 2, tt.RT0[1] / 2, tt.RT0[2] / 2}
 		c := [3]float64{(h[0] + h[1] - h[2]) / 2, (h[0] + h[2] - h[1]) / 2, (h[1] + h[2] - h[0]) / 2}
@@ -111,5 +85,5 @@ func LMOOriginal(cfg mpi.Config, opt Options) (*models.LMO, Report, error) {
 		b := float64(cnt) / sumInvB[p]
 		model.Beta()[p.I][p.J], model.Beta()[p.J][p.I] = b, b
 	}
-	return model, rep, nil
+	return model, nil
 }

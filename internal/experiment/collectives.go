@@ -19,7 +19,7 @@ import (
 func Collectives(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Cluster.N()
-	lmo, _, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
+	lmo, _, err := shared(cfg, "LMO estimation", estimate.LMOX)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,13 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
@@ -33,19 +37,22 @@ type Config struct {
 	Est      estimate.Options    // estimation options (parallel schedules by default)
 	ScanReps int                 // repetitions per size in the irregularity scan
 	Faults   *faults.Plan        // fault plan injected into every run (nil = none)
+
+	estimations *memo // the run's memo, shared by the copies of one Default()
 }
 
 // Default returns the paper's setting: the 16-node heterogeneous
-// cluster of Table I under LAM 7.1.3.
+// cluster of Table I under LAM 7.1.3, with a memo of its own.
 func Default() Config {
 	return Config{
-		Cluster:  cluster.Table1(),
-		Profile:  cluster.LAM(),
-		Seed:     1,
-		Root:     0,
-		Sizes:    DefaultSizes(),
-		Est:      estimate.Options{Parallel: true},
-		ScanReps: 20,
+		Cluster:     cluster.Table1(),
+		Profile:     cluster.LAM(),
+		Seed:        1,
+		Root:        0,
+		Sizes:       DefaultSizes(),
+		Est:         estimate.Options{Parallel: true},
+		ScanReps:    20,
+		estimations: new(memo),
 	}
 }
 
@@ -71,7 +78,63 @@ func (c Config) withDefaults() Config {
 	if c.ScanReps == 0 {
 		c.ScanReps = 20
 	}
+	if c.estimations == nil {
+		c.estimations = new(memo)
+	}
 	return c
+}
+
+// memo is one run's estimations, one entry per kind and platform. The
+// runners share its models and only read them.
+type memo struct {
+	mu      sync.Mutex
+	entries []*memoEntry
+}
+
+type memoEntry struct {
+	what string
+	mpi  mpi.Config
+	opt  estimate.Options
+	once sync.Once
+	val  any
+	rep  estimate.Report
+	err  error
+}
+
+// shared returns est's estimation on cfg's platform with cfg.Est from
+// cfg's memo, keyed by what (its error's prefix) and by the platform
+// compared by value: cluster, profile, seed and fault plan deeply, the
+// options with ==. The first caller runs est; the others wait for it
+// and share its result, error included.
+func shared[T any](cfg Config, what string, est func(mpi.Config, estimate.Options) (T, estimate.Report, error)) (T, estimate.Report, error) {
+	m, mc := cfg.estimations, cfg.MPIConfig()
+	m.mu.Lock()
+	i := slices.IndexFunc(m.entries, func(e *memoEntry) bool {
+		return e.what == what && e.opt == cfg.Est && reflect.DeepEqual(e.mpi, mc)
+	})
+	if i < 0 {
+		i = len(m.entries)
+		m.entries = append(m.entries, &memoEntry{what: what, mpi: mc, opt: cfg.Est})
+	}
+	e := m.entries[i]
+	m.mu.Unlock()
+	e.once.Do(func() {
+		var v T
+		if v, e.rep, e.err = est(mc, cfg.Est); e.err != nil {
+			e.err = fmt.Errorf("%s: %w", what, e.err)
+		}
+		e.val = v
+	})
+	return e.val.(T), e.rep, e.err
+}
+
+// scan is the §III gather scan on cfg's platform from cfg.Root at
+// cfg.ScanReps repetitions per size, from cfg's memo.
+func scan(cfg Config) (models.GatherEmpirical, estimate.Report, error) {
+	return shared(cfg, fmt.Sprintf("irregularity detection from %d at %d repetitions", cfg.Root, cfg.ScanReps),
+		func(mc mpi.Config, o estimate.Options) (models.GatherEmpirical, estimate.Report, error) {
+			return estimate.DetectGatherIrregularity(mc, cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, o)
+		})
 }
 
 // MPIConfig returns the simulator configuration of one run: the
@@ -123,13 +186,29 @@ func ys(pts []textplot.Point) []float64 {
 	return out
 }
 
-// EstimateAll estimates the six servable models with the configured
+// EstimateAll returns the six servable models with the configured
 // schedule: the estimation table's family "all", whose LMO model
-// carries the gather scan from cfg.Root at cfg.ScanReps repetitions.
+// carries the gather scan from cfg.Root at cfg.ScanReps repetitions,
+// assembled from cfg's memo. The scan attaches to a copy of LMOX.
 func EstimateAll(cfg Config) (*estimate.Models, error) {
 	cfg = cfg.withDefaults()
-	ms, _, err := estimate.Family(cfg.MPIConfig(), "all", cfg.Root, cfg.ScanReps, cfg.Est)
-	return ms, err
+	het, hetRep, errHet := shared(cfg, "het-Hockney estimation", estimate.HetHockney)
+	lp, lpRep, errLP := shared(cfg, "LogP/LogGP estimation", func(mc mpi.Config, o estimate.Options) (s models.Set, r estimate.Report, err error) {
+		s.LogP, s.LogGP, r, err = estimate.LogPLogGP(mc, o)
+		return s, r, err
+	})
+	plogp, plogpRep, errPLogP := shared(cfg, "PLogP estimation", estimate.PLogP)
+	lmo, lmoRep, errLMO := shared(cfg, "LMO estimation", estimate.LMOX)
+	irr, scanRep, errScan := scan(cfg)
+	if err := cmp.Or(errHet, errLP, errPLogP, errLMO, errScan); err != nil {
+		return nil, err
+	}
+	withScan := *lmo
+	withScan.Gather = irr
+	return &estimate.Models{
+		Set:   models.Set{Hom: het.Averaged(), Het: het, LogP: lp.LogP, LogGP: lp.LogGP, PLogP: plogp, LMO: &withScan},
+		Costs: map[string]time.Duration{"hockney": hetRep.Cost, "logp": lpRep.Cost, "plogp": plogpRep.Cost, "lmo": lmoRep.Cost, "irregularity-scan": scanRep.Cost},
+	}, nil
 }
 
 // Observation is one observed size sweep.

@@ -26,12 +26,12 @@ func Ablation(cfg Config) (*Report, error) {
 	n := cfg.Cluster.N()
 	rep := &Report{ID: "ablation", Title: "Ablations: original vs extended LMO; TCP irregularities on/off"}
 
-	// --- model ablation ---
-	orig, _, err := estimate.LMOOriginal(cfg.MPIConfig(), cfg.Est)
+	// --- model ablation: the five-parameter solve over LMOX's records ---
+	ext, extRep, err := shared(cfg, "LMO estimation", estimate.LMOX)
 	if err != nil {
 		return nil, err
 	}
-	ext, _, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
+	orig, err := estimate.LMOOriginal(extRep)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func cErr(cfg Config, c []float64) string {
 func AlgZoo(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Cluster.N()
-	lmo, _, err := estimate.LMOX(cfg.MPIConfig(), cfg.Est)
+	lmo, _, err := shared(cfg, "LMO estimation", estimate.LMOX)
 	if err != nil {
 		return nil, err
 	}

@@ -43,11 +43,11 @@ func FaultsExp(cfg Config) (*Report, error) {
 	}
 	faulty.Est.Mpib = robustMpib(faulty.Est.Mpib)
 
-	mClean, repClean, err := estimate.LMOX(clean.MPIConfig(), clean.Est)
+	mClean, repClean, err := shared(clean, "LMO estimation", estimate.LMOX)
 	if err != nil {
 		return nil, fmt.Errorf("clean estimation: %w", err)
 	}
-	mFaulty, repFaulty, err := estimate.LMOX(faulty.MPIConfig(), faulty.Est)
+	mFaulty, repFaulty, err := shared(faulty, "LMO estimation", estimate.LMOX)
 	if err != nil {
 		return nil, fmt.Errorf("faulty estimation: %w", err)
 	}

@@ -16,7 +16,7 @@ import (
 // optimistic; neither matches.
 func Fig1(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	het, _, err := estimate.HetHockney(cfg.MPIConfig(), cfg.Est)
+	het, _, err := shared(cfg, "het-Hockney estimation", estimate.HetHockney)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func Fig2(cfg Config) (*Report, error) {
 // heterogeneous recursion (eq 1) tracks the observation much better.
 func Fig3(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	het, _, err := estimate.HetHockney(cfg.MPIConfig(), cfg.Est)
+	het, _, err := shared(cfg, "het-Hockney estimation", estimate.HetHockney)
 	if err != nil {
 		return nil, err
 	}
@@ -253,8 +253,7 @@ func Fig7(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	// Medium sizes inside the LAM irregular region.
 	cfg.Sizes = []int{8 << 10, 16 << 10, 24 << 10, 32 << 10, 40 << 10, 48 << 10, 56 << 10}
-	irr, _, err := estimate.DetectGatherIrregularity(
-		cfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
+	irr, _, err := scan(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func Scaling(cfg Config) (*Report, error) {
 		}
 		sub := cfg
 		sub.Cluster = full.Prefix(n)
-		lmo, r, err := estimate.LMOX(sub.MPIConfig(), sub.Est)
+		lmo, r, err := shared(sub, "LMO estimation", estimate.LMOX)
 		if err != nil {
 			return nil, err
 		}

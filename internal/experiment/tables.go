@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -84,21 +85,13 @@ func Table2(cfg Config) (*Report, error) {
 // paper measured 16 s vs 5 s), and reports the LMO estimation cost.
 func EstCost(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	serialOpt := cfg.Est
-	serialOpt.Parallel = false
-	parallelOpt := cfg.Est
-	parallelOpt.Parallel = true
+	serial, parallel := cfg, cfg
+	serial.Est.Parallel, parallel.Est.Parallel = false, true
 
-	hetS, repS, err := estimate.HetHockney(cfg.MPIConfig(), serialOpt)
-	if err != nil {
-		return nil, err
-	}
-	hetP, repP, err := estimate.HetHockney(cfg.MPIConfig(), parallelOpt)
-	if err != nil {
-		return nil, err
-	}
-	_, repLMO, err := estimate.LMOX(cfg.MPIConfig(), parallelOpt)
-	if err != nil {
+	hetS, repS, errS := shared(serial, "het-Hockney estimation", estimate.HetHockney)
+	hetP, repP, errP := shared(parallel, "het-Hockney estimation", estimate.HetHockney)
+	_, repLMO, errLMO := shared(parallel, "LMO estimation", estimate.LMOX)
+	if err := cmp.Or(errS, errP, errLMO); err != nil {
 		return nil, err
 	}
 
@@ -143,8 +136,7 @@ func Irreg(cfg Config) (*Report, error) {
 	for _, prof := range []*cluster.TCPProfile{cluster.LAM(), cluster.MPICH()} {
 		c := cfg
 		c.Profile = prof
-		g, _, err := estimate.DetectGatherIrregularity(
-			c.MPIConfig(), c.Root, estimate.DefaultScanSizes(), c.ScanReps, c.Est)
+		g, _, err := scan(c)
 		if err != nil {
 			return nil, err
 		}

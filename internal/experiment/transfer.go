@@ -27,19 +27,23 @@ func Transfer(cfg Config) (*Report, error) {
 	mpichCfg := cfg
 	mpichCfg.Profile = cluster.MPICH()
 
-	// Estimate everything under LAM.
-	lam, _, err := estimate.Family(lamCfg.MPIConfig(), "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
+	// Estimate everything under LAM; each scan attaches to its own copy
+	// of the shared LMO model.
+	ext, _, err := shared(lamCfg, "LMO estimation", estimate.LMOX)
 	if err != nil {
 		return nil, err
 	}
-	lmo := lam.LMO
+	lmo := *ext
+	if lmo.Gather, _, err = scan(lamCfg); err != nil {
+		return nil, err
+	}
 
 	// Observe scatter under MPICH — the analytic part should transfer.
 	scatterObs, err := Observe(mpichCfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
-	scatterPred := predict(scatterObs.Sizes, curve(lmo, models.CollScatter, mpi.Linear, cfg.Root, n))
+	scatterPred := predict(scatterObs.Sizes, curve(&lmo, models.CollScatter, mpi.Linear, cfg.Root, n))
 
 	rep := &Report{
 		ID:    "transfer",
@@ -59,7 +63,7 @@ func Transfer(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lamPred := curve(lmo, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
+	lamPred := curve(&lmo, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
 	misclass := math.Abs(lamPred-gObs.Mean[0]) / gObs.Mean[0]
 	rows = append(rows, []string{
 		"empirical parameters (M1, M2, escalations)", "no",
@@ -68,12 +72,11 @@ func Transfer(cfg Config) (*Report, error) {
 	})
 
 	// Re-detecting under MPICH restores the fit.
-	irrMPICH, _, err := estimate.DetectGatherIrregularity(
-		mpichCfg.MPIConfig(), cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, cfg.Est)
+	irrMPICH, _, err := scan(mpichCfg)
 	if err != nil {
 		return nil, err
 	}
-	lmoM := *lmo
+	lmoM := lmo
 	lmoM.Gather = irrMPICH
 	mpichPred := curve(&lmoM, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
 	refit := math.Abs(mpichPred-gObs.Mean[0]) / gObs.Mean[0]
