@@ -172,12 +172,11 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 	if model == nil {
 		return nil, fmt.Errorf("autotune: nil model")
 	}
-	def := experiment.Default()
 	if cfg.Cluster == nil {
-		cfg.Cluster = def.Cluster
+		cfg.Cluster = cluster.Table1()
 	}
 	if cfg.Profile == nil {
-		cfg.Profile = def.Profile
+		cfg.Profile = cluster.LAM()
 	}
 	opt = opt.withDefaults(model)
 	n := cfg.Cluster.N()

@@ -299,6 +299,34 @@ func TestTuneWithFlatOnlyModel(t *testing.T) {
 	}
 }
 
+// A Tune whose config leaves the platform nil tunes Table I under LAM,
+// the paper's setting.
+func TestTuneDefaultsToTable1UnderLAM(t *testing.T) {
+	res, err := Tune(context.Background(), experiment.Config{Seed: 2}, lmoFor(16), Options{MsgSizes: []int{4 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := models.Meta{Cluster: "cluster", Nodes: 16, Profile: cluster.LAM().Name, Seed: 2, Est: "autotune"}
+	if got := *res.Table.Meta; got != want {
+		t.Fatalf("table meta %+v, want %+v", got, want)
+	}
+}
+
+// A Tune whose config names the platform keeps it: the caller's
+// cluster and profile, not Table I under LAM.
+func TestTuneKeepsCallersPlatform(t *testing.T) {
+	const n = 5
+	cfg := experiment.Config{Cluster: cluster.Table1().Prefix(n), Profile: cluster.MPICH(), Seed: 2}
+	res, err := Tune(context.Background(), cfg, lmoFor(n), Options{MsgSizes: []int{4 << 10}, ClusterName: "prefix5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := models.Meta{Cluster: "prefix5", Nodes: n, Profile: cluster.MPICH().Name, Seed: 2, Est: "autotune"}
+	if got := *res.Table.Meta; got != want {
+		t.Fatalf("table meta %+v, want %+v", got, want)
+	}
+}
+
 // TestSimulateAppliesFaultPlan: Simulate runs on the configured fault
 // plan. A 4× CPU straggler at the root must slow a 16 KB linear
 // scatter.
@@ -318,11 +346,12 @@ func TestSimulateAppliesFaultPlan(t *testing.T) {
 	}
 }
 
-// A warm Simulate of a gather allocates per repetition, not per rank
-// or per message: on Table I under LAM, ten repetitions of a binomial
-// 16 KiB gather allocate the root's ten result lists, the measurement's
-// state, its per-rank durations and its one sample array, and
-// Simulate's job body; the operation that
+// A warm Simulate of a gather allocates per simulated repetition, not
+// per rank or per message: on Table I under LAM, ten repetitions of a
+// binomial 16 KiB gather, of which mpib.Measure simulates two and
+// records the other eight as copies of the second, allocate the root's
+// two result lists, the measurement's state, its per-rank durations and
+// its one sample array, and Simulate's job body; the operation that
 // experiment.Probe.Measure times stays on the stack. The job runs on a
 // recycled world, whose gather batch lists, message headers, processes
 // and rank table come back from the warm-up run.
@@ -334,7 +363,7 @@ func TestWarmSimulateGatherAllocs(t *testing.T) {
 		}
 	}
 	run() // warm-up: leaves the world idle
-	const want = 15
+	const want = 7
 	if n := testing.AllocsPerRun(20, run); n > want {
 		t.Fatalf("a warm 16-rank Simulate gather allocates %v objects, want at most %d", n, want)
 	}

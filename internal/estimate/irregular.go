@@ -24,7 +24,9 @@ type GatherScan struct {
 
 // ScanGather measures linear gather at each size with a fixed number of
 // repetitions (adaptive stopping is useless in the irregular region —
-// the noise is the signal). Root-side timing, per §IV.
+// the noise is the signal). Root-side timing, per §IV. The gather is
+// invariant (mpib.Invariant), so a size whose repetitions cannot vary
+// is simulated only until mpib.Measure certifies one.
 func ScanGather(cfg mpi.Config, root int, sizes []int, reps int, opt Options) (GatherScan, Report, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -37,11 +39,7 @@ func ScanGather(cfg mpi.Config, root int, sizes []int, reps int, opt Options) (G
 	rep := Report{}
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		for si, m := range sizes {
-			block := mpi.ZeroPayload(m)
-			meas := mpib.Measure(r, root, mpib.RootTiming,
-				mpib.Options{MinReps: reps, MaxReps: reps}, func() {
-					r.Gather(mpi.Linear, root, block)
-				})
+			meas := scanSize(r, root, m, reps)
 			if r.Rank() == 0 {
 				scan.Samples[si] = meas.Samples
 				rep.Experiments++
@@ -54,6 +52,15 @@ func ScanGather(cfg mpi.Config, root int, sizes []int, reps int, opt Options) (G
 	}
 	rep.Cost = res.Duration
 	return scan, rep, nil
+}
+
+// scanSize is the scan's measurement at one size: reps repetitions of
+// a linear gather of m-byte blocks at root.
+func scanSize(r *mpi.Rank, root, m, reps int) mpib.Measurement {
+	block := mpi.ZeroPayload(m)
+	return mpib.Measure(r, root, mpib.RootTiming, mpib.Invariant(mpib.Options{MinReps: reps, MaxReps: reps}), func() {
+		r.Gather(mpi.Linear, root, block)
+	})
 }
 
 // AnalyzeGatherScan extracts the LMO empirical gather parameters from a

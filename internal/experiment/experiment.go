@@ -247,7 +247,10 @@ func observe(cfg Config, coll models.Collective, shapeAt func(m int) optimize.Sh
 
 // Probe is a configuration's observation procedure: every figure, study
 // and tuner validation times its collective through Measure, under the
-// one repetition rule that Config.Probe sets.
+// one repetition rule that Config.Probe sets. Its ops are invariant
+// (mpib.Invariant), so on a platform without faults a repetition that
+// mpib.Measure certifies is recorded for the rest of the point instead
+// of simulated again, with the same samples.
 type Probe struct {
 	root int
 	opts mpib.Options
@@ -262,7 +265,7 @@ func (c Config) Probe() Probe {
 	if reps <= 0 {
 		reps = 10
 	}
-	return Probe{root: c.Root, opts: mpib.Options{MinReps: reps, MaxReps: reps, OutlierMAD: c.Est.Mpib.OutlierMAD}}
+	return Probe{root: c.Root, opts: mpib.Invariant(mpib.Options{MinReps: reps, MaxReps: reps, OutlierMAD: c.Est.Mpib.OutlierMAD})}
 }
 
 // Measure times coll over shape s with m-byte blocks from the probe's

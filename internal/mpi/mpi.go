@@ -417,8 +417,50 @@ func (r *Rank) send(dst, tag int, data []byte) {
 // HardSync aligns all ranks at the same virtual instant at zero cost.
 // It is measurement-harness machinery (isolating benchmark
 // repetitions), not a model of MPI_Barrier — use Barrier for a costed
-// one.
+// one. It releases the ranks in the order they arrived.
 func (r *Rank) HardSync() { r.w.sync.Wait(r.p) }
+
+// SyncState is a job at the release of a HardSync, as a measurement
+// harness reads it right after the release, before any rank acts, to
+// tell whether the stretch between two releases would run the same
+// again (see mpib.Measure).
+type SyncState struct {
+	Syncs     int             // HardSync releases so far: one more at each release
+	Quiet     bool            // nothing was pending: no event, no other parked process, no undelivered message, no fault plan, no crashed node
+	SameOrder bool            // the ranks left in the order of the release before
+	Draws     int             // draws from the escalation randomness so far
+	Cells     int             // SharedCell calls so far, over all ranks
+	Net       simnet.Counters // the traffic so far
+}
+
+// SyncState returns the job's state at its last HardSync's release.
+func (r *Rank) SyncState() SyncState {
+	w := r.w
+	syncs, quiet, same := w.sync.Released()
+	s := SyncState{Syncs: syncs, Quiet: quiet && w.net.Settled(), SameOrder: same, Draws: w.net.Draws(), Net: w.net.Counters()}
+	for _, c := range w.cellSeq {
+		s.Cells += c
+	}
+	return s
+}
+
+// Collectives returns the number of collective calls this rank has
+// made in the job: the sequence their internal tags come from.
+func (r *Rank) Collectives() int { return r.w.seq[r.rank] }
+
+// Skip advances this rank past k copies of a stretch that took d of
+// virtual time and made calls collective calls, without running them:
+// it sleeps k·d and moves its collective sequence on by k·calls. Every
+// rank skips, in the order a HardSync released them (see mpib.Measure).
+func (r *Rank) Skip(k int, d time.Duration, calls int) {
+	r.w.seq[r.rank] += k * calls
+	r.p.Sleep(time.Duration(k) * d)
+}
+
+// Repeat adds to the network's counters k copies of the traffic
+// between two SyncStates, from and the later to: the skipped copies'
+// traffic, added once for all ranks.
+func (r *Rank) Repeat(from, to SyncState, k int) { r.w.net.Repeat(from.Net, to.Net, k) }
 
 // collTag returns a fresh internal tag for the next collective call on
 // this rank. SPMD lockstep keeps the per-rank sequence numbers aligned,

@@ -75,6 +75,23 @@ type Options struct {
 	// Backoff is the virtual-time pause before the first retry,
 	// doubling per attempt; default 1ms when Retries > 0.
 	Backoff time.Duration
+
+	// invariant declares the measured op invariant, so that Measure
+	// records a certified repetition's copies instead of simulating
+	// them. Only Invariant sets it: the facade's users measure
+	// arbitrary ops and cannot.
+	invariant bool
+}
+
+// Invariant returns o with the measured op declared invariant: every
+// run of it makes the same calls on every rank, given the same
+// simulated state, whatever ran before. A fixed collective over fixed
+// payloads is invariant; an op that counts its runs, or changes what it
+// sends from one run to the next, is not. experiment.Probe and
+// estimate.ScanGather declare their ops.
+func Invariant(o Options) Options {
+	o.invariant = true
+	return o
 }
 
 // WithDefaults fills unset fields with the defaults. It is the
@@ -226,6 +243,28 @@ func (l *Loop) Next() (Action, time.Duration) { return l.next, l.pause }
 // run records the sample in the call's Loop, and every rank follows
 // the loop's decision. The returned Samples slice is that one shared
 // slice, the same on every rank; callers must treat it as read-only.
+//
+// The simulator is deterministic, so a repetition that starts from the
+// state the one before it started from, translated in time, repeats it
+// bit for bit. The recording rank certifies a repetition when
+//
+//   - opts declares op invariant (Invariant), and no observer is
+//     installed, whose spans the copies would lack;
+//   - the job has no fault plan and no crashed node;
+//   - the repetition drew nothing from the escalation randomness and
+//     called no SharedCell;
+//   - the HardSyncs that opened and closed it were consecutive, and each
+//     released the ranks with nothing else pending: no event queued, no
+//     other process parked, no message undelivered;
+//   - the closing one released the ranks in the order the opening one
+//     did.
+//
+// Each later repetition would then start as this one did and run the
+// same, so the rank records one copy of the sample per repetition the
+// loop still asks for, and every rank skips the copies: it sleeps their
+// time and moves its collective sequence on, and the network's counters
+// take their traffic. The samples, the Result, Elapsed and everything
+// the job does afterwards are exactly those of simulating every copy.
 func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()) Measurement {
 	cell := r.SharedCell()
 	st, _ := cell.V.(*measureState)
@@ -246,8 +285,14 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 	if tr != nil && r.Rank() == designated {
 		msp = tr.Begin(obs.CatMeasure, "measure:"+timing.String(), designated, start)
 	}
+	replay := opts.invariant && tr == nil
+	if replay && st.open.Syncs == 0 {
+		// The first rank past the opening sync, which counts at least
+		// one release, notes the state the first repetition starts from.
+		st.open = r.SyncState()
+	}
 	for rep := 1; ; rep++ {
-		t0 := r.Now()
+		t0, calls := r.Now(), r.Collectives()
 		op()
 		st.locals[r.Rank()] = (r.Now() - t0).Seconds()
 		r.HardSync() // every rank has written its local duration, and starts the next repetition here
@@ -258,6 +303,13 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 				sample = stats.Max(st.locals)
 			}
 			st.loop.Record(sample)
+			if replay {
+				st.replay(r, sample)
+			}
+		}
+		if k := st.copies; k > 0 {
+			r.Skip(k, r.Now()-t0, r.Collectives()-calls)
+			rep += k
 		}
 		act, pause := st.loop.Next()
 		if act == Finish {
@@ -284,4 +336,27 @@ type measureState struct {
 	locals  []float64    // per-rank durations of the current repetition
 	samples [1][]float64 // the loop's one series, pre-rejection
 	result  [1]Result    // the series' result
+
+	open   mpi.SyncState // the job when the current repetition started
+	copies int           // copies of the last repetition recorded, for every rank to skip
+}
+
+// replay runs on the rank that recorded a repetition, right after its
+// closing sync, when the op is invariant and nothing observes the job.
+// If the repetition is certified (see Measure), it records a copy of
+// its sample for each repetition the loop still asks for, and adds the
+// copies' traffic; every rank then skips the copies.
+func (st *measureState) replay(r *mpi.Rank, sample float64) {
+	open, shut := st.open, r.SyncState()
+	st.open, st.copies = shut, 0
+	if !open.Quiet || !shut.Quiet || shut.Syncs != open.Syncs+1 || !shut.SameOrder ||
+		shut.Draws != open.Draws || shut.Cells != open.Cells {
+		return
+	}
+	for act, _ := st.loop.Next(); act == Repeat; act, _ = st.loop.Next() {
+		st.loop.Record(sample)
+		st.copies++
+	}
+	r.Repeat(open, shut, st.copies)
+	st.open = r.SyncState() // a retried attempt starts from the copies' end
 }

@@ -109,6 +109,7 @@ type Network struct {
 	rng    *rand.Rand // escalation randomness, seeded on the run's first draw
 	seeded bool       // rng has been seeded with seed since the last Reset
 	seed   int64
+	draws  int // draws from rng since the last Reset
 
 	cpus        []*vtime.Resource // one per node
 	conds       []*vtime.Cond     // mailbox wakeups, one per node
@@ -217,7 +218,7 @@ func (n *Network) reset(cl *cluster.Cluster, prof *cluster.TCPProfile, seed int6
 	if prof == nil {
 		prof = cluster.Ideal()
 	}
-	n.cl, n.prof, n.seed, n.seeded = cl, prof, seed, false
+	n.cl, n.prof, n.seed, n.seeded, n.draws = cl, prof, seed, false, 0
 	for i := range n.boxes {
 		n.drain(&n.boxes[i])
 	}
@@ -266,11 +267,48 @@ func (n *Network) draw() float64 {
 		}
 		n.seeded = true
 	}
+	n.draws++
 	return n.rng.Float64()
+}
+
+// Draws returns the number of draws from the escalation randomness
+// since the last Reset.
+func (n *Network) Draws() int { return n.draws }
+
+// Settled reports whether the network holds nothing that can act on a
+// later message: no fault plan, no crashed node and no delivered
+// message waiting for its receive.
+func (n *Network) Settled() bool {
+	if n.inj != nil || n.counters.Crashed > 0 {
+		return false
+	}
+	for i := range n.boxes {
+		if n.boxes[i].pending > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Counters returns a snapshot of the traffic counters.
 func (n *Network) Counters() Counters { return n.counters }
+
+// Repeat adds k copies of the traffic between two snapshots of the
+// counters, from and the later to, as if the network had carried that
+// traffic k more times.
+func (n *Network) Repeat(from, to Counters, k int) {
+	c := &n.counters
+	c.Messages += k * (to.Messages - from.Messages)
+	c.Bytes += int64(k) * (to.Bytes - from.Bytes)
+	c.Escalations += k * (to.Escalations - from.Escalations)
+	c.Serialized += k * (to.Serialized - from.Serialized)
+	c.Lost += k * (to.Lost - from.Lost)
+	c.Stalled += time.Duration(k) * (to.Stalled - from.Stalled)
+	c.BlackHole += k * (to.BlackHole - from.BlackHole)
+	c.Crashed += k * (to.Crashed - from.Crashed)
+	c.Hops += k * (to.Hops - from.Hops)
+	c.FabricQueued += k * (to.FabricQueued - from.FabricQueued)
+}
 
 // getMessage takes a message header from the freelist, falling back to
 // the heap. Headers cycle sender → mailbox → receiver copy → freelist,

@@ -1,6 +1,9 @@
 package vtime
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Resource is a facility that one process holds at a time in virtual
 // time, such as a node's CPU: a process takes it, holds it for a
@@ -92,6 +95,10 @@ type Barrier struct {
 	arrived int
 	gen     int
 	cond    *Cond
+	order   []*Proc // the arriving generation's parties, in arrival order
+	last    []*Proc // the last released generation's parties, in release order
+	quiet   bool    // the last release found no event queued and no other process parked
+	same    bool    // the last release's order was that of the release before it
 }
 
 // NewBarrier returns a barrier for the given number of parties.
@@ -99,17 +106,22 @@ func NewBarrier(e *Engine, parties int) *Barrier {
 	if parties <= 0 {
 		panic("vtime: barrier parties must be positive")
 	}
-	return &Barrier{e: e, parties: parties, cond: NewCond(e)}
+	procs := make([]*Proc, 2*parties)
+	return &Barrier{e: e, parties: parties, cond: NewCond(e), order: procs[:parties], last: procs[parties:]}
 }
 
 // Wait blocks until all parties have arrived, then releases them all at
-// the same virtual instant.
+// the same virtual instant, in the order they arrived.
 func (b *Barrier) Wait(p *Proc) {
 	gen := b.gen
+	b.order[b.arrived] = p
 	b.arrived++
 	if b.arrived == b.parties {
 		b.arrived = 0
 		b.gen++
+		b.quiet = b.e.pending() == 0 && b.e.blockedSync == b.parties-1
+		b.same = slices.Equal(b.order, b.last)
+		b.order, b.last = b.last, b.order
 		b.cond.Broadcast()
 		// Let the released waiters run before the releaser continues, so
 		// every party observes the same wake ordering discipline.
@@ -120,3 +132,10 @@ func (b *Barrier) Wait(p *Proc) {
 		b.cond.Wait(p)
 	}
 }
+
+// Released returns the number of releases so far and, of the last one,
+// whether it found nothing else pending (no event queued, no process
+// parked but its parties) and whether it released its parties in the
+// order of the release before it: what a harness reads to tell whether
+// the stretch between two releases would run the same again.
+func (b *Barrier) Released() (n int, quiet, sameOrder bool) { return b.gen, b.quiet, b.same }
