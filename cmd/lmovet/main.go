@@ -22,6 +22,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // jsonFinding is the machine-readable diagnostic record emitted under
@@ -44,7 +45,9 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func run(args []string, stdout *os.File) int {
+// run executes the command and returns its exit code: 0 on a clean
+// tree, 1 when there are findings, 2 when the module fails to load.
+func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := false
 	var patterns []string
 	for _, a := range args {
@@ -58,17 +61,17 @@ func run(args []string, stdout *os.File) int {
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lmovet:", err)
+		fmt.Fprintln(stderr, "lmovet:", err)
 		return 2
 	}
 	root, err := analysis.FindModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lmovet:", err)
+		fmt.Fprintln(stderr, "lmovet:", err)
 		return 2
 	}
 	mod, err := analysis.LoadModule(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lmovet:", err)
+		fmt.Fprintln(stderr, "lmovet:", err)
 		return 2
 	}
 
@@ -79,7 +82,7 @@ func run(args []string, stdout *os.File) int {
 		}
 		findings, err := analysis.RunAnalyzers(analysis.Scope(pkg.Path), mod.Fset, pkg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lmovet:", err)
+			fmt.Fprintln(stderr, "lmovet:", err)
 			return 2
 		}
 		for _, f := range findings {
@@ -102,7 +105,7 @@ func run(args []string, stdout *os.File) int {
 			out = []jsonFinding{} // emit [], not null, for a clean tree
 		}
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "lmovet:", err)
+			fmt.Fprintln(stderr, "lmovet:", err)
 			return 2
 		}
 	} else {
@@ -111,7 +114,7 @@ func run(args []string, stdout *os.File) int {
 		}
 	}
 	if len(out) > 0 {
-		fmt.Fprintf(os.Stderr, "lmovet: %d finding(s)\n", len(out))
+		fmt.Fprintf(stderr, "lmovet: %d finding(s)\n", len(out))
 		return 1
 	}
 	return 0

@@ -37,8 +37,7 @@ var keptExports = map[string]string{
 	"analysis/analysistest.RunSuite": "the analyzer test harness",
 
 	// References the tests compare the production code against.
-	"estimate.SolveTripletConstantsLinsolve": "eq 8 solved by Gaussian elimination, the cross-check of SolveTriplet's closed form until LMOX's recovery is checked against ground truth",
-	"collective.Tree.Validate":               "the structural oracle the tree builders' tests check every shape against",
+	"collective.Tree.Validate": "the structural oracle the tree builders' tests check every shape against",
 
 	// errors.Is and errors.As call it through an unnamed interface.
 	"simnet.CrashError.Unwrap": "lets errors.Is and errors.As reach the engine error a crash wraps",

@@ -33,12 +33,12 @@ type Grouping struct {
 func (g *Grouping) NumGroups() int { return len(g.Groups) }
 
 // sig is a node-pair probe signature: the mean round-trip times with
-// empty and with MsgSize-byte messages, in seconds. Two pairs with
-// close signatures are indistinguishable at the probe level.
-type sig struct{ rt0, rtm float64 }
+// empty and with MsgSize-byte messages, in seconds, by size slot. Two
+// pairs with close signatures are indistinguishable at the probe level.
+type sig [2]float64
 
 func sigsClose(a, b sig, tol float64) bool {
-	return symClose(a.rt0, b.rt0, tol) && symClose(a.rtm, b.rtm, tol)
+	return symClose(a[0], b[0], tol) && symClose(a[1], b[1], tol)
 }
 
 func symClose(a, b, tol float64) bool {
@@ -49,26 +49,17 @@ func symClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*m
 }
 
-// probe is one round-trip probe between two nodes.
-type probe struct{ a, b int }
-
-func (p probe) key() [2]int {
-	if p.a > p.b {
-		return [2]int{p.b, p.a}
-	}
-	return [2]int{p.a, p.b}
-}
-
 // packRounds packs probes into measurement rounds. Probes of the same
 // shard may share endpoints and run in successive rounds; distinct
 // non-negative shards are disjoint node sets (different leaf switches)
 // and share rounds. A negative shard marks a probe that may cross the
 // fabric: it gets a round of its own, serialized after everything
-// else, so probes never contend with each other.
-func packRounds(probes []probe, shard []int) [][]probe {
-	perShard := map[int][]probe{}
+// else, so probes never contend with each other. A probe is a
+// round trip initiated by its pair's I.
+func packRounds(probes []Pair, shard []int) [][]Pair {
+	perShard := map[int][]Pair{}
 	var shardOrder []int
-	var solo []probe
+	var solo []Pair
 	for i, p := range probes {
 		s := shard[i]
 		if s < 0 {
@@ -80,9 +71,9 @@ func packRounds(probes []probe, shard []int) [][]probe {
 		}
 		perShard[s] = append(perShard[s], p)
 	}
-	var rounds [][]probe
+	var rounds [][]Pair
 	for depth := 0; ; depth++ {
-		var round []probe
+		var round []Pair
 		for _, s := range shardOrder {
 			if ps := perShard[s]; depth < len(ps) {
 				round = append(round, ps[depth])
@@ -94,33 +85,24 @@ func packRounds(probes []probe, shard []int) [][]probe {
 		rounds = append(rounds, round)
 	}
 	for _, p := range solo {
-		rounds = append(rounds, []probe{p})
+		rounds = append(rounds, []Pair{p})
 	}
 	return rounds
 }
 
 // measureProbes runs the packed probe rounds in one job and returns
-// the signature of every measured pair.
-func measureProbes(cfg mpi.Config, opt Options, rounds [][]probe, rep *Report) (map[[2]int]sig, error) {
-	out := map[[2]int]sig{}
+// the signature of every measured pair, keyed by pairKey.
+func measureProbes(cfg mpi.Config, opt Options, rounds [][]Pair, rep *Report) (map[Pair]sig, error) {
+	out := map[Pair]sig{}
 	if len(rounds) == 0 {
 		return out, nil
 	}
-	plan := make([]round, 0, 2*len(rounds))
-	for _, probes := range rounds {
-		exps0 := make([]Exp, len(probes))
-		expsM := make([]Exp, len(probes))
-		for x, p := range probes {
-			exps0[x] = roundtripExp(p.a, p.b, 0, 0, x)
-			expsM[x] = roundtripExp(p.a, p.b, opt.MsgSize, opt.MsgSize, x)
-		}
-		var s0 []RoundSummary
-		plan = append(plan, round{exps0, func(s []RoundSummary) { s0 = s }}, round{expsM, func(sm []RoundSummary) {
-			for x, p := range probes {
-				out[p.key()] = sig{s0[x].Mean, sm[x].Mean}
-			}
-		}})
-	}
+	plan := roundTripPlan(rounds, []int{0, opt.MsgSize}, func(p Pair, k int, mean float64) {
+		key := pairKey(p.I, p.J)
+		s := out[key]
+		s[k] = mean
+		out[key] = s
+	})
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		runRounds(r, opt.Mpib, plan, rep)
 	})
@@ -160,12 +142,12 @@ func bandMembers(members []int, sigOf func(int) sig, tol float64) [][]int {
 // 2-node universe).
 type witnessCheck struct{ a1, b1, a2, b2 int }
 
-func (w witnessCheck) pass(sigs map[[2]int]sig, tol float64) bool {
+func (w witnessCheck) pass(sigs map[Pair]sig, tol float64) bool {
 	if w.a1 < 0 {
 		return true
 	}
-	s1, ok1 := sigs[probe{w.a1, w.b1}.key()]
-	s2, ok2 := sigs[probe{w.a2, w.b2}.key()]
+	s1, ok1 := sigs[pairKey(w.a1, w.b1)]
+	s2, ok2 := sigs[pairKey(w.a2, w.b2)]
 	if !ok1 || !ok2 {
 		return false
 	}
@@ -183,18 +165,18 @@ func (w witnessCheck) pass(sigs map[[2]int]sig, tol float64) bool {
 //     ref joins iff sig(B₀,z) ≈ sig(ref,z).
 //
 // The probes the check needs beyond run 1 are appended to need.
-func bandCheck(ref int, band []int, z int, need *[]probe, needShard *[]int, shard int) witnessCheck {
+func bandCheck(ref int, band []int, z int, need *[]Pair, needShard *[]int, shard int) witnessCheck {
 	if len(band) >= 2 {
-		*need = append(*need, probe{band[0], band[1]})
+		*need = append(*need, Pair{band[0], band[1]})
 		*needShard = append(*needShard, shard)
 		return witnessCheck{ref, band[0], band[0], band[1]}
 	}
 	if z < 0 {
 		return witnessCheck{-1, -1, -1, -1}
 	}
-	*need = append(*need, probe{band[0], z})
+	*need = append(*need, Pair{band[0], z})
 	*needShard = append(*needShard, shard)
-	*need = append(*need, probe{ref, z})
+	*need = append(*need, Pair{ref, z})
 	*needShard = append(*needShard, shard)
 	return witnessCheck{band[0], z, ref, z}
 }
@@ -206,7 +188,7 @@ func bandCheck(ref int, band []int, z int, need *[]probe, needShard *[]int, shar
 // in total. Without the hint the detector peels one group at a time:
 // the lowest unassigned node probes every other unassigned node
 // serially, the replies are banded by signature, and witness probes
-// decide which band the prober itself belongs to.
+// decide which band the prober itself belongs to. Both run peel.
 func DetectGroups(cfg mpi.Config, opt Options) (*Grouping, Report, error) {
 	return detectGroups(cfg, opt, cfg.Cluster.Topo != nil)
 }
@@ -242,73 +224,74 @@ func detectGroups(cfg mpi.Config, opt Options, hinted bool) (*Grouping, Report, 
 	return g, rep, nil
 }
 
-// detectHinted runs the topology-hinted detection: every leaf's
-// reference node probes its co-resident nodes (leaves in parallel,
-// members in sequence), then witness probes settle each leaf's
-// reference assignment.
-func detectHinted(cfg mpi.Config, opt Options, leaves [][]int, rep *Report) ([][]int, error) {
-	// Run 1: per-leaf reference probes.
-	var probes []probe
+// peel is group detection's one probing procedure, over candidate sets
+// whose first member is the set's reference. Run 1: each reference
+// probes its set's other members, and the replies are banded by
+// signature. Run 2: the bandCheck witness probes, deduplicated against
+// run 1, decide which band the reference joins: the first whose check
+// passes. A singleton band's witness is the first member of another
+// band of its set, which keeps the probes in the set; failing that,
+// outside(set), whose probes are serialized (-1 for none). Set i's
+// other probes are shard i when sharded (the sets are disjoint
+// leaves), serialized otherwise. peel returns each set's bands and the
+// index of the band its reference joins, -1 for none.
+func peel(cfg mpi.Config, opt Options, sets [][]int, sharded bool, outside func(set int) int, rep *Report) ([][][]int, []int, error) {
+	shardOf := func(i int) int {
+		if sharded {
+			return i
+		}
+		return -1
+	}
+	var probes []Pair
 	var shard []int
-	for li, leaf := range leaves {
-		for _, m := range leaf[1:] {
-			probes = append(probes, probe{leaf[0], m})
-			shard = append(shard, li)
+	for i, set := range sets {
+		for _, m := range set[1:] {
+			probes = append(probes, Pair{set[0], m})
+			shard = append(shard, shardOf(i))
 		}
 	}
 	sigs, err := measureProbes(cfg, opt, packRounds(probes, shard), rep)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	bands := make([][][]int, len(leaves))
-	checks := make([][]witnessCheck, len(leaves))
-	var need []probe
+	bands := make([][][]int, len(sets))
+	checks := make([][]witnessCheck, len(sets))
+	var need []Pair
 	var needShard []int
-	for li, leaf := range leaves {
-		if len(leaf) < 2 {
+	for i, set := range sets {
+		if len(set) < 2 {
 			continue
 		}
-		ref := leaf[0]
-		sigOf := func(m int) sig { return sigs[probe{ref, m}.key()] }
-		bands[li] = bandMembers(leaf[1:], sigOf, groupTol)
-		for bi, band := range bands[li] {
-			// Witness for a singleton band: a node from another band of
-			// the same leaf keeps the probes on-switch; otherwise borrow
-			// a node from another leaf (the pair then crosses the fabric
-			// and is serialized by packRounds).
-			z, zShard := -1, li
+		ref := set[0]
+		bands[i] = bandMembers(set[1:], func(m int) sig { return sigs[pairKey(ref, m)] }, groupTol)
+		for bi, band := range bands[i] {
+			z, zShard := -1, shardOf(i)
 			if len(band) == 1 {
-				for obi, ob := range bands[li] {
+				for obi, ob := range bands[i] {
 					if obi != bi {
 						z = ob[0]
 						break
 					}
 				}
 				if z < 0 {
-					for lj, other := range leaves {
-						if lj != li {
-							z, zShard = other[0], -1
-							break
-						}
-					}
+					z, zShard = outside(i), -1
 				}
 			}
-			checks[li] = append(checks[li], bandCheck(ref, band, z, &need, &needShard, zShard))
+			checks[i] = append(checks[i], bandCheck(ref, band, z, &need, &needShard, zShard))
 		}
 	}
-	// Run 2: the witness probes (deduplicated against run 1).
-	var fresh []probe
+	var fresh []Pair
 	var freshShard []int
 	for i, p := range need {
-		if _, done := sigs[p.key()]; !done {
+		if _, done := sigs[pairKey(p.I, p.J)]; !done {
 			fresh = append(fresh, p)
 			freshShard = append(freshShard, needShard[i])
 		}
 	}
 	more, err := measureProbes(cfg, opt, packRounds(fresh, freshShard), rep)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Entry-wise merge: insertion order cannot affect the result.
 	//lmovet:commutative
@@ -316,47 +299,61 @@ func detectHinted(cfg mpi.Config, opt Options, leaves [][]int, rep *Report) ([][
 		sigs[k] = v
 	}
 
+	refBand := make([]int, len(sets))
+	for i := range sets {
+		refBand[i] = -1
+		for bi, c := range checks[i] {
+			if c.pass(sigs, groupTol) {
+				refBand[i] = bi
+				break
+			}
+		}
+	}
+	return bands, refBand, nil
+}
+
+// detectHinted runs the topology-hinted detection: the leaves are
+// peel's candidate sets, probed in parallel, and a singleton band
+// with no sibling borrows another leaf's first node as its witness.
+// Every band becomes a group, the reference's band with the reference.
+func detectHinted(cfg mpi.Config, opt Options, leaves [][]int, rep *Report) ([][]int, error) {
+	outside := func(li int) int {
+		for lj, other := range leaves {
+			if lj != li {
+				return other[0]
+			}
+		}
+		return -1
+	}
+	bands, refBand, err := peel(cfg, opt, leaves, true, outside, rep)
+	if err != nil {
+		return nil, err
+	}
 	var groups [][]int
 	for li, leaf := range leaves {
-		if len(leaf) < 2 {
-			groups = append(groups, append([]int(nil), leaf...))
-			continue
+		if refBand[li] < 0 {
+			groups = append(groups, []int{leaf[0]})
 		}
-		groups = append(groups, resolve(leaf[0], bands[li], checks[li], sigs, groupTol)...)
+		for bi, band := range bands[li] {
+			g := append([]int(nil), band...)
+			if bi == refBand[li] {
+				g = append(g, leaf[0])
+				sort.Ints(g)
+			}
+			groups = append(groups, g)
+		}
 	}
 	return groups, nil
 }
 
-// resolve turns one candidate set's bands into groups: the reference
-// node joins the first band whose witness check passes (its own
-// singleton group if none does); every other band is a group of its
-// own.
-func resolve(ref int, bands [][]int, checks []witnessCheck, sigs map[[2]int]sig, tol float64) [][]int {
-	refBand := -1
-	for bi := range bands {
-		if checks[bi].pass(sigs, tol) {
-			refBand = bi
-			break
-		}
-	}
-	var groups [][]int
-	if refBand < 0 {
-		groups = append(groups, []int{ref})
-	}
-	for bi, band := range bands {
-		g := append([]int(nil), band...)
-		if bi == refBand {
-			g = append(g, ref)
-			sort.Ints(g)
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// detectBlind peels groups without a topology hint. All probes are
-// serialized: with the fabric unknown, two concurrent probes could
-// share a trunk and contaminate each other.
+// detectBlind peels groups without a topology hint, one candidate set
+// at a time: the unassigned nodes. All probes are serialized: with the
+// fabric unknown, two concurrent probes could share a trunk and
+// contaminate each other. A singleton band with no sibling borrows the
+// first assigned node as its witness. The reference's band becomes a
+// finished group; the other bands return to the pool and are peeled
+// with a reference of their own (their members may span distinct
+// distant groups that look alike from here).
 func detectBlind(cfg mpi.Config, opt Options, rep *Report) ([][]int, error) {
 	n := cfg.Cluster.N()
 	unassigned := make([]int, n)
@@ -365,76 +362,20 @@ func detectBlind(cfg mpi.Config, opt Options, rep *Report) ([][]int, error) {
 	}
 	var groups [][]int
 	var assigned []int
+	outside := func(int) int {
+		if len(assigned) > 0 {
+			return assigned[0]
+		}
+		return -1
+	}
 	for len(unassigned) > 0 {
-		ref, rest := unassigned[0], unassigned[1:]
-		if len(rest) == 0 {
-			groups = append(groups, []int{ref})
-			break
-		}
-		// Run 1: ref probes every unassigned node, one at a time.
-		var probes []probe
-		var shard []int
-		for _, m := range rest {
-			probes = append(probes, probe{ref, m})
-			shard = append(shard, -1)
-		}
-		sigs, err := measureProbes(cfg, opt, packRounds(probes, shard), rep)
+		bands, refBand, err := peel(cfg, opt, [][]int{unassigned}, false, outside, rep)
 		if err != nil {
 			return nil, err
 		}
-		sigOf := func(m int) sig { return sigs[probe{ref, m}.key()] }
-		bands := bandMembers(rest, sigOf, groupTol)
-		// Run 2: witness probes. A singleton band's outside witness
-		// comes from another band, or from an already-assigned node.
-		var checks []witnessCheck
-		var need []probe
-		var needShard []int
-		for bi, band := range bands {
-			z := -1
-			if len(band) == 1 {
-				for obi, ob := range bands {
-					if obi != bi {
-						z = ob[0]
-						break
-					}
-				}
-				if z < 0 && len(assigned) > 0 {
-					z = assigned[0]
-				}
-			}
-			checks = append(checks, bandCheck(ref, band, z, &need, &needShard, -1))
-		}
-		var fresh []probe
-		var freshShard []int
-		for i, p := range need {
-			if _, done := sigs[p.key()]; !done {
-				fresh = append(fresh, p)
-				freshShard = append(freshShard, needShard[i])
-			}
-		}
-		more, err := measureProbes(cfg, opt, packRounds(fresh, freshShard), rep)
-		if err != nil {
-			return nil, err
-		}
-		// Entry-wise merge: insertion order cannot affect the result.
-		//lmovet:commutative
-		for k, v := range more {
-			sigs[k] = v
-		}
-		// The reference's band becomes a finished group; the other bands
-		// return to the pool and are peeled with a reference of their own
-		// (their members may span distinct distant groups that look alike
-		// from here).
-		refBand := -1
-		for bi := range bands {
-			if checks[bi].pass(sigs, groupTol) {
-				refBand = bi
-				break
-			}
-		}
-		group := []int{ref}
-		if refBand >= 0 {
-			group = append(group, bands[refBand]...)
+		group := []int{unassigned[0]}
+		if rb := refBand[0]; rb >= 0 {
+			group = append(group, bands[0][rb]...)
 			sort.Ints(group)
 		}
 		groups = append(groups, group)

@@ -40,32 +40,70 @@ func groupsEqual(g *Grouping, want [][]int) bool {
 }
 
 func TestDetectGroupsTable(t *testing.T) {
-	twoTier := func() *cluster.Cluster {
-		return cluster.FromTopology(topo.TwoTier(2, 3, topo.DefaultUplink()),
+	twoTier := func(leaves, perLeaf int) *cluster.Cluster {
+		return cluster.FromTopology(topo.TwoTier(leaves, perLeaf, topo.DefaultUplink()),
 			cluster.NodeSpec{}, cluster.LinkSpec{})
 	}
+	// Node 3 straggles and node 2 sits between it and the rest, so blind
+	// peeling leaves node 2 as a reference whose one band, {3}, has no
+	// sibling band.
+	threeSpeeds := func() *cluster.Cluster {
+		cl := straggle(cluster.Homogeneous(4, cluster.DefaultTopoNode(), cluster.DefaultTopoAccess()), 3)
+		cl.Nodes[2].C = 65 * time.Microsecond
+		cl.Nodes[2].T = 6e-9
+		return cl
+	}
+	// Each case pins the probes it took, as the Report's experiments,
+	// repetitions and virtual cost: a probe added, dropped or reordered
+	// moves them.
 	cases := []struct {
 		name  string
 		cl    *cluster.Cluster
 		blind bool // withhold the topology hint
 		want  [][]int
+		exps  int           // the Report's Experiments,
+		reps  int           // Repetitions
+		cost  time.Duration // and Cost
 	}{
 		{"homogeneous single switch",
 			cluster.Homogeneous(6, cluster.DefaultTopoNode(), cluster.DefaultTopoAccess()),
 			false,
-			[][]int{{0, 1, 2, 3, 4, 5}}},
-		{"two racks hinted", twoTier(), false,
-			[][]int{{0, 1, 2}, {3, 4, 5}}},
-		{"two racks blind", twoTier(), true,
-			[][]int{{0, 1, 2}, {3, 4, 5}}},
+			[][]int{{0, 1, 2, 3, 4, 5}},
+			12, 24, 18976704},
+		{"two racks hinted", twoTier(2, 3), false,
+			[][]int{{0, 1, 2}, {3, 4, 5}},
+			12, 24, 9488352},
+		{"two racks blind", twoTier(2, 3), true,
+			[][]int{{0, 1, 2}, {3, 4, 5}},
+			20, 40, 39098344},
 		{"straggler singleton",
 			straggle(cluster.Homogeneous(5, cluster.DefaultTopoNode(), cluster.DefaultTopoAccess()), 4),
 			false,
-			[][]int{{0, 1, 2, 3}, {4}}},
-		{"straggler inside rack hinted", straggle(twoTier(), 2), false,
-			[][]int{{0, 1}, {2}, {3, 4, 5}}},
-		{"straggler is the reference", straggle(twoTier(), 0), false,
-			[][]int{{0}, {1, 2}, {3, 4, 5}}},
+			[][]int{{0, 1, 2, 3}, {4}},
+			12, 24, 21771712},
+		{"straggler inside rack hinted", straggle(twoTier(2, 3), 2), false,
+			[][]int{{0, 1}, {2}, {3, 4, 5}},
+			14, 28, 16843648},
+		{"straggler is the reference", straggle(twoTier(2, 3), 0), false,
+			[][]int{{0}, {1, 2}, {3, 4, 5}},
+			12, 24, 12283360},
+		// Every leaf holds a reference and one other member: the one band
+		// has no sibling, so its witness comes from outside the set.
+		{"pair racks hinted", twoTier(3, 2), false,
+			[][]int{{0, 1}, {2, 3}, {4, 5}},
+			18, 36, 37080496},
+		{"pair racks blind", twoTier(3, 2), true,
+			[][]int{{0, 1}, {2, 3}, {4, 5}},
+			30, 60, 72343440},
+		{"pair racks straggler hinted", straggle(twoTier(3, 2), 2), false,
+			[][]int{{0, 1}, {2}, {3}, {4, 5}},
+			18, 36, 42670512},
+		{"pair racks straggler blind", straggle(twoTier(3, 2), 2), true,
+			[][]int{{0, 1}, {2}, {3}, {4, 5}},
+			38, 76, 103340272},
+		{"three speeds blind", threeSpeeds(), true,
+			[][]int{{0, 1}, {2}, {3}},
+			18, 36, 37221152},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,12 +111,16 @@ func TestDetectGroupsTable(t *testing.T) {
 			if tc.blind {
 				detect = func(cfg mpi.Config, opt Options) (*Grouping, Report, error) { return detectGroups(cfg, opt, false) }
 			}
-			g, _, err := detect(groupCfg(tc.cl), Options{})
+			g, rep, err := detect(groupCfg(tc.cl), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !groupsEqual(g, tc.want) {
 				t.Fatalf("groups = %v, want %v", g.Groups, tc.want)
+			}
+			if rep.Experiments != tc.exps || rep.Repetitions != tc.reps || rep.Cost != tc.cost {
+				t.Errorf("report: %d experiments, %d repetitions, cost %d ns; want %d, %d, %d ns",
+					rep.Experiments, rep.Repetitions, rep.Cost, tc.exps, tc.reps, tc.cost)
 			}
 			for i, gi := range g.Of {
 				found := false

@@ -25,7 +25,6 @@ func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error)
 	n := cfg.Cluster.N()
 	h := models.NewHetHockney(n)
 	rep := Report{}
-	rounds := pairSchedule(n, opt.Parallel)
 
 	type obs struct{ xs, ys []float64 }
 	points := map[Pair]*obs{}
@@ -33,22 +32,11 @@ func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error)
 		points[p] = &obs{}
 	}
 
-	var plan []round
-	for _, pairs := range rounds {
-		for _, m := range hockneySizes {
-			exps := make([]Exp, len(pairs))
-			for x, p := range pairs {
-				exps[x] = roundtripExp(p.I, p.J, m, m, x)
-			}
-			plan = append(plan, round{exps, func(sums []RoundSummary) {
-				for x, p := range pairs {
-					o := points[pairKey(p.I, p.J)]
-					o.xs = append(o.xs, float64(m))
-					o.ys = append(o.ys, sums[x].Mean/2)
-				}
-			}})
-		}
-	}
+	plan := roundTripPlan(pairSchedule(n, opt.Parallel), hockneySizes[:], func(p Pair, k int, mean float64) {
+		o := points[p]
+		o.xs = append(o.xs, float64(hockneySizes[k]))
+		o.ys = append(o.ys, mean/2)
+	})
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		runRounds(r, opt.Mpib, plan, &rep)
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linsolve"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -160,58 +159,28 @@ func rate(invB float64) float64 {
 	return math.Inf(1)
 }
 
-// SolveTripletConstantsLinsolve solves the constant-parameter system
-// (6) for one triplet with the generic Gaussian solver instead of the
-// closed form, linearizing the max terms by the experiment design. It
-// exists to cross-check eq (8); both must agree.
-func SolveTripletConstantsLinsolve(tt TripletTimes) (TripletSolution, error) {
-	// Unknowns: C by member slot, then L by pair slot.
-	var a [][]float64
-	var b []float64
-	for p, pr := range tripletPairs {
-		row := make([]float64, 6)
-		row[pr[0]], row[pr[1]], row[3+p] = 2, 2, 2
-		a = append(a, row)
-		b = append(b, tt.RT0[p])
-	}
-	// One-to-two rows: T_x{y,z}(0) = 4C_x + 2L_xd + 2C_d where d is the
-	// experiment's designated destination (eq 6's max, pinned by design).
-	for _, r := range rotations {
-		row := make([]float64, 6)
-		row[r.init], row[r.desig], row[3+r.rt] = 4, 2, 2
-		a = append(a, row)
-		b = append(b, tt.OneToTwo0[r.init])
-	}
-	x, err := linsolve.Solve(a, b)
-	if err != nil {
-		return TripletSolution{}, fmt.Errorf("estimate: triplet system: %w", err)
-	}
-	var sol TripletSolution
-	copy(sol.C[:], x[:3])
-	copy(sol.L[:], x[3:])
-	return sol, nil
-}
-
-// roundTripPlan builds the round-trip phase over the pair rounds: each
-// round with empty and then with m-byte messages, recording T_xy(0) in
-// rt0 and T_xy(m) in rtm.
-func roundTripPlan(pairRounds [][]Pair, m int, rt0, rtm map[Pair]float64) []round {
-	var plan []round
-	for _, pairs := range pairRounds {
-		exps0 := make([]Exp, len(pairs))
-		expsM := make([]Exp, len(pairs))
-		for x, p := range pairs {
-			exps0[x] = roundtripExp(p.I, p.J, 0, 0, x)
-			expsM[x] = roundtripExp(p.I, p.J, m, m, x)
-		}
-		record := func(rt map[Pair]float64) func([]RoundSummary) {
-			return func(s []RoundSummary) {
-				for x, p := range pairs {
-					rt[p] = s[x].Mean
-				}
+// roundTripPlan is the one builder of round-trip phases: for each
+// round of pairs and each message size in turn, a round of p.I ⇄ p.J
+// round trips, experiment x tagged x, whose finishing rank calls
+// record with the pair, the size's index k and the mean round-trip
+// time.
+func roundTripPlan(rounds [][]Pair, sizes []int, record func(p Pair, k int, mean float64)) []round {
+	plan := make([]round, 0, len(rounds)*len(sizes))
+	for _, rd := range rounds {
+		for k, m := range sizes {
+			// A copy per round, which its closure captures by value: one
+			// shared by the closures of every size would move to the heap.
+			pairs := rd
+			exps := make([]Exp, len(pairs))
+			for x, p := range pairs {
+				exps[x] = roundtripExp(p.I, p.J, m, m, x)
 			}
+			plan = append(plan, round{exps, func(s []RoundSummary) {
+				for x, p := range pairs {
+					record(p, k, s[x].Mean)
+				}
+			}})
 		}
-		plan = append(plan, round{exps0, record(rt0)}, round{expsM, record(rtm)})
 	}
 	return plan
 }
@@ -251,7 +220,10 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	suspect := make(map[[2]int]float64)
 
 	// Phase 1: round-trips with empty and with M-byte messages.
-	pairPlan := roundTripPlan(pairSchedule(n, opt.Parallel), opt.MsgSize, rt0, rtm)
+	rt := [2]map[Pair]float64{rt0, rtm}
+	pairPlan := roundTripPlan(pairSchedule(n, opt.Parallel), []int{0, opt.MsgSize}, func(p Pair, k int, mean float64) {
+		rt[k][p] = mean
+	})
 	// Phase 2: one-to-two experiments; each round of triplets runs the
 	// three rotations, with empty and M-byte messages.
 	var tripPlan []round

@@ -8,7 +8,9 @@
 // irregularity region (M1, M2) and escalation statistics.
 package estimate
 
-// Pair is an unordered processor pair used in round-trip experiments.
+// Pair is a processor pair of a round-trip experiment, which I
+// initiates. The all-pairs schedules hold it ascending (I < J), as
+// pairKey does.
 type Pair struct{ I, J int }
 
 // Triplet is an unordered processor triple used in one-to-two

@@ -80,6 +80,49 @@ type kernelCost struct {
 	events, resumes int64
 }
 
+// oracleCase is one seeded measurement that the oracles run through
+// Measure and through the per-rank reference.
+type oracleCase struct {
+	cfg        mpi.Config
+	designated int
+	timing     Timing
+	opts       Options
+	m          int // the gathered block's size in bytes
+}
+
+// drawOracleCase draws the oracles' measurement for seed: 2–12 ranks,
+// a TCP profile, possibly a lossy fault plan, repetition bounds,
+// outlier rejection and retries, the timing method, the designated
+// rank and the block size. It returns the stream it drew from, for a
+// caller's further draws.
+func drawOracleCase(seed int64) (oracleCase, *rand.Rand) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(11)
+	cfg := testConfig(n)
+	cfg.Seed = seed
+	if rng.Intn(2) == 0 {
+		cfg.Profile = cluster.LAM()
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{{
+			Src: faults.Any, Dst: faults.Any,
+			Prob: 0.05 + 0.25*rng.Float64(), RTO: time.Millisecond,
+		}}}
+	}
+	opts := Options{MinReps: 1 + rng.Intn(5), Retries: rng.Intn(3)}
+	opts.MaxReps = opts.MinReps + rng.Intn(8)
+	if rng.Intn(2) == 0 {
+		opts.OutlierMAD = 3
+	}
+	if rng.Intn(2) == 0 {
+		opts.RelErr = 0.002
+	}
+	c := oracleCase{cfg: cfg, timing: Timing(rng.Intn(2)), opts: opts}
+	c.designated = rng.Intn(n)
+	c.m = []int{0, 1 << 10, 32 << 10, 100 << 10}[rng.Intn(4)]
+	return c, rng
+}
+
 // TestMeasureMatchesPerRankOracle drives seeded random measurements of
 // a linear gather — 2–12 ranks, both timing methods, varied
 // repetition bounds, outlier rejection and retries, with TCP
@@ -110,33 +153,10 @@ func TestMeasureMatchesPerRankOracle(t *testing.T) {
 	}
 	nonConverged, retried := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(11)
-		cfg := testConfig(n)
-		cfg.Seed = seed
-		if rng.Intn(2) == 0 {
-			cfg.Profile = cluster.LAM()
-		}
-		if rng.Intn(2) == 0 {
-			cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{{
-				Src: faults.Any, Dst: faults.Any,
-				Prob: 0.05 + 0.25*rng.Float64(), RTO: time.Millisecond,
-			}}}
-		}
-		opts := Options{MinReps: 1 + rng.Intn(5), Retries: rng.Intn(3)}
-		opts.MaxReps = opts.MinReps + rng.Intn(8)
-		if rng.Intn(2) == 0 {
-			opts.OutlierMAD = 3
-		}
-		if rng.Intn(2) == 0 {
-			opts.RelErr = 0.002
-		}
-		timing := Timing(rng.Intn(2))
-		designated := rng.Intn(n)
-		m := []int{0, 1 << 10, 32 << 10, 100 << 10}[rng.Intn(4)]
-
-		got, gotCost := run(cfg, designated, timing, opts, m, Measure)
-		want, wantCost := run(cfg, designated, timing, opts, m, measurePerRank)
+		c, _ := drawOracleCase(seed)
+		n := c.cfg.Cluster.N()
+		got, gotCost := run(c.cfg, c.designated, c.timing, c.opts, c.m, Measure)
+		want, wantCost := run(c.cfg, c.designated, c.timing, c.opts, c.m, measurePerRank)
 		for rank := range want {
 			if g, w := fmt.Sprintf("%+v", got[rank]), fmt.Sprintf("%+v", want[rank]); g != w {
 				t.Fatalf("seed %d rank %d: measurements differ\n got %s\nwant %s", seed, rank, g, w)

@@ -2,12 +2,9 @@ package mpib
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -115,31 +112,9 @@ func runReplayJob(t *testing.T, cfg mpi.Config, designated int, timing Timing, o
 func TestReplayMatchesPerRankOracle(t *testing.T) {
 	var replayed, faulted, drew, reordered int
 	for seed := int64(1); seed <= 200; seed++ {
-		// TestMeasureMatchesPerRankOracle's generator, then the op.
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(11)
-		cfg := testConfig(n)
-		cfg.Seed = seed
-		if rng.Intn(2) == 0 {
-			cfg.Profile = cluster.LAM()
-		}
-		if rng.Intn(2) == 0 {
-			cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{{
-				Src: faults.Any, Dst: faults.Any,
-				Prob: 0.05 + 0.25*rng.Float64(), RTO: time.Millisecond,
-			}}}
-		}
-		opts := Options{MinReps: 1 + rng.Intn(5), Retries: rng.Intn(3)}
-		opts.MaxReps = opts.MinReps + rng.Intn(8)
-		if rng.Intn(2) == 0 {
-			opts.OutlierMAD = 3
-		}
-		if rng.Intn(2) == 0 {
-			opts.RelErr = 0.002
-		}
-		timing := Timing(rng.Intn(2))
-		designated := rng.Intn(n)
-		m := []int{0, 1 << 10, 32 << 10, 100 << 10}[rng.Intn(4)]
+		c, rng := drawOracleCase(seed)
+		cfg, designated, timing, opts, m := c.cfg, c.designated, c.timing, c.opts, c.m
+		n := cfg.Cluster.N()
 		kind := []int{opGather, opGather, opGather, opPending, opBacklog, opCell, opSync}[rng.Intn(7)]
 		lead := rng.Intn(4) == 0
 
