@@ -127,7 +127,10 @@ type DroppedExp struct {
 //
 // An Exp without Custom holds no rank-local state, so an estimator
 // builds each round's experiments once, before mpi.Run, and every rank
-// runs the same list.
+// runs the same list. Every Exp is invariant, as mpib.Invariant defines
+// it: its body makes the same calls at every run, and talks only to
+// the experiment's ranks, which is what lets runRounds record a
+// certified repetition's copies instead of simulating them.
 type Exp struct {
 	Initiator int
 	// Peers are the experiment's other ranks; -1 marks an unused slot.
@@ -181,17 +184,13 @@ func runRounds(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) {
 	cell := r.SharedCell()
 	pl, _ := cell.V.(*planState)
 	if pl == nil {
-		pl = newPlanState(opts, r.Size(), plan, rep)
+		pl = newPlanState(r, opts, plan, rep)
 		cell.V = pl
 	}
 	me := r.Rank()
 	for _, s := range pl.seats[pl.first[me]:pl.first[me+1]] {
-		st := &pl.rounds[s.round]
-		if st.wait == nil {
-			st.wait = pl.cond(r)
-		}
-		if st.sit(r, int(s.exp), &plan[s.round].exps[s.exp]) {
-			pl.finish(int(s.round))
+		if pl.rounds[s.round].sit(r, int(s.pos), int(s.exp), &plan[s.round].exps[s.exp]) {
+			pl.finish(r, int(s.round))
 		}
 	}
 	r.HardSync()
@@ -207,43 +206,49 @@ type planState struct {
 	// in, in round order: rank i's are seats[first[i]:first[i+1]].
 	first []int
 	seats []seat
-	free  []*vtime.Cond // finished rounds' wait queues, empty, for later rounds
 }
 
-type seat struct{ round, exp int32 }
+// seat is one rank's place in a round: its experiment, and its
+// position in the round's seat order.
+type seat struct{ round, exp, pos int32 }
 
-// newPlanState seats the ranks of an n-rank job in the plan's rounds.
-func newPlanState(opts mpib.Options, n int, plan []round, rep *Report) *planState {
+// newPlanState seats the ranks of r's job in the plan's rounds.
+func newPlanState(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) *planState {
+	n := r.Size()
 	pl := &planState{plan: plan, rep: rep, rounds: make([]roundState, len(plan)), first: make([]int, n+1)}
-	for k, rd := range plan {
-		ranks := 0
+	total := 0
+	for _, rd := range plan {
 		for x := range rd.exps {
 			rs, m := rd.exps[x].ranks()
 			for _, rank := range rs[:m] {
 				pl.first[rank+1]++
 			}
-			ranks += m
+			total += m
 		}
-		pl.rounds[k].init(opts, len(rd.exps), ranks)
 	}
 	// Lay the seats out rank by rank: first[i+1] holds the start of rank
 	// i's seats while they are placed, advancing past each, so it ends
-	// as the start of rank i+1's.
-	total := 0
-	for i := 1; i <= n; i++ {
-		total, pl.first[i] = total+pl.first[i], total
+	// as the start of rank i+1's. The rounds' seat orders share one
+	// array of processes.
+	procs := make([]*vtime.Proc, total)
+	for i, sum := 1, 0; i <= n; i++ {
+		sum, pl.first[i] = sum+pl.first[i], sum
 	}
 	pl.seats = make([]seat, total)
 	for k, rd := range plan {
+		pos := 0
 		for x := range rd.exps {
 			rs, m := rd.exps[x].ranks()
 			for _, rank := range rs[:m] {
-				pl.seats[pl.first[rank+1]] = seat{int32(k), int32(x)}
+				pl.seats[pl.first[rank+1]] = seat{int32(k), int32(x), int32(pos)}
 				pl.first[rank+1]++
+				pos++
 			}
 		}
+		pl.rounds[k].init(opts, len(rd.exps), procs[:pos:pos])
+		procs = procs[pos:]
 	}
-	pl.open(0) // nothing precedes the first round
+	pl.open(r, 0) // nothing precedes the first round
 	return pl
 }
 
@@ -270,34 +275,20 @@ func (rep *Report) count(s []RoundSummary) {
 	}
 }
 
-// cond returns a wait queue for a round: a finished round's, whose
-// array has room already, or a new one.
-func (pl *planState) cond(r *mpi.Rank) *vtime.Cond {
-	if k := len(pl.free); k > 0 {
-		c := pl.free[k-1]
-		pl.free = pl.free[:k-1]
-		return c
-	}
-	return vtime.NewCond(r.Proc().Engine())
-}
-
-// finish ends round k on the rank whose arrival ended it: it records
-// the round, passes the round's wait queue on for reuse and opens the
-// next round.
-func (pl *planState) finish(k int) {
+// finish ends round k on rank r, whose arrival ended it: it records the
+// round and opens the next one.
+func (pl *planState) finish(r *mpi.Rank, k int) {
 	pl.record(k)
-	st := &pl.rounds[k]
-	pl.free = append(pl.free, st.wait)
-	st.wait = nil
-	pl.open(k + 1)
+	pl.open(r, k+1)
 }
 
-// open makes round k's "previous round ended" arrival. A round without
-// ranks ends on the spot, and the next round gets the arrival.
-func (pl *planState) open(k int) {
+// open makes round k's "previous round ended" arrival on rank r, which
+// does not sit in the round. A round without ranks ends on the spot,
+// and the next round gets the arrival.
+func (pl *planState) open(r *mpi.Rank, k int) {
 	for ; k < len(pl.rounds); k++ {
 		if st := &pl.rounds[k]; st.ranks > 0 {
-			st.arrive(st.ranks + 1)
+			st.arrive(r, st.ranks+1)
 			return
 		}
 		pl.record(k)
@@ -309,46 +300,66 @@ func (pl *planState) open(k int) {
 // kept once rather than once per rank.
 type roundState struct {
 	// The round's barrier. Its parties are the round's ranks, plus one
-	// arrival made once the previous round has ended. It releases its
-	// waiters in arrival order and the last arrival after them, as
-	// vtime.Barrier does, so a round's ranks start in the order in
-	// which they fell idle: the order a world HardSync, which every
-	// rank once took, gave them. A round has its wait queue before any
-	// of its ranks arrives.
+	// arrival made once the previous round has ended. Each release wakes
+	// the round's ranks in one fixed order, the seat order: experiment by
+	// experiment, the initiator first. The rank whose arrival completes
+	// the barrier resumes at its own place in that order, so a
+	// repetition opens and closes with its ranks in the same order.
 	ranks   int
 	arrived int
-	wait    *vtime.Cond
+	procs   []*vtime.Proc // the ranks' processes in seat order, set as they arrive
 
 	slots []float64 // each experiment's sample of the current repetition
 	loop  mpib.Loop
 	out   []RoundSummary // each experiment's result, once the loop finishes
+
+	open   mpi.SyncState // the job at the release that opened the current repetition; never Quiet after a retry's pause
+	copies int           // copies of the last repetition recorded, for every rank to skip
 }
 
-func (st *roundState) init(opts mpib.Options, nexp, ranks int) {
-	*st = roundState{ranks: ranks, slots: make([]float64, nexp), out: make([]RoundSummary, nexp)}
+func (st *roundState) init(opts mpib.Options, nexp int, procs []*vtime.Proc) {
+	*st = roundState{ranks: len(procs), procs: procs, slots: make([]float64, nexp), out: make([]RoundSummary, nexp)}
 	st.loop.Init(opts, make([][]float64, nexp), st.out)
 }
 
-// sit runs rank r's seat in the round, experiment x. It waits at the
-// round's barrier until the round starts, then runs e's body once per
-// repetition, publishes the sample if r initiates e, and meets the
-// round's other ranks at the barrier again. The last of them to arrive
-// records the repetition in the round's loop, and every rank follows
-// the loop's decision. sit reports whether r's arrival ended the round.
+// sit runs rank r's seat in the round, at position pos of its seat
+// order, in experiment x. It waits at the round's barrier until the
+// round starts, then runs e's body once per repetition, publishes the
+// sample if r initiates e, and meets the round's other ranks at the
+// barrier again. The last of them to arrive records the repetition in
+// the round's loop, and every rank follows the loop's decision. sit
+// reports whether r's arrival ended the round.
+//
+// The simulator is deterministic, so a repetition that opens as the one
+// before it opened, translated in time, repeats it bit for bit. The rank
+// whose arrival closes a repetition certifies it when
+//
+//   - no observer is installed, whose spans the copies would lack;
+//   - the job has no fault plan and no crashed node;
+//   - nothing drew from the escalation randomness or called a
+//     SharedCell since the release that opened the repetition;
+//   - at that release and at this close no event was queued, every
+//     other process was parked and no message was undelivered.
+//
+// Each Exp is invariant, and every release wakes the ranks in the same
+// order, so each later repetition would open as this one did and run
+// the same. The rank records one copy of the round's samples per
+// repetition the loop still asks for, and the network's counters take
+// the copies' traffic; every rank then skips the copies in wake order,
+// as mpib.Measure's ranks do.
 //
 // A retry's pause needs no barrier after it: a repetition receives
 // every message it sends, so no event wakes a rank of the round during
 // the pause, and its ranks wake in the order they fell asleep, the
-// order a barrier would release them in.
-func (st *roundState) sit(r *mpi.Rank, x int, e *Exp) (ended bool) {
+// order a release gives them. A repetition that a pause opens is never
+// certified.
+func (st *roundState) sit(r *mpi.Rank, pos, x int, e *Exp) (ended bool) {
 	p := r.Proc()
-	if st.arrive(st.ranks + 1) {
-		p.Yield() // run after the ranks just released
-	} else {
-		st.wait.Wait(p)
-	}
+	st.procs[pos] = p
+	st.arrive(r, st.ranks+1)
+	p.Park()
 	for {
-		t0 := r.Now()
+		t0, calls := r.Now(), r.Collectives()
 		e.Body(r)
 		if e.Initiator == r.Rank() {
 			// Publish the sample: the elapsed time, or the custom
@@ -359,12 +370,10 @@ func (st *roundState) sit(r *mpi.Rank, x int, e *Exp) (ended bool) {
 			}
 			st.slots[x] = v
 		}
-		last := st.arrive(st.ranks)
-		if last {
-			st.loop.Record(st.slots...)
-			p.Yield()
-		} else {
-			st.wait.Wait(p)
+		last := st.arrive(r, st.ranks)
+		p.Park()
+		if k := st.copies; k > 0 {
+			r.Skip(k, r.Now()-t0, r.Collectives()-calls)
 		}
 		switch act, pause := st.loop.Next(); act {
 		case mpib.Finish:
@@ -375,17 +384,46 @@ func (st *roundState) sit(r *mpi.Rank, x int, e *Exp) (ended bool) {
 	}
 }
 
-// arrive counts one arrival at the round's barrier. The arrival that
-// brings the count to parties releases the waiting ranks, resets the
-// count and reports true.
-func (st *roundState) arrive(parties int) bool {
+// arrive counts an arrival, on rank r, at the round's barrier of
+// parties parties; a rank of the round parks after its arrival. The
+// arrival that brings the count to parties resets it, releases the
+// round's ranks and reports true. Before a repetition has run, the
+// release notes the state the first repetition opens at; after one, it
+// records the repetition and certifies it.
+func (st *roundState) arrive(r *mpi.Rank, parties int) bool {
 	st.arrived++
 	if st.arrived < parties {
 		return false
 	}
 	st.arrived = 0
-	st.wait.Broadcast()
+	shut := r.Release(st.procs)
+	if parties > st.ranks {
+		st.open = shut
+	} else {
+		st.loop.Record(st.slots...)
+		st.certify(r, shut)
+	}
 	return true
+}
+
+// certify runs on the rank whose arrival closed a repetition, at the
+// release shut that closed it. If the repetition is certified (see
+// sit), it records a copy of the round's samples for each repetition
+// the loop still asks for and adds the copies' traffic to the network's
+// counters.
+func (st *roundState) certify(r *mpi.Rank, shut mpi.SyncState) {
+	open := st.open
+	st.open, st.copies = shut, 0
+	if r.Observer() == nil && mpi.Repeatable(open, shut) {
+		for act, _ := st.loop.Next(); act == mpib.Repeat; act, _ = st.loop.Next() {
+			st.loop.Record(st.slots...)
+			st.copies++
+		}
+		r.Repeat(open, shut, st.copies)
+	}
+	if act, _ := st.loop.Next(); act == mpib.Retry {
+		st.open.Quiet = false // a pause, not a release, opens the next repetition
+	}
 }
 
 // Experiment bodies. Only the experiment's ranks run its body, each

@@ -144,7 +144,7 @@ func TestKernelHandoffsOnTable1(t *testing.T) {
 		handoffs, resumes int64
 	}{
 		{"HetHockney", func(o Options) error { _, _, err := HetHockney(cfg, o); return err }, 8600, 8672},
-		{"LMOX", func(o Options) error { _, _, err := LMOX(cfg, o); return err }, 111127, 114934},
+		{"LMOX", func(o Options) error { _, _, err := LMOX(cfg, o); return err }, 110838, 114934},
 	} {
 		tr := obs.NewTrace()
 		if err := c.run(Options{Parallel: true, Obs: tr}); err != nil {

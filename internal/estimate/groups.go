@@ -550,22 +550,26 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	var plan []round
 	sizes := []int{0, opt.MsgSize}
 	if len(parallelG) > 0 {
+		// The closures capture copies of parallelG and m by value: the
+		// appended slice and the loop variable would move to the heap.
+		big := parallelG
 		for _, m := range sizes {
+			m := m
 			for p, pr := range tripletPairs {
-				exps := make([]Exp, len(parallelG))
-				for x, gi := range parallelG {
+				exps := make([]Exp, len(big))
+				for x, gi := range big {
 					mem := tts[gi].Members
 					exps[x] = roundtripExp(mem[pr[0]], mem[pr[1]], m, m, x)
 				}
 				plan = append(plan, round{exps, func(s []RoundSummary) {
-					for x, gi := range parallelG {
+					for x, gi := range big {
 						*bySize(m, &tts[gi].RT0[p], &tts[gi].RTM[p]) = s[x].Mean
 					}
 				}})
 			}
 			for _, r := range rotations {
-				plan = append(plan, round{oneToTwoExps(tts, parallelG, r, m), func(s []RoundSummary) {
-					for x, gi := range parallelG {
+				plan = append(plan, round{oneToTwoExps(tts, big, r, m), func(s []RoundSummary) {
+					for x, gi := range big {
 						*bySize(m, &tts[gi].OneToTwo0[r.init], &tts[gi].OneToTwoM[r.init]) = s[x].Mean
 					}
 				}})

@@ -225,15 +225,22 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 		rt[k][p] = mean
 	})
 	// Phase 2: one-to-two experiments; each round of triplets runs the
-	// three rotations, with empty and M-byte messages.
-	var tripPlan []round
-	for _, idx := range tripletSchedule(n, triplets, opt.Parallel) {
+	// three rotations, with empty and M-byte messages. The empty round
+	// leaves its summaries in empty, from where the M-byte round reads
+	// them with its own.
+	schedule := tripletSchedule(n, triplets, opt.Parallel)
+	tripPlan := make([]round, 0, 2*len(rotations)*len(schedule))
+	empty := make([][]RoundSummary, len(rotations)*len(schedule))
+	for _, idx := range schedule {
+		// The closures capture a copy of idx by value: the loop variable
+		// itself would move to the heap.
+		idx := idx
 		for _, r := range rotations {
-			x := r.init
-			var s0 []RoundSummary
+			x, k := r.init, len(tripPlan)/2 // k: the rotation's slot in empty
 			tripPlan = append(tripPlan, round{oneToTwoExps(tts, idx, r, 0), func(s []RoundSummary) {
-				s0 = s
+				empty[k] = s
 			}}, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {
+				s0 := empty[k]
 				for e, ti := range idx {
 					tts[ti].OneToTwo0[x], tts[ti].OneToTwoM[x] = s0[e].Mean, sm[e].Mean
 					if !s0[e].Converged || !sm[e].Converged {

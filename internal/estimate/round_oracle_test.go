@@ -13,21 +13,25 @@ import (
 	"repro/internal/mpib"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // measureRoundPerRank measures one round with per-rank bookkeeping: every
 // rank keeps its own copy of every experiment's samples, summarizes
 // them and derives the stopping decision itself. It is the reference
-// the shared round state must reproduce exactly.
+// the shared round state must reproduce exactly. Its world syncs
+// release the ranks in runRounds' order: the round's seat order, then
+// the ranks the round does not use.
 func measureRoundPerRank(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSummary {
 	opts = opts.WithDefaults()
 	n := r.Size()
 
 	cell := r.SharedCell()
 	if cell.V == nil {
-		cell.V = make([]float64, n)
+		cell.V = newOrderedSync(n, exps)
 	}
-	locals := cell.V.([]float64)
+	sync := cell.V.(*orderedSync)
+	locals := sync.locals
 
 	converged := func(s stats.Summary) bool {
 		return s.N >= opts.MinReps && s.RelErr() <= opts.RelErr
@@ -42,7 +46,7 @@ func measureRoundPerRank(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSumm
 	backoff := opts.Backoff
 	for {
 		for {
-			r.HardSync()
+			sync.wait(r)
 			t0 := r.Now()
 			for _, e := range exps {
 				e.Body(r)
@@ -53,7 +57,7 @@ func measureRoundPerRank(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSumm
 					locals[r.Rank()] = *e.Custom
 				}
 			}
-			r.HardSync()
+			sync.wait(r)
 
 			done := true
 			for i, e := range exps {
@@ -101,6 +105,48 @@ func measureRoundPerRank(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSumm
 		}
 	}
 	return out
+}
+
+// orderedSync is the per-rank reference's world barrier. It releases
+// every rank in one fixed order, as runRounds' round barrier does: the
+// round's ranks in seat order (experiment by experiment, the initiator
+// first), then the ranks the round does not use, in rank order. The
+// last arrival resumes at its own place.
+type orderedSync struct {
+	arrived int
+	at      []int         // each rank's place in the order
+	procs   []*vtime.Proc // the ranks' processes in release order
+	locals  []float64     // each rank's local sample of the current repetition
+}
+
+func newOrderedSync(n int, exps []Exp) *orderedSync {
+	s := &orderedSync{at: make([]int, n), procs: make([]*vtime.Proc, n), locals: make([]float64, n)}
+	var order []int
+	for _, e := range exps {
+		rs, m := e.ranks()
+		order = append(order, rs[:m]...)
+	}
+	for rank := 0; rank < n; rank++ {
+		if !slices.Contains(order, rank) {
+			order = append(order, rank)
+		}
+	}
+	for place, rank := range order {
+		s.at[rank] = place
+	}
+	return s
+}
+
+// wait parks rank r until every rank has arrived, then releases them
+// all in the barrier's order.
+func (s *orderedSync) wait(r *mpi.Rank) {
+	p := r.Proc()
+	s.procs[s.at[r.Rank()]] = p
+	if s.arrived++; s.arrived == len(s.procs) {
+		s.arrived = 0
+		p.WakeOrdered(s.procs)
+	}
+	p.Park()
 }
 
 // expSpec describes one experiment of a generated round.
@@ -155,6 +201,35 @@ func randomRounds(rng *rand.Rand, n int) [][]expSpec {
 		rounds = slices.Insert(rounds, rng.Intn(len(rounds)+1), nil)
 	}
 	return rounds
+}
+
+// drawRoundCase draws seed's case of the round oracles: a job of 2–16
+// homogeneous ranks, under LAM or no TCP effects, with or without a
+// lossy fabric, the repetition options and the plan's rounds. It
+// returns the generator for further draws.
+func drawRoundCase(seed int64) (mpi.Config, mpib.Options, [][]expSpec, *rand.Rand) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(15)
+	cfg := homConfig(n)
+	cfg.Seed = seed
+	if rng.Intn(2) == 0 {
+		cfg.Profile = cluster.LAM()
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{{
+			Src: faults.Any, Dst: faults.Any,
+			Prob: 0.05 + 0.25*rng.Float64(), RTO: time.Millisecond,
+		}}}
+	}
+	opts := mpib.Options{MinReps: 1 + rng.Intn(5), Retries: rng.Intn(3)}
+	opts.MaxReps = opts.MinReps + rng.Intn(8)
+	if rng.Intn(2) == 0 {
+		opts.OutlierMAD = 3
+	}
+	if rng.Intn(2) == 0 {
+		opts.RelErr = 0.002
+	}
+	return cfg, opts, randomRounds(rng, n), rng
 }
 
 // roundRanks returns, for each round, which of the n ranks it uses.
@@ -246,38 +321,19 @@ func runOracleRounds(t *testing.T, cfg mpi.Config, opts mpib.Options, specs [][]
 // varied repetition bounds, outlier rejection and retries, with TCP
 // irregularities and packet loss that keep some confidence intervals
 // open — through runRounds and through the per-rank reference, which
-// runs every round on every rank between world HardSyncs. It requires
-// identical per-round summaries, an identical virtual duration and an
-// identical message transcript: every message span's name, track,
-// endpoints, bytes, start and end. Event and resume counts are not
-// compared: the harness spares the ranks a round does not use exactly
-// those.
+// runs every round on every rank between world syncs that release the
+// ranks in runRounds' order. It requires identical per-round
+// summaries, an identical virtual duration and an identical message
+// transcript: every message span's name, track, endpoints, bytes,
+// start and end. Event and resume counts are not compared: the harness
+// spares the ranks a round does not use exactly those. The transcript
+// is observed, so runRounds simulates every repetition here.
 func TestMeasureRoundMatchesPerRankOracle(t *testing.T) {
 	nonConverged, retried := 0, 0
 	gated, returned, empty := 0, 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(15)
-		cfg := homConfig(n)
-		cfg.Seed = seed
-		if rng.Intn(2) == 0 {
-			cfg.Profile = cluster.LAM()
-		}
-		if rng.Intn(2) == 0 {
-			cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{{
-				Src: faults.Any, Dst: faults.Any,
-				Prob: 0.05 + 0.25*rng.Float64(), RTO: time.Millisecond,
-			}}}
-		}
-		opts := mpib.Options{MinReps: 1 + rng.Intn(5), Retries: rng.Intn(3)}
-		opts.MaxReps = opts.MinReps + rng.Intn(8)
-		if rng.Intn(2) == 0 {
-			opts.OutlierMAD = 3
-		}
-		if rng.Intn(2) == 0 {
-			opts.RelErr = 0.002
-		}
-		specs := randomRounds(rng, n)
+		cfg, opts, specs, _ := drawRoundCase(seed)
+		n := cfg.Cluster.N()
 
 		got := runOracleRounds(t, cfg, opts, specs, false)
 		want := runOracleRounds(t, cfg, opts, specs, true)

@@ -420,10 +420,10 @@ func (r *Rank) send(dst, tag int, data []byte) {
 // one. It releases the ranks in the order they arrived.
 func (r *Rank) HardSync() { r.w.sync.Wait(r.p) }
 
-// SyncState is a job at the release of a HardSync, as a measurement
-// harness reads it right after the release, before any rank acts, to
-// tell whether the stretch between two releases would run the same
-// again (see mpib.Measure).
+// SyncState is a job at the release of a HardSync, or of a harness's
+// own barrier (Release), as a measurement harness reads it right at the
+// release, before any released rank acts, to tell whether the stretch
+// between two releases would run the same again (Repeatable).
 type SyncState struct {
 	Syncs     int             // HardSync releases so far: one more at each release
 	Quiet     bool            // nothing was pending: no event, no other parked process, no undelivered message, no fault plan, no crashed node
@@ -435,13 +435,38 @@ type SyncState struct {
 
 // SyncState returns the job's state at its last HardSync's release.
 func (r *Rank) SyncState() SyncState {
-	w := r.w
-	syncs, quiet, same := w.sync.Released()
-	s := SyncState{Syncs: syncs, Quiet: quiet && w.net.Settled(), SameOrder: same, Draws: w.net.Draws(), Net: w.net.Counters()}
+	syncs, quiet, same := r.w.sync.Released()
+	s := r.w.state(quiet)
+	s.Syncs, s.SameOrder = syncs, same
+	return s
+}
+
+// Release wakes the parked processes ps of ranks in list order, as
+// vtime.Proc.WakeOrdered does, for a harness that orders its own
+// releases, and returns the job's state at the release: Quiet as for
+// a HardSync, with the caller running instead of parked. Syncs and
+// SameOrder stay zero: they describe HardSyncs.
+func (r *Rank) Release(ps []*vtime.Proc) SyncState {
+	return r.w.state(r.p.WakeOrdered(ps))
+}
+
+// state returns the job's state, Quiet when idle is and the network
+// has settled.
+func (w *World) state(idle bool) SyncState {
+	s := SyncState{Quiet: idle && w.net.Settled(), Draws: w.net.Draws(), Net: w.net.Counters()}
 	for _, c := range w.cellSeq {
 		s.Cells += c
 	}
 	return s
+}
+
+// Repeatable reports whether the stretch between two states, from and
+// the later to, runs the same again when it starts from to: both were
+// quiet, and nothing drew from the escalation randomness or called a
+// SharedCell between them. It is the part of the replay certificate
+// that mpib.Measure and the estimation rounds share.
+func Repeatable(from, to SyncState) bool {
+	return from.Quiet && to.Quiet && to.Draws == from.Draws && to.Cells == from.Cells
 }
 
 // Collectives returns the number of collective calls this rank has

@@ -349,8 +349,7 @@ type measureState struct {
 func (st *measureState) replay(r *mpi.Rank, sample float64) {
 	open, shut := st.open, r.SyncState()
 	st.open, st.copies = shut, 0
-	if !open.Quiet || !shut.Quiet || shut.Syncs != open.Syncs+1 || !shut.SameOrder ||
-		shut.Draws != open.Draws || shut.Cells != open.Cells {
+	if shut.Syncs != open.Syncs+1 || !shut.SameOrder || !mpi.Repeatable(open, shut) {
 		return
 	}
 	for act, _ := st.loop.Next(); act == Repeat; act, _ = st.loop.Next() {

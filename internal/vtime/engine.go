@@ -372,9 +372,6 @@ type Proc struct {
 	condW condWaiter
 }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.e.now }
 
@@ -620,6 +617,27 @@ func (p *Proc) blockSync() {
 func (e *Engine) wakeSync(p *Proc) {
 	e.blockedSync--
 	e.scheduleResume(e.now, p)
+}
+
+// Park parks the calling process, with no pending event, until a
+// WakeOrdered call names it.
+func (p *Proc) Park() { p.blockSync() }
+
+// WakeOrdered schedules the parked processes ps to resume at the current
+// instant in list order, after the events already due now, and reports
+// whether the engine was idle at the call: no event was queued, so every
+// other process was parked or had ended. A caller that names itself
+// resumes at its own place in the list: it calls Park next, and runs
+// once the processes before it have. Nothing runs before the caller
+// parks, so it may act on the release first. WakeOrdered allocates
+// nothing.
+func (p *Proc) WakeOrdered(ps []*Proc) (idle bool) {
+	e := p.e
+	idle = e.pending() == 0
+	for _, q := range ps {
+		e.wakeSync(q)
+	}
+	return idle
 }
 
 // DeadlockError is returned by Run when processes remain blocked on

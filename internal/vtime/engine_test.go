@@ -104,7 +104,7 @@ func TestAfterCallback(t *testing.T) {
 	var at time.Duration
 	e.Go("a", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond)
-		p.Engine().At(p.Now()+3*time.Millisecond, func() { at = e.Now() })
+		e.At(p.Now()+3*time.Millisecond, func() { at = e.Now() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ package vtime
 // harness, not here.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -136,5 +137,81 @@ func TestCondBroadcastCycleZeroAlloc(t *testing.T) {
 	if allocs > base+64 {
 		t.Fatalf("%d extra Wait/Broadcast cycles over %d processes allocated %d times (%d vs %d); want none",
 			long-short, procs, allocs-base, allocs, base)
+	}
+}
+
+// TestWakeOrderedCycleZeroAlloc pins the ordered wake that the
+// estimation rounds' barrier takes at every repetition: once warm, a
+// cycle in which 16 processes Park and the last arrival wakes them all
+// with WakeOrdered, itself at its own place, allocates nothing. Two runs
+// that differ only in their cycle count must allocate the same.
+func TestWakeOrderedCycleZeroAlloc(t *testing.T) {
+	const procs = 16
+	run := func(cycles int) uint64 {
+		eng := NewEngine()
+		order := make([]*Proc, procs)
+		arrived := 0
+		for i := 0; i < procs; i++ {
+			eng.Go("party", func(p *Proc) {
+				order[i] = p
+				for c := 0; c < cycles; c++ {
+					if arrived++; arrived == procs {
+						arrived = 0
+						p.WakeOrdered(order)
+					}
+					p.Park()
+				}
+			})
+		}
+		return mallocsDuring(func() {
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	run(100) // warm up the runtime (goroutine stacks, timer wheels)
+	fewest := func(cycles int) uint64 {
+		m := run(cycles)
+		for i := 0; i < 2; i++ {
+			m = min(m, run(cycles))
+		}
+		return m
+	}
+	const short, long = 100, 2100
+	base, allocs := fewest(short), fewest(long)
+	if allocs > base+64 {
+		t.Fatalf("%d extra Park/WakeOrdered cycles over %d processes allocated %d times (%d vs %d); want none",
+			long-short, procs, allocs-base, allocs, base)
+	}
+}
+
+// TestWakeOrderedKeepsListOrder pins the order of an ordered wake:
+// parked processes resume in list order, the caller at its own place,
+// after the events already due at that instant.
+func TestWakeOrderedKeepsListOrder(t *testing.T) {
+	eng := NewEngine()
+	var ran []string
+	ps := make([]*Proc, 3)
+	names := []string{"a", "b", "c"}
+	arrived := 0
+	for i, name := range names {
+		eng.Go(name, func(p *Proc) {
+			ps[i] = p
+			if arrived++; arrived == len(ps) {
+				eng.At(p.Now(), func() { ran = append(ran, "due") })
+				// The wake order: b, c, then a.
+				if idle := p.WakeOrdered([]*Proc{ps[1], ps[2], ps[0]}); idle {
+					t.Errorf("WakeOrdered reported an idle engine with an event due")
+				}
+			}
+			p.Park()
+			ran = append(ran, name)
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ran); got != "[due b c a]" {
+		t.Fatalf("ran %s, want [due b c a]", got)
 	}
 }
