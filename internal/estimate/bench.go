@@ -415,10 +415,7 @@ func (st *roundState) certify(r *mpi.Rank, shut mpi.SyncState) {
 	open := st.open
 	st.open, st.copies = shut, 0
 	if r.Observer() == nil && mpi.Repeatable(open, shut) {
-		for act, _ := st.loop.Next(); act == mpib.Repeat; act, _ = st.loop.Next() {
-			st.loop.Record(st.slots...)
-			st.copies++
-		}
+		st.copies = st.loop.RecordCopies(st.slots...)
 		r.Repeat(open, shut, st.copies)
 	}
 	if act, _ := st.loop.Next(); act == mpib.Retry {

@@ -191,7 +191,7 @@ func TestCleanExperimentsStopAtTwoRepetitions(t *testing.T) {
 
 func TestHomHockneyFitsLine(t *testing.T) {
 	cfg := homConfig(4)
-	h, _, err := HomHockney(cfg, Options{}, nil)
+	h, _, err := HomHockney(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ var (
 		return r, err
 	}}
 	procHom = procedure{"hockney", "Hockney estimation", func(c call, m *Models) (r Report, err error) {
-		m.Hom, r, err = HomHockney(c.cfg, c.opt, nil)
+		m.Hom, r, err = HomHockney(c.cfg, c.opt)
 		return r, err
 	}}
 	procLogP = procedure{"logp", "LogP/LogGP estimation", func(c call, m *Models) (r Report, err error) {

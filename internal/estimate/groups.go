@@ -395,61 +395,41 @@ func detectBlind(cfg mpi.Config, opt Options, rep *Report) ([][]int, error) {
 	return groups, nil
 }
 
-// smallPlan is the measurement plan of a group too small for an
-// intra-group triplet (one or two members). Each member runs a
-// one-to-two experiment against a witness pair borrowed from another
-// group, as the initiator of rotation 0 over (member, w[0], w[1]):
-// both branches then cross the fabric symmetrically, so the critical
-// path provably runs through the designated witness w[1] and eqs
-// (8)/(11) apply per member. A borrowed-helper triplet would instead put the far
-// helper on a non-designated branch, where the one-to-two degenerates
-// into a plain round-trip and the solve absorbs fabric latency into C.
-// The intra link of a two-member group follows from its round-trip
-// once the members' C/t are known.
-type smallPlan struct {
-	w          [2]int    // witness pair: another group's first two members
-	rt0, rtm   []float64 // per member: round-trip with w[1]
-	ott0, ottm []float64 // per member: one-to-two over {w[0], w[1]}
-	irt0, irtm float64   // intra round-trip (two-member groups only)
-}
-
 // interBucket is one inter-group link class: with a topology, all
 // group pairs whose route shares (class, hop count); without one, one
-// bucket per group pair. Up to three representative pairs are measured
-// and averaged.
+// bucket per group pair. Up to three representative pairs, each joining
+// two groups' first members, are measured and averaged.
 type interBucket struct {
-	cls      topo.Class
-	hops     int
-	gi, gj   int // identity bucket without a topology (class buckets use -1,-1)
-	reps     [][2]int
-	repGs    [][2]int
-	rt0, rtm []float64
-	L, invB  float64
-}
-
-// bySize picks the slot of a measurement at message size m: empty for
-// the empty-message experiment, full for the MsgSize one.
-func bySize(m int, empty, full *float64) *float64 {
-	if m == 0 {
-		return empty
-	}
-	return full
-}
-
-// meanInto records a one-experiment round's mean in *dst.
-func meanInto(dst *float64) func([]RoundSummary) {
-	return func(s []RoundSummary) { *dst = s[0].Mean }
+	cls     topo.Class
+	hops    int
+	reps    []Pair
+	L, invB float64
 }
 
 // LMOGrouped estimates the LMO model of a large cluster through its
 // logical groups: DetectGroups partitions the processors, one triplet
 // of representatives per group yields the group's C/t and intra-group
-// L/β (big groups measured in parallel — their triplets stay on their
-// own leaf switches — small ones serially against witness pairs), and
-// inter-group links are measured per link class rather than per pair.
-// The result is expanded to a full per-node model. The gather
-// irregularity scan is intentionally omitted: callers estimating at
-// this scale opt into the collapsed procedure.
+// L/β, and inter-group links are measured per link class rather than
+// per pair. It runs LMOX's design phase by phase, every round trip
+// through one roundTripPlan and every one-to-two experiment through
+// oneToTwoPlan into TripletTimes records, and solves the records with
+// LMOX's closed forms. The result is expanded to a full per-node model.
+// The gather irregularity scan is intentionally omitted: callers
+// estimating at this scale opt into the collapsed procedure.
+//
+// A group of three or more measures the triplet of its first three
+// members, every such group in parallel: their triplets stay on their
+// own leaf switches. A group too small for a triplet measures, per
+// member x, a witness record (x, w0, w1) over a witness pair borrowed
+// from another group, serially: x initiates rotation 0, so both of its
+// branches cross the fabric symmetrically, the critical path provably
+// runs through the designated witness w1, and eqs (8)/(11) apply per
+// member. A borrowed-helper triplet would instead put the far helper on
+// a non-designated branch, where the one-to-two degenerates into a
+// plain round trip and the solve absorbs fabric latency into C. The
+// intra link of a two-member group follows from its round trip once the
+// members' C/t are known, and each inter-group bucket's from its
+// representatives' once the groups' are.
 func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -464,12 +444,13 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 		return nil, g, rep, err
 	}
 
-	// Plan the per-group measurements: an intra triplet for groups of
-	// three or more (the first three members, ascending as the triplet
-	// design requires), a witness-pair plan for smaller ones.
+	// Plan the per-group records, group gi's from tts[rec[gi]] on: a
+	// big group's triplet of its first three members, ascending as the
+	// triplet design requires, or a small group's witness record per
+	// member, whose one rotation is r0. The witness records' round trips
+	// and a two-member group's intra pair are measured one at a time.
 	ngr := len(g.Groups)
-	tts := make([]TripletTimes, ngr)
-	smalls := make([]*smallPlan, ngr)
+	r0 := rotations[0]
 	pickWitness := func(gi int) [2]int {
 		for gj, mem := range g.Groups {
 			if gj != gi && len(mem) >= 2 {
@@ -490,117 +471,90 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 		}
 		return w
 	}
-	var parallelG, serialG []int
+	tts := make([]TripletTimes, 0, ngr)
+	rec := make([]int, ngr)
+	triplets := make([]int, 0, ngr) // the big groups' records
+	var witnesses []int             // the witness records
+	var serialRTs []Pair            // the round trips measured one at a time
 	for gi, members := range g.Groups {
+		rec[gi] = len(tts)
 		if len(members) >= 3 {
-			tts[gi] = TripletTimes{Members: [3]int(members[:3]), M: opt.MsgSize}
-			parallelG = append(parallelG, gi)
+			triplets = append(triplets, len(tts))
+			tts = append(tts, TripletTimes{Members: [3]int(members[:3]), M: opt.MsgSize})
 			continue
 		}
-		k := len(members)
-		smalls[gi] = &smallPlan{
-			w:   pickWitness(gi),
-			rt0: make([]float64, k), rtm: make([]float64, k),
-			ott0: make([]float64, k), ottm: make([]float64, k),
+		w := pickWitness(gi)
+		for _, x := range members {
+			tt := TripletTimes{Members: [3]int{x, w[0], w[1]}, M: opt.MsgSize}
+			serialRTs = append(serialRTs, tt.pair(r0.rt))
+			witnesses = append(witnesses, len(tts))
+			tts = append(tts, tt)
 		}
-		serialG = append(serialG, gi)
+		if len(members) == 2 {
+			serialRTs = append(serialRTs, Pair{members[0], members[1]})
+		}
 	}
 
 	// Plan the inter-group buckets.
-	var buckets []*interBucket
+	var buckets []interBucket
 	bucketOf := make([]int, ngr*ngr)
 	topol := cfg.Cluster.Topo
-	findBucket := func(gi, gj int) *interBucket {
+	// findBucket returns the index of the bucket of groups gi and gj,
+	// opening a bucket when none fits.
+	findBucket := func(gi, gj int) int {
+		var b interBucket
 		if topol != nil {
 			rt := topol.Route(g.Groups[gi][0], g.Groups[gj][0])
-			for _, b := range buckets {
-				if b.gi < 0 && b.cls == rt.MaxClass && b.hops == len(rt.Hops) {
-					return b
+			b.cls, b.hops = rt.MaxClass, len(rt.Hops)
+			for bi := range buckets {
+				if buckets[bi].cls == b.cls && buckets[bi].hops == b.hops {
+					return bi
 				}
 			}
-			b := &interBucket{cls: rt.MaxClass, hops: len(rt.Hops), gi: -1, gj: -1}
-			buckets = append(buckets, b)
-			return b
 		}
-		b := &interBucket{gi: gi, gj: gj}
 		buckets = append(buckets, b)
-		return b
+		return len(buckets) - 1
 	}
 	for gi := 0; gi < ngr; gi++ {
 		for gj := gi + 1; gj < ngr; gj++ {
-			b := findBucket(gi, gj)
-			if len(b.reps) < 3 {
-				b.reps = append(b.reps, [2]int{g.Groups[gi][0], g.Groups[gj][0]})
-				b.repGs = append(b.repGs, [2]int{gi, gj})
-				b.rt0 = append(b.rt0, 0)
-				b.rtm = append(b.rtm, 0)
+			bi := findBucket(gi, gj)
+			if b := &buckets[bi]; len(b.reps) < 3 {
+				b.reps = append(b.reps, Pair{g.Groups[gi][0], g.Groups[gj][0]})
 			}
-			for bi, bb := range buckets {
-				if bb == b {
-					bucketOf[gi*ngr+gj] = bi
-				}
-			}
-		}
-	}
-
-	// One job measures everything: the parallel groups' twelve rounds,
-	// then the helper-borrowing groups, then the inter-group buckets
-	// (helpers and bucket pairs may cross the fabric, so those rounds
-	// run one experiment at a time).
-	var plan []round
-	sizes := []int{0, opt.MsgSize}
-	if len(parallelG) > 0 {
-		// The closures capture copies of parallelG and m by value: the
-		// appended slice and the loop variable would move to the heap.
-		big := parallelG
-		for _, m := range sizes {
-			m := m
-			for p, pr := range tripletPairs {
-				exps := make([]Exp, len(big))
-				for x, gi := range big {
-					mem := tts[gi].Members
-					exps[x] = roundtripExp(mem[pr[0]], mem[pr[1]], m, m, x)
-				}
-				plan = append(plan, round{exps, func(s []RoundSummary) {
-					for x, gi := range big {
-						*bySize(m, &tts[gi].RT0[p], &tts[gi].RTM[p]) = s[x].Mean
-					}
-				}})
-			}
-			for _, r := range rotations {
-				plan = append(plan, round{oneToTwoExps(tts, big, r, m), func(s []RoundSummary) {
-					for x, gi := range big {
-						*bySize(m, &tts[gi].OneToTwo0[r.init], &tts[gi].OneToTwoM[r.init]) = s[x].Mean
-					}
-				}})
-			}
-		}
-	}
-	// Small groups: per member, a round-trip with the far witness and a
-	// one-to-two over the witness pair, at both sizes, one experiment at
-	// a time (the rounds cross the fabric).
-	for _, gi := range serialG {
-		sp := smalls[gi]
-		members := g.Groups[gi]
-		for _, m := range sizes {
-			for xi, x := range members {
-				p, r := [3]int{x, sp.w[0], sp.w[1]}, rotations[0]
-				plan = append(plan,
-					round{[]Exp{roundtripExp(x, p[r.desig], m, m, 0)}, meanInto(bySize(m, &sp.rt0[xi], &sp.rtm[xi]))},
-					round{[]Exp{r.exp(p, m, 0)}, meanInto(bySize(m, &sp.ott0[xi], &sp.ottm[xi]))})
-			}
-			if len(members) == 2 {
-				plan = append(plan, round{[]Exp{roundtripExp(members[0], members[1], m, m, 0)}, meanInto(bySize(m, &sp.irt0, &sp.irtm))})
-			}
+			bucketOf[gi*ngr+gj] = bi
 		}
 	}
 	for _, b := range buckets {
-		for ri, pr := range b.reps {
-			for _, m := range sizes {
-				plan = append(plan, round{[]Exp{roundtripExp(pr[0], pr[1], m, m, 0)}, meanInto(bySize(m, &b.rt0[ri], &b.rtm[ri]))})
-			}
-		}
+		serialRTs = append(serialRTs, b.reps...)
 	}
+
+	// One job measures everything, phase by phase. Phase 1: the round
+	// trips at both sizes, the triplets' in parallel, then the rest one
+	// at a time (they may cross the fabric). Phase 2: the one-to-two
+	// experiments at both sizes, the triplets' three rotations in
+	// parallel, then each witness record's rotation 0 on its own.
+	var pairRounds [][]Pair
+	var tripletRound [][]int
+	if len(triplets) > 0 {
+		for p := range tripletPairs {
+			rd := make([]Pair, len(triplets))
+			for x, ti := range triplets {
+				rd[x] = tts[ti].pair(p)
+			}
+			pairRounds = append(pairRounds, rd)
+		}
+		tripletRound = [][]int{triplets}
+	}
+	pairRounds = append(pairRounds, serialized(serialRTs)...)
+	// A pair measured twice keeps its later mean: in the witness
+	// fallback a witness round trip can be a bucket representative too.
+	npairs := 3*len(triplets) + len(serialRTs)
+	rt := [2]map[Pair]float64{make(map[Pair]float64, npairs), make(map[Pair]float64, npairs)}
+	plan := roundTripPlan(pairRounds, []int{0, opt.MsgSize}, func(p Pair, k int, mean float64) {
+		rt[k][p] = mean
+	})
+	plan = append(plan, oneToTwoPlan(tts, tripletRound, rotations[:], opt.MsgSize)...)
+	plan = append(plan, oneToTwoPlan(tts, serialized(witnesses), []rotation{r0}, opt.MsgSize)...)
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		runRounds(r, opt.Mpib, plan, &rep)
 	})
@@ -609,56 +563,60 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 	}
 	rep.Cost += res.Duration
 
-	// Solve each big group's triplet: the group's C/t average its three
-	// members', its intra-group link the triplet's three links.
+	// Solve each group: a big group's C/t average its triplet's three
+	// members', its intra-group link the triplet's three links; a small
+	// group's C/t average its members' rotation-0 solves, and a
+	// two-member group's intra link follows from the members' round
+	// trip.
 	type groupEst struct{ c, t, intraL, intraInvB float64 }
 	est := make([]groupEst, ngr)
 	mf := float64(opt.MsgSize)
-	for _, gi := range parallelG {
-		sol := SolveTriplet(tts[gi])
-		e := &est[gi]
-		for x := range sol.C {
-			e.c += sol.C[x]
-			e.t += sol.T[x]
-		}
-		for p := range sol.L {
-			e.intraL += sol.L[p]
-			e.intraInvB += 1 / sol.Beta[p] // Inf → 0, naturally
-		}
-		e.c /= 3
-		e.t /= 3
-		e.intraL /= 3
-		e.intraInvB /= 3
+	for ti := range tts {
+		tts[ti].roundTrips(rt)
 	}
-
-	// Solve the small groups: eq (8)/(11) per member from its witness
-	// experiment, then the intra link of two-member groups from the
-	// members' round-trip with C/t known.
-	for _, gi := range serialG {
-		sp := smalls[gi]
-		members := g.Groups[gi]
-		var c, t [2]float64
-		for xi := range members {
-			c[xi], t[xi] = processorCT(sp.ott0[xi], sp.ottm[xi], sp.rt0[xi], sp.rtm[xi], mf)
-			est[gi].c += c[xi]
-			est[gi].t += t[xi]
+	for gi, members := range g.Groups {
+		e := &est[gi]
+		recs := tts[rec[gi]:]
+		if len(members) >= 3 {
+			sol := SolveTriplet(recs[0])
+			for x := range sol.C {
+				e.c += sol.C[x]
+				e.t += sol.T[x]
+			}
+			for p := range sol.L {
+				e.intraL += sol.L[p]
+				e.intraInvB += 1 / sol.Beta[p] // Inf → 0, naturally
+			}
+			e.c /= 3
+			e.t /= 3
+			e.intraL /= 3
+			e.intraInvB /= 3
+			continue
 		}
-		est[gi].c /= float64(len(members))
-		est[gi].t /= float64(len(members))
+		var c, t [2]float64
+		for xi, tt := range recs[:len(members)] {
+			c[xi], t[xi] = processorCT(tt.OneToTwo0[r0.init], tt.OneToTwoM[r0.init], tt.RT0[r0.rt], tt.RTM[r0.rt], mf)
+			e.c += c[xi]
+			e.t += t[xi]
+		}
+		e.c /= float64(len(members))
+		e.t /= float64(len(members))
 		if len(members) == 2 {
-			l, ib := linkLInvB(sp.irt0, sp.irtm, c[0], c[1], t[0], t[1], mf)
+			p := Pair{members[0], members[1]}
+			l, ib := linkLInvB(rt[0][p], rt[1][p], c[0], c[1], t[0], t[1], mf)
 			if ib < 0 {
 				ib = 0
 			}
-			est[gi].intraL, est[gi].intraInvB = l, ib
+			e.intraL, e.intraInvB = l, ib
 		}
 	}
 
 	// Solve each inter-group bucket with the groups' C/t known.
-	for _, b := range buckets {
-		for ri := range b.reps {
-			ga, gb := est[b.repGs[ri][0]], est[b.repGs[ri][1]]
-			l, ib := linkLInvB(b.rt0[ri], b.rtm[ri], ga.c, gb.c, ga.t, gb.t, mf)
+	for bi := range buckets {
+		b := &buckets[bi]
+		for _, p := range b.reps {
+			ga, gb := est[g.Of[p.I]], est[g.Of[p.J]]
+			l, ib := linkLInvB(rt[0][p], rt[1][p], ga.c, gb.c, ga.t, gb.t, mf)
 			if ib < 0 {
 				ib = 0
 			}

@@ -70,33 +70,24 @@ func HetHockney(cfg mpi.Config, opt Options) (*models.HetHockney, Report, error)
 }
 
 // HomHockney estimates the homogeneous Hockney model by the paper's
-// series method: round-trips over a range of message sizes between a
-// sample of pairs, with (M, T/2) fitted by least squares — α is the
-// intercept, β the slope. sizes defaults to a small geometric series
-// when nil.
-func HomHockney(cfg mpi.Config, opt Options, sizes []int) (*models.Hockney, Report, error) {
+// series method: round-trips over a small geometric series of message
+// sizes between a sample of pairs, one experiment at a time, with
+// (M, T/2) fitted by least squares — α is the intercept, β the slope.
+func HomHockney(cfg mpi.Config, opt Options) (*models.Hockney, Report, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, Report{}, err
 	}
-	n := cfg.Cluster.N()
-	if sizes == nil {
-		sizes = []int{0, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}
-	}
+	sizes := []int{0, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}
 	// Sample pairs: distinct hardware without the full O(n²) sweep.
-	pairs := samplePairs(n)
+	pairs := samplePairs(cfg.Cluster.N())
 
 	rep := Report{}
 	var xs, ys []float64
-	var plan []round
-	for pi, p := range pairs {
-		for _, m := range sizes {
-			plan = append(plan, round{[]Exp{roundtripExp(p.I, p.J, m, m, pi)}, func(s []RoundSummary) {
-				xs = append(xs, float64(m))
-				ys = append(ys, s[0].Mean/2)
-			}})
-		}
-	}
+	plan := roundTripPlan(serialized(pairs), sizes, func(_ Pair, k int, mean float64) {
+		xs = append(xs, float64(sizes[k]))
+		ys = append(ys, mean/2)
+	})
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		runRounds(r, opt.Mpib, plan, &rep)
 	})

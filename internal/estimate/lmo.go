@@ -42,12 +42,24 @@ func (r rotation) exp(p [3]int, m, tag int) Exp {
 // three one-to-two experiments, by initiator slot, each with empty and
 // with M-byte messages. Times are in seconds, measured on the
 // initiator (the paper's sender-side timing).
+//
+// LMOGrouped also keeps a witness record per member of a group too
+// small for a triplet: the member and another group's witness pair, in
+// that order, so its members need not ascend. Only its rotation 0 and
+// pair slot 1, the member's round trip with the designated witness,
+// are measured.
 type TripletTimes struct {
-	Members [3]int // the processors, ascending
+	Members [3]int // the processors, ascending but in a witness record
 	M       int    // the non-empty message size used
 
 	RT0, RTM             [3]float64 // T_xy(0) and T_xy(M)
 	OneToTwo0, OneToTwoM [3]float64 // T_x{y,z}(0) and T_x{y,z}(M)
+
+	// suspect[x] is set when rotation x's one-to-two measurement missed
+	// the CI target at either size, relErr[x] then holding the worst
+	// relative error of the two: LMOX's eq-(12) averaging drops it.
+	suspect [3]bool
+	relErr  [3]float64
 }
 
 // pairKey normalizes an unordered pair.
@@ -58,11 +70,19 @@ func pairKey(a, b int) Pair {
 	return Pair{a, b}
 }
 
-// roundTrips fills tt's round trips from per-pair measurements.
-func (tt *TripletTimes) roundTrips(rt0, rtm map[Pair]float64) {
-	for p, pr := range tripletPairs {
-		k := Pair{tt.Members[pr[0]], tt.Members[pr[1]]}
-		tt.RT0[p], tt.RTM[p] = rt0[k], rtm[k]
+// pair returns the members of pair slot p, the round trip's initiator
+// first.
+func (tt *TripletTimes) pair(p int) Pair {
+	pr := tripletPairs[p]
+	return Pair{tt.Members[pr[0]], tt.Members[pr[1]]}
+}
+
+// roundTrips fills tt's round trips from per-pair measurements, at
+// empty and at M-byte messages.
+func (tt *TripletTimes) roundTrips(rt [2]map[Pair]float64) {
+	for p := range tripletPairs {
+		k := tt.pair(p)
+		tt.RT0[p], tt.RTM[p] = rt[0][k], rt[1][k]
 	}
 }
 
@@ -74,6 +94,45 @@ func oneToTwoExps(tts []TripletTimes, idx []int, r rotation, m int) []Exp {
 		exps[x] = r.exp(tts[ti].Members, m, x)
 	}
 	return exps
+}
+
+// oneToTwoPlan is the one builder of one-to-two phases: for each round
+// of the schedule, a list of indices into tts, and each of rots in
+// turn, a round of the rotation's experiments over the listed records
+// with empty messages, then one with m-byte messages. The m-byte
+// round's finishing rank records both means in the records at the
+// rotation's initiator slot, and marks the measurement suspect when
+// either missed the CI target.
+func oneToTwoPlan(tts []TripletTimes, schedule [][]int, rots []rotation, m int) []round {
+	plan := make([]round, 0, 2*len(rots)*len(schedule))
+	// The empty round leaves its summaries in empty, from where the
+	// m-byte round reads them with its own.
+	empty := make([][]RoundSummary, len(rots)*len(schedule))
+	for _, idx := range schedule {
+		// The closures capture a copy of idx by value: the loop variable
+		// itself would move to the heap.
+		idx := idx
+		for _, r := range rots {
+			x, k := r.init, len(plan)/2 // k: the rotation's slot in empty
+			plan = append(plan, round{oneToTwoExps(tts, idx, r, 0), func(s []RoundSummary) {
+				empty[k] = s
+			}}, round{oneToTwoExps(tts, idx, r, m), func(sm []RoundSummary) {
+				s0 := empty[k]
+				for e, ti := range idx {
+					tt := &tts[ti]
+					tt.OneToTwo0[x], tt.OneToTwoM[x] = s0[e].Mean, sm[e].Mean
+					if !s0[e].Converged || !sm[e].Converged {
+						worst := s0[e].RelErr()
+						if re := sm[e].RelErr(); re > worst {
+							worst = re
+						}
+						tt.suspect[x], tt.relErr[x] = true, worst
+					}
+				}
+			}})
+		}
+	}
+	return plan
 }
 
 // TripletSolution is the closed-form solution of eqs (8) and (11) for
@@ -201,8 +260,6 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	}
 	rep := Report{}
 
-	rt0 := make(map[Pair]float64)
-	rtm := make(map[Pair]float64)
 	triplets := AllTriplets(n)
 	if opt.TripletCoverage > 0 {
 		triplets = SampleTriplets(n, opt.TripletCoverage)
@@ -212,48 +269,18 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 		tts[i] = TripletTimes{Members: [3]int{tr.I, tr.J, tr.K}, M: opt.MsgSize}
 	}
 
-	// suspect records the one-to-two measurements whose CI never met
-	// the target (after retries), keyed by (triplet, initiator slot):
-	// their triplet contributions are excluded from the eq-(12)
-	// averaging below, which tolerates the loss thanks to the
-	// redundancy. The value is the worst relative error observed.
-	suspect := make(map[[2]int]float64)
-
 	// Phase 1: round-trips with empty and with M-byte messages.
-	rt := [2]map[Pair]float64{rt0, rtm}
+	rt := [2]map[Pair]float64{make(map[Pair]float64), make(map[Pair]float64)} // T_xy(0) and T_xy(M)
 	pairPlan := roundTripPlan(pairSchedule(n, opt.Parallel), []int{0, opt.MsgSize}, func(p Pair, k int, mean float64) {
 		rt[k][p] = mean
 	})
 	// Phase 2: one-to-two experiments; each round of triplets runs the
-	// three rotations, with empty and M-byte messages. The empty round
-	// leaves its summaries in empty, from where the M-byte round reads
-	// them with its own.
-	schedule := tripletSchedule(n, triplets, opt.Parallel)
-	tripPlan := make([]round, 0, 2*len(rotations)*len(schedule))
-	empty := make([][]RoundSummary, len(rotations)*len(schedule))
-	for _, idx := range schedule {
-		// The closures capture a copy of idx by value: the loop variable
-		// itself would move to the heap.
-		idx := idx
-		for _, r := range rotations {
-			x, k := r.init, len(tripPlan)/2 // k: the rotation's slot in empty
-			tripPlan = append(tripPlan, round{oneToTwoExps(tts, idx, r, 0), func(s []RoundSummary) {
-				empty[k] = s
-			}}, round{oneToTwoExps(tts, idx, r, opt.MsgSize), func(sm []RoundSummary) {
-				s0 := empty[k]
-				for e, ti := range idx {
-					tts[ti].OneToTwo0[x], tts[ti].OneToTwoM[x] = s0[e].Mean, sm[e].Mean
-					if !s0[e].Converged || !sm[e].Converged {
-						worst := s0[e].RelErr()
-						if re := sm[e].RelErr(); re > worst {
-							worst = re
-						}
-						suspect[[2]int{ti, x}] = worst
-					}
-				}
-			}})
-		}
-	}
+	// three rotations, with empty and M-byte messages. A measurement
+	// whose CI never met the target (after retries) is marked suspect
+	// in its record: its triplet contribution is excluded from the
+	// eq-(12) averaging below, which tolerates the loss thanks to the
+	// redundancy.
+	tripPlan := oneToTwoPlan(tts, tripletSchedule(n, triplets, opt.Parallel), rotations[:], opt.MsgSize)
 
 	res, err := mpi.Run(opt.withObs(cfg), func(r *mpi.Rank) {
 		p1 := obsBegin(r, "phase:round-trips")
@@ -290,7 +317,7 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 
 	for ti := range tts {
 		tt := &tts[ti]
-		tt.roundTrips(rt0, rtm)
+		tt.roundTrips(rt)
 		sol := SolveTriplet(*tt)
 		// Host-side solve: virtual time is frozen at res.Duration, so the
 		// solver appears as instants at the end of the global track.
@@ -301,8 +328,8 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 			sumCAll[x] += sol.C[s]
 			sumTAll[x] += sol.T[s]
 			cntAll[x]++
-			if relErr, bad := suspect[[2]int{ti, s}]; bad {
-				rep.Dropped = append(rep.Dropped, DroppedExp{Initiator: x, Lo: tt.Members[r.first], Hi: tt.Members[r.desig], RelErr: relErr})
+			if tt.suspect[s] {
+				rep.Dropped = append(rep.Dropped, DroppedExp{Initiator: x, Lo: tt.Members[r.first], Hi: tt.Members[r.desig], RelErr: tt.relErr[s]})
 				continue
 			}
 			sumC[x] += sol.C[s]
@@ -328,7 +355,7 @@ func LMOX(cfg mpi.Config, opt Options) (*models.LMOX, Report, error) {
 	}
 	mf := float64(opt.MsgSize)
 	for _, p := range AllPairs(n) {
-		l, ib := linkLInvB(rt0[p], rtm[p], model.C[p.I], model.C[p.J], model.T[p.I], model.T[p.J], mf)
+		l, ib := linkLInvB(rt[0][p], rt[1][p], model.C[p.I], model.C[p.J], model.T[p.I], model.T[p.J], mf)
 		beta := rate(ib)
 		model.L[p.I][p.J], model.L[p.J][p.I] = l, l
 		model.Beta[p.I][p.J], model.Beta[p.J][p.I] = beta, beta

@@ -85,9 +85,15 @@ func pairSchedule(n int, parallel bool) [][]Pair {
 	if parallel {
 		return PairRounds(n)
 	}
-	var rounds [][]Pair
-	for _, p := range AllPairs(n) {
-		rounds = append(rounds, []Pair{p})
+	return serialized(AllPairs(n))
+}
+
+// serialized returns the serial schedule of xs: one round per element,
+// in order.
+func serialized[T any](xs []T) [][]T {
+	rounds := make([][]T, len(xs))
+	for i := range xs {
+		rounds[i] = xs[i : i+1 : i+1]
 	}
 	return rounds
 }
@@ -191,17 +197,14 @@ func SampleTriplets(n, k int) []Triplet {
 // triplets (at most ⌊n/3⌋ per round), packed greedily in input order,
 // so the packing is deterministic.
 func tripletSchedule(n int, triplets []Triplet, parallel bool) [][]int {
-	var rounds [][]int
-	if !parallel {
-		for i := range triplets {
-			rounds = append(rounds, []int{i})
-		}
-		return rounds
-	}
 	remaining := make([]int, len(triplets))
 	for i := range remaining {
 		remaining[i] = i
 	}
+	if !parallel {
+		return serialized(remaining)
+	}
+	var rounds [][]int
 	for len(remaining) > 0 {
 		used := make([]bool, n)
 		var round, rest []int

@@ -225,6 +225,19 @@ func (l *Loop) Record(xs ...float64) {
 // comes before the next attempt when it is Retry.
 func (l *Loop) Next() (Action, time.Duration) { return l.next, l.pause }
 
+// RecordCopies records xs again, as Record does, for as long as the
+// loop asks to Repeat, and returns the number of copies it recorded:
+// the replay of a certified repetition, which every later repetition
+// would repeat bit for bit.
+func (l *Loop) RecordCopies(xs ...float64) int {
+	copies := 0
+	for l.next == Repeat {
+		l.Record(xs...)
+		copies++
+	}
+	return copies
+}
+
 // Measure runs op repeatedly on all ranks until the confidence interval
 // of its duration is within opts.RelErr, and returns the identical
 // Measurement on every rank. op is invoked collectively: every rank
@@ -352,10 +365,7 @@ func (st *measureState) replay(r *mpi.Rank, sample float64) {
 	if shut.Syncs != open.Syncs+1 || !shut.SameOrder || !mpi.Repeatable(open, shut) {
 		return
 	}
-	for act, _ := st.loop.Next(); act == Repeat; act, _ = st.loop.Next() {
-		st.loop.Record(sample)
-		st.copies++
-	}
+	st.copies = st.loop.RecordCopies(sample)
 	r.Repeat(open, shut, st.copies)
 	st.open = r.SyncState() // a retried attempt starts from the copies' end
 }
