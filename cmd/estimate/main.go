@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	commperf "repro"
@@ -131,7 +132,7 @@ func (o options) estimate(stdout io.Writer, cl *cluster.Cluster, prof *cluster.T
 	} else {
 		cfg := mpi.Config{Cluster: cl, Profile: prof, Seed: o.seed}
 		var err error
-		m, rep, err = estimate.Family(cfg, "all", 0, 20, estimate.Options{Parallel: !o.serial, Obs: tr})
+		m, rep, err = estimate.Family(nil, cfg, "all", 0, 20, estimate.Options{Parallel: !o.serial, Obs: tr})
 		if err != nil {
 			return err
 		}
@@ -149,7 +150,7 @@ func (o options) estimate(stdout io.Writer, cl *cluster.Cluster, prof *cluster.T
 				fmt.Fprintf(stdout, "  (+%d more groups)\n", len(groups)-maxRows)
 				break
 			}
-			fmt.Fprintf(stdout, "  group %d: %d nodes %v\n", gi, len(members), head(members, 8))
+			fmt.Fprintf(stdout, "  group %d: %d nodes %s\n", gi, len(members), head(members, 8))
 		}
 	} else {
 		// Irregularity detection (the family attaches it to the LMO model).
@@ -249,11 +250,12 @@ func writeTrace(path string, cl *cluster.Cluster, tr *commperf.Trace) error {
 	return err
 }
 
-func head(xs []int, n int) []int {
+// head prints at most n of xs, marking the cut.
+func head(xs []int, n int) string {
 	if len(xs) <= n {
-		return xs
+		return fmt.Sprint(xs)
 	}
-	return xs[:n]
+	return fmt.Sprintf("%s … +%d more]", strings.TrimSuffix(fmt.Sprint(xs[:n]), "]"), len(xs)-n)
 }
 
 func short(s string) string {

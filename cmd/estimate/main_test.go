@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,7 @@ func TestJSONWritesFamilyAll(t *testing.T) {
 	}
 
 	cfg := mpi.Config{Cluster: cluster.Table1().Prefix(4), Profile: cluster.Ideal(), Seed: 1}
-	m, _, err := estimate.Family(cfg, "all", 0, 20, estimate.Options{Parallel: true})
+	m, _, err := estimate.Family(nil, cfg, "all", 0, 20, estimate.Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,5 +72,35 @@ func TestBadFlagsExit2(t *testing.T) {
 				t.Fatalf("stdout %q, stderr %q; want empty stdout and %q on stderr", stdout.String(), stderr.String(), tc.want)
 			}
 		})
+	}
+}
+
+// -groups lists at most eight members of a group and marks the rest:
+// on Table I the 9-node group shows its first eight and "+1 more".
+func TestGroupsMarkCutMembers(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-groups", "-mpi", "ideal"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	cut := 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		var gi, n int
+		if _, err := fmt.Sscanf(line, "  group %d: %d nodes", &gi, &n); err != nil {
+			continue
+		}
+		list, more, _ := strings.Cut(line[strings.Index(line, "[")+1:], " … +")
+		shown, extra := len(strings.Fields(strings.TrimSuffix(list, "]"))), 0
+		if more != "" {
+			if _, err := fmt.Sscanf(more, "%d more]", &extra); err != nil {
+				t.Fatalf("group %d: malformed cut in %q", gi, line)
+			}
+			cut++
+		}
+		if shown > 8 || shown+extra != n {
+			t.Errorf("group %d lists %d members and %d more, want %d in all, at most 8 shown: %q", gi, shown, extra, n, line)
+		}
+	}
+	if want := "  group 2: 9 nodes [2 4 6 10 11 12 13 14 … +1 more]\n"; cut != 1 || !strings.Contains(stdout.String(), want) {
+		t.Fatalf("%d cut groups in\n%s\nwant one: %q", cut, stdout.String(), want)
 	}
 }

@@ -38,6 +38,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,25 +51,41 @@ import (
 	"repro/internal/serve"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8123", "listen address")
-		preload  = flag.String("models", "", "comma-separated model JSON files to preload (from cmd/estimate -json; files must carry meta provenance)")
-		parallel = flag.Int("parallel", 0, "default campaign worker count for estimation jobs (0: GOMAXPROCS)")
-		capacity = flag.Int("lru", 64, "model registry capacity (LRU eviction beyond it)")
-		timeout  = flag.Duration("timeout", 5*time.Minute, "per-task estimation timeout")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		reqTimeout  = flag.Duration("request-timeout", 5*time.Minute, "per-request deadline, propagated into estimation work (<=0 disables)")
-		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for running jobs")
-		maxInflight = flag.Int("max-inflight", 4, "concurrent synchronous estimations (/predict misses)")
-		maxQueue    = flag.Int("max-queue", 16, "requests waiting for an estimation slot before shedding with 429")
-		maxRunning  = flag.Int("max-running-jobs", 4, "concurrent /estimate campaigns before shedding with 429")
-		maxJobs     = flag.Int("max-jobs", 256, "retained jobs before evicting terminal ones oldest-first")
-		jobTTL      = flag.Duration("job-ttl", time.Hour, "terminal-job retention before eviction (<=0 keeps until -max-jobs)")
-		maxBody     = flag.Int64("max-body", 1<<20, "request body byte limit (413 beyond it)")
-		manifest    = flag.String("manifest", "", "path for the unfinished-job manifest written when a drain misses its deadline (and read back at startup)")
+// run serves until SIGINT or SIGTERM, then drains, and returns the exit
+// code: 0 once drained, 2 when a flag, a -models file or the address
+// is unusable (before anything is printed to stdout) or serving fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lmoserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":8123", "listen address")
+		preload  = fs.String("models", "", "comma-separated model JSON files to preload (from cmd/estimate -json; files must carry meta provenance)")
+		parallel = fs.Int("parallel", 0, "default campaign worker count for estimation jobs (0: GOMAXPROCS)")
+		capacity = fs.Int("lru", 64, "model registry capacity (LRU eviction beyond it)")
+		timeout  = fs.Duration("timeout", 5*time.Minute, "per-task estimation timeout")
+
+		reqTimeout  = fs.Duration("request-timeout", 5*time.Minute, "per-request deadline, propagated into estimation work (<=0 disables)")
+		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for running jobs")
+		maxInflight = fs.Int("max-inflight", 4, "concurrent synchronous estimations (/predict misses)")
+		maxQueue    = fs.Int("max-queue", 16, "requests waiting for an estimation slot before shedding with 429")
+		maxRunning  = fs.Int("max-running-jobs", 4, "concurrent /estimate campaigns before shedding with 429")
+		maxJobs     = fs.Int("max-jobs", 256, "retained jobs before evicting terminal ones oldest-first")
+		jobTTL      = fs.Duration("job-ttl", time.Hour, "terminal-job retention before eviction (<=0 keeps until -max-jobs)")
+		maxBody     = fs.Int64("max-body", 1<<20, "request body byte limit (413 beyond it)")
+		manifest    = fs.String("manifest", "", "path for the unfinished-job manifest written when a drain misses its deadline (and read back at startup)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "lmoserve: "+format+"\n", args...)
+		return 2
+	}
 
 	cfg := serve.Config{
 		Capacity:       *capacity,
@@ -96,11 +114,11 @@ func main() {
 			}
 			data, err := os.ReadFile(path)
 			if err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 			mf, err := models.UnmarshalModelFile(data)
 			if err != nil {
-				fail("%s: %v", path, err)
+				return fail("%s: %v", path, err)
 			}
 			cfg.Preload = append(cfg.Preload, mf)
 		}
@@ -111,18 +129,21 @@ func main() {
 
 	srv, err := serve.New(ctx, cfg)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail("%v", err)
 	}
 	for _, k := range srv.Registry().Keys() {
-		fmt.Printf("lmoserve: preloaded %s\n", k)
+		fmt.Fprintf(stdout, "lmoserve: preloaded %s\n", k)
 	}
 	for _, j := range srv.Interrupted() {
-		fmt.Printf("lmoserve: previous process left job %s (%s[%d]/%s) unfinished at its drain deadline\n",
+		fmt.Fprintf(stdout, "lmoserve: previous process left job %s (%s[%d]/%s) unfinished at its drain deadline\n",
 			j.ID, j.Cluster, j.Nodes, j.Profile)
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -135,32 +156,28 @@ func main() {
 	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Printf("lmoserve: listening on %s (registry capacity %d, %d estimation slots, queue %d)\n",
+	go func() { errc <- httpSrv.Serve(ln) }()
+	fmt.Fprintf(stdout, "lmoserve: listening on %s (registry capacity %d, %d estimation slots, queue %d)\n",
 		*addr, *capacity, *maxInflight, *maxQueue)
 
 	select {
 	case err := <-errc:
-		fail("%v", err)
+		return fail("%v", err)
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills the process the default way
-	fmt.Printf("lmoserve: signal received; draining (deadline %s)\n", *drain)
+	fmt.Fprintf(stdout, "lmoserve: signal received; draining (deadline %s)\n", *drain)
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "lmoserve: %v\n", err)
+		fmt.Fprintf(stderr, "lmoserve: %v\n", err)
 	}
 	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelHTTP()
 	if err := httpSrv.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "lmoserve: closing listener: %v\n", err)
+		fmt.Fprintf(stderr, "lmoserve: closing listener: %v\n", err)
 	}
-	fmt.Println("lmoserve: drained; exiting")
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lmoserve: "+format+"\n", args...)
-	os.Exit(2)
+	fmt.Fprintln(stdout, "lmoserve: drained; exiting")
+	return 0
 }

@@ -498,9 +498,10 @@ func MeasureMakespan(r *Rank, op func(), opts ...MeasureOption) Measurement {
 	return mpib.Measure(r, 0, mpib.MaxTiming, cfg.opt, op)
 }
 
-// DetectGatherIrregularity scans linear gather from root for the
-// empirical region (M1, M2) and escalation statistics, configured by
-// the same options as Estimate. WithLogicalGroups does not apply.
+// DetectGatherIrregularity scans linear gather from root at 20
+// repetitions per size for the empirical region (M1, M2) and escalation
+// statistics: the estimation table's family "scan", configured by the
+// same options as Estimate. WithLogicalGroups does not apply.
 func (s *System) DetectGatherIrregularity(root int, opts ...EstimateOption) (GatherEmpirical, EstimateReport, error) {
 	cfg, err := resolveEstimate(opts)
 	if err == nil && cfg.grouped {
@@ -509,8 +510,11 @@ func (s *System) DetectGatherIrregularity(root int, opts ...EstimateOption) (Gat
 	if err != nil {
 		return GatherEmpirical{}, EstimateReport{}, err
 	}
-	return estimate.DetectGatherIrregularity(
-		s.cfg, root, estimate.DefaultScanSizes(), 20, cfg.opt)
+	m, rep, err := estimate.Family(nil, s.cfg, "scan", root, 20, cfg.opt)
+	if err != nil {
+		return GatherEmpirical{}, rep, err
+	}
+	return m.Gather, rep, nil
 }
 
 // Experiment runs one of the paper's figure/table reproductions on

@@ -37,7 +37,8 @@ var keptExports = map[string]string{
 	"analysis/analysistest.RunSuite": "the analyzer test harness",
 
 	// References the tests compare the production code against.
-	"collective.Tree.Validate": "the structural oracle the tree builders' tests check every shape against",
+	"collective.Tree.Validate":  "the structural oracle the tree builders' tests check every shape against",
+	"estimate.Memo.Estimations": "the count of shared estimations that experiment's runner test pins from outside package estimate",
 
 	// errors.Is and errors.As call it through an unnamed interface.
 	"simnet.CrashError.Unwrap": "lets errors.Is and errors.As reach the engine error a crash wraps",

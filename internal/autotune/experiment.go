@@ -37,7 +37,7 @@ func Experiment(ctx context.Context, cfg experiment.Config) (*experiment.Report,
 		cfg.ScanReps = def.ScanReps
 	}
 
-	est, _, err := estimate.Family(cfg.MPIConfig(), "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
+	est, _, err := estimate.Family(nil, cfg.MPIConfig(), "lmo", cfg.Root, cfg.ScanReps, cfg.Est)
 	if err != nil {
 		return nil, nil, fmt.Errorf("autotune: %w", err)
 	}

@@ -145,6 +145,8 @@ func TestEstimatorMetricKeys(t *testing.T) {
 		"all": append([]string{"cost_s.hockney", "cost_s.logp", "cost_s.plogp", "cost_s.lmo",
 			"cost_s.irregularity-scan", "hockney.alpha", "hockney.beta"}, lmo...),
 		"lmo":        append([]string{"cost_s", "experiments", "repetitions"}, lmo...),
+		"lmox":       lmo,
+		"scan":       {"cost_s.irregularity-scan"},
 		"lmo5":       {"lmo5.C[0]", "lmo5.C[1]", "lmo5.C[2]", "lmo5.t[0]", "lmo5.t[1]", "lmo5.t[2]", "cost_s"},
 		"hethockney": {"hockney.alpha", "hockney.beta", "hethockney.alpha[0][1]", "hethockney.beta[0][1]", "cost_s", "experiments", "repetitions"},
 		"hockney":    {"hockney.alpha", "hockney.beta", "cost_s"},

@@ -70,7 +70,7 @@ func runExperiment(g Grid, t Task, r *Result) {
 // and the parameters of every model estimated.
 func runEstimator(g Grid, t Task, r *Result) {
 	cfg := mpi.Config{Cluster: t.Cluster.Cluster, Profile: t.Profile, Seed: t.Seed}
-	m, rep, err := estimate.Family(cfg, t.Target.ID, g.Root, 20, g.Est)
+	m, rep, err := estimate.Family(nil, cfg, t.Target.ID, g.Root, 20, g.Est)
 	if err != nil {
 		r.Err = err.Error()
 		return
@@ -85,16 +85,10 @@ func runEstimator(g Grid, t Task, r *Result) {
 	for proc, c := range m.Costs {
 		met["cost_s."+proc] = c.Seconds()
 	}
-	set := m.Set
-	if set.Hom == nil && set.Het != nil {
-		// A het-Hockney estimate also serves the homogeneous model, its
-		// pairwise average, as in family "all".
-		set.Hom = set.Het.Averaged()
-	}
-	modelMetrics(met, set, m.LMO5)
+	modelMetrics(met, m)
 	r.Metrics = met
-	if set != (models.Set{}) {
-		r.Models = set.File()
+	if m.Set != (models.Set{}) {
+		r.Models = m.File()
 		r.Models.Meta = &models.Meta{
 			Cluster: t.Cluster.Name,
 			Nodes:   t.Cluster.Cluster.N(),
@@ -105,27 +99,28 @@ func runEstimator(g Grid, t Task, r *Result) {
 }
 
 // modelMetrics flattens the parameters of every model present, with a
-// representative link (0, 1) for the per-pair ones.
-func modelMetrics(met map[string]float64, s models.Set, lmo5 *models.LMO) {
-	if s.Hom != nil {
-		met["hockney.alpha"], met["hockney.beta"] = s.Hom.Alpha, s.Hom.Beta
+// representative link (0, 1) for the per-pair ones, and the gather
+// scan's region when it found one.
+func modelMetrics(met map[string]float64, m *estimate.Models) {
+	if m.Hom != nil {
+		met["hockney.alpha"], met["hockney.beta"] = m.Hom.Alpha, m.Hom.Beta
 	}
-	if s.Het != nil {
-		met["hethockney.alpha[0][1]"] = s.Het.Alpha[0][1]
-		met["hethockney.beta[0][1]"] = s.Het.Beta[0][1]
+	if m.Het != nil {
+		met["hethockney.alpha[0][1]"] = m.Het.Alpha[0][1]
+		met["hethockney.beta[0][1]"] = m.Het.Beta[0][1]
 	}
-	if s.LogP != nil {
-		met["logp.L"], met["logp.o"], met["logp.g"] = s.LogP.L, s.LogP.O, s.LogP.G
+	if m.LogP != nil {
+		met["logp.L"], met["logp.o"], met["logp.g"] = m.LogP.L, m.LogP.O, m.LogP.G
 	}
-	if s.LogGP != nil {
-		met["loggp.G"] = s.LogGP.BigG
+	if m.LogGP != nil {
+		met["loggp.G"] = m.LogGP.BigG
 	}
-	if s.PLogP != nil {
-		met["plogp.L"] = s.PLogP.L
-		met["plogp.g(1)"] = s.PLogP.Gap(1)
-		met["plogp.g(64K)"] = s.PLogP.Gap(64 << 10)
+	if m.PLogP != nil {
+		met["plogp.L"] = m.PLogP.L
+		met["plogp.g(1)"] = m.PLogP.Gap(1)
+		met["plogp.g(64K)"] = m.PLogP.Gap(64 << 10)
 	}
-	if lmo := s.LMO; lmo != nil {
+	if lmo := m.LMO; lmo != nil {
 		for i, c := range lmo.C {
 			met[fmt.Sprintf("lmo.C[%d]", i)] = c
 		}
@@ -136,12 +131,11 @@ func modelMetrics(met map[string]float64, s models.Set, lmo5 *models.LMO) {
 			met["lmo.L[0][1]"] = lmo.L[0][1]
 			met["lmo.beta[0][1]"] = lmo.Beta[0][1]
 		}
-		if lmo.Gather.Valid() {
-			met["lmo.M1"] = float64(lmo.Gather.M1)
-			met["lmo.M2"] = float64(lmo.Gather.M2)
-		}
 	}
-	if lmo5 != nil {
+	if m.Gather.Valid() {
+		met["lmo.M1"], met["lmo.M2"] = float64(m.Gather.M1), float64(m.Gather.M2)
+	}
+	if lmo5 := m.LMO5; lmo5 != nil {
 		for i, c := range lmo5.C() {
 			met[fmt.Sprintf("lmo5.C[%d]", i)] = c
 		}

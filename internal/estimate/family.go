@@ -2,79 +2,88 @@ package estimate
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/models"
 	"repro/internal/mpi"
 )
 
-// Models is one model family's estimation: its servable models, the
-// five-parameter LMO of family lmo5 (which no model file carries), and
+// Models is one model family's estimation: its servable models; the
+// five-parameter LMO of family lmo5 and the gather scan's region, which
+// no model file carries apart from LMO's own copy of the region; and
 // the virtual time each procedure took, by label: "hockney" (either
-// Hockney series), "logp", "plogp", "lmo", "lmo5" or
-// "irregularity-scan".
+// Hockney series), "logp", "plogp", "lmo", "lmo5" or "irregularity-scan".
 type Models struct {
 	models.Set
-	LMO5  *models.LMO
-	Costs map[string]time.Duration
+	LMO5   *models.LMO
+	Gather models.GatherEmpirical
+	Costs  map[string]time.Duration
 }
 
-// procedure is one estimation step: the label of its cost, the prefix
-// of its errors, and the run that stores what it estimated into m.
+// procedure is one estimation step: its cost label, its error prefix,
+// whether it scans, and the run that returns how to store its models.
 type procedure struct {
 	name, what string
-	run        func(c call, m *Models) (Report, error)
+	scans      bool
+	run        func(c call) (store func(m *Models), r Report, err error)
 }
 
-// call holds a Family call's arguments; root and scanReps configure
-// LMO's gather scan.
+// call holds a Family call's arguments.
 type call struct {
+	memo           *Memo
 	cfg            mpi.Config
 	root, scanReps int
 	opt            Options
 }
 
 var (
-	procHet = procedure{"hockney", "het-Hockney estimation", func(c call, m *Models) (r Report, err error) {
-		m.Het, r, err = HetHockney(c.cfg, c.opt)
-		return r, err
-	}}
-	// procHetHom also yields the homogeneous Hockney model as the
+	// procHet also yields the homogeneous Hockney model as the
 	// pairwise average, the figures' Hockney.
-	procHetHom = procedure{procHet.name, procHet.what, func(c call, m *Models) (r Report, err error) {
-		if r, err = procHet.run(c, m); err == nil {
-			m.Hom = m.Het.Averaged()
+	procHet = procedure{"hockney", "het-Hockney estimation", false, func(c call) (func(*Models), Report, error) {
+		het, r, err := HetHockney(c.cfg, c.opt)
+		return func(m *Models) { m.Het, m.Hom = het, het.Averaged() }, r, err
+	}}
+	procHom = procedure{"hockney", "Hockney estimation", false, func(c call) (func(*Models), Report, error) {
+		hom, r, err := HomHockney(c.cfg, c.opt)
+		return func(m *Models) { m.Hom = hom }, r, err
+	}}
+	procLogP = procedure{"logp", "LogP/LogGP estimation", false, func(c call) (func(*Models), Report, error) {
+		logp, loggp, r, err := LogPLogGP(c.cfg, c.opt)
+		return func(m *Models) { m.LogP, m.LogGP = logp, loggp }, r, err
+	}}
+	procPLogP = procedure{"plogp", "PLogP estimation", false, func(c call) (func(*Models), Report, error) {
+		plogp, r, err := PLogP(c.cfg, c.opt)
+		return func(m *Models) { m.PLogP = plogp }, r, err
+	}}
+	procLMOX = procedure{"lmo", "LMO estimation", false, func(c call) (func(*Models), Report, error) {
+		lmo, r, err := LMOX(c.cfg, c.opt)
+		return func(m *Models) { m.LMO = lmo }, r, err
+	}}
+	// procScan stores the §III gather scan's region in Gather, and in a
+	// copy of the shared LMO model that a procedure before it stored.
+	procScan = procedure{"irregularity-scan", "irregularity detection", true, func(c call) (func(*Models), Report, error) {
+		g, r, err := DetectGatherIrregularity(c.cfg, c.root, DefaultScanSizes(), c.scanReps, c.opt)
+		return func(m *Models) {
+			m.Gather = g
+			if m.LMO != nil {
+				lmo := *m.LMO
+				lmo.Gather = g
+				m.LMO = &lmo
+			}
+		}, r, err
+	}}
+	// procLMO5 solves the LMOX run it takes from the call's memo.
+	procLMO5 = procedure{"lmo5", "five-parameter LMO estimation", false, func(c call) (func(*Models), Report, error) {
+		_, r, err := c.memo.run(procLMOX, c)
+		if err != nil {
+			return nil, r, err
 		}
-		return r, err
-	}}
-	procHom = procedure{"hockney", "Hockney estimation", func(c call, m *Models) (r Report, err error) {
-		m.Hom, r, err = HomHockney(c.cfg, c.opt)
-		return r, err
-	}}
-	procLogP = procedure{"logp", "LogP/LogGP estimation", func(c call, m *Models) (r Report, err error) {
-		m.LogP, m.LogGP, r, err = LogPLogGP(c.cfg, c.opt)
-		return r, err
-	}}
-	procPLogP = procedure{"plogp", "PLogP estimation", func(c call, m *Models) (r Report, err error) {
-		m.PLogP, r, err = PLogP(c.cfg, c.opt)
-		return r, err
-	}}
-	procLMO = procedure{"lmo", "LMO estimation", func(c call, m *Models) (r Report, err error) {
-		m.LMO, r, err = LMOX(c.cfg, c.opt)
-		return r, err
-	}}
-	// procScan attaches the §III gather scan's M1/M2 to the LMO model
-	// procLMO estimated before it.
-	procScan = procedure{"irregularity-scan", "irregularity detection", func(c call, m *Models) (r Report, err error) {
-		m.LMO.Gather, r, err = DetectGatherIrregularity(c.cfg, c.root, DefaultScanSizes(), c.scanReps, c.opt)
-		return r, err
-	}}
-	procLMO5 = procedure{"lmo5", "five-parameter LMO estimation", func(c call, m *Models) (r Report, err error) {
-		if _, r, err = LMOX(c.cfg, c.opt); err == nil {
-			m.LMO5, err = LMOOriginal(r)
-		}
-		return r, err
+		lmo5, err := LMOOriginal(r)
+		return func(m *Models) { m.LMO5 = lmo5 }, r, err
 	}}
 )
 
@@ -85,8 +94,10 @@ var families = []struct {
 	servable bool
 	procs    []procedure
 }{
-	{"all", true, []procedure{procHetHom, procLogP, procPLogP, procLMO, procScan}},
-	{"lmo", true, []procedure{procLMO, procScan}},
+	{"all", true, []procedure{procHet, procLogP, procPLogP, procLMOX, procScan}},
+	{"lmo", true, []procedure{procLMOX, procScan}},
+	{"lmox", false, []procedure{procLMOX}},
+	{"scan", false, []procedure{procScan}},
 	{"lmo5", false, []procedure{procLMO5}},
 	{"hethockney", true, []procedure{procHet}},
 	{"hockney", true, []procedure{procHom}},
@@ -95,9 +106,10 @@ var families = []struct {
 }
 
 // Families returns the name of every estimable model family in table
-// order: "all" (the six servable models), then one per model. With
-// servable set it keeps the families whose models a model file
-// carries: all but the lmo5 ablation baseline.
+// order: "all" (the six servable models), "lmo" and its parts "lmox"
+// (analytic) and "scan" (empirical), then one per model. With servable
+// set it keeps the families a model file carries: all but LMO's parts
+// and the lmo5 ablation baseline.
 func Families(servable bool) []string {
 	var out []string
 	for _, f := range families {
@@ -108,29 +120,91 @@ func Families(servable bool) []string {
 	return out
 }
 
-// Family estimates the named model family on cfg with options opt: the
-// paper's §IV procedure for each model, with LMO's §III gather scan
-// from root at scanReps repetitions per size. It returns exactly the
-// family's models, each procedure's cost, and the report summed over
-// the procedures. On error the models are nil and the report holds the
-// work done until then, the failing procedure's included.
-func Family(cfg mpi.Config, name string, root, scanReps int, opt Options) (*Models, Report, error) {
+// Family estimates the named model family on cfg with options opt,
+// through memo: the paper's §IV procedure for each model, with LMO's
+// §III gather scan from root at scanReps repetitions per size. It
+// returns exactly the family's models, each procedure's cost, and the
+// report summed over the procedures. On error the models are nil and
+// the report holds the work done until then, the failing procedure's
+// included.
+func Family(memo *Memo, cfg mpi.Config, name string, root, scanReps int, opt Options) (*Models, Report, error) {
 	for _, f := range families {
 		if f.name != name {
 			continue
 		}
+		c := call{memo, cfg, root, scanReps, opt}
 		m, sum := &Models{Costs: map[string]time.Duration{}}, Report{}
 		for _, p := range f.procs {
-			r, err := p.run(call{cfg, root, scanReps, opt}, m)
+			store, r, err := memo.run(p, c)
 			sum.add(r)
 			if err != nil {
-				return nil, sum, fmt.Errorf("%s: %w", p.what, err)
+				return nil, sum, err
 			}
+			store(m)
 			m.Costs[p.name] = r.Cost
 		}
 		return m, sum, nil
 	}
 	return nil, Report{}, fmt.Errorf("estimate: unknown model family %q (%s)", name, strings.Join(Families(false), ", "))
+}
+
+// Memo shares estimations between Family calls: a procedure runs once
+// per key, and every call that needs it shares its result, error
+// included, and only reads its models. A nil Memo shares nothing.
+type Memo struct {
+	mu      sync.Mutex
+	entries []*memoEntry
+}
+
+// memoEntry is one procedure's run under its key: the error prefix and
+// the call, its platform compared by value (cluster, profile, seed and
+// fault plan deeply), options with ==, scan fields zero unless it scans.
+type memoEntry struct {
+	what  string
+	key   call
+	once  sync.Once
+	store func(*Models)
+	rep   Report
+	err   error
+}
+
+// run returns p's run on c from m's entry: the first caller runs p and
+// the others share its result, error prefixed. A nil m runs p anew.
+func (m *Memo) run(p procedure, c call) (func(*Models), Report, error) {
+	k := call{cfg: c.cfg, opt: c.opt}
+	if p.scans {
+		k.root, k.scanReps = c.root, c.scanReps
+	}
+	e := &memoEntry{what: p.what, key: k}
+	if m != nil {
+		m.mu.Lock()
+		if i := slices.IndexFunc(m.entries, func(o *memoEntry) bool {
+			return o.what == e.what && o.key.opt == k.opt && o.key.root == k.root && o.key.scanReps == k.scanReps && reflect.DeepEqual(o.key.cfg, k.cfg)
+		}); i >= 0 {
+			e = m.entries[i]
+		} else {
+			m.entries = append(m.entries, e)
+		}
+		m.mu.Unlock()
+	}
+	e.once.Do(func() {
+		if e.store, e.rep, e.err = p.run(c); e.err != nil {
+			e.err = fmt.Errorf("%s: %w", p.what, e.err)
+		}
+	})
+	return e.store, e.rep, e.err
+}
+
+// Estimations counts m's entries by procedure, each under its error
+// prefix: how many estimations the calls sharing m ran.
+func (m *Memo) Estimations() map[string]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := map[string]int{}
+	for _, e := range m.entries {
+		out[e.what]++
+	}
+	return out
 }
 
 // add accumulates another procedure's report into r. Only LMOX

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 )
@@ -33,7 +34,9 @@ func present(m *Models) []string {
 
 // TestFamilyTable runs every family of the table on a small Ideal
 // cluster with pinned repetitions: each returns exactly its models,
-// its procedure costs sum to its report, and LMO carries the scan.
+// its procedure costs sum to its report, the scan's families return
+// its region, which LMO carries when the family holds both, and a
+// het-Hockney model comes with Hockney as its pairwise average.
 func TestFamilyTable(t *testing.T) {
 	cfg := mpi.Config{Cluster: cluster.Table1().Prefix(4), Profile: cluster.Ideal(), Seed: 1}
 	opt := Options{Parallel: true, Mpib: mpib.Options{MinReps: 3, MaxReps: 3}}
@@ -46,12 +49,15 @@ func TestFamilyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmox.Gather = irr
+	withScan := *lmox
+	withScan.Gather = irr
 	want := map[string][]string{
 		"all":        {"hom", "het", "logp", "loggp", "plogp", "lmo"},
 		"lmo":        {"lmo"},
+		"lmox":       {"lmo"},
+		"scan":       nil,
 		"lmo5":       {"lmo5"},
-		"hethockney": {"het"},
+		"hethockney": {"hom", "het"},
 		"hockney":    {"hom"},
 		"logp":       {"logp", "loggp"},
 		"plogp":      {"plogp"},
@@ -59,9 +65,12 @@ func TestFamilyTable(t *testing.T) {
 	if got := Families(false); len(got) != len(want) {
 		t.Fatalf("Families(false) = %v, want the %d families of this table", got, len(want))
 	}
+	if got, w := Families(true), []string{"all", "lmo", "hethockney", "hockney", "logp", "plogp"}; !slices.Equal(got, w) {
+		t.Fatalf("Families(true) = %v, want %v", got, w)
+	}
 	for _, name := range Families(false) {
 		t.Run(name, func(t *testing.T) {
-			m, rep, err := Family(cfg, name, root, scanReps, opt)
+			m, rep, err := Family(nil, cfg, name, root, scanReps, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,21 +84,27 @@ func TestFamilyTable(t *testing.T) {
 			if sum != rep.Cost || rep.Experiments == 0 {
 				t.Fatalf("procedure costs %v sum to %v, report %+v", m.Costs, sum, rep)
 			}
-			if m.LMO != nil && !reflect.DeepEqual(m.LMO, lmox) {
-				t.Fatalf("LMO model differs from LMOX with the scan attached:\n%+v\n%+v", m.LMO, lmox)
+			wantLMO, wantGather := lmox, models.GatherEmpirical{}
+			if _, scans := m.Costs["irregularity-scan"]; scans {
+				wantLMO, wantGather = &withScan, irr
 			}
-			if name == "all" && !reflect.DeepEqual(m.Hom, m.Het.Averaged()) {
-				t.Fatalf("all's Hockney %+v is not het-Hockney's average", m.Hom)
+			if m.LMO != nil && !reflect.DeepEqual(m.LMO, wantLMO) {
+				t.Fatalf("LMO model differs from LMOX with the family's scan:\n%+v\n%+v", m.LMO, wantLMO)
 			}
-			servable := slices.Contains(Families(true), name)
-			if servable != (m.LMO5 == nil) {
-				t.Fatalf("servable = %v with lmo5 model %v", servable, m.LMO5)
+			if !reflect.DeepEqual(m.Gather, wantGather) {
+				t.Fatalf("gather region %+v, want %+v", m.Gather, wantGather)
+			}
+			if m.Het != nil && !reflect.DeepEqual(m.Hom, m.Het.Averaged()) {
+				t.Fatalf("Hockney %+v is not het-Hockney's average", m.Hom)
+			}
+			if servable := slices.Contains(Families(true), name); servable && m.LMO5 != nil {
+				t.Fatalf("servable family %s returns the lmo5 model", name)
 			}
 		})
 	}
 
 	t.Run("lmo report is LMOX's plus the scan's", func(t *testing.T) {
-		m, rep, err := Family(cfg, "lmo", root, scanReps, opt)
+		m, rep, err := Family(nil, cfg, "lmo", root, scanReps, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +122,7 @@ func TestFamilyTable(t *testing.T) {
 	})
 
 	t.Run("unknown family", func(t *testing.T) {
-		m, _, err := Family(cfg, "lmo6", root, scanReps, opt)
+		m, _, err := Family(nil, cfg, "lmo6", root, scanReps, opt)
 		if err == nil || m != nil {
 			t.Fatalf("unknown family: models %v, err %v", m, err)
 		}
@@ -130,11 +145,11 @@ func TestFamilyAttachesScanRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := Family(cfg, "lmo", 0, 20, opt)
+	m, _, err := Family(nil, cfg, "lmo", 0, 20, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !irr.Valid() || !reflect.DeepEqual(m.LMO.Gather, irr) {
+	if !irr.Valid() || !reflect.DeepEqual(m.LMO.Gather, irr) || !reflect.DeepEqual(m.Gather, irr) {
 		t.Fatalf("LMO gather parameters %+v, want the scan's %+v", m.LMO.Gather, irr)
 	}
 }

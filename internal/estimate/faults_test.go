@@ -175,7 +175,8 @@ func TestLMOXDropsSufferingTriplets(t *testing.T) {
 // the lossy 0<->1 link of TestLMOXDropsSufferingTriplets, and every
 // family's report counts the measurements that did not converge there
 // and the retries they took, whichever procedure ran them (a plan of
-// rounds or standalone rounds).
+// rounds or standalone rounds). The gather scan alone reports none: it
+// times a fixed count of repetitions and keeps every sample.
 func TestEveryFamilyCountsItsRobustness(t *testing.T) {
 	cfg := homConfig(5)
 	cfg.Faults = &faults.Plan{Loss: []faults.LinkLoss{
@@ -184,11 +185,15 @@ func TestEveryFamilyCountsItsRobustness(t *testing.T) {
 	}}
 	opt := Options{Parallel: true, Mpib: mpib.Options{MaxReps: 12, Retries: 1}}
 	for _, name := range Families(false) {
-		_, rep, err := Family(cfg, name, 0, 20, opt)
+		_, rep, err := Family(nil, cfg, name, 0, 20, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rep.NonConverged == 0 || rep.Retries == 0 {
+		if name == "scan" {
+			if rep.NonConverged != 0 || rep.Retries != 0 {
+				t.Errorf("the scan reports %d non-converged measurements and %d retries, want none", rep.NonConverged, rep.Retries)
+			}
+		} else if rep.NonConverged == 0 || rep.Retries == 0 {
 			t.Errorf("family %s reports %d non-converged measurements and %d retries under the lossy link, want both positive",
 				name, rep.NonConverged, rep.Retries)
 		}

@@ -14,6 +14,7 @@ package estimate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/models"
@@ -524,8 +525,14 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 			bucketOf[gi*ngr+gj] = bi
 		}
 	}
+	serialRTs = slices.Grow(serialRTs, 3*len(buckets))
 	for _, b := range buckets {
-		serialRTs = append(serialRTs, b.reps...)
+		for _, p := range b.reps {
+			// The witness fallback may have planned it as a witness pair.
+			if !slices.Contains(serialRTs, p) {
+				serialRTs = append(serialRTs, p)
+			}
+		}
 	}
 
 	// One job measures everything, phase by phase. Phase 1: the round
@@ -546,8 +553,6 @@ func LMOGrouped(cfg mpi.Config, opt Options) (*models.LMOX, *Grouping, Report, e
 		tripletRound = [][]int{triplets}
 	}
 	pairRounds = append(pairRounds, serialized(serialRTs)...)
-	// A pair measured twice keeps its later mean: in the witness
-	// fallback a witness round trip can be a bucket representative too.
 	npairs := 3*len(triplets) + len(serialRTs)
 	rt := [2]map[Pair]float64{make(map[Pair]float64, npairs), make(map[Pair]float64, npairs)}
 	plan := roundTripPlan(pairRounds, []int{0, opt.MsgSize}, func(p Pair, k int, mean float64) {

@@ -32,7 +32,7 @@ func TestLMOOriginalGolden(t *testing.T) {
 		{"table1 ideal serial", cluster.Table1(), cluster.Ideal(), 1, false},
 	} {
 		cfg := mpi.Config{Cluster: c.cl, Profile: c.prof, Seed: c.seed}
-		m, _, err := Family(cfg, "lmo5", 0, 20, Options{Parallel: c.parallel})
+		m, _, err := Family(nil, cfg, "lmo5", 0, 20, Options{Parallel: c.parallel})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/estimate"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
@@ -19,7 +18,7 @@ import (
 func Collectives(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Cluster.N()
-	lmo, _, err := shared(cfg, "LMO estimation", estimate.LMOX)
+	ms, _, err := cfg.family("lmox")
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +33,7 @@ func Collectives(cfg Config) (*Report, error) {
 	}
 	p := cfg.Probe()
 	tree := func(name string, coll models.Collective, alg mpi.Alg) entry {
-		return entry{name, curve(lmo, coll, alg, cfg.Root, n), func(r *mpi.Rank, m int) mpib.Measurement {
+		return entry{name, curve(ms.LMO, coll, alg, cfg.Root, n), func(r *mpi.Rank, m int) mpib.Measurement {
 			return p.Measure(r, mpib.MaxTiming, coll, optimize.Shape{Alg: alg}, m)
 		}}
 	}
@@ -43,11 +42,11 @@ func Collectives(cfg Config) (*Report, error) {
 		tree("reduce (binomial)", models.CollReduce, mpi.Binomial),
 		tree("scatter (binary)", models.CollScatter, mpi.Binary),
 		tree("scatter (chain)", models.CollScatter, mpi.Chain),
-		{"allgather (ring)", func(m int) float64 { return lmo.AllgatherRing(n, m) }, func(r *mpi.Rank, m int) mpib.Measurement {
+		{"allgather (ring)", func(m int) float64 { return ms.LMO.AllgatherRing(n, m) }, func(r *mpi.Rank, m int) mpib.Measurement {
 			block := mpi.ZeroPayload(m)
 			return mpib.Measure(r, p.root, mpib.MaxTiming, p.opts, func() { r.Allgather(block) })
 		}},
-		{"alltoall (linear)", func(m int) float64 { return lmo.AlltoallLinear(n, m) }, func(r *mpi.Rank, m int) mpib.Measurement {
+		{"alltoall (linear)", func(m int) float64 { return ms.LMO.AlltoallLinear(n, m) }, func(r *mpi.Rank, m int) mpib.Measurement {
 			send := make([][]byte, n)
 			for i := range send {
 				send[i] = mpi.ZeroPayload(m)

@@ -7,13 +7,9 @@
 package experiment
 
 import (
-	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/estimate"
@@ -38,7 +34,7 @@ type Config struct {
 	ScanReps int                 // repetitions per size in the irregularity scan
 	Faults   *faults.Plan        // fault plan injected into every run (nil = none)
 
-	estimations *memo // the run's memo, shared by the copies of one Default()
+	estimations *estimate.Memo // the run's memo, shared by the copies of one Default()
 }
 
 // Default returns the paper's setting: the 16-node heterogeneous
@@ -52,7 +48,7 @@ func Default() Config {
 		Sizes:       DefaultSizes(),
 		Est:         estimate.Options{Parallel: true},
 		ScanReps:    20,
-		estimations: new(memo),
+		estimations: new(estimate.Memo),
 	}
 }
 
@@ -79,62 +75,15 @@ func (c Config) withDefaults() Config {
 		c.ScanReps = 20
 	}
 	if c.estimations == nil {
-		c.estimations = new(memo)
+		c.estimations = new(estimate.Memo)
 	}
 	return c
 }
 
-// memo is one run's estimations, one entry per kind and platform. The
-// runners share its models and only read them.
-type memo struct {
-	mu      sync.Mutex
-	entries []*memoEntry
-}
-
-type memoEntry struct {
-	what string
-	mpi  mpi.Config
-	opt  estimate.Options
-	once sync.Once
-	val  any
-	rep  estimate.Report
-	err  error
-}
-
-// shared returns est's estimation on cfg's platform with cfg.Est from
-// cfg's memo, keyed by what (its error's prefix) and by the platform
-// compared by value: cluster, profile, seed and fault plan deeply, the
-// options with ==. The first caller runs est; the others wait for it
-// and share its result, error included.
-func shared[T any](cfg Config, what string, est func(mpi.Config, estimate.Options) (T, estimate.Report, error)) (T, estimate.Report, error) {
-	m, mc := cfg.estimations, cfg.MPIConfig()
-	m.mu.Lock()
-	i := slices.IndexFunc(m.entries, func(e *memoEntry) bool {
-		return e.what == what && e.opt == cfg.Est && reflect.DeepEqual(e.mpi, mc)
-	})
-	if i < 0 {
-		i = len(m.entries)
-		m.entries = append(m.entries, &memoEntry{what: what, mpi: mc, opt: cfg.Est})
-	}
-	e := m.entries[i]
-	m.mu.Unlock()
-	e.once.Do(func() {
-		var v T
-		if v, e.rep, e.err = est(mc, cfg.Est); e.err != nil {
-			e.err = fmt.Errorf("%s: %w", what, e.err)
-		}
-		e.val = v
-	})
-	return e.val.(T), e.rep, e.err
-}
-
-// scan is the §III gather scan on cfg's platform from cfg.Root at
-// cfg.ScanReps repetitions per size, from cfg's memo.
-func scan(cfg Config) (models.GatherEmpirical, estimate.Report, error) {
-	return shared(cfg, fmt.Sprintf("irregularity detection from %d at %d repetitions", cfg.Root, cfg.ScanReps),
-		func(mc mpi.Config, o estimate.Options) (models.GatherEmpirical, estimate.Report, error) {
-			return estimate.DetectGatherIrregularity(mc, cfg.Root, estimate.DefaultScanSizes(), cfg.ScanReps, o)
-		})
+// family estimates the table's family name on c's platform through c's
+// memo, LMO's gather scan from c.Root at c.ScanReps repetitions.
+func (c Config) family(name string) (*estimate.Models, estimate.Report, error) {
+	return estimate.Family(c.estimations, c.MPIConfig(), name, c.Root, c.ScanReps, c.Est)
 }
 
 // MPIConfig returns the simulator configuration of one run: the
@@ -186,29 +135,11 @@ func ys(pts []textplot.Point) []float64 {
 	return out
 }
 
-// EstimateAll returns the six servable models with the configured
-// schedule: the estimation table's family "all", whose LMO model
-// carries the gather scan from cfg.Root at cfg.ScanReps repetitions,
-// assembled from cfg's memo. The scan attaches to a copy of LMOX.
+// EstimateAll returns family "all" on cfg's platform from cfg's memo:
+// the six servable models, LMO's carrying the gather scan.
 func EstimateAll(cfg Config) (*estimate.Models, error) {
-	cfg = cfg.withDefaults()
-	het, hetRep, errHet := shared(cfg, "het-Hockney estimation", estimate.HetHockney)
-	lp, lpRep, errLP := shared(cfg, "LogP/LogGP estimation", func(mc mpi.Config, o estimate.Options) (s models.Set, r estimate.Report, err error) {
-		s.LogP, s.LogGP, r, err = estimate.LogPLogGP(mc, o)
-		return s, r, err
-	})
-	plogp, plogpRep, errPLogP := shared(cfg, "PLogP estimation", estimate.PLogP)
-	lmo, lmoRep, errLMO := shared(cfg, "LMO estimation", estimate.LMOX)
-	irr, scanRep, errScan := scan(cfg)
-	if err := cmp.Or(errHet, errLP, errPLogP, errLMO, errScan); err != nil {
-		return nil, err
-	}
-	withScan := *lmo
-	withScan.Gather = irr
-	return &estimate.Models{
-		Set:   models.Set{Hom: het.Averaged(), Het: het, LogP: lp.LogP, LogGP: lp.LogGP, PLogP: plogp, LMO: &withScan},
-		Costs: map[string]time.Duration{"hockney": hetRep.Cost, "logp": lpRep.Cost, "plogp": plogpRep.Cost, "lmo": lmoRep.Cost, "irregularity-scan": scanRep.Cost},
-	}, nil
+	ms, _, err := cfg.withDefaults().family("all")
+	return ms, err
 }
 
 // Observation is one observed size sweep.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/estimate"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
@@ -27,14 +26,15 @@ func Ablation(cfg Config) (*Report, error) {
 	rep := &Report{ID: "ablation", Title: "Ablations: original vs extended LMO; TCP irregularities on/off"}
 
 	// --- model ablation: the five-parameter solve over LMOX's records ---
-	ext, extRep, err := shared(cfg, "LMO estimation", estimate.LMOX)
+	ms, _, err := cfg.family("lmox")
 	if err != nil {
 		return nil, err
 	}
-	orig, err := estimate.LMOOriginal(extRep)
+	ms5, _, err := cfg.family("lmo5")
 	if err != nil {
 		return nil, err
 	}
+	ext, orig := ms.LMO, ms5.LMO5
 	// Score on the leap-free size range so the ablation isolates the
 	// latency-separation effect: neither LMO variant models the TCP
 	// leap, and its unmodeled cost can accidentally favour the variant
@@ -147,7 +147,7 @@ func cErr(cfg Config, c []float64) string {
 func AlgZoo(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Cluster.N()
-	lmo, _, err := shared(cfg, "LMO estimation", estimate.LMOX)
+	ms, _, err := cfg.family("lmox")
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func AlgZoo(cfg Config) (*Report, error) {
 		rep.Series = append(rep.Series, series("observed "+alg.String(), o.Sizes, o.Mean))
 	}
 	for _, alg := range algs {
-		pred := predict(cfg.Sizes, curve(lmo, models.CollScatter, alg, cfg.Root, n))
+		pred := predict(cfg.Sizes, curve(ms.LMO, models.CollScatter, alg, cfg.Root, n))
 		rep.Series = append(rep.Series, series("LMO "+alg.String(), cfg.Sizes, pred))
 	}
 
@@ -181,7 +181,7 @@ func AlgZoo(cfg Config) (*Report, error) {
 				fastest = alg
 			}
 		}
-		pick, _ := optimize.SelectAlgAmong(lmo, models.CollScatter, cfg.Root, n, m, nil)
+		pick, _ := optimize.SelectAlgAmong(ms.LMO, models.CollScatter, cfg.Root, n, m, nil)
 		if pick == fastest {
 			correct++
 		}

@@ -43,11 +43,11 @@ func FaultsExp(cfg Config) (*Report, error) {
 	}
 	faulty.Est.Mpib = robustMpib(faulty.Est.Mpib)
 
-	mClean, repClean, err := shared(clean, "LMO estimation", estimate.LMOX)
+	msClean, repClean, err := clean.family("lmox")
 	if err != nil {
 		return nil, fmt.Errorf("clean estimation: %w", err)
 	}
-	mFaulty, repFaulty, err := shared(faulty, "LMO estimation", estimate.LMOX)
+	msFaulty, repFaulty, err := faulty.family("lmox")
 	if err != nil {
 		return nil, fmt.Errorf("faulty estimation: %w", err)
 	}
@@ -66,8 +66,8 @@ func FaultsExp(cfg Config) (*Report, error) {
 	}
 	fstats := obsFaulty.Faults
 
-	predClean := predict(cfg.Sizes, curve(mClean, models.CollScatter, mpi.Linear, cfg.Root, n))
-	predFaulty := predict(cfg.Sizes, curve(mFaulty, models.CollScatter, mpi.Linear, cfg.Root, n))
+	predClean := predict(cfg.Sizes, curve(msClean.LMO, models.CollScatter, mpi.Linear, cfg.Root, n))
+	predFaulty := predict(cfg.Sizes, curve(msFaulty.LMO, models.CollScatter, mpi.Linear, cfg.Root, n))
 	rep.Series = append(rep.Series,
 		series("observed (healthy)", cfg.Sizes, obsClean.Mean),
 		series("LMO healthy", cfg.Sizes, predClean),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/collective"
-	"repro/internal/estimate"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/optimize"
@@ -16,11 +15,11 @@ import (
 // optimistic; neither matches.
 func Fig1(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	het, _, err := shared(cfg, "het-Hockney estimation", estimate.HetHockney)
+	ms, _, err := cfg.family("hethockney")
 	if err != nil {
 		return nil, err
 	}
-	hom := het.Averaged()
+	het, hom := ms.Het, ms.Hom
 	obs, err := Observe(cfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
@@ -77,11 +76,11 @@ func Fig2(cfg Config) (*Report, error) {
 // heterogeneous recursion (eq 1) tracks the observation much better.
 func Fig3(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	het, _, err := shared(cfg, "het-Hockney estimation", estimate.HetHockney)
+	ms, _, err := cfg.family("hethockney")
 	if err != nil {
 		return nil, err
 	}
-	hom := het.Averaged()
+	het, hom := ms.Het, ms.Hom
 	obs, err := Observe(cfg, models.CollScatter, mpi.Binomial)
 	if err != nil {
 		return nil, err
@@ -253,11 +252,11 @@ func Fig7(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	// Medium sizes inside the LAM irregular region.
 	cfg.Sizes = []int{8 << 10, 16 << 10, 24 << 10, 32 << 10, 40 << 10, 48 << 10, 56 << 10}
-	irr, _, err := scan(cfg)
+	ms, _, err := cfg.family("scan")
 	if err != nil {
 		return nil, err
 	}
-	if !irr.Valid() {
+	if !ms.Gather.Valid() {
 		return nil, fmt.Errorf("fig7: no irregularity region detected; nothing to optimize")
 	}
 
@@ -265,7 +264,7 @@ func Fig7(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	optimized, err := observe(cfg, models.CollGather, func(m int) optimize.Shape { return optimize.OptimizedGatherShape(irr, m) })
+	optimized, err := observe(cfg, models.CollGather, func(m int) optimize.Shape { return optimize.OptimizedGatherShape(ms.Gather, m) })
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +287,7 @@ func Fig7(cfg Config) (*Report, error) {
 		if optimized.Mean[i] > 0 {
 			sp = native.Mean[i] / optimized.Mean[i]
 		}
-		if optimize.ShouldSplitGather(irr, m) {
+		if optimize.ShouldSplitGather(ms.Gather, m) {
 			totalSpeed += sp
 			cnt++
 		}
@@ -303,7 +302,7 @@ func Fig7(cfg Config) (*Report, error) {
 	if cnt > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"mean speedup inside the irregular region: %.1f× (paper reports ~10×); segment size %d B (M1)",
-			totalSpeed/float64(cnt), optimize.GatherSegment(irr)))
+			totalSpeed/float64(cnt), optimize.GatherSegment(ms.Gather)))
 	}
 	return rep, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/estimate"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
@@ -86,7 +85,7 @@ func Scaling(cfg Config) (*Report, error) {
 		}
 		sub := cfg
 		sub.Cluster = full.Prefix(n)
-		lmo, r, err := shared(sub, "LMO estimation", estimate.LMOX)
+		ms, r, err := sub.family("lmox")
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +96,7 @@ func Scaling(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred := curve(lmo, models.CollScatter, mpi.Linear, sub.Root, n)(32 << 10)
+		pred := curve(ms.LMO, models.CollScatter, mpi.Linear, sub.Root, n)(32 << 10)
 		errPct := 100 * math.Abs(pred-obs.Mean[0]) / obs.Mean[0]
 		expected := n*(n-1) + n*(n-1)*(n-2) // ×2 sizes: C(n,2)·2 + 3·C(n,3)·2
 		rows = append(rows, []string{

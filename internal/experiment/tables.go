@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
-	"repro/internal/estimate"
 	"repro/internal/models"
 )
 
@@ -88,9 +87,9 @@ func EstCost(cfg Config) (*Report, error) {
 	serial, parallel := cfg, cfg
 	serial.Est.Parallel, parallel.Est.Parallel = false, true
 
-	hetS, repS, errS := shared(serial, "het-Hockney estimation", estimate.HetHockney)
-	hetP, repP, errP := shared(parallel, "het-Hockney estimation", estimate.HetHockney)
-	_, repLMO, errLMO := shared(parallel, "LMO estimation", estimate.LMOX)
+	s, repS, errS := serial.family("hethockney")
+	p, repP, errP := parallel.family("hethockney")
+	_, repLMO, errLMO := parallel.family("lmox")
 	if err := cmp.Or(errS, errP, errLMO); err != nil {
 		return nil, err
 	}
@@ -103,10 +102,10 @@ func EstCost(cfg Config) (*Report, error) {
 			if i == j {
 				continue
 			}
-			if d := relDiff(hetS.Alpha[i][j], hetP.Alpha[i][j]); d > maxDiff {
+			if d := relDiff(s.Het.Alpha[i][j], p.Het.Alpha[i][j]); d > maxDiff {
 				maxDiff = d
 			}
-			if d := relDiff(hetS.Beta[i][j], hetP.Beta[i][j]); d > maxDiff {
+			if d := relDiff(s.Het.Beta[i][j], p.Het.Beta[i][j]); d > maxDiff {
 				maxDiff = d
 			}
 		}
@@ -136,14 +135,14 @@ func Irreg(cfg Config) (*Report, error) {
 	for _, prof := range []*cluster.TCPProfile{cluster.LAM(), cluster.MPICH()} {
 		c := cfg
 		c.Profile = prof
-		g, _, err := scan(c)
+		ms, _, err := c.family("scan")
 		if err != nil {
 			return nil, err
 		}
 		modes := "none"
-		if len(g.EscModes) > 0 {
+		if len(ms.Gather.EscModes) > 0 {
 			modes = ""
-			for i, md := range g.EscModes {
+			for i, md := range ms.Gather.EscModes {
 				if i > 0 {
 					modes += ", "
 				}
@@ -156,7 +155,7 @@ func Irreg(cfg Config) (*Report, error) {
 		rows = append(rows, []string{
 			prof.Name,
 			fmt.Sprintf("%dK/%dK", prof.M1>>10, prof.M2>>10),
-			fmt.Sprintf("%dK/%dK", g.M1>>10, g.M2>>10),
+			fmt.Sprintf("%dK/%dK", ms.Gather.M1>>10, ms.Gather.M2>>10),
 			modes,
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/estimate"
 	"repro/internal/models"
 	"repro/internal/mpi"
 )
@@ -27,23 +26,19 @@ func Transfer(cfg Config) (*Report, error) {
 	mpichCfg := cfg
 	mpichCfg.Profile = cluster.MPICH()
 
-	// Estimate everything under LAM; each scan attaches to its own copy
-	// of the shared LMO model.
-	ext, _, err := shared(lamCfg, "LMO estimation", estimate.LMOX)
+	// Estimate everything under LAM.
+	lam, _, err := lamCfg.family("lmo")
 	if err != nil {
 		return nil, err
 	}
-	lmo := *ext
-	if lmo.Gather, _, err = scan(lamCfg); err != nil {
-		return nil, err
-	}
+	lmo := lam.LMO
 
 	// Observe scatter under MPICH — the analytic part should transfer.
 	scatterObs, err := Observe(mpichCfg, models.CollScatter, mpi.Linear)
 	if err != nil {
 		return nil, err
 	}
-	scatterPred := predict(scatterObs.Sizes, curve(&lmo, models.CollScatter, mpi.Linear, cfg.Root, n))
+	scatterPred := predict(scatterObs.Sizes, curve(lmo, models.CollScatter, mpi.Linear, cfg.Root, n))
 
 	rep := &Report{
 		ID:    "transfer",
@@ -63,7 +58,7 @@ func Transfer(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lamPred := curve(&lmo, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
+	lamPred := curve(lmo, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
 	misclass := math.Abs(lamPred-gObs.Mean[0]) / gObs.Mean[0]
 	rows = append(rows, []string{
 		"empirical parameters (M1, M2, escalations)", "no",
@@ -72,18 +67,18 @@ func Transfer(cfg Config) (*Report, error) {
 	})
 
 	// Re-detecting under MPICH restores the fit.
-	irrMPICH, _, err := scan(mpichCfg)
+	mpich, _, err := mpichCfg.family("scan")
 	if err != nil {
 		return nil, err
 	}
-	lmoM := lmo
-	lmoM.Gather = irrMPICH
+	lmoM := *lmo
+	lmoM.Gather = mpich.Gather
 	mpichPred := curve(&lmoM, models.CollGather, mpi.Linear, cfg.Root, n)(probe)
 	refit := math.Abs(mpichPred-gObs.Mean[0]) / gObs.Mean[0]
 	rows = append(rows, []string{
 		"empirical parameters re-detected on MPICH", "—",
 		fmt.Sprintf("a fresh irregularity scan (M1=%dK, M2=%dK) brings the 96 KB prediction back to %.0f%% error",
-			irrMPICH.M1>>10, irrMPICH.M2>>10, 100*refit),
+			mpich.Gather.M1>>10, mpich.Gather.M2>>10, 100*refit),
 	})
 
 	rep.Tables = append(rep.Tables, TableBlock{Caption: "what transfers across MPI implementations", Rows: rows})

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -383,20 +382,19 @@ func (p platformRequest) build() (Key, campaign.ClusterSpec, *cluster.TCPProfile
 }
 
 // keyPlatform reconstructs the platform of a registry key (used by the
-// registry's estimator callback).
-func keyPlatform(k Key) (platformRequest, error) {
-	profName := k.Profile
-	// Profile names in keys are the profile's display name; map the
-	// known ones back to request identifiers.
-	switch {
-	case strings.HasPrefix(strings.ToLower(profName), "lam"):
-		profName = "lam"
-	case strings.HasPrefix(strings.ToLower(profName), "mpich"):
-		profName = "mpich"
-	case strings.EqualFold(profName, "ideal"):
-		profName = "ideal"
+// registry's estimator callback): the profile's display name, which
+// keys carry, maps back through profileNames to the name a request
+// gives it.
+func keyPlatform(k Key) platformRequest {
+	p := platformRequest{Cluster: k.Cluster, Nodes: k.Nodes, Profile: k.Profile, Seed: k.Seed}
+	// The display names are distinct: at most one matches.
+	//lmovet:commutative
+	for name, display := range profileNames {
+		if display == k.Profile {
+			p.Profile = name
+		}
 	}
-	return platformRequest{Cluster: k.Cluster, Nodes: k.Nodes, Profile: profName, Seed: k.Seed}, nil
+	return p
 }
 
 // estimateKey is the registry's miss path: estimate every model family
@@ -404,11 +402,7 @@ func keyPlatform(k Key) (platformRequest, error) {
 // task timeout included). The caller's context — carrying the
 // per-request deadline — bounds the campaign end to end.
 func (s *Server) estimateKey(ctx context.Context, k Key) (*models.ModelFile, error) {
-	preq, err := keyPlatform(k)
-	if err != nil {
-		return nil, err
-	}
-	_, spec, prof, err := preq.build()
+	_, spec, prof, err := keyPlatform(k).build()
 	if err != nil {
 		return nil, err
 	}

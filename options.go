@@ -227,18 +227,18 @@ func (o baseMeasureOption) applyMeasure(c *measureConfig) { c.opt = MeasureOptio
 func WithMeasureOptions(o MeasureOptions) MeasureOption { return baseMeasureOption(o) }
 
 // Estimation bundles what System.Estimate produced: the typed model of
-// the requested kind (exactly the fields matching the kind are
-// non-nil), the estimation cost report and the observation trace when
-// one was attached. On error the returned Estimation still carries the
-// report accumulated so far (and the trace), with the model fields
-// nil.
+// the requested kind (exactly the fields matching the kind are non-nil;
+// ModelHetHockney's include Hockney, the pairwise average), the cost
+// report and the observation trace when one was attached. On error the
+// returned Estimation still carries the report accumulated so far (and
+// the trace), with the model fields nil.
 type Estimation struct {
 	Kind ModelKind
 
 	LMO         *LMO         // ModelLMO
 	LMOOriginal *LMOOriginal // ModelLMOOriginal
 	HetHockney  *HetHockney  // ModelHetHockney
-	Hockney     *Hockney     // ModelHockney
+	Hockney     *Hockney     // ModelHockney, ModelHetHockney
 	LogP        *LogP        // ModelLogP
 	LogGP       *LogGP       // ModelLogP (estimated together with LogP)
 	PLogP       *PLogP       // ModelPLogP
@@ -318,7 +318,7 @@ func (s *System) Estimate(kind ModelKind, opts ...EstimateOption) (*Estimation, 
 		est.LMO, est.Groups = m, g
 		return est, nil
 	}
-	m, rep, err := estimate.Family(s.cfg, kind.String(), 0, 20, cfg.opt)
+	m, rep, err := estimate.Family(nil, s.cfg, kind.String(), 0, 20, cfg.opt)
 	est.Report = rep
 	if err != nil {
 		return est, err

@@ -1,6 +1,7 @@
 package commperf
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,9 @@ func TestEstimateAllKinds(t *testing.T) {
 		}
 		if est.Report.Experiments == 0 || est.Report.Cost <= 0 {
 			t.Fatalf("%v: empty report %+v", kind, est.Report)
+		}
+		if kind == ModelHetHockney && !reflect.DeepEqual(est.Hockney, est.HetHockney.Averaged()) {
+			t.Fatalf("%v: Hockney %+v is not the pairwise average", kind, est.Hockney)
 		}
 	}
 }
