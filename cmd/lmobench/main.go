@@ -34,7 +34,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/autotune"
@@ -189,34 +188,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-gantt requires a -seeds sweep (campaign mode)")
 	}
 
-	// Experiments are independent simulations; run them concurrently
-	// and print the reports in catalogue order.
-	type outcome struct {
-		rep  *experiment.Report
-		err  error
-		took time.Duration
-	}
-	results := make([]outcome, len(runners))
-	var wg sync.WaitGroup
-	for idx := range runners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start := time.Now()
-			rep, err := runners[idx].Run(cfg)
-			results[idx] = outcome{rep: rep, err: err, took: time.Since(start)}
-		}()
-	}
-	wg.Wait()
-
-	for i, r := range runners {
-		res := results[i]
-		if res.err != nil {
-			return fail(1, "%s: %v", r.ID, res.err)
+	// Experiments are independent simulations; run them concurrently,
+	// one worker per runner, and print the reports in catalogue order.
+	reports := make([]*experiment.Report, len(runners))
+	out := campaign.Each(context.Background(), len(runners), campaign.Options{Parallel: len(runners)}, func(i int) campaign.Result {
+		rep, err := runners[i].Run(cfg)
+		if err != nil {
+			return campaign.Result{Err: err.Error()}
 		}
-		rep := res.rep
+		reports[i] = rep
+		return campaign.Result{}
+	})
+	for i, r := range runners {
+		res := out.Results[i]
+		if res.Err != "" {
+			return fail(1, "%s: %s", r.ID, res.Err)
+		}
+		rep := reports[i]
 		experiment.Render(stdout, rep)
-		fmt.Fprintf(stdout, "(%s completed in %v wall-clock)\n\n", r.ID, res.took.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v wall-clock)\n\n", r.ID, res.Elapsed.Round(time.Millisecond))
 
 		if *csvPath != "" && len(rep.Series) > 0 {
 			path := *csvPath

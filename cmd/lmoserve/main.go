@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr     = fs.String("addr", ":8123", "listen address")
 		preload  = fs.String("models", "", "comma-separated model JSON files to preload (from cmd/estimate -json; files must carry meta provenance)")
-		parallel = fs.Int("parallel", 0, "default campaign worker count for estimation jobs (0: GOMAXPROCS)")
+		parallel = fs.Int("parallel", 0, "worker count of each /estimate and /tune job, and the most a request may ask for (0: GOMAXPROCS)")
 		capacity = fs.Int("lru", 64, "model registry capacity (LRU eviction beyond it)")
 		timeout  = fs.Duration("timeout", 5*time.Minute, "per-task estimation timeout")
 

@@ -3,9 +3,9 @@
 // enumerates a candidate space of algorithm × tree degree × segment
 // size, prunes it with cheap closed-form predictions on the unified
 // predictor interface (models.CollectivePredictor), validates the
-// surviving top-k candidates in the event simulator through the
-// campaign engine, and emits a versioned tuned.Table decision table
-// that a tuned.Tuner replays at call time.
+// surviving top-k candidates in the event simulator on the campaign
+// worker pool, and emits a versioned tuned.Table decision table that a
+// tuned.Tuner replays at call time.
 //
 // The pipeline is the paper's optimization loop made systematic: the
 // LMO model's analytical predictions (eqs 3–5 plus the empirical
@@ -147,9 +147,9 @@ type Result struct {
 	Candidates int `json:"candidates"`
 	Simulated  int `json:"simulated"`
 
-	// Outcome is the validation campaign's raw outcome (wall time,
-	// per-candidate task results); excluded from the JSON form, which
-	// carries the digested Cells instead.
+	// Outcome is the validation pool's raw outcome (wall time, each
+	// validation's error and elapsed time, in cell order); excluded
+	// from the JSON form, which carries the digested Cells instead.
 	Outcome *campaign.Outcome `json:"-"`
 }
 
@@ -204,53 +204,34 @@ func Tune(ctx context.Context, cfg experiment.Config, model models.CollectivePre
 		}
 	}
 
-	// Phase 2: simulator validation through the campaign engine — one
-	// Custom target per surviving (cell, candidate), executed by a
-	// RunTask hook that times the exact candidate shape with Simulate.
+	// Phase 2: simulator validation on the campaign worker pool, one
+	// call per surviving (cell, candidate): Simulate times the exact
+	// candidate shape and its mean goes straight into the cell. A call
+	// that fails leaves +Inf. A cancelled context abandons running
+	// calls, whose late writes nothing may read: Tune returns its error.
 	type ref struct{ cell, cand int }
-	var targets []campaign.Target
 	var refs []ref
 	for ci := range cells {
 		for ki := range cells[ci].Ranked {
-			targets = append(targets, campaign.Target{
-				Kind: campaign.Custom,
-				ID:   fmt.Sprintf("%s/%d/%s", cells[ci].Op, cells[ci].M, cells[ci].Ranked[ki].Candidate),
-			})
 			refs = append(refs, ref{ci, ki})
 		}
 	}
-	grid := campaign.Grid{
-		Seeds:    []int64{cfg.Seed},
-		Profiles: []*cluster.TCPProfile{cfg.Profile},
-		Clusters: []campaign.ClusterSpec{{Name: opt.ClusterName, Cluster: cfg.Cluster}},
-		Targets:  targets,
-	}
-	out, err := campaign.Run(ctx, grid, campaign.Options{
-		Parallel: opt.Parallel,
-		Stats:    opt.Stats,
-		RunTask: func(_ campaign.Grid, t campaign.Task) campaign.Result {
-			r := t.NewResult()
-			rf := refs[t.Coord.Target]
-			cell := cells[rf.cell]
-			s, err := Simulate(cfg, cell.Op, cell.Ranked[rf.cand].Candidate, cell.M)
-			if err != nil {
-				r.Err = err.Error()
-				return r
-			}
-			r.Metrics = map[string]float64{"makespan_s": s}
-			return r
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range out.Results {
-		rf := refs[r.Coord.Target]
-		if r.Err != "" {
-			cells[rf.cell].Ranked[rf.cand].SimulatedS = math.Inf(1)
-			continue
+	out := campaign.Each(ctx, len(refs), campaign.Options{Parallel: opt.Parallel, Stats: opt.Stats}, func(i int) campaign.Result {
+		cell := &cells[refs[i].cell]
+		s, err := Simulate(cfg, cell.Op, cell.Ranked[refs[i].cand].Candidate, cell.M)
+		if err != nil {
+			return campaign.Result{Err: err.Error()}
 		}
-		cells[rf.cell].Ranked[rf.cand].SimulatedS = r.Metrics["makespan_s"]
+		cell.Ranked[refs[i].cand].SimulatedS = s
+		return campaign.Result{}
+	})
+	if ctx != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("autotune: %w", ctx.Err())
+	}
+	for i, r := range out.Results {
+		if r.Err != "" {
+			cells[refs[i].cell].Ranked[refs[i].cand].SimulatedS = math.Inf(1)
+		}
 	}
 
 	// Phase 3: decide. The simulated minimum wins each cell; the cell

@@ -3,6 +3,7 @@ package autotune
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -299,6 +300,18 @@ func TestTuneWithFlatOnlyModel(t *testing.T) {
 	}
 }
 
+// A cancelled Tune returns the context's error, not a table built from
+// cancelled validations (each would read +Inf, which no table file can
+// hold).
+func TestTuneCancelledReturnsError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Tune(ctx, tuneCfg(8), lmoFor(8), Options{MsgSizes: []int{1 << 10}})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled Tune: result %v, error %v; want context.Canceled", res, err)
+	}
+}
+
 // A Tune whose config leaves the platform nil tunes Table I under LAM,
 // the paper's setting.
 func TestTuneDefaultsToTable1UnderLAM(t *testing.T) {
@@ -366,6 +379,31 @@ func TestWarmSimulateGatherAllocs(t *testing.T) {
 	const want = 7
 	if n := testing.AllocsPerRun(20, run); n > want {
 		t.Fatalf("a warm 16-rank Simulate gather allocates %v objects, want at most %d", n, want)
+	}
+}
+
+// A warm Tune allocates per validation little beyond the validation's
+// Simulate: on Table I's 8-node prefix under LAM, with the default
+// cells (84 validations) and one worker, each validation runs on
+// campaign.Each, which spends a result channel and a goroutine closure
+// on it, and the mean goes straight into its cell. Routing every
+// validation through campaign.Run as a grid target, with an ID, a
+// metrics map and a one-seed aggregate, cost 25.9 objects each.
+func TestWarmTuneAllocsPerValidation(t *testing.T) {
+	const n = 8
+	cfg := tuneCfg(n)
+	model := lmoFor(n)
+	var res *Result
+	run := func() {
+		var err error
+		if res, err = Tune(context.Background(), cfg, model, Options{Parallel: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: leaves the recycled worlds and the goroutines idle
+	const want = 16
+	if per := testing.AllocsPerRun(5, run) / float64(res.Simulated); per > want {
+		t.Fatalf("a warm Tune allocates %.1f objects per validation (%d validations), want at most %d", per, res.Simulated, want)
 	}
 }
 

@@ -43,12 +43,6 @@ const (
 	// estimation table (an estimate.Families name) and returns the
 	// estimated models plus parameter metrics.
 	Estimator TargetKind = "estimator"
-	// Custom marks a caller-defined unit of work: the grid supplies the
-	// coordinates and the Options.RunTask hook supplies the executor.
-	// Valid only when RunTask is set (the built-in executor has no
-	// meaning to attach to the ID). The auto-tuner uses this to
-	// validate candidate collective shapes in the event simulator.
-	Custom TargetKind = "custom"
 )
 
 // Target names one unit of work of the grid.
@@ -96,9 +90,7 @@ func (g Grid) withDefaults() Grid {
 }
 
 // validate fails fast on an unusable grid, before any worker starts.
-// customOK reports whether a RunTask hook is installed, which Custom
-// targets require.
-func (g Grid) validate(customOK bool) error {
+func (g Grid) validate() error {
 	if len(g.Targets) == 0 {
 		return fmt.Errorf("campaign: grid has no targets")
 	}
@@ -111,10 +103,6 @@ func (g Grid) validate(customOK bool) error {
 		case Estimator:
 			if fams := estimate.Families(false); !slices.Contains(fams, t.ID) {
 				return fmt.Errorf("campaign: unknown estimator %q (%s)", t.ID, strings.Join(fams, ", "))
-			}
-		case Custom:
-			if !customOK {
-				return fmt.Errorf("campaign: custom target %q requires an Options.RunTask hook", t.ID)
 			}
 		default:
 			return fmt.Errorf("campaign: unknown target kind %q", t.Kind)
@@ -177,10 +165,11 @@ func (g Grid) tasks() []Task {
 	return ts
 }
 
-// Result is one task's outcome. Everything except Elapsed is a pure
-// function of the grid point, so marshalling a Result (and hence an
-// Outcome) is deterministic; Elapsed is wall-clock and excluded from
-// the JSON form.
+// Result is one task's outcome. Run stamps the identity fields, Coord
+// through Target, with the task's grid point; Each leaves them empty.
+// Everything except Elapsed is a pure function of the grid point, so
+// marshalling a Result (and hence an Outcome) is deterministic; Elapsed
+// is wall-clock and excluded from the JSON form.
 type Result struct {
 	Coord   Coord  `json:"coord"`
 	Cluster string `json:"cluster"`
@@ -209,7 +198,8 @@ type Result struct {
 	wallStart, wallEnd time.Duration
 }
 
-// Options control the engine.
+// Options control the engine. Each honours Parallel, TaskTimeout and
+// Stats; RunTask and Obs describe grid tasks, and only Run reads them.
 type Options struct {
 	// Parallel is the worker count; <=0 uses GOMAXPROCS.
 	Parallel int
@@ -224,7 +214,9 @@ type Options struct {
 	// fault-injection seam for robustness tests (the serving layer's
 	// chaos suite scripts slow, failing and panicking tasks through
 	// it). The engine's panic capture, timeout and cancellation still
-	// wrap the hook exactly as they wrap real tasks.
+	// wrap the hook exactly as they wrap real tasks, and Run stamps the
+	// hook's result with the task's identity, so the hook returns only
+	// what it computed.
 	RunTask func(Grid, Task) Result
 	// Obs, when non-nil, receives one task span per grid point (track =
 	// task index, wall-clock offsets from campaign start) — a Gantt
@@ -236,9 +228,10 @@ type Options struct {
 }
 
 // Outcome is a completed campaign: per-task results in grid order plus
-// per-configuration aggregates across seeds. Its JSON form contains no
-// wall-clock quantities, so equal grids produce byte-identical
-// marshalled outcomes regardless of worker count.
+// per-configuration aggregates across seeds (Each's outcome has none).
+// Its JSON form contains no wall-clock quantities, so equal grids
+// produce byte-identical marshalled outcomes regardless of worker
+// count.
 type Outcome struct {
 	Results    []Result    `json:"results"`
 	Aggregates []Aggregate `json:"aggregates"`
@@ -264,19 +257,52 @@ func (o *Outcome) Failed() int {
 	return n
 }
 
-// Run executes the campaign: every grid task exactly once across a
-// bounded worker pool, results merged by grid coordinate. A cancelled
-// context stops the dispatch and marks the remaining tasks as
-// cancelled; Run itself only returns an error for an invalid grid.
+// Run executes the campaign: every grid task exactly once on Each's
+// worker pool, results merged by grid coordinate and stamped with their
+// task's identity. A cancelled context stops the dispatch and marks the
+// remaining tasks as cancelled; Run itself only returns an error for an
+// invalid grid.
 func Run(ctx context.Context, g Grid, o Options) (*Outcome, error) {
 	// A Trace observes exactly one simulated universe and is not safe
 	// for concurrent writers, so an estimation observer must not be
 	// shared across the pool's tasks (see Options.Obs).
 	g.Est.Obs = nil
 	g = g.withDefaults()
-	if err := g.validate(o.RunTask != nil); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
+	taskFn := runTaskFn
+	if o.RunTask != nil {
+		taskFn = o.RunTask
+	}
+	tasks := g.tasks()
+	out := Each(ctx, len(tasks), o, func(i int) Result { return taskFn(g, tasks[i]) })
+	for i, t := range tasks {
+		r := &out.Results[i]
+		r.Coord, r.Cluster, r.Profile, r.Seed, r.Target = t.Coord, t.Cluster.Name, t.Profile.Name, t.Seed, t.Target
+		// Task Gantt spans, emitted single-threaded after the pool
+		// drained so the shared trace sees no concurrent writers. A task
+		// that never ran (wallEnd zero) gets no span.
+		if o.Obs == nil || r.wallEnd <= r.wallStart {
+			continue
+		}
+		sp := o.Obs.Emit(obs.CatTask, t.Target.String(), t.Index, r.wallStart, r.wallEnd)
+		o.Obs.Annotate(sp, t.Coord.Cluster, t.Coord.Profile, int(t.Seed))
+		if r.Err != "" {
+			o.Obs.Point(obs.CatFault, "task-error", t.Index, r.wallEnd)
+		}
+	}
+	out.Aggregates = aggregate(g, out.Results)
+	return out, nil
+}
+
+// Each calls run(0), …, run(n-1), each exactly once, across a bounded
+// pool of o.Parallel workers and returns the results in index order:
+// Run's pool, for work that is not a grid of targets. Each call runs
+// under execute's panic capture, o.TaskTimeout and cancellation, and
+// o.Stats counts the calls live. A cancelled context stops the
+// dispatch: an index never dispatched gets a cancellation error.
+func Each(ctx context.Context, n int, o Options, run func(i int) Result) *Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -284,118 +310,68 @@ func Run(ctx context.Context, g Grid, o Options) (*Outcome, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tasks := g.tasks()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers = min(workers, n)
 	start := time.Now()
 	st := o.Stats
 	if st == nil {
 		st = &Stats{}
 	}
 	st.Workers.Store(int64(workers))
-	st.Total.Store(int64(len(tasks)))
+	st.Total.Store(int64(n))
 
-	taskFn := runTaskFn
-	if o.RunTask != nil {
-		taskFn = o.RunTask
-	}
-	results := make([]Result, len(tasks))
-	queue := make(chan Task)
+	results := make([]Result, n)
+	queue := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range queue {
+			for i := range queue {
 				st.Busy.Add(1)
-				results[t.Index] = execute(ctx, g, t, o.TaskTimeout, start, taskFn)
+				results[i] = execute(ctx, i, o.TaskTimeout, start, run)
 				st.Busy.Add(-1)
 				st.Done.Add(1)
-				if results[t.Index].Err != "" {
+				if results[i].Err != "" {
 					st.Failed.Add(1)
 				}
-				if results[t.Index].Panicked {
+				if results[i].Panicked {
 					st.Panicked.Add(1)
 				}
 			}
 		}()
 	}
+	sent := 0
 dispatch:
-	for _, t := range tasks {
+	for ; sent < n; sent++ {
 		select {
-		case queue <- t:
+		case queue <- sent:
 		case <-ctx.Done():
 			break dispatch
 		}
 	}
 	close(queue)
 	wg.Wait()
-	// Tasks never dispatched (cancelled campaign) get an explicit
-	// cancellation result instead of a zero value.
-	for i, t := range tasks {
-		if results[i].Cluster == "" {
-			r := newResult(t)
-			r.Err = "campaign cancelled before the task ran"
-			results[i] = r
-		}
+	for i := sent; i < n; i++ {
+		results[i].Err = "campaign cancelled before the task ran"
 	}
-	// Task Gantt spans, emitted single-threaded after the pool drained
-	// so the shared trace sees no concurrent writers. A task that never
-	// ran (wallEnd zero) gets no span.
-	if o.Obs != nil {
-		for i, t := range tasks {
-			r := results[i]
-			if r.wallEnd <= r.wallStart {
-				continue
-			}
-			sp := o.Obs.Emit(obs.CatTask, t.Target.String(), t.Index, r.wallStart, r.wallEnd)
-			o.Obs.Annotate(sp, t.Coord.Cluster, t.Coord.Profile, int(t.Seed))
-			if r.Err != "" {
-				o.Obs.Point(obs.CatFault, "task-error", t.Index, r.wallEnd)
-			}
-		}
-	}
-	out := &Outcome{Results: results, Wall: time.Since(start)}
-	out.Aggregates = aggregate(g, results)
-	return out, nil
+	return &Outcome{Results: results, Wall: time.Since(start)}
 }
 
-// NewResult seeds a Result with the task's identity fields — the
-// starting point for Options.RunTask hooks, which must return results
-// keyed to the task they were handed.
-func (t Task) NewResult() Result { return newResult(t) }
-
-// newResult seeds a Result with the task's identity fields.
-func newResult(t Task) Result {
-	return Result{
-		Coord:   t.Coord,
-		Cluster: t.Cluster.Name,
-		Profile: t.Profile.Name,
-		Seed:    t.Seed,
-		Target:  t.Target,
-	}
-}
-
-// execute runs one task in a child goroutine with panic capture, and
-// enforces the wall-clock timeout and campaign cancellation. On
-// timeout or cancellation the simulation goroutine is abandoned (it
-// completes in the background and its result is discarded) — the
-// simulator has no preemption points, and a stuck universe must not
-// stall the pool.
-func execute(ctx context.Context, g Grid, t Task, timeout time.Duration, epoch time.Time, runTask func(Grid, Task) Result) Result {
+// execute runs call i in a child goroutine with panic capture, and
+// enforces the wall-clock timeout and cancellation. On timeout or
+// cancellation the call is abandoned (it completes in the background
+// and its result is discarded) — the simulator has no preemption
+// points, and a stuck universe must not stall the pool.
+func execute(ctx context.Context, i int, timeout time.Duration, epoch time.Time, run func(int) Result) Result {
 	start := time.Now()
 	done := make(chan Result, 1)
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				r := newResult(t)
-				r.Panicked = true
-				r.Err = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
-				done <- r
+				done <- Result{Panicked: true, Err: fmt.Sprintf("panic: %v\n%s", p, debug.Stack())}
 			}
 		}()
-		done <- runTask(g, t)
+		done <- run(i)
 	}()
 	var timer <-chan time.Time
 	if timeout > 0 {
@@ -407,11 +383,9 @@ func execute(ctx context.Context, g Grid, t Task, timeout time.Duration, epoch t
 	select {
 	case r = <-done:
 	case <-timer:
-		r = newResult(t)
-		r.Err = fmt.Sprintf("task exceeded the %v wall-clock timeout", timeout)
+		r = Result{Err: fmt.Sprintf("task exceeded the %v wall-clock timeout", timeout)}
 	case <-ctx.Done():
-		r = newResult(t)
-		r.Err = "campaign cancelled: " + ctx.Err().Error()
+		r = Result{Err: "campaign cancelled: " + ctx.Err().Error()}
 	}
 	r.Elapsed = time.Since(start)
 	r.wallStart = start.Sub(epoch)

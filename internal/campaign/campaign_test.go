@@ -218,7 +218,7 @@ func TestPanicCaptured(t *testing.T) {
 		if calls.Add(1) == 1 {
 			panic("one bad universe")
 		}
-		return newResult(t)
+		return Result{}
 	}
 	g := smallGrid()
 	out, err := Run(context.Background(), g, Options{Parallel: 1})
@@ -244,7 +244,7 @@ func TestTaskTimeout(t *testing.T) {
 		if tk.Index == 0 {
 			time.Sleep(2 * time.Second)
 		}
-		return newResult(tk)
+		return Result{}
 	}
 	g := smallGrid()
 	start := time.Now()
@@ -268,7 +268,7 @@ func TestCancellationMarksRemainingTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runTaskFn = func(g Grid, tk Task) Result {
 		cancel() // cancel the campaign as soon as the first task runs
-		return newResult(tk)
+		return Result{}
 	}
 	out, err := Run(ctx, smallGrid(), Options{Parallel: 1})
 	if err != nil {
@@ -319,44 +319,34 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// Custom targets are caller-defined work: valid only with a RunTask
-// hook installed, rejected up front otherwise.
-func TestCustomTargetsRequireRunTask(t *testing.T) {
-	g := smallGrid()
-	g.Targets = []Target{{Kind: Custom, ID: "gather/49152/linear+seg4096"}}
-	if _, err := Run(context.Background(), g, Options{}); err == nil || !strings.Contains(err.Error(), "RunTask") {
-		t.Fatalf("custom target without hook: err = %v", err)
-	}
-	out, err := Run(context.Background(), g, Options{
-		RunTask: func(_ Grid, tk Task) Result {
-			r := tk.NewResult()
-			r.Metrics = map[string]float64{"makespan_s": 0.5}
-			return r
-		},
+// TestEachRunsEveryIndexOnce checks the bare pool under Run: every
+// index runs exactly once, the results come back in index order with
+// no aggregates, and the pool never outnumbers the calls.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	var st Stats
+	var calls [40]atomic.Int64
+	out := Each(context.Background(), len(calls), Options{Parallel: 64, Stats: &st}, func(i int) Result {
+		calls[i].Add(1)
+		return Result{Metrics: map[string]float64{"i": float64(i)}}
 	})
-	if err != nil {
-		t.Fatal(err)
+	if len(out.Results) != len(calls) || out.Aggregates != nil {
+		t.Fatalf("got %d results and %d aggregates, want %d and none", len(out.Results), len(out.Aggregates), len(calls))
 	}
-	if len(out.Results) != size(g) {
-		t.Fatalf("got %d results, want %d", len(out.Results), size(g))
-	}
-	for _, r := range out.Results {
-		if r.Target.Kind != Custom || r.Metrics["makespan_s"] != 0.5 {
-			t.Fatalf("custom result corrupted: %+v", r)
+	for i, r := range out.Results {
+		if calls[i].Load() != 1 || r.Metrics["i"] != float64(i) || r.Err != "" {
+			t.Fatalf("index %d ran %d times and returned %+v", i, calls[i].Load(), r)
 		}
 	}
-	// Direct use of the built-in executor fails loudly instead of
-	// returning an empty success.
-	r := runTask(g, Task{Target: Target{Kind: Custom, ID: "x"}, Cluster: g.Clusters[0], Profile: g.Profiles[0]})
-	if !strings.Contains(r.Err, "no executor") {
-		t.Fatalf("built-in executor on custom target: %+v", r)
+	if snap := st.Snapshot(); snap.Workers != int64(len(calls)) || snap.Done != int64(len(calls)) {
+		t.Fatalf("stats = %+v, want %d workers and as many calls done", snap, len(calls))
 	}
 }
 
 // TestRunTaskHook checks the fault-injection seam: Options.RunTask
-// replaces the built-in executor for every task, and the engine's
-// panic capture and stats accounting wrap the hook exactly as they
-// wrap real tasks.
+// replaces the built-in executor for every task, the engine stamps the
+// hook's plain result with its task's identity, and the engine's panic
+// capture and stats accounting wrap the hook exactly as they wrap real
+// tasks.
 func TestRunTaskHook(t *testing.T) {
 	g := smallGrid()
 	var st Stats
@@ -369,9 +359,7 @@ func TestRunTaskHook(t *testing.T) {
 			if tk.Seed == 2 {
 				panic("injected hook panic")
 			}
-			r := tk.NewResult()
-			r.Metrics = map[string]float64{"injected": float64(tk.Seed)}
-			return r
+			return Result{Metrics: map[string]float64{"injected": float64(tk.Seed)}}
 		},
 	})
 	if err != nil {
@@ -381,7 +369,11 @@ func TestRunTaskHook(t *testing.T) {
 		t.Fatalf("hook ran %d times, want every task (%d)", hooked.Load(), size(g))
 	}
 	var panicked, injected int
-	for _, r := range out.Results {
+	for i, r := range out.Results {
+		want := Coord{Target: i / len(g.Seeds), Seed: i % len(g.Seeds)}
+		if r.Coord != want || r.Seed != g.Seeds[want.Seed] || r.Target != g.Targets[want.Target] {
+			t.Fatalf("result %d not stamped with its task: coord %+v seed %d target %v", i, r.Coord, r.Seed, r.Target)
+		}
 		switch {
 		case r.Seed == 2:
 			if !r.Panicked || !strings.Contains(r.Err, "injected hook panic") {

@@ -15,16 +15,12 @@ var runTaskFn = runTask
 
 // runTask executes one grid point in its own simulated universe.
 func runTask(g Grid, t Task) Result {
-	r := newResult(t)
+	var r Result
 	switch t.Target.Kind {
 	case Experiment:
 		runExperiment(g, t, &r)
 	case Estimator:
 		runEstimator(g, t, &r)
-	case Custom:
-		// Unreachable through Run (validate requires a RunTask hook,
-		// which replaces this executor), but fail loudly for direct use.
-		r.Err = fmt.Sprintf("campaign: custom target %q has no executor", t.Target.ID)
 	}
 	return r
 }

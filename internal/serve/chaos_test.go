@@ -11,6 +11,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,14 +28,12 @@ import (
 // chaosTaskOK fabricates a successful estimation result for a task:
 // a minimal model file keyed to the task's platform.
 func chaosTaskOK(_ campaign.Grid, tk campaign.Task) campaign.Result {
-	r := tk.NewResult()
 	mf := models.NewModelFile(&models.Hockney{Alpha: 1e-4, Beta: 1e-8}, nil, nil, nil, nil, nil)
 	mf.Meta = &models.Meta{
 		Cluster: tk.Cluster.Name, Nodes: tk.Cluster.Cluster.N(),
 		Profile: tk.Profile.Name, Seed: tk.Seed,
 	}
-	r.Models = mf
-	return r
+	return campaign.Result{Models: mf}
 }
 
 // rawPost posts a body and returns status, headers and the exact
@@ -157,9 +156,7 @@ func TestChaosWedgedProfileTripsBreakerIsolated(t *testing.T) {
 		now:     func() time.Duration { return time.Duration(clk.Load()) },
 		taskHook: func(g campaign.Grid, tk campaign.Task) campaign.Result {
 			if wedged.Load() && tk.Profile.Name == cluster.MPICH().Name {
-				r := tk.NewResult()
-				r.Err = "injected: mpich estimator wedged"
-				return r
+				return campaign.Result{Err: "injected: mpich estimator wedged"}
 			}
 			return chaosTaskOK(g, tk)
 		},
@@ -398,6 +395,60 @@ func TestChaosJobStoreBounded(t *testing.T) {
 	getJSON(t, ts.URL+"/metrics?format=json", &rep)
 	if rep.Jobs.Live != len(list.Jobs) {
 		t.Fatalf("live-jobs gauge %d disagrees with table %d", rep.Jobs.Live, len(list.Jobs))
+	}
+}
+
+// TestChaosJobParallelCapped checks that a request body cannot widen a
+// job's worker pool past the server's: /estimate and /tune refuse a
+// parallel above Config.Parallel with 400 before any job starts, and a
+// job that names none runs on the server's count.
+func TestChaosJobParallelCapped(t *testing.T) {
+	key := Key{Cluster: "table1", Nodes: 4, Profile: cluster.LAM().Name, Seed: 1}
+	s, ts := testServer(t, Config{
+		Parallel: 2,
+		taskHook: chaosTaskOK,
+		Preload:  []*models.ModelFile{lmoFile(key)}, // the tune job's model
+	})
+	for _, ep := range []struct{ path, body string }{
+		{"/estimate", `{"cluster":"table1","nodes":4,"profile":"ideal","seeds":[1,2,3]`},
+		{"/tune", `{"cluster":"table1","nodes":4,"msg_sizes":[1024]`},
+	} {
+		for _, tc := range []struct {
+			parallel string
+			status   int
+			workers  int
+		}{
+			{`,"parallel":3}`, http.StatusBadRequest, 0},
+			{`,"parallel":100000}`, http.StatusBadRequest, 0},
+			{`,"parallel":1}`, http.StatusAccepted, 1},
+			{`}`, http.StatusAccepted, 2},
+		} {
+			jobs := s.jobs.Len()
+			st, _, body := rawPost(t, ts.URL+ep.path, ep.body+tc.parallel)
+			if st != tc.status {
+				t.Fatalf("%s %s: status %d, want %d: %s", ep.path, tc.parallel, st, tc.status, body)
+			}
+			if st != http.StatusAccepted {
+				if s.jobs.Len() != jobs {
+					t.Fatalf("%s %s: a refused request started a job", ep.path, tc.parallel)
+				}
+				continue
+			}
+			var job Job
+			if err := json.Unmarshal(body, &job); err != nil {
+				t.Fatal(err)
+			}
+			if job.Parallel != tc.workers {
+				t.Fatalf("%s %s: job runs %d workers, want %d", ep.path, tc.parallel, job.Parallel, tc.workers)
+			}
+			waitFor(t, "job terminal", func() bool {
+				j, ok := getJob(t, ts.URL, job.ID)
+				return ok && j.State != JobRunning
+			})
+			if j, _ := getJob(t, ts.URL, job.ID); j.State != JobDone || j.Error != "" {
+				t.Fatalf("%s %s: job %+v", ep.path, tc.parallel, j)
+			}
+		}
 	}
 }
 

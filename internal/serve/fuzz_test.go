@@ -24,10 +24,8 @@ func FuzzPredictBody(f *testing.F) {
 	k := Key{Cluster: "table1", Nodes: 16, Profile: cluster.LAM().Name, Seed: 3}
 	s, err := New(context.Background(), Config{
 		Preload: []*models.ModelFile{fullZooFile(f, k)},
-		taskHook: func(_ campaign.Grid, tk campaign.Task) campaign.Result {
-			r := tk.NewResult()
-			r.Err = "fuzz: estimation disabled"
-			return r
+		taskHook: func(campaign.Grid, campaign.Task) campaign.Result {
+			return campaign.Result{Err: "fuzz: estimation disabled"}
 		},
 		sleep: func(context.Context, time.Duration) bool { return true },
 	})

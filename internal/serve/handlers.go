@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -113,8 +114,28 @@ type EstimateRequest struct {
 	// one whose models a model file carries (estimate.Families(true));
 	// default "all".
 	Estimator string `json:"estimator"`
-	// Parallel is the campaign worker count; default: the server's.
+	// Parallel is the campaign worker count; default and maximum: the
+	// server's (Config.Parallel), and a larger value is refused.
 	Parallel int `json:"parallel"`
+}
+
+// jobParallel resolves a job request's worker count against the
+// server's, Config.Parallel or else GOMAXPROCS: an unset (<= 0) value
+// takes the server's, and a larger one is refused with a 400, so no
+// request body starts more simulations at once than that.
+func (s *Server) jobParallel(w http.ResponseWriter, parallel int) (int, bool) {
+	limit := s.cfg.Parallel
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if parallel > limit {
+		httpError(w, http.StatusBadRequest, "parallel %d exceeds the server's %d workers", parallel, limit)
+		return 0, false
+	}
+	if parallel <= 0 {
+		return limit, true
+	}
+	return parallel, true
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -144,9 +165,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			"estimator %q does not produce servable models (%s)", estimator, strings.Join(fams, ", "))
 		return
 	}
-	parallel := req.Parallel
-	if parallel <= 0 {
-		parallel = s.cfg.Parallel
+	parallel, ok := s.jobParallel(w, req.Parallel)
+	if !ok {
+		return
 	}
 	if s.draining.Load() {
 		s.writeWorkError(w, "estimate", &DrainingError{})

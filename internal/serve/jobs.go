@@ -49,7 +49,8 @@ type Job struct {
 	// Error is set for failed jobs and for per-task failures.
 	Error string `json:"error,omitempty"`
 	// Metrics holds the seed-aggregated parameter statistics of a
-	// completed job (mean/CI across seeds).
+	// completed estimation job (mean/CI across seeds); only estimation
+	// jobs carry them, a tune job has none.
 	Metrics map[string]stats.Summary `json:"metrics,omitempty"`
 	// ModelKeys are the registry keys the job populated.
 	ModelKeys []string `json:"model_keys,omitempty"`

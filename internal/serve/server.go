@@ -18,8 +18,9 @@ import (
 type Config struct {
 	// Capacity bounds the model registry (LRU; default 64 entries).
 	Capacity int
-	// Parallel is the default campaign worker count for estimation
-	// jobs (<=0: GOMAXPROCS).
+	// Parallel is the worker count of each /estimate and /tune job,
+	// and the most a request's parallel may ask for: a larger one is
+	// refused with 400 (<=0: GOMAXPROCS).
 	Parallel int
 	// TaskTimeout bounds each estimation task's wall-clock time
 	// (default 5 minutes).

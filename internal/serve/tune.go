@@ -60,8 +60,9 @@ type TuneRequest struct {
 	MsgSizes []int `json:"msg_sizes"`
 	// TopK survivors of the closed-form prune per cell (default 3).
 	TopK int `json:"top_k"`
-	// Parallel is the validation-campaign worker count; default: the
-	// server's.
+	// Parallel is the validation pool's worker count; default and
+	// maximum: the server's (Config.Parallel), and a larger value is
+	// refused.
 	Parallel int `json:"parallel"`
 }
 
@@ -165,9 +166,9 @@ func (s *Server) handleTunePost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	parallel := req.Parallel
-	if parallel <= 0 {
-		parallel = s.cfg.Parallel
+	parallel, ok := s.jobParallel(w, req.Parallel)
+	if !ok {
+		return
 	}
 	if s.draining.Load() {
 		s.writeWorkError(w, "tune", &DrainingError{})

@@ -75,6 +75,9 @@ func TestTuneEndToEnd(t *testing.T) {
 	if job.State != JobDone || job.Error != "" {
 		t.Fatalf("tune job failed: %+v", job)
 	}
+	if job.Metrics != nil {
+		t.Fatalf("a done tune job carries no metrics, got %v", job.Metrics)
+	}
 	if len(job.ModelKeys) != 1 || job.ModelKeys[0] != key.String() {
 		t.Fatalf("job should name the tuned platform key: %+v", job.ModelKeys)
 	}
