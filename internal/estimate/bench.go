@@ -2,11 +2,14 @@ package estimate
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/mpib"
 	"repro/internal/obs"
+	"repro/internal/simnet"
 	"repro/internal/vtime"
 )
 
@@ -121,21 +124,34 @@ type DroppedExp struct {
 }
 
 // Exp is one experiment of a round: its ranks, the Initiator and the
-// Peers, run Body, and the sample is the initiator's local elapsed
-// time, unless the body assigns a custom sample through Custom. No
-// other rank runs Body or waits for it.
+// Peers, and what they do. Most experiments are records: the initiator
+// sends M bytes to each peer in turn, then receives their MBack-byte
+// replies, the last peer's first, and each peer receives and replies,
+// all under tag Tag. One peer makes a round trip, two a one-to-two
+// experiment. An experiment that does something else keeps a Body,
+// which its ranks run instead. The sample is the initiator's local
+// elapsed time, unless the body assigns a custom sample through Custom.
+// No other rank takes part.
 //
 // An Exp without Custom holds no rank-local state, so an estimator
 // builds each round's experiments once, before mpi.Run, and every rank
 // runs the same list. Every Exp is invariant, as mpib.Invariant defines
-// it: its body makes the same calls at every run, and talks only to
-// the experiment's ranks, which is what lets runRounds record a
-// certified repetition's copies instead of simulating them.
+// it: it makes the same calls at every run, and talks only to the
+// experiment's ranks, which is what lets runRounds record a certified
+// repetition's copies instead of simulating them. What a record's
+// ranks do, its peer count and sizes, is its signature, by which
+// runRounds finds the records it has simulated before (see memo); an
+// Exp with a Body has none.
 type Exp struct {
 	Initiator int
 	// Peers are the experiment's other ranks; -1 marks an unused slot.
 	Peers [2]int
-	Body  func(r *mpi.Rank)
+	// M and MBack are a record's message and reply sizes in bytes, Tag
+	// its messages' tag.
+	M, MBack, Tag int
+	// Body, when non-nil, replaces the record: the experiment's ranks
+	// run it instead, each by its role.
+	Body func(r *mpi.Rank)
 	// Custom, when non-nil, replaces the elapsed time as the sample:
 	// the initiator's body writes a sub-interval (e.g. only the send)
 	// there, and the initiator alone reads it back when it publishes
@@ -154,6 +170,73 @@ func (e *Exp) ranks() (rs [3]int, n int) {
 		}
 	}
 	return rs, n
+}
+
+// run runs rank r's part of e: its Body, or the record's messages. A
+// rank outside the experiment falls through.
+func (e *Exp) run(r *mpi.Rank) {
+	if e.Body != nil {
+		e.Body(r)
+		return
+	}
+	switch me := r.Rank(); me {
+	case e.Initiator:
+		rs, n := e.ranks()
+		for _, p := range rs[1:n] {
+			r.Send(p, e.Tag, mpi.ZeroPayload(e.M))
+		}
+		for a := n - 1; a > 0; a-- {
+			r.Recv(rs[a], e.Tag)
+		}
+	case e.Peers[0], e.Peers[1]:
+		r.Recv(e.Initiator, e.Tag)
+		r.Send(e.Initiator, e.Tag, mpi.ZeroPayload(e.MBack))
+	}
+}
+
+// play runs rank r's part of experiment e in one repetition: it
+// simulates e, or, when d is not negative, sleeps d, the time r's role
+// took in an identical record that the plan simulated before. The
+// tests wrap it to count and time the runs.
+var play = func(r *mpi.Rank, e *Exp, d time.Duration) {
+	if d >= 0 {
+		r.Sleep(d)
+		return
+	}
+	e.run(r)
+}
+
+// traffic is what record e adds to the network's counters: a message
+// and a reply per peer.
+func (e *Exp) traffic() simnet.Counters {
+	_, n := e.ranks()
+	return simnet.Counters{Messages: 2 * (n - 1), Bytes: int64(n-1) * int64(e.M+e.MBack)}
+}
+
+// expKey is what the simulator reads of a record on a single switch,
+// as raw bits: its signature (the peer count and both sizes), the C
+// and t of its ranks by role, and the L and β of each link its
+// messages cross, from the initiator to each peer and back (the peers'
+// links to each other carry nothing). Records with one key that start
+// on idle ranks and links take the same time, role by role. It fits a
+// map's inline key slot.
+type expKey [16]uint64
+
+// key returns e's key on the cluster cl.
+func (e *Exp) key(cl *cluster.Cluster) (k expKey) {
+	rs, n := e.ranks()
+	k[0], k[1] = uint64(e.M)<<2|uint64(n), uint64(e.MBack)
+	for a, rank := range rs[:n] {
+		nd := &cl.Nodes[rank]
+		k[2+2*a], k[3+2*a] = uint64(nd.C), math.Float64bits(nd.T)
+	}
+	i := rs[0]
+	for a, p := range rs[1:n] {
+		out, back := cl.Links[i][p], cl.Links[p][i]
+		k[8+4*a], k[9+4*a] = uint64(out.L), math.Float64bits(out.Beta)
+		k[10+4*a], k[11+4*a] = uint64(back.L), math.Float64bits(back.Beta)
+	}
+	return k
 }
 
 // RoundSummary is one experiment's result from a round: the
@@ -189,7 +272,7 @@ func runRounds(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) {
 	}
 	me := r.Rank()
 	for _, s := range pl.seats[pl.first[me]:pl.first[me+1]] {
-		if pl.rounds[s.round].sit(r, int(s.pos), int(s.exp), &plan[s.round].exps[s.exp]) {
+		if pl.rounds[s.round].sit(r, int(s.pos), int(s.exp)) {
 			pl.finish(r, int(s.round))
 		}
 	}
@@ -216,7 +299,7 @@ type seat struct{ round, exp, pos int32 }
 func newPlanState(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) *planState {
 	n := r.Size()
 	pl := &planState{plan: plan, rep: rep, rounds: make([]roundState, len(plan)), first: make([]int, n+1)}
-	total := 0
+	total, nexp := 0, 0
 	for _, rd := range plan {
 		for x := range rd.exps {
 			rs, m := rd.exps[x].ranks()
@@ -225,12 +308,14 @@ func newPlanState(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) *pl
 			}
 			total += m
 		}
+		nexp += len(rd.exps)
 	}
 	// Lay the seats out rank by rank: first[i+1] holds the start of rank
 	// i's seats while they are placed, advancing past each, so it ends
 	// as the start of rank i+1's. The rounds' seat orders share one
-	// array of processes.
+	// array of processes, and their experiments one memo.
 	procs := make([]*vtime.Proc, total)
+	mm := newMemo(r, plan, nexp)
 	for i, sum := 1, 0; i <= n; i++ {
 		sum, pl.first[i] = sum+pl.first[i], sum
 	}
@@ -245,8 +330,10 @@ func newPlanState(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) *pl
 				pos++
 			}
 		}
-		pl.rounds[k].init(opts, len(rd.exps), procs[:pos:pos])
+		st := &pl.rounds[k]
+		st.init(opts, rd.exps, procs[:pos:pos])
 		procs = procs[pos:]
+		st.memo = mm.round(len(rd.exps))
 	}
 	pl.open(r, 0) // nothing precedes the first round
 	return pl
@@ -295,40 +382,131 @@ func (pl *planState) open(r *mpi.Rank, k int) {
 	}
 }
 
+// memo is a plan's exact memo of clean records, kept on a single
+// switch with no observer. The records with one key (expKey) form a
+// class. While a class is not learned, the ranks of each of its records
+// that the plan simulates note their elapsed times in it, and the
+// certified close of a repetition, whose round's traffic holds nothing
+// but messages and bytes, makes them learned. A record of a learned
+// class that opens quiet is not simulated again: its ranks sleep their
+// roles' times, the initiator publishes the learned sample, and the
+// network's counters take its messages and bytes. At a quiet opening
+// nothing is queued, in flight or pending, so the record's ranks and
+// links are idle, and it runs exactly as the learned one ran; it draws
+// nothing, as that one did not. On a fabric a round's experiments
+// share lanes, and an observer's runs stay the fully simulated
+// reference, so neither builds a memo. The arrays are plan-wide, and
+// each round holds its part of them; a round of a plan without a memo
+// holds nil slices.
+type memo struct {
+	exps    []memoExp      // each experiment, round by round
+	learned []learnedClass // each class
+}
+
+// memoExp is one experiment's place in the memo.
+type memoExp struct {
+	class int32 // the record's class; -1 for an experiment with a Body
+	hit   bool  // the experiment replays its class in the current repetition
+}
+
+// learnedClass is a class's times: each role's elapsed time, the
+// initiator's first, learned once known is set.
+type learnedClass struct {
+	d     [3]time.Duration
+	known bool
+}
+
+// newMemo classifies the records of plan, of nexp experiments, on r's
+// cluster. It returns no memo on a multi-switch fabric, with an
+// observer, or for a plan of fewer than two records, which has nothing
+// to replay.
+func newMemo(r *mpi.Rank, plan []round, nexp int) (mm memo) {
+	cl := r.Cluster()
+	if r.Observer() != nil || cl.Topo != nil && cl.Topo.HasFabric() {
+		return mm
+	}
+	records := 0
+	for _, rd := range plan {
+		for x := range rd.exps {
+			if rd.exps[x].Body == nil {
+				records++
+			}
+		}
+	}
+	if records < 2 {
+		return mm
+	}
+	mm.exps = make([]memoExp, nexp)
+	classes := make(map[expKey]int32)
+	i := 0
+	for _, rd := range plan {
+		for x := range rd.exps {
+			c := int32(-1)
+			if e := &rd.exps[x]; e.Body == nil {
+				k := e.key(cl)
+				var ok bool
+				if c, ok = classes[k]; !ok {
+					c = int32(len(classes))
+					classes[k] = c
+				}
+			}
+			mm.exps[i].class = c
+			i++
+		}
+	}
+	mm.learned = make([]learnedClass, len(classes))
+	return mm
+}
+
+// round takes the memo's part for the next round, of nexp
+// experiments: nil slices without a memo.
+func (mm *memo) round(nexp int) memo {
+	if mm.exps == nil {
+		return memo{}
+	}
+	rm := memo{exps: mm.exps[:nexp:nexp], learned: mm.learned}
+	mm.exps = mm.exps[nexp:]
+	return rm
+}
+
 // roundState is one round's state, shared by the round's ranks: its
 // barrier, and its experiments' samples under one repetition loop,
 // kept once rather than once per rank.
 type roundState struct {
 	// The round's barrier. Its parties are the round's ranks, plus one
-	// arrival made once the previous round has ended. Each release wakes
-	// the round's ranks in one fixed order, the seat order: experiment by
-	// experiment, the initiator first. The rank whose arrival completes
-	// the barrier resumes at its own place in that order, so a
+	// arrival made once the previous round has ended. The release that
+	// starts the round wakes the first rank of the seat order
+	// (experiment by experiment, the initiator first), which wakes the
+	// others in that order once it runs (start); every later release
+	// wakes the round's ranks in the seat order. The rank whose arrival
+	// completes the barrier resumes at its own place in that order, so a
 	// repetition opens and closes with its ranks in the same order.
 	ranks   int
 	arrived int
 	procs   []*vtime.Proc // the ranks' processes in seat order, set as they arrive
+	exps    []Exp
 
 	slots []float64 // each experiment's sample of the current repetition
 	loop  mpib.Loop
 	out   []RoundSummary // each experiment's result, once the loop finishes
 
-	open   mpi.SyncState // the job at the release that opened the current repetition; never Quiet after a retry's pause
+	open   mpi.SyncState // the job at the opening of the current repetition; never Quiet after a retry's pause
 	copies int           // copies of the last repetition recorded, for every rank to skip
+	memo   memo          // the round's part of the plan's memo
 }
 
-func (st *roundState) init(opts mpib.Options, nexp int, procs []*vtime.Proc) {
-	*st = roundState{ranks: len(procs), procs: procs, slots: make([]float64, nexp), out: make([]RoundSummary, nexp)}
-	st.loop.Init(opts, make([][]float64, nexp), st.out)
+func (st *roundState) init(opts mpib.Options, exps []Exp, procs []*vtime.Proc) {
+	*st = roundState{ranks: len(procs), procs: procs, exps: exps, slots: make([]float64, len(exps)), out: make([]RoundSummary, len(exps))}
+	st.loop.Init(opts, make([][]float64, len(exps)), st.out)
 }
 
 // sit runs rank r's seat in the round, at position pos of its seat
 // order, in experiment x. It waits at the round's barrier until the
-// round starts, then runs e's body once per repetition, publishes the
-// sample if r initiates e, and meets the round's other ranks at the
-// barrier again. The last of them to arrive records the repetition in
-// the round's loop, and every rank follows the loop's decision. sit
-// reports whether r's arrival ended the round.
+// round starts, then plays its part of the experiment once per
+// repetition, publishes the sample if r initiates it, and meets the
+// round's other ranks at the barrier again. The last of them to arrive
+// records the repetition in the round's loop, and every rank follows
+// the loop's decision. sit reports whether r's arrival ended the round.
 //
 // The simulator is deterministic, so a repetition that opens as the one
 // before it opened, translated in time, repeats it bit for bit. The rank
@@ -337,30 +515,45 @@ func (st *roundState) init(opts mpib.Options, nexp int, procs []*vtime.Proc) {
 //   - no observer is installed, whose spans the copies would lack;
 //   - the job has no fault plan and no crashed node;
 //   - nothing drew from the escalation randomness or called a
-//     SharedCell since the release that opened the repetition;
-//   - at that release and at this close no event was queued, every
-//     other process was parked and no message was undelivered.
+//     SharedCell since the repetition opened;
+//   - at its opening and at this close no event was queued but the
+//     round's own wake-ups, every other process was parked and no
+//     message was undelivered.
 //
-// Each Exp is invariant, and every release wakes the ranks in the same
-// order, so each later repetition would open as this one did and run
-// the same. The rank records one copy of the round's samples per
-// repetition the loop still asks for, and the network's counters take
-// the copies' traffic; every rank then skips the copies in wake order,
-// as mpib.Measure's ranks do.
+// A round's first repetition opens once its first seat runs, after
+// whatever its release found queued, such as the rest of the previous
+// round's ranks, has run; a later one opens at the release that closed
+// the repetition before it. Each Exp is invariant, and every release
+// wakes the ranks in the same order, so each later repetition would
+// open as this one did and run the same. The rank records one copy of
+// the round's samples per repetition the loop still asks for, and the
+// network's counters take the copies' traffic; every rank then skips
+// the copies in wake order, as mpib.Measure's ranks do. A certified
+// repetition also teaches the plan's memo the times of the records it
+// simulated, which the memo then replays (see memo).
 //
 // A retry's pause needs no barrier after it: a repetition receives
 // every message it sends, so no event wakes a rank of the round during
 // the pause, and its ranks wake in the order they fell asleep, the
 // order a release gives them. A repetition that a pause opens is never
-// certified.
-func (st *roundState) sit(r *mpi.Rank, pos, x int, e *Exp) (ended bool) {
+// certified, and replays nothing.
+func (st *roundState) sit(r *mpi.Rank, pos, x int) (ended bool) {
+	e := &st.exps[x]
+	rs, _ := e.ranks()
+	role := 0
+	for rs[role] != r.Rank() {
+		role++
+	}
 	p := r.Proc()
 	st.procs[pos] = p
 	st.arrive(r, st.ranks+1)
 	p.Park()
+	if pos == 0 {
+		st.start(r)
+	}
 	for {
 		t0, calls := r.Now(), r.Collectives()
-		e.Body(r)
+		play(r, e, st.memo.learnedTime(x, role))
 		if e.Initiator == r.Rank() {
 			// Publish the sample: the elapsed time, or the custom
 			// sub-interval the body wrote.
@@ -369,6 +562,9 @@ func (st *roundState) sit(r *mpi.Rank, pos, x int, e *Exp) (ended bool) {
 				v = *e.Custom
 			}
 			st.slots[x] = v
+		}
+		if c := st.memo.learning(x); c != nil {
+			c.d[role] = r.Now() - t0
 		}
 		last := st.arrive(r, st.ranks)
 		p.Park()
@@ -386,66 +582,139 @@ func (st *roundState) sit(r *mpi.Rank, pos, x int, e *Exp) (ended bool) {
 
 // arrive counts an arrival, on rank r, at the round's barrier of
 // parties parties; a rank of the round parks after its arrival. The
-// arrival that brings the count to parties resets it, releases the
-// round's ranks and reports true. Before a repetition has run, the
-// release notes the state the first repetition opens at; after one, it
-// records the repetition and certifies it.
+// arrival that brings the count to parties resets it and reports true.
+// The one that starts the round wakes the round's first rank (start);
+// one after a repetition releases the round's ranks, records the
+// repetition and certifies it.
 func (st *roundState) arrive(r *mpi.Rank, parties int) bool {
 	st.arrived++
 	if st.arrived < parties {
 		return false
 	}
 	st.arrived = 0
-	shut := r.Release(st.procs)
 	if parties > st.ranks {
-		st.open = shut
-	} else {
-		st.loop.Record(st.slots...)
-		st.certify(r, shut)
+		r.Proc().WakeOrdered(st.procs[:1])
+		return true
 	}
+	shut := r.Release(st.procs)
+	st.loop.Record(st.slots...)
+	st.certify(r, shut)
 	return true
+}
+
+// start opens the round's first repetition on rank r, the first of the
+// seat order, which the round's first release woke alone and which
+// runs once everything that release found queued has run: it wakes the
+// round's other ranks, notes the job's state as the repetition's
+// opening, and decides what the repetition replays.
+func (st *roundState) start(r *mpi.Rank) {
+	st.open = r.Release(st.procs[1:])
+	st.replay(r)
 }
 
 // certify runs on the rank whose arrival closed a repetition, at the
 // release shut that closed it. If the repetition is certified (see
-// sit), it records a copy of the round's samples for each repetition
-// the loop still asks for and adds the copies' traffic to the network's
-// counters.
+// sit), it teaches the memo, records a copy of the round's samples for
+// each repetition the loop still asks for and adds the copies' traffic
+// to the network's counters. If the loop goes on, it decides what the
+// next repetition replays.
 func (st *roundState) certify(r *mpi.Rank, shut mpi.SyncState) {
 	open := st.open
 	st.open, st.copies = shut, 0
-	if r.Observer() == nil && mpi.Repeatable(open, shut) {
-		st.copies = st.loop.RecordCopies(st.slots...)
-		r.Repeat(open, shut, st.copies)
+	if mpi.Repeatable(open, shut) {
+		st.learn(open.Net, shut.Net)
+		if r.Observer() == nil {
+			st.copies = st.loop.RecordCopies(st.slots...)
+			r.Repeat(open, shut, st.copies)
+		}
 	}
-	if act, _ := st.loop.Next(); act == mpib.Retry {
+	act, _ := st.loop.Next()
+	if act == mpib.Retry {
 		st.open.Quiet = false // a pause, not a release, opens the next repetition
 	}
+	if act != mpib.Finish {
+		st.replay(r)
+	}
 }
 
-// Experiment bodies. Only the experiment's ranks run its body, each
-// by its role; any other rank would fall through. The Custom pointer
-// convention: bodies that measure a sub-interval (e.g. only the send
-// or only the receive) write it there.
-
-// roundtripExp builds the i⇄j round-trip: i sends mOut bytes, j replies
-// with mBack bytes; measured on i (the paper's sender-side timing).
-func roundtripExp(i, j, mOut, mBack, tag int) Exp {
-	return Exp{Initiator: i, Peers: [2]int{j, -1}, Body: func(r *mpi.Rank) {
-		switch r.Rank() {
-		case i:
-			r.Send(j, tag, mpi.ZeroPayload(mOut))
-			r.Recv(j, tag)
-		case j:
-			r.Recv(i, tag)
-			r.Send(i, tag, mpi.ZeroPayload(mBack))
+// learn teaches the memo, at the certified close of a repetition, the
+// times the repetition's simulated records noted in their classes,
+// provided the round's traffic from open to shut holds nothing but
+// messages and bytes: no escalation, serialized transfer, loss or
+// fabric hop, which a replay would not count.
+func (st *roundState) learn(open, shut simnet.Counters) {
+	shut.Messages, shut.Bytes = open.Messages, open.Bytes
+	if st.memo.exps == nil || shut != open {
+		return
+	}
+	for _, m := range st.memo.exps {
+		if m.class >= 0 && !m.hit {
+			st.memo.learned[m.class].known = true
 		}
-	}}
+	}
 }
 
-// oneToTwoExp builds the i→(j,k) one-to-two experiment: i sends m bytes
-// to j, then to k, and receives their mBack-byte replies; measured on
-// i. The paper represents its time as T_scatter(m) + T_gather(mBack).
+// replay decides, at the opening of a repetition, which of the round's
+// records replay their class instead of running: at a quiet opening,
+// each one whose class is learned; otherwise none. The network's
+// counters take the replayed records' traffic.
+func (st *roundState) replay(r *mpi.Rank) {
+	if st.memo.exps == nil {
+		return
+	}
+	var c simnet.Counters
+	for x := range st.memo.exps {
+		m := &st.memo.exps[x]
+		m.hit = st.open.Quiet && m.class >= 0 && st.memo.learned[m.class].known
+		if m.hit {
+			t := st.exps[x].traffic()
+			c.Messages += t.Messages
+			c.Bytes += t.Bytes
+		}
+	}
+	if c.Messages > 0 {
+		r.Repeat(mpi.SyncState{}, mpi.SyncState{Net: c}, 1)
+	}
+}
+
+// learnedTime returns how long role role of experiment x sleeps in the
+// current repetition, or -1 when the experiment runs.
+func (mm *memo) learnedTime(x, role int) time.Duration {
+	if mm.exps == nil || !mm.exps[x].hit {
+		return -1
+	}
+	return mm.learned[mm.exps[x].class].d[role]
+}
+
+// learning returns the class in which a rank of experiment x notes its
+// elapsed time: the class of a record the current repetition simulates
+// while the class is not learned, or nil.
+func (mm *memo) learning(x int) *learnedClass {
+	if mm.exps == nil || mm.exps[x].class < 0 || mm.exps[x].hit {
+		return nil
+	}
+	if c := &mm.learned[mm.exps[x].class]; !c.known {
+		return c
+	}
+	return nil
+}
+
+// Experiment builders. A record needs no body; the others' bodies are
+// run only by the experiment's ranks, each by its role, and any other
+// rank would fall through. The Custom pointer convention: bodies that
+// measure a sub-interval (e.g. only the send or only the receive) write
+// it there.
+
+// roundtripExp builds the i⇄j round-trip record: i sends mOut bytes, j
+// replies with mBack bytes; measured on i (the paper's sender-side
+// timing).
+func roundtripExp(i, j, mOut, mBack, tag int) Exp {
+	return Exp{Initiator: i, Peers: [2]int{j, -1}, M: mOut, MBack: mBack, Tag: tag}
+}
+
+// oneToTwoExp builds the i→(j,k) one-to-two record: i sends m bytes to
+// j, then to k, and receives their mBack-byte replies; measured on i.
+// The paper represents its time as T_scatter(m) + T_gather(mBack).
 //
 // The receive order is pinned — k's reply first — which makes k the
 // designated branch of eq (6)/(9): k is sent to last and collected
@@ -455,18 +724,7 @@ func roundtripExp(i, j, mOut, mBack, tag int) Exp {
 // "experiments designed very carefully" license of §IV: it turns the
 // piecewise max into an exact linear equation.
 func oneToTwoExp(i, j, k, m, mBack, tag int) Exp {
-	return Exp{Initiator: i, Peers: [2]int{j, k}, Body: func(r *mpi.Rank) {
-		switch r.Rank() {
-		case i:
-			r.Send(j, tag, mpi.ZeroPayload(m))
-			r.Send(k, tag, mpi.ZeroPayload(m))
-			r.Recv(k, tag)
-			r.Recv(j, tag)
-		case j, k:
-			r.Recv(i, tag)
-			r.Send(i, tag, mpi.ZeroPayload(mBack))
-		}
-	}}
+	return Exp{Initiator: i, Peers: [2]int{j, k}, M: m, MBack: mBack, Tag: tag}
 }
 
 // saturationExp builds the gap experiment: i sends count messages of m

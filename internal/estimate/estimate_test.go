@@ -189,6 +189,25 @@ func TestCleanExperimentsStopAtTwoRepetitions(t *testing.T) {
 	}
 }
 
+// TestWarmLMOXAllocs pins the allocations of a warm LMOX on Table I
+// under LAM with the parallel schedule. Its experiments are data
+// records, which runRounds runs through one function, and its plans'
+// memos live in plan-wide arrays: the estimation allocates per round
+// and per plan, not per experiment (7 531 objects; 11 103 when each
+// experiment was a closure).
+func TestWarmLMOXAllocs(t *testing.T) {
+	const bound = 8000
+	cfg := mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
+	run := func() {
+		if _, _, err := LMOX(cfg, Options{Parallel: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(5, run); n > bound {
+		t.Fatalf("a warm LMOX on Table I allocates %.0f objects, want at most %d", n, bound)
+	}
+}
+
 func TestHomHockneyFitsLine(t *testing.T) {
 	cfg := homConfig(4)
 	h, _, err := HomHockney(cfg, Options{})

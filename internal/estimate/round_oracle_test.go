@@ -49,7 +49,7 @@ func measureRoundPerRank(r *mpi.Rank, opts mpib.Options, exps []Exp) []RoundSumm
 			sync.wait(r)
 			t0 := r.Now()
 			for _, e := range exps {
-				e.Body(r)
+				e.run(r)
 			}
 			locals[r.Rank()] = (r.Now() - t0).Seconds()
 			for _, e := range exps {

@@ -75,6 +75,7 @@ type Result struct {
 type World struct {
 	net  *simnet.Network
 	eng  *vtime.Engine
+	cl   *cluster.Cluster // the job's machine
 	n    int
 	topo *topo.Topology // the cluster's topology: with n, the shape an idle world is taken by
 	sync *vtime.Barrier
@@ -202,7 +203,7 @@ func (w *World) setup(cfg Config) error {
 	}
 	w.eng.SetObserver(cfg.Obs)
 	w.net.SetObserver(cfg.Obs)
-	w.obs = cfg.Obs
+	w.cl, w.obs = cfg.Cluster, cfg.Obs
 	clear(w.seq)
 	clear(w.cellSeq)
 	for _, c := range w.cells {
@@ -264,9 +265,9 @@ func takeWorld(n int, tp *topo.Topology) *World {
 	return nil
 }
 
-// release lets go of the job's body and observer.
+// release lets go of the job's body, cluster and observer.
 func (w *World) release() {
-	w.body, w.obs = nil, nil
+	w.body, w.cl, w.obs = nil, nil, nil
 	w.eng.SetObserver(nil)
 	w.net.SetObserver(nil)
 }
@@ -274,7 +275,7 @@ func (w *World) release() {
 // closeWorld puts the world of a job that succeeded on the idle list.
 // When the list has no room, the longest idle worlds go first: the
 // shapes that stopped running age out. The world lets go of the job's
-// body and observer before it goes on the list.
+// body, cluster and observer before it goes on the list.
 func closeWorld(w *World) {
 	w.release()
 	if w.n > maxIdleRanks {
@@ -307,6 +308,11 @@ func (r *Rank) Sleep(d time.Duration) { r.p.Sleep(d) }
 // layers that need engine access). Like the Rank, it is valid only
 // inside the body, during its run.
 func (r *Rank) Proc() *vtime.Proc { return r.p }
+
+// Cluster returns the machine the job runs on, which the caller only
+// reads: a measurement harness tells by it which experiments the
+// simulator would run alike.
+func (r *Rank) Cluster() *cluster.Cluster { return r.w.cl }
 
 // Observer returns the span trace installed for this job via
 // Config.Obs, or nil when observation is disabled. Layers above the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -190,6 +191,11 @@ func (s *Server) handleTunePost(w http.ResponseWriter, r *http.Request) {
 		entry, _, err := s.reg.GetOrEstimate(s.ctx, key)
 		if err != nil {
 			return nil, nil, err
+		}
+		if entry.LMO == nil {
+			// A preloaded file or a Hockney-only estimation can cache a
+			// set without one.
+			return nil, nil, fmt.Errorf("serve: the models cached for %s have no LMO model, which the tuner prunes with", key)
 		}
 		res, err := autotune.Tune(s.ctx, experiment.Config{
 			Cluster: spec.Cluster, Profile: prof, Seed: key.Seed,

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/models"
 	"repro/internal/stats"
 	"repro/internal/tuned"
@@ -38,6 +40,41 @@ func lmoFile(k Key) *models.ModelFile {
 // job against the preloaded platform model, /jobs tracks it, and the
 // GET read path serves the published decision table and per-query
 // decisions.
+// A /tune job for a platform whose cached model set has no LMO model,
+// here a preloaded Hockney-only file, fails with an error that names
+// the missing model, and the server goes on answering.
+func TestTuneWithoutLMOModelFails(t *testing.T) {
+	key := Key{Cluster: "table1", Nodes: 4, Profile: cluster.LAM().Name, Seed: 1}
+	_, ts := testServer(t, Config{Preload: []*models.ModelFile{fakeFile(key)}})
+	var job Job
+	status, body := postJSON(t, ts.URL+"/tune", map[string]any{
+		"cluster": "table1", "nodes": 4, "msg_sizes": []int{1 << 10},
+	}, &job)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST /tune: status %d: %s", status, body)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for job.State == JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("tune job did not finish: %+v", job)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if st := getJSON(t, ts.URL+"/jobs/"+job.ID, &job); st != http.StatusOK {
+			t.Fatalf("GET /jobs/%s: status %d", job.ID, st)
+		}
+	}
+	if job.State != JobFailed || !strings.Contains(job.Error, "no LMO model") {
+		t.Fatalf("tune job without an LMO model: %+v, want failed naming the missing LMO model", job)
+	}
+	var pred PredictResponse
+	status, body = postJSON(t, ts.URL+"/predict", map[string]any{
+		"cluster": "table1", "nodes": 4, "profile": "lam", "op": "scatter", "m": 1024,
+	}, &pred)
+	if status != http.StatusOK || pred.Cache != "hit" {
+		t.Fatalf("/predict after the failed tune: status %d cache %q: %s", status, pred.Cache, body)
+	}
+}
+
 func TestTuneEndToEnd(t *testing.T) {
 	// Registry keys carry the profile's display name, not the request
 	// identifier: preload under the resolved key so the tune job's
