@@ -390,14 +390,15 @@ func (pl *planState) open(r *mpi.Rank, k int) {
 // but messages and bytes, makes them learned. A record of a learned
 // class that opens quiet is not simulated again: its ranks sleep their
 // roles' times, the initiator publishes the learned sample, and the
-// network's counters take its messages and bytes. At a quiet opening
-// nothing is queued, in flight or pending, so the record's ranks and
-// links are idle, and it runs exactly as the learned one ran; it draws
-// nothing, as that one did not. On a fabric a round's experiments
-// share lanes, and an observer's runs stay the fully simulated
-// reference, so neither builds a memo. The arrays are plan-wide, and
-// each round holds its part of them; a round of a plan without a memo
-// holds nil slices.
+// network's counters take its messages and bytes; when every
+// experiment of its round is such a record, the round is whole, and no
+// rank of it runs (see sit). At a quiet opening nothing is queued, in
+// flight or pending, so the record's ranks and links are idle, and it
+// runs exactly as the learned one ran; it draws nothing, as that one
+// did not. On a fabric a round's experiments share lanes, and an
+// observer's runs stay the fully simulated reference, so neither
+// builds a memo. The arrays are plan-wide, and each round holds its
+// part of them; a round of a plan without a memo holds nil slices.
 type memo struct {
 	exps    []memoExp      // each experiment, round by round
 	learned []learnedClass // each class
@@ -477,10 +478,11 @@ type roundState struct {
 	// arrival made once the previous round has ended. The release that
 	// starts the round wakes the first rank of the seat order
 	// (experiment by experiment, the initiator first), which wakes the
-	// others in that order once it runs (start); every later release
-	// wakes the round's ranks in the seat order. The rank whose arrival
-	// completes the barrier resumes at its own place in that order, so a
-	// repetition opens and closes with its ranks in the same order.
+	// others in that order once it runs (start), or every rank at the
+	// end of a whole round; every later release wakes the round's ranks
+	// in the seat order. The rank whose arrival completes the barrier
+	// resumes at its own place in that order, so a repetition opens and
+	// closes with its ranks in the same order.
 	ranks   int
 	arrived int
 	procs   []*vtime.Proc // the ranks' processes in seat order, set as they arrive
@@ -491,12 +493,14 @@ type roundState struct {
 	out   []RoundSummary // each experiment's result, once the loop finishes
 
 	open   mpi.SyncState // the job at the opening of the current repetition; never Quiet after a retry's pause
+	at     time.Duration // the instant of the release that opened the current repetition, before any pause
 	copies int           // copies of the last repetition recorded, for every rank to skip
+	closer int           // the seat whose arrival would have ended a whole round; -1 for a round that plays
 	memo   memo          // the round's part of the plan's memo
 }
 
 func (st *roundState) init(opts mpib.Options, exps []Exp, procs []*vtime.Proc) {
-	*st = roundState{ranks: len(procs), procs: procs, exps: exps, slots: make([]float64, len(exps)), out: make([]RoundSummary, len(exps))}
+	*st = roundState{ranks: len(procs), procs: procs, exps: exps, slots: make([]float64, len(exps)), out: make([]RoundSummary, len(exps)), closer: -1}
 	st.loop.Init(opts, make([][]float64, len(exps)), st.out)
 }
 
@@ -505,8 +509,9 @@ func (st *roundState) init(opts mpib.Options, exps []Exp, procs []*vtime.Proc) {
 // round starts, then plays its part of the experiment once per
 // repetition, publishes the sample if r initiates it, and meets the
 // round's other ranks at the barrier again. The last of them to arrive
-// records the repetition in the round's loop, and every rank follows
-// the loop's decision. sit reports whether r's arrival ended the round.
+// records the repetition in the round's loop and wakes them all, and
+// every rank follows the loop's decision. sit reports whether r's
+// arrival ended the round.
 //
 // The simulator is deterministic, so a repetition that opens as the one
 // before it opened, translated in time, repeats it bit for bit. The rank
@@ -527,10 +532,23 @@ func (st *roundState) init(opts mpib.Options, exps []Exp, procs []*vtime.Proc) {
 // wakes the ranks in the same order, so each later repetition would
 // open as this one did and run the same. The rank records one copy of
 // the round's samples per repetition the loop still asks for, and the
-// network's counters take the copies' traffic; every rank then skips
-// the copies in wake order, as mpib.Measure's ranks do. A certified
-// repetition also teaches the plan's memo the times of the records it
-// simulated, which the memo then replays (see memo).
+// network's counters take the copies' traffic. It wakes the round's
+// ranks, in seat order, at the copies' end, close + copies·(close −
+// open), instead of at the close, and each rank moves its collective
+// sequence past the copies instead of sleeping through them. A
+// certified repetition also teaches the plan's memo the times of the
+// records it simulated, which the memo then replays (see memo).
+//
+// A round whose every experiment replays at its first opening, which is
+// quiet, is whole: its first seat resolves it there, before it wakes
+// anyone (start). Each record's learned initiator time is its sample;
+// the loop records the repetition and its certified copies, and the
+// network's counters take the records' traffic once per repetition,
+// copies included. Every rank then wakes once, in seat order, at
+// open + (1 + copies)·D, where D is the longest learned role time, and
+// plays nothing. The rank whose arrival would have closed the
+// repetition, the last in seat order of those whose role takes D, ends
+// the round, at the instant it would have.
 //
 // A retry's pause needs no barrier after it: a repetition receives
 // every message it sends, so no event wakes a rank of the round during
@@ -548,10 +566,16 @@ func (st *roundState) sit(r *mpi.Rank, pos, x int) (ended bool) {
 	st.procs[pos] = p
 	st.arrive(r, st.ranks+1)
 	p.Park()
-	if pos == 0 {
-		st.start(r)
+	if pos == 0 && st.start(r) {
+		p.Park() // until the whole round's end
 	}
-	for {
+	// A whole round's loop has decided already; a playing round's loop
+	// asks for its first repetition.
+	ended = pos == st.closer
+	for act, pause := st.loop.Next(); act != mpib.Finish; act, pause = st.loop.Next() {
+		if act == mpib.Retry {
+			r.Sleep(pause)
+		}
 		t0, calls := r.Now(), r.Collectives()
 		play(r, e, st.memo.learnedTime(x, role))
 		if e.Initiator == r.Rank() {
@@ -566,26 +590,19 @@ func (st *roundState) sit(r *mpi.Rank, pos, x int) (ended bool) {
 		if c := st.memo.learning(x); c != nil {
 			c.d[role] = r.Now() - t0
 		}
-		last := st.arrive(r, st.ranks)
+		ended = st.arrive(r, st.ranks)
 		p.Park()
-		if k := st.copies; k > 0 {
-			r.Skip(k, r.Now()-t0, r.Collectives()-calls)
-		}
-		switch act, pause := st.loop.Next(); act {
-		case mpib.Finish:
-			return last
-		case mpib.Retry:
-			r.Sleep(pause)
-		}
+		r.SkipCollectives(st.copies * (r.Collectives() - calls))
 	}
+	return ended
 }
 
 // arrive counts an arrival, on rank r, at the round's barrier of
 // parties parties; a rank of the round parks after its arrival. The
 // arrival that brings the count to parties resets it and reports true.
 // The one that starts the round wakes the round's first rank (start);
-// one after a repetition releases the round's ranks, records the
-// repetition and certifies it.
+// one after a repetition records the repetition, certifies it and
+// wakes the round's ranks.
 func (st *roundState) arrive(r *mpi.Rank, parties int) bool {
 	st.arrived++
 	if st.arrived < parties {
@@ -593,33 +610,57 @@ func (st *roundState) arrive(r *mpi.Rank, parties int) bool {
 	}
 	st.arrived = 0
 	if parties > st.ranks {
-		r.Proc().WakeOrdered(st.procs[:1])
+		r.Proc().WakeOrdered(st.procs[:1], r.Now())
 		return true
 	}
-	shut := r.Release(st.procs)
 	st.loop.Record(st.slots...)
-	st.certify(r, shut)
+	st.certify(r, r.Now())
 	return true
 }
 
 // start opens the round's first repetition on rank r, the first of the
 // seat order, which the round's first release woke alone and which
-// runs once everything that release found queued has run: it wakes the
-// round's other ranks, notes the job's state as the repetition's
-// opening, and decides what the repetition replays.
-func (st *roundState) start(r *mpi.Rank) {
-	st.open = r.Release(st.procs[1:])
-	st.replay(r)
+// runs once everything that release found queued has run: it notes the
+// job's state as the repetition's opening and decides what the
+// repetition replays. It wakes the round's other ranks to play, or
+// resolves a whole round (see sit) and reports true.
+func (st *roundState) start(r *mpi.Rank) (whole bool) {
+	st.open, st.at = r.ReleaseState(), r.Now()
+	if !st.replay(r) {
+		r.Proc().WakeOrdered(st.procs[1:], st.at)
+		return false
+	}
+	var d time.Duration
+	pos := 0
+	for x := range st.exps {
+		c := &st.memo.learned[st.memo.exps[x].class]
+		st.slots[x] = c.d[0].Seconds()
+		_, n := st.exps[x].ranks()
+		for _, t := range c.d[:n] {
+			if t >= d {
+				d, st.closer = t, pos
+			}
+			pos++
+		}
+	}
+	st.loop.Record(st.slots...)
+	st.certify(r, st.at+d)
+	return true
 }
 
-// certify runs on the rank whose arrival closed a repetition, at the
-// release shut that closed it. If the repetition is certified (see
-// sit), it teaches the memo, records a copy of the round's samples for
-// each repetition the loop still asks for and adds the copies' traffic
-// to the network's counters. If the loop goes on, it decides what the
-// next repetition replays.
-func (st *roundState) certify(r *mpi.Rank, shut mpi.SyncState) {
-	open := st.open
+// certify runs on the rank that ends a repetition, whose samples the
+// loop has recorded, with the instant close at which the repetition
+// closes: now, or, for a whole round, the instant its last rank would
+// arrive. It reads the job's state at the close; a whole round's
+// opening already holds it, since until its close only the round's
+// ranks would run, sleeping. If the repetition is certified (see sit),
+// it teaches the memo, records a copy of the round's samples for each
+// repetition the loop still asks for and adds the copies' traffic to
+// the network's counters. If the loop goes on, it decides what the next
+// repetition replays. It then wakes the round's ranks in seat order at
+// the copies' end, which is the close when it recorded none.
+func (st *roundState) certify(r *mpi.Rank, close time.Duration) {
+	open, shut := st.open, r.ReleaseState()
 	st.open, st.copies = shut, 0
 	if mpi.Repeatable(open, shut) {
 		st.learn(open.Net, shut.Net)
@@ -635,6 +676,8 @@ func (st *roundState) certify(r *mpi.Rank, shut mpi.SyncState) {
 	if act != mpib.Finish {
 		st.replay(r)
 	}
+	st.at = close + time.Duration(st.copies)*(close-st.at)
+	r.Proc().WakeOrdered(st.procs, st.at)
 }
 
 // learn teaches the memo, at the certified close of a repetition, the
@@ -657,24 +700,29 @@ func (st *roundState) learn(open, shut simnet.Counters) {
 // replay decides, at the opening of a repetition, which of the round's
 // records replay their class instead of running: at a quiet opening,
 // each one whose class is learned; otherwise none. The network's
-// counters take the replayed records' traffic.
-func (st *roundState) replay(r *mpi.Rank) {
+// counters take the replayed records' traffic. It reports whether every
+// experiment of the round replays.
+func (st *roundState) replay(r *mpi.Rank) (all bool) {
 	if st.memo.exps == nil {
-		return
+		return false
 	}
 	var c simnet.Counters
+	all = true
 	for x := range st.memo.exps {
 		m := &st.memo.exps[x]
 		m.hit = st.open.Quiet && m.class >= 0 && st.memo.learned[m.class].known
-		if m.hit {
-			t := st.exps[x].traffic()
-			c.Messages += t.Messages
-			c.Bytes += t.Bytes
+		if !m.hit {
+			all = false
+			continue
 		}
+		t := st.exps[x].traffic()
+		c.Messages += t.Messages
+		c.Bytes += t.Bytes
 	}
 	if c.Messages > 0 {
 		r.Repeat(mpi.SyncState{}, mpi.SyncState{Net: c}, 1)
 	}
+	return all
 }
 
 // learnedTime returns how long role role of experiment x sleeps in the

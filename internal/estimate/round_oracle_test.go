@@ -144,7 +144,7 @@ func (s *orderedSync) wait(r *mpi.Rank) {
 	s.procs[s.at[r.Rank()]] = p
 	if s.arrived++; s.arrived == len(s.procs) {
 		s.arrived = 0
-		p.WakeOrdered(s.procs)
+		p.WakeOrdered(s.procs, p.Now())
 	}
 	p.Park()
 }

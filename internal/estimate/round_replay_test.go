@@ -294,16 +294,20 @@ func repeatedRounds(rng *rand.Rand, n int) [][]expSpec {
 //
 // Where the replayed job played fewer runs than a round recorded, the
 // runs' times must account for the copies exactly: after a certified
-// repetition the next played run starts its copies' time (and a retry's
-// pause) later. The cases must reach a replay and each refusal: a fault
-// plan, an escalation draw, a non-quiet opening (the first repetition
-// refused, the second certified) and a retry's pause (the first
-// repetition of a later attempt refused, the next certified). They
-// must reach runs in which records replay from the memo beside
-// experiments that are simulated, and the replayed jobs must simulate
-// fewer experiment runs than the observed ones.
+// repetition, whose close wakes the round's ranks at its copies' end
+// (a timed close), the next played run starts its copies' time (and a
+// retry's pause) later. The cases must reach a replay, timed closes and
+// each refusal: a fault plan, an escalation draw, a non-quiet opening
+// (the first repetition refused, the second certified) and a retry's
+// pause (the first repetition of a later attempt refused, the next
+// certified). They must reach runs in which records replay from the
+// memo beside experiments that are simulated, and whole rounds, which
+// no rank plays, among them rounds of two or more records whose learned
+// times differ; and the replayed jobs must simulate fewer experiment
+// runs than the observed ones.
 func TestRoundReplayMatchesSimulation(t *testing.T) {
 	var replayed, faulted, drew, opening, paused, hits, mixed, simulated, observedRuns int
+	var whole, uneven, timed int
 	for seed := int64(1); seed <= 120; seed++ {
 		cfg, opts, specs, rng := drawRoundCase(seed)
 		odds := 12 // one experiment in three takes a variant
@@ -338,10 +342,26 @@ func TestRoundReplayMatchesSimulation(t *testing.T) {
 			}
 		}
 		if odds > 12 {
-			// A memo case ends with three rounds of one round trip, the
-			// middle one pending: its last message still holds the link
-			// when the third round opens, whose record the first round
-			// taught the memo.
+			// A memo case repeats its first round of two or more records
+			// without variants, which the memo may have learned: a whole
+			// round whose records take different times.
+		repeat:
+			for ri, rd := range specs {
+				if len(rd) < 2 {
+					continue
+				}
+				for x, sp := range rd {
+					if sp.kind > 1 || variant[[2]int{ri, x}] != bodyPlain {
+						continue repeat
+					}
+				}
+				specs = append(specs, rd)
+				break
+			}
+			// It ends with three rounds of one round trip, the middle one
+			// pending: its last message still holds the link when the
+			// third round opens, whose record the first round taught the
+			// memo.
 			i := 2 * rng.Intn(cfg.Cluster.N()/2)
 			rt := []expSpec{{kind: 0, ranks: [3]int{i, i + 1}, m: 1 << 10}}
 			specs = append(specs, rt, rt, rt)
@@ -379,6 +399,20 @@ func TestRoundReplayMatchesSimulation(t *testing.T) {
 					t.Fatalf("seed %d round %d: %d of %d repetitions played under a fault plan", seed, ri, ran, reps)
 				}
 			}
+			if ran == 0 {
+				// A whole round: resolved at its opening, and played by no
+				// rank.
+				if p := slices.Max(lg.played[ri]); p != 0 {
+					t.Fatalf("seed %d round %d: a rank played %d runs of a round whose initiators played none", seed, ri, p)
+				}
+				whole++
+				for _, s := range sums[1:] {
+					if s.Mean != sums[0].Mean {
+						uneven++
+						break
+					}
+				}
+			}
 			// Map each played run to its repetition, and find the runs
 			// whose close recorded copies.
 			rl := lg.logs[ri][:ran]
@@ -410,6 +444,11 @@ func TestRoundReplayMatchesSimulation(t *testing.T) {
 				certified[i] = copies > 0
 				rep = end + 1
 			}
+			for _, c := range certified {
+				if c {
+					timed++
+				}
+			}
 			// Attribute each refused close: one that a next repetition of
 			// its attempt followed, played.
 			for i := 0; i+1 < ran; i++ {
@@ -438,10 +477,14 @@ func TestRoundReplayMatchesSimulation(t *testing.T) {
 		t.Fatalf("%d memo replays, %d runs that replayed beside a simulated experiment; the replayed jobs simulated %d experiment runs, the observed ones %d: want such runs, and fewer simulated",
 			hits, mixed, simulated, observedRuns)
 	}
+	if whole == 0 || uneven == 0 || timed == 0 {
+		t.Fatalf("%d whole rounds, %d of them of records whose learned times differ; %d timed closes: want each above 0", whole, uneven, timed)
+	}
 	t.Logf("replayed rounds %d; refused closes: %d under a fault plan, %d that drew, %d at a non-quiet opening, %d after a retry's pause",
 		replayed, faulted, drew, opening, paused)
 	t.Logf("%d memo replays, %d runs that replayed beside a simulated experiment; %d experiment runs simulated, %d when observed",
 		hits, mixed, simulated, observedRuns)
+	t.Logf("%d whole rounds, %d of them of records whose learned times differ; %d timed closes", whole, uneven, timed)
 }
 
 // TestRoundsSimulateOneRepetitionOnTable1 pins how many repetitions
@@ -460,6 +503,12 @@ func TestRoundReplayMatchesSimulation(t *testing.T) {
 // Before the memo the plans simulated 240 and 3 360 repetitions, and
 // 3 425 while rounds opened at their release (see
 // TestRoundOpeningsQuietOnCleanPlatforms).
+//
+// It also pins the rounds that are whole, every record of which
+// replays at the round's quiet opening, and the play calls of every
+// rank, whom a whole round wakes only at its end: 614 of the 912 rounds
+// are whole, and the ranks make 3 908 play calls. Before whole rounds
+// every seat of every round played once, 10 560 calls in all.
 func TestRoundsSimulateOneRepetitionOnTable1(t *testing.T) {
 	const n = 16
 	tts := make([]TripletTimes, 0, 560)
@@ -485,22 +534,32 @@ func TestRoundsSimulateOneRepetitionOnTable1(t *testing.T) {
 			return plan
 		}},
 	}
+	type count struct{ simulated, whole, rounds, plays int }
 	for _, tc := range []struct {
-		prof      *cluster.TCPProfile
-		simulated [2]int // per plan
+		prof *cluster.TCPProfile
+		want [2]count // per plan
 	}{
-		{cluster.Ideal(), [2]int{70, 438}},
-		{cluster.LAM(), [2]int{70, 438}},
-		{cluster.MPICH(), [2]int{70, 438}},
+		{cluster.Ideal(), [2]count{{70, 4, 30, 416}, {438, 610, 882, 3492}}},
+		{cluster.LAM(), [2]count{{70, 4, 30, 416}, {438, 610, 882, 3492}}},
+		{cluster.MPICH(), [2]count{{70, 4, 30, 416}, {438, 610, 882, 3492}}},
 	} {
 		cfg := mpi.Config{Cluster: cluster.Table1(), Profile: tc.prof, Seed: 1}
 		for pi, p := range plans {
 			plan := p.build()
-			simulated := 0
+			roundOf := map[*Exp]int{}
+			for k := range plan {
+				for x := range plan[k].exps {
+					roundOf[&plan[k].exps[x]] = k
+				}
+			}
+			var got count
+			played := make([]bool, len(plan))
 			restore := wrapPlays(func(r *mpi.Rank, e *Exp, d time.Duration, run func()) {
 				if d < 0 && r.Rank() == e.Initiator {
-					simulated++
+					got.simulated++
 				}
+				got.plays++
+				played[roundOf[e]] = true
 				run()
 			})
 			var rep Report
@@ -513,8 +572,16 @@ func TestRoundsSimulateOneRepetitionOnTable1(t *testing.T) {
 				t.Errorf("%s, %s: %d experiments, %d repetitions, %d retries, %d non-converged; want 2 repetitions each",
 					tc.prof.Name, p.name, rep.Experiments, rep.Repetitions, rep.Retries, rep.NonConverged)
 			}
-			if simulated != tc.simulated[pi] {
-				t.Errorf("%s, %s: %d of %d repetitions simulated, want %d", tc.prof.Name, p.name, simulated, rep.Repetitions, tc.simulated[pi])
+			got.rounds = len(plan)
+			for _, ok := range played {
+				if !ok {
+					got.whole++
+				}
+			}
+			if got != tc.want[pi] {
+				t.Errorf("%s, %s: %d of %d repetitions simulated, %d of %d rounds whole, %d play calls; want %d simulated, %d of %d whole, %d play calls",
+					tc.prof.Name, p.name, got.simulated, rep.Repetitions, got.whole, got.rounds, got.plays,
+					tc.want[pi].simulated, tc.want[pi].whole, tc.want[pi].rounds, tc.want[pi].plays)
 			}
 		}
 	}
@@ -545,7 +612,8 @@ func TestRoundOpeningsQuietOnCleanPlatforms(t *testing.T) {
 			return err
 		}},
 	} {
-		// Every rank plays every run of its round, replayed or not.
+		// A rank plays every run of its round, replayed or not, but
+		// those of a whole round, which no rank plays.
 		type play struct {
 			e    *Exp
 			rank int

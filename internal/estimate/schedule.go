@@ -196,28 +196,51 @@ func SampleTriplets(n, k int) []Triplet {
 // per round when serial; when parallel, rounds of mutually disjoint
 // triplets (at most ⌊n/3⌋ per round), packed greedily in input order,
 // so the packing is deterministic.
+//
+// Greedy packing fills one round at a time, taking each triplet left,
+// in input order, that shares no processor with those the round took
+// before it. A triplet therefore lands in the first round whose earlier
+// triplets leave its processors free, which one pass over the triplets
+// finds, round by round in a table of the processors each round takes.
 func tripletSchedule(n int, triplets []Triplet, parallel bool) [][]int {
-	remaining := make([]int, len(triplets))
-	for i := range remaining {
-		remaining[i] = i
-	}
+	idx := make([]int, len(triplets))
 	if !parallel {
-		return serialized(remaining)
+		for i := range idx {
+			idx[i] = i
+		}
+		return serialized(idx)
 	}
-	var rounds [][]int
-	for len(remaining) > 0 {
-		used := make([]bool, n)
-		var round, rest []int
-		for _, i := range remaining {
-			if t := triplets[i]; !used[t.I] && !used[t.J] && !used[t.K] {
-				used[t.I], used[t.J], used[t.K] = true, true, true
-				round = append(round, i)
-			} else {
-				rest = append(rest, i)
+	// A triplet waits behind at most one round for each other triplet
+	// it shares a processor with, of which there are fewer than
+	// 3·C(n-1,2).
+	most := min(len(triplets), 3*(n-1)*(n-2)/2)
+	of := make([]int, len(triplets)) // each triplet's round
+	sizes := make([]int, 0, most)    // each round's triplet count
+	taken := make([]bool, 0, most*n) // taken[r*n+p]: round r has processor p
+	for i, t := range triplets {
+		r := 0
+		for ; r < len(sizes); r++ {
+			if in := taken[r*n : (r+1)*n]; !in[t.I] && !in[t.J] && !in[t.K] {
+				break
 			}
 		}
-		rounds = append(rounds, round)
-		remaining = rest
+		if r == len(sizes) {
+			sizes = append(sizes, 0)
+			taken = append(taken, make([]bool, n)...)
+		}
+		in := taken[r*n : (r+1)*n]
+		in[t.I], in[t.J], in[t.K] = true, true, true
+		sizes[r]++
+		of[i] = r
+	}
+	rounds := make([][]int, len(sizes))
+	start := 0
+	for r, c := range sizes {
+		rounds[r] = idx[start : start : start+c]
+		start += c
+	}
+	for i, r := range of {
+		rounds[r] = append(rounds[r], i)
 	}
 	return rounds
 }

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,52 @@ func TestTripletRoundsCoverAndDisjoint(t *testing.T) {
 		}
 		if len(seen) != n*(n-1)*(n-2)/6 {
 			t.Fatalf("n=%d: covered %d triples", n, len(seen))
+		}
+	}
+}
+
+// greedyTripletRounds is the reference packing of tripletSchedule's
+// parallel schedule: it fills one round at a time, taking each triplet
+// left, in input order, that shares no processor with those the round
+// took before it.
+func greedyTripletRounds(n int, triplets []Triplet) [][]int {
+	remaining := make([]int, len(triplets))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	var rounds [][]int
+	for len(remaining) > 0 {
+		used := make([]bool, n)
+		var round, rest []int
+		for _, i := range remaining {
+			if t := triplets[i]; !used[t.I] && !used[t.J] && !used[t.K] {
+				used[t.I], used[t.J], used[t.K] = true, true, true
+				round = append(round, i)
+			} else {
+				rest = append(rest, i)
+			}
+		}
+		rounds = append(rounds, round)
+		remaining = rest
+	}
+	return rounds
+}
+
+// TestTripletScheduleMatchesGreedyPacking checks that the parallel
+// schedule packs the rounds of the greedy reference, round by round and
+// in order, for n = 3…16: over every triplet in LMOX's order, in a
+// shuffled order, and over a sampled set.
+func TestTripletScheduleMatchesGreedyPacking(t *testing.T) {
+	for n := 3; n <= 16; n++ {
+		shuffled := AllTriplets(n)
+		rand.New(rand.NewSource(int64(n))).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		for _, ts := range [][]Triplet{AllTriplets(n), shuffled, SampleTriplets(n, 2)} {
+			got, want := tripletSchedule(n, ts, true), greedyTripletRounds(n, ts)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("n=%d, %d triplets: rounds\n%v\nwant\n%v", n, len(ts), got, want)
+			}
 		}
 	}
 }

@@ -427,9 +427,9 @@ func (r *Rank) send(dst, tag int, data []byte) {
 func (r *Rank) HardSync() { r.w.sync.Wait(r.p) }
 
 // SyncState is a job at the release of a HardSync, or of a harness's
-// own barrier (Release), as a measurement harness reads it right at the
-// release, before any released rank acts, to tell whether the stretch
-// between two releases would run the same again (Repeatable).
+// own barrier (ReleaseState), as a measurement harness reads it right at
+// the release, before any released rank acts, to tell whether the
+// stretch between two releases would run the same again (Repeatable).
 type SyncState struct {
 	Syncs     int             // HardSync releases so far: one more at each release
 	Quiet     bool            // nothing was pending: no event, no other parked process, no undelivered message, no fault plan, no crashed node
@@ -447,13 +447,13 @@ func (r *Rank) SyncState() SyncState {
 	return s
 }
 
-// Release wakes the parked processes ps of ranks in list order, as
-// vtime.Proc.WakeOrdered does, for a harness that orders its own
-// releases, and returns the job's state at the release: Quiet as for
-// a HardSync, with the caller running instead of parked. Syncs and
-// SameOrder stay zero: they describe HardSyncs.
-func (r *Rank) Release(ps []*vtime.Proc) SyncState {
-	return r.w.state(r.p.WakeOrdered(ps))
+// ReleaseState returns the job's state at a release of a harness that
+// orders its own releases, read right before the harness wakes its
+// parked ranks (vtime.Proc.WakeOrdered): Quiet as for a HardSync, with
+// the caller running instead of parked. Syncs and SameOrder stay zero:
+// they describe HardSyncs.
+func (r *Rank) ReleaseState() SyncState {
+	return r.w.state(r.p.WakeOrdered(nil, 0)) // wakes nobody: reports whether the engine is idle
 }
 
 // state returns the job's state, Quiet when idle is and the network
@@ -484,9 +484,14 @@ func (r *Rank) Collectives() int { return r.w.seq[r.rank] }
 // it sleeps k·d and moves its collective sequence on by k·calls. Every
 // rank skips, in the order a HardSync released them (see mpib.Measure).
 func (r *Rank) Skip(k int, d time.Duration, calls int) {
-	r.w.seq[r.rank] += k * calls
+	r.SkipCollectives(k * calls)
 	r.p.Sleep(time.Duration(k) * d)
 }
+
+// SkipCollectives moves this rank's collective sequence on by n calls
+// without making them: the calls of skipped copies, for a rank that its
+// harness woke at the copies' end.
+func (r *Rank) SkipCollectives(n int) { r.w.seq[r.rank] += n }
 
 // Repeat adds to the network's counters k copies of the traffic
 // between two SyncStates, from and the later to: the skipped copies'

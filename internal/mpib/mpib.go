@@ -221,8 +221,9 @@ func (l *Loop) Record(xs ...float64) {
 	l.budget += o.MaxReps
 }
 
-// Next returns the decision of the last Record, and the pause that
-// comes before the next attempt when it is Retry.
+// Next returns the decision of the last Record, Repeat before the
+// first, and the pause that comes before the next attempt when it is
+// Retry.
 func (l *Loop) Next() (Action, time.Duration) { return l.next, l.pause }
 
 // RecordCopies records xs again, as Record does, for as long as the

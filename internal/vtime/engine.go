@@ -620,22 +620,24 @@ func (e *Engine) wakeSync(p *Proc) {
 }
 
 // Park parks the calling process, with no pending event, until a
-// WakeOrdered call names it.
+// WakeOrdered call names it and its instant comes.
 func (p *Proc) Park() { p.blockSync() }
 
-// WakeOrdered schedules the parked processes ps to resume at the current
-// instant in list order, after the events already due now, and reports
-// whether the engine was idle at the call: no event was queued, so every
-// other process was parked or had ended. A caller that names itself
-// resumes at its own place in the list: it calls Park next, and runs
-// once the processes before it have. Nothing runs before the caller
-// parks, so it may act on the release first. WakeOrdered allocates
-// nothing.
-func (p *Proc) WakeOrdered(ps []*Proc) (idle bool) {
+// WakeOrdered schedules the parked processes ps to resume at the instant
+// at (the current one, if at is earlier) in list order, after the events
+// already queued for that instant, and reports whether the engine was
+// idle at the call: no event was queued, so every other process was
+// parked or had ended. A caller that names itself resumes at its own
+// place in the list: it calls Park next, and runs once the processes
+// before it have. Nothing runs before the caller parks, so it may act on
+// the release first. A woken process counts as blocked no longer, even
+// while its instant is ahead. WakeOrdered allocates nothing.
+func (p *Proc) WakeOrdered(ps []*Proc, at time.Duration) (idle bool) {
 	e := p.e
 	idle = e.pending() == 0
 	for _, q := range ps {
-		e.wakeSync(q)
+		e.blockedSync--
+		e.scheduleResume(at, q)
 	}
 	return idle
 }

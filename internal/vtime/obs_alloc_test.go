@@ -6,6 +6,7 @@ package vtime
 // harness, not here.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -143,8 +144,10 @@ func TestCondBroadcastCycleZeroAlloc(t *testing.T) {
 // TestWakeOrderedCycleZeroAlloc pins the ordered wake that the
 // estimation rounds' barrier takes at every repetition: once warm, a
 // cycle in which 16 processes Park and the last arrival wakes them all
-// with WakeOrdered, itself at its own place, allocates nothing. Two runs
-// that differ only in their cycle count must allocate the same.
+// with WakeOrdered, itself at its own place, allocates nothing, whether
+// it wakes them at the current instant or, every other cycle, at a
+// later one. Two runs that differ only in their cycle count must
+// allocate the same.
 func TestWakeOrderedCycleZeroAlloc(t *testing.T) {
 	const procs = 16
 	run := func(cycles int) uint64 {
@@ -157,7 +160,7 @@ func TestWakeOrderedCycleZeroAlloc(t *testing.T) {
 				for c := 0; c < cycles; c++ {
 					if arrived++; arrived == procs {
 						arrived = 0
-						p.WakeOrdered(order)
+						p.WakeOrdered(order, p.Now()+time.Duration(c%2)*time.Microsecond)
 					}
 					p.Park()
 				}
@@ -187,8 +190,11 @@ func TestWakeOrderedCycleZeroAlloc(t *testing.T) {
 
 // TestWakeOrderedKeepsListOrder pins the order of an ordered wake:
 // parked processes resume in list order, the caller at its own place,
-// after the events already due at that instant.
+// after the events already queued for the wake's instant and before the
+// events queued for it later, whether that instant is the current one
+// or a later one.
 func TestWakeOrderedKeepsListOrder(t *testing.T) {
+	const later = 5 * time.Microsecond
 	eng := NewEngine()
 	var ran []string
 	ps := make([]*Proc, 3)
@@ -200,18 +206,62 @@ func TestWakeOrderedKeepsListOrder(t *testing.T) {
 			if arrived++; arrived == len(ps) {
 				eng.At(p.Now(), func() { ran = append(ran, "due") })
 				// The wake order: b, c, then a.
-				if idle := p.WakeOrdered([]*Proc{ps[1], ps[2], ps[0]}); idle {
+				if idle := p.WakeOrdered([]*Proc{ps[1], ps[2], ps[0]}, p.Now()); idle {
 					t.Errorf("WakeOrdered reported an idle engine with an event due")
 				}
 			}
 			p.Park()
 			ran = append(ran, name)
+			if arrived--; arrived == 0 {
+				// The last to run wakes them all later: c, a, then b.
+				at := p.Now() + later
+				eng.At(at, func() { ran = append(ran, "due later") })
+				p.WakeOrdered([]*Proc{ps[2], ps[0], ps[1]}, at)
+				eng.At(at, func() { ran = append(ran, "queued after") })
+			}
+			p.Park()
+			ran = append(ran, fmt.Sprintf("%s at %v", name, p.Now()))
 		})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(ran); got != "[due b c a]" {
-		t.Fatalf("ran %s, want [due b c a]", got)
+	want := "[due b c a due later c at 5µs a at 5µs b at 5µs queued after]"
+	if got := fmt.Sprint(ran); got != want {
+		t.Fatalf("ran %s, want %s", got, want)
+	}
+}
+
+// TestWakeOrderedForLaterIsNotBlocked pins the blocked-process count
+// that deadlock detection reads: a process that WakeOrdered names for a
+// later instant is not blocked while it waits for that instant, and a
+// run that then drains with another process parked for good reports
+// that one as a deadlock, at the instant the queue drained.
+func TestWakeOrderedForLaterIsNotBlocked(t *testing.T) {
+	const at = 3 * time.Millisecond
+	eng := NewEngine()
+	var woke time.Duration
+	sleeper := eng.Go("sleeper", func(p *Proc) {
+		p.Park()
+		woke = p.Now()
+	})
+	eng.Go("waker", func(p *Proc) {
+		// The sleeper started first, and is parked.
+		if eng.blockedSync != 1 {
+			t.Errorf("%d processes blocked before the wake, want 1", eng.blockedSync)
+		}
+		p.WakeOrdered([]*Proc{sleeper}, at)
+		if eng.blockedSync != 0 {
+			t.Errorf("%d processes blocked once the sleeper is woken for %v, want 0", eng.blockedSync, at)
+		}
+		p.Park() // for good: nothing names it again
+	})
+	err := eng.Run()
+	var de *DeadlockError
+	if !errors.As(err, &de) || de.Blocked != 1 || de.Time != at {
+		t.Fatalf("Run: err = %v, want a DeadlockError with 1 blocked at %v", err, at)
+	}
+	if woke != at {
+		t.Fatalf("the sleeper resumed at %v, want %v", woke, at)
 	}
 }
