@@ -15,24 +15,27 @@ import (
 // Where replay applies in a tune: on Table I under each profile, with
 // the model estimated on that profile at platform seed 1, the tunes at
 // config seeds 1–4 validate 336 shapes of ten repetitions each through
-// the config's Probe. A validation that cannot vary is certified at its
-// second repetition, the first to start in the order it ends in, and
-// records the other eight as copies; a validation whose gather
-// escalates inside (M1, M2) simulates all ten. Each validation is timed
-// again here as Simulate times it, and the count of simulated
-// repetitions comes from the HardSyncs its job released: one opens the
-// measurement and one closes each simulated repetition.
+// the config's Probe. Most validations are certified at their second
+// repetition, the first to start in the order it ends in, and record
+// the other eight as copies; a validation whose look ahead in the
+// escalation stream finds a value that could escalate simulates the
+// next repetition, and most whose gather escalates inside (M1, M2)
+// still record copies around their escalated repetitions. Each
+// validation is timed again here as Simulate times it, and the count of
+// simulated repetitions comes from the HardSyncs its job released: one
+// opens the measurement and one closes each simulated repetition.
 func TestValidationsReplayWhereTheyCannotVary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("estimates three models and runs twelve tunes")
 	}
 	for _, tc := range []struct {
 		prof      *cluster.TCPProfile
-		certified int // validations that simulate two repetitions; the others simulate all ten
+		certified int // validations that simulate two repetitions
+		escalated int // validations that escalated and still recorded copies
 	}{
-		{cluster.LAM(), 312},
-		{cluster.MPICH(), 312},
-		{cluster.Ideal(), 336},
+		{cluster.LAM(), 318, 14},
+		{cluster.MPICH(), 324, 11},
+		{cluster.Ideal(), 336, 0},
 	} {
 		mcfg := mpi.Config{Cluster: cluster.Table1(), Profile: tc.prof, Seed: 1}
 		opt := estimate.Options{Parallel: true}
@@ -43,7 +46,7 @@ func TestValidationsReplayWhereTheyCannotVary(t *testing.T) {
 		if model.Gather, _, err = estimate.DetectGatherIrregularity(mcfg, 0, estimate.DefaultScanSizes(), 20, opt); err != nil {
 			t.Fatal(err)
 		}
-		validations, certified, escalated := 0, 0, 0
+		validations, certified, escalated, escalatedCopied := 0, 0, 0, 0
 		for seed := int64(1); seed <= 4; seed++ {
 			cfg := experiment.Config{Cluster: cluster.Table1(), Profile: tc.prof, Seed: seed}
 			res, err := Tune(context.Background(), cfg, model, Options{})
@@ -74,24 +77,24 @@ func TestValidationsReplayWhereTheyCannotVary(t *testing.T) {
 						t.Fatalf("%s: timed %v s here, %v s in the tune", where, meas.Mean, k.SimulatedS)
 					}
 					validations++
-					switch {
-					case simulated == 2 && meas.Reps == 10:
+					if simulated < 2 || simulated > meas.Reps {
+						t.Fatalf("%s: simulated %d of %d repetitions, want 2 to all", where, simulated, meas.Reps)
+					}
+					if simulated == 2 && meas.Reps == 10 {
 						certified++
-					case simulated != meas.Reps:
-						t.Fatalf("%s: simulated %d of %d repetitions, want 2 or all", where, simulated, meas.Reps)
 					}
 					if job.Net.Escalations > 0 {
 						escalated++
-						if simulated != meas.Reps {
-							t.Fatalf("%s: escalated and still recorded copies", where)
+						if simulated < meas.Reps {
+							escalatedCopied++
 						}
 					}
 				}
 			}
 		}
-		if validations != 336 || certified != tc.certified {
-			t.Errorf("%s: %d of %d validations certified at their second repetition, want %d of 336",
-				tc.prof.Name, certified, validations, tc.certified)
+		if validations != 336 || certified != tc.certified || escalatedCopied != tc.escalated {
+			t.Errorf("%s: %d of %d validations simulate two repetitions and %d escalated and still recorded copies, want %d of 336 and %d",
+				tc.prof.Name, certified, validations, escalatedCopied, tc.certified, tc.escalated)
 		}
 		if (tc.prof.Name == "ideal") != (escalated == 0) {
 			t.Errorf("%s: %d validations escalated", tc.prof.Name, escalated)

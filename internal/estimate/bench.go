@@ -313,9 +313,12 @@ func newPlanState(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) *pl
 	// Lay the seats out rank by rank: first[i+1] holds the start of rank
 	// i's seats while they are placed, advancing past each, so it ends
 	// as the start of rank i+1's. The rounds' seat orders share one
-	// array of processes, and their experiments one memo.
+	// array of processes; their experiments share one memo and one array
+	// each of samples, summaries, series and series backing.
 	procs := make([]*vtime.Proc, total)
 	mm := newMemo(r, plan, nexp)
+	slots, out := make([]float64, nexp), make([]RoundSummary, nexp)
+	series, backing := make([][]float64, nexp), make([]float64, opts.Backing(nexp))
 	for i, sum := 1, 0; i <= n; i++ {
 		sum, pl.first[i] = sum+pl.first[i], sum
 	}
@@ -330,13 +333,20 @@ func newPlanState(r *mpi.Rank, opts mpib.Options, plan []round, rep *Report) *pl
 				pos++
 			}
 		}
+		m := len(rd.exps)
 		st := &pl.rounds[k]
-		st.init(opts, rd.exps, procs[:pos:pos])
-		procs = procs[pos:]
-		st.memo = mm.round(len(rd.exps))
+		*st = roundState{ranks: pos, procs: cut(&procs, pos), exps: rd.exps, slots: cut(&slots, m), out: cut(&out, m), closer: -1, memo: mm.round(m)}
+		st.loop.Init(opts, cut(&series, m), st.out, cut(&backing, opts.Backing(m)))
 	}
 	pl.open(r, 0) // nothing precedes the first round
 	return pl
+}
+
+// cut takes the first n elements off *s and returns them, capped.
+func cut[T any](s *[]T, n int) []T {
+	part := (*s)[:n:n]
+	*s = (*s)[n:]
+	return part
 }
 
 // record counts round k into the plan's report and hands its summaries
@@ -465,9 +475,7 @@ func (mm *memo) round(nexp int) memo {
 	if mm.exps == nil {
 		return memo{}
 	}
-	rm := memo{exps: mm.exps[:nexp:nexp], learned: mm.learned}
-	mm.exps = mm.exps[nexp:]
-	return rm
+	return memo{exps: cut(&mm.exps, nexp), learned: mm.learned}
 }
 
 // roundState is one round's state, shared by the round's ranks: its
@@ -497,11 +505,6 @@ type roundState struct {
 	copies int           // copies of the last repetition recorded, for every rank to skip
 	closer int           // the seat whose arrival would have ended a whole round; -1 for a round that plays
 	memo   memo          // the round's part of the plan's memo
-}
-
-func (st *roundState) init(opts mpib.Options, exps []Exp, procs []*vtime.Proc) {
-	*st = roundState{ranks: len(procs), procs: procs, exps: exps, slots: make([]float64, len(exps)), out: make([]RoundSummary, len(exps)), closer: -1}
-	st.loop.Init(opts, make([][]float64, len(exps)), st.out)
 }
 
 // sit runs rank r's seat in the round, at position pos of its seat
@@ -665,7 +668,7 @@ func (st *roundState) certify(r *mpi.Rank, close time.Duration) {
 	if mpi.Repeatable(open, shut) {
 		st.learn(open.Net, shut.Net)
 		if r.Observer() == nil {
-			st.copies = st.loop.RecordCopies(st.slots...)
+			st.copies = st.loop.RecordCopies(nil, st.slots...)
 			r.Repeat(open, shut, st.copies)
 		}
 	}

@@ -192,12 +192,14 @@ func TestCleanExperimentsStopAtTwoRepetitions(t *testing.T) {
 // TestWarmLMOXAllocs pins the allocations of a warm LMOX on Table I
 // under LAM with the parallel schedule. Its experiments are data
 // records, which runRounds runs through one function, its plans' memos
-// live in plan-wide arrays, and tripletSchedule packs its rounds in
-// buffers allocated once: the estimation allocates per round and per
-// plan, not per experiment (5 640 objects; 7 528 when tripletSchedule
-// allocated per round, 11 103 when each experiment was a closure).
+// and its rounds' samples, summaries, series and series backing live
+// in plan-wide arrays, and tripletSchedule packs its rounds in buffers
+// allocated once: the estimation allocates per plan, not per round or
+// per experiment (2 001 objects; 5 641 when each round allocated those
+// four, 7 528 when tripletSchedule allocated per round, 11 103 when
+// each experiment was a closure).
 func TestWarmLMOXAllocs(t *testing.T) {
-	const bound = 6000
+	const bound = 2500
 	cfg := mpi.Config{Cluster: cluster.Table1(), Profile: cluster.LAM(), Seed: 1}
 	run := func() {
 		if _, _, err := LMOX(cfg, Options{Parallel: true}); err != nil {

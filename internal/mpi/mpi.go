@@ -429,28 +429,30 @@ func (r *Rank) HardSync() { r.w.sync.Wait(r.p) }
 // SyncState is a job at the release of a HardSync, or of a harness's
 // own barrier (ReleaseState), as a measurement harness reads it right at
 // the release, before any released rank acts, to tell whether the
-// stretch between two releases would run the same again (Repeatable).
+// stretch after a release would run as the stretch after an earlier
+// one ran (Repeatable).
 type SyncState struct {
-	Syncs     int             // HardSync releases so far: one more at each release
-	Quiet     bool            // nothing was pending: no event, no other parked process, no undelivered message, no fault plan, no crashed node
-	SameOrder bool            // the ranks left in the order of the release before
-	Draws     int             // draws from the escalation randomness so far
-	Cells     int             // SharedCell calls so far, over all ranks
-	Net       simnet.Counters // the traffic so far
+	Syncs int             // HardSync releases so far: one more at each release
+	Epoch int             // HardSync releases so far that left the ranks in another order than the release before: two releases of one epoch left them in one order
+	Quiet bool            // nothing was pending: no event, no other parked process, no undelivered message, no fault plan, no crashed node
+	Draws int             // draws from the escalation randomness so far
+	Peak  float64         // the highest escalation probability a draw met since the last MarkDraws
+	Cells int             // SharedCell calls so far, over all ranks
+	Net   simnet.Counters // the traffic so far
 }
 
 // SyncState returns the job's state at its last HardSync's release.
 func (r *Rank) SyncState() SyncState {
-	syncs, quiet, same := r.w.sync.Released()
+	syncs, epoch, quiet := r.w.sync.Released()
 	s := r.w.state(quiet)
-	s.Syncs, s.SameOrder = syncs, same
+	s.Syncs, s.Epoch = syncs, epoch
 	return s
 }
 
 // ReleaseState returns the job's state at a release of a harness that
 // orders its own releases, read right before the harness wakes its
 // parked ranks (vtime.Proc.WakeOrdered): Quiet as for a HardSync, with
-// the caller running instead of parked. Syncs and SameOrder stay zero:
+// the caller running instead of parked. Syncs and Epoch stay zero:
 // they describe HardSyncs.
 func (r *Rank) ReleaseState() SyncState {
 	return r.w.state(r.p.WakeOrdered(nil, 0)) // wakes nobody: reports whether the engine is idle
@@ -459,18 +461,31 @@ func (r *Rank) ReleaseState() SyncState {
 // state returns the job's state, Quiet when idle is and the network
 // has settled.
 func (w *World) state(idle bool) SyncState {
-	s := SyncState{Quiet: idle && w.net.Settled(), Draws: w.net.Draws(), Net: w.net.Counters()}
+	s := SyncState{Quiet: idle && w.net.Settled(), Draws: w.net.Draws(), Peak: w.net.Peak(), Net: w.net.Counters()}
 	for _, c := range w.cellSeq {
 		s.Cells += c
 	}
 	return s
 }
 
+// MarkDraws starts the stretch over which SyncState.Peak notes the
+// escalation probabilities that draws met.
+func (r *Rank) MarkDraws() { r.w.net.Mark() }
+
+// Lookahead reports whether the next d draws from the escalation
+// randomness would all come out clean against any escalation
+// probability up to p, and if so takes them: the draws of a skipped
+// copy of a stretch that drew d times, each against a probability up
+// to p (its Peak), and escalated nothing. Otherwise it leaves them for
+// the draws that follow (simnet.Network.Lookahead).
+func (r *Rank) Lookahead(d int, p float64) bool { return r.w.net.Lookahead(d, p) }
+
 // Repeatable reports whether the stretch between two states, from and
 // the later to, runs the same again when it starts from to: both were
 // quiet, and nothing drew from the escalation randomness or called a
-// SharedCell between them. It is the part of the replay certificate
-// that mpib.Measure and the estimation rounds share.
+// SharedCell between them. It is the certificate of the estimation
+// rounds, whose replayed records take no draws; mpib.Measure also
+// copies stretches whose draws came out clean.
 func Repeatable(from, to SyncState) bool {
 	return from.Quiet && to.Quiet && to.Draws == from.Draws && to.Cells == from.Cells
 }

@@ -152,9 +152,9 @@ const (
 // lockstep: one repetition yields one sample per series, and after it
 // Record decides for every rank whether to repeat, to back off and
 // retry, or to finish. A loop writes its samples and results into the
-// slices its owner hands to Init, and lives by value in the owner's
-// shared state, so it allocates nothing beyond its samples' backing
-// array.
+// slices and the backing its owner hands to Init, and lives by value in
+// the owner's shared state, so it allocates nothing until a series
+// outgrows its share of the backing.
 type Loop struct {
 	opts    Options
 	samples [][]float64 // each series' samples, pre-rejection
@@ -168,18 +168,25 @@ type Loop struct {
 }
 
 // Init starts a loop over len(samples) series under opts, which it
-// defaults. The series' samples start in one backing array of twice
-// the minimum repetitions each (at most MaxReps); a series that
-// outgrows its share moves to storage of its own. results receives
-// one Result per series.
-func (l *Loop) Init(opts Options, samples [][]float64, results []Result) {
+// defaults. The series' samples start in the caller's backing, of at
+// least opts.Backing(len(samples)) values, an equal share each whose
+// capacity ends with it, so a series that outgrows its share moves to
+// storage of its own. results receives one Result per series.
+func (l *Loop) Init(opts Options, samples [][]float64, results []Result, backing []float64) {
 	o := opts.WithDefaults()
 	*l = Loop{opts: o, samples: samples, results: results, budget: o.MaxReps, backoff: o.Backoff}
-	c := min(2*o.MinReps, o.MaxReps)
-	backing := make([]float64, len(samples)*c)
+	c := o.Backing(1)
 	for i := range samples {
 		samples[i] = backing[i*c : i*c : (i+1)*c]
 	}
+}
+
+// Backing returns how many sample values a loop over k series starts in
+// under o (Loop.Init): twice the minimum repetitions per series, at most
+// MaxReps.
+func (o Options) Backing(k int) int {
+	o = o.WithDefaults()
+	return k * min(2*o.MinReps, o.MaxReps)
 }
 
 // Record appends one repetition's samples, xs[i] to series i, and
@@ -227,12 +234,13 @@ func (l *Loop) Record(xs ...float64) {
 func (l *Loop) Next() (Action, time.Duration) { return l.next, l.pause }
 
 // RecordCopies records xs again, as Record does, for as long as the
-// loop asks to Repeat, and returns the number of copies it recorded:
-// the replay of a certified repetition, which every later repetition
-// would repeat bit for bit.
-func (l *Loop) RecordCopies(xs ...float64) int {
+// loop asks to Repeat and exact, unless nil, reports the next copy
+// exact, and returns the number of copies it recorded: the replay of a
+// certified repetition, which every later repetition would repeat bit
+// for bit.
+func (l *Loop) RecordCopies(exact func() bool, xs ...float64) int {
 	copies := 0
-	for l.next == Repeat {
+	for l.next == Repeat && (exact == nil || exact()) {
 		l.Record(xs...)
 		copies++
 	}
@@ -259,32 +267,50 @@ func (l *Loop) RecordCopies(xs ...float64) int {
 // slice, the same on every rank; callers must treat it as read-only.
 //
 // The simulator is deterministic, so a repetition that starts from the
-// state the one before it started from, translated in time, repeats it
+// state another one started from, translated in time, and whose draws
+// from the escalation randomness come out as that one's did, repeats it
 // bit for bit. The recording rank certifies a repetition when
 //
 //   - opts declares op invariant (Invariant), and no observer is
 //     installed, whose spans the copies would lack;
 //   - the job has no fault plan and no crashed node;
-//   - the repetition drew nothing from the escalation randomness and
-//     called no SharedCell;
+//   - every draw the repetition made from the escalation randomness
+//     came out clean (it escalated nothing), and it called no
+//     SharedCell;
 //   - the HardSyncs that opened and closed it were consecutive, and each
 //     released the ranks with nothing else pending: no event queued, no
 //     other process parked, no message undelivered;
 //   - the closing one released the ranks in the order the opening one
 //     did.
 //
-// Each later repetition would then start as this one did and run the
-// same, so the rank records one copy of the sample per repetition the
-// loop still asks for, and every rank skips the copies: it sleeps their
-// time and moves its collective sequence on, and the network's counters
-// take their traffic. The samples, the Result, Elapsed and everything
-// the job does afterwards are exactly those of simulating every copy.
+// The certified repetition is the template. The next repetition starts
+// as it did, so it makes the template's d draws in the same order, each
+// against an escalation probability of at most the highest one the
+// template's draws met, and repeats the template bit for bit if every
+// one comes out clean. So, before it records each copy of the
+// template's sample the loop still asks for, the rank looks ahead in
+// the escalation stream: the copy is exact if the next d values are all
+// at or above that probability, and it takes them as the copy's draws.
+// The first value below it ends the copies, and the next repetition,
+// simulated, draws the values the lookahead left. Every rank skips the
+// copies: it sleeps their time and moves its collective sequence on,
+// and the network's counters take their traffic. A template that drew
+// nothing (d = 0) copies until the loop stops asking.
+//
+// The template stays one while the job can return to its state: the
+// close of a later simulated repetition, such as one that escalated,
+// that releases the ranks with nothing else pending, in the template's
+// order (no order change since the template opened) and with no
+// SharedCell call since then, leaves the job where the template
+// started, and the copies resume there. The samples, the Result,
+// Elapsed, the escalation stream and everything the job does afterwards
+// are exactly those of simulating every copy.
 func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()) Measurement {
 	cell := r.SharedCell()
 	st, _ := cell.V.(*measureState)
 	if st == nil {
 		st = &measureState{locals: make([]float64, r.Size())}
-		st.loop.Init(opts, st.samples[:], st.result[:])
+		st.loop.Init(opts, st.samples[:], st.result[:], make([]float64, opts.Backing(1)))
 		cell.V = st
 	}
 
@@ -303,10 +329,11 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 	if replay && st.open.Syncs == 0 {
 		// The first rank past the opening sync, which counts at least
 		// one release, notes the state the first repetition starts from.
-		st.open = r.SyncState()
+		st.opening(r)
 	}
+	calls := 0 // this rank's collective calls in the template
 	for rep := 1; ; rep++ {
-		t0, calls := r.Now(), r.Collectives()
+		t0, c0 := r.Now(), r.Collectives()
 		op()
 		st.locals[r.Rank()] = (r.Now() - t0).Seconds()
 		r.HardSync() // every rank has written its local duration, and starts the next repetition here
@@ -318,11 +345,14 @@ func Measure(r *mpi.Rank, designated int, timing Timing, opts Options, op func()
 			}
 			st.loop.Record(sample)
 			if replay {
-				st.replay(r, sample)
+				st.replay(r, sample, r.Now()-t0)
 			}
 		}
+		if st.fresh {
+			calls = r.Collectives() - c0
+		}
 		if k := st.copies; k > 0 {
-			r.Skip(k, r.Now()-t0, r.Collectives()-calls)
+			r.Skip(k, st.tmpl.span, calls)
 			rep += k
 		}
 		act, pause := st.loop.Next()
@@ -352,21 +382,58 @@ type measureState struct {
 	result  [1]Result    // the series' result
 
 	open   mpi.SyncState // the job when the current repetition started
-	copies int           // copies of the last repetition recorded, for every rank to skip
+	tmpl   template      // the certified repetition that copies repeat; its zero value matches no state
+	fresh  bool          // the repetition just recorded is the template: each rank notes its calls in it
+	copies int           // copies of the template recorded at the last close, for every rank to skip
 }
 
-// replay runs on the rank that recorded a repetition, right after its
-// closing sync, when the op is invariant and nothing observes the job.
-// If the repetition is certified (see Measure), it records a copy of
-// its sample for each repetition the loop still asks for, and adds the
-// copies' traffic; every rank then skips the copies.
-func (st *measureState) replay(r *mpi.Rank, sample float64) {
+// template is a certified repetition: the job's state at its opening
+// and its close, its sample and its duration.
+type template struct {
+	open, shut mpi.SyncState
+	sample     float64
+	span       time.Duration
+}
+
+// lookahead is the look ahead in the escalation stream before each
+// copy (mpi.Rank.Lookahead). The tests wrap it to count refusals.
+var lookahead = (*mpi.Rank).Lookahead
+
+// alike reports whether the job stands at s where it stood at t, for a
+// repetition that starts there: both releases found nothing else
+// pending, left the ranks in one order, and no SharedCell call came
+// between them.
+func alike(t, s mpi.SyncState) bool {
+	return t.Quiet && s.Quiet && s.Epoch == t.Epoch && s.Cells == t.Cells
+}
+
+// opening notes the job's state as the opening of the next repetition,
+// on the rank that runs first after the release that opens it, and
+// starts the stretch whose draws' highest escalation probability the
+// repetition's close reads.
+func (st *measureState) opening(r *mpi.Rank) {
+	st.open = r.SyncState()
+	r.MarkDraws()
+}
+
+// replay runs on the rank that recorded a repetition, of duration span,
+// right after its closing sync, when the op is invariant and nothing
+// observes the job. A certified repetition becomes the template (see
+// Measure); the close of another one resumes the template if it leaves
+// the job where the template started. Either way the rank then records
+// a copy of the template's sample for each repetition the loop still
+// asks for whose draws the lookahead finds clean, and adds the copies'
+// traffic; every rank then skips the copies.
+func (st *measureState) replay(r *mpi.Rank, sample float64, span time.Duration) {
 	open, shut := st.open, r.SyncState()
-	st.open, st.copies = shut, 0
-	if shut.Syncs != open.Syncs+1 || !shut.SameOrder || !mpi.Repeatable(open, shut) {
-		return
+	st.copies, st.fresh = 0, false
+	if shut.Syncs == open.Syncs+1 && alike(open, shut) && shut.Net.Escalations == open.Net.Escalations {
+		st.tmpl, st.fresh = template{open: open, shut: shut, sample: sample, span: span}, true
 	}
-	st.copies = st.loop.RecordCopies(sample)
-	r.Repeat(open, shut, st.copies)
-	st.open = r.SyncState() // a retried attempt starts from the copies' end
+	if t := &st.tmpl; alike(t.open, shut) {
+		draws := t.shut.Draws - t.open.Draws
+		st.copies = st.loop.RecordCopies(func() bool { return lookahead(r, draws, t.shut.Peak) }, t.sample)
+		r.Repeat(t.open, t.shut, st.copies)
+	}
+	st.opening(r) // the next repetition starts here, after any copies
 }

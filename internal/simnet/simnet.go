@@ -109,7 +109,10 @@ type Network struct {
 	rng    *rand.Rand // escalation randomness, seeded on the run's first draw
 	seeded bool       // rng has been seeded with seed since the last Reset
 	seed   int64
-	draws  int // draws from rng since the last Reset
+	draws  int       // draws from the escalation randomness since the last Reset
+	ahead  []float64 // values a lookahead took from rng before the draws that use them, from head on
+	head   int
+	peak   float64 // the highest escalation probability a draw met since the last Mark
 
 	cpus        []*vtime.Resource // one per node
 	conds       []*vtime.Cond     // mailbox wakeups, one per node
@@ -194,10 +197,10 @@ func fabricOf(cl *cluster.Cluster) *topo.Topology {
 // Reset sets the network up for a new simulation of cl under prof and
 // seed, as New does: idle links, ports and lanes, no crashed node, no
 // fault plan, no observer, zero counters, and escalation randomness
-// from seed. Messages left undelivered in the mailboxes go back to the
-// header freelist. cl must validate and have the node count and fabric
-// the network was built for. The engine is not touched: reset it too
-// for a new run. The network's CPU resources and mailbox conds are
+// from seed, with nothing drawn ahead and no probability met. Messages
+// left undelivered in the mailboxes go back to the header freelist. cl
+// must validate and have the node count and fabric the network was
+// built for. The engine is not touched: reset it too for a new run. The network's CPU resources and mailbox conds are
 // reused as they are, so Reset is for a network that was never run or
 // whose last run ended with every process finished; after a failed
 // run, build a new network.
@@ -219,6 +222,7 @@ func (n *Network) reset(cl *cluster.Cluster, prof *cluster.TCPProfile, seed int6
 		prof = cluster.Ideal()
 	}
 	n.cl, n.prof, n.seed, n.seeded, n.draws = cl, prof, seed, false, 0
+	n.ahead, n.head, n.peak = n.ahead[:0], 0, 0
 	for i := range n.boxes {
 		n.drain(&n.boxes[i])
 	}
@@ -255,10 +259,10 @@ func (n *Network) drain(b *mailbox) {
 	*b = mailbox{lists: b.lists[:0]}
 }
 
-// draw returns the next number of the escalation randomness. The
-// generator is seeded in place on a run's first draw, so a run that
-// draws nothing, such as any under the Ideal profile, never seeds it.
-func (n *Network) draw() float64 {
+// generator returns the generator of the escalation randomness. It is
+// seeded in place on a run's first use, so a run that draws nothing,
+// such as any under the Ideal profile, never seeds it.
+func (n *Network) generator() *rand.Rand {
 	if !n.seeded {
 		if n.rng == nil {
 			n.rng = rand.New(rand.NewSource(n.seed))
@@ -267,13 +271,67 @@ func (n *Network) draw() float64 {
 		}
 		n.seeded = true
 	}
-	n.draws++
-	return n.rng.Float64()
+	return n.rng
+}
+
+// draw returns the next number of the escalation randomness: the
+// oldest value a lookahead took ahead, or else the generator's next.
+func (n *Network) draw() float64 {
+	if n.head == len(n.ahead) {
+		n.draws++
+		return n.generator().Float64()
+	}
+	v := n.ahead[n.head]
+	n.consume(1)
+	return v
+}
+
+// consume takes the next k values drawn ahead as k draws.
+func (n *Network) consume(k int) {
+	n.draws += k
+	if n.head += k; n.head == len(n.ahead) {
+		n.ahead, n.head = n.ahead[:0], 0
+	}
+}
+
+// escalates draws the next number against escalation probability pr,
+// which it notes as met (Peak), and reports whether the flow escalates.
+func (n *Network) escalates(pr float64) bool {
+	n.peak = max(n.peak, pr)
+	return n.draw() < pr
 }
 
 // Draws returns the number of draws from the escalation randomness
 // since the last Reset.
 func (n *Network) Draws() int { return n.draws }
+
+// Mark starts a new stretch for Peak.
+func (n *Network) Mark() { n.peak = 0 }
+
+// Peak returns the highest escalation probability that a draw met since
+// the last Mark or Reset, 0 when nothing drew.
+func (n *Network) Peak() float64 { return n.peak }
+
+// Lookahead reports whether the next d numbers of the escalation
+// randomness are all at or above p, taking them from the generator
+// ahead of the draws that will use them as needed. If they are, it
+// consumes them as d draws: those of a copy of a stretch that drew d
+// times without escalating, each against a probability of at most p
+// (Peak), which from the same state would draw them in the same order
+// and escalate no more. Otherwise the draws that follow take them, so
+// the stream every draw sees is the generator's, lookahead or not.
+func (n *Network) Lookahead(d int, p float64) bool {
+	for len(n.ahead)-n.head < d {
+		n.ahead = append(n.ahead, n.generator().Float64())
+	}
+	for _, v := range n.ahead[n.head : n.head+d] {
+		if v < p {
+			return false
+		}
+	}
+	n.consume(d)
+	return true
+}
 
 // Settled reports whether the network holds nothing that can act on a
 // later message: no fault plan, no crashed node and no delivered
@@ -596,7 +654,7 @@ func (n *Network) send(p *vtime.Proc, src, dst, tag int, payload []byte, parts [
 	// are a many-to-one phenomenon (§III).
 	escalated := false
 	if !n.prof.SerializesIngress(m) && n.inflightTot[dst]-n.inflight[dst][src] > 0 {
-		if pr := n.prof.EscalationProb(m); pr > 0 && n.draw() < pr {
+		if pr := n.prof.EscalationProb(m); pr > 0 && n.escalates(pr) {
 			seg += n.prof.PickEscalation(n.draw())
 			n.counters.Escalations++
 			escalated = true

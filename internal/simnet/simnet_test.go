@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -814,4 +815,85 @@ func TestSendPartsCostsLikeOneSend(t *testing.T) {
 			t.Fatalf("arrival %d: parts %+v, one send %+v", k, parts[k], whole[k])
 		}
 	}
+}
+
+// TestLookaheadLeavesTheStreamAsDrawn checks the lookahead in the
+// escalation stream against a fresh generator of the same seed: a
+// refused lookahead leaves its values to the draws that follow, which
+// see exactly the generator's sequence; an accepted one consumes its
+// values as draws; Peak notes the highest probability a draw met since
+// Mark; and Reset drops whatever was drawn ahead.
+func TestLookaheadLeavesTheStreamAsDrawn(t *testing.T) {
+	const seed = 11
+	fresh := rand.New(rand.NewSource(seed))
+	want := make([]float64, 40)
+	for i := range want {
+		want[i] = fresh.Float64()
+	}
+	net, err := New(vtime.NewEngine(), testCluster(4), cluster.LAM(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0 // the index in want of the next value draw returns
+	expect := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			if v := net.draw(); v != want[next] {
+				t.Fatalf("draw %d returned %v, want the generator's %v", next, v, want[next])
+			}
+			next++
+		}
+		if net.Draws() != next {
+			t.Fatalf("%d draws counted, want %d", net.Draws(), next)
+		}
+	}
+	expect(3)
+	if net.Lookahead(6, 1) { // every value lies below 1
+		t.Fatal("a lookahead against probability 1 was accepted")
+	}
+	expect(2)                // from the values drawn ahead
+	if net.Lookahead(8, 1) { // the four left, then four more from the generator
+		t.Fatal("a lookahead against probability 1 was accepted")
+	}
+	expect(10) // past the values drawn ahead
+	if !net.Lookahead(5, 0) {
+		t.Fatal("a lookahead against probability 0 was refused")
+	}
+	next += 5
+	expect(1)
+	window := want[next : next+4]
+	low := min(window[0], window[1], window[2], window[3])
+	if net.Lookahead(4, low+1e-12) || !net.Lookahead(4, low) {
+		t.Fatalf("a lookahead over %v refused its lowest value %v, or accepted above it", window, low)
+	}
+	next += 4
+	expect(1)
+
+	net.Mark()
+	if net.Peak() != 0 {
+		t.Fatalf("peak %v right after Mark, want 0", net.Peak())
+	}
+	for _, pr := range []float64{0.02, 0.05, 0.03} {
+		if got := net.escalates(pr); got != (want[next] < pr) {
+			t.Fatalf("escalates(%v) = %v on %v", pr, got, want[next])
+		}
+		next++
+	}
+	if net.Peak() != 0.05 {
+		t.Fatalf("peak %v, want the highest probability met, 0.05", net.Peak())
+	}
+
+	// Values drawn ahead do not outlive a Reset: the reset stream is the
+	// generator's from its start.
+	if net.Lookahead(6, 1) {
+		t.Fatal("a lookahead against probability 1 was accepted")
+	}
+	if err := net.Reset(testCluster(4), cluster.LAM(), seed); err != nil {
+		t.Fatal(err)
+	}
+	if net.Peak() != 0 {
+		t.Fatalf("peak %v after Reset, want 0", net.Peak())
+	}
+	next = 0
+	expect(8)
 }

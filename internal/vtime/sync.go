@@ -98,7 +98,7 @@ type Barrier struct {
 	order   []*Proc // the arriving generation's parties, in arrival order
 	last    []*Proc // the last released generation's parties, in release order
 	quiet   bool    // the last release found no event queued and no other process parked
-	same    bool    // the last release's order was that of the release before it
+	epoch   int     // releases whose order differed from that of the release before them
 }
 
 // NewBarrier returns a barrier for the given number of parties.
@@ -120,7 +120,9 @@ func (b *Barrier) Wait(p *Proc) {
 		b.arrived = 0
 		b.gen++
 		b.quiet = b.e.pending() == 0 && b.e.blockedSync == b.parties-1
-		b.same = slices.Equal(b.order, b.last)
+		if !slices.Equal(b.order, b.last) {
+			b.epoch++
+		}
 		b.order, b.last = b.last, b.order
 		b.cond.Broadcast()
 		// Let the released waiters run before the releaser continues, so
@@ -133,9 +135,11 @@ func (b *Barrier) Wait(p *Proc) {
 	}
 }
 
-// Released returns the number of releases so far and, of the last one,
-// whether it found nothing else pending (no event queued, no process
-// parked but its parties) and whether it released its parties in the
-// order of the release before it: what a harness reads to tell whether
-// the stretch between two releases would run the same again.
-func (b *Barrier) Released() (n int, quiet, sameOrder bool) { return b.gen, b.quiet, b.same }
+// Released returns the number of releases so far, the order epoch (the
+// number of releases whose order differed from that of the release
+// before them, so two releases of one epoch released their parties in
+// one order), and whether the last release found nothing else pending
+// (no event queued, no process parked but its parties): what a harness
+// reads to tell whether the stretch after a release would run as the
+// stretch after an earlier one ran.
+func (b *Barrier) Released() (n, epoch int, quiet bool) { return b.gen, b.epoch, b.quiet }
